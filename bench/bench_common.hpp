@@ -19,7 +19,7 @@ namespace tmhls::benchkit {
 
 /// One flat JSON measurement record, emitted as a single line (JSONL) so
 /// runs of different benches concatenate into one machine-readable stream:
-///   {"bench":"backend_throughput","backend":"streaming_float",...}
+///   {"bench":"backend_throughput","backend":"fused_stream",...}
 /// Keys appear in insertion order; string values are escaped minimally
 /// (quotes and backslashes — bench names and backend names need no more).
 ///
@@ -28,7 +28,7 @@ namespace tmhls::benchkit {
 ///   * one record per line; each record is a flat JSON object — values
 ///     are strings, ints or doubles, never nested containers;
 ///   * the FIRST key is "bench", a non-empty string naming the emitter
-///     ("backend_throughput", "frame_pipeline", "serving", ...);
+///     ("backend_throughput", "serving", "streaming", ...);
 ///   * every numeric value is finite — a NaN/Inf measurement must be
 ///     fixed or omitted at the emitter, not smuggled into the stream
 ///     (operator<< would print `nan`, which is not JSON at all);

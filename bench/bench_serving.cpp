@@ -1,7 +1,6 @@
 // Throughput and latency of the in-process serving layer
 // (serve::ToneMapService) versus shard count: a fixed multi-client
-// workload is replayed at shard counts 1, 2 and 4, and one oversized
-// frame is replayed at blur-shard counts 1, 2 and 4. A third mode
+// workload is replayed at shard counts 1, 2 and 4. A second mode
 // measures behaviour under overload: per-job service time is calibrated
 // first, then bursts of 1x / 2x / 4x the base workload — alternating
 // best_effort and standard QoS, every job deadlined — are offered to a
@@ -10,10 +9,10 @@
 // line per configuration on stdout and a human table on stderr.
 //
 //   bench_serving [--size N] [--clients C] [--jobs J] [--reps R]
-//                 [--backend NAME] [--threads T] [--depth D] [--sigma S]
-//                 [--big-size N] [--deadline-factor F]
+//                 [--backend NAME] [--threads T] [--sigma S]
+//                 [--deadline-factor F]
 //
-// A fourth mode, --autotune, is the online-convergence proof for the
+// A third mode, --autotune, is the online-convergence proof for the
 // exec::Planner feedback loop: the cost model is deliberately mis-priored
 // so '--backend auto' starts on the wrong backend, then sequential jobs
 // stream through a service with online calibration on — each measured
@@ -63,10 +62,9 @@ struct RunResult {
 };
 
 /// Replay `jobs` jobs from each of `clients` threads through a service
-/// with `shards` shards; every job carries `blur_shards`. `pool_bytes`
-/// is the service's plane-pool bound (0 = unpooled).
-RunResult run_workload(int shards, int depth, int clients, int jobs,
-                       int blur_shards,
+/// with `shards` shards. `pool_bytes` is the service's plane-pool bound
+/// (0 = unpooled).
+RunResult run_workload(int shards, int clients, int jobs,
                        const tonemap::PipelineOptions& popt,
                        const std::vector<img::ImageF>& frames,
                        std::size_t pool_bytes =
@@ -74,7 +72,6 @@ RunResult run_workload(int shards, int depth, int clients, int jobs,
   const std::uint64_t allocs_before = img::plane_allocation_count();
   serve::ToneMapServiceOptions so;
   so.shards = shards;
-  so.pipeline_depth = depth;
   so.pool_bytes = pool_bytes;
   serve::ToneMapService service(so);
 
@@ -95,7 +92,6 @@ RunResult run_workload(int shards, int depth, int clients, int jobs,
         job.frame = frames[static_cast<std::size_t>(c * jobs + j) %
                            frames.size()];
         job.options = popt;
-        job.blur_shards = blur_shards;
         submitted.push_back(Clock::now());
         futures.push_back(service.submit(std::move(job)));
       }
@@ -145,14 +141,13 @@ struct OverloadResult {
 
 /// Offer `clients x jobs` deadlined jobs (alternating best_effort and
 /// standard QoS) to a service whose admission estimate is `assumed_s`.
-OverloadResult run_overload(int shards, int depth, int clients, int jobs,
+OverloadResult run_overload(int shards, int clients, int jobs,
                             double assumed_s, double deadline_s,
                             const tonemap::PipelineOptions& popt,
                             const std::vector<img::ImageF>& frames) {
   const std::uint64_t allocs_before = img::plane_allocation_count();
   serve::ToneMapServiceOptions so;
   so.shards = shards;
-  so.pipeline_depth = depth;
   so.overload.assumed_service_seconds = assumed_s;
   serve::ToneMapService service(so);
 
@@ -238,12 +233,9 @@ int main(int argc, char** argv) {
     const int clients = args.get_int("clients", 4);
     const int jobs = args.get_int("jobs", 4); // per client
     const int reps = args.get_int("reps", 3);
-    const int depth = args.get_int("depth", 2);
-    const int big_size = args.get_int("big-size", 2 * size);
     const std::string backend = args.get_or("backend", "separable_simd");
-    TMHLS_REQUIRE(size > 0 && clients > 0 && jobs > 0 && reps > 0 &&
-                      big_size > 0,
-                  "size, clients, jobs, reps and big-size must be positive");
+    TMHLS_REQUIRE(size > 0 && clients > 0 && jobs > 0 && reps > 0,
+                  "size, clients, jobs and reps must be positive");
 
     tonemap::PipelineOptions popt;
     popt.sigma = args.get_double("sigma", 16.0);
@@ -257,8 +249,6 @@ int main(int argc, char** argv) {
           io::SceneKind::window_interior, size, size,
           2018u + static_cast<std::uint64_t>(i)));
     }
-    const img::ImageF big_frame = io::generate_hdr_scene(
-        io::SceneKind::window_interior, big_size, big_size, 2018);
 
     benchkit::print_header("Serving throughput, backend " + backend,
                            std::cerr);
@@ -273,7 +263,7 @@ int main(int argc, char** argv) {
     // emitted record proves how many jobs that took.
     if (args.has("autotune")) {
       const std::string misprior =
-          args.get_or("misprior", "streaming_float");
+          args.get_or("misprior", "separable_float");
       const int autotune_jobs = args.get_int("autotune-jobs", 24);
       TMHLS_REQUIRE(autotune_jobs >= 2, "autotune-jobs must be >= 2");
       exec::CostModel& model = exec::CostModel::global();
@@ -292,7 +282,6 @@ int main(int argc, char** argv) {
       const std::uint64_t allocs_before = img::plane_allocation_count();
       serve::ToneMapServiceOptions so;
       so.shards = 1;
-      so.pipeline_depth = 1;
       so.online_calibration = true;
       serve::ToneMapService service(so);
 
@@ -403,7 +392,7 @@ int main(int argc, char** argv) {
         RunResult best;
         for (int r = 0; r < reps; ++r) {
           const RunResult run = run_workload(
-              2, depth, clients, jobs, 1, popt, frames,
+              2, clients, jobs, popt, frames,
               pooled ? img::PlanePool::kDefaultMaxRetainedBytes : 0);
           if (best.seconds == 0.0 || run.seconds < best.seconds) best = run;
         }
@@ -451,7 +440,7 @@ int main(int argc, char** argv) {
       RunResult best;
       for (int r = 0; r < reps; ++r) {
         const RunResult run =
-            run_workload(shards, depth, clients, jobs, 1, popt, frames);
+            run_workload(shards, clients, jobs, popt, frames);
         if (best.seconds == 0.0 || run.seconds < best.seconds) best = run;
       }
       if (shards == 1) one_shard_s = best.seconds;
@@ -470,7 +459,6 @@ int main(int argc, char** argv) {
           .field("backend", backend)
           .field("threads", popt.threads)
           .field("shards", shards)
-          .field("depth", depth)
           .field("clients", clients)
           .field("jobs_total", total_jobs)
           .field("width", size)
@@ -486,46 +474,9 @@ int main(int argc, char** argv) {
           .emit();
     }
 
-    // Mode 2: one oversized frame, mask blur sharded across executors.
-    double one_band_s = 0.0;
-    for (int blur_shards : {1, 2, 4}) {
-      RunResult best;
-      for (int r = 0; r < reps; ++r) {
-        const RunResult run =
-            run_workload(1, 1, 1, 2, blur_shards, popt, {big_frame});
-        if (best.seconds == 0.0 || run.seconds < best.seconds) best = run;
-      }
-      if (blur_shards == 1) one_band_s = best.seconds;
-      const double speedup =
-          best.seconds > 0.0 ? one_band_s / best.seconds : 0.0;
-      table.add_row({"sharded_frame", std::to_string(blur_shards), "2",
-                     format_fixed(best.seconds, 4),
-                     format_fixed(2.0 / best.seconds, 2),
-                     format_fixed(best.p50_s * 1e3, 2),
-                     format_fixed(best.p99_s * 1e3, 2),
-                     format_fixed(speedup, 2)});
-      benchkit::JsonRecord record("serving");
-      record.field("mode", "sharded_frame")
-          .field("backend", backend)
-          .field("threads", popt.threads)
-          .field("blur_shards", blur_shards)
-          .field("jobs_total", 2)
-          .field("width", big_size)
-          .field("height", big_size)
-          .field("taps", taps)
-          .field("seconds_total", best.seconds)
-          .field("jobs_per_s", 2.0 / best.seconds)
-          .field("latency_p50_ms", best.p50_s * 1e3)
-          .field("latency_p99_ms", best.p99_s * 1e3)
-          .field("speedup_vs_1shard", speedup)
-          .field("allocs_per_job", best.allocs_per_job)
-          .field("pool_hit_rate", best.pool_hit_rate)
-          .emit();
-    }
-
     std::cerr << '\n' << table.render();
 
-    // Mode 3: overload sweep. Calibrate the per-job full-quality service
+    // Mode 2: overload sweep. Calibrate the per-job full-quality service
     // time, set every job's deadline to a small multiple of it, and
     // offer bursts of 1x / 2x / 4x the base workload — beyond capacity,
     // admission control must shed best-effort and degrade standard jobs
@@ -548,7 +499,7 @@ int main(int argc, char** argv) {
                               "p50 (ms)", "p99 (ms)"});
     for (int multiplier : {1, 2, 4}) {
       const OverloadResult o =
-          run_overload(2, depth, clients, jobs * multiplier, cal_s,
+          run_overload(2, clients, jobs * multiplier, cal_s,
                        deadline_s, popt, frames);
       const double offered_d = static_cast<double>(o.offered);
       const double accept_rate =
@@ -565,7 +516,6 @@ int main(int argc, char** argv) {
           .field("backend", backend)
           .field("threads", popt.threads)
           .field("shards", 2)
-          .field("depth", depth)
           .field("clients", clients)
           .field("offered_multiplier", multiplier)
           .field("offered", static_cast<int>(o.offered))

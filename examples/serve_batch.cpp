@@ -2,7 +2,7 @@
 // in-process serve::ToneMapService, collect the futures, and check the
 // serving layer's core guarantee — every result is bit-identical to the
 // blocking tonemap::tone_map() under that job's own options, whatever the
-// shard count, pipeline depth or per-frame blur sharding.
+// shard count or backend.
 //
 // This file doubles as the compilable excerpt behind docs/serving.md; the
 // CI docs job builds it so the guide cannot rot.
@@ -18,15 +18,14 @@
 using namespace tmhls;
 
 int main() {
-  // A service with 2 shard workers, each running a pipelined session.
+  // A service with 2 shard workers, each running jobs through its engine.
   serve::ToneMapServiceOptions options;
   options.shards = 2;
   options.queue_capacity = 8;
-  options.pipeline_depth = 2;
   serve::ToneMapService service(options);
 
   // Per-job pipeline options may differ job to job; runs of equal options
-  // reuse the shard's session, switches rebuild it.
+  // reuse the shard's engine, switches rebuild it.
   tonemap::PipelineOptions fast;
   fast.backend = "separable_simd";
   fast.sigma = 4.0;
@@ -40,7 +39,6 @@ int main() {
     job.frame = io::generate_hdr_scene(io::SceneKind::window_interior, 96,
                                        96, 2018u + static_cast<unsigned>(i));
     job.options = i < 4 ? fast : fixed;
-    if (i == 3) job.blur_shards = 2; // shard this frame's blur across executors
     batch.push_back(std::move(job));
   }
 
@@ -71,7 +69,7 @@ int main() {
 
   const serve::ServiceStats stats = service.stats();
   std::cout << "completed " << stats.completed << ", failed " << stats.failed
-            << ", session builds";
+            << ", engine builds";
   for (const serve::ShardStats& shard : stats.shards) {
     std::cout << ' ' << shard.session_builds;
   }

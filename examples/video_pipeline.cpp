@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
     cfg.frames = frames;
     cfg.master_size = 448;
     cfg.exposure_drift = 0.8;
-    const video::SceneSequence sequence(cfg);
 
     std::cout << "synthetic HDR pan: " << frames << " frames of "
               << cfg.frame_size << "x" << cfg.frame_size
@@ -75,32 +74,6 @@ int main(int argc, char** argv) {
     };
     const double naive = run(1.0, "per_frame");
     const double adapted = run(0.15, "adapted");
-
-    // Pipelined consumption: the same mapper driven through the
-    // submit()/next_result() API at pipeline depth 2, overlapping frame
-    // N's mask blur with frame N+1's point-wise stages (output stays
-    // bit-identical; the overlap pays on multi-core hosts).
-    {
-      video::VideoToneMapperOptions opt;
-      opt.pipeline.sigma = 6.0;
-      opt.pipeline.radius = 18;
-      opt.pipeline_depth = 2;
-      video::VideoToneMapper mapper(opt);
-      int produced = 0;
-      for (int i = 0; i < frames; ++i) {
-        mapper.submit(sequence.frame(i));
-        while (mapper.pending() >= 2) {
-          mapper.next_result();
-          ++produced;
-        }
-      }
-      while (mapper.pending() > 0) {
-        mapper.next_result();
-        ++produced;
-      }
-      std::cout << "pipelined run (depth 2): " << produced
-                << " frames through submit()/next_result()\n\n";
-    }
 
     TextTable flick({"normalisation", "peak flicker", "note"});
     flick.add_row({"per-frame (paper's single-image behaviour)",

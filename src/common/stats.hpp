@@ -1,7 +1,7 @@
 // common::StatsSnapshot — the one key/value interface every layer's
-// statistics flow through. The stack grew five stats structs
+// statistics flow through. The stack grew four stats structs
 // (serve::ServiceStats, transport::ServerStats, stream's
-// SessionManagerStats, img::PoolStats, exec::ExecutorPoolStats), each with
+// SessionManagerStats, img::PoolStats), each with
 // its own hand-rolled CLI table and bench-JSONL spelling; snapshot()
 // adapters in each layer now flatten them into this form, so the CLI
 // renders every layer with one serializer (render_stats_table) and the

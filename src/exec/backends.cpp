@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "exec/registry.hpp"
-#include "exec/tiled.hpp"
 #include "hlscode/blur_kernels.hpp"
 #include "tonemap/blur_passes.hpp"
 #include "tonemap/fused_stream.hpp"
@@ -22,7 +21,6 @@ void require_single_thread(const Backend& backend, const BlurContext& ctx) {
 BackendCapabilities SeparableFloatBackend::capabilities() const {
   BackendCapabilities caps;
   caps.float_datapath = true;
-  caps.tiled_threads = true;
   caps.data_bits = 32;
   return caps;
 }
@@ -30,16 +28,13 @@ BackendCapabilities SeparableFloatBackend::capabilities() const {
 img::ImageF SeparableFloatBackend::run_blur(
     const img::ImageF& intensity, const tonemap::GaussianKernel& kernel,
     const BlurContext& ctx) const {
-  if (ctx.band_count() > 1) {
-    return blur_tiled_float(intensity, kernel, ctx.band_count());
-  }
+  require_single_thread(*this, ctx);
   return tonemap::blur_separable_float(intensity, kernel);
 }
 
 BackendCapabilities SeparableSimdBackend::capabilities() const {
   BackendCapabilities caps;
   caps.float_datapath = true;
-  caps.tiled_threads = true;
   caps.data_bits = 32;
   caps.simd_lanes = tonemap::kSimdDefaultLanes;
   return caps;
@@ -48,37 +43,20 @@ BackendCapabilities SeparableSimdBackend::capabilities() const {
 img::ImageF SeparableSimdBackend::run_blur(
     const img::ImageF& intensity, const tonemap::GaussianKernel& kernel,
     const BlurContext& ctx) const {
-  // Single source for both modes: blur_tiled_simd runs the SIMD pass
-  // primitives over one band (band_count == 1) or the banded
-  // decomposition.
-  return blur_tiled_simd(intensity, kernel, ctx.band_count());
-}
-
-BackendCapabilities StreamingFloatBackend::capabilities() const {
-  BackendCapabilities caps;
-  caps.float_datapath = true;
-  caps.streaming = true;
-  caps.tiled_threads = true;
-  caps.data_bits = 32;
-  return caps;
-}
-
-img::ImageF StreamingFloatBackend::run_blur(
-    const img::ImageF& intensity, const tonemap::GaussianKernel& kernel,
-    const BlurContext& ctx) const {
-  // The tiled form accumulates taps in the same order as the streaming
-  // form, which is itself bit-identical to the separable form (§III.B).
-  if (ctx.band_count() > 1) {
-    return blur_tiled_float(intensity, kernel, ctx.band_count());
-  }
-  return tonemap::blur_streaming_float(intensity, kernel);
+  require_single_thread(*this, ctx);
+  TMHLS_REQUIRE(intensity.channels() == 1, "blur expects a 1-channel image");
+  const int h = intensity.height();
+  img::ImageF tmp(intensity.width(), h, 1);
+  img::ImageF dst(intensity.width(), h, 1);
+  tonemap::blur_hpass_float_rows_simd(intensity, tmp, kernel, 0, h);
+  tonemap::blur_vpass_float_rows_simd(tmp, dst, kernel, 0, h);
+  return dst;
 }
 
 BackendCapabilities StreamingFixedBackend::capabilities() const {
   BackendCapabilities caps;
   caps.fixed_datapath = true;
   caps.streaming = true;
-  caps.tiled_threads = true;
   caps.data_bits = tonemap::FixedBlurConfig::paper().data.width();
   return caps;
 }
@@ -86,9 +64,7 @@ BackendCapabilities StreamingFixedBackend::capabilities() const {
 img::ImageF StreamingFixedBackend::run_blur(
     const img::ImageF& intensity, const tonemap::GaussianKernel& kernel,
     const BlurContext& ctx) const {
-  if (ctx.band_count() > 1) {
-    return blur_tiled_fixed(intensity, kernel, ctx.fixed, ctx.band_count());
-  }
+  require_single_thread(*this, ctx);
   return tonemap::blur_streaming_fixed(intensity, kernel, ctx.fixed);
 }
 
@@ -158,9 +134,6 @@ void register_builtin_backends(BackendRegistry& registry) {
   });
   registry.register_backend("separable_simd", [] {
     return std::make_shared<const SeparableSimdBackend>();
-  });
-  registry.register_backend("streaming_float", [] {
-    return std::make_shared<const StreamingFloatBackend>();
   });
   registry.register_backend("streaming_fixed", [] {
     return std::make_shared<const StreamingFixedBackend>();

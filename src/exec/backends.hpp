@@ -1,4 +1,4 @@
-// The six built-in execution backends:
+// The five built-in execution backends:
 //
 //   SeparableFloatBackend — the original CPU form (direct neighbour
 //       indexing), the paper's "SW source code" baseline.
@@ -8,8 +8,6 @@
 //       vector lane runs one pixel's scalar tap sequence unchanged. The
 //       vectorize-don't-rewrite move is the same algorithm/schedule split
 //       the paper's HLS pragmas apply on the FPGA, applied to the host.
-//   StreamingFloatBackend — the §III.B restructured line-buffer form,
-//       float datapath; numerically identical to the separable form.
 //   StreamingFixedBackend — the §III.C restructured form with the
 //       ap_fixed-modelled datapath.
 //   HlsCodeBackend        — routes through the synthesizable hlscode
@@ -22,9 +20,12 @@
 //       full-frame intermediate plane. Float datapath, bit-identical to
 //       the separable form at every thread count.
 //
-// The CPU backends support the tiled multi-threaded mode (bit-identical
-// to single-threaded); the hlscode kernels are inherently sequential
-// stream processes, so HlsCodeBackend does not.
+// Only the fused engine runs multi-threaded (halo-recomputing row bands,
+// bit-identical to single-threaded); the other backends are the golden
+// reference and the paper artifacts and run on one thread. The
+// §III.B line-buffer model itself, tonemap::blur_streaming_float, stays
+// a golden model rather than a backend: the fused engine is its
+// production form.
 #pragma once
 
 #include "exec/backend.hpp"
@@ -43,15 +44,6 @@ public:
 class SeparableSimdBackend final : public Backend {
 public:
   const char* name() const override { return "separable_simd"; }
-  BackendCapabilities capabilities() const override;
-  img::ImageF run_blur(const img::ImageF& intensity,
-                       const tonemap::GaussianKernel& kernel,
-                       const BlurContext& ctx) const override;
-};
-
-class StreamingFloatBackend final : public Backend {
-public:
-  const char* name() const override { return "streaming_float"; }
   BackendCapabilities capabilities() const override;
   img::ImageF run_blur(const img::ImageF& intensity,
                        const tonemap::GaussianKernel& kernel,

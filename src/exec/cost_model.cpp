@@ -125,7 +125,6 @@ CostModel::CostModel() {
   macs_per_second_ = {
       {"separable_float", 1.50e9},
       {"separable_simd", 8.56e9},
-      {"streaming_float", 0.79e9},
       {"streaming_fixed", 0.23e9},
       {"hlscode", 0.81e9},
       {"fused_stream", 9.02e9},

@@ -1,10 +1,8 @@
 // PipelineExecutor: the pipeline's handle to one selected backend plus its
 // execution parameters (thread count, fixed-point formats). Constructed
 // once and reused across frames — video and serving paths keep a
-// persistent executor instead of re-resolving the backend per frame.
-// This is the seam the scaling layers stack on: exec/async wraps it in a
-// submit/future worker pool (AsyncExecutor, ExecutorPool) and serve/
-// composes those into a frame-serving front with row-band blur sharding.
+// persistent executor instead of re-resolving the backend per frame
+// (tonemap::FrameEngine builds one per plan).
 #pragma once
 
 #include <memory>
@@ -33,9 +31,8 @@ struct ExecutorOptions {
 
 /// The one validation point for ExecutorOptions: throws InvalidArgument
 /// naming the offending field and value unless threads >= 1 and
-/// bands >= 0. Every consumer (PipelineExecutor, the planner, the async
-/// layer) calls this instead of clamping or re-checking at its own call
-/// site.
+/// bands >= 0. Every consumer (PipelineExecutor, the planner) calls this
+/// instead of clamping or re-checking at its own call site.
 void validate(const ExecutorOptions& options);
 
 class PipelineExecutor {
@@ -63,7 +60,7 @@ public:
 
   /// Whether the backend accepts `kernel` at this executor's configuration
   /// (datapath, tap bounds, fixed formats) — Backend::can_run with this
-  /// executor's context. Session objects (FramePipeline) gate on this at
+  /// executor's context. tonemap::FrameEngine gates on this at
   /// construction so capability errors fail fast instead of mid-stream.
   bool can_run(const tonemap::GaussianKernel& kernel) const;
 

@@ -63,7 +63,7 @@ ExecutionPlan Planner::plan(const PlanRequest& request,
   const BackendCapabilities caps = backend->capabilities();
   bool use_fixed = request.datapath == PlanDatapath::fixed_point;
   // Asking a float-only backend for the fixed datapath would otherwise be
-  // silently ignored (e.g. `--fixed --backend streaming_float`).
+  // silently ignored (e.g. `--fixed --backend separable_simd`).
   TMHLS_REQUIRE(!use_fixed || caps.fixed_datapath,
                 "backend " + name +
                     " has no fixed-point datapath; drop the fixed-point "

@@ -4,8 +4,9 @@
 // datapath snapping, per-layer thread clamping) now funnels through
 // Planner::plan(), which answers one question: for THIS frame geometry and
 // THIS request, which backend runs the blur, on how many threads, over how
-// many row bands. serve, stream, video, tonemap::FramePipeline and the CLI
-// all consume ExecutionPlans from here (via PipelineOptions::plan), so a
+// many row bands. tonemap::FrameEngine (which serve, stream and video run
+// every frame through) and the CLI consume ExecutionPlans from here (via
+// PipelineOptions::plan), so a
 // policy change — a new cost term, a routing table from schedule search —
 // lands in every layer at once.
 //

@@ -36,8 +36,8 @@ public:
   std::vector<std::string> names() const;
 
   /// The process-wide registry, pre-seeded with the built-in backends:
-  /// separable_float, separable_simd, streaming_float, streaming_fixed,
-  /// hlscode, fused_stream.
+  /// separable_float, separable_simd, streaming_fixed, hlscode,
+  /// fused_stream.
   static BackendRegistry& global();
 
 private:

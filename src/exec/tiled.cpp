@@ -1,120 +1,15 @@
 #include "exec/tiled.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <exception>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
-#include "tonemap/blur_passes.hpp"
 
 namespace tmhls::exec {
-
-namespace {
-
-/// Run `work(band_index, barrier)` on `bands` worker threads; the barrier
-/// is the inter-pass halo exchange. Returns false if thread spawning was
-/// cut short by resource exhaustion — the computation's outputs are then
-/// invalid and the caller must redo the work (e.g. single-threaded).
-/// Otherwise the first exception thrown by any worker is rethrown here.
-template <typename Work>
-bool run_banded(int bands, Work&& work) {
-  std::barrier<> sync(bands);
-  std::exception_ptr failure;
-  std::mutex failure_mutex;
-
-  auto guarded = [&](int band) {
-    try {
-      work(band, sync);
-    } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(failure_mutex);
-        if (!failure) failure = std::current_exception();
-      }
-      // Keep the barrier protocol alive so sibling workers do not deadlock
-      // waiting for this band's arrival; drop (never blocks) because the
-      // failure may already be past the barrier.
-      sync.arrive_and_drop();
-    }
-  };
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(bands));
-  try {
-    for (int b = 0; b < bands; ++b) {
-      workers.emplace_back(guarded, b);
-    }
-  } catch (const std::system_error&) {
-    // Substitute an arrival for every band that never spawned so the
-    // spawned workers can pass the barrier (reading zero-initialised halo
-    // rows — harmless, the result is discarded) and exit.
-    for (int b = static_cast<int>(workers.size()); b < bands; ++b) {
-      sync.arrive_and_drop();
-    }
-    for (std::thread& t : workers) t.join();
-    return false;
-  }
-  for (std::thread& t : workers) t.join();
-  if (failure) std::rethrow_exception(failure);
-  return true;
-}
-
-int clamp_bands(int threads, int rows) {
-  TMHLS_REQUIRE(threads >= 1, "tiled blur: threads must be >= 1");
-  return std::min({threads, rows, kMaxTiledBands});
-}
-
-/// One horizontal or vertical float row-range pass (scalar or SIMD form).
-using FloatRowPass = void (*)(const img::ImageF&, img::ImageF&,
-                              const tonemap::GaussianKernel&, int, int);
-
-/// The shared band scaffolding of the float blur: both the scalar and the
-/// SIMD backends run the identical decomposition, halo exchange and
-/// fallback, differing only in which pass primitives process the bands.
-img::ImageF blur_tiled_float_with(const img::ImageF& src,
-                                  const tonemap::GaussianKernel& kernel,
-                                  int threads, FloatRowPass hpass,
-                                  FloatRowPass vpass) {
-  TMHLS_REQUIRE(src.channels() == 1, "blur expects a 1-channel image");
-  const int h = src.height();
-  const int bands = clamp_bands(threads, h);
-
-  img::ImageF tmp(src.width(), h, 1);
-  img::ImageF dst(src.width(), h, 1);
-  const bool parallel_ok =
-      bands > 1 && run_banded(bands, [&](int band, std::barrier<>& sync) {
-        const RowBand r = row_band(h, bands, band);
-        hpass(src, tmp, kernel, r.begin, r.end);
-        // Halo exchange: the vertical pass reads up to `radius` rows of
-        // `tmp` owned by neighbouring bands; the barrier publishes them.
-        sync.arrive_and_wait();
-        vpass(tmp, dst, kernel, r.begin, r.end);
-      });
-  if (!parallel_ok) {
-    // bands == 1, or thread spawning was cut short (partial results in
-    // tmp/dst are fully overwritten here).
-    hpass(src, tmp, kernel, 0, h);
-    vpass(tmp, dst, kernel, 0, h);
-  }
-  return dst;
-}
-
-// Default-lane-width adapters matching the FloatRowPass signature.
-void hpass_simd_default(const img::ImageF& src, img::ImageF& dst,
-                        const tonemap::GaussianKernel& kernel, int y_begin,
-                        int y_end) {
-  tonemap::blur_hpass_float_rows_simd(src, dst, kernel, y_begin, y_end);
-}
-
-void vpass_simd_default(const img::ImageF& tmp, img::ImageF& dst,
-                        const tonemap::GaussianKernel& kernel, int y_begin,
-                        int y_end) {
-  tonemap::blur_vpass_float_rows_simd(tmp, dst, kernel, y_begin, y_end);
-}
-
-} // namespace
 
 bool run_independent_bands(int bands, const std::function<void(int)>& work) {
   TMHLS_REQUIRE(bands >= 1, "run_independent_bands: bands must be >= 1");
@@ -137,8 +32,8 @@ bool run_independent_bands(int bands, const std::function<void(int)>& work) {
       workers.emplace_back(guarded, b);
     }
   } catch (const std::system_error&) {
-    // No barrier protocol to keep alive: the spawned workers just finish
-    // their (soon to be discarded) bands and exit.
+    // The spawned workers just finish their (soon to be discarded) bands
+    // and exit.
     for (std::thread& t : workers) t.join();
     return false;
   }
@@ -156,53 +51,6 @@ RowBand row_band(int rows, int bands, int band) {
   r.begin = band * base + std::min(band, extra);
   r.end = r.begin + base + (band < extra ? 1 : 0);
   return r;
-}
-
-img::ImageF blur_tiled_float(const img::ImageF& src,
-                             const tonemap::GaussianKernel& kernel,
-                             int threads) {
-  return blur_tiled_float_with(src, kernel, threads,
-                               &tonemap::blur_hpass_float_rows,
-                               &tonemap::blur_vpass_float_rows);
-}
-
-img::ImageF blur_tiled_simd(const img::ImageF& src,
-                            const tonemap::GaussianKernel& kernel,
-                            int threads) {
-  return blur_tiled_float_with(src, kernel, threads, &hpass_simd_default,
-                               &vpass_simd_default);
-}
-
-img::ImageF blur_tiled_fixed(const img::ImageF& src,
-                             const tonemap::GaussianKernel& kernel,
-                             const tonemap::FixedBlurConfig& cfg,
-                             int threads) {
-  TMHLS_REQUIRE(src.channels() == 1, "blur expects a 1-channel image");
-  const int w = src.width();
-  const int h = src.height();
-  const int bands = clamp_bands(threads, h);
-  const tonemap::FixedBlurPlan plan(kernel, cfg);
-
-  std::vector<std::int64_t> qsrc(src.pixel_count());
-  std::vector<std::int64_t> hout(src.pixel_count());
-  img::ImageF dst(w, h, 1);
-  const bool parallel_ok =
-      bands > 1 && run_banded(bands, [&](int band, std::barrier<>& sync) {
-        const RowBand r = row_band(h, bands, band);
-        // Quantisation and the horizontal pass are row-local to the band.
-        plan.quantise_rows(src, qsrc, r.begin, r.end);
-        tonemap::blur_hpass_fixed_rows(qsrc, hout, w, h, plan, r.begin,
-                                       r.end);
-        sync.arrive_and_wait();
-        tonemap::blur_vpass_fixed_rows(hout, dst, w, h, plan, r.begin,
-                                       r.end);
-      });
-  if (!parallel_ok) {
-    plan.quantise_rows(src, qsrc, 0, h);
-    tonemap::blur_hpass_fixed_rows(qsrc, hout, w, h, plan, 0, h);
-    tonemap::blur_vpass_fixed_rows(hout, dst, w, h, plan, 0, h);
-  }
-  return dst;
 }
 
 } // namespace tmhls::exec

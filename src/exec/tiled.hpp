@@ -1,63 +1,30 @@
-// Multi-threaded tiled execution of the separable blur: row-band
-// decomposition with a halo sized by the kernel radius — the same
+// Row-band decomposition for the multi-threaded fused engine — the same
 // restructuring discipline §III.B applies to the FPGA (decompose the 2D
 // problem so every worker touches a bounded local window) applied to the
 // host CPU.
 //
-// Each worker owns a contiguous band of output rows. The horizontal pass
-// is row-local, so bands are independent; the vertical pass reads up to
-// `radius` rows of the intermediate plane beyond the band's edges (the
-// halo), which neighbouring workers produce — a std::barrier between the
-// passes is the halo exchange. Taps accumulate in the same order as the
-// single-threaded golden models, so output is bit-identical for every
-// thread count.
+// Each worker owns a contiguous band of output rows and recomputes the
+// `radius` halo rows beyond its edges instead of exchanging them, so bands
+// share no intermediate state and need no barrier: output is bit-identical
+// for every band count by construction (tonemap::blur_fused_stream,
+// tonemap::tone_map_fused).
 #pragma once
 
 #include <functional>
 
-#include "image/image.hpp"
-#include "tonemap/blur.hpp"
-#include "tonemap/kernel.hpp"
-
 namespace tmhls::exec {
 
-/// Upper bound on worker threads (bands) per blur decomposition, whatever
+/// Upper bound on worker threads (bands) per frame decomposition, whatever
 /// the caller asks for: beyond this, bands are thinner than their halo is
 /// worth and thread-spawn resource exhaustion becomes a real failure mode.
-/// Shared by the tiled mode here, the fused streaming engine's band
-/// decomposition (tonemap::blur_fused_stream) and the serving layer's blur
-/// sharding (serve::sharded_mask_blur).
 inline constexpr int kMaxTiledBands = 64;
 
-/// Run `work(band)` on `bands` independent worker threads — the no-barrier
-/// counterpart of the tiled mode's internal banded runner, for
-/// decompositions whose bands share no intermediate state (the fused
-/// engine's halo-extended line buffers, where each band recomputes its halo
-/// rows instead of exchanging them). Returns false if thread spawning was
-/// cut short by resource exhaustion — outputs are then invalid and the
-/// caller must redo the work (e.g. single-threaded). Otherwise the first
-/// exception thrown by any worker is rethrown here.
+/// Run `work(band)` on `bands` independent worker threads, spawned per
+/// call. Returns false if thread spawning was cut short by resource
+/// exhaustion — outputs are then invalid and the caller must redo the work
+/// (e.g. single-threaded). Otherwise the first exception thrown by any
+/// worker is rethrown here.
 bool run_independent_bands(int bands, const std::function<void(int)>& work);
-
-/// Tiled float blur; bit-identical to blur_separable_float and
-/// blur_streaming_float for any `threads` >= 1. The worker count is
-/// clamped to the row count and to kMaxTiledBands; thread-spawn
-/// resource exhaustion falls back to single-threaded execution.
-img::ImageF blur_tiled_float(const img::ImageF& src,
-                             const tonemap::GaussianKernel& kernel,
-                             int threads);
-
-/// Tiled float blur through the SIMD pass primitives (vectorized across
-/// pixels); bit-identical to blur_separable_float and blur_tiled_float for
-/// any `threads` >= 1, with the same clamping and fallback behaviour.
-img::ImageF blur_tiled_simd(const img::ImageF& src,
-                            const tonemap::GaussianKernel& kernel,
-                            int threads);
-
-/// Tiled fixed-point blur; bit-identical to blur_streaming_fixed.
-img::ImageF blur_tiled_fixed(const img::ImageF& src,
-                             const tonemap::GaussianKernel& kernel,
-                             const tonemap::FixedBlurConfig& cfg, int threads);
 
 /// Row range [begin, end) of band `band` out of `bands` over `rows` rows:
 /// contiguous, balanced to within one row. Exposed for tests.

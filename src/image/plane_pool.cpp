@@ -168,8 +168,6 @@ void release_plane(const RecyclerPtr& recycler,
   recycler->release(std::move(storage));
 }
 
-RecyclerPtr current_recycler() noexcept { return t_recycler; }
-
 ScopedRecycler::ScopedRecycler(RecyclerPtr recycler) noexcept
     : previous_(std::move(t_recycler)) {
   t_recycler = std::move(recycler);

@@ -65,17 +65,9 @@ common::StatsSnapshot snapshot(const PoolStats& stats);
 
 namespace detail {
 
-/// The calling thread's installed plane recycler (null when unpooled).
-/// Worker-pool constructors snapshot this to inherit the creating
-/// thread's scope into their worker threads.
-RecyclerPtr current_recycler() noexcept;
-
 /// Install `recycler` (may be null) as the calling thread's plane
 /// recycler for this object's lifetime; restores the previous recycler on
-/// destruction. This is the propagation primitive worker pools use to
-/// inherit the scope of the thread that created them (exec::AsyncExecutor
-/// snapshots current_recycler() at construction and installs it in each
-/// worker). Most callers want PlanePool::Scope instead.
+/// destruction. Most callers want PlanePool::Scope instead.
 class ScopedRecycler {
 public:
   explicit ScopedRecycler(RecyclerPtr recycler) noexcept;

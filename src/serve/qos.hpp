@@ -65,7 +65,7 @@ public:
 /// Delivered through the job's future (or thrown by submit() when the
 /// deadline is already expired on arrival) when a deadline passes before
 /// the frame is produced. Work is dropped at the next checkpoint —
-/// admission, dequeue, or between pipeline stages — never mid-stage.
+/// admission, dequeue, or engine entry — never mid-frame.
 class DeadlineExceeded : public Error {
 public:
   explicit DeadlineExceeded(const std::string& what) : Error(what) {}

@@ -3,14 +3,13 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
-#include "exec/async.hpp"
 #include "exec/cost_model.hpp"
-#include "serve/sharded_blur.hpp"
-#include "tonemap/frame_pipeline.hpp"
+#include "tonemap/frame_engine.hpp"
 #include "tonemap/global_operators.hpp"
 
 namespace tmhls::serve {
@@ -32,9 +31,6 @@ void validate(const ToneMapServiceOptions& options) {
   TMHLS_REQUIRE(options.queue_capacity >= 1,
                 "ToneMapServiceOptions::queue_capacity must be >= 1, got " +
                     std::to_string(options.queue_capacity));
-  TMHLS_REQUIRE(options.pipeline_depth >= 1,
-                "ToneMapServiceOptions::pipeline_depth must be >= 1, got " +
-                    std::to_string(options.pipeline_depth));
   TMHLS_REQUIRE(std::isfinite(options.overload.assumed_service_seconds) &&
                     options.overload.assumed_service_seconds >= 0.0,
                 "OverloadPolicy::assumed_service_seconds must be finite and "
@@ -57,11 +53,8 @@ tonemap::PipelineOptions degraded_options(
 }
 
 /// One worker shard: the bounded admission queue (shared with submitters,
-/// guarded by `mutex`) plus the worker thread. Session state — the
-/// FramePipeline and the in-session promise queue — is worker-private and
-/// lives in worker_loop's frame, so it needs no locking at all. (The blur
-/// pool for sharded jobs is service-wide and shared across workers; see
-/// blur_pool_for.)
+/// guarded by `mutex`) plus the worker thread. The cached FrameEngine is
+/// worker-private and lives in worker_loop's frame, so it needs no locking.
 struct ToneMapService::Shard {
   struct Queued {
     FrameJob job;
@@ -147,10 +140,6 @@ std::future<FrameResult> ToneMapService::submit(FrameJob job) {
   // Structural errors fail here at the submitter; everything discovered
   // during execution travels through the future instead (see the header).
   TMHLS_REQUIRE(!job.frame.empty(), "ToneMapService::submit: empty frame");
-  TMHLS_REQUIRE(job.blur_shards >= 1 && job.blur_shards <= kMaxBlurShards,
-                "FrameJob::blur_shards must be in [1, " +
-                    std::to_string(kMaxBlurShards) + "], got " +
-                    std::to_string(job.blur_shards));
   TMHLS_REQUIRE(!job.deadline_seconds ||
                     (std::isfinite(*job.deadline_seconds) &&
                      *job.deadline_seconds >= 0.0),
@@ -286,30 +275,6 @@ std::future<FrameResult> ToneMapService::submit(FrameJob job) {
   }
 }
 
-std::shared_ptr<exec::ExecutorPool> ToneMapService::blur_pool_for(
-    const FrameJob& job) {
-  const BlurPoolKey key{job.options, job.frame.width(), job.frame.height(),
-                        std::min(job.blur_shards, job.frame.height())};
-  const std::lock_guard<std::mutex> lock(blur_pool_mutex_);
-  if (blur_pool_ && blur_pool_key_ == key) return blur_pool_;
-  exec::ExecutorPoolOptions po;
-  po.executors = key.executors;
-  po.per_executor.workers = 1;
-  po.per_executor.queue_capacity = 2;
-  // Band costs vary (edge bands carry less halo), so route each band to
-  // whichever executor is free instead of strict rotation.
-  po.routing = exec::PoolRouting::least_loaded;
-  // Build before publishing: a throw (bad options) leaves the cached pool
-  // and key untouched for the jobs currently using it. Replacing the
-  // pointer does not destroy the old pool — workers mid-job hold their own
-  // reference and the pool drains with its last user.
-  auto pool = std::make_shared<exec::ExecutorPool>(
-      job.options.make_executor(key.width, key.height), po);
-  blur_pool_ = pool;
-  blur_pool_key_ = key;
-  return pool;
-}
-
 ServiceStats ToneMapService::stats() const {
   ServiceStats s;
   s.rebalanced = rebalanced_.load();
@@ -374,41 +339,21 @@ std::vector<common::StatsSnapshot> snapshot(const ServiceStats& stats) {
 }
 
 void ToneMapService::worker_loop(Shard& shard, int shard_index) {
-  // Every plane this worker allocates — session frames, stage
-  // intermediates, blur outputs (the session's async blur worker and the
-  // shared blur pool inherit this scope at construction) — comes from the
-  // service pool, so a warm shard recycles instead of allocating.
+  // Every plane this worker allocates — stage intermediates and outputs —
+  // comes from the service pool, so a warm shard recycles instead of
+  // allocating.
   const img::PlanePool::Scope pool_scope(pool_.get());
-  // One entry per frame currently inside the session, oldest first — the
-  // promise-side mirror of FramePipeline's submission-order queue.
-  struct Pending {
-    std::promise<FrameResult> promise;
-    std::uint64_t id = 0;
-    double queue_seconds = 0.0;
-    Clock::time_point picked_up;
-    Clock::time_point deadline_at;
-    bool has_deadline = false;
-    DegradeLevel degrade = DegradeLevel::none;
-  };
-  std::deque<Pending> pending;
-  std::unique_ptr<tonemap::FramePipeline> session;
-  // Worker-private executor for the staged (deadline-checked) path,
-  // rebuilt only when a job's options or geometry change — the staged
-  // twin of the session's reuse rule.
-  struct StagedKey {
-    tonemap::PipelineOptions options;
-    int width = 0;
-    int height = 0;
-    bool operator==(const StagedKey&) const = default;
-  };
-  std::unique_ptr<exec::PipelineExecutor> staged_exec;
-  StagedKey staged_key;
+  // The shard's engine, rebuilt only when a job's options or geometry
+  // change (or an auto plan goes stale).
+  std::unique_ptr<tonemap::FrameEngine> engine;
 
   // Counters advance *before* the promise is satisfied, so a client that
   // has seen future.get() return also sees the job counted in stats().
   // A full-quality completion also feeds the shard's EWMA service-time
-  // estimate, the signal admission control sheds and degrades on.
-  auto complete = [&](Pending& p, FrameResult&& result) {
+  // estimate, the signal admission control sheds and degrades on. Each
+  // outcome settles the job and frees the shard's in-flight slot.
+  auto complete = [&](std::promise<FrameResult>& promise,
+                      FrameResult&& result) {
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
       ++shard.completed;
@@ -422,97 +367,44 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
       }
       --shard.active;
     }
-    p.promise.set_value(std::move(result));
+    promise.set_value(std::move(result));
   };
-  auto fail = [&](Pending& p) {
+  auto fail = [&](std::promise<FrameResult>& promise) {
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
       ++shard.failed;
       --shard.active;
     }
-    p.promise.set_exception(std::current_exception());
+    promise.set_exception(std::current_exception());
   };
   // Deadline expiry is its own outcome, disjoint from `failed`: the job
   // was viable, the clock won. The future gets DeadlineExceeded.
-  auto expire = [&](Pending& p, std::exception_ptr reason) {
+  auto expire = [&](Shard::Queued& q, const std::string& when) {
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
       ++shard.expired;
       --shard.active;
     }
-    p.promise.set_exception(std::move(reason));
-  };
-
-  // Retire the session's oldest frame into its promise. A blur error is
-  // delivered to exactly that job's future (FramePipeline drops the frame
-  // and continues, and so do we).
-  auto retire_one = [&] {
-    Pending p = std::move(pending.front());
-    pending.pop_front();
-    try {
-      tonemap::PipelineResult r = session->next_result();
-      FrameResult out;
-      out.output = std::move(r.output);
-      out.job_id = p.id;
-      out.shard = shard_index;
-      out.backend = session->executor().backend().name();
-      out.queue_seconds = p.queue_seconds;
-      out.service_seconds = seconds_between(p.picked_up, Clock::now());
-      // Online autotuning: feed the measured end-to-end service time back
-      // into the process-wide cost model (session-path jobs are always
-      // full quality — degraded jobs take the staged path). The model's
-      // revision bump is what makes an auto session re-plan on its next
-      // compatible_with check.
-      if (options_.online_calibration && out.service_seconds > 0.0) {
-        exec::CostModel::global().record_observation(
-            out.backend, session->options().width, session->options().height,
-            session->executor().effective_threads(), out.service_seconds);
-      }
-      complete(p, std::move(out));
-    } catch (...) {
-      fail(p);
-    }
+    q.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
+        "job " + std::to_string(q.id) + ": deadline expired " + when)));
   };
 
   for (;;) {
-    std::optional<Shard::Queued> next;
-    bool drained_and_stopping = false;
+    Shard::Queued q;
     {
       std::unique_lock<std::mutex> lock(shard.mutex);
-      // Block for new work only when the session is empty — with frames
-      // in flight the worker must keep retiring so their futures cannot
-      // wait on a producer that has gone quiet.
-      if (pending.empty()) {
-        shard.not_empty.wait(lock, [&shard] {
-          return shard.stopping || !shard.queue.empty();
-        });
-      }
-      if (!shard.queue.empty()) {
-        next.emplace(std::move(shard.queue.front()));
-        shard.queue.pop_front();
-        ++shard.active;
-      } else if (pending.empty()) {
-        drained_and_stopping = shard.stopping;
-      }
-    }
-    if (drained_and_stopping) return;
-    if (!next) {
-      // No new job but frames in flight: make progress retiring them.
-      retire_one();
-      continue;
+      shard.not_empty.wait(lock, [&shard] {
+        return shard.stopping || !shard.queue.empty();
+      });
+      if (shard.queue.empty()) return; // stopping and drained
+      q = std::move(shard.queue.front());
+      shard.queue.pop_front();
+      ++shard.active;
     }
     shard.not_full.notify_one();
-
     const Clock::time_point picked_up = Clock::now();
-    Pending p;
-    p.promise = std::move(next->promise);
-    p.id = next->id;
-    p.queue_seconds = seconds_between(next->enqueued, picked_up);
-    p.picked_up = picked_up;
-    p.deadline_at = next->deadline_at;
-    p.has_deadline = next->has_deadline;
-    p.degrade = next->degrade;
-    FrameJob job = std::move(next->job);
+    const double queue_seconds = seconds_between(q.enqueued, picked_up);
+    FrameJob& job = q.job;
 
     // Fault site "serve.worker.pickup": a delay here models a slow shard
     // (the job's deadline keeps ticking, so the dequeue check below sees
@@ -521,195 +413,92 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
     try {
       fault::inject("serve.worker.pickup");
     } catch (...) {
-      fail(p);
+      fail(q.promise);
       continue;
     }
 
     // Dequeue-time deadline check: a job that expired while queued is
-    // dropped before any pixel is computed. Expiry is only ever checked
-    // *before* work — a frame that finishes late is still delivered (the
-    // work is done; discarding it helps nobody).
-    if (p.has_deadline && Clock::now() >= p.deadline_at) {
-      expire(p, std::make_exception_ptr(DeadlineExceeded(
-                    "job " + std::to_string(p.id) +
-                    ": deadline expired after " +
-                    std::to_string(p.queue_seconds) + "s in queue")));
+    // dropped before any pixel is computed.
+    if (q.has_deadline && Clock::now() >= q.deadline_at) {
+      expire(q, "after " + std::to_string(queue_seconds) + "s in queue");
       continue;
     }
     // Queue time may have eaten the slack admission control saw: for a
     // standard job still at full quality, re-evaluate the ladder against
     // the time actually left.
-    if (p.has_deadline && job.qos == QosClass::standard &&
-        p.degrade == DegradeLevel::none) {
+    if (q.has_deadline && job.qos == QosClass::standard &&
+        q.degrade == DegradeLevel::none) {
       double estimate;
       {
         std::lock_guard<std::mutex> lock(shard.mutex);
         estimate = std::max(shard.ewma_service,
                             options_.overload.assumed_service_seconds);
       }
-      const double remaining = seconds_between(Clock::now(), p.deadline_at);
+      const double remaining = seconds_between(Clock::now(), q.deadline_at);
       if (estimate > 0.0 && estimate > remaining) {
-        p.degrade =
+        q.degrade =
             estimate * options_.overload.reduced_cost_fraction <= remaining
                 ? DegradeLevel::reduced_blur
                 : DegradeLevel::global_operator;
       }
     }
-
-    // Bottom of the degradation ladder: the global operator replaces the
-    // whole local pipeline — no blur, no session, no executor. The output
-    // is bit-identical to reinhard_global() run standalone, which is how
-    // tests pin it.
-    if (p.degrade == DegradeLevel::global_operator) {
-      while (!pending.empty()) retire_one();
-      try {
-        FrameResult out;
-        out.output = tonemap::reinhard_global(job.frame);
-        out.job_id = p.id;
-        out.shard = shard_index;
-        out.backend = "reinhard_global";
-        out.queue_seconds = p.queue_seconds;
-        out.service_seconds = seconds_between(picked_up, Clock::now());
-        out.degrade = DegradeLevel::global_operator;
-        complete(p, std::move(out));
-      } catch (...) {
-        fail(p);
-      }
-      continue;
-    }
     // Middle rung: the full five-stage pipeline with the blur radius
     // capped — from here on the job runs exactly like a full-quality job
     // under degraded_options().
-    if (p.degrade == DegradeLevel::reduced_blur) {
+    if (q.degrade == DegradeLevel::reduced_blur) {
       job.options = degraded_options(job.options, options_.overload);
     }
 
-    if (job.blur_shards > 1) {
-      // Oversized-frame path: drain the session first (per-shard FIFO
-      // completion), then shard this frame's mask blur across the
-      // service-wide pool (shared with every other shard worker —
-      // ExecutorPool::submit is thread-safe, and least-loaded routing
-      // interleaves bands from concurrent jobs across the executors).
-      while (!pending.empty()) retire_one();
-      if (p.has_deadline && Clock::now() >= p.deadline_at) {
-        expire(p, std::make_exception_ptr(DeadlineExceeded(
-                      "job " + std::to_string(p.id) +
-                      ": deadline expired before sharded blur")));
-        continue;
-      }
-      try {
-        const std::shared_ptr<exec::ExecutorPool> pool = blur_pool_for(job);
-        tonemap::PipelineResult r =
-            tone_map_sharded(job.frame, job.options, *pool, job.blur_shards);
-        FrameResult out;
-        out.output = std::move(r.output);
-        out.job_id = p.id;
-        out.shard = shard_index;
-        out.backend = pool->shard(0).executor().backend().name();
-        out.queue_seconds = p.queue_seconds;
-        out.service_seconds = seconds_between(picked_up, Clock::now());
-        out.degrade = p.degrade;
-        complete(p, std::move(out));
-      } catch (...) {
-        fail(p);
-      }
-      continue;
-    }
-
-    // Deadline-checked staged path: a job with a deadline runs the stage
-    // functions directly — the same composition as the blocking
-    // tone_map(), so bit-identity holds — with an expiry checkpoint
-    // between stages, dropping expired work at the next stage boundary
-    // instead of computing the rest of a frame nobody is waiting for.
-    if (p.has_deadline) {
-      while (!pending.empty()) retire_one();
-      try {
-        // Fault site "serve.worker.stage": a delay here makes a deadline
-        // expire between stages deterministically.
-        auto checkpoint = [&] {
-          fault::inject("serve.worker.stage");
-          if (Clock::now() >= p.deadline_at) {
-            throw DeadlineExceeded("job " + std::to_string(p.id) +
-                                   ": deadline expired between stages");
-          }
-        };
-        const StagedKey key{job.options, job.frame.width(),
-                            job.frame.height()};
-        if (!staged_exec || !(staged_key == key)) {
-          staged_exec = std::make_unique<exec::PipelineExecutor>(
-              job.options.make_executor(key.width, key.height));
-          staged_key = key;
-        }
-        const tonemap::GaussianKernel kernel = job.options.kernel();
-        img::ImageF normalized =
-            tonemap::stages::normalize(job.frame, job.options);
-        checkpoint();
-        img::ImageF intensity = tonemap::stages::intensity(normalized);
-        checkpoint();
-        img::ImageF mask =
-            tonemap::stages::mask(intensity, kernel, *staged_exec);
-        checkpoint();
-        img::ImageF masked = tonemap::stages::masking(normalized, mask);
-        checkpoint();
-        FrameResult out;
-        out.output = tonemap::stages::adjust(masked, job.options);
-        out.job_id = p.id;
-        out.shard = shard_index;
-        out.backend = staged_exec->backend().name();
-        out.queue_seconds = p.queue_seconds;
-        out.service_seconds = seconds_between(picked_up, Clock::now());
-        out.degrade = p.degrade;
-        // Only full-quality completions are comparable measurements — a
-        // degraded frame ran a cheaper kernel, not this backend's cost.
-        if (options_.online_calibration &&
-            p.degrade == DegradeLevel::none && out.service_seconds > 0.0) {
-          exec::CostModel::global().record_observation(
-              out.backend, key.width, key.height,
-              staged_exec->effective_threads(), out.service_seconds);
-        }
-        complete(p, std::move(out));
-      } catch (const DeadlineExceeded&) {
-        expire(p, std::current_exception());
-      } catch (...) {
-        fail(p);
-      }
-      continue;
-    }
-
-    // Session path: reuse the shard's FramePipeline while jobs keep the
-    // same options (and geometry, when the backend resolves to "auto");
-    // otherwise drain it and build a fresh one for this job's options.
-    if (!session || !session->compatible_with(job.options, job.frame.width(),
-                                              job.frame.height())) {
-      while (!pending.empty()) retire_one();
-      try {
-        tonemap::FramePipelineOptions fpo;
-        fpo.pipeline = job.options;
-        fpo.depth = options_.pipeline_depth;
-        fpo.width = job.frame.width();
-        fpo.height = job.frame.height();
-        session.reset(); // release the old session's blur worker first
-        session = std::make_unique<tonemap::FramePipeline>(fpo);
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        ++shard.session_builds;
-      } catch (...) {
-        fail(p); // bad options: this job fails, the shard moves on
-        continue;
-      }
-    }
-    // Keep at most `depth` promises outstanding so FramePipeline::submit
-    // never auto-retires — an auto-retire could surface the *oldest*
-    // job's blur error out of submit(), against the promise bookkeeping.
-    while (pending.size() >= static_cast<std::size_t>(session->depth())) {
-      retire_one();
-    }
     try {
-      session->submit(job.frame);
+      FrameResult out;
+      out.job_id = q.id;
+      out.shard = shard_index;
+      out.queue_seconds = queue_seconds;
+      out.degrade = q.degrade;
+      if (q.degrade == DegradeLevel::global_operator) {
+        // Bottom of the ladder: the global operator replaces the whole
+        // local pipeline — no blur, no engine. Bit-identical to
+        // reinhard_global() run standalone, which is how tests pin it.
+        out.output = tonemap::reinhard_global(job.frame);
+        out.backend = "reinhard_global";
+      } else {
+        const int width = job.frame.width();
+        const int height = job.frame.height();
+        if (!engine || !engine->compatible_with(job.options, width, height)) {
+          engine.reset();
+          engine = std::make_unique<tonemap::FrameEngine>(job.options, width,
+                                                          height);
+          std::lock_guard<std::mutex> lock(shard.mutex);
+          ++shard.session_builds;
+        }
+        // The last expiry check, right before the frame enters the engine
+        // (which runs to completion: a frame that finishes late is still
+        // delivered). Fault site "serve.worker.stage": a delay here makes
+        // a deadline expire deterministically.
+        fault::inject("serve.worker.stage");
+        if (q.has_deadline && Clock::now() >= q.deadline_at) {
+          expire(q, "before the engine");
+          continue;
+        }
+        out.output = engine->run(job.frame);
+        out.backend = engine->executor().backend().name();
+      }
+      out.service_seconds = seconds_between(picked_up, Clock::now());
+      // Online autotuning: feed the measured end-to-end service time of a
+      // full-quality job back into the process-wide cost model — a
+      // degraded frame ran a cheaper kernel, not this backend's cost. The
+      // model's revision bump is what makes an auto engine re-plan on its
+      // next compatible_with check.
+      if (options_.online_calibration && q.degrade == DegradeLevel::none &&
+          out.service_seconds > 0.0) {
+        exec::CostModel::global().record_observation(
+            out.backend, engine->width(), engine->height(),
+            engine->executor().effective_threads(), out.service_seconds);
+      }
+      complete(q.promise, std::move(out));
     } catch (...) {
-      fail(p); // submit failed before the frame entered the session
-      continue;
+      fail(q.promise); // bad options or a failed run: the shard moves on
     }
-    pending.push_back(std::move(p));
   }
 }
 

@@ -1,27 +1,18 @@
-// serve::ToneMapService — the in-process frame-serving front. This is the
-// layer the ROADMAP's "serves heavy traffic" north star has been building
-// toward: it composes the pieces below it (tonemap::FramePipeline sessions
-// for per-frame pipelining, exec::ExecutorPool for fan-out, the row-band
-// tiling for single-frame sharding) into one submit/future API that every
-// future transport (socket, HTTP) can sit on.
+// serve::ToneMapService — the in-process frame-serving front every
+// transport (socket, HTTP) sits on.
 //
-// Shape: the service owns `shards` worker threads, each driving its own
-// FramePipeline session behind a bounded admission queue. submit() hands a
-// FrameJob (whole HDR frame + per-job PipelineOptions) to the least-loaded
-// shard — by queued + in-flight jobs, with ties broken round-robin so a
-// uniform load keeps its even spread — and returns a
-// std::future<FrameResult>. Within a shard, jobs
-// complete in submission order and consecutive jobs with equal options
-// reuse the session (keeping up to `pipeline_depth` frames in flight);
-// a job whose options differ drains the session and rebuilds it — correct
-// for any mix, fastest for runs of identical options. Jobs with
-// blur_shards > 1 instead shard their mask blur across one service-wide
-// ExecutorPool shared by all shard workers (serve::sharded_mask_blur) —
-// ExecutorPool::submit is thread-safe, so sharded jobs from different
-// shards interleave on the same executors instead of each shard paying
-// for an idle private pool. Output is bit-identical
-// to the blocking tonemap::tone_map() for every job, at every shard count
-// and blur_shards — the service schedules work, it never changes bits.
+// Shape: the service owns `shards` worker threads, each behind a bounded
+// admission queue. submit() hands a FrameJob (whole HDR frame + per-job
+// PipelineOptions) to the least-loaded shard — by queued + in-flight jobs,
+// with ties broken round-robin so a uniform load keeps its even spread —
+// and returns a std::future<FrameResult>. A shard worker runs one job at a
+// time: pickup, deadline check, degradation ladder, then the frame runs
+// synchronously through the shard's cached tonemap::FrameEngine (or the
+// global-operator rung) and is delivered. Consecutive jobs with equal
+// options and geometry reuse the engine; a change rebuilds it. Within a
+// shard, jobs complete in submission order. Output is bit-identical to the
+// blocking tonemap::tone_map() for every job at every shard count — the
+// service schedules work, it never changes bits.
 //
 // See docs/serving.md for the usage guide (lifecycle, sizing,
 // backpressure, error contract) and docs/architecture.md for where this
@@ -48,10 +39,6 @@
 #include "serve/qos.hpp"
 #include "tonemap/pipeline.hpp"
 
-namespace tmhls::exec {
-class ExecutorPool;
-}
-
 namespace tmhls::serve {
 
 /// One tone-mapping request: a whole HDR frame plus the per-job pipeline
@@ -63,14 +50,6 @@ struct FrameJob {
   /// freely in one service (each is bit-identical to the blocking
   /// tone_map() under its own options).
   tonemap::PipelineOptions options;
-  /// 1 (default) runs the frame through the shard's FramePipeline session.
-  /// > 1 shards this frame's mask blur across that many executors via
-  /// row-band tiling (serve::sharded_mask_blur) — the oversized-frame
-  /// path, worth it when one frame's blur dominates and executors would
-  /// otherwise idle. Must be in [1, kMaxBlurShards]: each shard is an
-  /// executor with its own worker thread, so the count is bounded the
-  /// same way the tiled layer bounds its bands.
-  int blur_shards = 1;
   /// What the service may do to this job under overload (see QosClass).
   /// Default standard: degrade rather than shed, never block admission on
   /// an unmeetable deadline.
@@ -82,15 +61,12 @@ struct FrameJob {
   /// against a magic number, so a *computed* deadline that happens to be
   /// exactly 0.0 stays a real (already-expired) deadline rather than
   /// silently disabling expiry. When engaged, the value must be finite
-  /// and >= 0; expiry is then checked at admission, at dequeue, and
-  /// between pipeline stages, and an expired job's future receives
-  /// DeadlineExceeded instead of computing a frame nobody is waiting for.
+  /// and >= 0; expiry is then checked at admission, at dequeue, and once
+  /// more right before the frame enters the engine, and an expired job's
+  /// future receives DeadlineExceeded instead of computing a frame nobody
+  /// is waiting for.
   std::optional<double> deadline_seconds;
 };
-
-/// Upper bound on FrameJob::blur_shards (the executor fan-out one job may
-/// request) — the serving-layer twin of the tiled mode's 64-band cap.
-inline constexpr int kMaxBlurShards = 64;
 
 /// A completed job, delivered through the future from submit(). A job
 /// that failed delivers its exception instead (see the error contract on
@@ -109,8 +85,8 @@ struct FrameResult {
   /// Seconds spent in the admission queue before a worker picked the job
   /// up — the backpressure signal.
   double queue_seconds = 0.0;
-  /// Seconds from pickup to completion (pipeline stages + blur; for
-  /// pipelined jobs this includes overlap with neighbouring jobs).
+  /// Seconds from pickup to completion (the engine run, or the global
+  /// operator).
   double service_seconds = 0.0;
   /// How far down the degradation ladder this frame was routed —
   /// DegradeLevel::none means bit-identical to the blocking tone_map();
@@ -121,20 +97,15 @@ struct FrameResult {
 
 /// Configuration of a ToneMapService.
 struct ToneMapServiceOptions {
-  /// Worker shards, each owning one FramePipeline session and one
-  /// admission queue. Independent jobs round-robin across shards, so this
-  /// is the service's concurrency: size it to the cores the blur backend
-  /// leaves idle (each shard also spawns its session's async blur worker
-  /// at pipeline_depth > 1). Must be >= 1.
+  /// Worker shards, each owning one cached FrameEngine and one admission
+  /// queue. Independent jobs spread across shards, so this is the
+  /// service's concurrency: size it to the cores the jobs' own threads
+  /// (options.threads) leave idle. Must be >= 1.
   int shards = 2;
   /// Bound on jobs admitted per shard but not yet picked up. submit()
   /// blocks while its target shard's queue is full — backpressure instead
   /// of unbounded buffering. Must be >= 1.
   int queue_capacity = 8;
-  /// FramePipeline depth of each shard's session: 1 processes each job's
-  /// stages synchronously; 2 (default) overlaps job N's mask blur with
-  /// job N+1's point-wise stages within a shard. Must be >= 1.
-  int pipeline_depth = 2;
   /// Admission-control knobs: what "the deadline can't be met" means and
   /// how far the degradation ladder reaches (see OverloadPolicy).
   OverloadPolicy overload;
@@ -149,8 +120,8 @@ struct ToneMapServiceOptions {
   /// Feed each full-quality job's measured service time back into the
   /// process-wide exec::CostModel as an online observation
   /// (record_observation keyed by backend and geometry bucket). Auto
-  /// sessions then re-plan when the model's revision moves (see
-  /// FramePipeline::compatible_with), so `--backend auto` converges onto
+  /// engines then re-plan when the model's revision moves (see
+  /// FrameEngine::compatible_with), so `--backend auto` converges onto
   /// the measured-fastest backend under real load. Off by default because
   /// the CostModel is process-wide state: callers that pin auto choices
   /// (tests, comparative benches) should not have one service mutate the
@@ -160,7 +131,7 @@ struct ToneMapServiceOptions {
 };
 
 /// Validation: throws InvalidArgument naming the offending field unless
-/// shards >= 1, queue_capacity >= 1, pipeline_depth >= 1, and the overload
+/// shards >= 1, queue_capacity >= 1, and the overload
 /// policy is sane (assumed_service_seconds finite and >= 0,
 /// reduced_radius >= 1, reduced_cost_fraction in (0, 1]).
 void validate(const ToneMapServiceOptions& options);
@@ -176,7 +147,8 @@ tonemap::PipelineOptions degraded_options(
 struct ShardStats {
   /// Jobs admitted, not yet picked up by the shard worker.
   std::size_t queue_depth = 0;
-  /// Jobs picked up, not yet completed (bounded by pipeline_depth + 1).
+  /// Jobs picked up, not yet completed (0 or 1: a shard runs one job at a
+  /// time).
   std::size_t in_flight = 0;
   /// Lifetime jobs routed to this shard.
   std::uint64_t submitted = 0;
@@ -193,8 +165,8 @@ struct ShardStats {
   /// Lifetime jobs completed below full quality (FrameResult::degrade !=
   /// none). A subset of `completed`, not a separate outcome.
   std::uint64_t degraded = 0;
-  /// FramePipeline sessions built (first job plus every options switch) —
-  /// low values on uniform workloads confirm session reuse is working.
+  /// FrameEngines built (first job plus every options or geometry switch)
+  /// — low values on uniform workloads confirm engine reuse is working.
   std::uint64_t session_builds = 0;
 };
 
@@ -220,7 +192,7 @@ struct ServiceStats {
   /// Lifetime jobs the least-loaded router steered away from their
   /// round-robin shard because queue depths had diverged. 0 on a uniform
   /// load; tracking the job count means one shard is persistently behind
-  /// (slow jobs, or an options mix that keeps rebuilding its session).
+  /// (slow jobs, or an options mix that keeps rebuilding its engine).
   std::uint64_t rebalanced = 0;
 };
 
@@ -246,11 +218,11 @@ public:
   /// ties broken round-robin by submission index); returns the future of
   /// its result. Blocks while that shard's queue is at capacity. Jobs
   /// with equal options keep landing on one shard only while loads stay
-  /// even — a diverged queue beats session affinity, by design: a rebuild
+  /// even — a diverged queue beats engine affinity, by design: a rebuild
   /// costs less than waiting out a deep queue.
   ///
-  /// Error contract, mirroring FramePipeline's: structurally invalid jobs
-  /// (empty frame, blur_shards < 1, a negative or non-finite deadline)
+  /// Error contract: structurally invalid jobs (empty frame, a negative or
+  /// non-finite deadline)
   /// throw InvalidArgument here, at the submitter. Admission control may
   /// additionally throw the typed Overloaded for best-effort jobs — when
   /// every queue is full, or when the estimated wait says the job's
@@ -259,8 +231,8 @@ public:
   /// service). Everything discovered during execution — an unknown
   /// backend name, a kernel beyond the backend's tap bound, a datapath
   /// contradiction — is delivered through the future, as is
-  /// DeadlineExceeded when a deadline passes at dequeue or between
-  /// pipeline stages; the job is dropped and the shard continues with
+  /// DeadlineExceeded when a deadline passes at dequeue or before the
+  /// frame enters the engine; the job is dropped and the shard continues with
   /// subsequent jobs unaffected. Submitting after destruction has begun
   /// throws InvalidArgument.
   std::future<FrameResult> submit(FrameJob job);
@@ -283,24 +255,7 @@ public:
 private:
   struct Shard;
 
-  /// What the shared blur pool is currently built for. Sharded jobs whose
-  /// configuration matches reuse the pool; a mismatch rebuilds it (the
-  /// pool binds one resolved backend and frame geometry).
-  struct BlurPoolKey {
-    tonemap::PipelineOptions options;
-    int width = 0;
-    int height = 0;
-    int executors = 0;
-    bool operator==(const BlurPoolKey&) const = default;
-  };
-
   void worker_loop(Shard& shard, int shard_index);
-
-  /// The service-wide blur pool for this job's configuration, built (under
-  /// blur_pool_mutex_) if the cached one does not match. Workers hold the
-  /// returned shared_ptr across the job, so a concurrent rebuild never
-  /// destroys a pool mid-use — the old pool drains with its last user.
-  std::shared_ptr<exec::ExecutorPool> blur_pool_for(const FrameJob& job);
 
   ToneMapServiceOptions options_;
   /// Created before the shards (workers capture its scope) and destroyed
@@ -312,9 +267,6 @@ private:
   std::atomic<std::uint64_t> next_job_id_{0};
   std::atomic<std::uint64_t> rebalanced_{0};
   std::atomic<std::uint64_t> shed_{0};
-  std::mutex blur_pool_mutex_;
-  std::shared_ptr<exec::ExecutorPool> blur_pool_;
-  BlurPoolKey blur_pool_key_;
 };
 
 } // namespace tmhls::serve

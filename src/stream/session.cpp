@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
-#include "tonemap/frame_pipeline.hpp"
+#include "tonemap/frame_engine.hpp"
 #include "tonemap/global_operators.hpp"
 #include "video/video_tonemapper.hpp"
 
@@ -36,11 +35,6 @@ void validate(const StreamConfig& config) {
   TMHLS_REQUIRE(config.adaptation_rate > 0.0 &&
                     config.adaptation_rate <= 1.0,
                 "StreamConfig::adaptation_rate must be in (0, 1]");
-  TMHLS_REQUIRE(config.pipeline_depth >= 1 &&
-                    config.pipeline_depth <= kMaxStreamDepth,
-                "StreamConfig::pipeline_depth must be in [1, " +
-                    std::to_string(kMaxStreamDepth) + "], got " +
-                    std::to_string(config.pipeline_depth));
   TMHLS_REQUIRE(config.reorder_window >= 0 &&
                     config.reorder_window <= kMaxReorderWindow,
                 "StreamConfig::reorder_window must be in [0, " +
@@ -59,10 +53,9 @@ void validate(const SessionManagerOptions& options) {
                     std::to_string(options.max_streams));
 }
 
-/// All mutable state of one stream, guarded by its own mutex. The rung
-/// ladder keeps the invariant that every frame inside `pipeline` was
-/// submitted at the CURRENT rung: a rung switch first drains the pipeline
-/// (results are delivered — order is preserved), then rebuilds it.
+/// All mutable state of one stream, guarded by its own mutex. Frames run
+/// synchronously, so nothing is ever inside the engine between calls: a
+/// rung switch just swaps the engine.
 struct SessionManager::Session {
   /// A frame waiting in the reorder buffer. The adaptation input (the
   /// frame's maximum) is computed at arrival so validation happens at
@@ -72,42 +65,31 @@ struct SessionManager::Session {
     img::ImageF frame;
     float frame_max = 0.0f;
   };
-  /// A frame inside the FramePipeline (submitted, not yet retired).
-  struct InPipeline {
-    std::uint64_t sequence = 0;
-    Clock::time_point submitted_at;
-  };
-
   Session(std::uint64_t id_in, StreamConfig config_in,
           const serve::OverloadPolicy& policy)
       : id(id_in), config(std::move(config_in)),
         rate(config.rate, config.qos, config.frame_interval_seconds),
         overload(policy) {
-    pipeline = build_pipeline(serve::DegradeLevel::none);
-    backend = pipeline->executor().backend().name();
+    engine = build_engine(serve::DegradeLevel::none);
+    backend = engine->executor().backend().name();
     last_activity = Clock::now();
   }
 
-  /// The execution vehicle of a rung: a FramePipeline for the two
-  /// pipeline rungs (full options, or serve::degraded_options — the
-  /// exact options a degraded serving job runs, so the rungs stay
-  /// byte-identical across layers), nothing for the global operator.
-  std::unique_ptr<tonemap::FramePipeline>
-  build_pipeline(serve::DegradeLevel for_rung) const {
+  /// The execution vehicle of a rung: a FrameEngine for the two pipeline
+  /// rungs (full options, or serve::degraded_options — the exact options
+  /// a degraded serving job runs, so the rungs stay byte-identical across
+  /// layers), nothing for the global operator.
+  std::unique_ptr<tonemap::FrameEngine>
+  build_engine(serve::DegradeLevel for_rung) const {
     if (for_rung == serve::DegradeLevel::global_operator) return nullptr;
-    tonemap::FramePipelineOptions fp;
-    fp.pipeline = for_rung == serve::DegradeLevel::reduced_blur
-                      ? serve::degraded_options(config.pipeline, overload)
-                      : config.pipeline;
-    fp.depth = config.pipeline_depth;
-    fp.width = config.width;
-    fp.height = config.height;
-    return std::make_unique<tonemap::FramePipeline>(fp);
+    return std::make_unique<tonemap::FrameEngine>(
+        for_rung == serve::DegradeLevel::reduced_blur
+            ? serve::degraded_options(config.pipeline, overload)
+            : config.pipeline,
+        config.width, config.height);
   }
 
-  int frames_in_flight() const {
-    return static_cast<int>(reorder.size() + in_pipeline.size());
-  }
+  int frames_in_flight() const { return static_cast<int>(reorder.size()); }
 
   std::mutex mutex;
   const std::uint64_t id;
@@ -116,15 +98,14 @@ struct SessionManager::Session {
   serve::DegradeLevel rung = serve::DegradeLevel::none;
   RateController rate;
   const serve::OverloadPolicy overload;
-  std::unique_ptr<tonemap::FramePipeline> pipeline;
+  std::unique_ptr<tonemap::FrameEngine> engine;
   std::string backend;
   /// The VideoToneMapper adaptation trajectory, owned by the session so
-  /// a rung switch (which rebuilds the pipeline) cannot reset it.
+  /// a rung switch (which rebuilds the engine) cannot reset it.
   float scale = 0.0f;
   std::uint64_t adapted_frames = 0;
   std::uint64_t next_sequence = 0;
   std::map<std::uint64_t, Buffered> reorder;
-  std::deque<InPipeline> in_pipeline;
   Clock::time_point last_activity;
   std::uint64_t frames_submitted = 0;
   std::uint64_t frames_delivered = 0;
@@ -135,22 +116,6 @@ struct SessionManager::Session {
 };
 
 namespace {
-
-/// Retire the oldest pipeline frame into a deliverable result. Caller
-/// holds the session lock.
-StreamFrameResult pop_result(SessionManager::Session& s) {
-  tonemap::PipelineResult r = s.pipeline->next_result();
-  const auto meta = s.in_pipeline.front();
-  s.in_pipeline.pop_front();
-  StreamFrameResult out;
-  out.stream_id = s.id;
-  out.sequence = meta.sequence;
-  out.output = std::move(r.output);
-  out.rung = s.rung;
-  out.backend = s.backend;
-  out.service_seconds = seconds_between(meta.submitted_at, Clock::now());
-  return out;
-}
 
 void deliver(SessionManager::Session& s, StreamFrameResult result,
              std::vector<StreamFrameResult>& out) {
@@ -164,38 +129,13 @@ void deliver(SessionManager::Session& s, StreamFrameResult result,
   out.push_back(std::move(result));
 }
 
-/// Empty the pipeline, delivering (deliver_tail) or shedding the frames
-/// still inside it. Caller holds the session lock.
-void drain_pipeline(SessionManager::Session& s, bool deliver_tail,
-                    std::vector<StreamFrameResult>& out,
-                    std::uint32_t& credits_released) {
-  if (!s.pipeline) return;
-  while (!s.in_pipeline.empty()) {
-    if (deliver_tail) {
-      deliver(s, pop_result(s), out);
-    } else {
-      try {
-        (void)s.pipeline->next_result();
-      } catch (...) {
-        // A failed blur surfacing during discard: the frame is dropped
-        // either way.
-      }
-      s.in_pipeline.pop_front();
-      ++s.frames_shed;
-      ++credits_released;
-    }
-  }
-}
-
 /// Shed the WHOLE stream as a unit: everything undelivered — in the
-/// pipeline, in the reorder buffer, and the current frame if the caller
-/// says so — is counted shed, and the stream stops producing. Caller
-/// holds the session lock.
+/// reorder buffer, and the current frame if the caller says so — is
+/// counted shed, and the stream stops producing. Caller holds the session
+/// lock.
 void shed_stream(SessionManager::Session& s,
                  std::uint32_t& credits_released, bool count_current) {
   s.state = StreamState::shed;
-  std::vector<StreamFrameResult> discard;
-  drain_pipeline(s, /*deliver_tail=*/false, discard, credits_released);
   s.frames_shed += s.reorder.size();
   credits_released += static_cast<std::uint32_t>(s.reorder.size());
   s.reorder.clear();
@@ -205,9 +145,9 @@ void shed_stream(SessionManager::Session& s,
   }
 }
 
-/// Process one in-sequence frame: rate decision, possible rung switch
-/// (drain first, so pipeline contents always match the rung), adaptation
-/// advance, then execution at the rung. Caller holds the session lock.
+/// Process one in-sequence frame: rate decision, possible rung switch,
+/// adaptation advance, then execution at the rung. Caller holds the
+/// session lock.
 /// Returns false when the decision shed the stream (the frame included).
 bool process_frame(SessionManager::Session& s, std::uint64_t sequence,
                    SessionManager::Session::Buffered buffered,
@@ -221,41 +161,34 @@ bool process_frame(SessionManager::Session& s, std::uint64_t sequence,
     return false;
   }
   if (decision.rung != s.rung) {
-    // Sticky-decision switch point: finish everything running at the old
-    // rung first (delivered in order), then rebuild the vehicle.
-    drain_pipeline(s, /*deliver_tail=*/true, out, credits_released);
-    s.pipeline = s.build_pipeline(decision.rung);
+    // Sticky-decision switch point: rebuild the vehicle for the new rung.
+    s.engine = s.build_engine(decision.rung);
     s.rung = decision.rung;
-    s.backend = s.pipeline ? s.pipeline->executor().backend().name()
-                           : "reinhard_global";
+    s.backend = s.engine ? s.engine->executor().backend().name()
+                         : "reinhard_global";
   }
   // The VideoToneMapper recurrence, verbatim: first frame adapts
   // instantly, later frames exponentially — and the state commits only
-  // after the frame is accepted by its execution vehicle.
+  // after the frame ran.
   const float next_scale =
       s.adapted_frames == 0
           ? buffered.frame_max
           : s.scale + static_cast<float>(s.config.adaptation_rate) *
                           (buffered.frame_max - s.scale);
-  if (s.rung == serve::DegradeLevel::global_operator) {
-    const Clock::time_point t0 = Clock::now();
-    StreamFrameResult result;
-    result.stream_id = s.id;
-    result.sequence = sequence;
-    result.output = tonemap::reinhard_global(buffered.frame);
-    result.rung = s.rung;
-    result.backend = s.backend;
-    result.service_seconds = seconds_between(t0, Clock::now());
-    s.scale = next_scale;
-    ++s.adapted_frames;
-    deliver(s, std::move(result), out);
-    return true;
-  }
-  s.pipeline->submit(buffered.frame, next_scale);
+  StreamFrameResult result;
+  result.stream_id = s.id;
+  result.sequence = sequence;
+  result.rung = s.rung;
+  result.backend = s.backend;
+  // Service time is the synchronous run itself, so the rate controller
+  // sees what the frame really cost.
+  const Clock::time_point t0 = Clock::now();
+  result.output = s.engine ? s.engine->run(buffered.frame, next_scale)
+                           : tonemap::reinhard_global(buffered.frame);
+  result.service_seconds = seconds_between(t0, Clock::now());
   s.scale = next_scale;
   ++s.adapted_frames;
-  s.in_pipeline.push_back({sequence, Clock::now()});
-  while (s.pipeline->has_ready()) deliver(s, pop_result(s), out);
+  deliver(s, std::move(result), out);
   return true;
 }
 
@@ -326,10 +259,6 @@ SessionManager::~SessionManager() {
 
 std::uint64_t SessionManager::open(StreamConfig config) {
   validate(config);
-  // Resolving the pipeline below allocates the stream's executor (and,
-  // at depth > 1, its async blur worker, which inherits this scope) —
-  // open under the pool so the whole stream is pool-backed.
-  const img::PlanePool::Scope pool_scope(pool_.get());
   // Resolving the execution decision (backend registry, kernel
   // capability check, executor) happens before the manager lock — it is
   // the expensive part, and a malformed pipeline must reject here.
@@ -369,7 +298,7 @@ SubmitOutcome SessionManager::submit_frame(std::uint64_t stream_id,
                                            std::uint64_t sequence,
                                            const img::ImageF& frame) {
   // Frame processing happens on this caller thread (the reorder copy,
-  // pipeline stages, delivered outputs): run it under the pool's scope so
+  // engine stages, delivered outputs): run it under the pool's scope so
   // a warm stream recycles planes instead of allocating.
   const img::PlanePool::Scope pool_scope(pool_.get());
   const std::shared_ptr<Session> session = find(stream_id);
@@ -467,25 +396,15 @@ CloseResult SessionManager::finish(std::uint64_t stream_id,
       // End-of-stream drain: gaps can no longer fill, skip them all and
       // deliver the tail in order. Execution errors during the drain
       // shed the failing frame (accounted inside drain_reorder) but must
-      // not abandon the close.
+      // not abandon the close; whatever is still held is shed below.
       std::uint32_t released = 0;
       try {
         drain_reorder(s, /*skip_all_gaps=*/true, result.results, released);
-        drain_pipeline(s, /*deliver_tail=*/true, result.results, released);
       } catch (...) {
-        // Whatever is still held after the failure is shed below via the
-        // abort path accounting.
-        drain_pipeline(s, /*deliver_tail=*/false, result.results,
-                       released);
-        s.frames_shed += s.reorder.size();
-        s.reorder.clear();
       }
-    } else {
-      std::uint32_t released = 0;
-      drain_pipeline(s, /*deliver_tail=*/false, result.results, released);
-      s.frames_shed += s.reorder.size();
-      s.reorder.clear();
     }
+    s.frames_shed += s.reorder.size();
+    s.reorder.clear();
     result.stats = locked_stats(s);
   }
   {

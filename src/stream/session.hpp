@@ -13,9 +13,10 @@
 // Identity contract: a stream at the full-quality rung is byte-identical,
 // frame for frame, to a standalone VideoToneMapper fed the same frames in
 // sequence order — the session owns the same adaptation recurrence and
-// rides the same FramePipeline. Degraded rungs are byte-identical to
-// their standalone counterparts (tone_map() under serve::degraded_options
-// for reduced_blur, tonemap::reinhard_global for global_operator).
+// runs the same tonemap::FrameEngine, synchronously, inside submit_frame.
+// Degraded rungs are byte-identical to their standalone counterparts
+// (tone_map() under serve::degraded_options for reduced_blur,
+// tonemap::reinhard_global for global_operator).
 //
 // Counter contract (the invariants stream_test hammers under TSan): over
 // the manager's lifetime streams_opened == streams_closed once every
@@ -46,8 +47,6 @@ inline constexpr int kMaxReorderWindow = 64;
 /// Largest flow-control window (undelivered frames a client may have
 /// outstanding); also the wire-level bound.
 inline constexpr int kMaxStreamCredits = 64;
-/// Largest per-stream FramePipeline depth.
-inline constexpr int kMaxStreamDepth = 8;
 
 /// Configuration of one stream, fixed at open() — the sticky half of the
 /// execution decision. Only the RateController moves the rung afterwards.
@@ -65,8 +64,6 @@ struct StreamConfig {
   serve::QosClass qos = serve::QosClass::standard;
   /// Temporal adaptation rate per frame in (0, 1] (VideoToneMapper).
   double adaptation_rate = 0.25;
-  /// FramePipeline depth for the stream's frames, in [1, kMaxStreamDepth].
-  int pipeline_depth = 1;
   /// Out-of-order frames buffered while a sequence gap is open, in
   /// [0, kMaxReorderWindow]. When a gap persists after the window fills,
   /// the missing sequence numbers are skipped (counted in
@@ -102,7 +99,8 @@ struct StreamFrameResult {
   /// Resolved backend name the frame ran on ("reinhard_global" at the
   /// global_operator rung, mirroring the serving layer's spelling).
   std::string backend;
-  /// Wall time from the frame's submit to its delivery.
+  /// Wall time the frame spent in its execution vehicle (the engine, or
+  /// the global operator) — the service time the rate controller sees.
   double service_seconds = 0.0;
 };
 
@@ -128,7 +126,7 @@ struct StreamStats {
   /// never arrived — NOT part of the submitted balance).
   std::uint64_t sequence_gaps = 0;
   std::uint64_t rung_switches = 0;
-  /// Frames currently held by the stream (reorder buffer + pipeline).
+  /// Frames currently held by the stream's reorder buffer.
   int frames_in_flight = 0;
   /// Full-quality-equivalent per-frame service estimate (EWMA).
   double estimated_service_seconds = 0.0;
@@ -185,7 +183,7 @@ struct SessionManagerOptions {
   /// RateControllerOptions).
   serve::OverloadPolicy overload;
   /// Retention bound of the manager's plane pool: stream-frame copies
-  /// into the reorder buffer, pipeline intermediates and delivered
+  /// into the reorder buffer, stage intermediates and delivered
   /// outputs all recycle through it, so the Nth frame of a warm stream
   /// performs zero fresh plane allocations — bit-identical to unpooled
   /// processing. 0 disables pooling.
@@ -198,7 +196,7 @@ void validate(const SessionManagerOptions& options);
 /// The per-stream state owner. Thread-safe: different streams may be
 /// driven from different threads concurrently; calls on ONE stream are
 /// serialised by a per-stream lock (one producer per stream is the
-/// intended shape, exactly like FramePipeline).
+/// intended shape).
 class SessionManager {
 public:
   explicit SessionManager(SessionManagerOptions options = {});
@@ -270,7 +268,7 @@ private:
   SessionManagerOptions options_;
   /// Null when pooling is disabled. Each frame-processing entry point
   /// installs its scope, so planes allocated on any caller thread — the
-  /// reorder copy, pipeline intermediates, delivered outputs — recycle
+  /// reorder copy, stage intermediates, delivered outputs — recycle
   /// here; delivered frames that escape to the caller return their
   /// buffers from wherever they die (the recycler is shared-ptr-held by
   /// every plane it backs).

@@ -113,7 +113,7 @@ img::ImageF blur_streaming_fixed(const img::ImageF& src,
 
   // The datapath arithmetic (kernel ROM, the ap_fixed-accumulator MAC,
   // the output requantisation) lives in FixedBlurPlan — one source of
-  // truth shared with the exec layer's tiled mode. This function keeps
+  // truth for the fixed datapath. This function keeps
   // the *streaming structure*: shift register and circular line buffer.
   const FixedBlurPlan plan(kernel, cfg);
   const std::vector<std::int64_t>& wq = plan.weights();

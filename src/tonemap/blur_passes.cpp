@@ -51,21 +51,6 @@ void vpass_float_columns(const float* const* rows, float* out,
   }
 }
 
-void hpass_fixed_border(const std::int64_t* row, std::int64_t* out,
-                        const FixedBlurPlan& plan, int width, int x0,
-                        int x1) {
-  const int radius = plan.radius();
-  const int taps = plan.taps();
-  const std::int64_t* wq = plan.weights().data();
-  for (int x = x0; x < x1; ++x) {
-    std::int64_t acc = 0;
-    for (int i = 0; i < taps; ++i) {
-      acc = plan.mac(acc, wq[i], row[clamp_index(x - radius + i, width)]);
-    }
-    out[x] = plan.acc_to_data(acc);
-  }
-}
-
 } // namespace detail
 
 void hpass_float_row(const float* row, float* out, const float* wts, int taps,
@@ -174,114 +159,6 @@ void FixedBlurPlan::quantise_rows(const img::ImageF& src,
 
 float FixedBlurPlan::to_float(std::int64_t raw) const {
   return static_cast<float>(cfg_.data.raw_to_double(raw));
-}
-
-void blur_hpass_fixed_rows(const std::vector<std::int64_t>& qsrc,
-                           std::vector<std::int64_t>& dst, int width,
-                           int height, const FixedBlurPlan& plan, int y_begin,
-                           int y_end) {
-  TMHLS_REQUIRE(qsrc.size() == static_cast<std::size_t>(width) *
-                                   static_cast<std::size_t>(height) &&
-                    dst.size() == qsrc.size(),
-                "blur_hpass_fixed_rows: plane size mismatch");
-  detail::check_range(y_begin, y_end, height);
-  const int radius = plan.radius();
-  const int taps = plan.taps();
-  const std::int64_t* wq = plan.weights().data();
-  const detail::ColumnRange in = detail::interior_columns(width, radius);
-
-  for (int y = y_begin; y < y_end; ++y) {
-    const std::int64_t* row =
-        qsrc.data() +
-        static_cast<std::size_t>(y) * static_cast<std::size_t>(width);
-    std::int64_t* out =
-        dst.data() +
-        static_cast<std::size_t>(y) * static_cast<std::size_t>(width);
-    detail::hpass_fixed_border(row, out, plan, width, 0, in.begin);
-    // Interior: no clamp branch; four independent accumulators walk the
-    // shared tap window to overlap the serialized MAC chains (each pixel's
-    // own accumulation sequence is untouched, so output is unchanged).
-    int x = in.begin;
-    for (; x + 4 <= in.end; x += 4) {
-      const std::int64_t* base = row + (x - radius);
-      std::int64_t a0 = 0;
-      std::int64_t a1 = 0;
-      std::int64_t a2 = 0;
-      std::int64_t a3 = 0;
-      for (int i = 0; i < taps; ++i) {
-        const std::int64_t wi = wq[i];
-        a0 = plan.mac(a0, wi, base[i]);
-        a1 = plan.mac(a1, wi, base[i + 1]);
-        a2 = plan.mac(a2, wi, base[i + 2]);
-        a3 = plan.mac(a3, wi, base[i + 3]);
-      }
-      out[x] = plan.acc_to_data(a0);
-      out[x + 1] = plan.acc_to_data(a1);
-      out[x + 2] = plan.acc_to_data(a2);
-      out[x + 3] = plan.acc_to_data(a3);
-    }
-    for (; x < in.end; ++x) {
-      const std::int64_t* base = row + (x - radius);
-      std::int64_t acc = 0;
-      for (int i = 0; i < taps; ++i) acc = plan.mac(acc, wq[i], base[i]);
-      out[x] = plan.acc_to_data(acc);
-    }
-    detail::hpass_fixed_border(row, out, plan, width, in.end, width);
-  }
-}
-
-void blur_vpass_fixed_rows(const std::vector<std::int64_t>& hout,
-                           img::ImageF& dst, int width, int height,
-                           const FixedBlurPlan& plan, int y_begin, int y_end) {
-  TMHLS_REQUIRE(hout.size() == static_cast<std::size_t>(width) *
-                                   static_cast<std::size_t>(height),
-                "blur_vpass_fixed_rows: plane size mismatch");
-  TMHLS_REQUIRE(dst.width() == width && dst.height() == height &&
-                    dst.channels() == 1,
-                "blur_vpass_fixed_rows: destination shape mismatch");
-  detail::check_range(y_begin, y_end, height);
-  const int radius = plan.radius();
-  const int taps = plan.taps();
-  const std::int64_t* wq = plan.weights().data();
-
-  // As in the float pass, the vertical clamp is per (y, i): hoisted to
-  // per-tap row pointers; the pixel loop is clamp-free with the same
-  // four-accumulator treatment as the horizontal interior.
-  std::vector<const std::int64_t*> rows(static_cast<std::size_t>(taps));
-  for (int y = y_begin; y < y_end; ++y) {
-    for (int i = 0; i < taps; ++i) {
-      rows[static_cast<std::size_t>(i)] =
-          hout.data() +
-          static_cast<std::size_t>(detail::clamp_index(y - radius + i, height)) *
-              static_cast<std::size_t>(width);
-    }
-    int x = 0;
-    for (; x + 4 <= width; x += 4) {
-      std::int64_t a0 = 0;
-      std::int64_t a1 = 0;
-      std::int64_t a2 = 0;
-      std::int64_t a3 = 0;
-      for (int i = 0; i < taps; ++i) {
-        const std::int64_t* r = rows[static_cast<std::size_t>(i)];
-        const std::int64_t wi = wq[i];
-        a0 = plan.mac(a0, wi, r[x]);
-        a1 = plan.mac(a1, wi, r[x + 1]);
-        a2 = plan.mac(a2, wi, r[x + 2]);
-        a3 = plan.mac(a3, wi, r[x + 3]);
-      }
-      dst.at_unchecked(x, y) = plan.to_float(plan.acc_to_data(a0));
-      dst.at_unchecked(x + 1, y) = plan.to_float(plan.acc_to_data(a1));
-      dst.at_unchecked(x + 2, y) = plan.to_float(plan.acc_to_data(a2));
-      dst.at_unchecked(x + 3, y) = plan.to_float(plan.acc_to_data(a3));
-    }
-    for (; x < width; ++x) {
-      std::int64_t acc = 0;
-      for (int i = 0; i < taps; ++i) {
-        acc = plan.mac(acc, wq[i], rows[static_cast<std::size_t>(i)][x]);
-      }
-      dst.at_unchecked(x, y) = plan.to_float(plan.acc_to_data(acc));
-    }
-  }
 }
 
 } // namespace tmhls::tonemap

@@ -1,6 +1,6 @@
-// Row-range primitives of the separable Gaussian blur, used by the exec
-// layer's tiled multi-threaded mode (row-band decomposition) and by the
-// vectorized separable_simd backend.
+// Row primitives of the separable Gaussian blur, used by the golden
+// models, the vectorized separable_simd backend and the fused streaming
+// engine's halo-recomputing row bands.
 //
 // Each pass processes output rows [y_begin, y_end) with clamp-to-edge
 // borders and accumulates taps in ascending order (i = 0..taps-1) — the
@@ -37,8 +37,6 @@ inline constexpr int kSimdLanes8 = 8;
 /// Default lane width (what the separable_simd backend reports and runs).
 inline constexpr int kSimdDefaultLanes = kSimdLanes8;
 
-class FixedBlurPlan;
-
 namespace detail {
 
 /// Clamp-to-edge sample index — the one border rule every pass applies.
@@ -74,11 +72,6 @@ void hpass_float_interior(const float* row, float* out, const float* wts,
 /// scalar vertical pass's body and the SIMD pass's sub-vector tail.
 void vpass_float_columns(const float* const* rows, float* out,
                          const float* wts, int taps, int x0, int x1);
-
-/// Fixed-point counterpart of hpass_float_border: clamped MACs through the
-/// plan's datapath for border columns [x0, x1) of one quantised row.
-void hpass_fixed_border(const std::int64_t* row, std::int64_t* out,
-                        const FixedBlurPlan& plan, int width, int x0, int x1);
 
 } // namespace detail
 
@@ -167,18 +160,5 @@ private:
   int prod_shift_;
   std::vector<std::int64_t> weights_;
 };
-
-/// Fixed-point horizontal pass over rows [y_begin, y_end) of the quantised
-/// plane `qsrc` (width * height raw values); writes data-format raw values.
-void blur_hpass_fixed_rows(const std::vector<std::int64_t>& qsrc,
-                           std::vector<std::int64_t>& dst, int width,
-                           int height, const FixedBlurPlan& plan, int y_begin,
-                           int y_end);
-
-/// Fixed-point vertical pass over rows [y_begin, y_end) of `hout`; widens
-/// the data-format results back to float in `dst`.
-void blur_vpass_fixed_rows(const std::vector<std::int64_t>& hout,
-                           img::ImageF& dst, int width, int height,
-                           const FixedBlurPlan& plan, int y_begin, int y_end);
 
 } // namespace tmhls::tonemap

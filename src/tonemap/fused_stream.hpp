@@ -30,8 +30,8 @@
 // the plane-at-a-time reference — the output is blur_separable_float's /
 // tone_map()'s bit for bit, at every thread count.
 //
-// Multi-threading: row-band decomposition like exec's tiled mode, but with
-// no inter-band halo exchange — each band primes its own line buffer with
+// Multi-threading: row-band decomposition (exec::run_independent_bands)
+// with no inter-band halo exchange — each band primes its own line buffer with
 // up to `radius` halo rows beyond its edges (recomputing their horizontal
 // blur, the overlapped-tiling trade the Halide/HWTool line of work makes
 // for the same reason: recomputation is cheaper than synchronising
@@ -63,12 +63,17 @@ struct FusedToneMapResult {
 };
 
 /// The five-stage pipeline in one streaming pass per frame (see the file
-/// comment). Honours opt's kernel, display_gamma, normalization_scale,
-/// brightness/contrast and threads; opt's backend/datapath fields are NOT
-/// consulted — this IS the fused_stream float engine. 1..4 channel input,
-/// like tone_map(). tone_map_image() routes here when the options resolve
-/// to the fused_stream backend.
+/// comment), on opt.threads row bands. Honours opt's kernel, display_gamma,
+/// normalization_scale and brightness/contrast; opt's backend/datapath
+/// fields are NOT consulted — this IS the fused_stream float engine. 1..4
+/// channel input, like tone_map().
 FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
                                   const PipelineOptions& opt = {});
+
+/// As above on `bands` halo-recomputing row bands, one thread each
+/// (clamped to the row count and exec::kMaxTiledBands), instead of
+/// opt.threads — how FrameEngine runs an ExecutionPlan's band count.
+FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
+                                  const PipelineOptions& opt, int bands);
 
 } // namespace tmhls::tonemap

@@ -4,7 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/math.hpp"
-#include "tonemap/fused_stream.hpp"
+#include "tonemap/frame_engine.hpp"
 
 namespace tmhls::tonemap {
 
@@ -209,15 +209,8 @@ PipelineResult tone_map(const img::ImageF& hdr, const PipelineOptions& opt,
 
 img::ImageF tone_map_image(const img::ImageF& hdr,
                            const PipelineOptions& opt) {
-  // Only the final image is wanted here, so the fused_stream selection can
-  // run the whole five-stage pipeline in one streaming pass instead of
-  // materializing the PipelineResult intermediates. Bit-identical output
-  // (the fused engine reuses the stage/pass primitives verbatim).
-  const ExecutionSelection sel = opt.execution();
-  if (sel.backend == "fused_stream" && !sel.use_fixed) {
-    return tone_map_fused(hdr, opt).output;
-  }
-  return tone_map(hdr, opt).output;
+  TMHLS_REQUIRE(!hdr.empty(), "tone_map_image: empty image");
+  return FrameEngine(opt, hdr.width(), hdr.height()).run(hdr);
 }
 
 } // namespace tmhls::tonemap

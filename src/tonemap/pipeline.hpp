@@ -4,10 +4,13 @@
 // accel layers decide where each stage executes and at what cost.
 //
 // The pipeline is exposed at two granularities:
-//   * tone_map() — the blocking one-call-per-frame form (a thin wrapper);
-//   * stages::*  — the five explicit stage functions, so schedulers
-//     (tonemap::FramePipeline) can run the point-wise PS stages of frame
-//     N+1 while frame N's mask blur is in flight on an exec::AsyncExecutor.
+//   * tone_map() — the staged one-call-per-frame form (a thin composition),
+//     the golden reference on separable_float;
+//   * stages::*  — the five explicit stage functions it composes, which
+//     the benches and probes also time one by one.
+// Consumers that run many frames go through tonemap::FrameEngine
+// (frame_engine.hpp), which plans once and picks the fused or the staged
+// route per plan.
 #pragma once
 
 #include <optional>
@@ -70,8 +73,8 @@ struct PipelineOptions {
   /// the backend's only datapath for fixed-only backends (and rejects
   /// explicit contradictions).
   Datapath datapath = Datapath::unspecified;
-  /// Worker threads for the mask stage's tiled execution mode (backends
-  /// without the capability run single-threaded).
+  /// Worker threads (row bands) of the fused engine; backends without the
+  /// tiled_threads capability run single-threaded.
   int threads = 1;
   /// Fixed-point formats (used only by fixed-datapath backends).
   FixedBlurConfig fixed = FixedBlurConfig::paper();
@@ -99,8 +102,9 @@ struct PipelineOptions {
 
   /// Resolve these options into an ExecutionPlan (backend + threads +
   /// bands + datapath + predicted cost) for a frame of the given geometry
-  /// via exec::Planner::global() — the ONE place every layer (CLI, serve,
-  /// stream, video, FramePipeline) gets its execution decision.
+  /// via exec::Planner::global() — the ONE place every layer (CLI and
+  /// FrameEngine, which serve, stream and video run through) gets its
+  /// execution decision.
   exec::ExecutionPlan plan(int width, int height) const;
 
   /// Resolve these options into an executor (registry lookup + thread /
@@ -137,11 +141,7 @@ struct PipelineResult {
 };
 
 /// The pipeline's five stages as explicit functions. tone_map() is the
-/// composition normalize -> intensity -> mask -> masking -> adjust; frame
-/// schedulers call the same functions but interleave the mask stage of
-/// frame N with the point-wise stages of neighbouring frames. Splitting
-/// tone_map() this way (rather than duplicating its body) is what keeps
-/// the pipelined and blocking paths bit-identical by construction.
+/// composition normalize -> intensity -> mask -> masking -> adjust.
 namespace stages {
 
 /// Stage 1 — normalisation (+ display encoding). A positive
@@ -210,7 +210,10 @@ PipelineResult tone_map(const img::ImageF& hdr, const PipelineOptions& opt = {})
 PipelineResult tone_map(const img::ImageF& hdr, const PipelineOptions& opt,
                         const exec::PipelineExecutor& executor);
 
-/// Convenience wrapper returning only the final image.
+/// Convenience wrapper returning only the final image: one FrameEngine run
+/// planned for hdr's geometry, so a plan that resolves to the fused engine
+/// ("auto" included) streams the frame instead of materialising the
+/// intermediate planes. Bit-identical to tone_map(hdr, opt).output.
 img::ImageF tone_map_image(const img::ImageF& hdr,
                            const PipelineOptions& opt = {});
 

@@ -71,7 +71,7 @@ std::uint64_t Client::submit(serve::FrameJob job) {
   request.request_id = next_request_id_++;
   request.job = std::move(job);
   // encode_request validates the job against the wire bounds (non-empty
-  // frame, dimensions, blur_shards, deadline) before anything crosses the
+  // frame, dimensions, deadline) before anything crosses the
   // socket.
   send_message(wire::encode_request(request), "request");
   ++in_flight_;

@@ -445,16 +445,12 @@ void verify_checksum(const Header& header,
 }
 
 std::vector<std::uint8_t> encode_request(const Request& request) {
-  TMHLS_REQUIRE(request.job.blur_shards >= 1 &&
-                    request.job.blur_shards <= serve::kMaxBlurShards,
-                "wire: blur_shards outside [1, kMaxBlurShards]");
   TMHLS_REQUIRE(!request.job.deadline_seconds ||
                     (std::isfinite(*request.job.deadline_seconds) &&
                      *request.job.deadline_seconds >= 0.0),
                 "wire: deadline_seconds must be finite and >= 0");
   std::vector<std::uint8_t> payload;
   put_u64(payload, request.request_id);
-  put_u32(payload, static_cast<std::uint32_t>(request.job.blur_shards));
   put_u8(payload, code_of(request.job.qos));
   // "No deadline" travels as an explicit flag byte (v3): the f64 that
   // follows is only meaningful when the flag is 1, and must be zero
@@ -470,14 +466,6 @@ Request decode_request(std::span<const std::uint8_t> payload) {
   Reader in(payload);
   Request request;
   request.request_id = in.u64();
-  const std::uint32_t blur_shards = in.u32();
-  if (blur_shards < 1 ||
-      blur_shards > static_cast<std::uint32_t>(serve::kMaxBlurShards)) {
-    throw WireError("wire: blur_shards " + std::to_string(blur_shards) +
-                    " outside [1, " + std::to_string(serve::kMaxBlurShards) +
-                    "]");
-  }
-  request.job.blur_shards = static_cast<int>(blur_shards);
   request.job.qos = qos_of(in.u8());
   const std::uint8_t has_deadline = in.u8();
   if (has_deadline > 1) {
@@ -593,11 +581,6 @@ void check_stream_config(const stream::StreamConfig& config) {
       config.height < 1 || config.height > kMaxDimension) {
     throw WireError("wire: stream geometry outside [1, kMaxDimension]");
   }
-  if (config.pipeline_depth < 1 ||
-      config.pipeline_depth > stream::kMaxStreamDepth) {
-    throw WireError("wire: stream pipeline_depth outside [1, " +
-                    std::to_string(stream::kMaxStreamDepth) + "]");
-  }
   if (config.reorder_window < 0 ||
       config.reorder_window > stream::kMaxReorderWindow) {
     throw WireError("wire: stream reorder_window outside [0, " +
@@ -620,7 +603,6 @@ std::vector<std::uint8_t> encode_stream_open(const StreamOpen& open) {
   put_f64(payload, open.config.adaptation_rate);
   put_u32(payload, static_cast<std::uint32_t>(open.config.width));
   put_u32(payload, static_cast<std::uint32_t>(open.config.height));
-  put_u32(payload, static_cast<std::uint32_t>(open.config.pipeline_depth));
   put_u32(payload, static_cast<std::uint32_t>(open.config.reorder_window));
   put_u32(payload, static_cast<std::uint32_t>(open.config.credits));
   put_options(payload, open.config.pipeline);
@@ -636,7 +618,6 @@ StreamOpen decode_stream_open(std::span<const std::uint8_t> payload) {
   open.config.adaptation_rate = in.f64();
   open.config.width = static_cast<int>(in.u32());
   open.config.height = static_cast<int>(in.u32());
-  open.config.pipeline_depth = static_cast<int>(in.u32());
   open.config.reorder_window = static_cast<int>(in.u32());
   open.config.credits = static_cast<int>(in.u32());
   check_stream_config(open.config);

@@ -68,8 +68,11 @@ namespace wire {
 /// BlurKind alias: PipelineOptions no longer carries the blur byte (the
 /// backend string + datapath byte are the complete execution selection);
 /// Datapath code 0 was renamed from_blur_kind -> unspecified with the
-/// same "follow the backend" meaning.
-inline constexpr std::uint16_t kVersion = 4;
+/// same "follow the backend" meaning. v5 dropped the request's
+/// blur-shard count (u32) and the stream open's pipeline depth (u32):
+/// every frame runs synchronously through one engine, and its band count
+/// is PipelineOptions::threads.
+inline constexpr std::uint16_t kVersion = 5;
 
 /// First four payload-independent bytes of every message.
 inline constexpr std::array<std::uint8_t, 4> kMagic{'T', 'M', 'H', 'W'};
@@ -78,8 +81,7 @@ inline constexpr std::array<std::uint8_t, 4> kMagic{'T', 'M', 'H', 'W'};
 inline constexpr std::size_t kHeaderBytes = 16;
 
 /// Per-axis bound on frame dimensions crossing the wire. Frames larger
-/// than this belong to the in-process API (or to blur_shards on a
-/// co-located service), not to a serialized hop.
+/// than this belong to the in-process API, not to a serialized hop.
 inline constexpr int kMaxDimension = 4096;
 
 /// Upper bound a decoder accepts for one payload: the worst-case frame

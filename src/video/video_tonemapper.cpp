@@ -1,6 +1,8 @@
 #include "video/video_tonemapper.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -9,34 +11,24 @@ namespace tmhls::video {
 
 namespace {
 
-tonemap::FramePipelineOptions frame_pipeline_options(
+const VideoToneMapperOptions& validated(
     const VideoToneMapperOptions& options) {
-  tonemap::FramePipelineOptions fp;
-  fp.pipeline = options.pipeline;
-  fp.depth = options.pipeline_depth;
-  fp.width = options.frame_width;
-  fp.height = options.frame_height;
-  return fp;
+  TMHLS_REQUIRE(options.adaptation_rate > 0.0 &&
+                    options.adaptation_rate <= 1.0,
+                "adaptation rate must be in (0, 1]");
+  TMHLS_REQUIRE(options.pipeline_depth == 1,
+                "VideoToneMapperOptions::pipeline_depth must be 1, got " +
+                    std::to_string(options.pipeline_depth));
+  return options;
 }
 
 } // namespace
 
 VideoToneMapper::VideoToneMapper(VideoToneMapperOptions options)
-    : options_(options), pipeline_(frame_pipeline_options(options)) {
-  TMHLS_REQUIRE(options.adaptation_rate > 0.0 &&
-                    options.adaptation_rate <= 1.0,
-                "adaptation rate must be in (0, 1]");
-}
+    : options_(validated(options)),
+      engine_(options.pipeline, options.frame_width, options.frame_height) {}
 
 img::ImageF VideoToneMapper::process(const img::ImageF& frame) {
-  submit(frame);
-  return next_result();
-}
-
-void VideoToneMapper::submit(const img::ImageF& frame) {
-  // The adaptation input is the frame's maximum — a point-wise scan, so
-  // it runs on the submitting thread and the adapted-scale sequence
-  // depends only on submission order, never on pipeline depth.
   float frame_max = 0.0f;
   for (float v : frame.samples()) frame_max = std::max(frame_max, v);
   TMHLS_REQUIRE(frame_max > 0.0f, "frame carries no light");
@@ -46,28 +38,15 @@ void VideoToneMapper::submit(const img::ImageF& frame) {
           ? frame_max // first frame: adapt instantly
           : scale_ + static_cast<float>(options_.adaptation_rate) *
                          (frame_max - scale_);
-  // Enqueue before committing the adaptation state: a submit that throws
-  // (a failed in-flight blur surfacing) must not advance the trajectory
-  // for a frame that was never accepted.
-  pipeline_.submit(frame, next_scale);
+  // Run before committing the adaptation state: a frame that throws must
+  // not advance the trajectory.
+  img::ImageF out = engine_.run(frame, next_scale);
   scale_ = next_scale;
   ++frames_;
-}
-
-img::ImageF VideoToneMapper::next_result() {
-  return pipeline_.next_result().output;
+  return out;
 }
 
 void VideoToneMapper::reset() {
-  // Drain-and-discard: a failed in-flight blur must not abort the reset
-  // (the caller is resetting precisely to recover), so errors carried by
-  // discarded results are swallowed here.
-  while (pipeline_.pending() > 0) {
-    try {
-      pipeline_.next_result();
-    } catch (...) {
-    }
-  }
   scale_ = 0.0f;
   frames_ = 0;
 }

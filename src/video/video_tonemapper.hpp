@@ -5,21 +5,16 @@
 // exponential adaptation, mimicking the human eye's (and every camera
 // pipeline's) temporal adaptation.
 //
-// The mapper rides on tonemap::FramePipeline: submit()/next_result()
-// overlap the point-wise stages of frame N+1 with the mask blur of frame N
-// at pipeline_depth > 1, while process() keeps the one-call-per-frame
-// blocking form. Temporal adaptation advances at submit() time (it needs
-// only the frame's maximum, a point-wise scan) and results come back in
-// submission order, so the scale smoothing is identical at every depth.
+// The mapper runs every frame synchronously through one tonemap::FrameEngine
+// planned at construction; the adapted scale is the engine's per-frame
+// normalisation override.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "accel/system.hpp"
-#include "exec/executor.hpp"
 #include "image/image.hpp"
-#include "tonemap/frame_pipeline.hpp"
+#include "tonemap/frame_engine.hpp"
 #include "tonemap/pipeline.hpp"
 
 namespace tmhls::video {
@@ -30,10 +25,9 @@ struct VideoToneMapperOptions {
   /// Adaptation rate per frame in [0, 1]: 1 reproduces per-frame
   /// normalisation (no smoothing), small values adapt slowly.
   double adaptation_rate = 0.25;
-  /// Frame-pipeline depth (tonemap::FramePipelineOptions::depth): 1
-  /// processes each frame synchronously; 2 overlaps frame N's mask blur
-  /// with frame N+1's point-wise stages when frames are consumed through
-  /// submit()/next_result(). Output is bit-identical at every depth.
+  /// Must be 1: frames run synchronously, one at a time. The field stays
+  /// only because existing callers (the benchmark harness) still set it;
+  /// any other value throws InvalidArgument.
   int pipeline_depth = 1;
   /// Frame geometry the executor is resolved for once at construction —
   /// what pipeline.backend == "auto" ranks the cost model on.
@@ -48,37 +42,25 @@ class VideoToneMapper {
 public:
   explicit VideoToneMapper(VideoToneMapperOptions options);
 
-  /// Tone-map the next frame synchronously: submit() + next_result().
+  /// Tone-map the next frame; advances the adapted scale. A frame that
+  /// throws leaves the adaptation state untouched.
   img::ImageF process(const img::ImageF& frame);
 
-  /// Enqueue a frame into the pipeline; advances the adapted scale.
-  void submit(const img::ImageF& frame);
-
-  /// The oldest unconsumed frame's output, in submission order. Throws
-  /// InvalidArgument when no frame is pending.
-  img::ImageF next_result();
-
-  /// Frames submitted but not yet consumed.
-  std::size_t pending() const { return pipeline_.pending(); }
-
-  /// The executor running the mask stage of every frame.
-  const exec::PipelineExecutor& executor() const {
-    return pipeline_.executor();
-  }
+  /// The engine every frame runs through.
+  const tonemap::FrameEngine& engine() const { return engine_; }
 
   /// The normalisation scale currently adapted to (0 before any frame).
   float current_scale() const { return scale_; }
 
-  /// Frames submitted so far.
+  /// Frames processed so far.
   int frames_processed() const { return frames_; }
 
-  /// Forget the adaptation state; pending results are drained and
-  /// discarded (the executor is kept).
+  /// Forget the adaptation state (the engine is kept).
   void reset();
 
 private:
   VideoToneMapperOptions options_;
-  tonemap::FramePipeline pipeline_;
+  tonemap::FrameEngine engine_;
   float scale_ = 0.0f;
   int frames_ = 0;
 };

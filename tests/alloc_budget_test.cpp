@@ -30,8 +30,8 @@ namespace {
 // Every registered execution backend; streaming_fixed runs its (only)
 // fixed-point datapath, the rest run float.
 const char* const kBackends[] = {
-    "separable_float", "separable_simd", "streaming_float",
-    "streaming_fixed", "hlscode",        "fused_stream",
+    "separable_float", "separable_simd", "streaming_fixed",
+    "hlscode",         "fused_stream",
 };
 
 constexpr int kW = 64;
@@ -169,8 +169,8 @@ TEST(AllocBudgetTest, WarmStreamFrameAllocatesNoPlane) {
 
       std::uint64_t allocs_before = 0;
       if (seq == kWarmFrames) {
-        // The measured frame: submission runs the whole pipeline on this
-        // thread (depth 1), so the quiescent point is right here.
+        // The measured frame: submission runs the whole frame on this
+        // thread, so the quiescent point is right here.
         ASSERT_TRUE(quiesce([&] { return manager.pool_stats(); }));
         allocs_before = img::plane_allocation_count();
       }

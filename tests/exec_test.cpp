@@ -1,6 +1,6 @@
 // Tests for the execution-backend layer: registry resolution of the five
-// built-in backends, bit-identity of the tiled multi-threaded mode and of
-// the SIMD backend with the single-threaded golden paths (the host-side
+// built-in backends, the row-band decomposition, bit-identity of the SIMD
+// backend with the golden path (the host-side
 // analogue of the §III.B claim that restructuring changes the schedule,
 // not the pixels), the interior/border split of the pass primitives
 // against an unsplit reference, the HlsCodeBackend's bit-exact equivalence
@@ -66,17 +66,19 @@ img::ImageF random_hdr(int w, int h, std::uint64_t seed) {
 
 // --- Registry ------------------------------------------------------------
 
-TEST(RegistryTest, AllSixBuiltinsRegisteredAndResolvable) {
+TEST(RegistryTest, AllFiveBuiltinsRegisteredAndResolvable) {
   const BackendRegistry& registry = BackendRegistry::global();
-  for (const char* name :
-       {"separable_float", "separable_simd", "streaming_float",
-        "streaming_fixed", "hlscode", "fused_stream"}) {
+  for (const char* name : {"separable_float", "separable_simd",
+                           "streaming_fixed", "hlscode", "fused_stream"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
     const auto backend = registry.resolve(name);
     ASSERT_NE(backend, nullptr);
     EXPECT_STREQ(backend->name(), name);
   }
-  EXPECT_EQ(registry.names().size(), 6u);
+  EXPECT_EQ(registry.names().size(), 5u);
+  // The line-buffer golden model is not a backend: fused_stream is its
+  // production form.
+  EXPECT_FALSE(registry.contains("streaming_float"));
 }
 
 TEST(RegistryTest, AutoNameIsReserved) {
@@ -112,7 +114,13 @@ TEST(RegistryTest, CapabilitiesMatchBackendContracts) {
   const BackendRegistry& registry = BackendRegistry::global();
   EXPECT_FALSE(
       registry.resolve("separable_float")->capabilities().streaming);
-  EXPECT_TRUE(registry.resolve("streaming_float")->capabilities().streaming);
+  EXPECT_TRUE(registry.resolve("fused_stream")->capabilities().streaming);
+  // Only the fused engine runs multi-threaded.
+  for (const std::string& name : registry.names()) {
+    EXPECT_EQ(registry.resolve(name)->capabilities().tiled_threads,
+              name == "fused_stream")
+        << name;
+  }
   EXPECT_TRUE(
       registry.resolve("streaming_fixed")->capabilities().fixed_datapath);
   EXPECT_EQ(registry.resolve("streaming_fixed")->capabilities().data_bits,
@@ -134,7 +142,6 @@ TEST(RegistryTest, CapabilitiesMatchBackendContracts) {
   const BackendCapabilities simd =
       registry.resolve("separable_simd")->capabilities();
   EXPECT_TRUE(simd.float_datapath);
-  EXPECT_TRUE(simd.tiled_threads);
   EXPECT_FALSE(simd.streaming);
   EXPECT_EQ(simd.simd_lanes, tonemap::kSimdDefaultLanes);
   EXPECT_EQ(registry.resolve("separable_float")->capabilities().simd_lanes,
@@ -160,55 +167,20 @@ TEST(TiledTest, RowBandsPartitionContiguously) {
   }
 }
 
-// --- Tiled bit-identity --------------------------------------------------
-
-class TiledBitIdentityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(TiledBitIdentityTest, FloatMatchesSingleThreadOnOddSizes) {
-  const int threads = GetParam();
-  for (const auto& [w, h] : {std::pair{33, 17}, std::pair{61, 45}}) {
-    const img::ImageF src = random_plane(w, h, 7);
-    const tonemap::GaussianKernel kernel(2.5, 7);
-    const img::ImageF golden = tonemap::blur_separable_float(src, kernel);
-    EXPECT_TRUE(bit_identical(blur_tiled_float(src, kernel, threads), golden))
-        << w << "x" << h << " threads=" << threads;
-  }
-}
-
-TEST_P(TiledBitIdentityTest, FixedMatchesStreamingFixedOnOddSizes) {
-  const int threads = GetParam();
-  const tonemap::FixedBlurConfig cfg = tonemap::FixedBlurConfig::paper();
-  for (const auto& [w, h] : {std::pair{33, 17}, std::pair{61, 45}}) {
-    const img::ImageF src = random_plane(w, h, 11);
-    const tonemap::GaussianKernel kernel(2.5, 7);
-    const img::ImageF golden = tonemap::blur_streaming_fixed(src, kernel, cfg);
-    EXPECT_TRUE(
-        bit_identical(blur_tiled_fixed(src, kernel, cfg, threads), golden))
-        << w << "x" << h << " threads=" << threads;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, TiledBitIdentityTest,
-                         ::testing::Values(1, 2, 4, 7));
-
-TEST(TiledTest, MoreThreadsThanRowsClampsToRows) {
-  const img::ImageF src = random_plane(9, 3, 3);
-  const tonemap::GaussianKernel kernel(1.5, 4); // radius > band height
-  EXPECT_TRUE(bit_identical(blur_tiled_float(src, kernel, 16),
-                            tonemap::blur_separable_float(src, kernel)));
-}
-
-TEST(TiledTest, BackendsRouteThreadsThroughTiledMode) {
+TEST(TiledTest, SingleThreadBackendsRejectThreadedContexts) {
+  // The executor clamps threads for backends without tiled_threads; a
+  // direct caller handing them a threaded context is refused, not
+  // silently run on one thread.
   const img::ImageF src = random_plane(41, 29, 5);
   const tonemap::GaussianKernel kernel(3.0, 9);
-  for (const char* name :
-       {"separable_float", "streaming_float", "streaming_fixed"}) {
-    const auto backend = BackendRegistry::global().resolve(name);
-    BlurContext single;
-    BlurContext tiled;
-    tiled.threads = 4;
-    EXPECT_TRUE(bit_identical(backend->run_blur(src, kernel, tiled),
-                              backend->run_blur(src, kernel, single)))
+  BlurContext threaded;
+  threaded.threads = 4;
+  for (const char* name : {"separable_float", "separable_simd",
+                           "streaming_fixed", "hlscode"}) {
+    EXPECT_THROW(
+        BackendRegistry::global().resolve(name)->run_blur(src, kernel,
+                                                          threaded),
+        InvalidArgument)
         << name;
   }
 }
@@ -228,26 +200,18 @@ constexpr SimdGeometry kSimdGeometries[] = {
     {9, 5, 3},  {31, 7, 10}, {32, 6, 10}, {33, 9, 40}, {64, 33, 5},
 };
 
-class SimdBitIdentityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SimdBitIdentityTest, BackendMatchesSeparableFloatAcrossGeometries) {
-  const int threads = GetParam();
+TEST(SimdBitIdentityTest, BackendMatchesSeparableFloatAcrossGeometries) {
   const auto backend = BackendRegistry::global().resolve("separable_simd");
   std::uint64_t seed = 101;
   for (const SimdGeometry& g : kSimdGeometries) {
     const img::ImageF src = random_plane(g.w, g.h, seed++);
     const tonemap::GaussianKernel kernel(g.radius / 3.0 + 0.5, g.radius);
     const img::ImageF golden = tonemap::blur_separable_float(src, kernel);
-    BlurContext ctx;
-    ctx.threads = threads;
-    EXPECT_TRUE(bit_identical(backend->run_blur(src, kernel, ctx), golden))
-        << g.w << "x" << g.h << " radius=" << g.radius
-        << " threads=" << threads;
+    EXPECT_TRUE(
+        bit_identical(backend->run_blur(src, kernel, BlurContext{}), golden))
+        << g.w << "x" << g.h << " radius=" << g.radius;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Threads, SimdBitIdentityTest,
-                         ::testing::Values(1, 2, 4, 7));
 
 TEST(SimdPassTest, BothLaneWidthsMatchScalarPasses) {
   for (int lanes : {tonemap::kSimdLanes4, tonemap::kSimdLanes8}) {
@@ -408,7 +372,8 @@ TEST(ExecutorTest, ClampsThreadsForBackendsWithoutTiledCapability) {
   ExecutorOptions opts;
   opts.threads = 8;
   EXPECT_EQ(PipelineExecutor("hlscode", opts).effective_threads(), 1);
-  EXPECT_EQ(PipelineExecutor("streaming_float", opts).effective_threads(), 8);
+  EXPECT_EQ(PipelineExecutor("separable_simd", opts).effective_threads(), 1);
+  EXPECT_EQ(PipelineExecutor("fused_stream", opts).effective_threads(), 8);
 }
 
 TEST(ExecutorTest, CostHookScalesWithGeometryAndDatapath) {
@@ -467,7 +432,7 @@ TEST(CostModelTest, CalibrationReplacesPriorWithBestSingleThreadRecord) {
 
 TEST(CostModelTest, EstimateCostCarriesCalibratedWallTime) {
   const tonemap::GaussianKernel kernel(2.0, 6);
-  const auto backend = BackendRegistry::global().resolve("separable_simd");
+  const auto backend = BackendRegistry::global().resolve("fused_stream");
   BlurContext single;
   const BlurCost c1 = backend->estimate_cost(640, 480, kernel, single);
   // The built-in priors make every builtin's estimate concrete.
@@ -536,12 +501,11 @@ TEST(AutoSelectionTest, ThrowsWhenNoBackendIsCapable) {
 
 // --- Pipeline integration (what the CLI's --backend/--threads hit) --------
 
-TEST(PipelineBackendTest, HlscodeBackendBitIdenticalToStreamingFloat) {
+TEST(PipelineBackendTest, HlscodeBackendBitIdenticalToSeparableFloat) {
   const img::ImageF hdr = random_hdr(31, 19, 23);
   tonemap::PipelineOptions golden;
   golden.sigma = 2.0;
   golden.radius = 6;
-  golden.backend = "streaming_float";
   tonemap::PipelineOptions hls = golden;
   hls.backend = "hlscode";
   EXPECT_TRUE(bit_identical(tonemap::tone_map(hdr, hls).output,
@@ -561,39 +525,12 @@ TEST(PipelineBackendTest, HlscodeFixedBitIdenticalToStreamingFixed) {
                             tonemap::tone_map(hdr, golden).output));
 }
 
-TEST(PipelineBackendTest, ThreadedStreamingFixedBitIdenticalToSingle) {
-  const img::ImageF hdr = random_hdr(45, 33, 31);
-  tonemap::PipelineOptions opt;
-  opt.sigma = 2.0;
-  opt.radius = 6;
-  opt.backend = "streaming_fixed";
-  tonemap::PipelineOptions threaded = opt;
-  threaded.threads = 4;
-  EXPECT_TRUE(bit_identical(tonemap::tone_map(hdr, threaded).output,
-                            tonemap::tone_map(hdr, opt).output));
-}
-
-TEST(PipelineBackendTest, ThreadedFloatBackendsBitIdenticalToSingle) {
-  const img::ImageF hdr = random_hdr(45, 33, 37);
-  for (const char* name : {"separable_float", "streaming_float"}) {
-    tonemap::PipelineOptions opt;
-    opt.sigma = 2.0;
-    opt.radius = 6;
-    opt.backend = name;
-    tonemap::PipelineOptions threaded = opt;
-    threaded.threads = 7;
-    EXPECT_TRUE(bit_identical(tonemap::tone_map(hdr, threaded).output,
-                              tonemap::tone_map(hdr, opt).output))
-        << name;
-  }
-}
-
 TEST(PipelineBackendTest, PersistentExecutorMatchesPerCallExecutor) {
   const img::ImageF hdr = random_hdr(21, 21, 41);
   tonemap::PipelineOptions opt;
   opt.sigma = 1.5;
   opt.radius = 4;
-  opt.backend = "streaming_float";
+  opt.backend = "fused_stream";
   opt.threads = 2;
   const exec::PipelineExecutor executor = opt.make_executor();
   EXPECT_TRUE(bit_identical(tonemap::tone_map(hdr, opt, executor).output,
@@ -638,11 +575,11 @@ TEST(PipelineBackendTest, UnknownBackendNameThrows) {
 }
 
 TEST(PipelineBackendTest, FixedDatapathOnFloatOnlyBackendThrows) {
-  // `--fixed --backend streaming_float` must fail loudly, not silently
+  // `--fixed --backend separable_simd` must fail loudly, not silently
   // produce float output.
   tonemap::PipelineOptions opt;
   opt.datapath = tonemap::Datapath::fixed_point;
-  opt.backend = "streaming_float";
+  opt.backend = "separable_simd";
   EXPECT_THROW(opt.make_executor(), InvalidArgument);
   opt.backend = "hlscode"; // dual datapath: fine
   EXPECT_NO_THROW(opt.make_executor());

@@ -1,9 +1,9 @@
 // Tests for the deterministic fault-injection harness: the arm/fire
 // semantics themselves (hit counting, trigger_after, max_fires, disarm),
-// and the failure scenarios it drives through the real layers — a stalled
-// async executor delivering its injected error through the future, an
+// and the failure scenarios it drives through the real layers — an
 // allocation failure at service admission, a slow shard expiring a
-// deadlined job, and a mid-pipeline stage failure — all hit-count
+// deadlined job at dequeue, a stall right before the engine expiring one
+// at engine entry, and a failure at that site — all hit-count
 // deterministic, never timing- or randomness-based.
 #include <gtest/gtest.h>
 
@@ -14,10 +14,7 @@
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/rng.hpp"
-#include "exec/async.hpp"
-#include "exec/executor.hpp"
 #include "serve/service.hpp"
-#include "tonemap/kernel.hpp"
 #include "tonemap/pipeline.hpp"
 
 namespace tmhls {
@@ -135,29 +132,6 @@ TEST(FaultHarnessTest, FailActionThrowsAtInjectOnlySites) {
 
 // --- injected failures through the real layers -----------------------------
 
-TEST(FaultScenarioTest, StalledExecutorDeliversInjectedErrorThroughFuture) {
-  ScopedDisarm teardown;
-  exec::AsyncExecutor async(exec::PipelineExecutor("separable_float"));
-  fault::FaultSpec spec;
-  spec.action = fault::Action::throw_error;
-  spec.message = "executor stalled";
-  spec.max_fires = 1;
-  fault::arm("exec.async.task", spec);
-
-  const tonemap::GaussianKernel kernel(1.5, 4);
-  img::ImageF plane(16, 12, 1);
-  for (float& v : plane.samples()) v = 0.5f;
-  auto failed = async.submit({plane, kernel});
-  EXPECT_THROW(failed.get(), fault::InjectedFault);
-
-  // The fire budget is spent: the executor keeps serving normally.
-  auto ok = async.submit({plane, kernel});
-  EXPECT_NO_THROW(ok.get());
-  const exec::AsyncExecutorStats stats = async.stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.completed, 2u); // errors still complete their futures
-}
-
 TEST(FaultScenarioTest, AllocationFailureAtAdmissionLeavesServiceHealthy) {
   ScopedDisarm teardown;
   serve::ToneMapServiceOptions options;
@@ -211,13 +185,42 @@ TEST(FaultScenarioTest, SlowShardExpiresDeadlinedJobDeterministically) {
   EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.expired);
 }
 
+TEST(FaultScenarioTest, StallBeforeTheEngineExpiresDeadlinedJob) {
+  ScopedDisarm teardown;
+  serve::ToneMapServiceOptions options;
+  options.shards = 1;
+  serve::ToneMapService service(options);
+  // The job passes the dequeue check, then the worker stalls 0.2 s at the
+  // last site before the engine: the 50 ms deadline has passed by the
+  // engine-entry check, so no pixel is computed.
+  fault::FaultSpec spec;
+  spec.action = fault::Action::delay;
+  spec.delay_seconds = 0.2;
+  spec.max_fires = 1;
+  fault::arm("serve.worker.stage", spec);
+
+  serve::FrameJob job;
+  job.frame = random_hdr(15, 11, 4);
+  job.options = small_options();
+  job.qos = serve::QosClass::critical;
+  job.deadline_seconds = 0.05;
+  auto future = service.submit(std::move(job));
+  EXPECT_THROW(future.get(), serve::DeadlineExceeded);
+  EXPECT_EQ(fault::stats("serve.worker.stage").fires, 1u);
+
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.expired, 1u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.expired);
+}
+
 TEST(FaultScenarioTest, MidPipelineStageFailureFailsOnlyThatJob) {
   ScopedDisarm teardown;
   serve::ToneMapServiceOptions options;
   options.shards = 1;
   serve::ToneMapService service(options);
-  // The staged (deadline-checked) path consults "serve.worker.stage"
-  // between stages; a throw there fails the job like a backend error.
+  // The worker consults "serve.worker.stage" right before the frame
+  // enters the engine; a throw there fails the job like a backend error.
   fault::FaultSpec spec;
   spec.action = fault::Action::throw_error;
   spec.message = "stage blew up";

@@ -5,8 +5,8 @@
 // blur_separable_float, full pipeline against tone_map() — for every
 // geometry (including degenerate ones where the kernel dwarfs the frame),
 // every thread count, and through every integration surface that can
-// select the backend (tone_map_image, FramePipeline, ToneMapService,
-// automatic selection).
+// select the backend (tone_map_image, ToneMapService, automatic
+// selection; FrameEngine has its own suite).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -20,7 +20,6 @@
 #include "exec/registry.hpp"
 #include "serve/service.hpp"
 #include "tonemap/blur.hpp"
-#include "tonemap/frame_pipeline.hpp"
 #include "tonemap/fused_stream.hpp"
 #include "tonemap/pipeline.hpp"
 
@@ -158,7 +157,13 @@ TEST(FusedToneMapTest, BitIdenticalAtEveryThreadCount) {
     opt.threads = threads;
     EXPECT_TRUE(bit_identical(tone_map_fused(hdr, opt).output, golden.output))
         << "threads=" << threads;
+    // An explicit band count overrides opt.threads (how an execution
+    // plan's bands reach the engine).
+    EXPECT_TRUE(bit_identical(tone_map_fused(hdr, opt, 8 - threads).output,
+                              golden.output))
+        << "bands=" << 8 - threads;
   }
+  EXPECT_THROW(tone_map_fused(hdr, opt, 0), InvalidArgument);
 }
 
 TEST(FusedToneMapTest, StagePreconditionsThrowUpFront) {
@@ -250,41 +255,14 @@ TEST(FusedBackendTest, AutoSelectionCanPickFusedStream) {
   model.set_macs_per_second("fused_stream", previous);
 }
 
-// --- Integration: FramePipeline and ToneMapService ------------------------
+// --- Integration: ToneMapService ------------------------------------------
 
-TEST(FusedIntegrationTest, FramePipelineIsBitIdenticalAtEveryDepth) {
+TEST(FusedIntegrationTest, ServiceMultiBandJobsAreBitIdentical) {
   PipelineOptions opt;
   opt.sigma = 2.0;
   opt.radius = 6;
   opt.backend = "fused_stream";
-  const int frames = 5;
-  std::vector<img::ImageF> inputs;
-  std::vector<img::ImageF> golden;
-  for (int i = 0; i < frames; ++i) {
-    inputs.push_back(random_hdr(29, 19, 3, 300 + static_cast<std::uint64_t>(i)));
-    golden.push_back(tone_map(inputs.back(), opt).output);
-  }
-  for (int depth : {1, 2, 4}) {
-    FramePipelineOptions fpo;
-    fpo.pipeline = opt;
-    fpo.depth = depth;
-    fpo.width = 29;
-    fpo.height = 19;
-    FramePipeline pipeline(fpo);
-    for (const img::ImageF& frame : inputs) pipeline.submit(frame);
-    for (int i = 0; i < frames; ++i) {
-      EXPECT_TRUE(bit_identical(pipeline.next_result().output,
-                                golden[static_cast<std::size_t>(i)]))
-          << "depth=" << depth << " frame=" << i;
-    }
-  }
-}
-
-TEST(FusedIntegrationTest, ServiceShardedBlurIsBitIdentical) {
-  PipelineOptions opt;
-  opt.sigma = 2.0;
-  opt.radius = 6;
-  opt.backend = "fused_stream";
+  opt.threads = 3;
   serve::ToneMapServiceOptions so;
   so.shards = 2;
   serve::ToneMapService service(so);
@@ -297,7 +275,6 @@ TEST(FusedIntegrationTest, ServiceShardedBlurIsBitIdentical) {
     serve::FrameJob job;
     job.frame = hdr;
     job.options = opt;
-    job.blur_shards = 3; // > 1: the shared-ExecutorPool sharded path
     futures.push_back(service.submit(std::move(job)));
   }
   for (int i = 0; i < 6; ++i) {

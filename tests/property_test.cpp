@@ -165,7 +165,7 @@ TEST_P(PipelineInvariants, OutputInRangeFiniteAndDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PipelineInvariants,
-    ::testing::Combine(::testing::Values("separable_float", "streaming_float",
+    ::testing::Combine(::testing::Values("separable_float", "fused_stream",
                                          "streaming_fixed"),
                        ::testing::Values(32, 65),
                        ::testing::Values(2.0, 6.0)));

@@ -81,15 +81,11 @@ std::vector<img::ImageF> golden_sequence(const StreamConfig& sc,
   video::VideoToneMapperOptions vopt;
   vopt.pipeline = sc.pipeline;
   vopt.adaptation_rate = sc.adaptation_rate;
-  vopt.pipeline_depth = 1;
   vopt.frame_width = sc.width;
   vopt.frame_height = sc.height;
   video::VideoToneMapper mapper(vopt);
   std::vector<img::ImageF> out;
-  for (const img::ImageF& frame : frames) {
-    mapper.submit(frame);
-    out.push_back(mapper.next_result());
-  }
+  for (const img::ImageF& frame : frames) out.push_back(mapper.process(frame));
   return out;
 }
 
@@ -135,6 +131,26 @@ TEST(StreamSessionTest, ByteIdenticalToVideoToneMapperAcrossBackends) {
       }
     }
   }
+}
+
+TEST(StreamSessionTest, ServiceSecondsTimesTheEngineRun) {
+  // A 256x256 frame through the paper's 97-tap kernel costs milliseconds
+  // on any host; the stream must report that cost (what its rate
+  // controller holds against the frame interval), not the bookkeeping
+  // after the frame already ran.
+  StreamConfig sc;
+  sc.width = 256;
+  sc.height = 256;
+  sc.measure_service = false;
+  ASSERT_EQ(sc.pipeline.kernel().taps(), 97);
+  SessionManager manager;
+  const std::uint64_t id = manager.open(sc);
+  const SubmitOutcome outcome =
+      manager.submit_frame(id, 0, random_hdr(256, 256, 5));
+  ASSERT_EQ(outcome.results.size(), 1u);
+  EXPECT_EQ(outcome.results[0].rung, serve::DegradeLevel::none);
+  EXPECT_GT(outcome.results[0].service_seconds, 1e-3);
+  manager.close(id);
 }
 
 TEST(StreamSessionTest, ShuffledArrivalWithinWindowDeliversInOrder) {

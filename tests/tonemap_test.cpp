@@ -495,12 +495,12 @@ TEST(PipelineTest, IntermediatesHaveExpectedShapes) {
   EXPECT_GT(r.input_max, 0.0f);
 }
 
-TEST(PipelineTest, StreamingFloatMatchesSeparableExactly) {
+TEST(PipelineTest, FusedStreamMatchesSeparableExactly) {
   const img::ImageF hdr = io::paper_test_image(64);
   PipelineOptions a;
   a.backend = "separable_float";
   PipelineOptions b;
-  b.backend = "streaming_float";
+  b.backend = "fused_stream";
   const img::ImageF out_a = tone_map_image(hdr, a);
   const img::ImageF out_b = tone_map_image(hdr, b);
   auto sa = out_a.samples();

@@ -93,7 +93,6 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 TEST(WireTest, RequestRoundTripPreservesEveryField) {
   wire::Request request;
   request.request_id = 0xDEADBEEF12345678ull;
-  request.job.blur_shards = 4;
   request.job.qos = serve::QosClass::best_effort;
   request.job.deadline_seconds = 0.25;
   tonemap::PipelineOptions& opt = request.job.options;
@@ -126,7 +125,6 @@ TEST(WireTest, RequestRoundTripPreservesEveryField) {
 
   const wire::Request decoded = wire::decode_request(payload);
   EXPECT_EQ(decoded.request_id, request.request_id);
-  EXPECT_EQ(decoded.job.blur_shards, request.job.blur_shards);
   EXPECT_EQ(decoded.job.qos, serve::QosClass::best_effort);
   EXPECT_EQ(decoded.job.deadline_seconds, 0.25);
   EXPECT_EQ(decoded.job.options, request.job.options); // field-wise
@@ -161,15 +159,15 @@ TEST(WireTest, ResponseRoundTripPreservesResultAndTimings) {
 }
 
 TEST(WireTest, ErrorMessageGoldenBytesPinTheOnWireFormat) {
-  // The exact bytes of a v4 error message with id 1, code generic and
+  // The exact bytes of a v5 error message with id 1, code generic and
   // message "hi" — recorded by hand from the format table in wire.hpp.
   // This pins the on-wire layout (magic, little-endian fields, the code
   // byte, FNV-1a checksum): any encoder change that alters these bytes
   // is a protocol break and must bump kVersion. (Only the header's
-  // version field changed from the v3 pin: the checksum covers the
+  // version field changed from the v4 pin: the checksum covers the
   // payload alone.)
   const std::vector<std::uint8_t> expected{
-      0x54, 0x4d, 0x48, 0x57, 0x04, 0x00, 0x03, 0x00, 0x0f, 0x00, 0x00,
+      0x54, 0x4d, 0x48, 0x57, 0x05, 0x00, 0x03, 0x00, 0x0f, 0x00, 0x00,
       0x00, 0x01, 0x05, 0x60, 0x5f, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x68, 0x69};
   EXPECT_EQ(wire::encode_error({1, wire::ErrorCode::generic, "hi"}),
@@ -204,7 +202,6 @@ TEST(WireTest, StreamMessagesRoundTripEveryField) {
   open.config.frame_interval_seconds = 1.0 / 24.0;
   open.config.adaptation_rate = 0.5;
   open.config.qos = serve::QosClass::best_effort;
-  open.config.pipeline_depth = 2;
   open.config.reorder_window = 6;
   open.config.credits = 12;
   {
@@ -218,7 +215,6 @@ TEST(WireTest, StreamMessagesRoundTripEveryField) {
     EXPECT_EQ(decoded.config.adaptation_rate, open.config.adaptation_rate);
     EXPECT_EQ(decoded.config.width, 320);
     EXPECT_EQ(decoded.config.height, 200);
-    EXPECT_EQ(decoded.config.pipeline_depth, 2);
     EXPECT_EQ(decoded.config.reorder_window, 6);
     EXPECT_EQ(decoded.config.credits, 12u);
     EXPECT_EQ(decoded.config.pipeline, open.config.pipeline);
@@ -324,8 +320,6 @@ TEST(WireTest, StreamOpenRejectsOutOfRangeConfigs) {
   rejects([](auto& c) { c.width = 0; });
   rejects([](auto& c) { c.width = wire::kMaxDimension + 1; });
   rejects([](auto& c) { c.height = 0; });
-  rejects([](auto& c) { c.pipeline_depth = 0; });
-  rejects([](auto& c) { c.pipeline_depth = stream::kMaxStreamDepth + 1; });
   rejects([](auto& c) { c.reorder_window = stream::kMaxReorderWindow + 1; });
   rejects([](auto& c) { c.credits = 0; });
   rejects([](auto& c) { c.credits = stream::kMaxStreamCredits + 1; });
@@ -363,10 +357,9 @@ TEST(WireTest, StreamDecodersRejectTrailingBytesAndUnknownStatus) {
 
 TEST(WireTest, RequestDecodeRejectsMalformedDeadlineEncodings) {
   const std::vector<std::uint8_t> message =
-      wire::encode_request({0, {random_hdr(4, 3, 1), {}, 1, {}, {}}});
-  // Payload layout: u64 id, u32 blur_shards, u8 qos, u8 deadline flag,
-  // f64 deadline value.
-  const std::size_t flag_at = wire::kHeaderBytes + 8 + 4 + 1;
+      wire::encode_request({0, {random_hdr(4, 3, 1), {}, {}, {}}});
+  // Payload layout: u64 id, u8 qos, u8 deadline flag, f64 deadline value.
+  const std::size_t flag_at = wire::kHeaderBytes + 8 + 1;
   auto decode_mutated = [&](auto mutate) {
     std::vector<std::uint8_t> bytes = message;
     mutate(bytes);
@@ -441,7 +434,6 @@ TEST(WireTest, RequestDecodeRejectsOversizedDimensionsWithoutAllocating) {
   // declared-vs-available check before any allocation happens.
   std::vector<std::uint8_t> payload;
   put_u64(payload, 7); // request id
-  put_u32(payload, 1); // blur_shards
   payload.push_back(1); // qos: standard
   payload.push_back(0); // deadline flag: none
   put_u64(payload, 0);  // deadline f64: must be 0.0 when the flag is 0
@@ -567,10 +559,10 @@ TEST(WireTest, RejectedPayloadsNeverLeakPooledPlanes) {
 TEST(WireTest, EncodeRequestRejectsStructurallyInvalidJobs) {
   wire::Request empty_frame;
   EXPECT_THROW(wire::encode_request(empty_frame), InvalidArgument);
-  wire::Request bad_shards;
-  bad_shards.job.frame = random_hdr(4, 4, 1);
-  bad_shards.job.blur_shards = serve::kMaxBlurShards + 1;
-  EXPECT_THROW(wire::encode_request(bad_shards), InvalidArgument);
+  wire::Request bad_deadline;
+  bad_deadline.job.frame = random_hdr(4, 4, 1);
+  bad_deadline.job.deadline_seconds = -1.0;
+  EXPECT_THROW(wire::encode_request(bad_deadline), InvalidArgument);
 }
 
 // --- loopback end-to-end ---------------------------------------------------
@@ -641,17 +633,18 @@ TEST(TransportLoopbackTest, PipelinedSubmitsCorrelateByRequestId) {
   }
 }
 
-TEST(TransportLoopbackTest, BlurShardedJobsStayByteIdentical) {
+TEST(TransportLoopbackTest, MultiBandFusedJobsStayByteIdentical) {
   Server server(small_server(1));
-  const tonemap::PipelineOptions opt = small_options("separable_float");
+  tonemap::PipelineOptions opt = small_options("fused_stream");
+  opt.threads = 3;
   const img::ImageF frame = random_hdr(41, 37, 71);
   Client client({"127.0.0.1", server.port(), 5.0});
   serve::FrameJob job;
   job.frame = frame;
   job.options = opt;
-  job.blur_shards = 3;
-  EXPECT_TRUE(bit_identical(client.call(std::move(job)).output,
-                            tonemap::tone_map(frame, opt).output));
+  EXPECT_TRUE(bit_identical(
+      client.call(std::move(job)).output,
+      tonemap::tone_map(frame, small_options("separable_float")).output));
 }
 
 TEST(TransportLoopbackTest, SmallServerWindowStillCompletesPipelinedLoad) {
@@ -737,7 +730,7 @@ TEST(TransportMalformedTest, MalformedStreamsCloseOnlyTheirConnection) {
   {
     SCOPED_TRACE("truncated header");
     const std::vector<std::uint8_t> good =
-        wire::encode_request({0, {random_hdr(4, 3, 1), {}, 1, {}, {}}});
+        wire::encode_request({0, {random_hdr(4, 3, 1), {}, {}, {}}});
     expect_connection_rejected(
         port, std::vector<std::uint8_t>(good.begin(), good.begin() + 7));
     ++expected_protocol_errors;
@@ -745,7 +738,7 @@ TEST(TransportMalformedTest, MalformedStreamsCloseOnlyTheirConnection) {
   {
     SCOPED_TRACE("truncated payload");
     const std::vector<std::uint8_t> good =
-        wire::encode_request({0, {random_hdr(4, 3, 1), {}, 1, {}, {}}});
+        wire::encode_request({0, {random_hdr(4, 3, 1), {}, {}, {}}});
     expect_connection_rejected(
         port,
         std::vector<std::uint8_t>(good.begin(), good.end() - 5));
@@ -754,7 +747,7 @@ TEST(TransportMalformedTest, MalformedStreamsCloseOnlyTheirConnection) {
   {
     SCOPED_TRACE("bad checksum");
     std::vector<std::uint8_t> corrupted =
-        wire::encode_request({0, {random_hdr(4, 3, 1), {}, 1, {}, {}}});
+        wire::encode_request({0, {random_hdr(4, 3, 1), {}, {}, {}}});
     corrupted.back() ^= 0x40;
     expect_connection_rejected(port, corrupted);
     ++expected_protocol_errors;
@@ -1030,7 +1023,7 @@ TEST(TransportResilienceTest, ShortReadMidMessageClosesTheConnection) {
 
   Socket socket = Socket::connect("127.0.0.1", server.port());
   const std::vector<std::uint8_t> message =
-      wire::encode_request({0, {random_hdr(4, 3, 1), {}, 1, {}, {}}});
+      wire::encode_request({0, {random_hdr(4, 3, 1), {}, {}, {}}});
   ASSERT_EQ(socket.send_all(message), SendStatus::ok);
   for (int i = 0; i < 500; ++i) {
     if (fault::stats("transport.socket.recv").fires == 1) break;

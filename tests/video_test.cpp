@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -184,71 +185,45 @@ TEST(ToneMapperTest, AdaptationSuppressesScaleJumpPops) {
   EXPECT_LT(adapted, 0.8 * per_frame);
 }
 
-TEST(ToneMapperTest, PipelinedDepthsBitIdenticalToSynchronous) {
-  // The async frame pipeline must not change a single bit of any frame,
-  // nor the adapted-scale trajectory, at any depth — for the float and
-  // the fixed datapath alike.
+TEST(ToneMapperTest, FloatRoutesBitIdenticalAcrossBackendsAndThreads) {
+  // Whichever engine route a float configuration plans onto — the fused
+  // sweep at any band count or the staged composition — every frame and
+  // the adapted-scale trajectory are byte-identical.
   SceneSequence::Config cfg = small_config();
   cfg.frames = 6;
   const SceneSequence seq(cfg);
-  for (const char* backend : {"separable_float", "streaming_fixed"}) {
+  VideoToneMapper golden_mapper(fast_options());
+  std::vector<img::ImageF> golden;
+  for (int i = 0; i < seq.frame_count(); ++i) {
+    golden.push_back(golden_mapper.process(seq.frame(i)));
+  }
+  for (const auto& [backend, threads] :
+       {std::pair{"separable_simd", 1}, std::pair{"fused_stream", 1},
+        std::pair{"fused_stream", 3}}) {
     VideoToneMapperOptions opt = fast_options();
     opt.pipeline.backend = backend;
-    if (std::string(backend) == "streaming_fixed") {
-      opt.pipeline.datapath = tonemap::Datapath::fixed_point;
-    }
-    VideoToneMapper sync_mapper(opt);
-    std::vector<img::ImageF> golden;
+    opt.pipeline.threads = threads;
+    VideoToneMapper mapper(opt);
+    EXPECT_EQ(mapper.engine().fused_route(),
+              std::string(backend) == "fused_stream");
     for (int i = 0; i < seq.frame_count(); ++i) {
-      golden.push_back(sync_mapper.process(seq.frame(i)));
+      const img::ImageF out = mapper.process(seq.frame(i));
+      const auto sa = out.samples();
+      const auto sb = golden[static_cast<std::size_t>(i)].samples();
+      ASSERT_EQ(sa.size(), sb.size());
+      EXPECT_EQ(std::memcmp(sa.data(), sb.data(), sa.size_bytes()), 0)
+          << backend << " threads " << threads << " frame " << i;
     }
-    for (int depth : {2, 4}) {
-      VideoToneMapperOptions vopt = opt;
-      vopt.pipeline_depth = depth;
-      VideoToneMapper mapper(vopt);
-      // Pipelined consumption: fill, then steady-state submit/next.
-      std::vector<img::ImageF> outputs;
-      for (int i = 0; i < seq.frame_count(); ++i) {
-        mapper.submit(seq.frame(i));
-        while (mapper.pending() >= static_cast<std::size_t>(depth)) {
-          outputs.push_back(mapper.next_result());
-        }
-      }
-      while (mapper.pending() > 0) outputs.push_back(mapper.next_result());
-      EXPECT_FLOAT_EQ(mapper.current_scale(), sync_mapper.current_scale())
-          << backend << " depth " << depth;
-      ASSERT_EQ(outputs.size(), golden.size());
-      for (std::size_t i = 0; i < outputs.size(); ++i) {
-        auto sa = outputs[i].samples();
-        auto sb = golden[i].samples();
-        ASSERT_EQ(sa.size(), sb.size());
-        for (std::size_t s = 0; s < sa.size(); ++s) {
-          ASSERT_EQ(sa[s], sb[s])
-              << backend << " depth " << depth << " frame " << i;
-        }
-      }
-    }
+    EXPECT_FLOAT_EQ(mapper.current_scale(), golden_mapper.current_scale());
   }
 }
 
-TEST(ToneMapperTest, NextResultWithoutSubmitThrows) {
-  VideoToneMapper mapper(fast_options());
-  EXPECT_THROW(mapper.next_result(), InvalidArgument);
-}
-
-TEST(ToneMapperTest, ResetDrainsPendingPipelinedFrames) {
-  VideoToneMapperOptions opt = fast_options();
-  opt.pipeline_depth = 3;
-  VideoToneMapper mapper(opt);
-  img::ImageF f(16, 16, 3);
-  f.fill(2.0f);
-  mapper.submit(f);
-  mapper.submit(f);
-  EXPECT_EQ(mapper.pending(), 2u);
-  mapper.reset();
-  EXPECT_EQ(mapper.pending(), 0u);
-  EXPECT_EQ(mapper.frames_processed(), 0);
-  EXPECT_FLOAT_EQ(mapper.current_scale(), 0.0f);
+TEST(ToneMapperTest, RejectsPipelineDepthOtherThanOne) {
+  for (int depth : {0, 2, 4}) {
+    VideoToneMapperOptions opt = fast_options();
+    opt.pipeline_depth = depth;
+    EXPECT_THROW(VideoToneMapper{opt}, InvalidArgument) << depth;
+  }
 }
 
 TEST(ToneMapperTest, ResetForgetsState) {

@@ -21,8 +21,8 @@ import sys
 
 # Required keys per bench name, mirroring what the benches emit (see the
 # JsonRecord schema comment in bench/bench_common.hpp; the emitters are
-# bench_backend_throughput.cpp, bench_frame_pipeline.cpp and
-# bench_serving.cpp). A bench not listed here is validated against the
+# bench_backend_throughput.cpp, bench_serving.cpp and bench_streaming.cpp).
+# A bench not listed here is validated against the
 # generic rules only, so adding a new bench does not require touching this
 # checker — listing it just tightens the gate.
 REQUIRED_KEYS = {
@@ -31,10 +31,6 @@ REQUIRED_KEYS = {
         "seconds_per_frame", "fps", "speedup_vs_single_thread",
         "speedup_vs_separable_float", "speedup_vs_separable_simd",
         "bytes_per_pixel",
-    ],
-    "frame_pipeline": [
-        "backend", "threads", "depth", "frames", "width", "height", "taps",
-        "seconds_total", "seconds_per_frame", "fps", "speedup_vs_depth1",
     ],
     "serving": [
         "mode", "backend", "threads", "width", "height", "seconds_total",
@@ -50,16 +46,12 @@ REQUIRED_KEYS = {
     ],
 }
 
-# bench_serving emits three record shapes distinguished by "mode"; beyond
+# bench_serving emits record shapes distinguished by "mode"; beyond
 # the common serving keys above, each known mode requires its own columns.
 # An unknown mode is validated against the common keys only.
 SERVING_MODE_KEYS = {
     "jobs": [
         "shards", "jobs_total", "taps", "jobs_per_s", "speedup_vs_1shard",
-    ],
-    "sharded_frame": [
-        "jobs_total", "taps", "jobs_per_s", "speedup_vs_1shard",
-        "blur_shards",
     ],
     "overload": [
         "shards", "offered_multiplier", "offered", "accepted", "shed",
@@ -228,10 +220,6 @@ SELF_TEST_CASES = [
      '"latency_p50_ms":20.0,"latency_p99_ms":40.0,"allocs_per_job":8.0,'
      '"pool_hit_rate":0.0}',
      False, "pool record missing pooled/speedup_vs_unpooled keys"),
-    ('{"bench":"frame_pipeline","backend":"hlscode","threads":1,"depth":2,'
-     '"frames":8,"width":512,"height":512,"taps":97,"seconds_total":1.0,'
-     '"seconds_per_frame":0.125,"fps":8.0,"speedup_vs_depth1":1.02}',
-     True, "complete frame_pipeline record"),
     ('{"bench":"backend_throughput","backend":"fused_stream","threads":2,'
      '"width":1024,"height":768,"taps":97,"seconds_per_frame":0.01,'
      '"fps":100.0,"speedup_vs_single_thread":1.9,'
@@ -263,8 +251,8 @@ SELF_TEST_CASES = [
      False, "streaming record missing overload/shed/switch keys"),
     ('{"bench":"serving","mode":"autotune","backend":"auto","threads":1,'
      '"width":128,"height":128,"taps":97,'
-     '"mispriored_backend":"streaming_float",'
-     '"initial_backend":"streaming_float",'
+     '"mispriored_backend":"separable_float",'
+     '"initial_backend":"separable_float",'
      '"final_backend":"separable_simd","converged_after_jobs":2,'
      '"jobs_total":24,"converged":1,"bit_identical":1,"observations":22,'
      '"seconds_total":0.1,"latency_p50_ms":2.0,"latency_p99_ms":5.0,'

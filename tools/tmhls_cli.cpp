@@ -7,14 +7,14 @@
 //                            [--fixed|--datapath float|fixed]
 //                            [--brightness B] [--contrast C]
 //                            [--backend separable_float|separable_simd|
-//                             streaming_float|streaming_fixed|hlscode|auto]
-//                            [--threads N] [--pipeline-depth D]
+//                             streaming_fixed|hlscode|fused_stream|auto]
+//                            [--threads N]
 //   video                   [--frames N] [--size N] [--kind K] [--seed N]
 //                            [--drift D] [--adaptation R] [--out prefix]
-//                            [--pipeline-depth D] [--backend B] [--threads N]
+//                            [--backend B] [--threads N]
 //   serve                   [--shards N] [--clients C] [--jobs J]
-//                            [--size N] [--queue Q] [--pipeline-depth D]
-//                            [--blur-shards S] [--backend B] [--threads N]
+//                            [--size N] [--queue Q] [--backend B]
+//                            [--threads N]
 //                            [--kind K] [--seed N]
 //                            [--qos best_effort|standard|critical]
 //                            [--deadline S] [--assumed-service S]
@@ -22,7 +22,7 @@
 //                             0 disables pooling)
 //                            [--listen PORT [--window W] [--max-connections M]]
 //   client                  --port PORT [--host H] [--jobs J] [--size N]
-//                            [--window W] [--blur-shards S] [--backend B]
+//                            [--window W] [--backend B]
 //                            [--threads N] [--kind K] [--seed N]
 //                            [--connect-timeout S] [--no-check]
 //                            [--qos best_effort|standard|critical]
@@ -84,7 +84,6 @@
 #include "platform/zynq.hpp"
 #include "serve/service.hpp"
 #include "tonemap/bilateral.hpp"
-#include "tonemap/frame_pipeline.hpp"
 #include "tonemap/global_operators.hpp"
 #include "tonemap/pipeline.hpp"
 #include "transport/client.hpp"
@@ -183,22 +182,7 @@ tonemap::PipelineOptions pipeline_options_from(const Args& args) {
 img::ImageF apply_operator(const std::string& name, const img::ImageF& hdr,
                            const Args& args) {
   if (name == "moroney") {
-    const int depth = args.get_int("pipeline-depth", 1);
-    if (depth == 1) {
-      return tonemap::tone_map_image(hdr, pipeline_options_from(args));
-    }
-    // Route through the frame pipeline: a single image cannot overlap
-    // anything, but this exercises the exact path video consumers run.
-    tonemap::FramePipelineOptions fpo;
-    fpo.pipeline = pipeline_options_from(args);
-    fpo.depth = depth;
-    // Resolve backend == "auto" against the real geometry, exactly like
-    // the depth-1 path — depth must never change the backend choice.
-    fpo.width = hdr.width();
-    fpo.height = hdr.height();
-    tonemap::FramePipeline pipeline(fpo);
-    pipeline.submit(hdr);
-    return pipeline.next_result().output;
+    return tonemap::tone_map_image(hdr, pipeline_options_from(args));
   }
   if (name == "reinhard") return tonemap::reinhard_global(hdr);
   if (name == "log") return tonemap::global_log(hdr);
@@ -338,9 +322,7 @@ int cmd_backends(const Args& args) {
 
 int cmd_video(const Args& args) {
   // A synthetic pan-and-drift sequence driven through the temporally
-  // adapted video tone mapper, with the pipelined submit()/next_result()
-  // consumption pattern: at --pipeline-depth > 1 the point-wise stages of
-  // frame N+1 overlap the mask blur of frame N.
+  // adapted video tone mapper, one frame at a time.
   video::SceneSequence::Config cfg;
   cfg.kind = io::scene_kind_from_string(args.get_or("kind", "window_interior"));
   cfg.frame_size = args.get_int("size", 256);
@@ -353,7 +335,6 @@ int cmd_video(const Args& args) {
   video::VideoToneMapperOptions vopt;
   vopt.pipeline = pipeline_options_from(args);
   vopt.adaptation_rate = args.get_double("adaptation", vopt.adaptation_rate);
-  vopt.pipeline_depth = args.get_int("pipeline-depth", 2);
   vopt.frame_width = cfg.frame_size;
   vopt.frame_height = cfg.frame_size;
   video::VideoToneMapper mapper(vopt);
@@ -370,14 +351,8 @@ int cmd_video(const Args& args) {
   outputs.reserve(frames.size());
   const auto t0 = std::chrono::steady_clock::now();
   for (const img::ImageF& frame : frames) {
-    mapper.submit(frame);
-    // Steady state: keep the pipeline full, consume the overflow.
-    while (mapper.pending() >=
-           static_cast<std::size_t>(vopt.pipeline_depth)) {
-      outputs.push_back(mapper.next_result());
-    }
+    outputs.push_back(mapper.process(frame));
   }
-  while (mapper.pending() > 0) outputs.push_back(mapper.next_result());
   const auto t1 = std::chrono::steady_clock::now();
   const double seconds = std::chrono::duration<double>(t1 - t0).count();
 
@@ -400,13 +375,13 @@ int cmd_video(const Args& args) {
               << "*.ppm\n";
   }
 
-  TextTable t({"frames", "size", "backend", "threads", "depth", "total (s)",
-               "fps", "flicker", "peak flicker"});
+  TextTable t({"frames", "size", "backend", "threads", "total (s)", "fps",
+               "flicker", "peak flicker"});
   t.add_row({std::to_string(sequence.frame_count()),
              std::to_string(cfg.frame_size),
-             mapper.executor().backend().name(),
-             std::to_string(vopt.pipeline.threads),
-             std::to_string(vopt.pipeline_depth), format_fixed(seconds, 3),
+             mapper.engine().executor().backend().name(),
+             std::to_string(mapper.engine().plan().threads),
+             format_fixed(seconds, 3),
              seconds > 0.0
                  ? format_fixed(static_cast<double>(outputs.size()) / seconds,
                                 2)
@@ -414,8 +389,6 @@ int cmd_video(const Args& args) {
              format_fixed(video::flicker_metric(means), 4),
              format_fixed(video::peak_flicker(means), 4)});
   std::cout << t.render();
-  std::cout << "\n(depth > 1 overlaps frame N's mask blur with frame N+1's\n"
-               "point-wise stages; the speedup shows on multi-core hosts)\n";
   return 0;
 }
 
@@ -438,8 +411,6 @@ int cmd_serve_listen(const Args& args) {
   so.service.shards = args.get_int("shards", so.service.shards);
   so.service.queue_capacity =
       args.get_int("queue", so.service.queue_capacity);
-  so.service.pipeline_depth =
-      args.get_int("pipeline-depth", so.service.pipeline_depth);
   so.max_in_flight_per_connection =
       args.get_int("window", so.max_in_flight_per_connection);
   so.max_connections = args.get_int("max-connections", so.max_connections);
@@ -550,14 +521,12 @@ int cmd_client_stream(const Args& args) {
       video::VideoToneMapperOptions vopt;
       vopt.pipeline = popt;
       vopt.adaptation_rate = sc.adaptation_rate;
-      vopt.pipeline_depth = 1;
       vopt.frame_width = size;
       vopt.frame_height = size;
       video::VideoToneMapper mapper(vopt);
       for (int f = 0; f < frames; ++f) {
-        mapper.submit(inputs[static_cast<std::size_t>(s)]
-                            [static_cast<std::size_t>(f)]);
-        golden[static_cast<std::size_t>(s)].push_back(mapper.next_result());
+        golden[static_cast<std::size_t>(s)].push_back(mapper.process(
+            inputs[static_cast<std::size_t>(s)][static_cast<std::size_t>(f)]));
       }
     }
   }
@@ -711,7 +680,6 @@ int cmd_client(const Args& args) {
   const int jobs = args.get_int("jobs", 8);
   const int size = args.get_int("size", 192);
   const int window = args.get_int("window", 4);
-  const int blur_shards = args.get_int("blur-shards", 1);
   TMHLS_REQUIRE(jobs >= 1 && size >= 1 && window >= 1,
                 "--jobs, --size and --window must be positive");
   const bool check = !args.has("no-check");
@@ -774,7 +742,6 @@ int cmd_client(const Args& args) {
     serve::FrameJob job;
     job.frame = frames[static_cast<std::size_t>(j)];
     job.options = popt;
-    job.blur_shards = blur_shards;
     job.qos = qos;
     // Flag-level convention: --deadline 0 (the default) means "no
     // deadline" and leaves FrameJob::deadline_seconds disengaged.
@@ -811,12 +778,10 @@ int cmd_client(const Args& args) {
     }
   }
 
-  TextTable t({"jobs", "size", "backend", "window", "blur shards",
-               "total (s)", "jobs/s", "p50 (ms)", "p99 (ms)",
-               "queue p50 (ms)"});
+  TextTable t({"jobs", "size", "backend", "window", "total (s)", "jobs/s",
+               "p50 (ms)", "p99 (ms)", "queue p50 (ms)"});
   t.add_row({std::to_string(jobs), std::to_string(size), backend_used,
-             std::to_string(window), std::to_string(blur_shards),
-             format_fixed(total_s, 3),
+             std::to_string(window), format_fixed(total_s, 3),
              total_s > 0.0 ? format_fixed(jobs / total_s, 2) : "-",
              latencies.empty()
                  ? "-"
@@ -853,7 +818,6 @@ int cmd_serve(const Args& args) {
   const int clients = args.get_int("clients", 4);
   const int jobs = args.get_int("jobs", 8); // per client
   const int size = args.get_int("size", 192);
-  const int blur_shards = args.get_int("blur-shards", 1);
   TMHLS_REQUIRE(clients >= 1 && jobs >= 1 && size >= 1,
                 "--clients, --jobs and --size must be positive");
   const io::SceneKind kind =
@@ -863,7 +827,6 @@ int cmd_serve(const Args& args) {
   serve::ToneMapServiceOptions so;
   so.shards = shards;
   so.queue_capacity = args.get_int("queue", so.queue_capacity);
-  so.pipeline_depth = args.get_int("pipeline-depth", so.pipeline_depth);
   so.overload.assumed_service_seconds = args.get_double(
       "assumed-service", so.overload.assumed_service_seconds);
   const int pool_bytes =
@@ -917,7 +880,6 @@ int cmd_serve(const Args& args) {
           serve::FrameJob job;
           job.frame = frame;
           job.options = popt;
-          job.blur_shards = blur_shards;
           job.qos = qos;
           // --deadline 0 (default): no deadline, optional stays disengaged.
           if (deadline > 0.0) job.deadline_seconds = deadline;
@@ -962,14 +924,13 @@ int cmd_serve(const Args& args) {
   const serve::ServiceStats stats = service.stats();
 
   // Sanity check the serving path against the blocking one: the service
-  // must never change bits, whatever the shard/depth configuration.
+  // must never change bits, whatever the shard configuration.
   const img::ImageF check_frame = frames[0][0];
   const img::ImageF blocking =
       tonemap::tone_map_image(check_frame, popt);
   serve::FrameJob check;
   check.frame = check_frame;
   check.options = popt;
-  check.blur_shards = blur_shards;
   const img::ImageF served = service.submit(std::move(check)).get().output;
   const bool identical =
       blocking.same_shape(served) &&
@@ -982,12 +943,10 @@ int cmd_serve(const Args& args) {
   }
   const int total_jobs = clients * jobs;
 
-  TextTable t({"shards", "clients", "jobs", "size", "backend", "depth",
-               "blur shards", "total (s)", "jobs/s", "p50 (ms)", "p99 (ms)",
-               "queue p50 (ms)"});
+  TextTable t({"shards", "clients", "jobs", "size", "backend", "total (s)",
+               "jobs/s", "p50 (ms)", "p99 (ms)", "queue p50 (ms)"});
   t.add_row({std::to_string(shards), std::to_string(clients),
              std::to_string(total_jobs), std::to_string(size), backend_used,
-             std::to_string(so.pipeline_depth), std::to_string(blur_shards),
              format_fixed(total_s, 3),
              total_s > 0.0 ? format_fixed(total_jobs / total_s, 2) : "-",
              all.empty() ? "-"
@@ -1140,24 +1099,23 @@ void usage() {
       "  tonemap <in> <out>   tone-map an HDR image\n"
       "                       (--backend <name|auto> selects the execution\n"
       "                        backend, --datapath float|fixed the numeric\n"
-      "                        datapath, --threads N the tiled CPU mode,\n"
-      "                        --pipeline-depth D the frame pipeline)\n"
+      "                        datapath, --threads N the fused engine's\n"
+      "                        row bands)\n"
       "  video                tone-map a synthetic HDR sequence through the\n"
-      "                       pipelined scheduler (--frames, --size, --kind,\n"
-      "                       --adaptation, --pipeline-depth, --backend,\n"
-      "                       --threads, --out <prefix>)\n"
+      "                       temporally adapted mapper (--frames, --size,\n"
+      "                       --kind, --adaptation, --backend, --threads,\n"
+      "                       --out <prefix>)\n"
       "  serve                drive a synthetic multi-client workload\n"
       "                       through the in-process serving layer\n"
       "                       (--shards, --clients, --jobs, --size,\n"
-      "                       --queue, --pipeline-depth, --blur-shards,\n"
-      "                       --backend, --threads) and print a\n"
+      "                       --queue, --backend, --threads) and print a\n"
       "                       throughput/latency table; with --listen PORT\n"
       "                       serve framed jobs over loopback TCP instead\n"
       "                       (--window bounds per-connection pipelining;\n"
       "                       SIGINT/SIGTERM drains and exits)\n"
       "  client               submit synthetic frames to a `serve --listen`\n"
       "                       server (--port, --host, --jobs, --size,\n"
-      "                       --window, --blur-shards, --backend,\n"
+      "                       --window, --backend, --threads,\n"
       "                       --connect-timeout, --no-check); verifies\n"
       "                       responses byte-for-byte against the local\n"
       "                       blocking pipeline and prints the\n"
