@@ -2,8 +2,7 @@
 // counts for backends with the tiled multi-threaded capability, on the
 // paper's 97-tap workload (sigma 16 -> radius 48). Emits one
 // benchkit::JsonRecord line per measurement (JSONL on stdout) so the perf
-// trajectory accumulates machine-readably across PRs — and feeds back into
-// exec::CostModel::calibrate_from_jsonl — plus a human table.
+// trajectory accumulates machine-readably — plus a human table.
 //
 // Every record carries speedup_vs_separable_float: the single-thread
 // separable_float baseline of the same geometry divided by this

@@ -12,23 +12,12 @@
 //                 [--backend NAME] [--threads T] [--sigma S]
 //                 [--deadline-factor F]
 //
-// A third mode, --autotune, is the online-convergence proof for the
-// exec::Planner feedback loop: the cost model is deliberately mis-priored
-// so '--backend auto' starts on the wrong backend, then sequential jobs
-// stream through a service with online calibration on — each measured
-// completion feeds the model, cached plans go stale, and the service
-// re-plans onto the measured-fastest backend within a bounded number of
-// jobs, every output byte-identical to the separable_float baseline
-// (--misprior B, --autotune-jobs N, --save-calibration FILE).
-//
 // NB: on a single-core host extra shards only add queueing — expect
 // speedup_vs_1shard ~1.0 there; the interesting numbers come from
 // multi-core CI runners. Records are a non-gating CI artifact.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <future>
 #include <iostream>
 #include <string>
@@ -39,7 +28,6 @@
 #include "common/args.hpp"
 #include "common/math.hpp"
 #include "common/table.hpp"
-#include "exec/cost_model.hpp"
 #include "image/plane_pool.hpp"
 #include "imageio/synthetic.hpp"
 #include "serve/service.hpp"
@@ -228,7 +216,7 @@ OverloadResult run_overload(int shards, int clients, int jobs,
 
 int main(int argc, char** argv) {
   try {
-    const Args args(argc, argv, {"pool-compare", "autotune"});
+    const Args args(argc, argv, {"pool-compare"});
     const int size = args.get_int("size", 256);
     const int clients = args.get_int("clients", 4);
     const int jobs = args.get_int("jobs", 4); // per client
@@ -254,132 +242,6 @@ int main(int argc, char** argv) {
                            std::cerr);
     const int total_jobs = clients * jobs;
     const int taps = popt.kernel().taps();
-
-    // --autotune: ONLY the online-convergence run. Mis-prior the cost
-    // model so auto ranks --misprior first, then stream sequential auto
-    // jobs through a 1-shard online-calibrating service. The first
-    // measured completion exposes the lie; the planner's observed-EWMA
-    // preference then routes onto the measured-fastest backend, and the
-    // emitted record proves how many jobs that took.
-    if (args.has("autotune")) {
-      const std::string misprior =
-          args.get_or("misprior", "separable_float");
-      const int autotune_jobs = args.get_int("autotune-jobs", 24);
-      TMHLS_REQUIRE(autotune_jobs >= 2, "autotune-jobs must be >= 2");
-      exec::CostModel& model = exec::CostModel::global();
-      // Absurdly fast on paper: no real measurement can back this up, so
-      // the first honest observation dethrones it.
-      model.set_macs_per_second(misprior, 5e13);
-
-      tonemap::PipelineOptions aopt = popt;
-      aopt.backend = "auto";
-      // The bit-identity invariant: whatever plan the autotuner lands
-      // on, bytes must match the reference backend at one thread.
-      tonemap::PipelineOptions base = popt;
-      base.backend = "separable_float";
-      const img::ImageF golden = tonemap::tone_map_image(frames[0], base);
-
-      const std::uint64_t allocs_before = img::plane_allocation_count();
-      serve::ToneMapServiceOptions so;
-      so.shards = 1;
-      so.online_calibration = true;
-      serve::ToneMapService service(so);
-
-      std::vector<std::string> backends_seen;
-      std::vector<double> latencies;
-      bool identical = true;
-      const auto t0 = Clock::now();
-      for (int j = 0; j < autotune_jobs; ++j) {
-        serve::FrameJob job;
-        job.frame = frames[0]; // one geometry: one EWMA bucket to learn
-        job.options = aopt;
-        // Sequential submit/get: every completion's observation lands in
-        // the model before the next job plans, so convergence is a
-        // property of the feedback loop, not of queueing luck.
-        const auto j0 = Clock::now();
-        const serve::FrameResult r = service.submit(std::move(job)).get();
-        latencies.push_back(
-            std::chrono::duration<double>(Clock::now() - j0).count());
-        backends_seen.push_back(r.backend);
-        identical = identical && golden.same_shape(r.output) &&
-                    std::memcmp(golden.samples().data(),
-                                r.output.samples().data(),
-                                golden.samples().size_bytes()) == 0;
-      }
-      const double seconds =
-          std::chrono::duration<double>(Clock::now() - t0).count();
-      const double allocs_per_job =
-          static_cast<double>(img::plane_allocation_count() -
-                              allocs_before) /
-          static_cast<double>(autotune_jobs);
-      const img::PoolStats ps = service.pool_stats();
-      const double pool_hit_rate =
-          ps.acquires > 0 ? static_cast<double>(ps.pool_hits) /
-                                static_cast<double>(ps.acquires)
-                          : 0.0;
-
-      const std::string& initial = backends_seen.front();
-      const std::string& final_backend = backends_seen.back();
-      // First job index from which every subsequent choice equals the
-      // final one — the convergence point.
-      int converged_after = 0;
-      for (int j = autotune_jobs - 1; j >= 0; --j) {
-        if (backends_seen[static_cast<std::size_t>(j)] != final_backend) {
-          converged_after = j + 1;
-          break;
-        }
-      }
-      const bool converged = final_backend != misprior;
-
-      TextTable t({"mispriored", "initial", "final", "converged after",
-                   "jobs", "bit-identical"});
-      t.add_row({misprior, initial, final_backend,
-                 std::to_string(converged_after),
-                 std::to_string(autotune_jobs), identical ? "yes" : "NO"});
-      std::cerr << '\n' << t.render();
-
-      benchkit::JsonRecord record("serving");
-      record.field("mode", "autotune")
-          .field("backend", "auto")
-          .field("threads", popt.threads)
-          .field("width", size)
-          .field("height", size)
-          .field("taps", taps)
-          .field("mispriored_backend", misprior)
-          .field("initial_backend", initial)
-          .field("final_backend", final_backend)
-          .field("converged_after_jobs", converged_after)
-          .field("jobs_total", autotune_jobs)
-          .field("converged", converged ? 1 : 0)
-          .field("bit_identical", identical ? 1 : 0)
-          .field("observations",
-                 static_cast<int>(model.observation_count(
-                     final_backend, size, size)))
-          .field("seconds_total", seconds)
-          .field("latency_p50_ms", percentile(latencies, 0.5) * 1e3)
-          .field("latency_p99_ms", percentile(latencies, 0.99) * 1e3)
-          .field("allocs_per_job", allocs_per_job)
-          .field("pool_hit_rate", pool_hit_rate)
-          .emit();
-
-      const std::string save = args.get_or("save-calibration", "");
-      if (!save.empty()) {
-        std::ofstream out(save);
-        TMHLS_REQUIRE(out.good(),
-                      "cannot open --save-calibration file: " + save);
-        model.save_snapshot(out);
-        std::cerr << "saved calibration snapshot to " << save << '\n';
-      }
-      // The convergence run IS the gate: a planner that ignores its own
-      // measurements, or one that changes bits, fails the bench.
-      TMHLS_REQUIRE(converged,
-                    "autotune did not leave the mis-priored backend " +
-                        misprior + " within " +
-                        std::to_string(autotune_jobs) + " jobs");
-      TMHLS_REQUIRE(identical,
-                    "autotune outputs diverged from separable_float");
-      return 0;
-    }
 
     // --pool-compare: ONLY the pooled-vs-unpooled comparison — the same
     // jobs workload through a plane-pooled service and a pool_bytes=0

@@ -1,9 +1,6 @@
 #include "exec/backend.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "exec/cost_model.hpp"
 
 namespace tmhls::exec {
 
@@ -39,48 +36,6 @@ BlurCost Backend::estimate_cost(int width, int height,
     cost.buffer_bytes = plane_bytes;
     // ...which the second pass writes and re-reads through memory.
     cost.traffic_bytes = 4 * plane_bytes;
-  }
-  // Wall-time term from the measured per-MAC throughput, scaled over the
-  // tiled worker count by the model's Amdahl term — linear (serial
-  // fraction 0) until multi-thread calibration records have fit one.
-  const CostModel& model = CostModel::global();
-  const double mps = model.macs_per_second(name());
-  if (mps > 0.0) {
-    const int threads =
-        caps.tiled_threads ? std::max(1, ctx.threads) : 1;
-    cost.seconds = cost.macs / mps / model.thread_speedup(name(), threads);
-  }
-  return cost;
-}
-
-PipelineCost estimate_pipeline_cost(const Backend& backend, int width,
-                                    int height,
-                                    const tonemap::GaussianKernel& kernel,
-                                    const BlurContext& ctx) {
-  PipelineCost cost;
-  cost.blur = backend.estimate_cost(width, height, kernel, ctx);
-  const BackendCapabilities caps = backend.capabilities();
-  const double pixels =
-      static_cast<double>(width) * static_cast<double>(height);
-  cost.pointwise_ops = kPipelinePointwiseOpsPerPixel * pixels;
-  // Inter-stage traffic: a fused sweep touches only the input and output
-  // planes (already the blur's own 2-plane figure); the staged pipeline
-  // additionally round-trips every intermediate plane through memory.
-  const std::size_t plane_bytes = static_cast<std::size_t>(width) *
-                                  static_cast<std::size_t>(height) *
-                                  sizeof(float);
-  const std::size_t stage_bytes =
-      caps.fused_pipeline ? 0 : kPipelineStagePlanes * plane_bytes;
-  cost.traffic_bytes = cost.blur.traffic_bytes + stage_bytes;
-  cost.seconds = cost.blur.seconds;
-  const CostModel& model = CostModel::global();
-  const double pointwise_throughput = model.pointwise_ops_per_second();
-  if (pointwise_throughput > 0.0) {
-    cost.seconds += cost.pointwise_ops / pointwise_throughput;
-  }
-  const double bandwidth = model.plane_bandwidth_bytes_per_second();
-  if (bandwidth > 0.0 && stage_bytes > 0) {
-    cost.seconds += static_cast<double>(stage_bytes) / bandwidth;
   }
   return cost;
 }

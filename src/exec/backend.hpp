@@ -40,8 +40,7 @@ struct BackendCapabilities {
   /// point-wise stages ride the blur pass, so one pipeline invocation
   /// touches DRAM only for the input and output planes. Without it, the
   /// staged pipeline materialises every intermediate plane through memory
-  /// between stages — the traffic difference estimate_pipeline_cost
-  /// prices.
+  /// between stages. tonemap::FrameEngine takes the fused route on it.
   bool fused_pipeline = false;
   /// Datapath element width in bits (32 for float, the data format width
   /// for fixed-point backends); what the accel layer sizes DMA transfers
@@ -67,20 +66,9 @@ struct BlurContext {
   /// path; backends without tiled_threads must be called with threads == 1
   /// (the executor clamps for callers).
   int threads = 1;
-  /// Row bands for the tiled decomposition; 0 (default) derives the band
-  /// count from `threads`. A schedule-searched plan (exec::Planner) may
-  /// set more bands than threads: the tiled runner spawns one worker per
-  /// band, so extra bands oversubscribe — finer-grained load balancing
-  /// when the blur shares cores with the point-wise stages. Output bits
-  /// are identical at every band count (see exec/tiled.hpp).
-  int bands = 0;
   /// For backends supporting both datapaths (hlscode): run the fixed-point
   /// one. Ignored by backends whose datapath is fixed by identity.
   bool use_fixed = false;
-
-  /// The band count the tiled decomposition actually runs: `bands` when
-  /// set, `threads` otherwise.
-  int band_count() const { return bands > 0 ? bands : threads; }
 };
 
 /// Analytic cost of one blur invocation, the hook the accel/platform layers
@@ -98,48 +86,7 @@ struct BlurCost {
   /// write and re-read the full temporary plane (4). This is the
   /// bandwidth-side figure of merit the benches report as bytes/pixel.
   std::size_t traffic_bytes = 0;
-  /// Estimated wall time of the invocation at the context's thread count,
-  /// from the backend's measured per-MAC throughput (CostModel: priors
-  /// overridable by bench_backend_throughput JSONL calibration). 0 when no
-  /// throughput figure is known for the backend. Thread scaling follows
-  /// the CostModel's per-backend Amdahl term (linear until a serial
-  /// fraction has been fit from multi-thread calibration records).
-  double seconds = 0.0;
 };
-
-/// Analytic cost of one END-TO-END pipeline invocation (all five stages:
-/// normalize, intensity, mask blur, masking, adjust) on a backend — what
-/// automatic selection and the streaming rate controller rank by, where
-/// BlurCost prices the accelerated stage alone. The point-wise arithmetic
-/// is identical across backends; what differs is the blur itself and
-/// whether the intermediate planes between stages travel through memory
-/// (staged execution) or stay inside a fused streaming sweep
-/// (BackendCapabilities::fused_pipeline).
-struct PipelineCost {
-  /// The mask-blur term, from Backend::estimate_cost.
-  BlurCost blur;
-  /// Aggregate non-blur per-pixel arithmetic of the four point-wise
-  /// stages (a coarse per-pixel constant — identical across backends).
-  double pointwise_ops = 0.0;
-  /// Full end-to-end memory traffic of one invocation, including the
-  /// inter-stage plane traffic a fused backend avoids.
-  std::size_t traffic_bytes = 0;
-  /// Estimated wall time: the blur term plus the point-wise arithmetic
-  /// term plus (for non-fused backends) the inter-stage plane traffic
-  /// priced at the CostModel's plane-bandwidth figure. 0 contributions
-  /// are dropped where no throughput figure is known.
-  double seconds = 0.0;
-};
-
-/// Aggregate point-wise work of the four non-blur stages, in operations
-/// per pixel — a coarse model constant (normalize, intensity, masking and
-/// adjust together), not a per-stage census.
-inline constexpr double kPipelinePointwiseOpsPerPixel = 60.0;
-
-/// Intermediate planes the staged (non-fused) pipeline moves through
-/// memory beyond the blur's own traffic: the normalized, intensity,
-/// masked and output planes, written and re-read between stages.
-inline constexpr std::size_t kPipelineStagePlanes = 9;
 
 /// One execution strategy for the Gaussian mask blur.
 class Backend {
@@ -159,8 +106,7 @@ public:
 
   /// Cost hook with a capability-derived default: 2 passes x taps MACs per
   /// pixel; line-buffer storage for streaming backends, a full temporary
-  /// plane otherwise; wall time from the CostModel's per-MAC throughput.
-  /// `ctx` selects the datapath the estimate is for: fixed-datapath
+  /// plane otherwise. `ctx` selects the datapath the estimate is for: fixed-datapath
   /// backends size elements from ctx.fixed, dual-datapath backends from
   /// ctx.use_fixed.
   virtual BlurCost estimate_cost(int width, int height,
@@ -171,23 +117,10 @@ public:
   /// default checks the datapath the context selects and the kernel against
   /// the capability struct (fixed/float datapath, max_taps); backends with
   /// restrictions the struct cannot express (e.g. hlscode's paper-format-
-  /// only fixed datapath) override. Automatic backend selection filters
-  /// candidates through this hook.
+  /// only fixed datapath) override. The planner's "auto" rule and
+  /// tonemap::FrameEngine gate on this hook.
   virtual bool can_run(const tonemap::GaussianKernel& kernel,
                        const BlurContext& ctx) const;
 };
-
-/// Price one full pipeline invocation on `backend`. Builds on
-/// Backend::estimate_cost for the blur term, adds the (backend-invariant)
-/// point-wise arithmetic priced at the CostModel's point-wise throughput,
-/// and charges non-fused backends the inter-stage plane traffic at the
-/// CostModel's plane bandwidth. This is what makes `--backend auto` and
-/// the streaming rate controller price fused_stream end-to-end: its blur
-/// throughput alone undersells the fusion, which also deletes every
-/// intermediate plane round-trip.
-PipelineCost estimate_pipeline_cost(const Backend& backend, int width,
-                                    int height,
-                                    const tonemap::GaussianKernel& kernel,
-                                    const BlurContext& ctx = {});
 
 } // namespace tmhls::exec

@@ -74,8 +74,7 @@ BackendCapabilities FusedStreamBackend::capabilities() const {
   caps.streaming = true; // line-buffer working set, no full-frame tmp plane
   caps.tiled_threads = true;
   // The whole five-stage pipeline can ride this backend's streaming sweep
-  // (tonemap::tone_map_fused), deleting the inter-stage plane traffic —
-  // what estimate_pipeline_cost credits this flag for.
+  // (tonemap::tone_map_fused), deleting the inter-stage plane traffic.
   caps.fused_pipeline = true;
   caps.data_bits = 32;
   caps.simd_lanes = tonemap::kSimdDefaultLanes;
@@ -85,7 +84,7 @@ BackendCapabilities FusedStreamBackend::capabilities() const {
 img::ImageF FusedStreamBackend::run_blur(const img::ImageF& intensity,
                                          const tonemap::GaussianKernel& kernel,
                                          const BlurContext& ctx) const {
-  return tonemap::blur_fused_stream(intensity, kernel, ctx.band_count());
+  return tonemap::blur_fused_stream(intensity, kernel, ctx.threads);
 }
 
 BackendCapabilities HlsCodeBackend::capabilities() const {

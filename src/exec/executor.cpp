@@ -1,7 +1,6 @@
 #include "exec/executor.hpp"
 
 #include "common/error.hpp"
-#include "exec/planner.hpp"
 
 namespace tmhls::exec {
 
@@ -9,9 +8,6 @@ void validate(const ExecutorOptions& options) {
   TMHLS_REQUIRE(options.threads >= 1,
                 "ExecutorOptions::threads must be >= 1, got " +
                     std::to_string(options.threads));
-  TMHLS_REQUIRE(options.bands >= 0,
-                "ExecutorOptions::bands must be >= 0, got " +
-                    std::to_string(options.bands));
 }
 
 PipelineExecutor::PipelineExecutor(std::shared_ptr<const Backend> backend,
@@ -48,30 +44,8 @@ BlurContext PipelineExecutor::context() const {
   BlurContext ctx;
   ctx.fixed = options_.fixed;
   ctx.threads = effective_threads();
-  ctx.bands =
-      backend_->capabilities().tiled_threads ? options_.bands : 0;
   ctx.use_fixed = options_.use_fixed;
   return ctx;
-}
-
-std::shared_ptr<const Backend> select_auto_backend(
-    int width, int height, const tonemap::GaussianKernel& kernel,
-    const ExecutorOptions& options, const BackendRegistry& registry) {
-  validate(options);
-  PlanRequest request;
-  request.width = width;
-  request.height = height;
-  request.backend = "auto";
-  request.datapath = options.use_fixed ? PlanDatapath::fixed_point
-                                       : PlanDatapath::unspecified;
-  request.threads = options.threads;
-  request.fixed = options.fixed;
-  // Route through the global planner when ranking over the global
-  // registry, so an installed routing table applies here too.
-  if (&registry == &BackendRegistry::global()) {
-    return Planner::global().plan(request, kernel).backend;
-  }
-  return Planner(&registry).plan(request, kernel).backend;
 }
 
 } // namespace tmhls::exec

@@ -18,11 +18,6 @@ struct ExecutorOptions {
   /// Worker threads for the tiled mode; clamped to 1 for backends without
   /// tiled_threads capability. Must be >= 1 (see validate).
   int threads = 1;
-  /// Row bands for the tiled decomposition; 0 (default) lets the band
-  /// count follow `threads`. Set by schedule-searched plans
-  /// (exec::ExecutionPlan); see BlurContext::bands for the semantics.
-  /// Must be >= 0 (see validate).
-  int bands = 0;
   /// Select the fixed datapath of dual-datapath backends (hlscode).
   bool use_fixed = false;
   /// Fixed-point formats for fixed-datapath backends.
@@ -30,9 +25,8 @@ struct ExecutorOptions {
 };
 
 /// The one validation point for ExecutorOptions: throws InvalidArgument
-/// naming the offending field and value unless threads >= 1 and
-/// bands >= 0. Every consumer (PipelineExecutor, the planner) calls this
-/// instead of clamping or re-checking at its own call site.
+/// naming the offending field and value unless threads >= 1.
+/// PipelineExecutor calls this instead of clamping at its call sites.
 void validate(const ExecutorOptions& options);
 
 class PipelineExecutor {
@@ -76,17 +70,5 @@ private:
   std::shared_ptr<const Backend> backend_;
   ExecutorOptions options_;
 };
-
-/// The cheapest capable backend for a blur request — what `--backend auto`
-/// resolves to. A thin wrapper over exec::Planner (the one place the
-/// ranking now lives; measured online EWMAs outrank analytic estimates,
-/// uncalibrated backends sort last, ties break by the registry's sorted
-/// name order). Kept for callers that only need the backend, not the full
-/// ExecutionPlan. Throws InvalidArgument when no registered backend can
-/// run the request.
-std::shared_ptr<const Backend> select_auto_backend(
-    int width, int height, const tonemap::GaussianKernel& kernel,
-    const ExecutorOptions& options = {},
-    const BackendRegistry& registry = BackendRegistry::global());
 
 } // namespace tmhls::exec

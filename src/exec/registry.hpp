@@ -1,9 +1,8 @@
 // Name-indexed registry of execution backends. The global() registry is
-// pre-seeded with the six built-in implementations; tools resolve the
-// user's --backend string through it, and future PRs plug new strategies
-// (GPU, remote, cached) in by registering a factory. The name "auto" is
-// reserved: it selects the cheapest capable backend via
-// exec::select_auto_backend instead of naming one.
+// pre-seeded with the five built-in implementations; tools resolve the
+// user's --backend string through it, and new strategies (GPU, remote,
+// cached) plug in by registering a factory. The name "auto" is reserved:
+// exec::plan resolves it by a fixed capability rule instead of naming one.
 #pragma once
 
 #include <functional>
@@ -49,7 +48,7 @@ private:
   std::vector<std::pair<std::string, Entry>> entries_;
 };
 
-/// Register the six built-in backends into `registry` (idempotent on the
+/// Register the five built-in backends into `registry` (idempotent on the
 /// names: throws if one is already present). global() calls this once.
 void register_builtin_backends(BackendRegistry& registry);
 

@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
-#include "exec/cost_model.hpp"
 #include "tonemap/frame_engine.hpp"
 #include "tonemap/global_operators.hpp"
 
@@ -484,17 +483,6 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
         out.backend = engine->executor().backend().name();
       }
       out.service_seconds = seconds_between(picked_up, Clock::now());
-      // Online autotuning: feed the measured end-to-end service time of a
-      // full-quality job back into the process-wide cost model — a
-      // degraded frame ran a cheaper kernel, not this backend's cost. The
-      // model's revision bump is what makes an auto engine re-plan on its
-      // next compatible_with check.
-      if (options_.online_calibration && q.degrade == DegradeLevel::none &&
-          out.service_seconds > 0.0) {
-        exec::CostModel::global().record_observation(
-            out.backend, engine->width(), engine->height(),
-            engine->executor().effective_threads(), out.service_seconds);
-      }
       complete(q.promise, std::move(out));
     } catch (...) {
       fail(q.promise); // bad options or a failed run: the shard moves on

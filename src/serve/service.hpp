@@ -117,17 +117,6 @@ struct ToneMapServiceOptions {
   /// allocates fresh), which is how the benches measure the pooled vs.
   /// unpooled comparison.
   std::size_t pool_bytes = img::PlanePool::kDefaultMaxRetainedBytes;
-  /// Feed each full-quality job's measured service time back into the
-  /// process-wide exec::CostModel as an online observation
-  /// (record_observation keyed by backend and geometry bucket). Auto
-  /// engines then re-plan when the model's revision moves (see
-  /// FrameEngine::compatible_with), so `--backend auto` converges onto
-  /// the measured-fastest backend under real load. Off by default because
-  /// the CostModel is process-wide state: callers that pin auto choices
-  /// (tests, comparative benches) should not have one service mutate the
-  /// ranking under another's feet. The CLI's serve paths and the autotune
-  /// bench opt in.
-  bool online_calibration = false;
 };
 
 /// Validation: throws InvalidArgument naming the offending field unless

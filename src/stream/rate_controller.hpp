@@ -56,8 +56,8 @@ struct RateControllerOptions {
   /// Per-frame cost of each rung relative to DegradeLevel::none. The
   /// reduced_blur default mirrors OverloadPolicy::reduced_cost_fraction;
   /// the global-operator rung is a per-pixel scan, ~the pipeline's
-  /// point-wise term alone (see exec::estimate_pipeline_cost). Must
-  /// satisfy 0 < global <= reduced <= 1.
+  /// point-wise stages alone, without the blur. Must satisfy
+  /// 0 < global <= reduced <= 1.
   double reduced_blur_cost = 0.25;
   double global_operator_cost = 0.02;
 };

@@ -1,22 +1,19 @@
 // FrameEngine: the one synchronous frame engine every consumer runs frames
 // through — tone_map_image, video::VideoToneMapper, stream sessions and
 // every serve::ToneMapService job. Built once from (PipelineOptions, width,
-// height), it plans once (exec::Planner) and then runs each frame on one
-// of two routes:
+// height), it plans once (exec::plan) and then runs each frame on one of
+// two routes:
 //
 //   fused  — the plan resolves to a backend with the fused_pipeline
 //            capability on its float datapath: tone_map_fused, the §III.B
-//            line-buffer dataflow, banded by the PLAN's threads/bands;
+//            line-buffer dataflow, one row band per planned thread;
 //   staged — everything else (the fixed datapath, hlscode, separable_*):
 //            the staged composition tone_map(hdr, opt, executor).
 //
 // The blur is written once; the routes are schedules of it, never
 // different bits: for every float configuration both are byte-identical to
-// tone_map() on separable_float, at every thread and band count.
+// tone_map() on separable_float, at every thread count.
 #pragma once
-
-#include <atomic>
-#include <cstdint>
 
 #include "exec/executor.hpp"
 #include "exec/planner.hpp"
@@ -27,8 +24,7 @@ namespace tmhls::tonemap {
 
 class FrameEngine {
 public:
-  /// Plan `options` for width x height frames (what backend == "auto" ranks
-  /// on). Throws InvalidArgument on a non-positive geometry, an unknown
+  /// Plan `options` for width x height frames. Throws InvalidArgument on a non-positive geometry, an unknown
   /// backend, a datapath contradiction, or a kernel the planned backend
   /// cannot run — capability errors fail here, not mid-stream.
   FrameEngine(PipelineOptions options, int width, int height);
@@ -60,13 +56,9 @@ public:
   int height() const { return height_; }
 
   /// Reuse test for callers that cache an engine: true when a job with
-  /// `options` and width x height frames would get the same schedule from
-  /// a freshly built engine. Options and geometry must match; an "auto"
-  /// engine additionally re-plans when the cost model's revision moved
-  /// (online observations arrived) and answers false if the fresh plan
-  /// picks a different backend/threads/bands — how serving converges onto
-  /// the measured-fastest backend. A false answer only costs a rebuild,
-  /// never identity (plans choose scheduling, never bits).
+  /// `options` and width x height frames would get the same engine, i.e.
+  /// options and geometry both match. Plans are a fixed function of both,
+  /// so a cached engine never needs re-planning.
   bool compatible_with(const PipelineOptions& options, int width,
                        int height) const;
 
@@ -80,12 +72,6 @@ private:
   exec::ExecutionPlan plan_;
   exec::PipelineExecutor executor_;
   bool fused_ = false;
-  /// Row bands of the fused route: the plan's band count.
-  int bands_ = 1;
-  /// CostModel::revision() the engine last planned against — advanced by
-  /// compatible_with when a re-plan confirms the same schedule. Atomic so
-  /// stats readers of an idle engine stay race-free.
-  mutable std::atomic<std::uint64_t> planned_revision_{0};
 };
 
 } // namespace tmhls::tonemap

@@ -179,11 +179,6 @@ img::ImageF blur_fused_stream(const img::ImageF& src,
 
 FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
                                   const PipelineOptions& opt) {
-  return tone_map_fused(hdr, opt, opt.threads);
-}
-
-FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
-                                  const PipelineOptions& opt, int bands_in) {
   TMHLS_REQUIRE(!hdr.empty(), "tone_map_fused: empty image");
   // The stage preconditions the plane-at-a-time pipeline checks inside its
   // stage functions, checked up front here (the fused loop interleaves the
@@ -195,7 +190,7 @@ FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
   TMHLS_REQUIRE(opt.contrast > 0.0f, "brightness_contrast: contrast must be > 0");
   const GaussianKernel kernel = opt.kernel();
   const int h = hdr.height();
-  const int bands = clamp_bands(bands_in, h);
+  const int bands = clamp_bands(opt.threads, h);
 
   // The one inherently two-pass part: frame-max normalisation must see
   // every sample before the first row can be normalized. Same reduction as

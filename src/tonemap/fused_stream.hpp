@@ -63,17 +63,12 @@ struct FusedToneMapResult {
 };
 
 /// The five-stage pipeline in one streaming pass per frame (see the file
-/// comment), on opt.threads row bands. Honours opt's kernel, display_gamma,
-/// normalization_scale and brightness/contrast; opt's backend/datapath
-/// fields are NOT consulted — this IS the fused_stream float engine. 1..4
-/// channel input, like tone_map().
+/// comment), on opt.threads halo-recomputing row bands, one thread each
+/// (clamped to the row count and exec::kMaxTiledBands). Honours opt's
+/// kernel, display_gamma, normalization_scale and brightness/contrast;
+/// opt's backend/datapath fields are NOT consulted — this IS the
+/// fused_stream float engine. 1..4 channel input, like tone_map().
 FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
                                   const PipelineOptions& opt = {});
-
-/// As above on `bands` halo-recomputing row bands, one thread each
-/// (clamped to the row count and exec::kMaxTiledBands), instead of
-/// opt.threads — how FrameEngine runs an ExecutionPlan's band count.
-FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
-                                  const PipelineOptions& opt, int bands);
 
 } // namespace tmhls::tonemap

@@ -1,18 +1,40 @@
 #include "tonemap/kernel.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 
 namespace tmhls::tonemap {
 
+namespace {
+
+void require_finite_sigma(double sigma) {
+  TMHLS_REQUIRE(std::isfinite(sigma) && sigma > 0.0,
+                "kernel sigma must be finite and positive");
+}
+
+/// ceil(3 * sigma), checked against kMaxRadius before the cast to int.
+int default_radius(double sigma) {
+  require_finite_sigma(sigma);
+  const double radius = std::ceil(3.0 * sigma);
+  TMHLS_REQUIRE(radius <= kMaxRadius,
+                "kernel radius ceil(3 * sigma) exceeds kMaxRadius (" +
+                    std::to_string(kMaxRadius) + ")");
+  return static_cast<int>(radius);
+}
+
+} // namespace
+
 GaussianKernel::GaussianKernel(double sigma)
-    : GaussianKernel(sigma, static_cast<int>(std::ceil(3.0 * sigma))) {}
+    : GaussianKernel(sigma, default_radius(sigma)) {}
 
 GaussianKernel::GaussianKernel(double sigma, int radius)
     : sigma_(sigma), radius_(radius) {
-  TMHLS_REQUIRE(sigma > 0.0, "kernel sigma must be positive");
-  TMHLS_REQUIRE(radius >= 1, "kernel radius must be >= 1");
+  require_finite_sigma(sigma);
+  TMHLS_REQUIRE(radius >= 1 && radius <= kMaxRadius,
+                "kernel radius must be in [1, " + std::to_string(kMaxRadius) +
+                    "], got " + std::to_string(radius));
   weights_.resize(static_cast<std::size_t>(2 * radius + 1));
   double sum = 0.0;
   for (int k = -radius; k <= radius; ++k) {

@@ -13,15 +13,25 @@
 
 namespace tmhls::tonemap {
 
+/// Largest kernel radius a GaussianKernel accepts: the wire's largest frame
+/// dimension (transport::wire::kMaxDimension), beyond which every extra tap
+/// only re-reads clamped border pixels. Bounds what one request can make a
+/// shard allocate and compute.
+inline constexpr int kMaxRadius = 4096;
+
 /// A normalised 1D Gaussian kernel: weights[radius + k] for k in
 /// [-radius, radius], summing to 1.
 class GaussianKernel {
 public:
   /// Build from a standard deviation; radius defaults to ceil(3*sigma),
-  /// covering 99.7% of the distribution's mass.
+  /// covering 99.7% of the distribution's mass. Throws InvalidArgument
+  /// unless sigma is finite and positive and the radius is at most
+  /// kMaxRadius.
   explicit GaussianKernel(double sigma);
 
-  /// Build with an explicit radius (taps = 2*radius + 1).
+  /// Build with an explicit radius (taps = 2*radius + 1). Throws
+  /// InvalidArgument unless sigma is finite and positive and radius is in
+  /// [1, kMaxRadius].
   GaussianKernel(double sigma, int radius);
 
   double sigma() const { return sigma_; }

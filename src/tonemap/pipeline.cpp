@@ -8,22 +8,6 @@
 
 namespace tmhls::tonemap {
 
-const char* to_string(Datapath datapath) {
-  switch (datapath) {
-    case Datapath::unspecified: return "unspecified";
-    case Datapath::float32: return "float";
-    case Datapath::fixed_point: return "fixed";
-  }
-  return "?";
-}
-
-Datapath datapath_from_string(const std::string& name) {
-  if (name == "float" || name == "float32") return Datapath::float32;
-  if (name == "fixed" || name == "fixed_point") return Datapath::fixed_point;
-  throw InvalidArgument("unknown datapath: " + name +
-                        " (expected float or fixed)");
-}
-
 GaussianKernel PipelineOptions::kernel() const {
   if (radius > 0) return GaussianKernel(sigma, radius);
   return GaussianKernel(sigma);
@@ -41,20 +25,10 @@ exec::ExecutionPlan PipelineOptions::plan(int width, int height) const {
   request.width = width;
   request.height = height;
   request.backend = execution().backend;
-  switch (datapath) {
-    case Datapath::unspecified:
-      request.datapath = exec::PlanDatapath::unspecified;
-      break;
-    case Datapath::float32:
-      request.datapath = exec::PlanDatapath::float32;
-      break;
-    case Datapath::fixed_point:
-      request.datapath = exec::PlanDatapath::fixed_point;
-      break;
-  }
+  request.datapath = datapath;
   request.threads = threads;
   request.fixed = fixed;
-  return exec::Planner::global().plan(request, kernel());
+  return exec::plan(request, kernel());
 }
 
 exec::PipelineExecutor PipelineOptions::make_executor(int width,

@@ -25,27 +25,15 @@
 
 namespace tmhls::tonemap {
 
-/// Which numeric datapath of the selected backend executes the blur.
-/// (The deprecated BlurKind alias this used to defer to is retired; the
-/// CLI keeps `--blur-kind` as a warning-emitting alias for `--backend`
-/// for one release.)
-enum class Datapath {
-  /// Follow the backend: float for float-capable backends, fixed for
-  /// fixed-only ones (so `--backend streaming_fixed` alone just works).
-  /// The default.
-  unspecified,
-  float32,     ///< the 32-bit float datapath
-  fixed_point, ///< the fixed-point datapath (formats from `fixed`)
-};
-
-const char* to_string(Datapath datapath);
-
-/// Parse "float" / "fixed" (also accepts "float32" / "fixed_point");
-/// throws InvalidArgument otherwise.
-Datapath datapath_from_string(const std::string& name);
+/// Which numeric datapath of the selected backend executes the blur:
+/// `unspecified` (the default) follows the backend — float for
+/// float-capable backends, fixed for fixed-only ones (so
+/// `--backend streaming_fixed` alone just works). Defined once, in exec.
+using Datapath = exec::Datapath;
+using exec::datapath_from_string;
 
 /// The execution selection of a PipelineOptions. This is the
-/// registry-free resolution; the planner (exec::Planner, behind plan() /
+/// registry-free resolution; the planner (exec::plan, behind plan() /
 /// make_executor()) additionally snaps use_fixed to a fixed-only
 /// backend's single datapath — a capability-dependent step that needs the
 /// registry.
@@ -65,9 +53,8 @@ struct PipelineOptions {
   int radius = 0;
   /// Execution backend by registry name (e.g. "hlscode"); empty selects
   /// separable_float, the golden reference. The reserved name "auto"
-  /// picks the cheapest capable backend for the frame geometry via
-  /// exec::Planner (measured observations, calibrated estimates, or an
-  /// installed routing table — in that order of trust).
+  /// applies exec::plan's capability rule: fused_stream on the float
+  /// datapath, hlscode (else streaming_fixed) on the fixed one.
   std::string backend;
   /// Datapath of the selected backend. The planner snaps `unspecified` to
   /// the backend's only datapath for fixed-only backends (and rejects
@@ -101,21 +88,19 @@ struct PipelineOptions {
   ExecutionSelection execution() const;
 
   /// Resolve these options into an ExecutionPlan (backend + threads +
-  /// bands + datapath + predicted cost) for a frame of the given geometry
-  /// via exec::Planner::global() — the ONE place every layer (CLI and
-  /// FrameEngine, which serve, stream and video run through) gets its
-  /// execution decision.
+  /// datapath) for a frame of the given geometry via exec::plan — the ONE
+  /// place every layer (CLI and FrameEngine, which serve, stream and video
+  /// run through) gets its execution decision. Throws InvalidArgument on a
+  /// non-positive geometry.
   exec::ExecutionPlan plan(int width, int height) const;
 
   /// Resolve these options into an executor (registry lookup + thread /
-  /// datapath configuration) for a frame of the given geometry — which
-  /// backend == "auto" selects on. A thin wrapper over
-  /// plan(width, height).make_executor(). Callers running many frames
-  /// build this once.
+  /// datapath configuration) for a frame of the given geometry. A thin
+  /// wrapper over plan(width, height).make_executor(). Callers running many
+  /// frames build this once.
   exec::PipelineExecutor make_executor(int width, int height) const;
 
-  /// Geometry-free overload: as above, assuming the paper's 1024x768
-  /// frame when backend == "auto".
+  /// Geometry-free overload: as above for the paper's 1024x768 frame.
   exec::PipelineExecutor make_executor() const;
 
   /// Field-wise equality. Equal options produce bit-identical pipelines

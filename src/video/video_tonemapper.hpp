@@ -29,8 +29,8 @@ struct VideoToneMapperOptions {
   /// only because existing callers (the benchmark harness) still set it;
   /// any other value throws InvalidArgument.
   int pipeline_depth = 1;
-  /// Frame geometry the executor is resolved for once at construction —
-  /// what pipeline.backend == "auto" ranks the cost model on.
+  /// Frame geometry the engine is planned for once at construction; must
+  /// be positive.
   int frame_width = 1024;
   int frame_height = 768;
 };

@@ -4,18 +4,16 @@
 // analogue of the §III.B claim that restructuring changes the schedule,
 // not the pixels), the interior/border split of the pass primitives
 // against an unsplit reference, the HlsCodeBackend's bit-exact equivalence
-// with the golden models, the calibrated cost model with automatic backend
-// selection, and the executor plumbing the pipeline and CLI ride on.
+// with the golden models, capability gating (can_run), and the executor
+// plumbing the pipeline and CLI ride on.
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "exec/backends.hpp"
-#include "exec/cost_model.hpp"
 #include "exec/executor.hpp"
 #include "exec/registry.hpp"
 #include "exec/tiled.hpp"
@@ -389,60 +387,7 @@ TEST(ExecutorTest, CostHookScalesWithGeometryAndDatapath) {
             static_cast<std::size_t>(64) * 32 * 4);
 }
 
-// --- Cost model + automatic backend selection -----------------------------
-
-TEST(CostModelTest, ParsesThroughputJsonlSkippingForeignRecords) {
-  std::istringstream in(
-      "{\"bench\":\"other_bench\",\"value\":3}\n"
-      "not json at all\n"
-      "{\"bench\":\"backend_throughput\",\"backend\":\"separable_simd\","
-      "\"threads\":1,\"width\":1024,\"height\":768,\"taps\":97,"
-      "\"seconds_per_frame\":0.02,\"fps\":50,"
-      "\"speedup_vs_separable_float\":5.5}\n");
-  const auto records = parse_throughput_jsonl(in);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].backend, "separable_simd");
-  EXPECT_EQ(records[0].threads, 1);
-  EXPECT_EQ(records[0].width, 1024);
-  EXPECT_EQ(records[0].height, 768);
-  EXPECT_EQ(records[0].taps, 97);
-  EXPECT_DOUBLE_EQ(records[0].seconds_per_frame, 0.02);
-}
-
-TEST(CostModelTest, CalibrationReplacesPriorWithBestSingleThreadRecord) {
-  CostModel model;
-  EXPECT_GT(model.macs_per_second("separable_float"), 0.0); // prior
-  EXPECT_EQ(model.macs_per_second("gpu_imaginary"), 0.0);   // unknown
-  ThroughputRecord slow;
-  slow.backend = "separable_float";
-  slow.threads = 1;
-  slow.width = 100;
-  slow.height = 100;
-  slow.taps = 10;
-  slow.seconds_per_frame = 0.2; // 1e6 MACs/s
-  ThroughputRecord fast = slow;
-  fast.seconds_per_frame = 0.1; // 2e6 MACs/s: the best observed wins
-  ThroughputRecord threaded = slow;
-  threaded.threads = 4; // ignored: the model is per-thread
-  threaded.seconds_per_frame = 0.001;
-  EXPECT_EQ(model.calibrate({slow, fast, threaded}), 1);
-  EXPECT_DOUBLE_EQ(model.macs_per_second("separable_float"),
-                   2.0 * 10 * 100 * 100 / 0.1);
-}
-
-TEST(CostModelTest, EstimateCostCarriesCalibratedWallTime) {
-  const tonemap::GaussianKernel kernel(2.0, 6);
-  const auto backend = BackendRegistry::global().resolve("fused_stream");
-  BlurContext single;
-  const BlurCost c1 = backend->estimate_cost(640, 480, kernel, single);
-  // The built-in priors make every builtin's estimate concrete.
-  ASSERT_GT(c1.seconds, 0.0);
-  BlurContext quad;
-  quad.threads = 4;
-  const BlurCost c4 = backend->estimate_cost(640, 480, kernel, quad);
-  EXPECT_DOUBLE_EQ(c4.seconds, c1.seconds / 4.0);
-  EXPECT_DOUBLE_EQ(c4.macs, c1.macs);
-}
+// --- Capability gating ------------------------------------------------------
 
 TEST(CanRunTest, ChecksDatapathTapsAndFixedFormats) {
   const BackendRegistry& registry = BackendRegistry::global();
@@ -468,35 +413,6 @@ TEST(CanRunTest, ChecksDatapathTapsAndFixedFormats) {
   widened.fixed.accumulator = fixed::FixedFormat(24, 4);
   EXPECT_FALSE(registry.resolve("hlscode")->can_run(small, widened));
   EXPECT_TRUE(registry.resolve("streaming_fixed")->can_run(small, widened));
-}
-
-TEST(AutoSelectionTest, PicksCapableBackendPerRequest) {
-  const tonemap::GaussianKernel kernel(16.0, 48);
-  ExecutorOptions opts;
-  const auto chosen = select_auto_backend(1024, 768, kernel, opts);
-  ASSERT_NE(chosen, nullptr);
-  EXPECT_TRUE(chosen->capabilities().float_datapath);
-  EXPECT_TRUE(chosen->can_run(kernel, BlurContext{}));
-  // A fixed-datapath request must never land on a float-only backend.
-  ExecutorOptions fixed_opts;
-  fixed_opts.use_fixed = true;
-  const auto fixed_choice =
-      select_auto_backend(1024, 768, kernel, fixed_opts);
-  ASSERT_NE(fixed_choice, nullptr);
-  EXPECT_TRUE(fixed_choice->capabilities().fixed_datapath);
-}
-
-TEST(AutoSelectionTest, ThrowsWhenNoBackendIsCapable) {
-  // A registry with only a float backend cannot serve a fixed request.
-  BackendRegistry registry;
-  registry.register_backend("separable_float", [] {
-    return std::make_shared<const SeparableFloatBackend>();
-  });
-  ExecutorOptions opts;
-  opts.use_fixed = true;
-  EXPECT_THROW(select_auto_backend(64, 64, tonemap::GaussianKernel(1.0, 3),
-                                   opts, registry),
-               InvalidArgument);
 }
 
 // --- Pipeline integration (what the CLI's --backend/--threads hit) --------

@@ -1,7 +1,7 @@
 // Tests for tonemap::FrameEngine, the one synchronous engine every consumer
 // runs frames through: both routes (the fused sweep and the staged
 // composition) are byte-identical to tone_map() on separable_float across
-// backends and band counts, the fused route runs the PLAN's threads/bands
+// backends and thread counts, the fused route runs the PLAN's threads
 // ("auto" included), and on adversarial frames — zero, negative, +Inf and
 // NaN samples, 1-pixel-thin frames, radii beyond the frame, 1/2/3/4
 // channels — both routes give the same bytes or the same typed error.
@@ -18,7 +18,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "exec/cost_model.hpp"
 #include "exec/executor.hpp"
 #include "exec/planner.hpp"
 #include "exec/registry.hpp"
@@ -75,9 +74,9 @@ TEST(ValidationTest, ExecutorOptionsRejectNonPositiveThreads) {
     EXPECT_THROW(exec::validate(opts), InvalidArgument) << threads;
     EXPECT_THROW(exec::PipelineExecutor("separable_float", opts),
                  InvalidArgument);
-    EXPECT_THROW(exec::select_auto_backend(32, 32, GaussianKernel(1.0, 3),
-                                           opts),
-                 InvalidArgument);
+    PipelineOptions auto_opt = small_options("auto");
+    auto_opt.threads = threads;
+    EXPECT_THROW(auto_opt.plan(32, 32), InvalidArgument);
   }
   try {
     exec::ExecutorOptions opts;
@@ -230,25 +229,6 @@ TEST(FrameEngineTest, AutoPlansTheFusedRouteAtServingGeometries) {
   }
 }
 
-TEST(FrameEngineTest, FusedRouteRunsTheRoutingTablesSchedule) {
-  const img::ImageF frame = random_hdr(48, 40, 91);
-  const img::ImageF golden =
-      tone_map(frame, small_options("separable_float")).output;
-  exec::RoutingTable table;
-  table.entries.push_back(
-      {exec::geometry_bucket(48, 40), "fused_stream", 2, 5, 1e-4});
-  exec::Planner::global().install_routing_table(table);
-  PipelineOptions opt = small_options("auto");
-  opt.threads = 1; // the table's schedule wins over the request
-  const FrameEngine engine(opt, 48, 40);
-  exec::Planner::global().clear_routing_table();
-  EXPECT_TRUE(engine.plan().from_routing_table);
-  EXPECT_EQ(engine.plan().threads, 2);
-  EXPECT_EQ(engine.plan().bands, 5);
-  ASSERT_TRUE(engine.fused_route());
-  EXPECT_TRUE(same_samples(engine.run(frame), golden));
-}
-
 TEST(FrameEngineTest, PerFrameScaleMatchesExplicitOptions) {
   const img::ImageF frame = random_hdr(25, 19, 71);
   for (const char* backend : {"separable_float", "fused_stream"}) {
@@ -286,15 +266,6 @@ TEST(FrameEngineTest, CompatibleWithKeysOnOptionsAndGeometry) {
   changed = opt;
   changed.brightness += 0.01f;
   EXPECT_FALSE(engine.compatible_with(changed, 64, 48));
-
-  // An auto engine re-plans when the cost model learned something, and
-  // stays compatible while the schedule does not change.
-  const PipelineOptions auto_opt = small_options("auto");
-  const FrameEngine auto_engine(auto_opt, 64, 48);
-  exec::CostModel::global().record_observation(
-      auto_engine.plan().backend->name(), 64, 48, 1, 1e-6);
-  EXPECT_TRUE(auto_engine.compatible_with(auto_opt, 64, 48));
-  EXPECT_FALSE(auto_engine.compatible_with(auto_opt, 128, 96));
 }
 
 // --- Adversarial frames: both routes agree ---------------------------------

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -75,6 +76,26 @@ TEST(KernelTest, InvalidParametersThrow) {
   EXPECT_THROW(GaussianKernel(0.0), InvalidArgument);
   EXPECT_THROW(GaussianKernel(-1.0), InvalidArgument);
   EXPECT_THROW(GaussianKernel(2.0, 0), InvalidArgument);
+}
+
+TEST(KernelTest, HostileSigmaAndRadiusThrowBeforeAllocating) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Non-finite sigma: rejected with or without an explicit radius.
+  for (double sigma : {nan, inf, -inf}) {
+    EXPECT_THROW(GaussianKernel{sigma}, InvalidArgument) << sigma;
+    EXPECT_THROW((GaussianKernel{sigma, 6}), InvalidArgument) << sigma;
+  }
+  // A finite sigma whose ceil(3 * sigma) radius overflows int.
+  EXPECT_THROW(GaussianKernel{1e300}, InvalidArgument);
+  EXPECT_THROW(GaussianKernel{1e10}, InvalidArgument);
+  // Oversize explicit radii, up to the one whose 2 * radius + 1 overflows.
+  EXPECT_THROW((GaussianKernel{2.0, kMaxRadius + 1}), InvalidArgument);
+  EXPECT_THROW((GaussianKernel{2.0, std::numeric_limits<int>::max()}),
+               InvalidArgument);
+  // The bound itself is accepted; a default radius just below it too.
+  EXPECT_EQ(GaussianKernel(1.0, kMaxRadius).radius(), kMaxRadius);
+  EXPECT_EQ(GaussianKernel(1365.0).radius(), 4095);
 }
 
 TEST(KernelTest, QuantisedWeightsSumNearOne) {

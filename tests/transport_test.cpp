@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -698,6 +699,43 @@ TEST(TransportLoopbackTest,
                             tonemap::tone_map(frame, good.options).output));
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.errors_sent, 1u);
+  EXPECT_EQ(stats.responses_sent, 1u);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+}
+
+TEST(TransportLoopbackTest, HostileKernelParametersGetTypedErrorsOnALiveLink) {
+  // sigma and radius travel straight from the client; the kernel bounds
+  // them before any cast or allocation, so each hostile request gets a
+  // typed invalid_argument reply and the connection keeps serving.
+  Server server(small_server(1));
+  Client client({"127.0.0.1", server.port(), 5.0});
+  const img::ImageF frame = random_hdr(17, 13, 57);
+  tonemap::PipelineOptions huge_radius = small_options("separable_float");
+  huge_radius.radius = std::numeric_limits<int>::max();
+  tonemap::PipelineOptions huge_sigma = small_options("separable_float");
+  huge_sigma.sigma = 1e300;
+  huge_sigma.radius = 0; // resolved as ceil(3 * sigma)
+  int caught = 0;
+  for (const tonemap::PipelineOptions& hostile : {huge_radius, huge_sigma}) {
+    serve::FrameJob bad;
+    bad.frame = frame;
+    bad.options = hostile;
+    try {
+      client.call(std::move(bad));
+    } catch (const RemoteError& e) {
+      ++caught;
+      EXPECT_EQ(e.code(), wire::ErrorCode::invalid_argument) << e.what();
+    }
+  }
+  EXPECT_EQ(caught, 2);
+
+  serve::FrameJob good;
+  good.frame = frame;
+  good.options = small_options("separable_float");
+  EXPECT_TRUE(bit_identical(client.call(std::move(good)).output,
+                            tonemap::tone_map(frame, good.options).output));
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.errors_sent, 2u);
   EXPECT_EQ(stats.responses_sent, 1u);
   EXPECT_EQ(stats.protocol_errors, 0u);
 }

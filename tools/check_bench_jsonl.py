@@ -62,23 +62,6 @@ SERVING_MODE_KEYS = {
         "shards", "jobs_total", "taps", "jobs_per_s", "pooled",
         "speedup_vs_unpooled",
     ],
-    "autotune": [
-        "taps", "mispriored_backend", "initial_backend", "final_backend",
-        "converged_after_jobs", "jobs_total", "converged", "bit_identical",
-        "observations",
-    ],
-}
-
-# Cost-model snapshot records (exec::CostModel::save_snapshot, reloaded by
-# --calibration / absorb_jsonl): first key "calibration" (the version
-# string) instead of "bench", then "host" and a "kind" discriminator. The
-# release-bench job round-trips these through this checker before the
-# reload step, so the persistence format cannot rot unnoticed.
-CALIBRATION_KIND_KEYS = {
-    "backend": ["backend", "macs_per_second", "serial_fraction"],
-    "pointwise": ["ops_per_second"],
-    "plane_bandwidth": ["bytes_per_second"],
-    "observation": ["backend", "bucket", "seconds_per_pixel", "samples"],
 }
 
 
@@ -86,35 +69,6 @@ def _reject_constant(value):
     # json.loads calls this for NaN/Infinity/-Infinity, which are not
     # valid JSON; a bench emitting them has produced a non-finite number.
     raise ValueError(f"non-finite number {value!r}")
-
-
-def _validate_calibration(record):
-    """Violations for one cost-model snapshot record (first key is
-    already known to be "calibration")."""
-    problems = []
-    for key, value in record.items():
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            problems.append(
-                f'key "{key}": values must be strings or numbers, '
-                f"got {type(value).__name__}")
-    version = record.get("calibration")
-    if not isinstance(version, str) or not version:
-        problems.append('"calibration" must be a non-empty version string')
-    host = record.get("host")
-    if not isinstance(host, str) or not host:
-        problems.append('"host" must be a non-empty fingerprint string')
-    kind = record.get("kind")
-    if kind not in CALIBRATION_KIND_KEYS:
-        problems.append(
-            f'"kind" must be one of {sorted(CALIBRATION_KIND_KEYS)}, '
-            f"got {kind!r}")
-        return problems
-    missing = [k for k in CALIBRATION_KIND_KEYS[kind] if k not in record]
-    if missing:
-        problems.append(
-            f'calibration kind "{kind}" record missing required key(s): '
-            + ", ".join(missing))
-    return problems
 
 
 def validate_line(line):
@@ -128,12 +82,8 @@ def validate_line(line):
         return ["record is not a JSON object"]
     problems = []
     keys = list(record.keys())
-    if keys and keys[0] == "calibration":
-        return _validate_calibration(record)
     if not keys or keys[0] != "bench":
-        problems.append(
-            'first key must be "bench" '
-            '(or "calibration" for cost-model snapshot records)')
+        problems.append('first key must be "bench"')
     bench = record.get("bench")
     if not isinstance(bench, str) or not bench:
         problems.append('"bench" must be a non-empty string')
@@ -249,38 +199,6 @@ SELF_TEST_CASES = [
      '"threads":1,"streams":2,"frames_per_stream":48,"width":96,'
      '"height":96,"taps":97,"fps":30.0,"frames_delivered":14}',
      False, "streaming record missing overload/shed/switch keys"),
-    ('{"bench":"serving","mode":"autotune","backend":"auto","threads":1,'
-     '"width":128,"height":128,"taps":97,'
-     '"mispriored_backend":"separable_float",'
-     '"initial_backend":"separable_float",'
-     '"final_backend":"separable_simd","converged_after_jobs":2,'
-     '"jobs_total":24,"converged":1,"bit_identical":1,"observations":22,'
-     '"seconds_total":0.1,"latency_p50_ms":2.0,"latency_p99_ms":5.0,'
-     '"allocs_per_job":0.5,"pool_hit_rate":0.9}',
-     True, "complete serving autotune record"),
-    ('{"bench":"serving","mode":"autotune","backend":"auto","threads":1,'
-     '"width":128,"height":128,"taps":97,"jobs_total":24,'
-     '"seconds_total":0.1,"latency_p50_ms":2.0,"latency_p99_ms":5.0,'
-     '"allocs_per_job":0.5,"pool_hit_rate":0.9}',
-     False, "autotune record missing convergence keys"),
-    ('{"calibration":"1","host":"x86_64-c8","kind":"backend",'
-     '"backend":"separable_simd","macs_per_second":8.56e9,'
-     '"serial_fraction":0.05}',
-     True, "complete calibration backend record"),
-    ('{"calibration":"1","host":"x86_64-c8","kind":"observation",'
-     '"backend":"fused_stream","bucket":14,'
-     '"seconds_per_pixel":1.4e-07,"samples":3}',
-     True, "complete calibration observation record"),
-    ('{"calibration":"1","host":"x86_64-c8","kind":"pointwise",'
-     '"ops_per_second":4e9}',
-     True, "complete calibration pointwise record"),
-    ('{"calibration":"1","host":"x86_64-c8","kind":"observation",'
-     '"backend":"fused_stream"}',
-     False, "observation record missing bucket/ewma keys"),
-    ('{"calibration":"1","host":"x86_64-c8","kind":"unheard_of"}',
-     False, "unknown calibration kind"),
-    ('{"calibration":"1","kind":"pointwise","ops_per_second":4e9}',
-     False, "calibration record missing host fingerprint"),
     ('{"bench":"some_future_bench","whatever":1.5}',
      True, "unknown bench passes generic rules"),
     ('{"bench":"serving","mode":"jobs"}',

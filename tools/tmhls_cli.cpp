@@ -36,16 +36,7 @@
 //                            [--seed N]
 //   analyze                 [--design sw_source|marked_hw|
 //                            sequential_access|hls_pragmas|fixed_point]
-//   autotune                [--geometries WxH,...] [--threads N,...]
-//                            [--band-factors F,...] [--backends B,...]
-//                            [--sigma S] [--radius R] [--reps N] [--seed N]
-//                            (CPU schedule search; prints the routing
-//                             table '--backend auto' would serve)
 //   compare <in>            (PSNR/SSIM of every operator vs moroney-float)
-//
-// serve/client/backends/autotune accept --calibration FILE (warm the cost
-// model from bench JSONL or saved snapshots); serve and autotune accept
-// --save-calibration FILE (persist the live model on clean shutdown).
 //
 // Inputs: Radiance .hdr or .pfm (by extension). Outputs: .ppm (8-bit),
 // .hdr, or .pfm.
@@ -55,7 +46,6 @@
 #include <csignal>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <future>
 #include <iostream>
 #include <map>
@@ -69,11 +59,9 @@
 #include "common/math.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "exec/cost_model.hpp"
 #include "exec/executor.hpp"
 #include "exec/planner.hpp"
 #include "exec/registry.hpp"
-#include "exec/schedule_explorer.hpp"
 #include "image/stats.hpp"
 #include "imageio/pfm.hpp"
 #include "imageio/pnm.hpp"
@@ -113,33 +101,6 @@ void save_image(const std::string& path, const img::ImageF& image) {
   } else {
     io::write_rgbe(path, image);
   }
-}
-
-// --calibration FILE: warm the process-wide cost model from a mixed JSONL
-// stream (bench_backend_throughput records and calibration snapshots from
-// --save-calibration alike) before any plan is made. Shared by serve,
-// client, backends and autotune.
-void load_calibration_arg(const Args& args) {
-  const std::string path = args.get_or("calibration", "");
-  if (path.empty()) return;
-  std::ifstream in(path);
-  TMHLS_REQUIRE(in.good(), "cannot open calibration file: " + path);
-  const int applied = exec::CostModel::global().absorb_jsonl(in);
-  std::cout << "calibration: applied " << applied << " record(s) from "
-            << path << '\n';
-}
-
-// --save-calibration FILE: dump the live cost model (priors, calibration
-// and every online observation EWMA) as a versioned JSONL snapshot on
-// clean shutdown, so the next run starts warm via --calibration.
-void save_calibration_arg(const Args& args) {
-  const std::string path = args.get_or("save-calibration", "");
-  if (path.empty()) return;
-  std::ofstream out(path);
-  TMHLS_REQUIRE(out.good(),
-                "cannot open --save-calibration file: " + path);
-  exec::CostModel::global().save_snapshot(out);
-  std::cout << "calibration: saved model snapshot to " << path << '\n';
 }
 
 tonemap::PipelineOptions pipeline_options_from(const Args& args) {
@@ -249,8 +210,8 @@ int cmd_analyze(const Args& args) {
 }
 
 int cmd_backends(const Args& args) {
-  // Geometry and execution parameters the cost columns are estimated for
-  // (defaults: the paper's 1024x768 frame and 97-tap kernel).
+  // Geometry and execution parameters the buffer and traffic columns are
+  // computed for (defaults: the paper's 1024x768 frame and 97-tap kernel).
   const int width = args.get_int("width", 1024);
   const int height = args.get_int("height", 768);
   TMHLS_REQUIRE(width > 0 && height > 0,
@@ -259,22 +220,18 @@ int cmd_backends(const Args& args) {
   popt.sigma = args.get_double("sigma", popt.sigma);
   popt.radius = args.get_int("radius", popt.radius);
   const tonemap::GaussianKernel kernel = popt.kernel();
-  exec::ExecutorOptions eopts;
-  eopts.threads = args.get_int("threads", 1);
-  eopts.use_fixed = args.has("fixed");
-  exec::validate(eopts);
-
-  // Optional warm-up of the cost model from measured JSONL: bench records
-  // and --save-calibration snapshots both feed in (absorb_jsonl).
-  if (args.has("calibration")) {
-    load_calibration_arg(args);
-    std::cout << '\n';
-  }
+  exec::PlanRequest request;
+  request.width = width;
+  request.height = height;
+  request.threads = args.get_int("threads", 1);
+  request.datapath =
+      args.has("fixed") ? exec::Datapath::fixed_point : exec::Datapath::float32;
+  const exec::ExecutionPlan choice = exec::plan(request, kernel);
 
   const exec::BackendRegistry& registry = exec::BackendRegistry::global();
   TextTable t({"backend", "datapath", "streaming", "synthesizable",
-               "tiled threads", "data bits", "simd lanes", "est ms",
-               "buffer KiB", "B/px"});
+               "tiled threads", "data bits", "simd lanes", "buffer KiB",
+               "B/px"});
   for (const std::string& name : registry.names()) {
     const auto backend = registry.resolve(name);
     const exec::BackendCapabilities caps = backend->capabilities();
@@ -289,15 +246,13 @@ int cmd_backends(const Args& args) {
       bits += std::to_string(caps.dual_fixed_data_bits);
     }
     exec::BlurContext ctx;
-    ctx.use_fixed = eopts.use_fixed;
-    ctx.threads = caps.tiled_threads ? eopts.threads : 1;
-    std::string est = "-";
+    ctx.use_fixed = choice.use_fixed;
+    ctx.threads = caps.tiled_threads ? request.threads : 1;
     std::string buffer = "-";
     std::string traffic = "-";
     if (backend->can_run(kernel, ctx)) {
       const exec::BlurCost cost =
           backend->estimate_cost(width, height, kernel, ctx);
-      if (cost.seconds > 0.0) est = format_fixed(cost.seconds * 1e3, 2);
       buffer = format_fixed(static_cast<double>(cost.buffer_bytes) / 1024.0,
                             1);
       traffic = format_fixed(
@@ -308,15 +263,13 @@ int cmd_backends(const Args& args) {
     t.add_row({name, datapath, caps.streaming ? "yes" : "no",
                caps.synthesizable ? "yes" : "no",
                caps.tiled_threads ? "yes" : "no", bits,
-               std::to_string(caps.simd_lanes), est, buffer, traffic});
+               std::to_string(caps.simd_lanes), buffer, traffic});
   }
   std::cout << t.render();
-  const auto choice =
-      exec::select_auto_backend(width, height, kernel, eopts);
-  std::cout << "\nestimates for " << width << "x" << height << ", "
-            << kernel.taps() << " taps, " << eopts.threads
-            << " thread(s); '--backend auto' would pick: " << choice->name()
-            << "\n";
+  std::cout << "\nfigures for " << width << "x" << height << ", "
+            << kernel.taps() << " taps, " << request.threads
+            << " thread(s); '--backend auto' would pick: "
+            << choice.backend->name() << "\n";
   return 0;
 }
 
@@ -426,13 +379,6 @@ int cmd_serve_listen(const Args& args) {
   TMHLS_REQUIRE(pool_bytes_listen >= 0, "--pool-bytes must be >= 0");
   so.service.pool_bytes = static_cast<std::size_t>(pool_bytes_listen);
   so.sessions.pool_bytes = static_cast<std::size_t>(pool_bytes_listen);
-  // The serving front opts into online calibration: each full-quality
-  // completion's measured service time feeds the process-wide cost model,
-  // so '--backend auto' jobs converge onto the measured-fastest backend
-  // while the server runs — and --save-calibration persists what it
-  // learned for the next start.
-  so.service.online_calibration = true;
-  load_calibration_arg(args);
 
   transport::Server server(so);
   std::signal(SIGINT, handle_stop_signal);
@@ -459,7 +405,6 @@ int cmd_serve_listen(const Args& args) {
   }
   snaps.push_back(snapshot(server.sessions().stats()));
   std::cout << '\n' << common::render_stats_table(snaps);
-  save_calibration_arg(args);
   return 0;
 }
 
@@ -651,10 +596,6 @@ int cmd_client_stream(const Args& args) {
 }
 
 int cmd_client(const Args& args) {
-  // Client-side calibration warms the LOCAL model: the golden-check
-  // pipeline (and any '--backend auto' resolution in it) plans from the
-  // same measured figures a warmed server would.
-  load_calibration_arg(args);
   if (args.has("stream")) return cmd_client_stream(args);
   // Drive a transport::Server over one socket: J synthetic frames
   // submitted pipelined (up to --window in flight), every response
@@ -808,7 +749,6 @@ int cmd_client(const Args& args) {
 
 int cmd_serve(const Args& args) {
   if (args.has("listen")) return cmd_serve_listen(args);
-  load_calibration_arg(args);
   // A synthetic multi-client workload through the in-process serving
   // layer: C client threads each submit J whole-frame jobs into a
   // serve::ToneMapService and wait for their futures, measuring the
@@ -833,9 +773,6 @@ int cmd_serve(const Args& args) {
       args.get_int("pool-bytes", static_cast<int>(so.pool_bytes));
   TMHLS_REQUIRE(pool_bytes >= 0, "--pool-bytes must be >= 0");
   so.pool_bytes = static_cast<std::size_t>(pool_bytes);
-  // Measured service times feed the cost model while the workload runs
-  // ('--backend auto' converges online; --save-calibration persists it).
-  so.online_calibration = true;
   const serve::QosClass qos =
       serve::qos_from_string(args.get_or("qos", "standard"));
   const double deadline = args.get_double("deadline", 0.0);
@@ -966,7 +903,6 @@ int cmd_serve(const Args& args) {
     std::cout << "client-observed outcomes: shed " << client_shed.load()
               << ", expired " << client_expired.load() << "\n";
   }
-  save_calibration_arg(args);
   std::cout << "\nbit-identical to blocking tone_map(): "
             << (identical ? "yes" : "NO — this is a bug, please report")
             << "\n(shard count beyond the core count only adds queueing on "
@@ -992,104 +928,6 @@ int cmd_compare(const Args& args) {
   std::cout << t.render();
   std::cout << "\n(low scores are expected: different operators render the\n"
                "same scene differently; the table quantifies how far apart)\n";
-  return 0;
-}
-
-// Comma-separated fields of `text`, in order; empty fields rejected.
-std::vector<std::string> split_list(const std::string& text,
-                                    const std::string& flag) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        comma == std::string::npos ? text.substr(start)
-                                   : text.substr(start, comma - start);
-    TMHLS_REQUIRE(!item.empty(),
-                  flag + ": empty element in '" + text + "'");
-    out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-// "1,2,4" -> {1, 2, 4}; rejects non-digits so typos fail loudly.
-std::vector<int> parse_int_list(const std::string& text,
-                                const std::string& flag) {
-  std::vector<int> out;
-  for (const std::string& item : split_list(text, flag)) {
-    TMHLS_REQUIRE(
-        item.find_first_not_of("0123456789") == std::string::npos &&
-            item.size() <= 6,
-        flag + ": expected a comma-separated list of positive integers, "
-               "got '" + text + "'");
-    out.push_back(std::stoi(item));
-  }
-  return out;
-}
-
-// "640x480,1024x768" -> geometry list for the schedule sweep.
-std::vector<exec::ScheduleSearchConfig::Geometry> parse_geometry_list(
-    const std::string& text) {
-  std::vector<exec::ScheduleSearchConfig::Geometry> out;
-  for (const std::string& item : split_list(text, "--geometries")) {
-    const std::size_t x = item.find('x');
-    TMHLS_REQUIRE(x != std::string::npos && x > 0 && x + 1 < item.size(),
-                  "--geometries: expected WIDTHxHEIGHT entries, got '" +
-                      item + "'");
-    const std::vector<int> w =
-        parse_int_list(item.substr(0, x), "--geometries");
-    const std::vector<int> h =
-        parse_int_list(item.substr(x + 1), "--geometries");
-    TMHLS_REQUIRE(w.size() == 1 && h.size() == 1,
-                  "--geometries: expected WIDTHxHEIGHT entries, got '" +
-                      item + "'");
-    out.push_back({w[0], h[0]});
-  }
-  return out;
-}
-
-int cmd_autotune(const Args& args) {
-  // CPU schedule search — the software twin of the accel explorer's HLS
-  // design-space sweep: measure backend x threads x bands at each frame
-  // geometry, print every evaluated point, build the best-per-bucket
-  // routing table, and feed each measurement into the cost model as an
-  // online observation. With --save-calibration the warmed model (EWMAs
-  // included) persists, so a later `serve --calibration` starts from
-  // these measurements instead of the shipped priors.
-  load_calibration_arg(args);
-  exec::ScheduleSearchConfig cfg;
-  if (args.has("geometries")) {
-    cfg.geometries = parse_geometry_list(args.get_or("geometries", ""));
-  }
-  if (args.has("threads")) {
-    cfg.thread_counts =
-        parse_int_list(args.get_or("threads", ""), "--threads");
-  }
-  if (args.has("band-factors")) {
-    cfg.band_factors =
-        parse_int_list(args.get_or("band-factors", ""), "--band-factors");
-  }
-  if (args.has("backends")) {
-    cfg.backends = split_list(args.get_or("backends", ""), "--backends");
-  }
-  cfg.sigma = args.get_double("sigma", cfg.sigma);
-  cfg.radius = args.get_int("radius", cfg.radius);
-  cfg.reps = args.get_int("reps", cfg.reps);
-  cfg.seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<int>(cfg.seed)));
-
-  const std::vector<exec::SchedulePoint> points =
-      exec::explore_schedules(cfg);
-  std::cout << exec::render(points) << '\n';
-  const exec::RoutingTable table = exec::build_routing_table(points);
-  std::cout << exec::render(table);
-  exec::Planner::global().install_routing_table(table);
-  std::cout << "\n(measurements fed into the cost model as online "
-               "observations;\n use --save-calibration FILE to start the "
-               "next run warm)\n";
-  save_calibration_arg(args);
   return 0;
 }
 
@@ -1127,23 +965,11 @@ void usage() {
       "  scene <out>          generate a synthetic HDR scene\n"
       "  analyze              evaluate the Table II design points\n"
       "  backends             list the registered execution backends with\n"
-      "                       cost estimates for a geometry (--width,\n"
-      "                       --height, --sigma, --radius, --threads,\n"
-      "                       --fixed, --calibration <perf.jsonl>)\n"
-      "  autotune             measure backend x threads x bands schedules\n"
-      "                       per geometry and print the routing table\n"
-      "                       '--backend auto' would serve (--geometries\n"
-      "                       WxH,..., --threads N,..., --band-factors\n"
-      "                       F,..., --backends B,..., --sigma, --radius,\n"
-      "                       --reps, --seed)\n"
-      "  compare <in>         compare operators against moroney\n"
-      "\n"
-      "calibration (serve, client, backends, autotune):\n"
-      "  --calibration FILE        warm the cost model from bench JSONL\n"
-      "                            and/or saved snapshots before planning\n"
-      "  --save-calibration FILE   (serve, autotune) dump the live model,\n"
-      "                            online observations included, on clean\n"
-      "                            shutdown — feed back via --calibration\n";
+      "                       buffer and traffic figures for a geometry\n"
+      "                       (--width, --height, --sigma, --radius,\n"
+      "                       --threads, --fixed) and what '--backend auto'\n"
+      "                       picks\n"
+      "  compare <in>         compare operators against moroney\n";
 }
 
 } // namespace
@@ -1163,7 +989,6 @@ int main(int argc, char** argv) {
     if (cmd == "scene") return cmd_scene(args);
     if (cmd == "analyze") return cmd_analyze(args);
     if (cmd == "backends") return cmd_backends(args);
-    if (cmd == "autotune") return cmd_autotune(args);
     if (cmd == "compare") return cmd_compare(args);
     usage();
     return 1;
