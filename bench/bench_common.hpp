@@ -28,7 +28,7 @@ namespace tmhls::benchkit {
 ///   * one record per line; each record is a flat JSON object — values
 ///     are strings, ints or doubles, never nested containers;
 ///   * the FIRST key is "bench", a non-empty string naming the emitter
-///     ("backend_throughput", "serving", "streaming", ...);
+///     ("backend_throughput", "serving", ...);
 ///   * every numeric value is finite — a NaN/Inf measurement must be
 ///     fixed or omitted at the emitter, not smuggled into the stream
 ///     (operator<< would print `nan`, which is not JSON at all);

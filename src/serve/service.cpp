@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -64,9 +65,6 @@ struct ToneMapService::Shard {
     /// queue time counts against the deadline).
     Clock::time_point deadline_at;
     bool has_deadline = false;
-    /// Ladder level admission control chose; the worker may push it
-    /// further down at dequeue if queue time ate the slack.
-    DegradeLevel degrade = DegradeLevel::none;
   };
 
   mutable std::mutex mutex;
@@ -232,7 +230,6 @@ std::future<FrameResult> ToneMapService::submit(FrameJob job) {
     // shed best-effort with the typed error, route standard down the
     // ladder (reduced-radius when the cheaper job still fits, otherwise
     // straight to the global operator), and admit critical untouched.
-    DegradeLevel degrade = DegradeLevel::none;
     if (has_deadline) {
       const double estimate = std::max(shard.ewma_service,
                                        policy.assumed_service_seconds);
@@ -250,9 +247,10 @@ std::future<FrameResult> ToneMapService::submit(FrameJob job) {
                 std::to_string(remaining) + "s left), best_effort job shed");
           }
           if (job.qos == QosClass::standard) {
-            degrade = wait * policy.reduced_cost_fraction <= remaining
-                          ? DegradeLevel::reduced_blur
-                          : DegradeLevel::global_operator;
+            job.degrade = std::max(
+                job.degrade, wait * policy.reduced_cost_fraction <= remaining
+                                 ? DegradeLevel::reduced_blur
+                                 : DegradeLevel::global_operator);
           }
         }
       }
@@ -263,7 +261,6 @@ std::future<FrameResult> ToneMapService::submit(FrameJob job) {
     entry.enqueued = Clock::now();
     entry.deadline_at = deadline_at;
     entry.has_deadline = has_deadline;
-    entry.degrade = degrade;
     std::future<FrameResult> future = entry.promise.get_future();
     shard.queue.push_back(std::move(entry));
     ++shard.submitted;
@@ -426,7 +423,7 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
     // standard job still at full quality, re-evaluate the ladder against
     // the time actually left.
     if (q.has_deadline && job.qos == QosClass::standard &&
-        q.degrade == DegradeLevel::none) {
+        job.degrade == DegradeLevel::none) {
       double estimate;
       {
         std::lock_guard<std::mutex> lock(shard.mutex);
@@ -435,7 +432,7 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
       }
       const double remaining = seconds_between(Clock::now(), q.deadline_at);
       if (estimate > 0.0 && estimate > remaining) {
-        q.degrade =
+        job.degrade =
             estimate * options_.overload.reduced_cost_fraction <= remaining
                 ? DegradeLevel::reduced_blur
                 : DegradeLevel::global_operator;
@@ -444,7 +441,7 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
     // Middle rung: the full five-stage pipeline with the blur radius
     // capped — from here on the job runs exactly like a full-quality job
     // under degraded_options().
-    if (q.degrade == DegradeLevel::reduced_blur) {
+    if (job.degrade == DegradeLevel::reduced_blur) {
       job.options = degraded_options(job.options, options_.overload);
     }
 
@@ -453,8 +450,8 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
       out.job_id = q.id;
       out.shard = shard_index;
       out.queue_seconds = queue_seconds;
-      out.degrade = q.degrade;
-      if (q.degrade == DegradeLevel::global_operator) {
+      out.degrade = job.degrade;
+      if (job.degrade == DegradeLevel::global_operator) {
         // Bottom of the ladder: the global operator replaces the whole
         // local pipeline — no blur, no engine. Bit-identical to
         // reinhard_global() run standalone, which is how tests pin it.
@@ -464,9 +461,12 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
         const int width = job.frame.width();
         const int height = job.frame.height();
         if (!engine || !engine->compatible_with(job.options, width, height)) {
+          // Built without the job's scale: run() below passes each job's.
+          tonemap::PipelineOptions plan_options = job.options;
+          plan_options.normalization_scale = 0.0f;
           engine.reset();
-          engine = std::make_unique<tonemap::FrameEngine>(job.options, width,
-                                                          height);
+          engine = std::make_unique<tonemap::FrameEngine>(
+              std::move(plan_options), width, height);
           std::lock_guard<std::mutex> lock(shard.mutex);
           ++shard.session_builds;
         }
@@ -479,7 +479,10 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
           expire(q, "before the engine");
           continue;
         }
-        out.output = engine->run(job.frame);
+        // 0 normalises by the frame's own maximum, as in tone_map().
+        const float scale = job.options.normalization_scale;
+        out.output = scale > 0.0f ? engine->run(job.frame, scale)
+                                  : engine->run(job.frame);
         out.backend = engine->executor().backend().name();
       }
       out.service_seconds = seconds_between(picked_up, Clock::now());

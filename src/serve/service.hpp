@@ -9,7 +9,8 @@
 // time: pickup, deadline check, degradation ladder, then the frame runs
 // synchronously through the shard's cached tonemap::FrameEngine (or the
 // global-operator rung) and is delivered. Consecutive jobs with equal
-// options and geometry reuse the engine; a change rebuilds it. Within a
+// options and geometry reuse the engine — the normalisation scale is
+// passed per job and never forces a rebuild; any other change does. Within a
 // shard, jobs complete in submission order. Output is bit-identical to the
 // blocking tonemap::tone_map() for every job at every shard count — the
 // service schedules work, it never changes bits.
@@ -66,6 +67,10 @@ struct FrameJob {
   /// future receives DeadlineExceeded instead of computing a frame nobody
   /// is waiting for.
   std::optional<double> deadline_seconds;
+  /// Ladder level the job starts at. Admission control and the dequeue
+  /// check may only push it further down. Stream sessions set it to the
+  /// stream's sticky rung; it is not carried on the wire.
+  DegradeLevel degrade = DegradeLevel::none;
 };
 
 /// A completed job, delivered through the future from submit(). A job

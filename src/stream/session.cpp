@@ -7,8 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
-#include "tonemap/frame_engine.hpp"
-#include "tonemap/global_operators.hpp"
+#include "exec/planner.hpp"
 #include "video/video_tonemapper.hpp"
 
 namespace tmhls::stream {
@@ -54,8 +53,8 @@ void validate(const SessionManagerOptions& options) {
 }
 
 /// All mutable state of one stream, guarded by its own mutex. Frames run
-/// synchronously, so nothing is ever inside the engine between calls: a
-/// rung switch just swaps the engine.
+/// synchronously on the service, so nothing of the stream is in flight
+/// between calls: a rung switch just changes the next job's degrade level.
 struct SessionManager::Session {
   /// A frame waiting in the reorder buffer. The adaptation input (the
   /// frame's maximum) is computed at arrival so validation happens at
@@ -65,29 +64,10 @@ struct SessionManager::Session {
     img::ImageF frame;
     float frame_max = 0.0f;
   };
-  Session(std::uint64_t id_in, StreamConfig config_in,
-          const serve::OverloadPolicy& policy)
+  Session(std::uint64_t id_in, StreamConfig config_in, std::string planned)
       : id(id_in), config(std::move(config_in)),
         rate(config.rate, config.qos, config.frame_interval_seconds),
-        overload(policy) {
-    engine = build_engine(serve::DegradeLevel::none);
-    backend = engine->executor().backend().name();
-    last_activity = Clock::now();
-  }
-
-  /// The execution vehicle of a rung: a FrameEngine for the two pipeline
-  /// rungs (full options, or serve::degraded_options — the exact options
-  /// a degraded serving job runs, so the rungs stay byte-identical across
-  /// layers), nothing for the global operator.
-  std::unique_ptr<tonemap::FrameEngine>
-  build_engine(serve::DegradeLevel for_rung) const {
-    if (for_rung == serve::DegradeLevel::global_operator) return nullptr;
-    return std::make_unique<tonemap::FrameEngine>(
-        for_rung == serve::DegradeLevel::reduced_blur
-            ? serve::degraded_options(config.pipeline, overload)
-            : config.pipeline,
-        config.width, config.height);
-  }
+        backend(std::move(planned)), last_activity(Clock::now()) {}
 
   int frames_in_flight() const { return static_cast<int>(reorder.size()); }
 
@@ -97,11 +77,10 @@ struct SessionManager::Session {
   StreamState state = StreamState::open;
   serve::DegradeLevel rung = serve::DegradeLevel::none;
   RateController rate;
-  const serve::OverloadPolicy overload;
-  std::unique_ptr<tonemap::FrameEngine> engine;
+  /// Backend the last frame ran on (the open-time plan's before the
+  /// first).
   std::string backend;
-  /// The VideoToneMapper adaptation trajectory, owned by the session so
-  /// a rung switch (which rebuilds the engine) cannot reset it.
+  /// The VideoToneMapper adaptation trajectory, carried across rungs.
   float scale = 0.0f;
   std::uint64_t adapted_frames = 0;
   std::uint64_t next_sequence = 0;
@@ -146,10 +125,11 @@ void shed_stream(SessionManager::Session& s,
 }
 
 /// Process one in-sequence frame: rate decision, possible rung switch,
-/// adaptation advance, then execution at the rung. Caller holds the
-/// session lock.
+/// then the frame runs on the service at the stream's rung and scale.
+/// Caller holds the session lock.
 /// Returns false when the decision shed the stream (the frame included).
-bool process_frame(SessionManager::Session& s, std::uint64_t sequence,
+bool process_frame(serve::ToneMapService& service,
+                   SessionManager::Session& s, std::uint64_t sequence,
                    SessionManager::Session::Buffered buffered,
                    std::vector<StreamFrameResult>& out,
                    std::uint32_t& credits_released) {
@@ -160,13 +140,7 @@ bool process_frame(SessionManager::Session& s, std::uint64_t sequence,
     shed_stream(s, credits_released, /*count_current=*/true);
     return false;
   }
-  if (decision.rung != s.rung) {
-    // Sticky-decision switch point: rebuild the vehicle for the new rung.
-    s.engine = s.build_engine(decision.rung);
-    s.rung = decision.rung;
-    s.backend = s.engine ? s.engine->executor().backend().name()
-                         : "reinhard_global";
-  }
+  s.rung = decision.rung; // the sticky decision's only switch point
   // The VideoToneMapper recurrence, verbatim: first frame adapts
   // instantly, later frames exponentially — and the state commits only
   // after the frame ran.
@@ -175,19 +149,26 @@ bool process_frame(SessionManager::Session& s, std::uint64_t sequence,
           ? buffered.frame_max
           : s.scale + static_cast<float>(s.config.adaptation_rate) *
                           (buffered.frame_max - s.scale);
+  serve::FrameJob job;
+  job.frame = std::move(buffered.frame);
+  job.options = s.config.pipeline;
+  job.options.normalization_scale = next_scale;
+  // No deadline and never best_effort: admission can neither shed nor
+  // degrade the frame, so the rate controller stays the stream's only
+  // ladder policy.
+  job.qos = serve::QosClass::critical;
+  job.degrade = s.rung;
+  serve::FrameResult done = service.submit(std::move(job)).get();
+  s.scale = next_scale;
+  ++s.adapted_frames;
+  s.backend = done.backend;
   StreamFrameResult result;
   result.stream_id = s.id;
   result.sequence = sequence;
-  result.rung = s.rung;
-  result.backend = s.backend;
-  // Service time is the synchronous run itself, so the rate controller
-  // sees what the frame really cost.
-  const Clock::time_point t0 = Clock::now();
-  result.output = s.engine ? s.engine->run(buffered.frame, next_scale)
-                           : tonemap::reinhard_global(buffered.frame);
-  result.service_seconds = seconds_between(t0, Clock::now());
-  s.scale = next_scale;
-  ++s.adapted_frames;
+  result.output = std::move(done.output);
+  result.rung = done.degrade;
+  result.backend = std::move(done.backend);
+  result.service_seconds = done.service_seconds;
   deliver(s, std::move(result), out);
   return true;
 }
@@ -197,7 +178,8 @@ bool process_frame(SessionManager::Session& s, std::uint64_t sequence,
 /// `skip_all_gaps`, the end-of-stream drain), the missing sequence
 /// numbers are skipped and delivery resumes at the next buffered frame.
 /// Caller holds the session lock.
-void drain_reorder(SessionManager::Session& s, bool skip_all_gaps,
+void drain_reorder(serve::ToneMapService& service,
+                   SessionManager::Session& s, bool skip_all_gaps,
                    std::vector<StreamFrameResult>& out,
                    std::uint32_t& credits_released) {
   while (!s.reorder.empty() && s.state == StreamState::open) {
@@ -216,7 +198,7 @@ void drain_reorder(SessionManager::Session& s, bool skip_all_gaps,
     s.reorder.erase(it);
     s.next_sequence = sequence + 1;
     try {
-      if (!process_frame(s, sequence, std::move(buffered), out,
+      if (!process_frame(service, s, sequence, std::move(buffered), out,
                          credits_released)) {
         return; // stream shed as a unit
       }
@@ -233,12 +215,9 @@ void drain_reorder(SessionManager::Session& s, bool skip_all_gaps,
 
 } // namespace
 
-SessionManager::SessionManager(SessionManagerOptions options)
-    : options_((validate(options), options)) {
-  if (options_.pool_bytes > 0) {
-    pool_ = std::make_unique<img::PlanePool>(options_.pool_bytes);
-  }
-}
+SessionManager::SessionManager(serve::ToneMapService& service,
+                               SessionManagerOptions options)
+    : service_(service), options_((validate(options), options)) {}
 
 SessionManager::~SessionManager() {
   // Abort everything still registered so the counter contract holds for
@@ -259,9 +238,16 @@ SessionManager::~SessionManager() {
 
 std::uint64_t SessionManager::open(StreamConfig config) {
   validate(config);
-  // Resolving the execution decision (backend registry, kernel
-  // capability check, executor) happens before the manager lock — it is
-  // the expensive part, and a malformed pipeline must reject here.
+  // Capability errors fail here, not mid-stream: plan the full-quality
+  // pipeline (before the manager lock) and check the kernel against it.
+  const exec::ExecutionPlan plan =
+      config.pipeline.plan(config.width, config.height);
+  const tonemap::GaussianKernel kernel = config.pipeline.kernel();
+  TMHLS_REQUIRE(plan.make_executor().can_run(kernel),
+                std::string("SessionManager::open: backend ") +
+                    plan.backend->name() +
+                    " cannot run the stream's " +
+                    std::to_string(kernel.taps()) + "-tap kernel");
   std::shared_ptr<Session> session;
   std::uint64_t id = 0;
   {
@@ -277,7 +263,7 @@ std::uint64_t SessionManager::open(StreamConfig config) {
     }
     id = next_stream_id_++;
     session = std::make_shared<Session>(id, std::move(config),
-                                        options_.overload);
+                                        plan.backend->name());
     sessions_.emplace(id, session);
     ++streams_opened_;
   }
@@ -296,11 +282,7 @@ SessionManager::find(std::uint64_t stream_id) const {
 
 SubmitOutcome SessionManager::submit_frame(std::uint64_t stream_id,
                                            std::uint64_t sequence,
-                                           const img::ImageF& frame) {
-  // Frame processing happens on this caller thread (the reorder copy,
-  // engine stages, delivered outputs): run it under the pool's scope so
-  // a warm stream recycles planes instead of allocating.
-  const img::PlanePool::Scope pool_scope(pool_.get());
+                                           img::ImageF frame) {
   const std::shared_ptr<Session> session = find(stream_id);
   Session& s = *session;
   const std::lock_guard<std::mutex> lock(s.mutex);
@@ -344,9 +326,8 @@ SubmitOutcome SessionManager::submit_frame(std::uint64_t stream_id,
         std::to_string(s.config.credits) + " credits)");
   }
   ++s.frames_submitted;
-  s.reorder.emplace(sequence,
-                    Session::Buffered{img::ImageF(frame), frame_max});
-  drain_reorder(s, /*skip_all_gaps=*/false, outcome.results,
+  s.reorder.emplace(sequence, Session::Buffered{std::move(frame), frame_max});
+  drain_reorder(service_, s, /*skip_all_gaps=*/false, outcome.results,
                 outcome.credits_released);
   if (s.state == StreamState::shed) outcome.stream_shed = true;
   return outcome;
@@ -373,9 +354,6 @@ StreamStats SessionManager::locked_stats(const Session& s) const {
 
 CloseResult SessionManager::finish(std::uint64_t stream_id,
                                    bool deliver_tail, bool reclaimed) {
-  // The drain processes buffered frames on this thread; scope it like
-  // submit_frame so the tail recycles planes too.
-  const img::PlanePool::Scope pool_scope(pool_.get());
   std::shared_ptr<Session> session;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -399,7 +377,8 @@ CloseResult SessionManager::finish(std::uint64_t stream_id,
       // not abandon the close; whatever is still held is shed below.
       std::uint32_t released = 0;
       try {
-        drain_reorder(s, /*skip_all_gaps=*/true, result.results, released);
+        drain_reorder(service_, s, /*skip_all_gaps=*/true, result.results,
+                      released);
       } catch (...) {
       }
     }
@@ -456,10 +435,6 @@ int SessionManager::reclaim_stalled(double max_idle_seconds) {
     }
   }
   return reclaimed;
-}
-
-img::PoolStats SessionManager::pool_stats() const {
-  return pool_ ? pool_->stats() : img::PoolStats{};
 }
 
 StreamStats SessionManager::stream_stats(std::uint64_t stream_id) const {

@@ -1,21 +1,28 @@
-// stream::SessionManager — per-stream state over the serving stack's
-// per-frame machinery. A video stream is not a bag of independent frames:
-// it carries a temporal-adaptation trajectory (video::VideoToneMapper's
-// smoothed normalisation scale), a STICKY execution decision (backend,
-// datapath and degrade rung resolved once at open and re-evaluated only
-// by the stream's RateController, never per frame), in-order delivery
+// stream::SessionManager — per-stream state over the serving stack. A
+// video stream is not a bag of independent frames: it carries a
+// temporal-adaptation trajectory (video::VideoToneMapper's smoothed
+// normalisation scale), a STICKY degrade rung (resolved at open and moved
+// only by the stream's RateController, never per frame), in-order delivery
 // across a bounded reorder/jitter window, and credit-based flow control.
 // Overload decisions apply to the stream as a unit — a best_effort stream
 // is shed whole, a standard stream steps down a rung whole, a critical
 // stream does neither — which is what keeps overload from showing up as
 // per-frame quality flicker.
 //
+// Execution: the manager runs no frame itself. Each in-sequence frame
+// becomes a serve::FrameJob on the ToneMapService the manager was built
+// over — options.normalization_scale set to the adapted scale, degrade set
+// to the stream's rung, no deadline and the critical class, so admission
+// never sheds or degrades it — and the submitting thread waits on the
+// job's future. A stream frame and a request job therefore run the same
+// worker code, under the same plane pool and the same OverloadPolicy.
+//
 // Identity contract: a stream at the full-quality rung is byte-identical,
 // frame for frame, to a standalone VideoToneMapper fed the same frames in
-// sequence order — the session owns the same adaptation recurrence and
-// runs the same tonemap::FrameEngine, synchronously, inside submit_frame.
-// Degraded rungs are byte-identical to their standalone counterparts
-// (tone_map() under serve::degraded_options for reduced_blur,
+// sequence order — the session owns the same adaptation recurrence, and
+// the service runs the same tonemap::FrameEngine. Degraded rungs are
+// byte-identical to their standalone counterparts (tone_map() under
+// serve::degraded_options with the service's policy for reduced_blur,
 // tonemap::reinhard_global for global_operator).
 //
 // Counter contract (the invariants stream_test hammers under TSan): over
@@ -33,7 +40,6 @@
 #include <vector>
 
 #include "image/image.hpp"
-#include "image/plane_pool.hpp"
 #include "serve/qos.hpp"
 #include "serve/service.hpp"
 #include "stream/rate_controller.hpp"
@@ -48,11 +54,11 @@ inline constexpr int kMaxReorderWindow = 64;
 /// outstanding); also the wire-level bound.
 inline constexpr int kMaxStreamCredits = 64;
 
-/// Configuration of one stream, fixed at open() — the sticky half of the
-/// execution decision. Only the RateController moves the rung afterwards.
+/// Configuration of one stream, fixed at open(). Only the RateController
+/// moves the stream's rung afterwards.
 struct StreamConfig {
-  /// Per-frame pipeline configuration; backend ("auto" included) resolves
-  /// ONCE at open for the stream's geometry, like VideoToneMapper.
+  /// Per-frame pipeline configuration; backend ("auto" included) is
+  /// planned at open for the stream's geometry, like VideoToneMapper.
   tonemap::PipelineOptions pipeline;
   /// Frame geometry; every submitted frame must match it.
   int width = 1024;
@@ -99,8 +105,8 @@ struct StreamFrameResult {
   /// Resolved backend name the frame ran on ("reinhard_global" at the
   /// global_operator rung, mirroring the serving layer's spelling).
   std::string backend;
-  /// Wall time the frame spent in its execution vehicle (the engine, or
-  /// the global operator) — the service time the rate controller sees.
+  /// The job's serve::FrameResult::service_seconds (pickup to completion
+  /// on the service shard) — the service time the rate controller sees.
   double service_seconds = 0.0;
 };
 
@@ -178,16 +184,6 @@ struct SessionManagerOptions {
   /// (the bound is a soft limit for them, mirroring the serving layer's
   /// never-shed contract).
   int max_streams = 64;
-  /// Knobs the degraded rungs run under (reduced_radius for
-  /// reduced_blur; assumed_service_seconds is per-stream, see
-  /// RateControllerOptions).
-  serve::OverloadPolicy overload;
-  /// Retention bound of the manager's plane pool: stream-frame copies
-  /// into the reorder buffer, stage intermediates and delivered
-  /// outputs all recycle through it, so the Nth frame of a warm stream
-  /// performs zero fresh plane allocations — bit-identical to unpooled
-  /// processing. 0 disables pooling.
-  std::size_t pool_bytes = img::PlanePool::kDefaultMaxRetainedBytes;
 };
 
 /// Throws InvalidArgument naming the offending field.
@@ -199,30 +195,34 @@ void validate(const SessionManagerOptions& options);
 /// intended shape).
 class SessionManager {
 public:
-  explicit SessionManager(SessionManagerOptions options = {});
+  /// Stream frames run on `service`, which must outlive the manager.
+  explicit SessionManager(serve::ToneMapService& service,
+                          SessionManagerOptions options = {});
   /// Aborts every still-open stream (undelivered frames counted shed).
   ~SessionManager();
 
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
 
-  /// Open a stream; resolves the execution decision (backend, datapath,
-  /// starting rung) once and returns the stream id. Throws Overloaded
-  /// when the manager is at max_streams (non-critical QoS) and
-  /// InvalidArgument on a malformed config.
+  /// Open a stream and return its id. The stream's pipeline is planned
+  /// here (exec::plan), so a backend that cannot run it throws
+  /// InvalidArgument at open, not mid-stream. Throws Overloaded when the
+  /// manager is at max_streams (non-critical QoS) and InvalidArgument on a
+  /// malformed config.
   std::uint64_t open(StreamConfig config);
 
   /// Submit frame `sequence` (0-based, assigned by the producer) of the
   /// stream. Frames may arrive out of order within the reorder window;
-  /// results come back strictly in sequence order. Throws InvalidArgument
-  /// for unknown streams, geometry mismatches or dark (max <= 0) frames,
-  /// and Overloaded when the flow-control window is exhausted. If frame
-  /// processing itself fails, the frame is counted shed and the error
-  /// propagates — the caller decides the stream's fate (the transport
-  /// aborts it).
+  /// results come back strictly in sequence order. Every frame that
+  /// becomes deliverable runs on the service before the call returns.
+  /// Throws InvalidArgument for unknown streams, geometry mismatches or
+  /// dark (max <= 0) frames, and Overloaded when the flow-control window
+  /// is exhausted. If frame processing itself fails, the frame is counted
+  /// shed and the error propagates — the caller decides the stream's fate
+  /// (the transport aborts it).
   SubmitOutcome submit_frame(std::uint64_t stream_id,
                              std::uint64_t sequence,
-                             const img::ImageF& frame);
+                             img::ImageF frame);
 
   /// End-of-stream: drain everything still held (remaining gaps are
   /// skipped), deliver the tail in order, unregister the stream, and
@@ -248,12 +248,6 @@ public:
 
   const SessionManagerOptions& options() const { return options_; }
 
-  /// The manager's plane pool, or nullptr when options.pool_bytes == 0.
-  img::PlanePool* plane_pool() { return pool_.get(); }
-
-  /// Plane-pool counters (all-zero when pooling is disabled).
-  img::PoolStats pool_stats() const;
-
   /// Opaque per-stream state; defined in the implementation (public only
   /// so the implementation's file-local helpers can name it).
   struct Session;
@@ -265,14 +259,8 @@ private:
   CloseResult finish(std::uint64_t stream_id, bool deliver_tail,
                      bool reclaimed);
 
+  serve::ToneMapService& service_;
   SessionManagerOptions options_;
-  /// Null when pooling is disabled. Each frame-processing entry point
-  /// installs its scope, so planes allocated on any caller thread — the
-  /// reorder copy, stage intermediates, delivered outputs — recycle
-  /// here; delivered frames that escape to the caller return their
-  /// buffers from wherever they die (the recycler is shared-ptr-held by
-  /// every plane it backs).
-  std::unique_ptr<img::PlanePool> pool_;
   mutable std::mutex mutex_; ///< guards sessions_ and lifecycle counters
   std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   std::uint64_t next_stream_id_ = 1;

@@ -45,7 +45,9 @@ img::ImageF FrameEngine::run_with(const img::ImageF& frame,
 
 bool FrameEngine::compatible_with(const PipelineOptions& options, int width,
                                   int height) const {
-  return options_ == options && width_ == width && height_ == height;
+  PipelineOptions rescaled = options;
+  rescaled.normalization_scale = options_.normalization_scale;
+  return options_ == rescaled && width_ == width && height_ == height;
 }
 
 } // namespace tmhls::tonemap

@@ -1,8 +1,8 @@
 // FrameEngine: the one synchronous frame engine every consumer runs frames
-// through — tone_map_image, video::VideoToneMapper, stream sessions and
-// every serve::ToneMapService job. Built once from (PipelineOptions, width,
-// height), it plans once (exec::plan) and then runs each frame on one of
-// two routes:
+// through — tone_map_image, video::VideoToneMapper and every
+// serve::ToneMapService job (stream frames included). Built once from
+// (PipelineOptions, width, height), it plans once (exec::plan) and then
+// runs each frame on one of two routes:
 //
 //   fused  — the plan resolves to a backend with the fused_pipeline
 //            capability on its float datapath: tone_map_fused, the §III.B
@@ -36,8 +36,8 @@ public:
   img::ImageF run(const img::ImageF& frame) const;
 
   /// As above with a per-frame normalisation scale (> 0) overriding
-  /// options().normalization_scale — the hook temporal adaptation
-  /// (VideoToneMapper, stream sessions) feeds.
+  /// options().normalization_scale — the hook temporal adaptation feeds
+  /// (VideoToneMapper, and service jobs carrying a stream's scale).
   img::ImageF run(const img::ImageF& frame, float normalization_scale) const;
 
   /// True when frames run as one fused streaming sweep (tone_map_fused)
@@ -57,8 +57,9 @@ public:
 
   /// Reuse test for callers that cache an engine: true when a job with
   /// `options` and width x height frames would get the same engine, i.e.
-  /// options and geometry both match. Plans are a fixed function of both,
-  /// so a cached engine never needs re-planning.
+  /// geometry and every option but normalization_scale match. The plan
+  /// does not depend on the scale, so callers reusing an engine across
+  /// scales pass theirs per frame through run(frame, scale).
   bool compatible_with(const PipelineOptions& options, int width,
                        int height) const;
 

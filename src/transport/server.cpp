@@ -105,7 +105,7 @@ wire::ErrorCode classify(const std::exception& e) {
 
 Server::Server(ServerOptions options)
     : options_(checked(std::move(options))), service_(options_.service),
-      sessions_(options_.sessions), listener_(options_.port) {
+      sessions_(service_, options_.sessions), listener_(options_.port) {
   port_ = listener_.port();
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
@@ -198,11 +198,10 @@ void Server::accept_loop() {
 }
 
 void Server::reader_loop(Connection& c) {
-  // Wire payloads decode straight into service-pool planes: read_image's
-  // destination ImageF is constructed on this thread, so installing the
-  // scope here removes the per-request frame allocation once the pool is
-  // warm. (Stream messages handled inline below run under the session
-  // manager's own pool — its entry points install theirs on top.)
+  // Wire payloads — request and stream frames alike — decode straight
+  // into service-pool planes: read_image's destination ImageF is
+  // constructed on this thread, so installing the scope here removes the
+  // per-frame allocation once the pool is warm.
   const img::PlanePool::Scope pool_scope(service_.plane_pool());
   for (;;) {
     InboundMessage in;
@@ -225,7 +224,7 @@ void Server::reader_loop(Connection& c) {
       break;
     }
     if (in.header.type != wire::MessageType::request) {
-      // Stream messages (v3) are processed inline right here; see the
+      // Stream messages (v3) are dispatched right here; see the
       // handle_stream_* declarations for why that is the right thread.
       try {
         switch (in.header.type) {
@@ -349,7 +348,8 @@ void Server::handle_stream_frame(Connection& c,
   }
   try {
     stream::SubmitOutcome out =
-        sessions_.submit_frame(it->second, frame.sequence, frame.frame);
+        sessions_.submit_frame(it->second, frame.sequence,
+                               std::move(frame.frame));
     for (stream::StreamFrameResult& r : out.results) {
       stream_results_sent_.fetch_add(1);
       enqueue(c, wire::encode_stream_result({frame.stream_id, r.sequence,

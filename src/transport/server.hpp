@@ -47,7 +47,8 @@ struct ServerOptions {
   serve::ToneMapServiceOptions service;
   /// Options of the owned stream::SessionManager behind the v3 streaming
   /// messages (max_streams is the server-wide stream capacity, shared by
-  /// every connection).
+  /// every connection). Stream frames run on the service above, under its
+  /// pool and overload policy.
   stream::SessionManagerOptions sessions;
   /// Bound on decoded-but-unanswered requests per connection. The reader
   /// stops pulling new requests off the socket while the window is full,
@@ -146,12 +147,13 @@ private:
   void writer_loop(Connection& connection);
   void reap_finished_locked();
 
-  /// Stream-message dispatch, run inline on the connection's reader
-  /// thread (a stream's frames are serialised per stream anyway, and the
-  /// synchronous processing is itself the backpressure — the credit
-  /// window bounds what a client can queue behind it). Replies go through
-  /// the writer's outbox so the socket keeps a single writing thread.
-  /// WireError propagates to the caller (protocol violation).
+  /// Stream-message dispatch on the connection's reader thread, which
+  /// waits for each deliverable frame's service job (a stream's frames are
+  /// serialised per stream anyway, and the wait is itself the
+  /// backpressure — the credit window bounds what a client can queue
+  /// behind it). Replies go through the writer's outbox so the socket
+  /// keeps a single writing thread. WireError propagates to the caller
+  /// (protocol violation).
   void handle_stream_open(Connection& connection,
                           std::span<const std::uint8_t> payload);
   void handle_stream_frame(Connection& connection,
@@ -166,6 +168,8 @@ private:
 
   ServerOptions options_;
   serve::ToneMapService service_;
+  /// Declared after service_: destroyed first, so no stream outlives the
+  /// service its frames run on.
   stream::SessionManager sessions_;
   ListenSocket listener_;
   std::uint16_t port_ = 0;

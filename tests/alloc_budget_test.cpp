@@ -4,7 +4,8 @@
 // (all six), for both serving shapes:
 //   * the second job on a warm ToneMapService allocates no plane
 //     (img::plane_allocation_count() delta == 0 across submit + get), and
-//   * the Nth frame of an open stream allocates no plane.
+//   * the Nth frame of an open stream, which runs as a job on the same
+//     service pool, allocates no plane.
 // Bit-identity rides along: every pooled output is memcmp'd against the
 // same work done by a pool_bytes=0 (fully unpooled) twin.
 #include <gtest/gtest.h>
@@ -154,12 +155,17 @@ TEST(AllocBudgetTest, WarmStreamFrameAllocatesNoPlane) {
     config.measure_service = false; // wall-clock-free rung decisions
 
     // Unpooled twin for the bit-identity reference.
-    stream::SessionManagerOptions unpooled_opts;
+    serve::ToneMapServiceOptions unpooled_opts;
+    unpooled_opts.shards = 1;
     unpooled_opts.pool_bytes = 0;
-    stream::SessionManager unpooled(unpooled_opts);
+    serve::ToneMapService unpooled_service(unpooled_opts);
+    stream::SessionManager unpooled(unpooled_service);
     const std::uint64_t ref_id = unpooled.open(config);
 
-    stream::SessionManager manager;
+    serve::ToneMapServiceOptions pooled_opts;
+    pooled_opts.shards = 1;
+    serve::ToneMapService service(pooled_opts);
+    stream::SessionManager manager(service);
     const std::uint64_t id = manager.open(config);
 
     for (std::uint64_t seq = 0; seq <= kWarmFrames; ++seq) {
@@ -167,14 +173,18 @@ TEST(AllocBudgetTest, WarmStreamFrameAllocatesNoPlane) {
       auto ref = unpooled.submit_frame(ref_id, seq, frame);
       ASSERT_EQ(ref.results.size(), 1u);
 
+      // The frame copy handed to the stream is made before the snapshot:
+      // producing the input is the client's allocation (the transport
+      // decodes it into a pooled plane), the budget here is the service's.
+      img::ImageF input = frame;
       std::uint64_t allocs_before = 0;
       if (seq == kWarmFrames) {
-        // The measured frame: submission runs the whole frame on this
-        // thread, so the quiescent point is right here.
-        ASSERT_TRUE(quiesce([&] { return manager.pool_stats(); }));
+        // The measured frame: start from the quiescent point (the shard
+        // drops a job's locals just after its future resolves).
+        ASSERT_TRUE(quiesce([&] { return service.pool_stats(); }));
         allocs_before = img::plane_allocation_count();
       }
-      auto out = manager.submit_frame(id, seq, frame);
+      auto out = manager.submit_frame(id, seq, std::move(input));
       ASSERT_EQ(out.results.size(), 1u);
       if (seq == kWarmFrames) {
         EXPECT_EQ(img::plane_allocation_count() - allocs_before, 0u);
@@ -183,7 +193,7 @@ TEST(AllocBudgetTest, WarmStreamFrameAllocatesNoPlane) {
           bit_identical(out.results[0].output, ref.results[0].output));
     }
 
-    const img::PoolStats s = manager.pool_stats();
+    const img::PoolStats s = service.pool_stats();
     EXPECT_EQ(s.acquires, s.pool_hits + s.fresh_allocs);
     EXPECT_GT(s.pool_hits, 0u);
 

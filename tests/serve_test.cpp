@@ -205,6 +205,30 @@ TEST(ServiceTest, EqualOptionsReuseTheEngineMixedOptionsRebuild) {
   }
 }
 
+TEST(ServiceTest, NormalizationScaleAloneNeverRebuildsTheEngine) {
+  // Stream frames arrive as jobs that differ only in the adapted scale;
+  // the plan does not depend on it, so one engine serves them all. Each
+  // job still runs under its own scale (0 = by the frame's maximum).
+  ToneMapServiceOptions so;
+  so.shards = 1;
+  ToneMapService service(so);
+  std::vector<FrameJob> jobs;
+  for (const float scale : {0.0f, 37.5f, 0.0f, 12.0f, 0.0f, 80.0f}) {
+    tonemap::PipelineOptions opt = small_options("separable_float");
+    opt.normalization_scale = scale;
+    jobs.push_back(job_of(
+        random_hdr(23, 17, 1000u + static_cast<std::uint64_t>(jobs.size())),
+        opt));
+  }
+  for (const FrameJob& job : jobs) {
+    const FrameResult result = service.submit(job).get();
+    EXPECT_TRUE(bit_identical(result.output,
+                              tonemap::tone_map(job.frame, job.options).output))
+        << "scale " << job.options.normalization_scale;
+  }
+  EXPECT_EQ(service.stats().shards[0].session_builds, 1u);
+}
+
 // --- ToneMapService: contract ---------------------------------------------
 
 TEST(ServiceTest, ValidationRejectsBadOptions) {

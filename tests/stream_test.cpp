@@ -6,12 +6,14 @@
 // frames_submitted == delivered + shed + expired balance they must keep;
 // the deterministic rate-controller contract (one switch per sweep under
 // 2x overload for standard, shed-as-a-unit for best_effort, immovable
-// critical, hysteresis against flapping); bit-identity of the degraded
-// rungs against their standalone counterparts; fault injection at the
-// per-frame processing site; stalled-stream reclamation; and the
-// transport integration — streams over the wire match the local mapper,
-// and a mid-stream disconnect makes the server abort the connection's
-// streams (opened == closed).
+// critical, hysteresis against flapping, and the same trajectories through
+// a session at 1x and 2x load); the tracked flicker metric; bit-identity
+// of the degraded rungs against their standalone counterparts; fault
+// injection at the per-frame processing site; stalled-stream reclamation;
+// and the transport integration — streams over the wire match the local
+// mapper and run as jobs of the server's one ToneMapService (also mixed
+// with request traffic), and a mid-stream disconnect makes the server
+// abort the connection's streams (opened == closed).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -122,7 +124,8 @@ TEST(StreamSessionTest, ByteIdenticalToVideoToneMapperAcrossBackends) {
     for (const int threads : {1, 2}) {
       const StreamConfig sc = quiet_config(backend, 48, 40, threads);
       const std::vector<img::ImageF> golden = golden_sequence(sc, frames);
-      SessionManager manager;
+      serve::ToneMapService service;
+      SessionManager manager(service);
       const std::vector<img::ImageF> outputs =
           run_stream(manager, sc, frames, in_order);
       for (std::size_t f = 0; f < frames.size(); ++f) {
@@ -143,7 +146,8 @@ TEST(StreamSessionTest, ServiceSecondsTimesTheEngineRun) {
   sc.height = 256;
   sc.measure_service = false;
   ASSERT_EQ(sc.pipeline.kernel().taps(), 97);
-  SessionManager manager;
+  serve::ToneMapService service;
+  SessionManager manager(service);
   const std::uint64_t id = manager.open(sc);
   const SubmitOutcome outcome =
       manager.submit_frame(id, 0, random_hdr(256, 256, 5));
@@ -163,7 +167,8 @@ TEST(StreamSessionTest, ShuffledArrivalWithinWindowDeliversInOrder) {
 
   // Jittered arrival, never more than the window out of order.
   const std::vector<std::size_t> order = {1, 0, 3, 2, 4, 6, 7, 5};
-  SessionManager manager;
+  serve::ToneMapService service;
+  SessionManager manager(service);
   const std::vector<img::ImageF> outputs =
       run_stream(manager, sc, frames, order);
   for (std::size_t f = 0; f < frames.size(); ++f) {
@@ -191,7 +196,8 @@ TEST(StreamSessionTest, FourConcurrentStreamsStayByteIdenticalPerStream) {
     golden[s] = golden_sequence(sc, frames[s]);
   }
 
-  SessionManager manager;
+  serve::ToneMapService service;
+  SessionManager manager(service);
   std::vector<std::vector<img::ImageF>> outputs(kStreams);
   std::vector<std::size_t> in_order(kFrames);
   for (std::size_t i = 0; i < in_order.size(); ++i) in_order[i] = i;
@@ -225,7 +231,8 @@ TEST(StreamSessionTest, GapSkipAndLateArrivalExpiry) {
   StreamConfig sc = quiet_config("separable_float", 16, 12);
   sc.reorder_window = 2;
   sc.credits = 8;
-  SessionManager manager;
+  serve::ToneMapService service;
+  SessionManager manager(service);
   const std::uint64_t id = manager.open(sc);
   const img::ImageF frame = random_hdr(16, 12, 5);
 
@@ -258,7 +265,8 @@ TEST(StreamSessionTest, ExhaustedCreditWindowThrowsOverloaded) {
   StreamConfig sc = quiet_config("separable_float", 16, 12);
   sc.reorder_window = 16;
   sc.credits = 3;
-  SessionManager manager;
+  serve::ToneMapService service;
+  SessionManager manager(service);
   const std::uint64_t id = manager.open(sc);
   const img::ImageF frame = random_hdr(16, 12, 6);
   // Hold the gap at 0 open so every frame buffers undelivered.
@@ -278,7 +286,8 @@ TEST(StreamSessionTest, ExhaustedCreditWindowThrowsOverloaded) {
 TEST(StreamSessionTest, CapacityShedsStandardAdmitsCritical) {
   SessionManagerOptions mo;
   mo.max_streams = 1;
-  SessionManager manager(mo);
+  serve::ToneMapService service;
+  SessionManager manager(service, mo);
   const StreamConfig sc = quiet_config("separable_float", 16, 12);
   (void)manager.open(sc);
   EXPECT_THROW((void)manager.open(sc), serve::Overloaded);
@@ -288,7 +297,8 @@ TEST(StreamSessionTest, CapacityShedsStandardAdmitsCritical) {
 }
 
 TEST(StreamSessionTest, GeometryMismatchAndDarkFramesRejectAtSubmit) {
-  SessionManager manager;
+  serve::ToneMapService service;
+  SessionManager manager(service);
   const std::uint64_t id =
       manager.open(quiet_config("separable_float", 16, 12));
   EXPECT_THROW((void)manager.submit_frame(id, 0, random_hdr(8, 8, 1)),
@@ -380,6 +390,68 @@ TEST(StreamRateTest, BorderlineLoadDoesNotFlap) {
   EXPECT_LE(rate.switches(), 1u);
 }
 
+TEST(StreamRateTest, SessionTrajectoryAtOneAndTwoTimesOverload) {
+  // The whole-stream decisions through a session, per QoS class: at 1x
+  // load both streams keep full quality; at 2x the standard stream makes
+  // exactly one rung switch and the best_effort stream is shed as a unit.
+  for (const double factor : {1.0, 2.0}) {
+    SCOPED_TRACE(factor);
+    serve::ToneMapService service;
+    SessionManager manager(service);
+    const img::ImageF frame = random_hdr(16, 12, 31);
+    for (const serve::QosClass qos :
+         {serve::QosClass::standard, serve::QosClass::best_effort}) {
+      StreamConfig sc = quiet_config("separable_float", 16, 12);
+      sc.qos = qos;
+      sc.rate = fast_rate();
+      sc.rate.assumed_service_seconds = factor;
+      sc.frame_interval_seconds = 1.0;
+      const std::uint64_t id = manager.open(sc);
+      bool stream_shed = false;
+      for (std::uint64_t f = 0; f < 16; ++f) {
+        stream_shed = manager.submit_frame(id, f, frame).stream_shed ||
+                      stream_shed;
+      }
+      const StreamStats st = manager.close(id).stats;
+      EXPECT_EQ(st.frames_submitted,
+                st.frames_delivered + st.frames_shed + st.frames_expired);
+      const bool overloaded = factor > 1.0;
+      if (qos == serve::QosClass::standard) {
+        EXPECT_EQ(st.rung_switches, overloaded ? 1u : 0u);
+        EXPECT_EQ(st.frames_delivered, 16u);
+      } else {
+        EXPECT_EQ(stream_shed, overloaded);
+        EXPECT_EQ(st.state,
+                  overloaded ? StreamState::shed : StreamState::open);
+        EXPECT_EQ(st.rung_switches, 0u);
+        EXPECT_EQ(st.frames_shed > 0u, overloaded);
+      }
+    }
+  }
+}
+
+TEST(StreamSessionTest, TrackedFlickerIsTheDeliveredFramesFlicker) {
+  std::vector<img::ImageF> frames;
+  for (int f = 0; f < 6; ++f) frames.push_back(random_hdr(24, 16, 90u + f));
+  StreamConfig sc = quiet_config("separable_float", 24, 16);
+  sc.track_flicker = true;
+
+  serve::ToneMapService service;
+  SessionManager manager(service);
+  const std::uint64_t id = manager.open(sc);
+  std::vector<double> means;
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    for (const StreamFrameResult& r :
+         manager.submit_frame(id, f, frames[f]).results) {
+      means.push_back(video::mean_luminance(r.output));
+    }
+  }
+  const StreamStats st = manager.close(id).stats;
+  ASSERT_EQ(means.size(), frames.size());
+  EXPECT_GT(st.flicker, 0.0);
+  EXPECT_DOUBLE_EQ(st.flicker, video::flicker_metric(means));
+}
+
 // --- degraded rungs stay bit-identical to their standalone counterparts ----
 
 TEST(StreamSessionTest, ReducedBlurRungMatchesDegradedVideoToneMapper) {
@@ -395,12 +467,13 @@ TEST(StreamSessionTest, ReducedBlurRungMatchesDegradedVideoToneMapper) {
   // depends only on the input frames, so it is shared across rungs.
   StreamConfig degraded = sc;
   degraded.pipeline = serve::degraded_options(
-      sc.pipeline, SessionManagerOptions{}.overload);
+      sc.pipeline, serve::ToneMapServiceOptions{}.overload);
   const std::vector<img::ImageF> golden_reduced =
       golden_sequence(degraded, frames);
   const std::vector<img::ImageF> golden_full = golden_sequence(sc, frames);
 
-  SessionManager manager;
+  serve::ToneMapService service;
+  SessionManager manager(service);
   const std::uint64_t id = manager.open(sc);
   std::vector<img::ImageF> outputs(frames.size());
   std::vector<serve::DegradeLevel> rungs(frames.size(),
@@ -442,7 +515,8 @@ TEST(StreamSessionTest, GlobalOperatorRungMatchesReinhardGlobal) {
   sc.rate.assumed_service_seconds = 16.0;
   sc.frame_interval_seconds = 1.0;
 
-  SessionManager manager;
+  serve::ToneMapService service;
+  SessionManager manager(service);
   const std::uint64_t id = manager.open(sc);
   bool saw_global = false;
   for (std::size_t f = 0; f < frames.size(); ++f) {
@@ -471,7 +545,8 @@ protected:
 };
 
 TEST_F(StreamFaultTest, ProcessingFaultCountsFrameShedAndPropagates) {
-  SessionManager manager;
+  serve::ToneMapService service;
+  SessionManager manager(service);
   const std::uint64_t id =
       manager.open(quiet_config("separable_float", 16, 12));
   const img::ImageF frame = random_hdr(16, 12, 9);
@@ -504,7 +579,8 @@ TEST_F(StreamFaultTest, ProcessingFaultCountsFrameShedAndPropagates) {
 }
 
 TEST(StreamSessionTest, ReclaimStalledAbortsOnlyIdleStreams) {
-  SessionManager manager;
+  serve::ToneMapService service;
+  SessionManager manager(service);
   const StreamConfig sc = quiet_config("separable_float", 16, 12);
   const std::uint64_t idle = manager.open(sc);
   const std::uint64_t busy = manager.open(sc);
@@ -522,7 +598,8 @@ TEST(StreamSessionTest, ReclaimStalledAbortsOnlyIdleStreams) {
 // --- counter invariants under concurrency (the TSan target) ----------------
 
 TEST(StreamSessionTest, ConcurrentMixedTrafficKeepsTheBalance) {
-  SessionManager manager;
+  serve::ToneMapService service;
+  SessionManager manager(service);
   constexpr int kThreads = 4;
   constexpr int kFrames = 12;
   std::vector<std::thread> threads;
@@ -617,6 +694,120 @@ TEST(StreamTransportTest, MidStreamDisconnectAbortsTheConnectionsStreams) {
   EXPECT_EQ(sessions.frames_submitted,
             sessions.frames_delivered + sessions.frames_shed +
                 sessions.frames_expired);
+}
+
+TEST(StreamTransportTest, StreamFramesRunAsServiceJobs) {
+  // One execution path: every delivered stream frame is a completed job
+  // of the server's ToneMapService, and its planes come from the
+  // service's pool (the decoded frame, then the shard's intermediates and
+  // output — more than one acquire per frame).
+  transport::Server server;
+  const serve::ServiceStats before = server.service().stats();
+  const img::PoolStats pool_before = server.service().pool_stats();
+  constexpr std::uint64_t kFrames = 6;
+  {
+    transport::Client client("127.0.0.1", server.port());
+    const std::uint64_t id =
+        client.open_stream(quiet_config("separable_float", 24, 16));
+    for (std::uint64_t f = 0; f < kFrames; ++f) {
+      client.send_stream_frame(id, f, random_hdr(24, 16, 120u + f));
+    }
+    EXPECT_EQ(client.close_stream(id).frames_delivered, kFrames);
+  }
+  const serve::ServiceStats after = server.service().stats();
+  EXPECT_EQ(after.completed - before.completed, kFrames);
+  EXPECT_EQ(after.submitted - before.submitted, kFrames);
+  const img::PoolStats pool = server.service().pool_stats();
+  EXPECT_GE(pool.acquires - pool_before.acquires, 2 * kFrames);
+}
+
+TEST(StreamTransportTest, MixedTrafficOnOneServerKeepsEveryBalance) {
+  // Request jobs and two streams at once on one 2-shard server (the TSan
+  // target of the shared execution path): every account balances, and
+  // full-rung stream frames still match a standalone VideoToneMapper.
+  transport::ServerOptions so;
+  so.service.shards = 2;
+  transport::Server server(so);
+  constexpr int kStreams = 2;
+  constexpr int kFrames = 6;
+  constexpr int kRequestThreads = 2;
+  constexpr int kRequests = 4;
+
+  std::vector<std::vector<img::ImageF>> frames(kStreams);
+  std::vector<std::vector<img::ImageF>> golden(kStreams);
+  const StreamConfig sc = quiet_config("separable_float", 24, 16);
+  for (int s = 0; s < kStreams; ++s) {
+    for (int f = 0; f < kFrames; ++f) {
+      frames[s].push_back(random_hdr(24, 16, 300u + 10u * s + f));
+    }
+    golden[s] = golden_sequence(sc, frames[s]);
+  }
+
+  std::vector<transport::wire::StreamClosed> finals(kStreams);
+  std::vector<std::vector<transport::ClientStreamResult>> results(kStreams);
+  std::vector<int> requests_ok(kRequestThreads, 0);
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kStreams; ++s) {
+    threads.emplace_back([&, s] {
+      transport::Client client("127.0.0.1", server.port());
+      const std::uint64_t id = client.open_stream(sc);
+      for (int f = 0; f < kFrames; ++f) {
+        client.send_stream_frame(id, static_cast<std::uint64_t>(f),
+                                 frames[s][f]);
+      }
+      finals[s] = client.close_stream(id);
+      while (client.buffered_stream_results() > 0) {
+        results[s].push_back(client.next_stream_result());
+      }
+    });
+  }
+  for (int t = 0; t < kRequestThreads; ++t) {
+    threads.emplace_back([&, t] {
+      transport::Client client("127.0.0.1", server.port());
+      tonemap::PipelineOptions opt = sc.pipeline;
+      opt.sigma = 1.5; // a second options mix on the same shards
+      opt.radius = 4;
+      for (int r = 0; r < kRequests; ++r) {
+        serve::FrameJob job;
+        job.frame = random_hdr(20, 14, 500u + 10u * t + r);
+        job.options = opt;
+        const img::ImageF expected =
+            tonemap::tone_map(job.frame, opt).output;
+        if (bit_identical(client.call(std::move(job)).output, expected)) {
+          ++requests_ok[t];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (int s = 0; s < kStreams; ++s) {
+    const transport::wire::StreamClosed& fin = finals[s];
+    EXPECT_EQ(fin.status, transport::wire::StreamStatus::closed);
+    EXPECT_EQ(static_cast<std::uint64_t>(kFrames),
+              fin.frames_delivered + fin.frames_shed + fin.frames_expired);
+    ASSERT_EQ(results[s].size(), static_cast<std::size_t>(kFrames));
+    for (const transport::ClientStreamResult& r : results[s]) {
+      ASSERT_EQ(r.rung, serve::DegradeLevel::none);
+      EXPECT_TRUE(bit_identical(r.output,
+                                golden[s][static_cast<std::size_t>(
+                                    r.sequence)]))
+          << "stream " << s << " frame " << r.sequence;
+    }
+  }
+  for (int t = 0; t < kRequestThreads; ++t) {
+    EXPECT_EQ(requests_ok[t], kRequests) << "request thread " << t;
+  }
+  const SessionManagerStats sessions = server.sessions().stats();
+  EXPECT_EQ(sessions.frames_submitted,
+            sessions.frames_delivered + sessions.frames_shed +
+                sessions.frames_expired);
+  const serve::ServiceStats service = server.service().stats();
+  EXPECT_EQ(service.submitted,
+            service.completed + service.failed + service.expired);
+  EXPECT_EQ(service.completed,
+            static_cast<std::uint64_t>(kStreams * kFrames +
+                                       kRequestThreads * kRequests));
 }
 
 TEST_F(StreamFaultTest, ServerTerminatesStreamSpontaneouslyOverTheWire) {

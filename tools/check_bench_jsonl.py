@@ -21,7 +21,7 @@ import sys
 
 # Required keys per bench name, mirroring what the benches emit (see the
 # JsonRecord schema comment in bench/bench_common.hpp; the emitters are
-# bench_backend_throughput.cpp, bench_serving.cpp and bench_streaming.cpp).
+# bench_backend_throughput.cpp and bench_serving.cpp).
 # A bench not listed here is validated against the
 # generic rules only, so adding a new bench does not require touching this
 # checker — listing it just tightens the gate.
@@ -36,13 +36,6 @@ REQUIRED_KEYS = {
         "mode", "backend", "threads", "width", "height", "seconds_total",
         "latency_p50_ms", "latency_p99_ms", "allocs_per_job",
         "pool_hit_rate",
-    ],
-    "streaming": [
-        "qos", "backend", "threads", "streams", "frames_per_stream",
-        "width", "height", "taps", "fps", "overload_factor",
-        "frames_delivered", "frames_shed", "frames_expired", "streams_shed",
-        "rung_switches_per_stream", "flicker", "frames_per_second",
-        "latency_p99_ms", "allocs_per_job", "pool_hit_rate",
     ],
 }
 
@@ -180,25 +173,6 @@ SELF_TEST_CASES = [
      '"height":1,"taps":1,"seconds_per_frame":0.5,"fps":2.0,'
      '"speedup_vs_single_thread":1,"speedup_vs_separable_float":1}',
      False, "backend_throughput record missing simd/traffic keys"),
-    ('{"bench":"streaming","qos":"standard","backend":"separable_simd",'
-     '"threads":1,"streams":2,"frames_per_stream":48,"width":96,'
-     '"height":96,"taps":97,"fps":30.0,"overload_factor":2.0,'
-     '"frames_delivered":96,"frames_shed":0,"frames_expired":0,'
-     '"streams_shed":0,"rung_switches_per_stream":1.0,"flicker":0.01,'
-     '"frames_per_second":250.0,"latency_p99_ms":4.2,'
-     '"allocs_per_job":0.2,"pool_hit_rate":0.97}',
-     True, "complete streaming record"),
-    ('{"bench":"streaming","qos":"standard","backend":"separable_simd",'
-     '"threads":1,"streams":2,"frames_per_stream":48,"width":96,'
-     '"height":96,"taps":97,"fps":30.0,"overload_factor":2.0,'
-     '"frames_delivered":96,"frames_shed":0,"frames_expired":0,'
-     '"streams_shed":0,"rung_switches_per_stream":1.0,"flicker":0.01,'
-     '"frames_per_second":250.0,"latency_p99_ms":4.2}',
-     False, "streaming record missing allocs_per_job/pool_hit_rate"),
-    ('{"bench":"streaming","qos":"best_effort","backend":"separable_simd",'
-     '"threads":1,"streams":2,"frames_per_stream":48,"width":96,'
-     '"height":96,"taps":97,"fps":30.0,"frames_delivered":14}',
-     False, "streaming record missing overload/shed/switch keys"),
     ('{"bench":"some_future_bench","whatever":1.5}',
      True, "unknown bench passes generic rules"),
     ('{"bench":"serving","mode":"jobs"}',

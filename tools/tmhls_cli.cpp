@@ -18,8 +18,9 @@
 //                            [--kind K] [--seed N]
 //                            [--qos best_effort|standard|critical]
 //                            [--deadline S] [--assumed-service S]
-//                            [--pool-bytes B]  (plane-pool retention bound,
-//                             0 disables pooling)
+//                            [--pool-bytes B]  (plane-pool retention bound
+//                             of the service, which runs request jobs and
+//                             stream frames alike; 0 disables pooling)
 //                            [--listen PORT [--window W] [--max-connections M]]
 //   client                  --port PORT [--host H] [--jobs J] [--size N]
 //                            [--window W] [--backend B]
@@ -372,13 +373,12 @@ int cmd_serve_listen(const Args& args) {
   // deadline (0 trusts the observed EWMA alone).
   so.service.overload.assumed_service_seconds = args.get_double(
       "assumed-service", so.service.overload.assumed_service_seconds);
-  // Plane-pool retention bound for BOTH pools the server runs (the
-  // service's and the session manager's); 0 disables pooling entirely.
+  // Plane-pool retention bound of the service, the one pool request jobs
+  // and stream frames share; 0 disables pooling entirely.
   const int pool_bytes_listen =
       args.get_int("pool-bytes", static_cast<int>(so.service.pool_bytes));
   TMHLS_REQUIRE(pool_bytes_listen >= 0, "--pool-bytes must be >= 0");
   so.service.pool_bytes = static_cast<std::size_t>(pool_bytes_listen);
-  so.sessions.pool_bytes = static_cast<std::size_t>(pool_bytes_listen);
 
   transport::Server server(so);
   std::signal(SIGINT, handle_stop_signal);
@@ -948,8 +948,10 @@ void usage() {
       "                       (--shards, --clients, --jobs, --size,\n"
       "                       --queue, --backend, --threads) and print a\n"
       "                       throughput/latency table; with --listen PORT\n"
-      "                       serve framed jobs over loopback TCP instead\n"
-      "                       (--window bounds per-connection pipelining;\n"
+      "                       serve framed jobs and streams over loopback\n"
+      "                       TCP instead; both run on one service\n"
+      "                       (--window bounds per-connection pipelining,\n"
+      "                       --pool-bytes the service's plane pool;\n"
       "                       SIGINT/SIGTERM drains and exits)\n"
       "  client               submit synthetic frames to a `serve --listen`\n"
       "                       server (--port, --host, --jobs, --size,\n"
