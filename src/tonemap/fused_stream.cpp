@@ -197,8 +197,8 @@ FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
   // normalize_to_max (max is order-insensitive, so one pass over samples).
   float scale = opt.normalization_scale;
   if (!(scale > 0.0f)) {
-    float max_v = 0.0f;
-    for (float v : hdr.samples()) max_v = std::max(max_v, v);
+    const float max_v = max_sample_row(hdr.samples().data(),
+                                       hdr.samples().size());
     TMHLS_REQUIRE(max_v > 0.0f,
                   "normalize_to_max: image has no positive sample");
     scale = max_v;

@@ -1,11 +1,27 @@
 #include "tonemap/operators.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "tonemap/pow_kernel.hpp"
 
 namespace tmhls::tonemap {
+
+float max_sample_row(const float* in, std::size_t n) {
+  constexpr std::size_t kFolds = 8;
+  float folds[kFolds] = {};
+  std::size_t i = 0;
+  for (; i + kFolds <= n; i += kFolds) {
+    for (std::size_t l = 0; l < kFolds; ++l) {
+      folds[l] = std::max(folds[l], in[i + l]);
+    }
+  }
+  float m = 0.0f;
+  for (; i < n; ++i) m = std::max(m, in[i]);
+  for (const float f : folds) m = std::max(m, f);
+  return m;
+}
 
 void normalize_max_row(const float* in, float* out, std::size_t n,
                        float max_v) {
@@ -21,20 +37,32 @@ void normalize_scale_row(const float* in, float* out, std::size_t n,
 
 void display_encode_row(const float* in, float* out, std::size_t n,
                         float inv_gamma) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = std::pow(std::max(in[i], 0.0f), inv_gamma);
-  }
+  pow_row(in, out, n, inv_gamma);
 }
 
 void masking_row(const float* in, const float* mask, float* out, int width,
                  int channels) {
-  for (int x = 0; x < width; ++x) {
-    const float m = clamp(mask[x], 0.0f, 1.0f);
-    const float gamma = std::exp2((m - 0.5f) / 0.5f);
-    for (int c = 0; c < channels; ++c) {
-      const float v = std::max(in[x * channels + c], 0.0f);
-      out[x * channels + c] = std::pow(v, gamma);
+  TMHLS_REQUIRE(channels >= 1 && channels <= 4,
+                "masking_row: channels must be in [1, 4]");
+  // Pixels go through in chunks small enough for stack scratch: the
+  // per-pixel exponent 2^((m - 0.5) / 0.5), then that exponent repeated
+  // for each of the pixel's samples, which pow_row consumes lane by lane.
+  constexpr int kChunk = 256;
+  float gamma[kChunk];
+  float exps[kChunk * 4];
+  for (int x0 = 0; x0 < width; x0 += kChunk) {
+    const int np = std::min(kChunk, width - x0);
+    for (int i = 0; i < np; ++i) {
+      gamma[i] = (clamp(mask[x0 + i], 0.0f, 1.0f) - 0.5f) / 0.5f;
     }
+    exp2_row(gamma, gamma, static_cast<std::size_t>(np));
+    for (int i = 0; i < np; ++i) {
+      for (int c = 0; c < channels; ++c) exps[i * channels + c] = gamma[i];
+    }
+    const std::size_t offset = static_cast<std::size_t>(x0) *
+                               static_cast<std::size_t>(channels);
+    pow_row(in + offset, exps, out + offset,
+            static_cast<std::size_t>(np) * static_cast<std::size_t>(channels));
   }
 }
 
@@ -47,11 +75,10 @@ void brightness_contrast_row(const float* in, float* out, std::size_t n,
 
 img::ImageF normalize_to_max(const img::ImageF& src, float* max_out) {
   TMHLS_REQUIRE(!src.empty(), "normalize_to_max: empty image");
-  float max_v = 0.0f;
-  for (float v : src.samples()) max_v = std::max(max_v, v);
+  auto si = src.samples();
+  const float max_v = max_sample_row(si.data(), si.size());
   TMHLS_REQUIRE(max_v > 0.0f, "normalize_to_max: image has no positive sample");
   img::ImageF out(src.width(), src.height(), src.channels());
-  auto si = src.samples();
   normalize_max_row(si.data(), out.samples().data(), si.size(), max_v);
   if (max_out != nullptr) *max_out = max_v;
   return out;

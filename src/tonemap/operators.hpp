@@ -2,6 +2,11 @@
 // image normalization, non-linear masking (Moroney, CIC 2000) and the
 // brightness/contrast adjustments. These always run on the processing
 // system (PS) — only the Gaussian blur is accelerated.
+//
+// The powers in display encoding and masking are not libm: they run the
+// deterministic vectorized kernel of tonemap/pow_kernel.hpp (max-abs error
+// <= 2e-7 against std::pow on [0, 1]), which gives identical bits on every
+// path, thread count and ISA.
 #pragma once
 
 #include "image/image.hpp"
@@ -15,7 +20,8 @@ namespace tmhls::tonemap {
 /// throws InvalidArgument (the image carries no light).
 img::ImageF normalize_to_max(const img::ImageF& src, float* max_out = nullptr);
 
-/// Display encoding: out = in^(1/gamma) with inputs clamped to >= 0.
+/// Display encoding: out = in^(1/gamma) with inputs clamped to >= 0, the
+/// power evaluated by pow_row (tonemap/pow_kernel.hpp).
 /// Part of step 1 in this pipeline: Moroney's non-linear masking (step 3)
 /// is defined on display-referred data, so the normalised linear-light
 /// image is gamma-encoded before the mask is built. gamma = 1 is the
@@ -33,6 +39,8 @@ img::ImageF display_encode(const img::ImageF& in, float gamma);
 /// zones will become darker" (§II). This is Moroney's local color
 /// correction with the mask inversion folded into the exponent's sign.
 /// `in` may have 1..4 channels; `mask` must be 1-channel and same size.
+/// Both 2^(...) and the power are evaluated by the pow_kernel.hpp kernel,
+/// not libm.
 img::ImageF nonlinear_masking(const img::ImageF& in, const img::ImageF& mask);
 
 /// Step 4 — brightness and contrast adjustment "to improve quality":
@@ -47,6 +55,13 @@ img::ImageF brightness_contrast(const img::ImageF& in, float brightness,
 // the plane-at-a-time pipeline. `in` and `out` may alias (every operation
 // is element-wise). `n` counts samples (pixels x channels).
 
+/// The frame maximum normalize_to_max divides by: the fold
+/// m = std::max(m, in[i]) from m = 0, i.e. the largest positive sample
+/// (NaN never wins), or +0 when there is none. That value does not depend
+/// on the fold order, so the scan runs as eight interleaved folds the
+/// compiler vectorizes.
+float max_sample_row(const float* in, std::size_t n);
+
 /// normalize_to_max's inner loop: out[i] = in[i] / max_v.
 void normalize_max_row(const float* in, float* out, std::size_t n,
                        float max_v);
@@ -57,13 +72,16 @@ void normalize_scale_row(const float* in, float* out, std::size_t n,
                          float scale);
 
 /// display_encode's inner loop: out[i] = max(in[i], 0) ^ inv_gamma (the
-/// caller precomputes inv_gamma = 1 / gamma, as display_encode does).
+/// caller precomputes inv_gamma = 1 / gamma, as display_encode does),
+/// i.e. pow_row.
 void display_encode_row(const float* in, float* out, std::size_t n,
                         float inv_gamma);
 
 /// nonlinear_masking's inner loop over one interleaved row of `width`
-/// pixels with `channels` samples each; `mask` holds the row's `width`
-/// 1-channel mask values.
+/// pixels with 1-4 `channels` samples each; `mask` holds the row's `width`
+/// 1-channel mask values. Per pixel, gamma = exp2_row of
+/// (clamp(mask, 0, 1) - 0.5) / 0.5; per sample, out = pow_row(in, gamma).
+/// Works through the row in chunks with stack scratch (no allocation).
 void masking_row(const float* in, const float* mask, float* out, int width,
                  int channels);
 

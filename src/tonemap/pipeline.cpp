@@ -62,24 +62,32 @@ void normalize_into(const img::ImageF& hdr, const PipelineOptions& opt,
                     "normalize");
   const auto si = hdr.samples();
   const auto so = dst.samples();
-  float scale = 0.0f;
-  if (opt.normalization_scale > 0.0f) {
-    scale = opt.normalization_scale;
-    normalize_scale_row(si.data(), so.data(), si.size(), scale);
-  } else {
-    // normalize_to_max's scan + row op, writing into dst instead of a
-    // fresh plane (same REQUIRE, same arithmetic — bit-identical).
-    for (const float v : si) scale = std::max(scale, v);
+  // normalize_to_max's scan and REQUIRE (or the external scale), then the
+  // row ops, writing into dst instead of a fresh plane — bit-identical.
+  float scale = opt.normalization_scale;
+  const bool by_max = !(scale > 0.0f);
+  if (by_max) {
+    scale = max_sample_row(si.data(), si.size());
     TMHLS_REQUIRE(scale > 0.0f,
                   "normalize_to_max: image has no positive sample");
-    normalize_max_row(si.data(), so.data(), si.size(), scale);
   }
-  if (opt.display_gamma != 1.0f) {
-    TMHLS_REQUIRE(opt.display_gamma > 0.0f,
-                  "display_encode: gamma must be positive");
-    // The row ops allow in == out; encode dst in place.
-    display_encode_row(so.data(), so.data(), so.size(),
-                       1.0f / opt.display_gamma);
+  const bool encode = opt.display_gamma != 1.0f;
+  TMHLS_REQUIRE(!encode || opt.display_gamma > 0.0f,
+                "display_encode: gamma must be positive");
+  const float inv_gamma = 1.0f / opt.display_gamma;
+  // Row by row, as the fused engine streams them, so each row is encoded
+  // (in place — the row ops allow in == out) while it is still in cache.
+  const std::size_t row = static_cast<std::size_t>(hdr.width()) *
+                          static_cast<std::size_t>(hdr.channels());
+  for (std::size_t off = 0; off < si.size(); off += row) {
+    if (by_max) {
+      normalize_max_row(si.data() + off, so.data() + off, row, scale);
+    } else {
+      normalize_scale_row(si.data() + off, so.data() + off, row, scale);
+    }
+    if (encode) {
+      display_encode_row(so.data() + off, so.data() + off, row, inv_gamma);
+    }
   }
   if (applied_scale != nullptr) *applied_scale = scale;
 }

@@ -1,0 +1,263 @@
+// pow / log2 / exp2 over rows, vectorized with GCC/Clang vector extensions
+// (the blur_passes_simd.cpp pattern: one always_inline generic-vector
+// body, an 8-lane AVX2 clone of it picked once at runtime, and a row tail
+// run through a zero-padded vector so the tail executes the very same
+// instruction sequence). The portable build instantiates the body on
+// 4-lane vectors: those map onto SSE2/NEON registers, whereas GCC lowers
+// 8-lane comparisons to scalar code on targets without 256-bit vectors.
+// Every operation is lane-wise, so the lane count changes no bit.
+//
+// log2(x): split x into 2^e * m with m folded into [sqrt(1/2), sqrt(2)),
+// then with r = m - 1 and u = r / (r + 2),
+//     ln(m) = 2 * (u + u^3/3 + u^5/5 + ... + u^11/11),
+// scaled by 1/ln 2 (|u| <= 0.1716, so the first omitted term is below
+// 2^-33 of the sum). Denormal inputs are rescaled by 2^23 first.
+//
+// exp2(t): n = round(t) with the 1.5 * 2^23 trick, f = t - n in
+// [-1/2, 1/2], 2^f from the degree-7 Taylor polynomial (truncation below
+// 2^-27 relative), then 2^n applied in two exponent-field steps so that a
+// result below 2^-126 is rounded once, correctly, into a denormal.
+//
+// pow(x, y) = exp2(y * log2(x)) with explicit selects for x <= 0 (-> +0),
+// +Inf and NaN.
+//
+// Selects are bitwise and/or on integer lane masks rather than vector ?:
+// (which not every compiler accepts on generic vectors). Vectors never
+// cross a function boundary by value — the helpers take references — so
+// no per-target vector ABI is involved (-Wpsabi stays quiet).
+#include "tonemap/pow_kernel.hpp"
+
+#include <cstdint>
+#include <cstring>
+
+namespace tmhls::tonemap {
+
+namespace {
+
+typedef float v4f __attribute__((vector_size(4 * sizeof(float))));
+typedef float v8f __attribute__((vector_size(8 * sizeof(float))));
+
+/// The lane-mask type of a float vector (what a comparison yields).
+template <typename V>
+using MaskOf = decltype(V{} < V{});
+
+#define TMHLS_POW_INLINE __attribute__((always_inline)) inline
+
+/// out = mask ? a : b, lane-wise (mask lanes are all-ones or all-zeros).
+template <typename V>
+TMHLS_POW_INLINE void select(const MaskOf<V>& mask, const V& a, const V& b,
+                             V& out) {
+  using VI = MaskOf<V>;
+  out = (V)((mask & (VI)a) | (~mask & (VI)b));
+}
+
+/// log2 of positive finite lanes; other lanes get a finite value the
+/// caller overrides.
+template <typename V>
+TMHLS_POW_INLINE void log2_lanes(const V& x, V& out) {
+  using VI = MaskOf<V>;
+  // Denormals get 23 more exponent bits so the mantissa split below sees
+  // a normal number.
+  const VI tiny = x < 1.17549435e-38f;
+  V xs{};
+  select<V>(tiny, x * 8388608.0f, x, xs);
+  const VI bits = (VI)xs;
+  VI e = (bits >> 23) - 127 + (tiny & -23);
+  VI mbits = (bits & 0x007fffff) | 0x3f800000;
+  // m >= sqrt(2): halve m (exponent field - 1) and count it in e.
+  const VI big = mbits >= 0x3fb504f3;
+  mbits -= big & 0x00800000;
+  e -= big;
+  const V r = (V)mbits - 1.0f;
+  const V u = r / (r + 2.0f);
+  const V u2 = u * u;
+  V s = u2 * 0.262308189f + 0.320598898f;
+  s = u2 * s + 0.412198583f;
+  s = u2 * s + 0.577078016f;
+  s = u2 * s + 0.961796694f;
+  s = u2 * s + 2.88539008f;
+  out = __builtin_convertvector(e, V) + u * s;
+}
+
+template <typename V>
+TMHLS_POW_INLINE void exp2_lanes(const V& t_in, V& out) {
+  using VI = MaskOf<V>;
+  // Clamp to [-151, 129], where the result is already 0 / +Inf. The lower
+  // bound is an ordered ">=" test, so NaN lanes take -151 too and no NaN
+  // reaches the float-to-int conversion; they get their NaN back last.
+  V t{};
+  select<V>(t_in > 129.0f, V{} + 129.0f, t_in, t);
+  select<V>(t >= -151.0f, t, V{} - 151.0f, t);
+  const V n = (t + 12582912.0f) - 12582912.0f; // round to nearest even
+  const V f = t - n;
+  V p = f * 1.52527338e-05f + 1.54035304e-04f;
+  p = f * p + 1.33335581e-03f;
+  p = f * p + 9.61812911e-03f;
+  p = f * p + 5.55041087e-02f;
+  p = f * p + 2.40226507e-01f;
+  p = f * p + 6.93147181e-01f;
+  p = f * p + 1.0f;
+  const VI ni = __builtin_convertvector(n, VI);
+  const VI n1 = ni >> 1;
+  const VI n2 = ni - n1;
+  const V r = (p * (V)((n1 + 127) << 23)) * (V)((n2 + 127) << 23);
+  select<V>(t_in != t_in, t_in, r, out);
+}
+
+/// max(x, 0) ^ y for one vector of samples.
+template <typename V>
+TMHLS_POW_INLINE void pow_lanes(const V& x, const V& y, V& out) {
+  using VI = MaskOf<V>;
+  V l{};
+  log2_lanes(x, l);
+  V r{};
+  exp2_lanes<V>(y * l, r);
+  // +Inf and NaN (exponent field all ones) are their own result; then
+  // every lane that is not > 0 — negatives, -Inf and both zeros — is +0.
+  select<V>(((VI)x & 0x7f800000) == 0x7f800000, x, r, r);
+  out = (V)(~(x <= 0.0f) & (VI)r);
+}
+
+/// The one row driver: `lanes` maps kIn input vectors to an output vector.
+/// Full vectors first, then the remaining samples of every input are
+/// copied into zero-padded vectors and run through the same body. Each
+/// block is loaded before it is stored, so `out` may alias an input.
+template <typename V, std::size_t kIn, typename Lanes>
+TMHLS_POW_INLINE void run_row(const float* const (&in)[kIn], float* out,
+                              std::size_t n, const Lanes& lanes) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+  V v[kIn] = {};
+  V r{};
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (std::size_t k = 0; k < kIn; ++k) {
+      std::memcpy(&v[k], in[k] + i, sizeof(V));
+    }
+    lanes(v, r);
+    std::memcpy(out + i, &r, sizeof(V));
+  }
+  if (i == n) return;
+  const std::size_t rest = (n - i) * sizeof(float);
+  float pad[kIn][kLanes] = {};
+  for (std::size_t k = 0; k < kIn; ++k) {
+    std::memcpy(pad[k], in[k] + i, rest);
+    std::memcpy(&v[k], pad[k], sizeof(V));
+  }
+  lanes(v, r);
+  std::memcpy(out + i, &r, rest);
+}
+
+template <typename V>
+struct PowShared {
+  V y;
+  TMHLS_POW_INLINE void operator()(const V (&v)[1], V& r) const {
+    pow_lanes(v[0], y, r);
+  }
+};
+template <typename V>
+struct PowEach {
+  TMHLS_POW_INLINE void operator()(const V (&v)[2], V& r) const {
+    pow_lanes(v[0], v[1], r);
+  }
+};
+template <typename V>
+struct Exp2 {
+  TMHLS_POW_INLINE void operator()(const V (&v)[1], V& r) const {
+    exp2_lanes(v[0], r);
+  }
+};
+
+template <typename V>
+TMHLS_POW_INLINE void pow_shared_body(const float* x, float* out,
+                                      std::size_t n, float y) {
+  const float* const in[] = {x};
+  run_row<V>(in, out, n, PowShared<V>{V{} + y});
+}
+template <typename V>
+TMHLS_POW_INLINE void pow_each_body(const float* x, const float* y,
+                                    float* out, std::size_t n) {
+  const float* const in[] = {x, y};
+  run_row<V>(in, out, n, PowEach<V>{});
+}
+template <typename V>
+TMHLS_POW_INLINE void exp2_body(const float* t, float* out, std::size_t n) {
+  const float* const in[] = {t};
+  run_row<V>(in, out, n, Exp2<V>{});
+}
+
+void pow_shared_generic(const float* x, float* out, std::size_t n, float y) {
+  pow_shared_body<v4f>(x, out, n, y);
+}
+void pow_each_generic(const float* x, const float* y, float* out,
+                      std::size_t n) {
+  pow_each_body<v4f>(x, y, out, n);
+}
+void exp2_generic(const float* t, float* out, std::size_t n) {
+  exp2_body<v4f>(t, out, n);
+}
+
+// The AVX2 clone runs the identical per-lane operation sequence with
+// 256-bit instructions (target("avx2") does not enable FMA, and the build
+// sets -ffp-contract=off besides): the dispatch changes the encoding and
+// the lane count, never the arithmetic.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define TMHLS_POW_X86_DISPATCH 1
+
+__attribute__((target("avx2"))) void pow_shared_avx2(const float* x,
+                                                     float* out,
+                                                     std::size_t n, float y) {
+  pow_shared_body<v8f>(x, out, n, y);
+}
+__attribute__((target("avx2"))) void pow_each_avx2(const float* x,
+                                                   const float* y, float* out,
+                                                   std::size_t n) {
+  pow_each_body<v8f>(x, y, out, n);
+}
+__attribute__((target("avx2"))) void exp2_avx2(const float* t, float* out,
+                                               std::size_t n) {
+  exp2_body<v8f>(t, out, n);
+}
+#endif
+
+const detail::PowKernels& active() {
+  static const detail::PowKernels& k = detail::pow_kernels_avx2() != nullptr
+                                           ? *detail::pow_kernels_avx2()
+                                           : detail::pow_kernels_generic();
+  return k;
+}
+
+} // namespace
+
+namespace detail {
+
+const PowKernels& pow_kernels_generic() {
+  static const PowKernels k{pow_shared_generic, pow_each_generic,
+                            exp2_generic};
+  return k;
+}
+
+const PowKernels* pow_kernels_avx2() {
+#ifdef TMHLS_POW_X86_DISPATCH
+  static const PowKernels k{pow_shared_avx2, pow_each_avx2, exp2_avx2};
+  static const bool has = __builtin_cpu_supports("avx2") != 0;
+  return has ? &k : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+} // namespace detail
+
+void pow_row(const float* x, float* out, std::size_t n, float y) {
+  active().pow_shared(x, out, n, y);
+}
+
+void pow_row(const float* x, const float* y, float* out, std::size_t n) {
+  active().pow_each(x, y, out, n);
+}
+
+void exp2_row(const float* t, float* out, std::size_t n) {
+  active().exp2(t, out, n);
+}
+
+} // namespace tmhls::tonemap

@@ -2,13 +2,15 @@
 // runs frames through: both routes (the fused sweep and the staged
 // composition) are byte-identical to tone_map() on separable_float across
 // backends and thread counts, the fused route runs the PLAN's threads
-// ("auto" included), and on adversarial frames — zero, negative, +Inf and
-// NaN samples, 1-pixel-thin frames, radii beyond the frame, 1/2/3/4
-// channels — both routes give the same bytes or the same typed error.
+// ("auto" included), and on adversarial frames — zero, negative, +Inf,
+// NaN, denormal and FLT_MAX samples, 1-pixel-thin frames, radii beyond the
+// frame, widths off the vector lane count, 1/2/3/4 channels — both routes
+// give the same bytes or the same typed error.
 // Also the execution-selection resolution, the stage composition and the
 // ExecutorOptions validation the engine is built on.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -333,6 +335,32 @@ std::vector<AdversarialCase> adversarial_cases() {
   for (int channels : {1, 2, 3, 4}) {
     cases.push_back({std::to_string(channels) + " channel(s)",
                      random_hdr(15, 12, 21, channels)});
+  }
+  // Denormal and extreme magnitudes reach the point-wise pow kernel's
+  // rescaling path: an external scale of 1 keeps denormals denormal after
+  // normalization, and FLT_MAX as the frame maximum turns every sample
+  // below ~4 into a denormal.
+  img::ImageF denormal(13, 9, 3);
+  {
+    Rng rng(23);
+    for (float& v : denormal.samples()) {
+      v = static_cast<float>(rng.uniform() * 1e-39 + 1e-45);
+    }
+  }
+  cases.push_back({"all denormal", denormal});
+  cases.push_back({"all denormal, external scale", denormal, 6, 1.0f});
+  img::ImageF extreme = random_hdr(16, 11, 25);
+  for (std::size_t i = 0; i < extreme.samples().size(); i += 2) {
+    extreme.samples()[i] = i % 4 == 0 ? 3e-42f : FLT_MAX;
+  }
+  cases.push_back({"denormals mixed with FLT_MAX", extreme});
+  cases.push_back({"denormals mixed with FLT_MAX, external scale", extreme,
+                   6, 1.0f});
+  // A width that is no multiple of the 8-lane vector: every row ends in
+  // the kernel's padded tail, at every channel count.
+  for (int channels : {1, 2, 3, 4}) {
+    cases.push_back({"1021x7, " + std::to_string(channels) + " channel(s)",
+                     random_hdr(1021, 7, 27, channels)});
   }
   cases.push_back({"empty", img::ImageF()});
   return cases;
