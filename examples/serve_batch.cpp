@@ -27,7 +27,7 @@ int main() {
   // Per-job pipeline options may differ job to job; runs of equal options
   // reuse the shard's engine, switches rebuild it.
   tonemap::PipelineOptions fast;
-  fast.backend = "separable_simd";
+  fast.backend = "fused_stream";
   fast.sigma = 4.0;
   tonemap::PipelineOptions fixed;
   fixed.backend = "streaming_fixed";

@@ -38,7 +38,14 @@ Args::Args(int argc, const char* const* argv,
   }
 }
 
+void Args::mark_read(const std::string& name) const {
+  for (const Option& o : options_) {
+    if (o.name == name) o.read = true;
+  }
+}
+
 bool Args::has(const std::string& name) const {
+  mark_read(name);
   for (const Option& o : options_) {
     if (o.name == name) return true;
   }
@@ -46,6 +53,7 @@ bool Args::has(const std::string& name) const {
 }
 
 std::optional<std::string> Args::get(const std::string& name) const {
+  mark_read(name);
   for (const Option& o : options_) {
     if (o.name == name && !o.is_flag) return o.value;
   }
@@ -75,6 +83,18 @@ int Args::get_int(const std::string& name, int fallback) const {
   TMHLS_REQUIRE(end != nullptr && *end == '\0' && !v->empty(),
                 "option --" + name + " expects an integer, got '" + *v + "'");
   return static_cast<int>(parsed);
+}
+
+void Args::reject_unread() const {
+  std::string unread;
+  for (const Option& o : options_) {
+    if (o.read) continue;
+    if (!unread.empty()) unread += ", ";
+    unread += "--" + o.name;
+  }
+  if (!unread.empty()) {
+    throw InvalidArgument("unknown option(s) for this command: " + unread);
+  }
 }
 
 } // namespace tmhls

@@ -1,6 +1,8 @@
-// Minimal command-line argument parser for the tools and examples.
+// Minimal command-line argument parser for the tools.
 // Supports `--flag`, `--key value`, `--key=value` and positional
-// arguments; unknown options throw so typos fail loudly.
+// arguments. Every query records the option name, and a command calls
+// reject_unread() once it has read its options: an option it never read
+// throws, so typos fail loudly instead of being ignored.
 #pragma once
 
 #include <optional>
@@ -38,12 +40,22 @@ public:
   /// Positional arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Throws InvalidArgument naming every option that no has/get* call has
+  /// queried. A command calls this after reading its options and before
+  /// doing any work.
+  void reject_unread() const;
+
 private:
   struct Option {
     std::string name;
     std::string value;
     bool is_flag = false;
+    /// Set by the first has/get* query for `name`.
+    mutable bool read = false;
   };
+  /// Mark every option called `name` as read.
+  void mark_read(const std::string& name) const;
+
   std::string program_;
   std::vector<Option> options_;
   std::vector<std::string> positional_;

@@ -63,9 +63,8 @@ inline double ratio_to_db(double ratio) { return 10.0 * std::log10(ratio); }
 /// Nearest-rank percentile of a sample set: p in [0, 1] (0.5 = median,
 /// 0.99 = p99; throws InvalidArgument outside that range — note the
 /// fraction scale, not 0..100). Takes the values by copy and sorts them;
-/// 0 for an empty set. The one definition the latency-reporting tools
-/// (tmhls_cli serve, bench_serving) share, so their p50/p99 columns
-/// cannot drift apart.
+/// 0 for an empty set. The one definition tmhls_cli's serve and client
+/// latency tables share, so their p50/p99 columns cannot drift apart.
 inline double percentile(std::vector<double> values, double p) {
   TMHLS_REQUIRE(p >= 0.0 && p <= 1.0,
                 "percentile: p must be a fraction in [0, 1]");

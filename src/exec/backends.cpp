@@ -1,7 +1,6 @@
 #include "exec/backends.hpp"
 
 #include "common/error.hpp"
-#include "exec/registry.hpp"
 #include "hlscode/blur_kernels.hpp"
 #include "tonemap/blur_passes.hpp"
 #include "tonemap/fused_stream.hpp"
@@ -32,27 +31,6 @@ img::ImageF SeparableFloatBackend::run_blur(
   return tonemap::blur_separable_float(intensity, kernel);
 }
 
-BackendCapabilities SeparableSimdBackend::capabilities() const {
-  BackendCapabilities caps;
-  caps.float_datapath = true;
-  caps.data_bits = 32;
-  caps.simd_lanes = tonemap::kSimdDefaultLanes;
-  return caps;
-}
-
-img::ImageF SeparableSimdBackend::run_blur(
-    const img::ImageF& intensity, const tonemap::GaussianKernel& kernel,
-    const BlurContext& ctx) const {
-  require_single_thread(*this, ctx);
-  TMHLS_REQUIRE(intensity.channels() == 1, "blur expects a 1-channel image");
-  const int h = intensity.height();
-  img::ImageF tmp(intensity.width(), h, 1);
-  img::ImageF dst(intensity.width(), h, 1);
-  tonemap::blur_hpass_float_rows_simd(intensity, tmp, kernel, 0, h);
-  tonemap::blur_vpass_float_rows_simd(tmp, dst, kernel, 0, h);
-  return dst;
-}
-
 BackendCapabilities StreamingFixedBackend::capabilities() const {
   BackendCapabilities caps;
   caps.fixed_datapath = true;
@@ -77,7 +55,7 @@ BackendCapabilities FusedStreamBackend::capabilities() const {
   // (tonemap::tone_map_fused), deleting the inter-stage plane traffic.
   caps.fused_pipeline = true;
   caps.data_bits = 32;
-  caps.simd_lanes = tonemap::kSimdDefaultLanes;
+  caps.simd_lanes = tonemap::blur_row_simd_lanes();
   return caps;
 }
 
@@ -125,23 +103,6 @@ img::ImageF HlsCodeBackend::run_blur(const img::ImageF& intensity,
     return hlscode::run_blur_fixed(intensity, kernel);
   }
   return hlscode::run_blur_float(intensity, kernel);
-}
-
-void register_builtin_backends(BackendRegistry& registry) {
-  registry.register_backend("separable_float", [] {
-    return std::make_shared<const SeparableFloatBackend>();
-  });
-  registry.register_backend("separable_simd", [] {
-    return std::make_shared<const SeparableSimdBackend>();
-  });
-  registry.register_backend("streaming_fixed", [] {
-    return std::make_shared<const StreamingFixedBackend>();
-  });
-  registry.register_backend(
-      "hlscode", [] { return std::make_shared<const HlsCodeBackend>(); });
-  registry.register_backend("fused_stream", [] {
-    return std::make_shared<const FusedStreamBackend>();
-  });
 }
 
 } // namespace tmhls::exec

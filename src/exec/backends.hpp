@@ -1,13 +1,7 @@
-// The five built-in execution backends:
+// The four execution backends:
 //
 //   SeparableFloatBackend — the original CPU form (direct neighbour
 //       indexing), the paper's "SW source code" baseline.
-//   SeparableSimdBackend  — the separable form with interior/border-split
-//       rows and the interior vectorized across pixels (GCC/Clang vector
-//       extensions); bit-identical to the separable form because every
-//       vector lane runs one pixel's scalar tap sequence unchanged. The
-//       vectorize-don't-rewrite move is the same algorithm/schedule split
-//       the paper's HLS pragmas apply on the FPGA, applied to the host.
 //   StreamingFixedBackend — the §III.C restructured form with the
 //       ap_fixed-modelled datapath.
 //   HlsCodeBackend        — routes through the synthesizable hlscode
@@ -16,9 +10,9 @@
 //       pipeline, in either datapath.
 //   FusedStreamBackend    — the fused sliding-window engine
 //       (tonemap::blur_fused_stream): both blur passes in one sweep per
-//       frame through a taps-row line buffer, SIMD pass primitives, no
-//       full-frame intermediate plane. Float datapath, bit-identical to
-//       the separable form at every thread count.
+//       frame through a taps-row line buffer, the SIMD row passes of
+//       blur_passes.hpp, no full-frame intermediate plane. Float datapath,
+//       bit-identical to the separable form at every thread count.
 //
 // Only the fused engine runs multi-threaded (halo-recomputing row bands,
 // bit-identical to single-threaded); the other backends are the golden
@@ -35,15 +29,6 @@ namespace tmhls::exec {
 class SeparableFloatBackend final : public Backend {
 public:
   const char* name() const override { return "separable_float"; }
-  BackendCapabilities capabilities() const override;
-  img::ImageF run_blur(const img::ImageF& intensity,
-                       const tonemap::GaussianKernel& kernel,
-                       const BlurContext& ctx) const override;
-};
-
-class SeparableSimdBackend final : public Backend {
-public:
-  const char* name() const override { return "separable_simd"; }
   BackendCapabilities capabilities() const override;
   img::ImageF run_blur(const img::ImageF& intensity,
                        const tonemap::GaussianKernel& kernel,

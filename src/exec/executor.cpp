@@ -1,6 +1,7 @@
 #include "exec/executor.hpp"
 
 #include "common/error.hpp"
+#include "exec/registry.hpp"
 
 namespace tmhls::exec {
 
@@ -18,9 +19,9 @@ PipelineExecutor::PipelineExecutor(std::shared_ptr<const Backend> backend,
 }
 
 PipelineExecutor::PipelineExecutor(const std::string& backend_name,
-                                   ExecutorOptions options,
-                                   const BackendRegistry& registry)
-    : PipelineExecutor(registry.resolve(backend_name), options) {}
+                                   ExecutorOptions options)
+    : PipelineExecutor(BackendRegistry::global().resolve(backend_name),
+                       options) {}
 
 int PipelineExecutor::effective_threads() const {
   return backend_->capabilities().tiled_threads ? options_.threads : 1;

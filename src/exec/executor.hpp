@@ -9,7 +9,6 @@
 #include <string>
 
 #include "exec/backend.hpp"
-#include "exec/registry.hpp"
 
 namespace tmhls::exec {
 
@@ -35,11 +34,9 @@ public:
   explicit PipelineExecutor(std::shared_ptr<const Backend> backend,
                             ExecutorOptions options = {});
 
-  /// Resolve `backend_name` through `registry` (default: the global one).
+  /// Resolve `backend_name` through BackendRegistry::global().
   explicit PipelineExecutor(const std::string& backend_name,
-                            ExecutorOptions options = {},
-                            const BackendRegistry& registry =
-                                BackendRegistry::global());
+                            ExecutorOptions options = {});
 
   const Backend& backend() const { return *backend_; }
   const ExecutorOptions& options() const { return options_; }

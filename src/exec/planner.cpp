@@ -1,8 +1,7 @@
 #include "exec/planner.hpp"
 
-#include <span>
-
 #include "common/error.hpp"
+#include "exec/registry.hpp"
 
 namespace tmhls::exec {
 
@@ -19,23 +18,15 @@ ExecutionPlan make_plan(std::shared_ptr<const Backend> backend,
 }
 
 ExecutionPlan plan_auto(const PlanRequest& request,
-                        const tonemap::GaussianKernel& kernel,
-                        const BackendRegistry& registry) {
-  static constexpr const char* kFloatRule[] = {"fused_stream"};
-  static constexpr const char* kFixedRule[] = {"hlscode", "streaming_fixed"};
-  const bool use_fixed = request.datapath == Datapath::fixed_point;
-  const std::span<const char* const> rule =
-      use_fixed ? std::span<const char* const>(kFixedRule)
-                : std::span<const char* const>(kFloatRule);
-  for (const char* name : rule) {
-    if (!registry.contains(name)) continue;
-    ExecutionPlan plan =
-        make_plan(registry.resolve(name), request, use_fixed);
-    if (plan.make_executor().can_run(kernel)) return plan;
+                        const tonemap::GaussianKernel& kernel) {
+  const BackendRegistry& registry = BackendRegistry::global();
+  // fused_stream has no tap bound: it runs every float request.
+  if (request.datapath != Datapath::fixed_point) {
+    return make_plan(registry.resolve("fused_stream"), request, false);
   }
-  throw InvalidArgument(
-      "auto backend selection: no registered backend can run this request "
-      "(datapath or kernel size unsupported)");
+  ExecutionPlan hls = make_plan(registry.resolve("hlscode"), request, true);
+  if (hls.make_executor().can_run(kernel)) return hls;
+  return make_plan(registry.resolve("streaming_fixed"), request, true);
 }
 
 } // namespace
@@ -61,21 +52,21 @@ PipelineExecutor ExecutionPlan::make_executor() const {
 }
 
 ExecutionPlan plan(const PlanRequest& request,
-                   const tonemap::GaussianKernel& kernel,
-                   const BackendRegistry& registry) {
+                   const tonemap::GaussianKernel& kernel) {
   TMHLS_REQUIRE(request.threads >= 1,
                 "PlanRequest::threads must be >= 1, got " +
                     std::to_string(request.threads));
   TMHLS_REQUIRE(request.width > 0 && request.height > 0,
                 "PlanRequest: frame dimensions must be positive");
   const std::string& name = request.backend;
-  if (name == "auto") return plan_auto(request, kernel, registry);
+  if (name == "auto") return plan_auto(request, kernel);
 
-  std::shared_ptr<const Backend> backend = registry.resolve(name);
+  std::shared_ptr<const Backend> backend =
+      BackendRegistry::global().resolve(name);
   const BackendCapabilities caps = backend->capabilities();
   bool use_fixed = request.datapath == Datapath::fixed_point;
   // Asking a float-only backend for the fixed datapath would otherwise be
-  // silently ignored (e.g. `--fixed --backend separable_simd`).
+  // silently ignored (e.g. `--fixed --backend fused_stream`).
   TMHLS_REQUIRE(!use_fixed || caps.fixed_datapath,
                 "backend " + name +
                     " has no fixed-point datapath; drop the fixed-point "

@@ -48,7 +48,7 @@ struct PlanRequest {
   /// Frame geometry; must be positive (the rule itself ignores it).
   int width = 1024;
   int height = 768;
-  /// Registry backend name, or the reserved "auto" (see the file comment).
+  /// Backend name, or the reserved "auto" (see the file comment).
   std::string backend = "auto";
   Datapath datapath = Datapath::unspecified;
   /// Requested worker threads (the plan clamps to 1 for backends without
@@ -76,14 +76,12 @@ struct ExecutionPlan {
   PipelineExecutor make_executor() const;
 };
 
-/// Resolve one request against `registry`. Named backends validate
-/// capabilities (a fixed request on a float-only backend, or an explicit
-/// float request on a fixed-only one, throws InvalidArgument); "auto"
-/// applies the capability rule and throws InvalidArgument when no
-/// registered backend of the rule can run the request. An unknown name
-/// (the empty string included) throws too.
+/// Resolve one request against BackendRegistry::global(). Named backends
+/// validate capabilities (a fixed request on a float-only backend, or an
+/// explicit float request on a fixed-only one, throws InvalidArgument);
+/// "auto" applies the capability rule, which always finds a backend. An
+/// unknown name (the empty string included) throws.
 ExecutionPlan plan(const PlanRequest& request,
-                   const tonemap::GaussianKernel& kernel,
-                   const BackendRegistry& registry = BackendRegistry::global());
+                   const tonemap::GaussianKernel& kernel);
 
 } // namespace tmhls::exec

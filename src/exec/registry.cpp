@@ -1,74 +1,40 @@
 #include "exec/registry.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "exec/backends.hpp"
 
 namespace tmhls::exec {
 
-void BackendRegistry::register_backend(const std::string& name,
-                                       Factory factory) {
-  TMHLS_REQUIRE(!name.empty(), "backend name must not be empty");
-  TMHLS_REQUIRE(name != "auto",
-                "backend name 'auto' is reserved for automatic selection");
-  TMHLS_REQUIRE(factory != nullptr, "backend factory must not be null");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [existing, entry] : entries_) {
-    (void)entry;
-    if (existing == name) {
-      throw InvalidArgument("backend already registered: " + name);
-    }
-  }
-  entries_.emplace_back(name, Entry{std::move(factory), nullptr});
-}
-
-bool BackendRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const auto& e) { return e.first == name; });
-}
+BackendRegistry::BackendRegistry()
+    : backends_{std::make_shared<const FusedStreamBackend>(),
+                std::make_shared<const HlsCodeBackend>(),
+                std::make_shared<const SeparableFloatBackend>(),
+                std::make_shared<const StreamingFixedBackend>()} {}
 
 std::shared_ptr<const Backend> BackendRegistry::resolve(
     const std::string& name) const {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [existing, entry] : entries_) {
-      if (existing != name) continue;
-      if (!entry.instance) entry.instance = entry.factory();
-      TMHLS_ASSERT(entry.instance != nullptr,
-                   "backend factory returned null");
-      return entry.instance;
-    }
+  for (const auto& backend : backends_) {
+    if (name == backend->name()) return backend;
   }
   std::string known;
   for (const std::string& n : names()) {
     if (!known.empty()) known += ", ";
     known += n;
   }
-  throw InvalidArgument("unknown backend: " + name +
-                        " (registered: " + known + ")");
+  throw InvalidArgument("unknown backend: " + name + " (known: " + known +
+                        ")");
 }
 
 std::vector<std::string> BackendRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) {
-    (void)entry;
-    out.push_back(name);
-  }
-  std::sort(out.begin(), out.end());
+  out.reserve(backends_.size());
+  for (const auto& backend : backends_) out.emplace_back(backend->name());
   return out;
 }
 
-BackendRegistry& BackendRegistry::global() {
-  static BackendRegistry* registry = [] {
-    auto* r = new BackendRegistry();
-    register_builtin_backends(*r);
-    return r;
-  }();
-  return *registry;
+const BackendRegistry& BackendRegistry::global() {
+  static const BackendRegistry registry;
+  return registry;
 }
 
 } // namespace tmhls::exec

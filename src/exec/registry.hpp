@@ -1,13 +1,12 @@
-// Name-indexed registry of execution backends. The global() registry is
-// pre-seeded with the five built-in implementations; tools resolve the
-// user's --backend string through it, and new strategies (GPU, remote,
-// cached) plug in by registering a factory. The name "auto" is reserved:
-// exec::plan resolves it by a fixed capability rule instead of naming one.
+// The fixed table of execution backends: the Table II design forms the
+// host keeps, plus the production form of the §III.B line buffer —
+// separable_float (the "SW source" baseline), streaming_fixed and hlscode
+// (the HLS forms) and fused_stream. Tools resolve the user's --backend
+// string through it. The name "auto" is not in the table: exec::plan
+// resolves it by a fixed capability rule instead of naming one.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -17,39 +16,22 @@ namespace tmhls::exec {
 
 class BackendRegistry {
 public:
-  /// Creates one (shared, immutable) backend instance on first resolve.
-  using Factory = std::function<std::shared_ptr<const Backend>()>;
-
-  /// Register `factory` under `name`; throws InvalidArgument if the name
-  /// is already taken.
-  void register_backend(const std::string& name, Factory factory);
-
-  /// True if `name` is registered.
-  bool contains(const std::string& name) const;
-
-  /// Resolve a backend by name; throws InvalidArgument listing the
-  /// registered names when `name` is unknown.
+  /// Resolve a backend by name; throws InvalidArgument listing the known
+  /// names when `name` is unknown.
   std::shared_ptr<const Backend> resolve(const std::string& name) const;
 
-  /// Registered names, sorted.
+  /// The backend names, sorted.
   std::vector<std::string> names() const;
 
-  /// The process-wide registry, pre-seeded with the built-in backends:
-  /// separable_float, separable_simd, streaming_fixed, hlscode,
-  /// fused_stream.
-  static BackendRegistry& global();
+  /// The process-wide table: fused_stream, hlscode, separable_float,
+  /// streaming_fixed (one shared, immutable instance each).
+  static const BackendRegistry& global();
 
 private:
-  struct Entry {
-    Factory factory;
-    mutable std::shared_ptr<const Backend> instance;
-  };
-  mutable std::mutex mutex_;
-  std::vector<std::pair<std::string, Entry>> entries_;
-};
+  BackendRegistry();
 
-/// Register the five built-in backends into `registry` (idempotent on the
-/// names: throws if one is already present). global() calls this once.
-void register_builtin_backends(BackendRegistry& registry);
+  /// Sorted by name.
+  std::vector<std::shared_ptr<const Backend>> backends_;
+};
 
 } // namespace tmhls::exec

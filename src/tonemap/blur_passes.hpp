@@ -1,6 +1,5 @@
 // Row primitives of the separable Gaussian blur, used by the golden
-// models, the vectorized separable_simd backend and the fused streaming
-// engine's halo-recomputing row bands.
+// models and the fused streaming engine's halo-recomputing row bands.
 //
 // Each pass processes output rows [y_begin, y_end) with clamp-to-edge
 // borders and accumulates taps in ascending order (i = 0..taps-1) — the
@@ -11,15 +10,18 @@
 // All passes split every row into border columns (where a tap window runs
 // off the image and clamps) and an interior (where it never does): the
 // interior loops carry no per-pixel clamp branch, which is what lets the
-// scalar forms run branch-free and the SIMD forms vectorize. The border
-// handling lives in one place (detail::*_border) shared by the scalar and
-// SIMD variants.
+// scalar forms run branch-free and the SIMD row passes vectorize. The
+// border handling lives in one place (detail::*_border) shared by the
+// scalar and SIMD forms.
 //
-// The SIMD variants vectorize *across output pixels* (x), not across taps:
-// lane l of the vector accumulator carries pixel x+l through the same
-// ascending tap sequence as the scalar form, so every lane performs the
-// scalar computation verbatim — no reassociation — and the output is
-// bit-identical to the scalar passes for any lane width.
+// The SIMD row passes (*_row_simd, what fused_stream runs) vectorize
+// *across output pixels* (x), not across taps: lane l of the vector
+// accumulator carries pixel x+l through the same ascending tap sequence as
+// the scalar form, so every lane performs the scalar computation verbatim
+// — no reassociation — and the output is bit-identical to the scalar
+// passes. They dispatch once at runtime between a portable 4-lane build
+// and an 8-lane AVX2 clone (detail::BlurRowKernels), which compute the
+// same bits.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +32,6 @@
 #include "tonemap/kernel.hpp"
 
 namespace tmhls::tonemap {
-
-/// Lane widths the SIMD pass primitives are compiled for.
-inline constexpr int kSimdLanes4 = 4;
-inline constexpr int kSimdLanes8 = 8;
-/// Default lane width (what the separable_simd backend reports and runs).
-inline constexpr int kSimdDefaultLanes = kSimdLanes8;
 
 namespace detail {
 
@@ -63,15 +59,33 @@ void hpass_float_border(const float* row, float* out, const float* wts,
                         int taps, int radius, int width, int x0, int x1);
 
 /// Scalar clamp-free horizontal taps for interior columns [x0, x1) of one
-/// row: the scalar pass's interior and the SIMD pass's sub-vector tail.
+/// row: the scalar pass's interior and the SIMD row's sub-vector tail.
 void hpass_float_interior(const float* row, float* out, const float* wts,
                           int taps, int radius, int x0, int x1);
 
 /// Scalar vertical taps for columns [x0, x1) of one output row, reading
 /// per-tap source-row pointers (vertical clamp already hoisted): the
-/// scalar vertical pass's body and the SIMD pass's sub-vector tail.
+/// scalar vertical pass's body and the SIMD row's sub-vector tail.
 void vpass_float_columns(const float* const* rows, float* out,
                          const float* wts, int taps, int x0, int x1);
+
+/// The SIMD row passes compiled for one instruction set. Every table
+/// computes the scalar passes' bits; the public *_row_simd functions run
+/// the widest one the CPU has.
+struct BlurRowKernels {
+  int lanes; ///< output pixels per vector
+  void (*hpass)(const float* row, float* out, const float* wts, int taps,
+                int radius, int width);
+  void (*vpass)(const float* const* rows, float* out, const float* wts,
+                int taps, int width);
+};
+
+/// Portable 4-lane generic-vector build (SSE2 / NEON registers).
+const BlurRowKernels& blur_row_kernels_generic();
+
+/// The same source compiled 8 lanes wide for AVX2; nullptr when the build
+/// target is not x86-64 or the CPU lacks AVX2.
+const BlurRowKernels* blur_row_kernels_avx2();
 
 } // namespace detail
 
@@ -84,10 +98,9 @@ void hpass_float_row(const float* row, float* out, const float* wts, int taps,
                      int radius, int width);
 
 /// SIMD variant of hpass_float_row (vectorized interior, scalar tail);
-/// bit-identical to it for any lane width.
+/// bit-identical to it.
 void hpass_float_row_simd(const float* row, float* out, const float* wts,
-                          int taps, int radius, int width,
-                          int lanes = kSimdDefaultLanes);
+                          int taps, int radius, int width);
 
 /// Vertical taps of ONE output row over per-tap source-row pointers (the
 /// caller hoists the vertical clamp into `rows`, exactly as the row-range
@@ -97,8 +110,10 @@ void vpass_float_row(const float* const* rows, float* out, const float* wts,
 
 /// SIMD variant of vpass_float_row; bit-identical to it.
 void vpass_float_row_simd(const float* const* rows, float* out,
-                          const float* wts, int taps, int width,
-                          int lanes = kSimdDefaultLanes);
+                          const float* wts, int taps, int width);
+
+/// Output pixels per vector of the SIMD row build the dispatcher picked.
+int blur_row_simd_lanes();
 
 /// Horizontal pass over rows [y_begin, y_end): dst(x, y) = sum of taps over
 /// src(clamp(x - radius + i), y). Reads only rows in the range (row-local).
@@ -112,19 +127,6 @@ void blur_hpass_float_rows(const img::ImageF& src, img::ImageF& dst,
 void blur_vpass_float_rows(const img::ImageF& tmp, img::ImageF& dst,
                            const GaussianKernel& kernel, int y_begin,
                            int y_end);
-
-/// SIMD horizontal pass, vectorized across pixels; bit-identical to
-/// blur_hpass_float_rows. `lanes` selects the compiled vector width
-/// (kSimdLanes4 or kSimdLanes8).
-void blur_hpass_float_rows_simd(const img::ImageF& src, img::ImageF& dst,
-                                const GaussianKernel& kernel, int y_begin,
-                                int y_end, int lanes = kSimdDefaultLanes);
-
-/// SIMD vertical pass, vectorized across pixels; bit-identical to
-/// blur_vpass_float_rows. Same halo contract as the scalar form.
-void blur_vpass_float_rows_simd(const img::ImageF& tmp, img::ImageF& dst,
-                                const GaussianKernel& kernel, int y_begin,
-                                int y_end, int lanes = kSimdDefaultLanes);
 
 /// Precomputed state of one fixed-point blur invocation: quantised kernel
 /// ROM plus the datapath's MAC/requantisation rules, matching the

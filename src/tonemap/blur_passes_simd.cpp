@@ -1,7 +1,7 @@
-// SIMD variants of the float row-range pass primitives, vectorized across
-// output pixels with GCC/Clang vector extensions (portable: the compiler
-// lowers the generic vector ops to whatever the target ISA provides, or to
-// scalar code on targets without SIMD).
+// SIMD row passes of the float blur, vectorized across output pixels with
+// GCC/Clang vector extensions (the pattern of pow_kernel.cpp: one
+// always_inline generic-vector body, a portable 4-lane build, an 8-lane
+// AVX2 clone of it picked once at runtime).
 //
 // Why this stays bit-identical to the scalar passes: vector lane l carries
 // output pixel x+l, and the tap loop accumulates
@@ -10,16 +10,14 @@
 // that pixel. Vectorizing across *pixels* needs no reassociation of any
 // pixel's sum (unlike vectorizing across *taps*, which would split one
 // pixel's accumulation into partial sums), and IEEE-754 arithmetic is
-// deterministic per lane, so the result is the scalar result bit for bit.
-// The build sets -ffp-contract=off so neither form is FMA-contracted
-// behind the other's back on FMA-capable targets.
+// deterministic per lane, so the result is the scalar result bit for bit
+// at either lane count. The build sets -ffp-contract=off so neither form
+// is FMA-contracted behind the other's back on FMA-capable targets.
 //
 // Vectors never cross a function boundary (locals only) to keep the code
 // free of per-target vector ABI concerns (-Wpsabi).
 #include <cstring>
-#include <vector>
 
-#include "common/error.hpp"
 #include "tonemap/blur_passes.hpp"
 
 namespace tmhls::tonemap {
@@ -29,21 +27,15 @@ namespace {
 typedef float v4f __attribute__((vector_size(4 * sizeof(float))));
 typedef float v8f __attribute__((vector_size(8 * sizeof(float))));
 
-int check_lanes(int lanes) {
-  TMHLS_REQUIRE(lanes == kSimdLanes4 || lanes == kSimdLanes8,
-                "simd blur pass: lanes must be 4 or 8");
-  return lanes;
-}
+#define TMHLS_BLUR_INLINE __attribute__((always_inline)) inline
 
 /// Vectorized interior of one horizontal-pass row: full vector blocks of
 /// columns in [x_begin, x_end). Returns the first unprocessed column (the
-/// caller finishes the scalar tail). always_inline so the x86 ISA-targeted
-/// wrappers below compile this body with their wider instruction set (the
-/// operation sequence — and hence the result — is the same either way).
+/// caller finishes the scalar tail).
 template <typename V>
-__attribute__((always_inline)) inline int hpass_interior_vec(
-    const float* row, float* out, const float* wts, int taps, int radius,
-    int x_begin, int x_end) {
+TMHLS_BLUR_INLINE int hpass_interior_vec(const float* row, float* out,
+                                         const float* wts, int taps,
+                                         int radius, int x_begin, int x_end) {
   constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(float));
   int x = x_begin;
   // Four independent accumulator vectors (4 * kLanes pixels) per tap
@@ -96,9 +88,8 @@ __attribute__((always_inline)) inline int hpass_interior_vec(
 /// Vectorized vertical-pass row over per-tap source-row pointers (the
 /// clamp hoisted by the caller). Returns the first unprocessed column.
 template <typename V>
-__attribute__((always_inline)) inline int vpass_row_vec(
-    const float* const* rows, float* out, const float* wts, int taps,
-    int width) {
+TMHLS_BLUR_INLINE int vpass_row_vec(const float* const* rows, float* out,
+                                    const float* wts, int taps, int width) {
   constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(float));
   int x = 0;
   // Same four-accumulator treatment as the horizontal interior.
@@ -143,123 +134,98 @@ __attribute__((always_inline)) inline int vpass_row_vec(
   return x;
 }
 
-// On x86-64 the portable build targets baseline SSE2, which splits an
-// 8-lane vector into two 4-wide halves. When the CPU has AVX2, a copy of
-// the same kernels compiled with 256-bit instructions runs the identical
-// mul-then-add sequence (target("avx2") does not enable FMA, and the
-// build sets -ffp-contract=off besides) — so dispatching on cpuid changes
-// the instruction encoding, never the arithmetic.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define TMHLS_SIMD_X86_DISPATCH 1
-
-__attribute__((target("avx2"))) int hpass_interior_v8_avx2(
-    const float* row, float* out, const float* wts, int taps, int radius,
-    int x_begin, int x_end) {
-  return hpass_interior_vec<v8f>(row, out, wts, taps, radius, x_begin,
-                                 x_end);
-}
-
-__attribute__((target("avx2"))) int vpass_row_v8_avx2(
-    const float* const* rows, float* out, const float* wts, int taps,
-    int width) {
-  return vpass_row_vec<v8f>(rows, out, wts, taps, width);
-}
-
-bool cpu_has_avx2() {
-  static const bool has = __builtin_cpu_supports("avx2") != 0;
-  return has;
-}
-#endif
-
-int hpass_interior(const float* row, float* out, const float* wts, int taps,
-                   int radius, int x_begin, int x_end, int lanes) {
-  if (lanes == kSimdLanes8) {
-#ifdef TMHLS_SIMD_X86_DISPATCH
-    if (cpu_has_avx2()) {
-      return hpass_interior_v8_avx2(row, out, wts, taps, radius, x_begin,
-                                    x_end);
-    }
-#endif
-    return hpass_interior_vec<v8f>(row, out, wts, taps, radius, x_begin,
-                                   x_end);
-  }
-  return hpass_interior_vec<v4f>(row, out, wts, taps, radius, x_begin,
-                                 x_end);
-}
-
-int vpass_row(const float* const* rows, float* out, const float* wts,
-              int taps, int width, int lanes) {
-  if (lanes == kSimdLanes8) {
-#ifdef TMHLS_SIMD_X86_DISPATCH
-    if (cpu_has_avx2()) return vpass_row_v8_avx2(rows, out, wts, taps, width);
-#endif
-    return vpass_row_vec<v8f>(rows, out, wts, taps, width);
-  }
-  return vpass_row_vec<v4f>(rows, out, wts, taps, width);
-}
-
-} // namespace
-
-void hpass_float_row_simd(const float* row, float* out, const float* wts,
-                          int taps, int radius, int width, int lanes) {
-  check_lanes(lanes);
+/// One horizontal row: scalar borders, vectorized interior, scalar tail of
+/// the interior (fewer than one vector of columns left).
+template <typename V>
+TMHLS_BLUR_INLINE void hpass_row_body(const float* row, float* out,
+                                      const float* wts, int taps, int radius,
+                                      int width) {
   const detail::ColumnRange in = detail::interior_columns(width, radius);
   detail::hpass_float_border(row, out, wts, taps, radius, width, 0, in.begin);
   const int x =
-      hpass_interior(row, out, wts, taps, radius, in.begin, in.end, lanes);
-  // Scalar tail of the interior (fewer than `lanes` columns left).
+      hpass_interior_vec<V>(row, out, wts, taps, radius, in.begin, in.end);
   detail::hpass_float_interior(row, out, wts, taps, radius, x, in.end);
   detail::hpass_float_border(row, out, wts, taps, radius, width, in.end,
                              width);
 }
 
-void vpass_float_row_simd(const float* const* rows, float* out,
-                          const float* wts, int taps, int width, int lanes) {
-  check_lanes(lanes);
-  const int x = vpass_row(rows, out, wts, taps, width, lanes);
+template <typename V>
+TMHLS_BLUR_INLINE void vpass_row_body(const float* const* rows, float* out,
+                                      const float* wts, int taps, int width) {
+  const int x = vpass_row_vec<V>(rows, out, wts, taps, width);
   detail::vpass_float_columns(rows, out, wts, taps, x, width);
 }
 
-void blur_hpass_float_rows_simd(const img::ImageF& src, img::ImageF& dst,
-                                const GaussianKernel& kernel, int y_begin,
-                                int y_end, int lanes) {
-  TMHLS_REQUIRE(src.channels() == 1, "blur expects a 1-channel image");
-  TMHLS_REQUIRE(src.same_shape(dst), "blur pass: shape mismatch");
-  detail::check_range(y_begin, y_end, src.height());
-  check_lanes(lanes);
-  const int w = src.width();
-  const int radius = kernel.radius();
-  const int taps = kernel.taps();
-  const float* wts = kernel.weights().data();
-
-  for (int y = y_begin; y < y_end; ++y) {
-    hpass_float_row_simd(&src.at_unchecked(0, y), &dst.at_unchecked(0, y),
-                         wts, taps, radius, w, lanes);
-  }
+void hpass_row_generic(const float* row, float* out, const float* wts,
+                       int taps, int radius, int width) {
+  hpass_row_body<v4f>(row, out, wts, taps, radius, width);
+}
+void vpass_row_generic(const float* const* rows, float* out,
+                       const float* wts, int taps, int width) {
+  vpass_row_body<v4f>(rows, out, wts, taps, width);
 }
 
-void blur_vpass_float_rows_simd(const img::ImageF& tmp, img::ImageF& dst,
-                                const GaussianKernel& kernel, int y_begin,
-                                int y_end, int lanes) {
-  TMHLS_REQUIRE(tmp.channels() == 1, "blur expects a 1-channel image");
-  TMHLS_REQUIRE(tmp.same_shape(dst), "blur pass: shape mismatch");
-  detail::check_range(y_begin, y_end, tmp.height());
-  check_lanes(lanes);
-  const int w = tmp.width();
-  const int h = tmp.height();
-  const int radius = kernel.radius();
-  const int taps = kernel.taps();
-  const float* wts = kernel.weights().data();
+// The AVX2 clone runs the identical per-lane mul-then-add sequence with
+// 256-bit instructions (target("avx2") does not enable FMA, and the build
+// sets -ffp-contract=off besides): the dispatch changes the encoding and
+// the lane count, never the arithmetic.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define TMHLS_BLUR_X86_DISPATCH 1
 
-  std::vector<const float*> rows(static_cast<std::size_t>(taps));
-  for (int y = y_begin; y < y_end; ++y) {
-    for (int i = 0; i < taps; ++i) {
-      rows[static_cast<std::size_t>(i)] =
-          &tmp.at_unchecked(0, detail::clamp_index(y - radius + i, h));
-    }
-    vpass_float_row_simd(rows.data(), &dst.at_unchecked(0, y), wts, taps, w,
-                         lanes);
-  }
+__attribute__((target("avx2"))) void hpass_row_avx2(const float* row,
+                                                    float* out,
+                                                    const float* wts,
+                                                    int taps, int radius,
+                                                    int width) {
+  hpass_row_body<v8f>(row, out, wts, taps, radius, width);
+}
+__attribute__((target("avx2"))) void vpass_row_avx2(const float* const* rows,
+                                                    float* out,
+                                                    const float* wts,
+                                                    int taps, int width) {
+  vpass_row_body<v8f>(rows, out, wts, taps, width);
+}
+#endif
+
+const detail::BlurRowKernels& active() {
+  static const detail::BlurRowKernels& k =
+      detail::blur_row_kernels_avx2() != nullptr
+          ? *detail::blur_row_kernels_avx2()
+          : detail::blur_row_kernels_generic();
+  return k;
+}
+
+} // namespace
+
+namespace detail {
+
+const BlurRowKernels& blur_row_kernels_generic() {
+  static const BlurRowKernels k{4, hpass_row_generic, vpass_row_generic};
+  return k;
+}
+
+const BlurRowKernels* blur_row_kernels_avx2() {
+#ifdef TMHLS_BLUR_X86_DISPATCH
+  static const BlurRowKernels k{8, hpass_row_avx2, vpass_row_avx2};
+  static const bool has = __builtin_cpu_supports("avx2") != 0;
+  return has ? &k : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+} // namespace detail
+
+int blur_row_simd_lanes() { return active().lanes; }
+
+void hpass_float_row_simd(const float* row, float* out, const float* wts,
+                          int taps, int radius, int width) {
+  active().hpass(row, out, wts, taps, radius, width);
+}
+
+void vpass_float_row_simd(const float* const* rows, float* out,
+                          const float* wts, int taps, int width) {
+  active().vpass(rows, out, wts, taps, width);
 }
 
 } // namespace tmhls::tonemap

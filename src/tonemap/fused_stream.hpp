@@ -10,7 +10,7 @@
 //       window is resident the vertical pass emits the finished output
 //       row. No full-frame intermediate plane exists; the working set is
 //       taps x width floats (the BRAM line buffer, on the host's cache).
-//       This is what the registered `fused_stream` execution backend runs.
+//       This is what the `fused_stream` execution backend runs.
 //
 //   tone_map_fused() — the whole five-stage pipeline (normalize ->
 //       intensity -> mask blur -> masking -> adjust) in one pass per

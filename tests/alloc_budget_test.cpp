@@ -1,7 +1,7 @@
 // Allocation-budget regression tests — the gate on the zero-copy frame
 // memory invariant: once a serving session is warm, the steady state
 // performs ZERO fresh plane allocations. Pinned per execution backend
-// (all six), for both serving shapes:
+// (all four), for both serving shapes:
 //   * the second job on a warm ToneMapService allocates no plane
 //     (img::plane_allocation_count() delta == 0 across submit + get), and
 //   * the Nth frame of an open stream, which runs as a job on the same
@@ -28,12 +28,10 @@
 namespace tmhls {
 namespace {
 
-// Every registered execution backend; streaming_fixed runs its (only)
-// fixed-point datapath, the rest run float.
+// Every execution backend; streaming_fixed runs its (only) fixed-point
+// datapath, the rest run float.
 const char* const kBackends[] = {
-    "separable_float", "separable_simd", "streaming_fixed",
-    "hlscode",         "fused_stream",
-};
+    "separable_float", "streaming_fixed", "hlscode", "fused_stream"};
 
 constexpr int kW = 64;
 constexpr int kH = 48;

@@ -268,11 +268,14 @@ TEST(ArgsTest, ValuedOptionsBothForms) {
   EXPECT_EQ(a.get_or("radius", ""), "39");
   EXPECT_DOUBLE_EQ(a.get_double("sigma", 0.0), 13.0);
   EXPECT_EQ(a.get_int("radius", 0), 39);
+  EXPECT_NO_THROW(a.reject_unread()); // every option was read
 }
 
 TEST(ArgsTest, FlagsNeedNoValue) {
   const Args a = argstest::parse({"prog", "--fixed", "input.hdr"}, {"fixed"});
-  EXPECT_TRUE(a.has("fixed"));
+  EXPECT_THROW(a.reject_unread(), InvalidArgument);
+  EXPECT_TRUE(a.has("fixed")); // has() reads a flag
+  EXPECT_NO_THROW(a.reject_unread());
   ASSERT_EQ(a.positional().size(), 1u);
   EXPECT_EQ(a.positional()[0], "input.hdr");
 }
@@ -291,6 +294,20 @@ TEST(ArgsTest, MalformedInputThrows) {
   const Args bad_num = argstest::parse({"prog", "--sigma", "abc"});
   EXPECT_THROW(bad_num.get_double("sigma", 0.0), InvalidArgument);
   EXPECT_THROW(bad_num.get_int("sigma", 0), InvalidArgument);
+}
+
+TEST(ArgsTest, UnreadOptionIsRejectedByName) {
+  // `--thread 4` where the command reads --threads: a typo, not a no-op.
+  const Args a = argstest::parse({"prog", "--thread", "4", "--size", "8"});
+  EXPECT_EQ(a.get_int("threads", 1), 1);
+  EXPECT_EQ(a.get_int("size", 0), 8);
+  try {
+    a.reject_unread();
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--thread"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()).find("--size"), std::string::npos);
+  }
 }
 
 } // namespace

@@ -1,14 +1,15 @@
-// Tests for the execution-backend layer: registry resolution of the five
-// built-in backends, the row-band decomposition, bit-identity of the SIMD
-// backend with the golden path (the host-side
-// analogue of the §III.B claim that restructuring changes the schedule,
-// not the pixels), the interior/border split of the pass primitives
-// against an unsplit reference, the HlsCodeBackend's bit-exact equivalence
-// with the golden models, capability gating (can_run), and the executor
-// plumbing the pipeline and CLI ride on.
+// Tests for the execution-backend layer: registry resolution of the four
+// backends, the row-band decomposition, bit-identity of both builds of the
+// SIMD row passes with the scalar passes (the host-side analogue of the
+// §III.B claim that restructuring changes the schedule, not the pixels),
+// the interior/border split of the pass primitives against an unsplit
+// reference, the HlsCodeBackend's bit-exact equivalence with the golden
+// models, capability gating (can_run), and the executor plumbing the
+// pipeline and CLI ride on.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -64,27 +65,20 @@ img::ImageF random_hdr(int w, int h, std::uint64_t seed) {
 
 // --- Registry ------------------------------------------------------------
 
-TEST(RegistryTest, AllFiveBuiltinsRegisteredAndResolvable) {
+TEST(RegistryTest, TheFourBackendsResolveByName) {
   const BackendRegistry& registry = BackendRegistry::global();
-  for (const char* name : {"separable_float", "separable_simd",
-                           "streaming_fixed", "hlscode", "fused_stream"}) {
-    EXPECT_TRUE(registry.contains(name)) << name;
+  const std::vector<std::string> expected = {
+      "fused_stream", "hlscode", "separable_float", "streaming_fixed"};
+  EXPECT_EQ(registry.names(), expected);
+  for (const std::string& name : expected) {
     const auto backend = registry.resolve(name);
     ASSERT_NE(backend, nullptr);
-    EXPECT_STREQ(backend->name(), name);
+    EXPECT_EQ(backend->name(), name);
   }
-  EXPECT_EQ(registry.names().size(), 5u);
   // The line-buffer golden model is not a backend: fused_stream is its
-  // production form.
-  EXPECT_FALSE(registry.contains("streaming_float"));
-}
-
-TEST(RegistryTest, AutoNameIsReserved) {
-  BackendRegistry registry;
-  EXPECT_THROW(registry.register_backend(
-                   "auto",
-                   [] { return std::make_shared<const HlsCodeBackend>(); }),
-               InvalidArgument);
+  // production form. "auto" is the planner's rule, not a table entry.
+  EXPECT_THROW(registry.resolve("streaming_float"), InvalidArgument);
+  EXPECT_THROW(registry.resolve("auto"), InvalidArgument);
 }
 
 TEST(RegistryTest, ResolveReturnsSharedInstance) {
@@ -100,12 +94,6 @@ TEST(RegistryTest, UnknownNameThrowsListingKnownNames) {
     EXPECT_NE(std::string(e.what()).find("streaming_fixed"),
               std::string::npos);
   }
-}
-
-TEST(RegistryTest, DuplicateRegistrationThrows) {
-  BackendRegistry registry;
-  register_builtin_backends(registry);
-  EXPECT_THROW(register_builtin_backends(registry), InvalidArgument);
 }
 
 TEST(RegistryTest, CapabilitiesMatchBackendContracts) {
@@ -135,13 +123,15 @@ TEST(RegistryTest, CapabilitiesMatchBackendContracts) {
   // unbounded.
   EXPECT_EQ(hls.max_taps, hlscode::kMaxTaps);
   EXPECT_EQ(registry.resolve("separable_float")->capabilities().max_taps, 0);
-  // SIMD lane width: the vectorized backend reports its compiled width,
-  // scalar implementations report 1.
-  const BackendCapabilities simd =
-      registry.resolve("separable_simd")->capabilities();
-  EXPECT_TRUE(simd.float_datapath);
-  EXPECT_FALSE(simd.streaming);
-  EXPECT_EQ(simd.simd_lanes, tonemap::kSimdDefaultLanes);
+  // SIMD lane width: the fused engine reports the width of the row build
+  // the dispatcher picked (the AVX2 clone where the CPU has it), scalar
+  // implementations report 1.
+  const tonemap::detail::BlurRowKernels* avx2 =
+      tonemap::detail::blur_row_kernels_avx2();
+  EXPECT_EQ(registry.resolve("fused_stream")->capabilities().simd_lanes,
+            avx2 != nullptr ? avx2->lanes
+                            : tonemap::detail::blur_row_kernels_generic()
+                                  .lanes);
   EXPECT_EQ(registry.resolve("separable_float")->capabilities().simd_lanes,
             1);
 }
@@ -173,8 +163,7 @@ TEST(TiledTest, SingleThreadBackendsRejectThreadedContexts) {
   const tonemap::GaussianKernel kernel(3.0, 9);
   BlurContext threaded;
   threaded.threads = 4;
-  for (const char* name : {"separable_float", "separable_simd",
-                           "streaming_fixed", "hlscode"}) {
+  for (const char* name : {"separable_float", "streaming_fixed", "hlscode"}) {
     EXPECT_THROW(
         BackendRegistry::global().resolve(name)->run_blur(src, kernel,
                                                           threaded),
@@ -183,7 +172,50 @@ TEST(TiledTest, SingleThreadBackendsRejectThreadedContexts) {
   }
 }
 
-// --- SIMD backend bit-identity -------------------------------------------
+// --- SIMD row passes ------------------------------------------------------
+
+// Every build of the SIMD row passes: the portable one and, where the CPU
+// has it, the AVX2 clone. Each must match the scalar passes bit for bit.
+std::vector<const tonemap::detail::BlurRowKernels*> simd_row_builds() {
+  std::vector<const tonemap::detail::BlurRowKernels*> builds = {
+      &tonemap::detail::blur_row_kernels_generic()};
+  if (tonemap::detail::blur_row_kernels_avx2() != nullptr) {
+    builds.push_back(tonemap::detail::blur_row_kernels_avx2());
+  }
+  return builds;
+}
+
+/// Run one build's horizontal row pass over every row of `src`.
+img::ImageF simd_hpass(const tonemap::detail::BlurRowKernels& build,
+                       const img::ImageF& src,
+                       const tonemap::GaussianKernel& kernel) {
+  img::ImageF dst(src.width(), src.height(), 1);
+  for (int y = 0; y < src.height(); ++y) {
+    build.hpass(&src.at_unchecked(0, y), &dst.at_unchecked(0, y),
+                kernel.weights().data(), kernel.taps(), kernel.radius(),
+                src.width());
+  }
+  return dst;
+}
+
+/// Run one build's vertical row pass over every row of `tmp`, hoisting the
+/// clamp into per-tap row pointers as the scalar pass does.
+img::ImageF simd_vpass(const tonemap::detail::BlurRowKernels& build,
+                       const img::ImageF& tmp,
+                       const tonemap::GaussianKernel& kernel) {
+  img::ImageF dst(tmp.width(), tmp.height(), 1);
+  std::vector<const float*> rows(static_cast<std::size_t>(kernel.taps()));
+  for (int y = 0; y < tmp.height(); ++y) {
+    for (int i = 0; i < kernel.taps(); ++i) {
+      rows[static_cast<std::size_t>(i)] = &tmp.at_unchecked(
+          0, tonemap::detail::clamp_index(y - kernel.radius() + i,
+                                          tmp.height()));
+    }
+    build.vpass(rows.data(), &dst.at_unchecked(0, y),
+                kernel.weights().data(), kernel.taps(), tmp.width());
+  }
+  return dst;
+}
 
 // Geometries stressing the vector path's edges: width below the lane
 // count, one either side of both lane widths, radius >= width (interior
@@ -198,53 +230,23 @@ constexpr SimdGeometry kSimdGeometries[] = {
     {9, 5, 3},  {31, 7, 10}, {32, 6, 10}, {33, 9, 40}, {64, 33, 5},
 };
 
-TEST(SimdBitIdentityTest, BackendMatchesSeparableFloatAcrossGeometries) {
-  const auto backend = BackendRegistry::global().resolve("separable_simd");
-  std::uint64_t seed = 101;
-  for (const SimdGeometry& g : kSimdGeometries) {
-    const img::ImageF src = random_plane(g.w, g.h, seed++);
-    const tonemap::GaussianKernel kernel(g.radius / 3.0 + 0.5, g.radius);
-    const img::ImageF golden = tonemap::blur_separable_float(src, kernel);
-    EXPECT_TRUE(
-        bit_identical(backend->run_blur(src, kernel, BlurContext{}), golden))
-        << g.w << "x" << g.h << " radius=" << g.radius;
-  }
-}
-
-TEST(SimdPassTest, BothLaneWidthsMatchScalarPasses) {
-  for (int lanes : {tonemap::kSimdLanes4, tonemap::kSimdLanes8}) {
+TEST(SimdPassTest, EveryBuildMatchesScalarPasses) {
+  for (const tonemap::detail::BlurRowKernels* build : simd_row_builds()) {
     std::uint64_t seed = 211;
     for (const SimdGeometry& g : kSimdGeometries) {
       const img::ImageF src = random_plane(g.w, g.h, seed++);
       const tonemap::GaussianKernel kernel(g.radius / 3.0 + 0.5, g.radius);
       img::ImageF scalar_h(g.w, g.h, 1);
-      img::ImageF simd_h(g.w, g.h, 1);
       tonemap::blur_hpass_float_rows(src, scalar_h, kernel, 0, g.h);
-      tonemap::blur_hpass_float_rows_simd(src, simd_h, kernel, 0, g.h,
-                                          lanes);
-      EXPECT_TRUE(bit_identical(simd_h, scalar_h))
-          << "hpass " << g.w << "x" << g.h << " lanes=" << lanes;
+      EXPECT_TRUE(bit_identical(simd_hpass(*build, src, kernel), scalar_h))
+          << "hpass " << g.w << "x" << g.h << " lanes=" << build->lanes;
       img::ImageF scalar_v(g.w, g.h, 1);
-      img::ImageF simd_v(g.w, g.h, 1);
       tonemap::blur_vpass_float_rows(scalar_h, scalar_v, kernel, 0, g.h);
-      tonemap::blur_vpass_float_rows_simd(scalar_h, simd_v, kernel, 0, g.h,
-                                          lanes);
-      EXPECT_TRUE(bit_identical(simd_v, scalar_v))
-          << "vpass " << g.w << "x" << g.h << " lanes=" << lanes;
+      EXPECT_TRUE(bit_identical(simd_vpass(*build, scalar_h, kernel),
+                                scalar_v))
+          << "vpass " << g.w << "x" << g.h << " lanes=" << build->lanes;
     }
   }
-}
-
-TEST(SimdPassTest, RejectsUnsupportedLaneWidths) {
-  const img::ImageF src = random_plane(8, 8, 5);
-  img::ImageF dst(8, 8, 1);
-  const tonemap::GaussianKernel kernel(1.0, 3);
-  EXPECT_THROW(
-      tonemap::blur_hpass_float_rows_simd(src, dst, kernel, 0, 8, 3),
-      InvalidArgument);
-  EXPECT_THROW(
-      tonemap::blur_vpass_float_rows_simd(src, dst, kernel, 0, 8, 16),
-      InvalidArgument);
 }
 
 // --- Interior/border split vs the unsplit reference ----------------------
@@ -313,15 +315,11 @@ TEST(SplitPassPropertyTest, SplitPassesMatchUnsplitReferenceRandomized) {
         << "vpass trial " << trial << ": " << w << "x" << h << " r="
         << radius;
 
-    for (int lanes : {tonemap::kSimdLanes4, tonemap::kSimdLanes8}) {
-      img::ImageF hsimd(w, h, 1);
-      tonemap::blur_hpass_float_rows_simd(src, hsimd, kernel, 0, h, lanes);
-      ASSERT_TRUE(bit_identical(hsimd, href))
-          << "simd hpass trial " << trial << " lanes=" << lanes;
-      img::ImageF vsimd(w, h, 1);
-      tonemap::blur_vpass_float_rows_simd(href, vsimd, kernel, 0, h, lanes);
-      ASSERT_TRUE(bit_identical(vsimd, vref))
-          << "simd vpass trial " << trial << " lanes=" << lanes;
+    for (const tonemap::detail::BlurRowKernels* build : simd_row_builds()) {
+      ASSERT_TRUE(bit_identical(simd_hpass(*build, src, kernel), href))
+          << "simd hpass trial " << trial << " lanes=" << build->lanes;
+      ASSERT_TRUE(bit_identical(simd_vpass(*build, href, kernel), vref))
+          << "simd vpass trial " << trial << " lanes=" << build->lanes;
     }
   }
 }
@@ -370,7 +368,7 @@ TEST(ExecutorTest, ClampsThreadsForBackendsWithoutTiledCapability) {
   ExecutorOptions opts;
   opts.threads = 8;
   EXPECT_EQ(PipelineExecutor("hlscode", opts).effective_threads(), 1);
-  EXPECT_EQ(PipelineExecutor("separable_simd", opts).effective_threads(), 1);
+  EXPECT_EQ(PipelineExecutor("separable_float", opts).effective_threads(), 1);
   EXPECT_EQ(PipelineExecutor("fused_stream", opts).effective_threads(), 8);
 }
 
@@ -397,7 +395,7 @@ TEST(CanRunTest, ChecksDatapathTapsAndFixedFormats) {
   BlurContext fixed_ctx;
   fixed_ctx.use_fixed = true;
   // Float request: float-datapath backends only.
-  EXPECT_TRUE(registry.resolve("separable_simd")->can_run(small, float_ctx));
+  EXPECT_TRUE(registry.resolve("separable_float")->can_run(small, float_ctx));
   EXPECT_FALSE(
       registry.resolve("streaming_fixed")->can_run(small, float_ctx));
   // Fixed request: fixed-datapath backends only.
@@ -406,7 +404,7 @@ TEST(CanRunTest, ChecksDatapathTapsAndFixedFormats) {
       registry.resolve("separable_float")->can_run(small, fixed_ctx));
   // The synthesizable static tap bound.
   EXPECT_FALSE(registry.resolve("hlscode")->can_run(huge, float_ctx));
-  EXPECT_TRUE(registry.resolve("separable_simd")->can_run(huge, float_ctx));
+  EXPECT_TRUE(registry.resolve("fused_stream")->can_run(huge, float_ctx));
   // hlscode's fixed datapath exists only in the paper's formats.
   EXPECT_TRUE(registry.resolve("hlscode")->can_run(small, fixed_ctx));
   BlurContext widened = fixed_ctx;
@@ -491,11 +489,11 @@ TEST(PipelineBackendTest, UnknownBackendNameThrows) {
 }
 
 TEST(PipelineBackendTest, FixedDatapathOnFloatOnlyBackendThrows) {
-  // `--fixed --backend separable_simd` must fail loudly, not silently
+  // `--fixed --backend fused_stream` must fail loudly, not silently
   // produce float output.
   tonemap::PipelineOptions opt;
   opt.datapath = tonemap::Datapath::fixed_point;
-  opt.backend = "separable_simd";
+  opt.backend = "fused_stream";
   EXPECT_THROW(opt.make_executor(), InvalidArgument);
   opt.backend = "hlscode"; // dual datapath: fine
   EXPECT_NO_THROW(opt.make_executor());

@@ -126,7 +126,7 @@ TEST(ExecutionSelectionTest, DatapathParsesAndRejects) {
 
 TEST(ExecutionSelectionTest, FixedDatapathFieldGatesFloatOnlyBackends) {
   PipelineOptions opt;
-  opt.backend = "separable_simd";
+  opt.backend = "fused_stream";
   opt.datapath = Datapath::fixed_point;
   EXPECT_THROW(opt.make_executor(), InvalidArgument);
   opt.backend = "hlscode";

@@ -219,7 +219,7 @@ TEST(FusedBackendTest, CapabilitiesAndCost) {
   // The non-streaming separable forms write and re-read the intermediate
   // plane — twice the fused engine's modelled traffic.
   const auto separable =
-      exec::BackendRegistry::global().resolve("separable_simd");
+      exec::BackendRegistry::global().resolve("separable_float");
   EXPECT_EQ(separable->estimate_cost(640, 480, kernel).traffic_bytes,
             4 * plane);
 }

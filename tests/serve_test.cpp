@@ -134,7 +134,7 @@ TEST(ServiceTest, MixedPerJobOptionsEachMatchTheirOwnBlockingRun) {
   // under that job's own options.
   std::vector<tonemap::PipelineOptions> variants;
   variants.push_back(small_options("separable_float"));
-  variants.push_back(small_options("separable_simd"));
+  variants.push_back(small_options("hlscode"));
   {
     tonemap::PipelineOptions o = small_options("streaming_fixed");
     o.datapath = tonemap::Datapath::fixed_point;
@@ -377,7 +377,7 @@ TEST(ServiceTest, ConcurrentClientsBalanceAcrossShardsAndStayBitIdentical) {
   so.shards = 2;
   so.queue_capacity = 2;
   ToneMapService service(so);
-  const tonemap::PipelineOptions opt = small_options("separable_simd");
+  const tonemap::PipelineOptions opt = small_options("hlscode");
 
   constexpr int kClients = 3;
   constexpr int kJobsPerClient = 5;

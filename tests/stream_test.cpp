@@ -120,7 +120,7 @@ TEST(StreamSessionTest, ByteIdenticalToVideoToneMapperAcrossBackends) {
   for (std::size_t i = 0; i < in_order.size(); ++i) in_order[i] = i;
 
   for (const std::string backend :
-       {"separable_float", "separable_simd", "fused_stream"}) {
+       {"separable_float", "hlscode", "fused_stream"}) {
     for (const int threads : {1, 2}) {
       const StreamConfig sc = quiet_config(backend, 48, 40, threads);
       const std::vector<img::ImageF> golden = golden_sequence(sc, frames);

@@ -1,7 +1,7 @@
 // Tests for the socket transport: wire-format round trips (options, fixed
 // formats, frame bytes — NaN patterns included) and a golden-bytes pin of
 // the on-wire layout; loopback byte-identity of transport::Client against
-// the blocking tone_map() for every registered backend; pipelined
+// the blocking tone_map() for every backend; pipelined
 // submission with request-id correlation; the error contract (execution
 // errors arrive as RemoteError and the connection survives; protocol
 // violations close the connection and only the connection); clean
@@ -138,7 +138,7 @@ TEST(WireTest, ResponseRoundTripPreservesResultAndTimings) {
   response.result.job_id = 123456789ull;
   response.result.shard = 3;
   response.result.degrade = serve::DegradeLevel::reduced_blur;
-  response.result.backend = "separable_simd";
+  response.result.backend = "hlscode";
   response.result.queue_seconds = 0.125;
   response.result.service_seconds = 2.5e-3;
   response.result.output = random_hdr(5, 4, 11);
@@ -197,7 +197,7 @@ TEST(WireTest, ErrorCodeRoundTripsEveryTypedCategory) {
 TEST(WireTest, StreamMessagesRoundTripEveryField) {
   wire::StreamOpen open;
   open.stream_id = 0x0123456789abcdefull;
-  open.config.pipeline = small_options("separable_simd");
+  open.config.pipeline = small_options("hlscode");
   open.config.width = 320;
   open.config.height = 200;
   open.config.frame_interval_seconds = 1.0 / 24.0;
@@ -247,7 +247,7 @@ TEST(WireTest, StreamMessagesRoundTripEveryField) {
     result.stream_id = 3;
     result.sequence = 41;
     result.rung = serve::DegradeLevel::reduced_blur;
-    result.backend = "separable_simd";
+    result.backend = "hlscode";
     result.service_seconds = 1.25e-3;
     result.output = random_hdr(6, 4, 18);
     const std::vector<std::uint8_t> message =
@@ -256,7 +256,7 @@ TEST(WireTest, StreamMessagesRoundTripEveryField) {
         std::span<const std::uint8_t>(message).subspan(wire::kHeaderBytes));
     EXPECT_EQ(decoded.sequence, 41u);
     EXPECT_EQ(decoded.rung, serve::DegradeLevel::reduced_blur);
-    EXPECT_EQ(decoded.backend, "separable_simd");
+    EXPECT_EQ(decoded.backend, "hlscode");
     EXPECT_EQ(decoded.service_seconds, 1.25e-3);
     EXPECT_TRUE(bit_identical(decoded.output, result.output));
   }
@@ -602,7 +602,7 @@ TEST(TransportLoopbackTest, ByteIdenticalToBlockingToneMapAcrossBackends) {
 
 TEST(TransportLoopbackTest, PipelinedSubmitsCorrelateByRequestId) {
   Server server(small_server());
-  const tonemap::PipelineOptions opt = small_options("separable_simd");
+  const tonemap::PipelineOptions opt = small_options("hlscode");
   constexpr int kJobs = 8;
   std::vector<img::ImageF> frames;
   Client client({"127.0.0.1", server.port(), 5.0});

@@ -198,7 +198,7 @@ TEST(ToneMapperTest, FloatRoutesBitIdenticalAcrossBackendsAndThreads) {
     golden.push_back(golden_mapper.process(seq.frame(i)));
   }
   for (const auto& [backend, threads] :
-       {std::pair{"separable_simd", 1}, std::pair{"fused_stream", 1},
+       {std::pair{"hlscode", 1}, std::pair{"fused_stream", 1},
         std::pair{"fused_stream", 3}}) {
     VideoToneMapperOptions opt = fast_options();
     opt.pipeline.backend = backend;

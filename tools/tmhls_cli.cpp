@@ -6,8 +6,8 @@
 //                            histogram|durand] [--sigma S] [--radius R]
 //                            [--fixed|--datapath float|fixed]
 //                            [--brightness B] [--contrast C]
-//                            [--backend separable_float|separable_simd|
-//                             streaming_fixed|hlscode|fused_stream|auto]
+//                            [--backend separable_float|streaming_fixed|
+//                             hlscode|fused_stream|auto]
 //                            [--threads N]
 //   video                   [--frames N] [--size N] [--kind K] [--seed N]
 //                            [--drift D] [--adaptation R] [--out prefix]
@@ -40,13 +40,14 @@
 //   compare <in>            (PSNR/SSIM of every operator vs moroney-float)
 //
 // Inputs: Radiance .hdr or .pfm (by extension). Outputs: .ppm (8-bit),
-// .hdr, or .pfm.
+// .hdr, or .pfm. A command rejects any option it does not use.
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <iostream>
 #include <map>
@@ -112,16 +113,10 @@ tonemap::PipelineOptions pipeline_options_from(const Args& args) {
       static_cast<float>(args.get_double("brightness", opt.brightness));
   opt.contrast =
       static_cast<float>(args.get_double("contrast", opt.contrast));
-  // Execution selection: any registered backend by name plus the datapath
-  // of dual-datapath backends (--fixed is shorthand for --datapath fixed).
+  // Execution selection: any backend by name plus the datapath of
+  // dual-datapath backends (--fixed is shorthand for --datapath fixed).
   // Thread counts are validated centrally by the exec layer.
   opt.backend = args.get_or("backend", "");
-  // --blur-kind survives one release as a deprecated alias for --backend
-  // (the BlurKind enum is gone; backend names are the selection surface).
-  if (args.has("blur-kind")) {
-    std::cerr << "warning: --blur-kind is deprecated; use --backend\n";
-    if (opt.backend.empty()) opt.backend = args.get_or("blur-kind", "");
-  }
   std::string datapath = args.get_or("datapath", "");
   if (args.has("fixed")) {
     TMHLS_REQUIRE(datapath.empty() ||
@@ -141,22 +136,40 @@ tonemap::PipelineOptions pipeline_options_from(const Args& args) {
   return opt;
 }
 
-img::ImageF apply_operator(const std::string& name, const img::ImageF& hdr,
-                           const Args& args) {
+using Operator = std::function<img::ImageF(const img::ImageF&)>;
+
+/// The operator `name` with its options read from `args` now, so a command
+/// can reject unread options before it loads anything.
+Operator make_operator(const std::string& name, const Args& args) {
   if (name == "moroney") {
-    return tonemap::tone_map_image(hdr, pipeline_options_from(args));
+    const tonemap::PipelineOptions opt = pipeline_options_from(args);
+    return [opt](const img::ImageF& hdr) {
+      return tonemap::tone_map_image(hdr, opt);
+    };
   }
-  if (name == "reinhard") return tonemap::reinhard_global(hdr);
-  if (name == "log") return tonemap::global_log(hdr);
+  if (name == "reinhard") {
+    return [](const img::ImageF& hdr) { return tonemap::reinhard_global(hdr); };
+  }
+  if (name == "log") {
+    return [](const img::ImageF& hdr) { return tonemap::global_log(hdr); };
+  }
   if (name == "gamma") {
-    return tonemap::global_gamma(
-        hdr, static_cast<float>(args.get_double("gamma", 2.2)));
+    const auto gamma = static_cast<float>(args.get_double("gamma", 2.2));
+    return [gamma](const img::ImageF& hdr) {
+      return tonemap::global_gamma(hdr, gamma);
+    };
   }
-  if (name == "histogram") return tonemap::histogram_adjustment(hdr);
+  if (name == "histogram") {
+    return [](const img::ImageF& hdr) {
+      return tonemap::histogram_adjustment(hdr);
+    };
+  }
   if (name == "durand") {
     tonemap::BilateralOptions bopt;
     bopt.spatial_sigma = args.get_double("spatial-sigma", 4.0);
-    return tonemap::durand_local(hdr, bopt);
+    return [bopt](const img::ImageF& hdr) {
+      return tonemap::durand_local(hdr, bopt);
+    };
   }
   throw InvalidArgument("unknown operator: " + name);
 }
@@ -164,13 +177,15 @@ img::ImageF apply_operator(const std::string& name, const img::ImageF& hdr,
 int cmd_tonemap(const Args& args) {
   TMHLS_REQUIRE(args.positional().size() == 3,
                 "usage: tmhls_cli tonemap <in> <out>");
+  const std::string op = args.get_or("operator", "moroney");
+  const Operator tone_map = make_operator(op, args);
+  args.reject_unread();
   const img::ImageF hdr = load_image(args.positional()[1]);
   const img::DynamicRange dr =
       img::compute_dynamic_range(img::luminance(hdr));
   std::cout << "input " << hdr.width() << "x" << hdr.height() << ", "
             << format_fixed(dr.decades, 1) << " decades of range\n";
-  const std::string op = args.get_or("operator", "moroney");
-  const img::ImageF out = apply_operator(op, hdr, args);
+  const img::ImageF out = tone_map(hdr);
   save_image(args.positional()[2], out);
   std::cout << "wrote " << args.positional()[2] << " (" << op << ")\n";
   return 0;
@@ -183,6 +198,7 @@ int cmd_scene(const Args& args) {
       io::scene_kind_from_string(args.get_or("kind", "window_interior"));
   const int size = args.get_int("size", 512);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2018));
+  args.reject_unread();
   const img::ImageF scene = io::generate_hdr_scene(kind, size, size, seed);
   save_image(args.positional()[1], scene);
   std::cout << "wrote " << args.positional()[1] << " (" << to_string(kind)
@@ -191,9 +207,10 @@ int cmd_scene(const Args& args) {
 }
 
 int cmd_analyze(const Args& args) {
+  const std::string wanted = args.get_or("design", "");
+  args.reject_unread();
   const accel::ToneMappingSystem system(zynq::ZynqPlatform::zc702(),
                                         accel::Workload::paper());
-  const std::string wanted = args.get_or("design", "");
   TextTable t({"design", "blur (s)", "total (s)", "energy (J)"});
   for (accel::Design d : accel::all_designs()) {
     if (!wanted.empty() && wanted != accel::short_name(d)) continue;
@@ -227,6 +244,7 @@ int cmd_backends(const Args& args) {
   request.threads = args.get_int("threads", 1);
   request.datapath =
       args.has("fixed") ? exec::Datapath::fixed_point : exec::Datapath::float32;
+  args.reject_unread();
   const exec::ExecutionPlan choice = exec::plan(request, kernel);
 
   const exec::BackendRegistry& registry = exec::BackendRegistry::global();
@@ -284,13 +302,14 @@ int cmd_video(const Args& args) {
   cfg.master_size = args.get_int("master-size", 2 * cfg.frame_size);
   cfg.exposure_drift = args.get_double("drift", cfg.exposure_drift);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 2018));
-  const video::SceneSequence sequence(cfg);
-
   video::VideoToneMapperOptions vopt;
   vopt.pipeline = pipeline_options_from(args);
   vopt.adaptation_rate = args.get_double("adaptation", vopt.adaptation_rate);
   vopt.frame_width = cfg.frame_size;
   vopt.frame_height = cfg.frame_size;
+  const std::string out_prefix = args.get_or("out", "");
+  args.reject_unread();
+  const video::SceneSequence sequence(cfg);
   video::VideoToneMapper mapper(vopt);
 
   // Pre-render the frames so the timed loop measures tone mapping, not
@@ -316,7 +335,6 @@ int cmd_video(const Args& args) {
     means.push_back(video::mean_luminance(out));
   }
 
-  const std::string out_prefix = args.get_or("out", "");
   if (!out_prefix.empty()) {
     for (std::size_t i = 0; i < outputs.size(); ++i) {
       std::string path = out_prefix;
@@ -379,6 +397,7 @@ int cmd_serve_listen(const Args& args) {
       args.get_int("pool-bytes", static_cast<int>(so.service.pool_bytes));
   TMHLS_REQUIRE(pool_bytes_listen >= 0, "--pool-bytes must be >= 0");
   so.service.pool_bytes = static_cast<std::size_t>(pool_bytes_listen);
+  args.reject_unread();
 
   transport::Server server(so);
   std::signal(SIGINT, handle_stop_signal);
@@ -444,6 +463,7 @@ int cmd_client_stream(const Args& args) {
   sc.adaptation_rate = args.get_double("adaptation", sc.adaptation_rate);
   sc.reorder_window = args.get_int("reorder-window", sc.reorder_window);
   sc.credits = args.get_int("credits", sc.credits);
+  args.reject_unread();
 
   // Pre-render each stream's sequence (and, when checking, the golden
   // outputs of a local VideoToneMapper fed the same frames in order).
@@ -628,6 +648,7 @@ int cmd_client(const Args& args) {
       io::scene_kind_from_string(args.get_or("kind", "window_interior"));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2018));
   const tonemap::PipelineOptions popt = pipeline_options_from(args);
+  args.reject_unread();
 
   // Pre-render frames (and, when checking, the local golden outputs) so
   // the timed region measures the transport + service, not synthesis.
@@ -777,6 +798,7 @@ int cmd_serve(const Args& args) {
       serve::qos_from_string(args.get_or("qos", "standard"));
   const double deadline = args.get_double("deadline", 0.0);
   const tonemap::PipelineOptions popt = pipeline_options_from(args);
+  args.reject_unread();
 
   // Pre-render per-client frames so the timed region measures serving,
   // not scene synthesis.
@@ -913,15 +935,20 @@ int cmd_serve(const Args& args) {
 int cmd_compare(const Args& args) {
   TMHLS_REQUIRE(args.positional().size() == 2,
                 "usage: tmhls_cli compare <in>");
-  const img::ImageF hdr = load_image(args.positional()[1]);
-  const img::ImageF reference =
-      tonemap::tone_map_image(hdr, pipeline_options_from(args));
-  TextTable t({"operator", "PSNR vs moroney (dB)", "SSIM vs moroney"});
+  const Operator moroney = make_operator("moroney", args);
+  std::vector<std::pair<std::string, Operator>> ops;
   for (const char* op :
        {"reinhard", "log", "gamma", "histogram", "durand"}) {
-    const img::ImageF out = apply_operator(op, hdr, args);
+    ops.emplace_back(op, make_operator(op, args));
+  }
+  args.reject_unread();
+  const img::ImageF hdr = load_image(args.positional()[1]);
+  const img::ImageF reference = moroney(hdr);
+  TextTable t({"operator", "PSNR vs moroney (dB)", "SSIM vs moroney"});
+  for (const auto& [op, tone_map] : ops) {
+    const img::ImageF out = tone_map(hdr);
     const double p = metrics::psnr(reference, out);
-    t.add_row({std::string(op),
+    t.add_row({op,
                std::isinf(p) ? std::string("inf") : format_fixed(p, 1),
                format_fixed(metrics::ssim(reference, out), 3)});
   }
@@ -966,7 +993,7 @@ void usage() {
       "                       local VideoToneMapper\n"
       "  scene <out>          generate a synthetic HDR scene\n"
       "  analyze              evaluate the Table II design points\n"
-      "  backends             list the registered execution backends with\n"
+      "  backends             list the four execution backends with\n"
       "                       buffer and traffic figures for a geometry\n"
       "                       (--width, --height, --sigma, --radius,\n"
       "                       --threads, --fixed) and what '--backend auto'\n"
