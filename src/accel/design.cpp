@@ -80,12 +80,8 @@ tonemap::PipelineOptions Workload::pipeline_options(Design design) const {
   opt.brightness = brightness;
   opt.contrast = contrast;
   opt.fixed = fixed;
+  // The datapath stays unspecified: plan() runs each backend's own.
   opt.backend = backend_name(design);
-  const exec::BackendCapabilities caps = design_capabilities(design);
-  // Fixed-only designs run their only datapath; leaving the float designs
-  // unspecified lets the planner follow each backend's capabilities.
-  opt.datapath = caps.fixed_datapath ? tonemap::Datapath::fixed_point
-                                     : tonemap::Datapath::unspecified;
   return opt;
 }
 

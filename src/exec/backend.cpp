@@ -6,17 +6,17 @@ namespace tmhls::exec {
 
 BlurCost Backend::estimate_cost(int width, int height,
                                 const tonemap::GaussianKernel& kernel,
-                                const BlurContext& ctx) const {
+                                const ExecutorOptions& options) const {
   TMHLS_REQUIRE(width > 0 && height > 0,
                 "estimate_cost: dimensions must be positive");
   const BackendCapabilities caps = capabilities();
   // Element width of the datapath this call configures: fixed-only
-  // backends run at the context's configured format; dual-datapath
-  // backends at their fixed width when the context selects it.
+  // backends run at the configured format; dual-datapath backends at their
+  // fixed width when the options select it.
   int elem_bits = caps.data_bits;
   if (caps.fixed_datapath && !caps.float_datapath) {
-    elem_bits = ctx.fixed.data.width();
-  } else if (ctx.use_fixed && caps.dual_fixed_data_bits > 0) {
+    elem_bits = options.fixed.data.width();
+  } else if (options.use_fixed && caps.dual_fixed_data_bits > 0) {
     elem_bits = caps.dual_fixed_data_bits;
   }
   BlurCost cost;
@@ -41,9 +41,9 @@ BlurCost Backend::estimate_cost(int width, int height,
 }
 
 bool Backend::can_run(const tonemap::GaussianKernel& kernel,
-                      const BlurContext& ctx) const {
+                      const ExecutorOptions& options) const {
   const BackendCapabilities caps = capabilities();
-  if (ctx.use_fixed ? !caps.fixed_datapath : !caps.float_datapath) {
+  if (options.use_fixed ? !caps.fixed_datapath : !caps.float_datapath) {
     return false;
   }
   return caps.max_taps == 0 || kernel.taps() <= caps.max_taps;

@@ -2,7 +2,9 @@
 // accelerated stage (the Gaussian mask blur) runs, separated from *what*
 // it computes — the algorithm/schedule split that AnyHLS and the Halide
 // heterogeneous-DSL line of work apply to HLS targets, applied here to the
-// host pipeline.
+// host pipeline. As in AnyHLS, the schedule is one value: ExecutorOptions
+// ({threads, use_fixed, fixed}), which tonemap::PipelineOptions::plan
+// decides once and every backend hook takes as is.
 //
 // A Backend owns one implementation strategy of the blur (direct separable,
 // streaming line-buffer, fixed-point streaming, or the synthesizable
@@ -58,17 +60,18 @@ struct BackendCapabilities {
   int max_taps = 0;
 };
 
-/// Per-call execution parameters handed to Backend::run_blur.
-struct BlurContext {
-  /// Fixed-point formats, used by fixed-datapath backends.
-  tonemap::FixedBlurConfig fixed = tonemap::FixedBlurConfig::paper();
-  /// Worker threads for the tiled mode. 1 runs the single-threaded golden
-  /// path; backends without tiled_threads must be called with threads == 1
-  /// (the executor clamps for callers).
+/// The execution parameters of one blur: what PipelineOptions::plan
+/// decides and every Backend hook takes.
+struct ExecutorOptions {
+  /// Worker threads for the tiled mode. Must be >= 1. PipelineExecutor
+  /// clamps it to 1 for backends without tiled_threads; called directly,
+  /// such backends refuse any other value.
   int threads = 1;
   /// For backends supporting both datapaths (hlscode): run the fixed-point
   /// one. Ignored by backends whose datapath is fixed by identity.
   bool use_fixed = false;
+  /// Fixed-point formats, used by fixed-datapath backends.
+  tonemap::FixedBlurConfig fixed = tonemap::FixedBlurConfig::paper();
 };
 
 /// Analytic cost of one blur invocation, the hook the accel/platform layers
@@ -102,25 +105,25 @@ public:
   /// counts for backends with tiled_threads.
   virtual img::ImageF run_blur(const img::ImageF& intensity,
                                const tonemap::GaussianKernel& kernel,
-                               const BlurContext& ctx) const = 0;
+                               const ExecutorOptions& options) const = 0;
 
   /// Cost hook with a capability-derived default: 2 passes x taps MACs per
   /// pixel; line-buffer storage for streaming backends, a full temporary
-  /// plane otherwise. `ctx` selects the datapath the estimate is for: fixed-datapath
-  /// backends size elements from ctx.fixed, dual-datapath backends from
-  /// ctx.use_fixed.
+  /// plane otherwise. `options` selects the datapath the estimate is for:
+  /// fixed-datapath backends size elements from options.fixed,
+  /// dual-datapath backends from options.use_fixed.
   virtual BlurCost estimate_cost(int width, int height,
                                  const tonemap::GaussianKernel& kernel,
-                                 const BlurContext& ctx = {}) const;
+                                 const ExecutorOptions& options = {}) const;
 
-  /// Whether this backend can execute a blur of `kernel` under `ctx`. The
-  /// default checks the datapath the context selects and the kernel against
-  /// the capability struct (fixed/float datapath, max_taps); backends with
-  /// restrictions the struct cannot express (e.g. hlscode's paper-format-
-  /// only fixed datapath) override. The planner's "auto" rule and
-  /// tonemap::FrameEngine gate on this hook.
+  /// Whether this backend can execute a blur of `kernel` under `options`.
+  /// The default checks the datapath the options select and the kernel
+  /// against the capability struct (fixed/float datapath, max_taps);
+  /// backends with restrictions the struct cannot express (e.g. hlscode's
+  /// paper-format-only fixed datapath) override. PipelineOptions::plan
+  /// gates on this hook, for "auto" and named backends alike.
   virtual bool can_run(const tonemap::GaussianKernel& kernel,
-                       const BlurContext& ctx) const;
+                       const ExecutorOptions& options) const;
 };
 
 } // namespace tmhls::exec

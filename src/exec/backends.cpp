@@ -9,8 +9,9 @@ namespace tmhls::exec {
 
 namespace {
 
-void require_single_thread(const Backend& backend, const BlurContext& ctx) {
-  TMHLS_REQUIRE(ctx.threads == 1,
+void require_single_thread(const Backend& backend,
+                           const ExecutorOptions& options) {
+  TMHLS_REQUIRE(options.threads == 1,
                 std::string(backend.name()) +
                     " backend does not support tiled multi-threading");
 }
@@ -26,8 +27,8 @@ BackendCapabilities SeparableFloatBackend::capabilities() const {
 
 img::ImageF SeparableFloatBackend::run_blur(
     const img::ImageF& intensity, const tonemap::GaussianKernel& kernel,
-    const BlurContext& ctx) const {
-  require_single_thread(*this, ctx);
+    const ExecutorOptions& options) const {
+  require_single_thread(*this, options);
   return tonemap::blur_separable_float(intensity, kernel);
 }
 
@@ -41,9 +42,9 @@ BackendCapabilities StreamingFixedBackend::capabilities() const {
 
 img::ImageF StreamingFixedBackend::run_blur(
     const img::ImageF& intensity, const tonemap::GaussianKernel& kernel,
-    const BlurContext& ctx) const {
-  require_single_thread(*this, ctx);
-  return tonemap::blur_streaming_fixed(intensity, kernel, ctx.fixed);
+    const ExecutorOptions& options) const {
+  require_single_thread(*this, options);
+  return tonemap::blur_streaming_fixed(intensity, kernel, options.fixed);
 }
 
 BackendCapabilities FusedStreamBackend::capabilities() const {
@@ -61,8 +62,8 @@ BackendCapabilities FusedStreamBackend::capabilities() const {
 
 img::ImageF FusedStreamBackend::run_blur(const img::ImageF& intensity,
                                          const tonemap::GaussianKernel& kernel,
-                                         const BlurContext& ctx) const {
-  return tonemap::blur_fused_stream(intensity, kernel, ctx.threads);
+                                         const ExecutorOptions& options) const {
+  return tonemap::blur_fused_stream(intensity, kernel, options.threads);
 }
 
 BackendCapabilities HlsCodeBackend::capabilities() const {
@@ -79,29 +80,22 @@ BackendCapabilities HlsCodeBackend::capabilities() const {
 }
 
 bool HlsCodeBackend::can_run(const tonemap::GaussianKernel& kernel,
-                             const BlurContext& ctx) const {
-  if (!Backend::can_run(kernel, ctx)) return false;
-  if (!ctx.use_fixed) return true;
+                             const ExecutorOptions& options) const {
+  if (!Backend::can_run(kernel, options)) return false;
+  if (!options.use_fixed) return true;
   const tonemap::FixedBlurConfig paper = tonemap::FixedBlurConfig::paper();
-  return ctx.fixed.data == paper.data &&
-         ctx.fixed.accumulator == paper.accumulator;
+  return options.fixed.data == paper.data &&
+         options.fixed.accumulator == paper.accumulator;
 }
 
 img::ImageF HlsCodeBackend::run_blur(const img::ImageF& intensity,
                                      const tonemap::GaussianKernel& kernel,
-                                     const BlurContext& ctx) const {
-  require_single_thread(*this, ctx);
-  TMHLS_REQUIRE(kernel.taps() <= hlscode::kMaxTaps,
-                "hlscode backend: kernel exceeds the synthesizable static "
-                "bound kMaxTaps");
-  if (ctx.use_fixed) {
-    // The synthesizable fixed datapath is the paper's Pixel16 format.
-    TMHLS_REQUIRE(ctx.fixed.data == tonemap::FixedBlurConfig::paper().data &&
-                      ctx.fixed.accumulator ==
-                          tonemap::FixedBlurConfig::paper().accumulator,
-                  "hlscode backend: fixed datapath is ap_fixed<16,2> only");
-    return hlscode::run_blur_fixed(intensity, kernel);
-  }
+                                     const ExecutorOptions& options) const {
+  require_single_thread(*this, options);
+  TMHLS_REQUIRE(can_run(kernel, options),
+                "hlscode backend: kernels up to kMaxTaps taps only, and a "
+                "fixed datapath in ap_fixed<16,2> only");
+  if (options.use_fixed) return hlscode::run_blur_fixed(intensity, kernel);
   return hlscode::run_blur_float(intensity, kernel);
 }
 

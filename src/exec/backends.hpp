@@ -32,7 +32,7 @@ public:
   BackendCapabilities capabilities() const override;
   img::ImageF run_blur(const img::ImageF& intensity,
                        const tonemap::GaussianKernel& kernel,
-                       const BlurContext& ctx) const override;
+                       const ExecutorOptions& options) const override;
 };
 
 class StreamingFixedBackend final : public Backend {
@@ -41,7 +41,7 @@ public:
   BackendCapabilities capabilities() const override;
   img::ImageF run_blur(const img::ImageF& intensity,
                        const tonemap::GaussianKernel& kernel,
-                       const BlurContext& ctx) const override;
+                       const ExecutorOptions& options) const override;
 };
 
 class FusedStreamBackend final : public Backend {
@@ -50,7 +50,7 @@ public:
   BackendCapabilities capabilities() const override;
   img::ImageF run_blur(const img::ImageF& intensity,
                        const tonemap::GaussianKernel& kernel,
-                       const BlurContext& ctx) const override;
+                       const ExecutorOptions& options) const override;
 };
 
 class HlsCodeBackend final : public Backend {
@@ -59,12 +59,12 @@ public:
   BackendCapabilities capabilities() const override;
   img::ImageF run_blur(const img::ImageF& intensity,
                        const tonemap::GaussianKernel& kernel,
-                       const BlurContext& ctx) const override;
+                       const ExecutorOptions& options) const override;
   /// Adds the synthesizable restriction the capability struct cannot
   /// express: the fixed datapath exists only in the paper's ap_fixed<16,2>
   /// formats.
   bool can_run(const tonemap::GaussianKernel& kernel,
-               const BlurContext& ctx) const override;
+               const ExecutorOptions& options) const override;
 };
 
 } // namespace tmhls::exec

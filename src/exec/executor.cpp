@@ -5,17 +5,14 @@
 
 namespace tmhls::exec {
 
-void validate(const ExecutorOptions& options) {
-  TMHLS_REQUIRE(options.threads >= 1,
-                "ExecutorOptions::threads must be >= 1, got " +
-                    std::to_string(options.threads));
-}
-
 PipelineExecutor::PipelineExecutor(std::shared_ptr<const Backend> backend,
                                    ExecutorOptions options)
     : backend_(std::move(backend)), options_(options) {
   TMHLS_REQUIRE(backend_ != nullptr, "executor needs a backend");
-  validate(options_);
+  TMHLS_REQUIRE(options_.threads >= 1,
+                "ExecutorOptions::threads must be >= 1, got " +
+                    std::to_string(options_.threads));
+  if (!backend_->capabilities().tiled_threads) options_.threads = 1;
 }
 
 PipelineExecutor::PipelineExecutor(const std::string& backend_name,
@@ -23,30 +20,9 @@ PipelineExecutor::PipelineExecutor(const std::string& backend_name,
     : PipelineExecutor(BackendRegistry::global().resolve(backend_name),
                        options) {}
 
-int PipelineExecutor::effective_threads() const {
-  return backend_->capabilities().tiled_threads ? options_.threads : 1;
-}
-
 img::ImageF PipelineExecutor::blur(const img::ImageF& intensity,
                                    const tonemap::GaussianKernel& kernel) const {
-  return backend_->run_blur(intensity, kernel, context());
-}
-
-bool PipelineExecutor::can_run(const tonemap::GaussianKernel& kernel) const {
-  return backend_->can_run(kernel, context());
-}
-
-BlurCost PipelineExecutor::estimate_cost(
-    int width, int height, const tonemap::GaussianKernel& kernel) const {
-  return backend_->estimate_cost(width, height, kernel, context());
-}
-
-BlurContext PipelineExecutor::context() const {
-  BlurContext ctx;
-  ctx.fixed = options_.fixed;
-  ctx.threads = effective_threads();
-  ctx.use_fixed = options_.use_fixed;
-  return ctx;
+  return backend_->run_blur(intensity, kernel, options_);
 }
 
 } // namespace tmhls::exec

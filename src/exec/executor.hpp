@@ -1,8 +1,8 @@
-// PipelineExecutor: the pipeline's handle to one selected backend plus its
-// execution parameters (thread count, fixed-point formats). Constructed
-// once and reused across frames — video and serving paths keep a
-// persistent executor instead of re-resolving the backend per frame
-// (tonemap::FrameEngine builds one per plan).
+// PipelineExecutor: the one execution handle — a resolved backend plus the
+// ExecutorOptions it runs with. tonemap::PipelineOptions::plan builds it
+// (that is where the backend, datapath and threads are decided); it is
+// then reused across frames — tonemap::FrameEngine, which video, serve and
+// stream run every frame through, holds one for its lifetime.
 #pragma once
 
 #include <memory>
@@ -12,25 +12,12 @@
 
 namespace tmhls::exec {
 
-/// Executor-level execution parameters.
-struct ExecutorOptions {
-  /// Worker threads for the tiled mode; clamped to 1 for backends without
-  /// tiled_threads capability. Must be >= 1 (see validate).
-  int threads = 1;
-  /// Select the fixed datapath of dual-datapath backends (hlscode).
-  bool use_fixed = false;
-  /// Fixed-point formats for fixed-datapath backends.
-  tonemap::FixedBlurConfig fixed = tonemap::FixedBlurConfig::paper();
-};
-
-/// The one validation point for ExecutorOptions: throws InvalidArgument
-/// naming the offending field and value unless threads >= 1.
-/// PipelineExecutor calls this instead of clamping at its call sites.
-void validate(const ExecutorOptions& options);
-
 class PipelineExecutor {
 public:
-  /// Wrap an already-resolved backend.
+  /// Wrap an already-resolved backend. The only place threads are
+  /// validated and clamped: throws InvalidArgument naming
+  /// ExecutorOptions::threads unless it is >= 1, then clamps it to 1 for a
+  /// backend without the tiled_threads capability.
   explicit PipelineExecutor(std::shared_ptr<const Backend> backend,
                             ExecutorOptions options = {});
 
@@ -39,33 +26,21 @@ public:
                             ExecutorOptions options = {});
 
   const Backend& backend() const { return *backend_; }
+  /// The options every blur runs with, threads already clamped.
   const ExecutorOptions& options() const { return options_; }
-
-  /// The thread count actually used: options().threads, clamped to 1 when
-  /// the backend lacks the tiled_threads capability.
-  int effective_threads() const;
 
   /// Execute the mask blur on a 1-channel intensity plane.
   img::ImageF blur(const img::ImageF& intensity,
                    const tonemap::GaussianKernel& kernel) const;
 
-  /// Whether the backend accepts `kernel` at this executor's configuration
-  /// (datapath, tap bounds, fixed formats) — Backend::can_run with this
-  /// executor's context. tonemap::FrameEngine gates on this at
-  /// construction so capability errors fail fast instead of mid-stream.
-  bool can_run(const tonemap::GaussianKernel& kernel) const;
-
-  /// Analytic cost of one blur at this executor's configuration (datapath
-  /// selection and fixed formats are taken from the options).
-  BlurCost estimate_cost(int width, int height,
-                         const tonemap::GaussianKernel& kernel) const;
-
 private:
-  /// The per-call context this executor hands its backend.
-  BlurContext context() const;
-
   std::shared_ptr<const Backend> backend_;
   ExecutorOptions options_;
 };
+
+/// The name PipelineOptions::plan's result went by when plans and
+/// executors were separate types; kept only because the frozen benchmark
+/// harness (perfbench/runner.cpp) still spells it.
+using ExecutionPlan = PipelineExecutor;
 
 } // namespace tmhls::exec

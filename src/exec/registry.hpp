@@ -2,8 +2,9 @@
 // host keeps, plus the production form of the §III.B line buffer —
 // separable_float (the "SW source" baseline), streaming_fixed and hlscode
 // (the HLS forms) and fused_stream. Tools resolve the user's --backend
-// string through it. The name "auto" is not in the table: exec::plan
-// resolves it by a fixed capability rule instead of naming one.
+// string through it. The name "auto" is not in the table:
+// tonemap::PipelineOptions::plan resolves it by a fixed capability rule
+// instead of naming one.
 #pragma once
 
 #include <memory>

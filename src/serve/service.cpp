@@ -340,7 +340,7 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
   // allocating.
   const img::PlanePool::Scope pool_scope(pool_.get());
   // The shard's engine, rebuilt only when a job's options or geometry
-  // change (or an auto plan goes stale).
+  // change (a plan depends on nothing else).
   std::unique_ptr<tonemap::FrameEngine> engine;
 
   // Counters advance *before* the promise is satisfied, so a client that

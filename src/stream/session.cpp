@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
-#include "exec/planner.hpp"
 #include "video/video_tonemapper.hpp"
 
 namespace tmhls::stream {
@@ -239,15 +238,9 @@ SessionManager::~SessionManager() {
 std::uint64_t SessionManager::open(StreamConfig config) {
   validate(config);
   // Capability errors fail here, not mid-stream: plan the full-quality
-  // pipeline (before the manager lock) and check the kernel against it.
-  const exec::ExecutionPlan plan =
+  // pipeline (before the manager lock); plan() throws if it cannot run.
+  const exec::PipelineExecutor plan =
       config.pipeline.plan(config.width, config.height);
-  const tonemap::GaussianKernel kernel = config.pipeline.kernel();
-  TMHLS_REQUIRE(plan.make_executor().can_run(kernel),
-                std::string("SessionManager::open: backend ") +
-                    plan.backend->name() +
-                    " cannot run the stream's " +
-                    std::to_string(kernel.taps()) + "-tap kernel");
   std::shared_ptr<Session> session;
   std::uint64_t id = 0;
   {
@@ -263,7 +256,7 @@ std::uint64_t SessionManager::open(StreamConfig config) {
     }
     id = next_stream_id_++;
     session = std::make_shared<Session>(id, std::move(config),
-                                        plan.backend->name());
+                                        plan.backend().name());
     sessions_.emplace(id, session);
     ++streams_opened_;
   }

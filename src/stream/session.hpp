@@ -205,7 +205,7 @@ public:
   SessionManager& operator=(const SessionManager&) = delete;
 
   /// Open a stream and return its id. The stream's pipeline is planned
-  /// here (exec::plan), so a backend that cannot run it throws
+  /// here (PipelineOptions::plan), so a backend that cannot run it throws
   /// InvalidArgument at open, not mid-stream. Throws Overloaded when the
   /// manager is at max_streams (non-critical QoS) and InvalidArgument on a
   /// malformed config.

@@ -1,6 +1,5 @@
 #include "tonemap/frame_engine.hpp"
 
-#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -10,18 +9,9 @@ namespace tmhls::tonemap {
 
 FrameEngine::FrameEngine(PipelineOptions options, int width, int height)
     : options_(std::move(options)), width_(width), height_(height),
-      plan_(options_.plan(width, height)),
-      executor_(plan_.make_executor()) {
-  const GaussianKernel kernel = options_.kernel();
-  if (!executor_.can_run(kernel)) {
-    throw InvalidArgument(
-        std::string("FrameEngine: backend ") + executor_.backend().name() +
-        " cannot run the configuration (" + std::to_string(kernel.taps()) +
-        " taps, " + (plan_.use_fixed ? "fixed" : "float") + " datapath)");
-  }
-  fused_ = !plan_.use_fixed &&
-           executor_.backend().capabilities().fused_pipeline;
-}
+      executor_(options_.plan(width, height)),
+      fused_(!executor_.options().use_fixed &&
+             executor_.backend().capabilities().fused_pipeline) {}
 
 img::ImageF FrameEngine::run(const img::ImageF& frame) const {
   return run_with(frame, options_);

@@ -1,11 +1,12 @@
 // FrameEngine: the one synchronous frame engine every consumer runs frames
 // through — tone_map_image, video::VideoToneMapper and every
 // serve::ToneMapService job (stream frames included). Built once from
-// (PipelineOptions, width, height), it plans once (exec::plan) and then
-// runs each frame on one of two routes:
+// (PipelineOptions, width, height), it plans once (PipelineOptions::plan),
+// keeps the executor that returns, and runs each frame on one of two
+// routes:
 //
-//   fused  — the plan resolves to a backend with the fused_pipeline
-//            capability on its float datapath: tone_map_fused, the §III.B
+//   fused  — the executor's backend has the fused_pipeline capability and
+//            runs its float datapath: tone_map_fused, the §III.B
 //            line-buffer dataflow, one row band per planned thread;
 //   staged — everything else (the fixed datapath, hlscode, separable_*):
 //            the staged composition tone_map(hdr, opt, executor).
@@ -16,7 +17,6 @@
 #pragma once
 
 #include "exec/executor.hpp"
-#include "exec/planner.hpp"
 #include "image/image.hpp"
 #include "tonemap/pipeline.hpp"
 
@@ -24,9 +24,10 @@ namespace tmhls::tonemap {
 
 class FrameEngine {
 public:
-  /// Plan `options` for width x height frames. Throws InvalidArgument on a non-positive geometry, an unknown
-  /// backend, a datapath contradiction, or a kernel the planned backend
-  /// cannot run — capability errors fail here, not mid-stream.
+  /// Plan `options` for width x height frames. Throws what
+  /// PipelineOptions::plan throws (a non-positive geometry, an unknown
+  /// backend, a kernel or datapath the backend cannot run), so capability
+  /// errors fail here, not mid-stream.
   FrameEngine(PipelineOptions options, int width, int height);
 
   FrameEngine(const FrameEngine&) = delete;
@@ -45,10 +46,8 @@ public:
   /// either way.
   bool fused_route() const { return fused_; }
 
-  /// The plan resolved at construction.
-  const exec::ExecutionPlan& plan() const { return plan_; }
-
-  /// The executor of the plan (what the staged route's mask stage runs on).
+  /// The executor planned at construction (backend, clamped threads,
+  /// datapath); the staged route's mask stage runs on it.
   const exec::PipelineExecutor& executor() const { return executor_; }
 
   const PipelineOptions& options() const { return options_; }
@@ -70,9 +69,8 @@ private:
   PipelineOptions options_;
   int width_;
   int height_;
-  exec::ExecutionPlan plan_;
   exec::PipelineExecutor executor_;
-  bool fused_ = false;
+  bool fused_;
 };
 
 } // namespace tmhls::tonemap

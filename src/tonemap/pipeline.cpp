@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "exec/registry.hpp"
 #include "tonemap/frame_engine.hpp"
 
 namespace tmhls::tonemap {
@@ -13,31 +14,56 @@ GaussianKernel PipelineOptions::kernel() const {
   return GaussianKernel(sigma);
 }
 
-ExecutionSelection PipelineOptions::execution() const {
-  ExecutionSelection s;
-  s.backend = backend.empty() ? "separable_float" : backend;
-  s.use_fixed = (datapath == Datapath::fixed_point);
-  return s;
+Datapath datapath_from_string(const std::string& name) {
+  if (name == "float" || name == "float32") return Datapath::float32;
+  if (name == "fixed" || name == "fixed_point") return Datapath::fixed_point;
+  throw InvalidArgument("unknown datapath: " + name +
+                        " (expected float or fixed)");
 }
 
-exec::ExecutionPlan PipelineOptions::plan(int width, int height) const {
-  exec::PlanRequest request;
-  request.width = width;
-  request.height = height;
-  request.backend = execution().backend;
-  request.datapath = datapath;
-  request.threads = threads;
-  request.fixed = fixed;
-  return exec::plan(request, kernel());
-}
+exec::PipelineExecutor PipelineOptions::plan(int width, int height) const {
+  TMHLS_REQUIRE(width > 0 && height > 0,
+                "PipelineOptions::plan: frame dimensions must be positive");
+  const exec::BackendRegistry& registry = exec::BackendRegistry::global();
+  const GaussianKernel k = kernel();
+  exec::ExecutorOptions eo;
+  eo.threads = threads;
+  eo.use_fixed = datapath == Datapath::fixed_point;
+  eo.fixed = fixed;
 
-exec::PipelineExecutor PipelineOptions::make_executor(int width,
-                                                      int height) const {
-  return plan(width, height).make_executor();
-}
+  if (backend == "auto") {
+    // fused_stream has no tap bound: it runs every float request.
+    if (!eo.use_fixed) {
+      return exec::PipelineExecutor(registry.resolve("fused_stream"), eo);
+    }
+    exec::PipelineExecutor hls(registry.resolve("hlscode"), eo);
+    if (hls.backend().can_run(k, hls.options())) return hls;
+    return exec::PipelineExecutor(registry.resolve("streaming_fixed"), eo);
+  }
 
-exec::PipelineExecutor PipelineOptions::make_executor() const {
-  return make_executor(1024, 768);
+  // An empty name is the golden model of the requested datapath.
+  const std::string name =
+      !backend.empty() ? backend
+                       : (eo.use_fixed ? "streaming_fixed" : "separable_float");
+  std::shared_ptr<const exec::Backend> named = registry.resolve(name);
+  // A fixed-only backend named with an unspecified datapath runs its only
+  // datapath, so `--backend streaming_fixed` alone just works.
+  if (datapath == Datapath::unspecified &&
+      !named->capabilities().float_datapath) {
+    eo.use_fixed = true;
+  }
+  exec::PipelineExecutor executor(std::move(named), eo);
+  if (!executor.backend().can_run(k, executor.options())) {
+    const std::string on =
+        eo.use_fixed ? "fixed-point datapath (data " +
+                           fixed.data.to_string() + ", accumulator " +
+                           fixed.accumulator.to_string() + ")"
+                     : std::string("float datapath");
+    throw InvalidArgument("backend " + name + " cannot run a " +
+                          std::to_string(k.taps()) + "-tap kernel on the " +
+                          on + "; choose another backend or datapath");
+  }
+  return executor;
 }
 
 namespace stages {
@@ -172,7 +198,7 @@ img::ImageF adjust(const img::ImageF& masked, const PipelineOptions& opt) {
 
 PipelineResult tone_map(const img::ImageF& hdr, const PipelineOptions& opt) {
   TMHLS_REQUIRE(!hdr.empty(), "tone_map: empty image");
-  return tone_map(hdr, opt, opt.make_executor(hdr.width(), hdr.height()));
+  return tone_map(hdr, opt, opt.plan(hdr.width(), hdr.height()));
 }
 
 PipelineResult tone_map(const img::ImageF& hdr, const PipelineOptions& opt,

@@ -3,6 +3,18 @@
 // contrast adjustments. This is the *functional* pipeline; the platform/
 // accel layers decide where each stage executes and at what cost.
 //
+// PipelineOptions::plan is the one place execution is decided: it turns
+// the backend / datapath / threads request into the exec::PipelineExecutor
+// that runs the blur, the way the paper picks its design once from the
+// Table II sweep and then simply runs it. The reserved backend "auto" is a
+// fixed capability rule:
+//   float datapath (unspecified or float) — fused_stream at the requested
+//       threads (the fastest engine on this host, and the only threaded one);
+//   fixed datapath — hlscode when it can run the kernel and formats (the
+//       paper's formats, taps <= kMaxTaps), else streaming_fixed.
+// Plans choose scheduling, never bits: every float plan blurs
+// byte-identically to separable_float at one thread.
+//
 // The pipeline is exposed at two granularities:
 //   * tone_map() — the staged one-call-per-frame form (a thin composition),
 //     the golden reference on separable_float;
@@ -17,7 +29,6 @@
 #include <string>
 
 #include "exec/executor.hpp"
-#include "exec/planner.hpp"
 #include "image/image.hpp"
 #include "tonemap/blur.hpp"
 #include "tonemap/kernel.hpp"
@@ -25,24 +36,19 @@
 
 namespace tmhls::tonemap {
 
-/// Which numeric datapath of the selected backend executes the blur:
-/// `unspecified` (the default) follows the backend — float for
-/// float-capable backends, fixed for fixed-only ones (so
-/// `--backend streaming_fixed` alone just works). Defined once, in exec.
-using Datapath = exec::Datapath;
-using exec::datapath_from_string;
-
-/// The execution selection of a PipelineOptions. This is the
-/// registry-free resolution; the planner (exec::plan, behind plan() /
-/// make_executor()) additionally snaps use_fixed to a fixed-only
-/// backend's single datapath — a capability-dependent step that needs the
-/// registry.
-struct ExecutionSelection {
-  /// Registry backend name, or the reserved "auto".
-  std::string backend;
-  /// Run the fixed-point datapath of the selected backend.
-  bool use_fixed = false;
+/// The numeric-datapath request PipelineOptions::plan resolves.
+/// `unspecified` follows the backend: float for float-capable backends,
+/// fixed for fixed-only ones (so naming streaming_fixed alone just works);
+/// an explicit value the backend cannot run is an error at plan time.
+enum class Datapath {
+  unspecified,
+  float32,     ///< the 32-bit float datapath
+  fixed_point, ///< the fixed-point datapath (formats from the options)
 };
+
+/// Parse "float" / "fixed" (also accepts "float32" / "fixed_point");
+/// throws InvalidArgument otherwise.
+Datapath datapath_from_string(const std::string& name);
 
 /// Pipeline configuration. Defaults reproduce the paper's workload.
 struct PipelineOptions {
@@ -52,13 +58,13 @@ struct PipelineOptions {
   /// Kernel radius; 0 selects ceil(3 * sigma).
   int radius = 0;
   /// Execution backend by registry name (e.g. "hlscode"); empty selects
-  /// separable_float, the golden reference. The reserved name "auto"
-  /// applies exec::plan's capability rule: fused_stream on the float
-  /// datapath, hlscode (else streaming_fixed) on the fixed one.
+  /// the golden model of the requested datapath — separable_float, or
+  /// streaming_fixed for fixed_point. The reserved name "auto" applies the
+  /// capability rule in the file comment.
   std::string backend;
-  /// Datapath of the selected backend. The planner snaps `unspecified` to
-  /// the backend's only datapath for fixed-only backends (and rejects
-  /// explicit contradictions).
+  /// Datapath of the selected backend. plan() snaps `unspecified` to the
+  /// backend's only datapath for fixed-only backends (and rejects a
+  /// datapath the backend cannot run).
   Datapath datapath = Datapath::unspecified;
   /// Worker threads (row bands) of the fused engine; backends without the
   /// tiled_threads capability run single-threaded.
@@ -81,33 +87,20 @@ struct PipelineOptions {
   /// The kernel implied by sigma/radius.
   GaussianKernel kernel() const;
 
-  /// The resolved backend + datapath request: backend falls back to
-  /// "separable_float" when empty, and use_fixed is set iff datapath is
-  /// fixed_point. Registry-free; see ExecutionSelection for the
-  /// capability-dependent refinement the planner applies on top.
-  ExecutionSelection execution() const;
-
-  /// Resolve these options into an ExecutionPlan (backend + threads +
-  /// datapath) for a frame of the given geometry via exec::plan — the ONE
-  /// place every layer (CLI and FrameEngine, which serve, stream and video
-  /// run through) gets its execution decision. Throws InvalidArgument on a
-  /// non-positive geometry.
-  exec::ExecutionPlan plan(int width, int height) const;
-
-  /// Resolve these options into an executor (registry lookup + thread /
-  /// datapath configuration) for a frame of the given geometry. A thin
-  /// wrapper over plan(width, height).make_executor(). Callers running many
-  /// frames build this once.
-  exec::PipelineExecutor make_executor(int width, int height) const;
-
-  /// Geometry-free overload: as above for the paper's 1024x768 frame.
-  exec::PipelineExecutor make_executor() const;
+  /// Decide execution for a frame of the given geometry: resolve the
+  /// backend ("" and "auto" as above), the datapath and the threads, and
+  /// return the executor that runs the blur — the ONE place every layer
+  /// (CLI and FrameEngine, which serve, stream and video run through) gets
+  /// its execution decision. Throws InvalidArgument on a non-positive
+  /// geometry, threads < 1, an unknown backend, or a named backend that
+  /// cannot run the kernel on the requested datapath and formats.
+  exec::PipelineExecutor plan(int width, int height) const;
 
   /// Field-wise equality. Equal options produce bit-identical pipelines
   /// (every field participates in the output), so this is the reuse test
   /// serving layers apply before running a job through a cached session
-  /// instead of building a new one. Two options that resolve to the same
-  /// execution() but spell it differently (e.g. "" vs "separable_float")
+  /// instead of building a new one. Two options that plan the same
+  /// execution but spell it differently (e.g. "" vs "separable_float")
   /// compare unequal — a conservative answer that can only cost a
   /// rebuild, never bit-identity.
   bool operator==(const PipelineOptions&) const = default;

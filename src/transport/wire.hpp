@@ -8,9 +8,8 @@
 //
 //   offset  size  field
 //   0       4     magic "TMHW" (raw bytes, not an integer)
-//   4       2     protocol version (u16 LE; this header describes v2,
-//                 which added QoS class + deadline to requests, the
-//                 degrade level to responses, and a typed code to errors)
+//   4       2     protocol version (u16 LE; this header describes v5,
+//                 kVersion — see its comment for what each version added)
 //   6       2     message type (u16 LE: 1 request, 2 response, 3 error)
 //   8       4     payload size in bytes (u32 LE, bounded by kMaxPayloadBytes)
 //   12      4     FNV-1a 32-bit checksum of the payload bytes (u32 LE)

@@ -4,8 +4,8 @@
 // §III.B claim that restructuring changes the schedule, not the pixels),
 // the interior/border split of the pass primitives against an unsplit
 // reference, the HlsCodeBackend's bit-exact equivalence with the golden
-// models, capability gating (can_run), and the executor plumbing the
-// pipeline and CLI ride on.
+// models, the backends' capability hook (can_run), and the executor
+// plumbing the pipeline and CLI ride on.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -76,7 +76,8 @@ TEST(RegistryTest, TheFourBackendsResolveByName) {
     EXPECT_EQ(backend->name(), name);
   }
   // The line-buffer golden model is not a backend: fused_stream is its
-  // production form. "auto" is the planner's rule, not a table entry.
+  // production form. "auto" is PipelineOptions::plan's rule, not a table
+  // entry.
   EXPECT_THROW(registry.resolve("streaming_float"), InvalidArgument);
   EXPECT_THROW(registry.resolve("auto"), InvalidArgument);
 }
@@ -161,7 +162,7 @@ TEST(TiledTest, SingleThreadBackendsRejectThreadedContexts) {
   // silently run on one thread.
   const img::ImageF src = random_plane(41, 29, 5);
   const tonemap::GaussianKernel kernel(3.0, 9);
-  BlurContext threaded;
+  ExecutorOptions threaded;
   threaded.threads = 4;
   for (const char* name : {"separable_float", "streaming_fixed", "hlscode"}) {
     EXPECT_THROW(
@@ -330,7 +331,7 @@ TEST(HlsCodeBackendTest, FloatDatapathMatchesStreamingFloatGolden) {
   const img::ImageF src = random_plane(37, 23, 13);
   const tonemap::GaussianKernel kernel(2.0, 6);
   const HlsCodeBackend backend;
-  EXPECT_TRUE(bit_identical(backend.run_blur(src, kernel, BlurContext{}),
+  EXPECT_TRUE(bit_identical(backend.run_blur(src, kernel, ExecutorOptions{}),
                             tonemap::blur_streaming_float(src, kernel)));
 }
 
@@ -338,10 +339,10 @@ TEST(HlsCodeBackendTest, FixedDatapathMatchesStreamingFixedGolden) {
   const img::ImageF src = random_plane(37, 23, 17);
   const tonemap::GaussianKernel kernel(2.0, 6);
   const HlsCodeBackend backend;
-  BlurContext ctx;
-  ctx.use_fixed = true;
+  ExecutorOptions options;
+  options.use_fixed = true;
   EXPECT_TRUE(bit_identical(
-      backend.run_blur(src, kernel, ctx),
+      backend.run_blur(src, kernel, options),
       tonemap::blur_streaming_fixed(src, kernel,
                                     tonemap::FixedBlurConfig::paper())));
 }
@@ -349,68 +350,52 @@ TEST(HlsCodeBackendTest, FixedDatapathMatchesStreamingFixedGolden) {
 TEST(HlsCodeBackendTest, RejectsKernelsBeyondStaticBound) {
   const img::ImageF src = random_plane(8, 8, 1);
   const tonemap::GaussianKernel kernel(40.0, 120); // 241 taps > kMaxTaps
-  EXPECT_THROW(HlsCodeBackend().run_blur(src, kernel, BlurContext{}),
+  EXPECT_THROW(HlsCodeBackend().run_blur(src, kernel, ExecutorOptions{}),
                InvalidArgument);
 }
 
 TEST(HlsCodeBackendTest, RejectsNonPaperFixedFormats) {
   const img::ImageF src = random_plane(8, 8, 1);
   const tonemap::GaussianKernel kernel(1.0, 3);
-  BlurContext ctx;
-  ctx.use_fixed = true;
-  ctx.fixed.data = fixed::FixedFormat(24, 4);
-  EXPECT_THROW(HlsCodeBackend().run_blur(src, kernel, ctx), InvalidArgument);
+  ExecutorOptions options;
+  options.use_fixed = true;
+  options.fixed.data = fixed::FixedFormat(24, 4);
+  EXPECT_THROW(HlsCodeBackend().run_blur(src, kernel, options),
+               InvalidArgument);
 }
 
-// --- Executor ------------------------------------------------------------
+// --- Backend hooks: cost and capability ----------------------------------
 
-TEST(ExecutorTest, ClampsThreadsForBackendsWithoutTiledCapability) {
-  ExecutorOptions opts;
-  opts.threads = 8;
-  EXPECT_EQ(PipelineExecutor("hlscode", opts).effective_threads(), 1);
-  EXPECT_EQ(PipelineExecutor("separable_float", opts).effective_threads(), 1);
-  EXPECT_EQ(PipelineExecutor("fused_stream", opts).effective_threads(), 8);
-}
-
-TEST(ExecutorTest, CostHookScalesWithGeometryAndDatapath) {
+TEST(CostHookTest, ScalesWithGeometryAndDatapath) {
   const tonemap::GaussianKernel kernel(2.0, 6);
-  const PipelineExecutor fixed("streaming_fixed");
-  const PipelineExecutor sep("separable_float");
-  const BlurCost fc = fixed.estimate_cost(64, 32, kernel);
+  const BackendRegistry& registry = BackendRegistry::global();
+  const BlurCost fc =
+      registry.resolve("streaming_fixed")->estimate_cost(64, 32, kernel);
   EXPECT_DOUBLE_EQ(fc.macs, 2.0 * 13 * 64 * 32);
   // Streaming working set is the 16-bit line buffer; the direct form keeps
   // a full 32-bit plane.
   EXPECT_EQ(fc.buffer_bytes, tonemap::line_buffer_bytes(64, 13, 16));
-  EXPECT_EQ(sep.estimate_cost(64, 32, kernel).buffer_bytes,
+  EXPECT_EQ(registry.resolve("separable_float")
+                ->estimate_cost(64, 32, kernel)
+                .buffer_bytes,
             static_cast<std::size_t>(64) * 32 * 4);
 }
 
-// --- Capability gating ------------------------------------------------------
-
-TEST(CanRunTest, ChecksDatapathTapsAndFixedFormats) {
-  const BackendRegistry& registry = BackendRegistry::global();
+TEST(CanRunTest, HlscodeBoundsTapsAndFixedFormats) {
+  // The backend half of the rule PipelineOptions::plan applies (the plan
+  // table in planner_test covers every backend x datapath): hlscode's
+  // synthesizable static tap bound and its paper-format-only fixed
+  // datapath, which the capability struct cannot express.
+  const auto hls = BackendRegistry::global().resolve("hlscode");
   const tonemap::GaussianKernel small(1.0, 3);
   const tonemap::GaussianKernel huge(40.0, 120); // 241 taps > kMaxTaps
-  BlurContext float_ctx;
-  BlurContext fixed_ctx;
-  fixed_ctx.use_fixed = true;
-  // Float request: float-datapath backends only.
-  EXPECT_TRUE(registry.resolve("separable_float")->can_run(small, float_ctx));
-  EXPECT_FALSE(
-      registry.resolve("streaming_fixed")->can_run(small, float_ctx));
-  // Fixed request: fixed-datapath backends only.
-  EXPECT_TRUE(registry.resolve("streaming_fixed")->can_run(small, fixed_ctx));
-  EXPECT_FALSE(
-      registry.resolve("separable_float")->can_run(small, fixed_ctx));
-  // The synthesizable static tap bound.
-  EXPECT_FALSE(registry.resolve("hlscode")->can_run(huge, float_ctx));
-  EXPECT_TRUE(registry.resolve("fused_stream")->can_run(huge, float_ctx));
-  // hlscode's fixed datapath exists only in the paper's formats.
-  EXPECT_TRUE(registry.resolve("hlscode")->can_run(small, fixed_ctx));
-  BlurContext widened = fixed_ctx;
-  widened.fixed.accumulator = fixed::FixedFormat(24, 4);
-  EXPECT_FALSE(registry.resolve("hlscode")->can_run(small, widened));
-  EXPECT_TRUE(registry.resolve("streaming_fixed")->can_run(small, widened));
+  ExecutorOptions fixed_options;
+  fixed_options.use_fixed = true;
+  EXPECT_TRUE(hls->can_run(small, ExecutorOptions{}));
+  EXPECT_FALSE(hls->can_run(huge, ExecutorOptions{}));
+  EXPECT_TRUE(hls->can_run(small, fixed_options));
+  fixed_options.fixed.accumulator = fixed::FixedFormat(24, 4);
+  EXPECT_FALSE(hls->can_run(small, fixed_options));
 }
 
 // --- Pipeline integration (what the CLI's --backend/--threads hit) --------
@@ -446,7 +431,7 @@ TEST(PipelineBackendTest, PersistentExecutorMatchesPerCallExecutor) {
   opt.radius = 4;
   opt.backend = "fused_stream";
   opt.threads = 2;
-  const exec::PipelineExecutor executor = opt.make_executor();
+  const exec::PipelineExecutor executor = opt.plan(hdr.width(), hdr.height());
   EXPECT_TRUE(bit_identical(tonemap::tone_map(hdr, opt, executor).output,
                             tonemap::tone_map(hdr, opt).output));
 }
@@ -486,17 +471,6 @@ TEST(PipelineBackendTest, UnknownBackendNameThrows) {
   tonemap::PipelineOptions opt;
   opt.backend = "quantum";
   EXPECT_THROW(tonemap::tone_map(hdr, opt), InvalidArgument);
-}
-
-TEST(PipelineBackendTest, FixedDatapathOnFloatOnlyBackendThrows) {
-  // `--fixed --backend fused_stream` must fail loudly, not silently
-  // produce float output.
-  tonemap::PipelineOptions opt;
-  opt.datapath = tonemap::Datapath::fixed_point;
-  opt.backend = "fused_stream";
-  EXPECT_THROW(opt.make_executor(), InvalidArgument);
-  opt.backend = "hlscode"; // dual datapath: fine
-  EXPECT_NO_THROW(opt.make_executor());
 }
 
 } // namespace

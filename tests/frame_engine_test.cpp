@@ -6,8 +6,8 @@
 // NaN, denormal and FLT_MAX samples, 1-pixel-thin frames, radii beyond the
 // frame, widths off the vector lane count, 1/2/3/4 channels — both routes
 // give the same bytes or the same typed error.
-// Also the execution-selection resolution, the stage composition and the
-// ExecutorOptions validation the engine is built on.
+// Also the stage composition and the ExecutorOptions validation the engine
+// is built on.
 #include <gtest/gtest.h>
 
 #include <cfloat>
@@ -21,7 +21,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "exec/executor.hpp"
-#include "exec/planner.hpp"
 #include "exec/registry.hpp"
 #include "tonemap/frame_engine.hpp"
 #include "tonemap/pipeline.hpp"
@@ -73,7 +72,6 @@ TEST(ValidationTest, ExecutorOptionsRejectNonPositiveThreads) {
   for (int threads : {0, -1, -7}) {
     exec::ExecutorOptions opts;
     opts.threads = threads;
-    EXPECT_THROW(exec::validate(opts), InvalidArgument) << threads;
     EXPECT_THROW(exec::PipelineExecutor("separable_float", opts),
                  InvalidArgument);
     PipelineOptions auto_opt = small_options("auto");
@@ -83,7 +81,7 @@ TEST(ValidationTest, ExecutorOptionsRejectNonPositiveThreads) {
   try {
     exec::ExecutorOptions opts;
     opts.threads = -3;
-    exec::validate(opts);
+    exec::PipelineExecutor("fused_stream", opts);
     FAIL() << "expected InvalidArgument";
   } catch (const InvalidArgument& e) {
     // The message names the field and the offending value.
@@ -93,70 +91,12 @@ TEST(ValidationTest, ExecutorOptionsRejectNonPositiveThreads) {
   }
 }
 
-// --- Backend/datapath resolution (one place: execution()) ----------------
-
-TEST(ExecutionSelectionTest, DefaultedFieldsSelectTheGoldenReference) {
-  PipelineOptions opt;
-  EXPECT_EQ(opt.execution().backend, "separable_float");
-  EXPECT_FALSE(opt.execution().use_fixed);
-  opt.backend = "streaming_fixed";
-  opt.datapath = Datapath::fixed_point;
-  EXPECT_EQ(opt.execution().backend, "streaming_fixed");
-  EXPECT_TRUE(opt.execution().use_fixed);
-}
-
-TEST(ExecutionSelectionTest, BackendAndDatapathFieldsAreAuthoritative) {
-  PipelineOptions opt;
-  opt.backend = "hlscode";
-  EXPECT_EQ(opt.execution().backend, "hlscode");
-  EXPECT_FALSE(opt.execution().use_fixed); // unspecified resolves float here
-  opt.datapath = Datapath::float32;
-  EXPECT_FALSE(opt.execution().use_fixed);
-  opt.datapath = Datapath::fixed_point;
-  EXPECT_TRUE(opt.execution().use_fixed);
-}
-
-TEST(ExecutionSelectionTest, DatapathParsesAndRejects) {
-  EXPECT_EQ(datapath_from_string("float"), Datapath::float32);
-  EXPECT_EQ(datapath_from_string("float32"), Datapath::float32);
-  EXPECT_EQ(datapath_from_string("fixed"), Datapath::fixed_point);
-  EXPECT_EQ(datapath_from_string("fixed_point"), Datapath::fixed_point);
-  EXPECT_THROW(datapath_from_string("analog"), InvalidArgument);
-}
-
-TEST(ExecutionSelectionTest, FixedDatapathFieldGatesFloatOnlyBackends) {
-  PipelineOptions opt;
-  opt.backend = "fused_stream";
-  opt.datapath = Datapath::fixed_point;
-  EXPECT_THROW(opt.make_executor(), InvalidArgument);
-  opt.backend = "hlscode";
-  EXPECT_NO_THROW(opt.make_executor());
-}
-
-TEST(ExecutionSelectionTest, FixedOnlyBackendFollowsItsDatapathByDefault) {
-  // Naming a fixed-only backend with an unspecified datapath must run its
-  // fixed datapath (not be treated as a float request); an explicit float
-  // request on it is a contradiction.
-  PipelineOptions opt;
-  opt.backend = "streaming_fixed";
-  EXPECT_TRUE(opt.make_executor().options().use_fixed);
-  const img::ImageF frame = random_hdr(21, 15, 83);
-  PipelineOptions explicit_fixed = opt;
-  explicit_fixed.datapath = Datapath::fixed_point;
-  const FrameEngine engine(opt, frame.width(), frame.height());
-  EXPECT_FALSE(engine.fused_route());
-  EXPECT_TRUE(same_samples(engine.run(frame),
-                           tone_map(frame, explicit_fixed).output));
-  opt.datapath = Datapath::float32;
-  EXPECT_THROW(opt.make_executor(), InvalidArgument);
-}
-
 // --- Stage functions compose to tone_map ----------------------------------
 
 TEST(StageTest, StagesComposeBitIdenticallyToToneMap) {
   const img::ImageF hdr = random_hdr(29, 17, 61);
   const PipelineOptions opt = small_options("separable_float");
-  const exec::PipelineExecutor executor = opt.make_executor();
+  const exec::PipelineExecutor executor = opt.plan(hdr.width(), hdr.height());
   const GaussianKernel kernel = opt.kernel();
 
   PipelineResult manual;
@@ -191,6 +131,20 @@ TEST(FrameEngineTest, EveryBackendMatchesBlockingToneMapOnItsRoute) {
   }
 }
 
+TEST(FrameEngineTest, FixedOnlyBackendRunsItsDatapathByDefault) {
+  // Naming a fixed-only backend with an unspecified datapath runs its
+  // fixed datapath, byte-identical to the explicit request.
+  PipelineOptions opt;
+  opt.backend = "streaming_fixed";
+  const img::ImageF frame = random_hdr(21, 15, 83);
+  PipelineOptions explicit_fixed = opt;
+  explicit_fixed.datapath = Datapath::fixed_point;
+  const FrameEngine engine(opt, frame.width(), frame.height());
+  EXPECT_FALSE(engine.fused_route());
+  EXPECT_TRUE(same_samples(engine.run(frame),
+                           tone_map(frame, explicit_fixed).output));
+}
+
 TEST(FrameEngineTest, FusedRouteIsBandInvariant) {
   const img::ImageF frame = random_hdr(41, 29, 77);
   const img::ImageF golden =
@@ -200,7 +154,7 @@ TEST(FrameEngineTest, FusedRouteIsBandInvariant) {
     opt.threads = threads;
     const FrameEngine engine(opt, frame.width(), frame.height());
     ASSERT_TRUE(engine.fused_route());
-    EXPECT_EQ(engine.plan().threads, threads);
+    EXPECT_EQ(engine.executor().options().threads, threads);
     EXPECT_TRUE(same_samples(engine.run(frame), golden)) << threads;
   }
 }
@@ -219,7 +173,7 @@ TEST(FrameEngineTest, AutoPlansTheFusedRouteAtServingGeometries) {
       opt.backend = "auto";
       opt.threads = threads;
       const FrameEngine engine(opt, w, h);
-      EXPECT_STREQ(engine.plan().backend->name(), "fused_stream")
+      EXPECT_STREQ(engine.executor().backend().name(), "fused_stream")
           << w << "x" << h << " threads " << threads;
       EXPECT_TRUE(engine.fused_route());
       EXPECT_TRUE(same_samples(engine.run(frame), golden))

@@ -6,7 +6,7 @@
 // geometry (including degenerate ones where the kernel dwarfs the frame),
 // every thread count, and through every integration surface that can
 // select the backend (tone_map_image, ToneMapService; FrameEngine and
-// the planner have their own suites).
+// PipelineOptions::plan have their own suites).
 #include <gtest/gtest.h>
 
 #include <cstring>

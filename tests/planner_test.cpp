@@ -1,28 +1,28 @@
-// Tests for exec::plan, the one planning function: the "auto" capability
-// rule as a table (float -> fused_stream at the requested threads on every
-// geometry; fixed -> hlscode in the paper's formats, streaming_fixed where
-// hlscode cannot run), named-backend validation and datapath
-// contradictions, and bit-identity of the blur every plan configures with
-// the separable_float reference.
+// Tests for PipelineOptions::plan, the one place execution is decided: the
+// rule as one table over backend x datapath x kernel x fixed formats x
+// threads (the "auto" capability rule, the golden model behind an empty
+// backend, named-backend capability checks, the thread clamp), and
+// bit-identity of the blur every plan configures with the separable_float
+// reference.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "exec/planner.hpp"
 #include "hlscode/blur_kernels.hpp"
 #include "tonemap/kernel.hpp"
 #include "tonemap/pipeline.hpp"
 
-namespace tmhls::exec {
+namespace tmhls::tonemap {
 namespace {
 
-img::ImageF random_plane(int w, int h, std::uint64_t seed) {
+img::ImageF random_plane(int w, int h, std::uint64_t seed, int channels = 1) {
   Rng rng(seed);
-  img::ImageF im(w, h, 1);
+  img::ImageF im(w, h, channels);
   for (float& v : im.samples()) v = static_cast<float>(rng.uniform());
   return im;
 }
@@ -40,168 +40,193 @@ img::ImageF random_plane(int w, int h, std::uint64_t seed) {
   return ::testing::AssertionSuccess();
 }
 
-tonemap::GaussianKernel small_kernel() {
-  return tonemap::GaussianKernel(2.0, 6); // 13 taps: every backend capable
+PipelineOptions options_for(const std::string& backend, Datapath datapath,
+                            int threads = 1) {
+  PipelineOptions opt;
+  opt.sigma = 2.0;
+  opt.radius = 6; // 13 taps: every backend capable
+  opt.backend = backend;
+  opt.datapath = datapath;
+  opt.threads = threads;
+  return opt;
 }
 
-PlanRequest request_for(const std::string& backend, Datapath datapath,
-                        int threads = 1) {
-  PlanRequest request;
-  request.width = 64;
-  request.height = 64;
-  request.backend = backend;
-  request.datapath = datapath;
-  request.threads = threads;
-  return request;
+// ---- The rule, as one table ---------------------------------------------
+
+constexpr Datapath kUnspec = Datapath::unspecified;
+constexpr Datapath kFloat = Datapath::float32;
+constexpr Datapath kFixed = Datapath::fixed_point;
+
+/// One table row: a backend and datapath request, and the plan expected
+/// for each of the four {kernel, formats} cells — {13 taps, paper},
+/// {13 taps, widened accumulator}, {241 taps, paper}, {241 taps, widened}.
+/// A cell reads "backend/float", "backend/fixed" or "throws"
+/// (InvalidArgument). Threads: fused_stream runs the requested count, every
+/// other backend one.
+struct PlanRow {
+  const char* backend;
+  Datapath datapath;
+  std::array<const char*, 4> expect;
+};
+
+const std::vector<PlanRow>& plan_table() {
+  static const char* const kThrows = "throws";
+  static const std::vector<PlanRow> kTable = {
+      // "": the golden model of the requested datapath.
+      {"", kUnspec, {"separable_float/float", "separable_float/float",
+                     "separable_float/float", "separable_float/float"}},
+      {"", kFloat, {"separable_float/float", "separable_float/float",
+                    "separable_float/float", "separable_float/float"}},
+      {"", kFixed, {"streaming_fixed/fixed", "streaming_fixed/fixed",
+                    "streaming_fixed/fixed", "streaming_fixed/fixed"}},
+      // "auto": fused_stream on float; hlscode, else streaming_fixed.
+      {"auto", kUnspec, {"fused_stream/float", "fused_stream/float",
+                         "fused_stream/float", "fused_stream/float"}},
+      {"auto", kFloat, {"fused_stream/float", "fused_stream/float",
+                        "fused_stream/float", "fused_stream/float"}},
+      {"auto", kFixed, {"hlscode/fixed", "streaming_fixed/fixed",
+                        "streaming_fixed/fixed", "streaming_fixed/fixed"}},
+      // Named backends run if their capabilities allow, else throw.
+      {"fused_stream", kUnspec, {"fused_stream/float", "fused_stream/float",
+                                 "fused_stream/float", "fused_stream/float"}},
+      {"fused_stream", kFloat, {"fused_stream/float", "fused_stream/float",
+                                "fused_stream/float", "fused_stream/float"}},
+      {"fused_stream", kFixed, {kThrows, kThrows, kThrows, kThrows}},
+      {"hlscode", kUnspec, {"hlscode/float", "hlscode/float", kThrows,
+                            kThrows}},
+      {"hlscode", kFloat, {"hlscode/float", "hlscode/float", kThrows,
+                           kThrows}},
+      {"hlscode", kFixed, {"hlscode/fixed", kThrows, kThrows, kThrows}},
+      {"separable_float", kUnspec,
+       {"separable_float/float", "separable_float/float",
+        "separable_float/float", "separable_float/float"}},
+      {"separable_float", kFloat,
+       {"separable_float/float", "separable_float/float",
+        "separable_float/float", "separable_float/float"}},
+      {"separable_float", kFixed, {kThrows, kThrows, kThrows, kThrows}},
+      // A fixed-only backend follows its only datapath when unspecified.
+      {"streaming_fixed", kUnspec,
+       {"streaming_fixed/fixed", "streaming_fixed/fixed",
+        "streaming_fixed/fixed", "streaming_fixed/fixed"}},
+      {"streaming_fixed", kFloat, {kThrows, kThrows, kThrows, kThrows}},
+      {"streaming_fixed", kFixed,
+       {"streaming_fixed/fixed", "streaming_fixed/fixed",
+        "streaming_fixed/fixed", "streaming_fixed/fixed"}},
+      {"no_such_backend", kUnspec, {kThrows, kThrows, kThrows, kThrows}},
+      {"no_such_backend", kFloat, {kThrows, kThrows, kThrows, kThrows}},
+      {"no_such_backend", kFixed, {kThrows, kThrows, kThrows, kThrows}},
+  };
+  return kTable;
 }
 
-// ---- The "auto" rule ---------------------------------------------------
-
-TEST(PlannerRuleTest, FloatAutoIsFusedStreamAtTheRequestedThreads) {
-  const std::vector<std::pair<int, int>> geometries = {
-      {1, 1}, {48, 40}, {384, 384}, {512, 384}, {1024, 768}};
-  const tonemap::GaussianKernel paper_kernel(16.0, 48);
-  for (const auto& [w, h] : geometries) {
-    for (int threads : {1, 2, 4}) {
-      for (Datapath datapath : {Datapath::unspecified, Datapath::float32}) {
-        PlanRequest request = request_for("auto", datapath, threads);
-        request.width = w;
-        request.height = h;
-        const ExecutionPlan p = plan(request, paper_kernel);
-        ASSERT_NE(p.backend, nullptr);
-        EXPECT_STREQ(p.backend->name(), "fused_stream")
-            << w << "x" << h << " threads " << threads;
-        EXPECT_EQ(p.threads, threads) << w << "x" << h;
-        EXPECT_FALSE(p.use_fixed);
+TEST(PlanTableTest, EveryRowPlansItsBackendDatapathAndThreads) {
+  ASSERT_GT(GaussianKernel(40.0, 120).taps(), hlscode::kMaxTaps);
+  FixedBlurConfig widened = FixedBlurConfig::paper();
+  widened.accumulator = fixed::FixedFormat(24, 4);
+  for (const PlanRow& row : plan_table()) {
+    for (int cell = 0; cell < 4; ++cell) {
+      for (int threads : {1, 4}) {
+        PipelineOptions opt = options_for(row.backend, row.datapath, threads);
+        if (cell >= 2) {
+          opt.sigma = 40.0;
+          opt.radius = 120; // 241 taps > kMaxTaps
+        }
+        if (cell % 2 == 1) opt.fixed = widened;
+        const std::string expect = row.expect[static_cast<std::size_t>(cell)];
+        const std::string where = std::string("backend '") + row.backend +
+                                  "' datapath " +
+                                  std::to_string(static_cast<int>(
+                                      row.datapath)) +
+                                  " cell " + std::to_string(cell) +
+                                  " threads " + std::to_string(threads);
+        if (expect == "throws") {
+          EXPECT_THROW(opt.plan(64, 64), InvalidArgument) << where;
+          continue;
+        }
+        const exec::PipelineExecutor p = opt.plan(64, 64);
+        const std::string name = expect.substr(0, expect.find('/'));
+        EXPECT_EQ(p.backend().name(), name) << where;
+        EXPECT_EQ(p.options().use_fixed, expect.ends_with("/fixed")) << where;
+        EXPECT_EQ(p.options().threads, name == "fused_stream" ? threads : 1)
+            << where;
+        EXPECT_EQ(p.options().fixed.accumulator, opt.fixed.accumulator)
+            << where;
+        opt.threads = 0;
+        EXPECT_THROW(opt.plan(64, 64), InvalidArgument) << where;
       }
     }
   }
 }
 
-TEST(PlannerRuleTest, FixedAutoInPaperFormatsIsHlscode) {
-  for (int threads : {1, 4}) {
-    const ExecutionPlan p =
-        plan(request_for("auto", Datapath::fixed_point, threads),
-             tonemap::GaussianKernel(16.0, 48));
-    EXPECT_STREQ(p.backend->name(), "hlscode");
-    EXPECT_EQ(p.threads, 1); // no tiled_threads capability
-    EXPECT_TRUE(p.use_fixed);
+TEST(PlanTableTest, RejectsNonPositiveGeometry) {
+  const PipelineOptions opt = options_for("auto", kUnspec);
+  EXPECT_THROW(opt.plan(0, 64), InvalidArgument);
+  EXPECT_THROW(opt.plan(64, -1), InvalidArgument);
+}
+
+TEST(PlanTableTest, CapabilityErrorNamesBackendTapsAndDatapath) {
+  PipelineOptions opt = options_for("hlscode", kFloat);
+  opt.sigma = 40.0;
+  opt.radius = 120;
+  try {
+    opt.plan(64, 64);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("hlscode"), std::string::npos) << what;
+    EXPECT_NE(what.find("241-tap"), std::string::npos) << what;
+    EXPECT_NE(what.find("float datapath"), std::string::npos) << what;
   }
 }
 
-TEST(PlannerRuleTest, FixedAutoFallsBackToStreamingFixedWhereHlscodeCannot) {
-  // A widened accumulator: hlscode's fixed datapath is ap_fixed<16,2> only.
-  PlanRequest widened = request_for("auto", Datapath::fixed_point);
-  widened.fixed.accumulator = fixed::FixedFormat(24, 4);
-  const ExecutionPlan w = plan(widened, small_kernel());
-  EXPECT_STREQ(w.backend->name(), "streaming_fixed");
-  EXPECT_TRUE(w.use_fixed);
-  EXPECT_EQ(w.fixed.accumulator, widened.fixed.accumulator);
-
-  // More taps than the synthesizable static bound.
-  const tonemap::GaussianKernel huge(40.0, 120);
-  ASSERT_GT(huge.taps(), hlscode::kMaxTaps);
-  const ExecutionPlan t =
-      plan(request_for("auto", Datapath::fixed_point), huge);
-  EXPECT_STREQ(t.backend->name(), "streaming_fixed");
-  // The float rule is unaffected by the tap bound.
-  EXPECT_STREQ(plan(request_for("auto", Datapath::unspecified), huge)
-                   .backend->name(),
-               "fused_stream");
-}
-
-TEST(PlannerRuleTest, RejectsNonPositiveGeometryAndThreads) {
-  PlanRequest request = request_for("auto", Datapath::unspecified);
-  request.width = 0;
-  EXPECT_THROW(plan(request, small_kernel()), InvalidArgument);
-  request.width = 64;
-  request.height = -1;
-  EXPECT_THROW(plan(request, small_kernel()), InvalidArgument);
-  request.height = 64;
-  request.threads = 0;
-  EXPECT_THROW(plan(request, small_kernel()), InvalidArgument);
-}
-
-// ---- Named backends -----------------------------------------------------
-
-TEST(PlannerTest, NamedBackendPlansThatBackendAndClampsThreads) {
-  PlanRequest request = request_for("fused_stream", Datapath::unspecified, 3);
-  const ExecutionPlan p = plan(request, small_kernel());
-  ASSERT_NE(p.backend, nullptr);
-  EXPECT_STREQ(p.backend->name(), "fused_stream");
-  EXPECT_EQ(p.threads, 3);
-  EXPECT_FALSE(p.use_fixed);
-
-  // hlscode has no tiled_threads capability: the plan clamps, the caller
-  // never has to know.
-  request.backend = "hlscode";
-  const ExecutionPlan clamped = plan(request, small_kernel());
-  EXPECT_STREQ(clamped.backend->name(), "hlscode");
-  EXPECT_EQ(clamped.threads, 1);
-}
-
-TEST(PlannerTest, DatapathContradictionsThrowLikeLegacyMakeExecutor) {
-  PlanRequest request;
-  request.backend = "separable_float";
-  request.datapath = Datapath::fixed_point;
-  EXPECT_THROW(plan(request, small_kernel()), InvalidArgument);
-  request.backend = "streaming_fixed";
-  request.datapath = Datapath::float32;
-  EXPECT_THROW(plan(request, small_kernel()), InvalidArgument);
-  // Unspecified snaps to the backend's only datapath.
-  request.datapath = Datapath::unspecified;
-  EXPECT_TRUE(plan(request, small_kernel()).use_fixed);
-  EXPECT_THROW(plan(PlanRequest{64, 64, "no_such_backend"}, small_kernel()),
-               InvalidArgument);
-}
-
-TEST(PlannerTest, EmptyBackendNameMeansSeparableFloatOnlyInPipelineOptions) {
-  // The planner has no meaning for "": it is an unknown name there...
-  EXPECT_THROW(plan(request_for("", Datapath::unspecified), small_kernel()),
-               InvalidArgument);
-  // ...and PipelineOptions maps it to the golden reference before planning.
-  tonemap::PipelineOptions opt;
-  ASSERT_TRUE(opt.backend.empty());
-  EXPECT_STREQ(opt.plan(64, 64).backend->name(), "separable_float");
+TEST(PlanTableTest, DatapathParsesAndRejects) {
+  EXPECT_EQ(datapath_from_string("float"), Datapath::float32);
+  EXPECT_EQ(datapath_from_string("float32"), Datapath::float32);
+  EXPECT_EQ(datapath_from_string("fixed"), Datapath::fixed_point);
+  EXPECT_EQ(datapath_from_string("fixed_point"), Datapath::fixed_point);
+  EXPECT_THROW(datapath_from_string("analog"), InvalidArgument);
 }
 
 // ---- Plans choose scheduling, never bits ------------------------------
 
 TEST(PlannerTest, EveryPlanBlursBitIdenticalToSeparableFloat) {
-  const tonemap::GaussianKernel kernel = small_kernel();
   const img::ImageF plane = random_plane(83, 57, 7);
-  PlanRequest reference_request =
-      request_for("separable_float", Datapath::unspecified);
-  reference_request.width = plane.width();
-  reference_request.height = plane.height();
-  const img::ImageF reference =
-      plan(reference_request, kernel).make_executor().blur(plane, kernel);
+  const GaussianKernel kernel = options_for("", kUnspec).kernel();
+  const img::ImageF reference = options_for("separable_float", kUnspec)
+                                    .plan(plane.width(), plane.height())
+                                    .blur(plane, kernel);
   for (const char* backend :
-       {"auto", "separable_float", "fused_stream", "hlscode"}) {
+       {"", "auto", "separable_float", "fused_stream", "hlscode"}) {
     for (int threads : {1, 2, 3}) {
-      PlanRequest request =
-          request_for(backend, Datapath::unspecified, threads);
-      request.width = plane.width();
-      request.height = plane.height();
-      const ExecutionPlan p = plan(request, kernel);
-      EXPECT_TRUE(
-          bit_identical(p.make_executor().blur(plane, kernel), reference))
+      const exec::PipelineExecutor p =
+          options_for(backend, kUnspec, threads)
+              .plan(plane.width(), plane.height());
+      EXPECT_TRUE(bit_identical(p.blur(plane, kernel), reference))
           << backend << " at " << threads << " thread(s)";
     }
   }
 
-  // Fixed plans: both rule outcomes match the streaming_fixed golden model
-  // in the paper's formats.
+  // Fixed plans: every rule outcome matches the streaming_fixed golden
+  // model in the paper's formats.
   const img::ImageF fixed_reference =
-      plan(request_for("streaming_fixed", Datapath::unspecified), kernel)
-          .make_executor()
-          .blur(plane, kernel);
-  EXPECT_TRUE(bit_identical(
-      plan(request_for("auto", Datapath::fixed_point), kernel)
-          .make_executor()
-          .blur(plane, kernel),
-      fixed_reference));
+      options_for("streaming_fixed", kUnspec).plan(64, 64).blur(plane, kernel);
+  for (const char* backend : {"", "auto", "hlscode"}) {
+    EXPECT_TRUE(bit_identical(
+        options_for(backend, kFixed).plan(64, 64).blur(plane, kernel),
+        fixed_reference))
+        << backend;
+  }
+}
+
+TEST(PlannerTest, EmptyBackendOnFixedDatapathToneMapsLikeStreamingFixed) {
+  const img::ImageF hdr = random_plane(31, 19, 11, 3);
+  PipelineOptions fixed_request;
+  fixed_request.datapath = Datapath::fixed_point;
+  PipelineOptions golden;
+  golden.backend = "streaming_fixed";
+  EXPECT_TRUE(bit_identical(tone_map(hdr, fixed_request).output,
+                            tone_map(hdr, golden).output));
 }
 
 } // namespace
-} // namespace tmhls::exec
+} // namespace tmhls::tonemap

@@ -254,7 +254,7 @@ img::ImageF libm_tone_map(const img::ImageF& hdr, const PipelineOptions& opt) {
                           1.0f / opt.display_gamma);
   const img::ImageF intensity = stages::intensity(normalized);
   const img::ImageF mask = stages::mask(
-      intensity, opt.kernel(), opt.make_executor(hdr.width(), hdr.height()));
+      intensity, opt.kernel(), opt.plan(hdr.width(), hdr.height()));
   img::ImageF masked(hdr.width(), hdr.height(), hdr.channels());
   for (int y = 0; y < hdr.height(); ++y) {
     libm_masking_row(&normalized.at_unchecked(0, y), &mask.at_unchecked(0, y),

@@ -62,7 +62,6 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "exec/executor.hpp"
-#include "exec/planner.hpp"
 #include "exec/registry.hpp"
 #include "image/stats.hpp"
 #include "imageio/pfm.hpp"
@@ -127,10 +126,6 @@ tonemap::PipelineOptions pipeline_options_from(const Args& args) {
   }
   if (!datapath.empty()) {
     opt.datapath = tonemap::datapath_from_string(datapath);
-  }
-  // A bare fixed-point request keeps selecting the fixed golden model.
-  if (opt.datapath == tonemap::Datapath::fixed_point && opt.backend.empty()) {
-    opt.backend = "streaming_fixed";
   }
   opt.threads = args.get_int("threads", opt.threads);
   return opt;
@@ -238,14 +233,12 @@ int cmd_backends(const Args& args) {
   popt.sigma = args.get_double("sigma", popt.sigma);
   popt.radius = args.get_int("radius", popt.radius);
   const tonemap::GaussianKernel kernel = popt.kernel();
-  exec::PlanRequest request;
-  request.width = width;
-  request.height = height;
-  request.threads = args.get_int("threads", 1);
-  request.datapath =
-      args.has("fixed") ? exec::Datapath::fixed_point : exec::Datapath::float32;
+  popt.backend = "auto";
+  popt.datapath = args.has("fixed") ? tonemap::Datapath::fixed_point
+                                    : tonemap::Datapath::float32;
+  popt.threads = args.get_int("threads", popt.threads);
   args.reject_unread();
-  const exec::ExecutionPlan choice = exec::plan(request, kernel);
+  const exec::PipelineExecutor choice = popt.plan(width, height);
 
   const exec::BackendRegistry& registry = exec::BackendRegistry::global();
   TextTable t({"backend", "datapath", "streaming", "synthesizable",
@@ -264,14 +257,11 @@ int cmd_backends(const Args& args) {
       bits += '/';
       bits += std::to_string(caps.dual_fixed_data_bits);
     }
-    exec::BlurContext ctx;
-    ctx.use_fixed = choice.use_fixed;
-    ctx.threads = caps.tiled_threads ? request.threads : 1;
     std::string buffer = "-";
     std::string traffic = "-";
-    if (backend->can_run(kernel, ctx)) {
+    if (backend->can_run(kernel, choice.options())) {
       const exec::BlurCost cost =
-          backend->estimate_cost(width, height, kernel, ctx);
+          backend->estimate_cost(width, height, kernel, choice.options());
       buffer = format_fixed(static_cast<double>(cost.buffer_bytes) / 1024.0,
                             1);
       traffic = format_fixed(
@@ -286,9 +276,9 @@ int cmd_backends(const Args& args) {
   }
   std::cout << t.render();
   std::cout << "\nfigures for " << width << "x" << height << ", "
-            << kernel.taps() << " taps, " << request.threads
+            << kernel.taps() << " taps, " << popt.threads
             << " thread(s); '--backend auto' would pick: "
-            << choice.backend->name() << "\n";
+            << choice.backend().name() << "\n";
   return 0;
 }
 
@@ -352,7 +342,7 @@ int cmd_video(const Args& args) {
   t.add_row({std::to_string(sequence.frame_count()),
              std::to_string(cfg.frame_size),
              mapper.engine().executor().backend().name(),
-             std::to_string(mapper.engine().plan().threads),
+             std::to_string(mapper.engine().executor().options().threads),
              format_fixed(seconds, 3),
              seconds > 0.0
                  ? format_fixed(static_cast<double>(outputs.size()) / seconds,
