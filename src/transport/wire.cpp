@@ -1,8 +1,14 @@
 #include "transport/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define TMHLS_CRC32C_X86 1
+#endif
 
 #include "fixed/fixed_format.hpp"
 #include "tonemap/pipeline.hpp"
@@ -309,8 +315,21 @@ void put_image(std::vector<std::uint8_t>& out, const img::ImageF& image) {
   put_u32(out, static_cast<std::uint32_t>(image.width()));
   put_u32(out, static_cast<std::uint32_t>(image.height()));
   put_u32(out, static_cast<std::uint32_t>(image.channels()));
-  out.reserve(out.size() + image.sample_count() * 4);
-  for (float v : image.samples()) put_f32(out, v);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The mirror of read_image: the plane's memory already is the wire's
+    // run of little-endian f32 words, so it goes out in one memcpy.
+    const std::size_t at = out.size();
+    out.resize(at + image.sample_count() * 4);
+    std::memcpy(out.data() + at, image.samples().data(),
+                image.sample_count() * 4);
+  } else {
+    for (float v : image.samples()) put_f32(out, v);
+  }
+}
+
+/// Bytes put_image writes for `image`.
+std::size_t image_bytes(const img::ImageF& image) {
+  return 12 + image.sample_count() * 4;
 }
 
 img::ImageF read_image(Reader& in) {
@@ -355,10 +374,27 @@ img::ImageF read_image(Reader& in) {
   return image;
 }
 
-/// Prepend the header for `type` over `payload` and return the complete
-/// message.
+/// Upper bound on what a payload spends outside its string and image
+/// fields: ids, enum codes, numbers, option fields and length prefixes.
+constexpr std::size_t kFieldBytes = 128;
+
+/// An empty message: kHeaderBytes of placeholder for seal to fill, and
+/// capacity for the whole payload — kFieldBytes plus `variable_bytes` of
+/// strings and image samples — so the payload is appended without a
+/// reallocation, straight where it will be sent from.
+std::vector<std::uint8_t> begin_message(std::size_t variable_bytes = 0) {
+  std::vector<std::uint8_t> message;
+  message.reserve(kHeaderBytes + kFieldBytes + variable_bytes);
+  message.resize(kHeaderBytes);
+  return message;
+}
+
+/// Fill the header of a begin_message buffer for `type` in place over the
+/// payload that follows it, and return the complete message.
 std::vector<std::uint8_t> seal(MessageType type,
-                               std::vector<std::uint8_t> payload) {
+                               std::vector<std::uint8_t> message) {
+  const auto payload =
+      std::span<const std::uint8_t>(message).subspan(kHeaderBytes);
   TMHLS_REQUIRE(payload.size() <= kMaxPayloadBytes,
                 "wire: payload exceeds kMaxPayloadBytes");
   Header header;
@@ -366,26 +402,84 @@ std::vector<std::uint8_t> seal(MessageType type,
   header.payload_bytes = static_cast<std::uint32_t>(payload.size());
   header.checksum = checksum(payload);
   const auto head = encode_header(header);
-  // memcpy into a pre-sized vector: the insert-after-reserve form trips a
-  // GCC 12 -Wstringop-overflow false positive under -Werror.
-  std::vector<std::uint8_t> message(head.size() + payload.size());
-  std::memcpy(message.data(), head.data(), head.size());
-  if (!payload.empty()) {
-    std::memcpy(message.data() + head.size(), payload.data(), payload.size());
-  }
+  std::copy(head.begin(), head.end(), message.begin());
   return message;
 }
 
+// --- CRC32C ----------------------------------------------------------------
+
+/// The Castagnoli polynomial, bit-reflected.
+constexpr std::uint32_t kCrc32cPolynomial = 0x82F63B78u;
+
+constexpr std::array<std::uint32_t, 256> crc32c_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? kCrc32cPolynomial : 0u);
+    }
+    table[i] = crc;
+  }
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrc32cTable = crc32c_table();
+
+#ifdef TMHLS_CRC32C_X86
+// One dependent crc32 chain, eight bytes per instruction. Words are loaded
+// with memcpy, so a payload at any address is well-defined; x86 is
+// little-endian, so each word holds its bytes in stream order, which is
+// the order the instruction consumes them in.
+__attribute__((target("sse4.2"))) std::uint32_t
+crc32c_sse42(const std::uint8_t* bytes, std::size_t n) {
+  std::uint64_t crc = 0xFFFFFFFFu;
+  for (; n >= 8; bytes += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes, 8);
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  for (; n > 0; ++bytes, --n) crc32 = _mm_crc32_u8(crc32, *bytes);
+  return ~crc32;
+}
+#endif
+
 } // namespace
 
-std::uint32_t checksum(std::span<const std::uint8_t> payload) {
-  // FNV-1a 32-bit.
-  std::uint32_t hash = 2166136261u;
-  for (std::uint8_t byte : payload) {
-    hash ^= byte;
-    hash *= 16777619u;
+namespace detail {
+
+std::uint32_t crc32c_portable(std::span<const std::uint8_t> bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::uint8_t byte : bytes) {
+    crc = (crc >> 8) ^ kCrc32cTable[(crc ^ byte) & 0xffu];
   }
-  return hash;
+  return ~crc;
+}
+
+bool crc32c_hardware_available() {
+#ifdef TMHLS_CRC32C_X86
+  static const bool has = __builtin_cpu_supports("sse4.2") != 0;
+  return has;
+#else
+  return false;
+#endif
+}
+
+std::uint32_t crc32c_hardware(std::span<const std::uint8_t> bytes) {
+#ifdef TMHLS_CRC32C_X86
+  return crc32c_sse42(bytes.data(), bytes.size());
+#else
+  // No crc32 instruction on this ISA; checksum() never selects this path.
+  return crc32c_portable(bytes);
+#endif
+}
+
+} // namespace detail
+
+std::uint32_t checksum(std::span<const std::uint8_t> payload) {
+  return detail::crc32c_hardware_available()
+             ? detail::crc32c_hardware(payload)
+             : detail::crc32c_portable(payload);
 }
 
 std::array<std::uint8_t, kHeaderBytes> encode_header(const Header& header) {
@@ -449,17 +543,19 @@ std::vector<std::uint8_t> encode_request(const Request& request) {
                     (std::isfinite(*request.job.deadline_seconds) &&
                      *request.job.deadline_seconds >= 0.0),
                 "wire: deadline_seconds must be finite and >= 0");
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, request.request_id);
-  put_u8(payload, code_of(request.job.qos));
+  std::vector<std::uint8_t> message =
+      begin_message(request.job.options.backend.size() +
+                    image_bytes(request.job.frame));
+  put_u64(message, request.request_id);
+  put_u8(message, code_of(request.job.qos));
   // "No deadline" travels as an explicit flag byte (v3): the f64 that
   // follows is only meaningful when the flag is 1, and must be zero
   // otherwise so every no-deadline request has exactly one encoding.
-  put_u8(payload, request.job.deadline_seconds.has_value() ? 1 : 0);
-  put_f64(payload, request.job.deadline_seconds.value_or(0.0));
-  put_options(payload, request.job.options);
-  put_image(payload, request.job.frame);
-  return seal(MessageType::request, std::move(payload));
+  put_u8(message, request.job.deadline_seconds.has_value() ? 1 : 0);
+  put_f64(message, request.job.deadline_seconds.value_or(0.0));
+  put_options(message, request.job.options);
+  put_image(message, request.job.frame);
+  return seal(MessageType::request, std::move(message));
 }
 
 Request decode_request(std::span<const std::uint8_t> payload) {
@@ -493,16 +589,17 @@ Request decode_request(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> encode_response(const Response& response) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, response.request_id);
-  put_u64(payload, response.result.job_id);
-  put_i32(payload, response.result.shard);
-  put_u8(payload, code_of(response.result.degrade));
-  put_string(payload, response.result.backend);
-  put_f64(payload, response.result.queue_seconds);
-  put_f64(payload, response.result.service_seconds);
-  put_image(payload, response.result.output);
-  return seal(MessageType::response, std::move(payload));
+  std::vector<std::uint8_t> message = begin_message(
+      response.result.backend.size() + image_bytes(response.result.output));
+  put_u64(message, response.request_id);
+  put_u64(message, response.result.job_id);
+  put_i32(message, response.result.shard);
+  put_u8(message, code_of(response.result.degrade));
+  put_string(message, response.result.backend);
+  put_f64(message, response.result.queue_seconds);
+  put_f64(message, response.result.service_seconds);
+  put_image(message, response.result.output);
+  return seal(MessageType::response, std::move(message));
 }
 
 Response decode_response(std::span<const std::uint8_t> payload) {
@@ -521,15 +618,15 @@ Response decode_response(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> encode_error(const ErrorReply& reply) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, reply.request_id);
-  put_u8(payload, code_of(reply.code));
   // Clamp rather than reject: an over-long what() string must not turn an
   // error reply into a second failure.
-  std::string message = reply.message;
-  if (message.size() > kMaxStringBytes) message.resize(kMaxStringBytes);
-  put_string(payload, message);
-  return seal(MessageType::error, std::move(payload));
+  std::string text = reply.message;
+  if (text.size() > kMaxStringBytes) text.resize(kMaxStringBytes);
+  std::vector<std::uint8_t> message = begin_message(text.size());
+  put_u64(message, reply.request_id);
+  put_u8(message, code_of(reply.code));
+  put_string(message, text);
+  return seal(MessageType::error, std::move(message));
 }
 
 ErrorReply decode_error(std::span<const std::uint8_t> payload) {
@@ -596,17 +693,18 @@ void check_stream_config(const stream::StreamConfig& config) {
 
 std::vector<std::uint8_t> encode_stream_open(const StreamOpen& open) {
   check_stream_config(open.config);
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, open.stream_id);
-  put_u8(payload, code_of(open.config.qos));
-  put_f64(payload, open.config.frame_interval_seconds);
-  put_f64(payload, open.config.adaptation_rate);
-  put_u32(payload, static_cast<std::uint32_t>(open.config.width));
-  put_u32(payload, static_cast<std::uint32_t>(open.config.height));
-  put_u32(payload, static_cast<std::uint32_t>(open.config.reorder_window));
-  put_u32(payload, static_cast<std::uint32_t>(open.config.credits));
-  put_options(payload, open.config.pipeline);
-  return seal(MessageType::stream_open, std::move(payload));
+  std::vector<std::uint8_t> message =
+      begin_message(open.config.pipeline.backend.size());
+  put_u64(message, open.stream_id);
+  put_u8(message, code_of(open.config.qos));
+  put_f64(message, open.config.frame_interval_seconds);
+  put_f64(message, open.config.adaptation_rate);
+  put_u32(message, static_cast<std::uint32_t>(open.config.width));
+  put_u32(message, static_cast<std::uint32_t>(open.config.height));
+  put_u32(message, static_cast<std::uint32_t>(open.config.reorder_window));
+  put_u32(message, static_cast<std::uint32_t>(open.config.credits));
+  put_options(message, open.config.pipeline);
+  return seal(MessageType::stream_open, std::move(message));
 }
 
 StreamOpen decode_stream_open(std::span<const std::uint8_t> payload) {
@@ -627,10 +725,10 @@ StreamOpen decode_stream_open(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> encode_stream_opened(const StreamOpened& opened) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, opened.stream_id);
-  put_u32(payload, opened.credits);
-  return seal(MessageType::stream_opened, std::move(payload));
+  std::vector<std::uint8_t> message = begin_message();
+  put_u64(message, opened.stream_id);
+  put_u32(message, opened.credits);
+  return seal(MessageType::stream_opened, std::move(message));
 }
 
 StreamOpened decode_stream_opened(std::span<const std::uint8_t> payload) {
@@ -649,11 +747,11 @@ StreamOpened decode_stream_opened(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> encode_stream_frame(const StreamFrame& frame) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, frame.stream_id);
-  put_u64(payload, frame.sequence);
-  put_image(payload, frame.frame);
-  return seal(MessageType::stream_frame, std::move(payload));
+  std::vector<std::uint8_t> message = begin_message(image_bytes(frame.frame));
+  put_u64(message, frame.stream_id);
+  put_u64(message, frame.sequence);
+  put_image(message, frame.frame);
+  return seal(MessageType::stream_frame, std::move(message));
 }
 
 StreamFrame decode_stream_frame(std::span<const std::uint8_t> payload) {
@@ -667,14 +765,15 @@ StreamFrame decode_stream_frame(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> encode_stream_result(const StreamResult& result) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, result.stream_id);
-  put_u64(payload, result.sequence);
-  put_u8(payload, code_of(result.rung));
-  put_string(payload, result.backend);
-  put_f64(payload, result.service_seconds);
-  put_image(payload, result.output);
-  return seal(MessageType::stream_result, std::move(payload));
+  std::vector<std::uint8_t> message =
+      begin_message(result.backend.size() + image_bytes(result.output));
+  put_u64(message, result.stream_id);
+  put_u64(message, result.sequence);
+  put_u8(message, code_of(result.rung));
+  put_string(message, result.backend);
+  put_f64(message, result.service_seconds);
+  put_image(message, result.output);
+  return seal(MessageType::stream_result, std::move(message));
 }
 
 StreamResult decode_stream_result(std::span<const std::uint8_t> payload) {
@@ -699,10 +798,10 @@ std::vector<std::uint8_t> encode_stream_credit(const StreamCredit& credit) {
     throw WireError("wire: stream_credit credits outside [1, " +
                     std::to_string(stream::kMaxStreamCredits) + "]");
   }
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, credit.stream_id);
-  put_u32(payload, credit.credits);
-  return seal(MessageType::stream_credit, std::move(payload));
+  std::vector<std::uint8_t> message = begin_message();
+  put_u64(message, credit.stream_id);
+  put_u32(message, credit.credits);
+  return seal(MessageType::stream_credit, std::move(message));
 }
 
 StreamCredit decode_stream_credit(std::span<const std::uint8_t> payload) {
@@ -721,9 +820,9 @@ StreamCredit decode_stream_credit(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> encode_stream_close(const StreamClose& close) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, close.stream_id);
-  return seal(MessageType::stream_close, std::move(payload));
+  std::vector<std::uint8_t> message = begin_message();
+  put_u64(message, close.stream_id);
+  return seal(MessageType::stream_close, std::move(message));
 }
 
 StreamClose decode_stream_close(std::span<const std::uint8_t> payload) {
@@ -735,19 +834,19 @@ StreamClose decode_stream_close(std::span<const std::uint8_t> payload) {
 }
 
 std::vector<std::uint8_t> encode_stream_closed(const StreamClosed& closed) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, closed.stream_id);
-  put_u8(payload, code_of(closed.status));
-  put_u64(payload, closed.frames_delivered);
-  put_u64(payload, closed.frames_shed);
-  put_u64(payload, closed.frames_expired);
-  put_u32(payload, closed.rung_switches);
   // Clamp rather than reject, like encode_error: a long failure message
   // must not turn the stream's terminal message into a second failure.
-  std::string message = closed.message;
-  if (message.size() > kMaxStringBytes) message.resize(kMaxStringBytes);
-  put_string(payload, message);
-  return seal(MessageType::stream_closed, std::move(payload));
+  std::string text = closed.message;
+  if (text.size() > kMaxStringBytes) text.resize(kMaxStringBytes);
+  std::vector<std::uint8_t> message = begin_message(text.size());
+  put_u64(message, closed.stream_id);
+  put_u8(message, code_of(closed.status));
+  put_u64(message, closed.frames_delivered);
+  put_u64(message, closed.frames_shed);
+  put_u64(message, closed.frames_expired);
+  put_u32(message, closed.rung_switches);
+  put_string(message, text);
+  return seal(MessageType::stream_closed, std::move(message));
 }
 
 StreamClosed decode_stream_closed(std::span<const std::uint8_t> payload) {

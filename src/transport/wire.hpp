@@ -8,11 +8,11 @@
 //
 //   offset  size  field
 //   0       4     magic "TMHW" (raw bytes, not an integer)
-//   4       2     protocol version (u16 LE; this header describes v5,
+//   4       2     protocol version (u16 LE; this header describes v6,
 //                 kVersion — see its comment for what each version added)
 //   6       2     message type (u16 LE: 1 request, 2 response, 3 error)
 //   8       4     payload size in bytes (u32 LE, bounded by kMaxPayloadBytes)
-//   12      4     FNV-1a 32-bit checksum of the payload bytes (u32 LE)
+//   12      4     CRC32C (Castagnoli) of the payload bytes (u32 LE)
 //
 // All multi-byte integers are little-endian **on the wire regardless of
 // host endianness** — encoders assemble bytes explicitly, decoders
@@ -70,8 +70,9 @@ namespace wire {
 /// same "follow the backend" meaning. v5 dropped the request's
 /// blur-shard count (u32) and the stream open's pipeline depth (u32):
 /// every frame runs synchronously through one engine, and its band count
-/// is PipelineOptions::threads.
-inline constexpr std::uint16_t kVersion = 5;
+/// is PipelineOptions::threads. v6 replaced the FNV-1a header checksum
+/// with CRC32C; every payload byte is unchanged.
+inline constexpr std::uint16_t kVersion = 6;
 
 /// First four payload-independent bytes of every message.
 inline constexpr std::array<std::uint8_t, 4> kMagic{'T', 'M', 'H', 'W'};
@@ -121,10 +122,29 @@ struct Header {
   std::uint32_t checksum = 0;
 };
 
-/// FNV-1a 32-bit over the payload bytes — cheap, dependency-free, and
-/// plenty to catch truncation/corruption on a stream transport (TCP
-/// already guards the bits; the checksum guards framing bugs).
+/// CRC32C (Castagnoli: reflected polynomial 0x82F63B78, initial value and
+/// final xor 0xFFFFFFFF) over the payload bytes. TCP already guards the
+/// bits; the checksum guards framing bugs, and a CRC catches every
+/// single-bit flip and every burst up to 32 bits. It runs four times per
+/// round trip over multi-MB frames, so it dispatches once to the SSE4.2
+/// crc32 instruction where the host has it and to a table-driven loop with
+/// the same result elsewhere.
 std::uint32_t checksum(std::span<const std::uint8_t> payload);
+
+namespace detail {
+
+/// Table-driven CRC32C, one byte per step: the portable path and the
+/// reference the hardware path is tested against.
+std::uint32_t crc32c_portable(std::span<const std::uint8_t> bytes);
+
+/// Whether this host runs crc32c_hardware (x86-64 with SSE4.2).
+bool crc32c_hardware_available();
+
+/// CRC32C through the SSE4.2 crc32 instruction, eight bytes per step.
+/// Call only where crc32c_hardware_available() holds.
+std::uint32_t crc32c_hardware(std::span<const std::uint8_t> bytes);
+
+} // namespace detail
 
 /// Serialize a header (including magic) into exactly kHeaderBytes.
 std::array<std::uint8_t, kHeaderBytes> encode_header(const Header& header);

@@ -1,6 +1,8 @@
 // Tests for the socket transport: wire-format round trips (options, fixed
-// formats, frame bytes — NaN patterns included) and a golden-bytes pin of
-// the on-wire layout; loopback byte-identity of transport::Client against
+// formats, frame bytes — NaN patterns included), golden-bytes pins of the
+// on-wire layout and of the sample bytes, and the CRC32C checksum (known
+// answer, hardware/portable agreement, every single-bit flip caught);
+// loopback byte-identity of transport::Client against
 // the blocking tone_map() for every backend; pipelined
 // submission with request-id correlation; the error contract (execution
 // errors arrive as RemoteError and the connection survives; protocol
@@ -160,16 +162,16 @@ TEST(WireTest, ResponseRoundTripPreservesResultAndTimings) {
 }
 
 TEST(WireTest, ErrorMessageGoldenBytesPinTheOnWireFormat) {
-  // The exact bytes of a v5 error message with id 1, code generic and
+  // The exact bytes of a v6 error message with id 1, code generic and
   // message "hi" — recorded by hand from the format table in wire.hpp.
   // This pins the on-wire layout (magic, little-endian fields, the code
-  // byte, FNV-1a checksum): any encoder change that alters these bytes
-  // is a protocol break and must bump kVersion. (Only the header's
-  // version field changed from the v4 pin: the checksum covers the
-  // payload alone.)
+  // byte, CRC32C checksum): any encoder change that alters these bytes
+  // is a protocol break and must bump kVersion. (From the v5 pin only the
+  // header's version and checksum fields changed: v6 replaced FNV-1a with
+  // CRC32C, and 0xEBF027C2 is the CRC32C of these 15 payload bytes.)
   const std::vector<std::uint8_t> expected{
-      0x54, 0x4d, 0x48, 0x57, 0x05, 0x00, 0x03, 0x00, 0x0f, 0x00, 0x00,
-      0x00, 0x01, 0x05, 0x60, 0x5f, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x54, 0x4d, 0x48, 0x57, 0x06, 0x00, 0x03, 0x00, 0x0f, 0x00, 0x00,
+      0x00, 0xc2, 0x27, 0xf0, 0xeb, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x68, 0x69};
   EXPECT_EQ(wire::encode_error({1, wire::ErrorCode::generic, "hi"}),
             expected);
@@ -179,6 +181,86 @@ TEST(WireTest, ErrorMessageGoldenBytesPinTheOnWireFormat) {
   EXPECT_EQ(decoded.request_id, 1u);
   EXPECT_EQ(decoded.code, wire::ErrorCode::generic);
   EXPECT_EQ(decoded.message, "hi");
+}
+
+TEST(WireTest, StreamFrameGoldenBytesPinTheSampleLayout) {
+  // The exact bytes of a v6 stream_frame with stream id 1, sequence 2 and
+  // a 1x1x2 image {1.0f, -0.0f}: samples travel as the little-endian
+  // IEEE-754 words 00 00 80 3f and 00 00 00 80, whatever the host, and
+  // 0x48E4F22B is the CRC32C of the 36 payload bytes.
+  img::ImageF image(1, 1, 2);
+  image.samples()[0] = 1.0f;
+  image.samples()[1] = -0.0f;
+  const std::vector<std::uint8_t> expected{
+      0x54, 0x4d, 0x48, 0x57, 0x06, 0x00, 0x05, 0x00, // magic, v6, type 5
+      0x24, 0x00, 0x00, 0x00, 0x2b, 0xf2, 0xe4, 0x48, // 36 bytes, CRC32C
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // stream id
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sequence
+      0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, // width, height
+      0x02, 0x00, 0x00, 0x00,                         // channels
+      0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x80}; // 1.0f, -0.0f
+  EXPECT_EQ(wire::encode_stream_frame({1, 2, image}), expected);
+
+  const wire::StreamFrame decoded = wire::decode_stream_frame(
+      std::span<const std::uint8_t>(expected).subspan(wire::kHeaderBytes));
+  EXPECT_EQ(decoded.stream_id, 1u);
+  EXPECT_EQ(decoded.sequence, 2u);
+  EXPECT_TRUE(bit_identical(decoded.frame, image));
+}
+
+TEST(WireTest, Crc32cMatchesTheCastagnoliKnownAnswer) {
+  const std::string check = "123456789";
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
+  EXPECT_EQ(wire::detail::crc32c_portable(bytes), 0xE3069283u);
+  EXPECT_EQ(wire::checksum(bytes), 0xE3069283u);
+  EXPECT_EQ(wire::checksum({}), 0u);
+}
+
+TEST(WireTest, Crc32cHardwareAndPortablePathsAgree) {
+  if (!wire::detail::crc32c_hardware_available()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this host";
+  }
+  Rng rng(31);
+  std::vector<std::uint8_t> buffer(2'359'296 + 8); // one 512x384x3 frame
+  for (std::uint8_t& b : buffer) {
+    b = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  const std::span<const std::uint8_t> all(buffer);
+  // Every length 0-64 at every start offset 0-7: the 8-byte word loop, the
+  // byte tail and unaligned loads in every combination.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const auto bytes = all.subspan(offset, length);
+      ASSERT_EQ(wire::detail::crc32c_hardware(bytes),
+                wire::detail::crc32c_portable(bytes))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+  const auto frame = all.subspan(3, 2'359'296);
+  EXPECT_EQ(wire::detail::crc32c_hardware(frame),
+            wire::detail::crc32c_portable(frame));
+}
+
+TEST(WireTest, EverySingleBitFlipFailsTheChecksum) {
+  // A CRC detects every single-bit error; the check must hold on the
+  // path checksum() dispatches to.
+  Rng rng(47);
+  std::vector<std::uint8_t> payload(4096);
+  for (std::uint8_t& b : payload) {
+    b = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  wire::Header header;
+  header.payload_bytes = static_cast<std::uint32_t>(payload.size());
+  header.checksum = wire::checksum(payload);
+  wire::verify_checksum(header, payload); // must not throw
+  for (std::size_t bit = 0; bit < payload.size() * 8; ++bit) {
+    const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+    payload[bit / 8] ^= mask;
+    ASSERT_THROW(wire::verify_checksum(header, payload), WireError)
+        << "bit " << bit;
+    payload[bit / 8] ^= mask;
+  }
 }
 
 TEST(WireTest, ErrorCodeRoundTripsEveryTypedCategory) {
