@@ -14,24 +14,6 @@ void check_range(int y_begin, int y_end, int height) {
                 "blur pass: row range out of bounds");
 }
 
-ColumnRange interior_columns(int width, int radius) {
-  ColumnRange r;
-  r.begin = std::min(radius, width);
-  r.end = std::max(r.begin, width - radius);
-  return r;
-}
-
-void hpass_float_border(const float* row, float* out, const float* wts,
-                        int taps, int radius, int width, int x0, int x1) {
-  for (int x = x0; x < x1; ++x) {
-    float acc = 0.0f;
-    for (int i = 0; i < taps; ++i) {
-      acc += wts[i] * row[clamp_index(x - radius + i, width)];
-    }
-    out[x] = acc;
-  }
-}
-
 void hpass_float_interior(const float* row, float* out, const float* wts,
                           int taps, int radius, int x0, int x1) {
   for (int x = x0; x < x1; ++x) {
@@ -53,15 +35,50 @@ void vpass_float_columns(const float* const* rows, float* out,
 
 } // namespace detail
 
+namespace {
+
+/// Column range [begin, end) whose full tap window [x-radius, x+radius]
+/// stays inside a row of `width` pixels — the interior, where no clamping
+/// is needed. Empty (begin == end) when width <= 2*radius.
+struct ColumnRange {
+  int begin = 0;
+  int end = 0;
+};
+ColumnRange interior_columns(int width, int radius) {
+  ColumnRange r;
+  r.begin = std::min(radius, width);
+  r.end = std::max(r.begin, width - radius);
+  return r;
+}
+
+/// Clamped horizontal taps for border columns [x0, x1) of one row.
+void hpass_float_border(const float* row, float* out, const float* wts,
+                        int taps, int radius, int width, int x0, int x1) {
+  for (int x = x0; x < x1; ++x) {
+    float acc = 0.0f;
+    for (int i = 0; i < taps; ++i) {
+      acc += wts[i] * row[detail::clamp_index(x - radius + i, width)];
+    }
+    out[x] = acc;
+  }
+}
+
+} // namespace
+
 void hpass_float_row(const float* row, float* out, const float* wts, int taps,
                      int radius, int width) {
-  const detail::ColumnRange in = detail::interior_columns(width, radius);
-  detail::hpass_float_border(row, out, wts, taps, radius, width, 0, in.begin);
+  const ColumnRange in = interior_columns(width, radius);
+  hpass_float_border(row, out, wts, taps, radius, width, 0, in.begin);
   // Interior: the tap window never leaves the row, so the taps read a
   // contiguous window with no clamp branch.
   detail::hpass_float_interior(row, out, wts, taps, radius, in.begin, in.end);
-  detail::hpass_float_border(row, out, wts, taps, radius, width, in.end,
-                             width);
+  hpass_float_border(row, out, wts, taps, radius, width, in.end, width);
+}
+
+void replicate_edges(float* padded, int radius, int width) {
+  std::fill(padded, padded + radius, padded[radius]);
+  std::fill(padded + radius + width, padded + width + 2 * radius,
+            padded[radius + width - 1]);
 }
 
 void vpass_float_row(const float* const* rows, float* out, const float* wts,

@@ -7,21 +7,23 @@
 // models in blur.cpp, which is what makes band-parallel execution
 // bit-identical to the single-threaded forms.
 //
-// All passes split every row into border columns (where a tap window runs
-// off the image and clamps) and an interior (where it never does): the
-// interior loops carry no per-pixel clamp branch, which is what lets the
-// scalar forms run branch-free and the SIMD row passes vectorize. The
-// border handling lives in one place (detail::*_border) shared by the
-// scalar and SIMD forms.
+// The scalar horizontal pass splits every row into border columns (where
+// a tap window runs off the image and clamps) and an interior (where it
+// never does), so the interior loop carries no per-pixel clamp branch.
+// The SIMD horizontal pass needs no border code at all: clamp-to-edge is
+// edge replication, so it reads a row padded by `radius` copies of the
+// edge samples on each side (replicate_edges) and runs the clamp-free
+// interior over every column — each tap reads the very sample the clamp
+// would have picked.
 //
-// The SIMD row passes (*_row_simd, what fused_stream runs) vectorize
-// *across output pixels* (x), not across taps: lane l of the vector
-// accumulator carries pixel x+l through the same ascending tap sequence as
-// the scalar form, so every lane performs the scalar computation verbatim
-// — no reassociation — and the output is bit-identical to the scalar
-// passes. They dispatch once at runtime between a portable 4-lane build
-// and an 8-lane AVX2 clone (detail::BlurRowKernels), which compute the
-// same bits.
+// The SIMD row passes (*_simd, what fused_stream runs) vectorize *across
+// output pixels* (x), not across taps: lane l of the vector accumulator
+// carries pixel x+l through the same ascending tap sequence as the scalar
+// form, so every lane performs the scalar computation verbatim — no
+// reassociation — and the output is bit-identical to the scalar passes.
+// They dispatch once at runtime to the widest build the CPU has: a
+// portable 4-lane build, or an 8-lane AVX2 clone of it
+// (detail::BlurRowKernels), which compute the same bits.
 #pragma once
 
 #include <cstdint>
@@ -43,23 +45,9 @@ inline int clamp_index(int v, int limit) {
 /// Validate a [y_begin, y_end) row range against an image height.
 void check_range(int y_begin, int y_end, int height);
 
-/// Column range [begin, end) whose full tap window [x-radius, x+radius]
-/// stays inside a row of `width` pixels — the interior, where no clamping
-/// is needed. Empty (begin == end) when width <= 2*radius.
-struct ColumnRange {
-  int begin = 0;
-  int end = 0;
-};
-ColumnRange interior_columns(int width, int radius);
-
-/// Clamped horizontal taps for border columns [x0, x1) of one row — the
-/// single source of truth for border handling, shared by the scalar and
-/// SIMD float passes (and exposed for the property tests).
-void hpass_float_border(const float* row, float* out, const float* wts,
-                        int taps, int radius, int width, int x0, int x1);
-
 /// Scalar clamp-free horizontal taps for interior columns [x0, x1) of one
-/// row: the scalar pass's interior and the SIMD row's sub-vector tail.
+/// row (row[x - radius .. x + radius] must exist): the scalar pass's
+/// interior and the SIMD row's sub-vector tail.
 void hpass_float_interior(const float* row, float* out, const float* wts,
                           int taps, int radius, int x0, int x1);
 
@@ -74,8 +62,8 @@ void vpass_float_columns(const float* const* rows, float* out,
 /// the widest one the CPU has.
 struct BlurRowKernels {
   int lanes; ///< output pixels per vector
-  void (*hpass)(const float* row, float* out, const float* wts, int taps,
-                int radius, int width);
+  void (*hpass)(const float* padded, float* out, const float* wts, int taps,
+                int width);
   void (*vpass)(const float* const* rows, float* out, const float* wts,
                 int taps, int width);
 };
@@ -91,16 +79,23 @@ const BlurRowKernels* blur_row_kernels_avx2();
 
 /// Horizontal pass over ONE row of `width` pixels: the border / interior /
 /// border column split of blur_hpass_float_rows applied to a raw row span.
-/// This is the row primitive the fused streaming engine (fused_stream.cpp)
-/// feeds its line buffer with — sharing it with the row-range pass below is
-/// what makes the fused path bit-identical to the plane-at-a-time forms.
+/// The golden form the SIMD row pass (what the fused streaming engine feeds
+/// its line buffer with) must match bit for bit.
 void hpass_float_row(const float* row, float* out, const float* wts, int taps,
                      int radius, int width);
 
-/// SIMD variant of hpass_float_row (vectorized interior, scalar tail);
-/// bit-identical to it.
-void hpass_float_row_simd(const float* row, float* out, const float* wts,
-                          int taps, int radius, int width);
+/// Fill the `radius` samples on each side of a padded row with copies of
+/// its edge samples: padded[radius, radius + width) holds the row; after
+/// the call padded[0, radius) repeats padded[radius] and
+/// padded[radius + width, width + 2 * radius) repeats its last sample.
+void replicate_edges(float* padded, int radius, int width);
+
+/// SIMD variant of hpass_float_row over a row padded by replicate_edges:
+/// out[x] = sum over i of wts[i] * padded[x + i], for x in [0, width),
+/// reading width + taps - 1 samples. Bit-identical to hpass_float_row on
+/// the unpadded row.
+void hpass_float_row_simd(const float* padded, float* out, const float* wts,
+                          int taps, int width);
 
 /// Vertical taps of ONE output row over per-tap source-row pointers (the
 /// caller hoists the vertical clamp into `rows`, exactly as the row-range

@@ -29,29 +29,27 @@ typedef float v8f __attribute__((vector_size(8 * sizeof(float))));
 
 #define TMHLS_BLUR_INLINE __attribute__((always_inline)) inline
 
-/// Vectorized interior of one horizontal-pass row: full vector blocks of
-/// columns in [x_begin, x_end). Returns the first unprocessed column (the
-/// caller finishes the scalar tail).
+/// Vectorized horizontal-pass row over a padded row: full vector blocks of
+/// columns in [0, width). Returns the first unprocessed column (the caller
+/// finishes the scalar tail).
 template <typename V>
-TMHLS_BLUR_INLINE int hpass_interior_vec(const float* row, float* out,
-                                         const float* wts, int taps,
-                                         int radius, int x_begin, int x_end) {
+TMHLS_BLUR_INLINE int hpass_row_vec(const float* padded, float* out,
+                                    const float* wts, int taps, int width) {
   constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(float));
-  int x = x_begin;
+  int x = 0;
   // Four independent accumulator vectors (4 * kLanes pixels) per tap
   // iteration: a single accumulator serializes the tap loop on the
   // vector-add latency; four chains keep the FP units saturated. Each
   // pixel still owns exactly one lane of one accumulator, so its
   // operation sequence — and the result — is unchanged.
-  for (; x + 4 * kLanes <= x_end; x += 4 * kLanes) {
-    const float* base = row + (x - radius);
+  for (; x + 4 * kLanes <= width; x += 4 * kLanes) {
+    const float* base = padded + x;
     V a0 = {};
     V a1 = {};
     V a2 = {};
     V a3 = {};
     for (int i = 0; i < taps; ++i) {
-      V wv;
-      for (int l = 0; l < kLanes; ++l) wv[l] = wts[i];
+      const V wv = V{} + wts[i];
       V v0;
       V v1;
       V v2;
@@ -70,14 +68,13 @@ TMHLS_BLUR_INLINE int hpass_interior_vec(const float* row, float* out,
     std::memcpy(out + x + 2 * kLanes, &a2, sizeof(V));
     std::memcpy(out + x + 3 * kLanes, &a3, sizeof(V));
   }
-  for (; x + kLanes <= x_end; x += kLanes) {
-    const float* base = row + (x - radius);
+  for (; x + kLanes <= width; x += kLanes) {
+    const float* base = padded + x;
     V acc = {};
     for (int i = 0; i < taps; ++i) {
       V v;
       std::memcpy(&v, base + i, sizeof(V));
-      V wv;
-      for (int l = 0; l < kLanes; ++l) wv[l] = wts[i];
+      const V wv = V{} + wts[i];
       acc += wv * v;
     }
     std::memcpy(out + x, &acc, sizeof(V));
@@ -100,8 +97,7 @@ TMHLS_BLUR_INLINE int vpass_row_vec(const float* const* rows, float* out,
     V a3 = {};
     for (int i = 0; i < taps; ++i) {
       const float* r = rows[i] + x;
-      V wv;
-      for (int l = 0; l < kLanes; ++l) wv[l] = wts[i];
+      const V wv = V{} + wts[i];
       V v0;
       V v1;
       V v2;
@@ -125,8 +121,7 @@ TMHLS_BLUR_INLINE int vpass_row_vec(const float* const* rows, float* out,
     for (int i = 0; i < taps; ++i) {
       V v;
       std::memcpy(&v, rows[i] + x, sizeof(V));
-      V wv;
-      for (int l = 0; l < kLanes; ++l) wv[l] = wts[i];
+      const V wv = V{} + wts[i];
       acc += wv * v;
     }
     std::memcpy(out + x, &acc, sizeof(V));
@@ -134,19 +129,15 @@ TMHLS_BLUR_INLINE int vpass_row_vec(const float* const* rows, float* out,
   return x;
 }
 
-/// One horizontal row: scalar borders, vectorized interior, scalar tail of
-/// the interior (fewer than one vector of columns left).
+/// One horizontal row over a padded row: vector blocks, then a scalar tail
+/// (fewer than one vector of columns left).
 template <typename V>
-TMHLS_BLUR_INLINE void hpass_row_body(const float* row, float* out,
-                                      const float* wts, int taps, int radius,
-                                      int width) {
-  const detail::ColumnRange in = detail::interior_columns(width, radius);
-  detail::hpass_float_border(row, out, wts, taps, radius, width, 0, in.begin);
-  const int x =
-      hpass_interior_vec<V>(row, out, wts, taps, radius, in.begin, in.end);
-  detail::hpass_float_interior(row, out, wts, taps, radius, x, in.end);
-  detail::hpass_float_border(row, out, wts, taps, radius, width, in.end,
-                             width);
+TMHLS_BLUR_INLINE void hpass_row_body(const float* padded, float* out,
+                                      const float* wts, int taps, int width) {
+  const int x = hpass_row_vec<V>(padded, out, wts, taps, width);
+  const int radius = taps / 2;
+  detail::hpass_float_interior(padded + radius, out, wts, taps, radius, x,
+                               width);
 }
 
 template <typename V>
@@ -156,9 +147,9 @@ TMHLS_BLUR_INLINE void vpass_row_body(const float* const* rows, float* out,
   detail::vpass_float_columns(rows, out, wts, taps, x, width);
 }
 
-void hpass_row_generic(const float* row, float* out, const float* wts,
-                       int taps, int radius, int width) {
-  hpass_row_body<v4f>(row, out, wts, taps, radius, width);
+void hpass_row_generic(const float* padded, float* out, const float* wts,
+                       int taps, int width) {
+  hpass_row_body<v4f>(padded, out, wts, taps, width);
 }
 void vpass_row_generic(const float* const* rows, float* out,
                        const float* wts, int taps, int width) {
@@ -172,12 +163,11 @@ void vpass_row_generic(const float* const* rows, float* out,
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TMHLS_BLUR_X86_DISPATCH 1
 
-__attribute__((target("avx2"))) void hpass_row_avx2(const float* row,
+__attribute__((target("avx2"))) void hpass_row_avx2(const float* padded,
                                                     float* out,
                                                     const float* wts,
-                                                    int taps, int radius,
-                                                    int width) {
-  hpass_row_body<v8f>(row, out, wts, taps, radius, width);
+                                                    int taps, int width) {
+  hpass_row_body<v8f>(padded, out, wts, taps, width);
 }
 __attribute__((target("avx2"))) void vpass_row_avx2(const float* const* rows,
                                                     float* out,
@@ -218,9 +208,9 @@ const BlurRowKernels* blur_row_kernels_avx2() {
 
 int blur_row_simd_lanes() { return active().lanes; }
 
-void hpass_float_row_simd(const float* row, float* out, const float* wts,
-                          int taps, int radius, int width) {
-  active().hpass(row, out, wts, taps, radius, width);
+void hpass_float_row_simd(const float* padded, float* out, const float* wts,
+                          int taps, int width) {
+  active().hpass(padded, out, wts, taps, width);
 }
 
 void vpass_float_row_simd(const float* const* rows, float* out,

@@ -68,6 +68,9 @@ void fused_blur_band(const img::ImageF& src, img::ImageF& dst,
 
   LineBuffer lines(w, taps);
   std::vector<const float*> window(static_cast<std::size_t>(taps));
+  // The source row being blurred, padded by `radius` edge replicas on each
+  // side so the horizontal pass needs no border code.
+  std::vector<float> padded(static_cast<std::size_t>(w + 2 * radius));
 
   // Prime: horizontally blur every source row the first output row's
   // window reads (the band's top halo), then per output row stream in the
@@ -76,8 +79,10 @@ void fused_blur_band(const img::ImageF& src, img::ImageF& dst,
   int next = std::max(0, rb - radius);
   auto consume_to = [&](int last) {
     for (; next <= last; ++next) {
-      hpass_float_row_simd(&src.at_unchecked(0, next), lines.slot(next), wts,
-                           taps, radius, w);
+      const float* row = &src.at_unchecked(0, next);
+      std::copy(row, row + w, padded.begin() + radius);
+      replicate_edges(padded.data(), radius, w);
+      hpass_float_row_simd(padded.data(), lines.slot(next), wts, taps, w);
     }
   };
   consume_to(std::min(h - 1, rb + radius - 1));
@@ -123,7 +128,8 @@ void fused_tonemap_band(const img::ImageF& hdr, img::ImageF& dst,
 
   LineBuffer lines(w, taps);
   std::vector<const float*> window(static_cast<std::size_t>(taps));
-  std::vector<float> intensity_row(static_cast<std::size_t>(w));
+  // The luminance row, padded by `radius` edge replicas on each side.
+  std::vector<float> intensity(static_cast<std::size_t>(w + 2 * radius));
   std::vector<float> mask_row(static_cast<std::size_t>(w));
 
   int next = std::max(0, rb - radius);
@@ -137,9 +143,9 @@ void fused_tonemap_band(const img::ImageF& hdr, img::ImageF& dst,
         normalize_scale_row(src_row, nrow, row_samples, scale);
       }
       if (encode) display_encode_row(nrow, nrow, row_samples, inv_gamma);
-      img::luminance_row(nrow, intensity_row.data(), w, c);
-      hpass_float_row_simd(intensity_row.data(), lines.slot(next), wts, taps,
-                           radius, w);
+      img::luminance_row(nrow, intensity.data() + radius, w, c);
+      replicate_edges(intensity.data(), radius, w);
+      hpass_float_row_simd(intensity.data(), lines.slot(next), wts, taps, w);
     }
   };
   consume_to(std::min(h - 1, rb + radius - 1));

@@ -8,6 +8,7 @@
 // plumbing the pipeline and CLI ride on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -186,15 +187,20 @@ std::vector<const tonemap::detail::BlurRowKernels*> simd_row_builds() {
   return builds;
 }
 
-/// Run one build's horizontal row pass over every row of `src`.
+/// Run one build's horizontal row pass over every row of `src`, each row
+/// padded by edge replication as the fused engine pads it.
 img::ImageF simd_hpass(const tonemap::detail::BlurRowKernels& build,
                        const img::ImageF& src,
                        const tonemap::GaussianKernel& kernel) {
   img::ImageF dst(src.width(), src.height(), 1);
+  const int radius = kernel.radius();
+  std::vector<float> padded(static_cast<std::size_t>(src.width() + 2 * radius));
   for (int y = 0; y < src.height(); ++y) {
-    build.hpass(&src.at_unchecked(0, y), &dst.at_unchecked(0, y),
-                kernel.weights().data(), kernel.taps(), kernel.radius(),
-                src.width());
+    const float* row = &src.at_unchecked(0, y);
+    std::copy(row, row + src.width(), padded.begin() + radius);
+    tonemap::replicate_edges(padded.data(), radius, src.width());
+    build.hpass(padded.data(), &dst.at_unchecked(0, y),
+                kernel.weights().data(), kernel.taps(), src.width());
   }
   return dst;
 }
