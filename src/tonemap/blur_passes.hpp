@@ -21,9 +21,9 @@
 // carries pixel x+l through the same ascending tap sequence as the scalar
 // form, so every lane performs the scalar computation verbatim — no
 // reassociation — and the output is bit-identical to the scalar passes.
-// They dispatch once at runtime to the widest build the CPU has: a
-// portable 4-lane build, or an 8-lane AVX2 clone of it
-// (detail::BlurRowKernels), which compute the same bits.
+// They dispatch once at runtime to the widest build the CPU has — 4, 8 or
+// 16 lanes (detail::BlurRowKernels) — and every build computes the same
+// bits.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +74,10 @@ const BlurRowKernels& blur_row_kernels_generic();
 /// The same source compiled 8 lanes wide for AVX2; nullptr when the build
 /// target is not x86-64 or the CPU lacks AVX2.
 const BlurRowKernels* blur_row_kernels_avx2();
+
+/// The same source compiled 16 lanes wide for AVX-512F; nullptr when the
+/// build target is not x86-64 or the CPU lacks AVX-512F.
+const BlurRowKernels* blur_row_kernels_avx512();
 
 } // namespace detail
 

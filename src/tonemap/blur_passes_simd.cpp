@@ -1,7 +1,8 @@
 // SIMD row passes of the float blur, vectorized across output pixels with
 // GCC/Clang vector extensions (the pattern of pow_kernel.cpp: one
-// always_inline generic-vector body, a portable 4-lane build, an 8-lane
-// AVX2 clone of it picked once at runtime).
+// always_inline generic-vector body compiled three times — a portable
+// 4-lane build, an 8-lane AVX2 clone and a 16-lane AVX-512 clone — and the
+// widest one the CPU has picked once at runtime).
 //
 // Why this stays bit-identical to the scalar passes: vector lane l carries
 // output pixel x+l, and the tap loop accumulates
@@ -11,7 +12,7 @@
 // pixel's sum (unlike vectorizing across *taps*, which would split one
 // pixel's accumulation into partial sums), and IEEE-754 arithmetic is
 // deterministic per lane, so the result is the scalar result bit for bit
-// at either lane count. The build sets -ffp-contract=off so neither form
+// at any lane count. The build sets -ffp-contract=off so neither form
 // is FMA-contracted behind the other's back on FMA-capable targets.
 //
 // Vectors never cross a function boundary (locals only) to keep the code
@@ -26,6 +27,7 @@ namespace {
 
 typedef float v4f __attribute__((vector_size(4 * sizeof(float))));
 typedef float v8f __attribute__((vector_size(8 * sizeof(float))));
+typedef float v16f __attribute__((vector_size(16 * sizeof(float))));
 
 #define TMHLS_BLUR_INLINE __attribute__((always_inline)) inline
 
@@ -156,10 +158,10 @@ void vpass_row_generic(const float* const* rows, float* out,
   vpass_row_body<v4f>(rows, out, wts, taps, width);
 }
 
-// The AVX2 clone runs the identical per-lane mul-then-add sequence with
-// 256-bit instructions (target("avx2") does not enable FMA, and the build
-// sets -ffp-contract=off besides): the dispatch changes the encoding and
-// the lane count, never the arithmetic.
+// The AVX2 and AVX-512 clones run the identical per-lane mul-then-add
+// sequence with 256- and 512-bit instructions (neither target enables FMA,
+// and the build sets -ffp-contract=off besides): the dispatch changes the
+// encoding and the lane count, never the arithmetic.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TMHLS_BLUR_X86_DISPATCH 1
 
@@ -175,11 +177,25 @@ __attribute__((target("avx2"))) void vpass_row_avx2(const float* const* rows,
                                                     int taps, int width) {
   vpass_row_body<v8f>(rows, out, wts, taps, width);
 }
+
+__attribute__((target("avx512f"))) void
+hpass_row_avx512(const float* padded, float* out, const float* wts, int taps,
+                 int width) {
+  hpass_row_body<v16f>(padded, out, wts, taps, width);
+}
+__attribute__((target("avx512f"))) void
+vpass_row_avx512(const float* const* rows, float* out, const float* wts,
+                 int taps, int width) {
+  vpass_row_body<v16f>(rows, out, wts, taps, width);
+}
 #endif
 
+/// The widest build the CPU has.
 const detail::BlurRowKernels& active() {
   static const detail::BlurRowKernels& k =
-      detail::blur_row_kernels_avx2() != nullptr
+      detail::blur_row_kernels_avx512() != nullptr
+          ? *detail::blur_row_kernels_avx512()
+      : detail::blur_row_kernels_avx2() != nullptr
           ? *detail::blur_row_kernels_avx2()
           : detail::blur_row_kernels_generic();
   return k;
@@ -198,6 +214,16 @@ const BlurRowKernels* blur_row_kernels_avx2() {
 #ifdef TMHLS_BLUR_X86_DISPATCH
   static const BlurRowKernels k{8, hpass_row_avx2, vpass_row_avx2};
   static const bool has = __builtin_cpu_supports("avx2") != 0;
+  return has ? &k : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+const BlurRowKernels* blur_row_kernels_avx512() {
+#ifdef TMHLS_BLUR_X86_DISPATCH
+  static const BlurRowKernels k{16, hpass_row_avx512, vpass_row_avx512};
+  static const bool has = __builtin_cpu_supports("avx512f") != 0;
   return has ? &k : nullptr;
 #else
   return nullptr;

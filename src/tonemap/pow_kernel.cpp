@@ -1,11 +1,12 @@
 // pow / log2 / exp2 over rows, vectorized with GCC/Clang vector extensions
 // (the blur_passes_simd.cpp pattern: one always_inline generic-vector
-// body, an 8-lane AVX2 clone of it picked once at runtime, and a row tail
-// run through a zero-padded vector so the tail executes the very same
-// instruction sequence). The portable build instantiates the body on
-// 4-lane vectors: those map onto SSE2/NEON registers, whereas GCC lowers
-// 8-lane comparisons to scalar code on targets without 256-bit vectors.
-// Every operation is lane-wise, so the lane count changes no bit.
+// body; an 8-lane AVX2 and a 16-lane AVX-512 clone of it, the widest one
+// the CPU has picked once at runtime; and a row tail run through a
+// zero-padded vector so the tail executes the very same instruction
+// sequence). The portable build instantiates the body on 4-lane vectors:
+// those map onto SSE2/NEON registers, whereas GCC lowers 8-lane
+// comparisons to scalar code on targets without 256-bit vectors. Every
+// operation is lane-wise, so the lane count changes no bit.
 //
 // log2(x): split x into 2^e * m with m folded into [sqrt(1/2), sqrt(2)),
 // then with r = m - 1 and u = r / (r + 2),
@@ -36,6 +37,7 @@ namespace {
 
 typedef float v4f __attribute__((vector_size(4 * sizeof(float))));
 typedef float v8f __attribute__((vector_size(8 * sizeof(float))));
+typedef float v16f __attribute__((vector_size(16 * sizeof(float))));
 
 /// The lane-mask type of a float vector (what a comparison yields).
 template <typename V>
@@ -196,10 +198,10 @@ void exp2_generic(const float* t, float* out, std::size_t n) {
   exp2_body<v4f>(t, out, n);
 }
 
-// The AVX2 clone runs the identical per-lane operation sequence with
-// 256-bit instructions (target("avx2") does not enable FMA, and the build
-// sets -ffp-contract=off besides): the dispatch changes the encoding and
-// the lane count, never the arithmetic.
+// The AVX2 and AVX-512 clones run the identical per-lane operation
+// sequence with 256- and 512-bit instructions (neither target enables FMA,
+// and the build sets -ffp-contract=off besides): the dispatch changes the
+// encoding and the lane count, never the arithmetic.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TMHLS_POW_X86_DISPATCH 1
 
@@ -217,12 +219,28 @@ __attribute__((target("avx2"))) void exp2_avx2(const float* t, float* out,
                                                std::size_t n) {
   exp2_body<v8f>(t, out, n);
 }
+
+__attribute__((target("avx512f"))) void
+pow_shared_avx512(const float* x, float* out, std::size_t n, float y) {
+  pow_shared_body<v16f>(x, out, n, y);
+}
+__attribute__((target("avx512f"))) void
+pow_each_avx512(const float* x, const float* y, float* out, std::size_t n) {
+  pow_each_body<v16f>(x, y, out, n);
+}
+__attribute__((target("avx512f"))) void exp2_avx512(const float* t,
+                                                    float* out,
+                                                    std::size_t n) {
+  exp2_body<v16f>(t, out, n);
+}
 #endif
 
+/// The widest build the CPU has.
 const detail::PowKernels& active() {
-  static const detail::PowKernels& k = detail::pow_kernels_avx2() != nullptr
-                                           ? *detail::pow_kernels_avx2()
-                                           : detail::pow_kernels_generic();
+  static const detail::PowKernels& k =
+      detail::pow_kernels_avx512() != nullptr ? *detail::pow_kernels_avx512()
+      : detail::pow_kernels_avx2() != nullptr ? *detail::pow_kernels_avx2()
+                                              : detail::pow_kernels_generic();
   return k;
 }
 
@@ -240,6 +258,16 @@ const PowKernels* pow_kernels_avx2() {
 #ifdef TMHLS_POW_X86_DISPATCH
   static const PowKernels k{pow_shared_avx2, pow_each_avx2, exp2_avx2};
   static const bool has = __builtin_cpu_supports("avx2") != 0;
+  return has ? &k : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+const PowKernels* pow_kernels_avx512() {
+#ifdef TMHLS_POW_X86_DISPATCH
+  static const PowKernels k{pow_shared_avx512, pow_each_avx512, exp2_avx512};
+  static const bool has = __builtin_cpu_supports("avx512f") != 0;
   return has ? &k : nullptr;
 #else
   return nullptr;

@@ -58,6 +58,10 @@ const PowKernels& pow_kernels_generic();
 /// target is not x86-64 or the CPU lacks AVX2.
 const PowKernels* pow_kernels_avx2();
 
+/// The same source compiled 16 lanes wide for AVX-512F; nullptr when the
+/// build target is not x86-64 or the CPU lacks AVX-512F.
+const PowKernels* pow_kernels_avx512();
+
 } // namespace detail
 
 } // namespace tmhls::tonemap

@@ -126,14 +126,16 @@ TEST(RegistryTest, CapabilitiesMatchBackendContracts) {
   EXPECT_EQ(hls.max_taps, hlscode::kMaxTaps);
   EXPECT_EQ(registry.resolve("separable_float")->capabilities().max_taps, 0);
   // SIMD lane width: the fused engine reports the width of the row build
-  // the dispatcher picked (the AVX2 clone where the CPU has it), scalar
+  // the dispatcher picked (the widest clone the CPU has), scalar
   // implementations report 1.
-  const tonemap::detail::BlurRowKernels* avx2 =
-      tonemap::detail::blur_row_kernels_avx2();
+  int widest = tonemap::detail::blur_row_kernels_generic().lanes;
+  for (const tonemap::detail::BlurRowKernels* clone :
+       {tonemap::detail::blur_row_kernels_avx2(),
+        tonemap::detail::blur_row_kernels_avx512()}) {
+    if (clone != nullptr) widest = clone->lanes;
+  }
   EXPECT_EQ(registry.resolve("fused_stream")->capabilities().simd_lanes,
-            avx2 != nullptr ? avx2->lanes
-                            : tonemap::detail::blur_row_kernels_generic()
-                                  .lanes);
+            widest);
   EXPECT_EQ(registry.resolve("separable_float")->capabilities().simd_lanes,
             1);
 }
@@ -177,12 +179,15 @@ TEST(TiledTest, SingleThreadBackendsRejectThreadedContexts) {
 // --- SIMD row passes ------------------------------------------------------
 
 // Every build of the SIMD row passes: the portable one and, where the CPU
-// has it, the AVX2 clone. Each must match the scalar passes bit for bit.
+// has them, the AVX2 and AVX-512 clones. Each must match the scalar passes
+// bit for bit.
 std::vector<const tonemap::detail::BlurRowKernels*> simd_row_builds() {
   std::vector<const tonemap::detail::BlurRowKernels*> builds = {
       &tonemap::detail::blur_row_kernels_generic()};
-  if (tonemap::detail::blur_row_kernels_avx2() != nullptr) {
-    builds.push_back(tonemap::detail::blur_row_kernels_avx2());
+  for (const tonemap::detail::BlurRowKernels* clone :
+       {tonemap::detail::blur_row_kernels_avx2(),
+        tonemap::detail::blur_row_kernels_avx512()}) {
+    if (clone != nullptr) builds.push_back(clone);
   }
   return builds;
 }

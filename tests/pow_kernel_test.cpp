@@ -177,11 +177,12 @@ std::vector<float> kernel_inputs(std::size_t n, std::uint64_t seed) {
   return ::testing::AssertionSuccess();
 }
 
-TEST(PowKernelTest, GenericAvx2AndTailAreBitIdentical) {
+TEST(PowKernelTest, EveryBuildAndTailAreBitIdentical) {
   std::vector<const detail::PowKernels*> isas = {
       &detail::pow_kernels_generic()};
-  if (detail::pow_kernels_avx2() != nullptr) {
-    isas.push_back(detail::pow_kernels_avx2());
+  for (const detail::PowKernels* clone :
+       {detail::pow_kernels_avx2(), detail::pow_kernels_avx512()}) {
+    if (clone != nullptr) isas.push_back(clone);
   }
   std::vector<std::size_t> lengths;
   for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
