@@ -31,122 +31,119 @@ typedef float v16f __attribute__((vector_size(16 * sizeof(float))));
 
 #define TMHLS_BLUR_INLINE __attribute__((always_inline)) inline
 
-/// Vectorized horizontal-pass row over a padded row: full vector blocks of
-/// columns in [0, width). Returns the first unprocessed column (the caller
-/// finishes the scalar tail).
-template <typename V>
+/// Vectorized horizontal-pass row over a padded row: blocks of kCols
+/// vectors of columns from x_begin on. Returns the first unprocessed
+/// column.
+template <typename V, int kCols>
 TMHLS_BLUR_INLINE int hpass_row_vec(const float* padded, float* out,
-                                    const float* wts, int taps, int width) {
+                                    const float* wts, int taps, int x_begin,
+                                    int width) {
   constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(float));
-  int x = 0;
-  // Four independent accumulator vectors (4 * kLanes pixels) per tap
-  // iteration: a single accumulator serializes the tap loop on the
-  // vector-add latency; four chains keep the FP units saturated. Each
-  // pixel still owns exactly one lane of one accumulator, so its
-  // operation sequence — and the result — is unchanged.
-  for (; x + 4 * kLanes <= width; x += 4 * kLanes) {
+  int x = x_begin;
+  for (; x + kCols * kLanes <= width; x += kCols * kLanes) {
     const float* base = padded + x;
-    V a0 = {};
-    V a1 = {};
-    V a2 = {};
-    V a3 = {};
+    V acc[kCols] = {};
     for (int i = 0; i < taps; ++i) {
-      const V wv = V{} + wts[i];
-      V v0;
-      V v1;
-      V v2;
-      V v3;
-      std::memcpy(&v0, base + i, sizeof(V));
-      std::memcpy(&v1, base + i + kLanes, sizeof(V));
-      std::memcpy(&v2, base + i + 2 * kLanes, sizeof(V));
-      std::memcpy(&v3, base + i + 3 * kLanes, sizeof(V));
-      a0 += wv * v0;
-      a1 += wv * v1;
-      a2 += wv * v2;
-      a3 += wv * v3;
+      // w - V{} is w in every lane, exactly (x - 0 == x for every x, -0
+      // included), and compiles to one vbroadcastss; V{} + w would add a
+      // scalar add in front of it.
+      const V wv = wts[i] - V{};
+#pragma GCC unroll 4
+      for (int c = 0; c < kCols; ++c) {
+        V v;
+        std::memcpy(&v, base + i + c * kLanes, sizeof(V));
+        acc[c] += wv * v;
+      }
     }
-    std::memcpy(out + x, &a0, sizeof(V));
-    std::memcpy(out + x + kLanes, &a1, sizeof(V));
-    std::memcpy(out + x + 2 * kLanes, &a2, sizeof(V));
-    std::memcpy(out + x + 3 * kLanes, &a3, sizeof(V));
-  }
-  for (; x + kLanes <= width; x += kLanes) {
-    const float* base = padded + x;
-    V acc = {};
-    for (int i = 0; i < taps; ++i) {
-      V v;
-      std::memcpy(&v, base + i, sizeof(V));
-      const V wv = V{} + wts[i];
-      acc += wv * v;
+#pragma GCC unroll 4
+    for (int c = 0; c < kCols; ++c) {
+      std::memcpy(out + x + c * kLanes, &acc[c], sizeof(V));
     }
-    std::memcpy(out + x, &acc, sizeof(V));
   }
   return x;
 }
 
-/// Vectorized vertical-pass row over per-tap source-row pointers (the
-/// clamp hoisted by the caller). Returns the first unprocessed column.
-template <typename V>
-TMHLS_BLUR_INLINE int vpass_row_vec(const float* const* rows, float* out,
-                                    const float* wts, int taps, int width) {
+/// Vectorized vertical pass of kRows consecutive output rows over
+/// taps + kRows - 1 source-row pointers (the clamp hoisted by the caller):
+/// output row r reads rows[r, r + taps). Blocks of kCols vectors of
+/// columns from x_begin on; returns the first unprocessed column.
+///
+/// Each source vector is loaded once and added, with weight wts[j - r],
+/// into every output row r whose window holds source row j. As j ascends,
+/// so does each row's tap index: every row adds its taps in the
+/// single-row order, and only the loads are shared.
+template <typename V, int kRows, int kCols>
+TMHLS_BLUR_INLINE int vpass_rows_vec(const float* const* rows,
+                                     float* const* out, const float* wts,
+                                     int taps, int x_begin, int width) {
   constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(float));
-  int x = 0;
-  // Same four-accumulator treatment as the horizontal interior.
-  for (; x + 4 * kLanes <= width; x += 4 * kLanes) {
-    V a0 = {};
-    V a1 = {};
-    V a2 = {};
-    V a3 = {};
-    for (int i = 0; i < taps; ++i) {
-      const float* r = rows[i] + x;
-      const V wv = V{} + wts[i];
-      V v0;
-      V v1;
-      V v2;
-      V v3;
-      std::memcpy(&v0, r, sizeof(V));
-      std::memcpy(&v1, r + kLanes, sizeof(V));
-      std::memcpy(&v2, r + 2 * kLanes, sizeof(V));
-      std::memcpy(&v3, r + 3 * kLanes, sizeof(V));
-      a0 += wv * v0;
-      a1 += wv * v1;
-      a2 += wv * v2;
-      a3 += wv * v3;
+  int x = x_begin;
+  for (; x + kCols * kLanes <= width; x += kCols * kLanes) {
+    V acc[kRows][kCols] = {};
+    for (int j = 0; j < taps + kRows - 1; ++j) {
+      V v[kCols];
+#pragma GCC unroll 4
+      for (int c = 0; c < kCols; ++c) {
+        std::memcpy(&v[c], rows[j] + x + c * kLanes, sizeof(V));
+      }
+#pragma GCC unroll 4
+      for (int r = 0; r < kRows; ++r) {
+        const int i = j - r;
+        if (i < 0 || i >= taps) continue;
+        const V wv = wts[i] - V{};
+#pragma GCC unroll 4
+        for (int c = 0; c < kCols; ++c) acc[r][c] += wv * v[c];
+      }
     }
-    std::memcpy(out + x, &a0, sizeof(V));
-    std::memcpy(out + x + kLanes, &a1, sizeof(V));
-    std::memcpy(out + x + 2 * kLanes, &a2, sizeof(V));
-    std::memcpy(out + x + 3 * kLanes, &a3, sizeof(V));
-  }
-  for (; x + kLanes <= width; x += kLanes) {
-    V acc = {};
-    for (int i = 0; i < taps; ++i) {
-      V v;
-      std::memcpy(&v, rows[i] + x, sizeof(V));
-      const V wv = V{} + wts[i];
-      acc += wv * v;
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 4
+      for (int c = 0; c < kCols; ++c) {
+        std::memcpy(out[r] + x + c * kLanes, &acc[r][c], sizeof(V));
+      }
     }
-    std::memcpy(out + x, &acc, sizeof(V));
   }
   return x;
 }
 
-/// One horizontal row over a padded row: vector blocks, then a scalar tail
-/// (fewer than one vector of columns left).
+/// One horizontal row over a padded row: blocks of four vectors of
+/// columns, single vectors, then a scalar tail. Four independent
+/// accumulator vectors per tap iteration keep the FP units saturated where
+/// one would serialize the tap loop on the vector-add latency; each pixel
+/// still owns one lane of one accumulator, so its operation sequence is
+/// unchanged.
 template <typename V>
 TMHLS_BLUR_INLINE void hpass_row_body(const float* padded, float* out,
                                       const float* wts, int taps, int width) {
-  const int x = hpass_row_vec<V>(padded, out, wts, taps, width);
+  int x = hpass_row_vec<V, 4>(padded, out, wts, taps, 0, width);
+  x = hpass_row_vec<V, 1>(padded, out, wts, taps, x, width);
   const int radius = taps / 2;
   detail::hpass_float_interior(padded + radius, out, wts, taps, radius, x,
                                width);
 }
 
+/// kRows vertical-pass output rows: blocks of vectors of columns, single
+/// vectors, then a scalar tail per row. A block keeps kRows * kCols
+/// accumulators live: at most 8 on the 16-register ISAs, 16 with
+/// AVX-512's 32 registers.
+template <typename V, int kRows>
+TMHLS_BLUR_INLINE void vpass_rows_body(const float* const* rows,
+                                       float* const* out, const float* wts,
+                                       int taps, int width) {
+  constexpr int kCols =
+      kRows <= 2 ? 4 : (sizeof(V) == 16 * sizeof(float) ? 16 : 8) / kRows;
+  int x = vpass_rows_vec<V, kRows, kCols>(rows, out, wts, taps, 0, width);
+  x = vpass_rows_vec<V, kRows, 1>(rows, out, wts, taps, x, width);
+  for (int r = 0; r < kRows; ++r) {
+    detail::vpass_float_columns(rows + r, out[r], wts, taps, x, width);
+  }
+}
+
 template <typename V>
 TMHLS_BLUR_INLINE void vpass_row_body(const float* const* rows, float* out,
                                       const float* wts, int taps, int width) {
-  const int x = vpass_row_vec<V>(rows, out, wts, taps, width);
-  detail::vpass_float_columns(rows, out, wts, taps, x, width);
+  float* const outs[] = {out};
+  vpass_rows_body<V, 1>(rows, outs, wts, taps, width);
 }
 
 void hpass_row_generic(const float* padded, float* out, const float* wts,
@@ -156,6 +153,10 @@ void hpass_row_generic(const float* padded, float* out, const float* wts,
 void vpass_row_generic(const float* const* rows, float* out,
                        const float* wts, int taps, int width) {
   vpass_row_body<v4f>(rows, out, wts, taps, width);
+}
+void vpass_block_generic(const float* const* rows, float* const* out,
+                         const float* wts, int taps, int width) {
+  vpass_rows_body<v4f, kVpassBlockRows>(rows, out, wts, taps, width);
 }
 
 // The AVX2 and AVX-512 clones run the identical per-lane mul-then-add
@@ -177,6 +178,11 @@ __attribute__((target("avx2"))) void vpass_row_avx2(const float* const* rows,
                                                     int taps, int width) {
   vpass_row_body<v8f>(rows, out, wts, taps, width);
 }
+__attribute__((target("avx2"))) void
+vpass_block_avx2(const float* const* rows, float* const* out,
+                 const float* wts, int taps, int width) {
+  vpass_rows_body<v8f, kVpassBlockRows>(rows, out, wts, taps, width);
+}
 
 __attribute__((target("avx512f"))) void
 hpass_row_avx512(const float* padded, float* out, const float* wts, int taps,
@@ -187,6 +193,11 @@ __attribute__((target("avx512f"))) void
 vpass_row_avx512(const float* const* rows, float* out, const float* wts,
                  int taps, int width) {
   vpass_row_body<v16f>(rows, out, wts, taps, width);
+}
+__attribute__((target("avx512f"))) void
+vpass_block_avx512(const float* const* rows, float* const* out,
+                   const float* wts, int taps, int width) {
+  vpass_rows_body<v16f, kVpassBlockRows>(rows, out, wts, taps, width);
 }
 #endif
 
@@ -206,13 +217,15 @@ const detail::BlurRowKernels& active() {
 namespace detail {
 
 const BlurRowKernels& blur_row_kernels_generic() {
-  static const BlurRowKernels k{4, hpass_row_generic, vpass_row_generic};
+  static const BlurRowKernels k{4, hpass_row_generic, vpass_row_generic,
+                                  vpass_block_generic};
   return k;
 }
 
 const BlurRowKernels* blur_row_kernels_avx2() {
 #ifdef TMHLS_BLUR_X86_DISPATCH
-  static const BlurRowKernels k{8, hpass_row_avx2, vpass_row_avx2};
+  static const BlurRowKernels k{8, hpass_row_avx2, vpass_row_avx2,
+                                  vpass_block_avx2};
   static const bool has = __builtin_cpu_supports("avx2") != 0;
   return has ? &k : nullptr;
 #else
@@ -222,7 +235,8 @@ const BlurRowKernels* blur_row_kernels_avx2() {
 
 const BlurRowKernels* blur_row_kernels_avx512() {
 #ifdef TMHLS_BLUR_X86_DISPATCH
-  static const BlurRowKernels k{16, hpass_row_avx512, vpass_row_avx512};
+  static const BlurRowKernels k{16, hpass_row_avx512, vpass_row_avx512,
+                                  vpass_block_avx512};
   static const bool has = __builtin_cpu_supports("avx512f") != 0;
   return has ? &k : nullptr;
 #else
@@ -242,6 +256,11 @@ void hpass_float_row_simd(const float* padded, float* out, const float* wts,
 void vpass_float_row_simd(const float* const* rows, float* out,
                           const float* wts, int taps, int width) {
   active().vpass(rows, out, wts, taps, width);
+}
+
+void vpass_float_row_block_simd(const float* const* rows, float* const* out,
+                                const float* wts, int taps, int width) {
+  active().vpass_block(rows, out, wts, taps, width);
 }
 
 } // namespace tmhls::tonemap

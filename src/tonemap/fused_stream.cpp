@@ -13,33 +13,39 @@ namespace {
 
 using detail::clamp_index;
 
-/// The line buffer of the fused engine: a ring of `taps` horizontally
-/// blurred rows. The slot of absolute source row ry is ry % taps — any
-/// output row's vertical window spans a contiguous clamped row range of at
-/// most `taps` rows, so the rows a window reads never collide in the ring,
-/// and a row streamed in overwrites exactly the one that just left every
-/// window. This is the §III.B circular line buffer with the modulo made
-/// explicit (the hardware keeps a rotating head index instead; same rows,
-/// same values).
+/// Output rows one vertical-pass call emits (see blur_passes.hpp).
+constexpr int kBlock = kVpassBlockRows;
+
+/// The line buffer of the fused engine: a ring of `taps + kBlock - 1`
+/// horizontally blurred rows, enough for the vertical windows of a block of
+/// kBlock consecutive output rows. The slot of absolute source row ry is
+/// ry % (taps + kBlock - 1) — the windows of a row block together span a
+/// contiguous clamped row range of at most that many rows, so the rows a
+/// block reads never collide in the ring, and a row streamed in overwrites
+/// exactly the one that just left every window. This is the §III.B circular line buffer
+/// with the modulo made explicit (the hardware keeps a rotating head index
+/// instead; same rows, same values).
 class LineBuffer {
 public:
   LineBuffer(int width, int taps)
-      : width_(width), taps_(taps),
+      : width_(width), slots_(taps + kBlock - 1),
         rows_(static_cast<std::size_t>(width) *
-              static_cast<std::size_t>(taps)) {}
+              static_cast<std::size_t>(slots_)) {}
 
   float* slot(int source_row) {
-    return rows_.data() + static_cast<std::size_t>(source_row % taps_) *
+    return rows_.data() + static_cast<std::size_t>(source_row % slots_) *
                               static_cast<std::size_t>(width_);
   }
   const float* slot(int source_row) const {
-    return rows_.data() + static_cast<std::size_t>(source_row % taps_) *
+    return rows_.data() + static_cast<std::size_t>(source_row % slots_) *
                               static_cast<std::size_t>(width_);
   }
 
-  /// Per-tap row pointers of output row y's vertical window, clamp-to-edge
-  /// over `height` source rows — the hoisted vertical clamp, exactly as the
-  /// row-range vertical pass builds it.
+  /// Row pointers of source rows y - radius, y - radius + 1, ... (one per
+  /// entry of `out`), clamp-to-edge over `height` source rows — the hoisted
+  /// vertical clamp, exactly as the row-range vertical pass builds it. With
+  /// taps + kBlock - 1 entries this is the window of the row block starting
+  /// at y.
   void window(int y, int radius, int height,
               std::vector<const float*>& out) const {
     for (int i = 0; i < static_cast<int>(out.size()); ++i) {
@@ -50,7 +56,7 @@ public:
 
 private:
   int width_;
-  int taps_;
+  int slots_;
   std::vector<float> rows_;
 };
 
@@ -67,15 +73,17 @@ void fused_blur_band(const img::ImageF& src, img::ImageF& dst,
   const float* wts = kernel.weights().data();
 
   LineBuffer lines(w, taps);
-  std::vector<const float*> window(static_cast<std::size_t>(taps));
+  std::vector<const float*> window(
+      static_cast<std::size_t>(taps + kBlock - 1));
   // The source row being blurred, padded by `radius` edge replicas on each
   // side so the horizontal pass needs no border code.
   std::vector<float> padded(static_cast<std::size_t>(w + 2 * radius));
 
   // Prime: horizontally blur every source row the first output row's
-  // window reads (the band's top halo), then per output row stream in the
-  // one new source row its window adds (none while draining at the bottom
-  // edge, where the clamp holds the last row).
+  // window reads (the band's top halo), then per block of output rows
+  // stream in the new source rows its windows add (none while draining at
+  // the bottom edge, where the clamp holds the last row). The rows a whole
+  // block does not fill go one at a time.
   int next = std::max(0, rb - radius);
   auto consume_to = [&](int last) {
     for (; next <= last; ++next) {
@@ -86,7 +94,15 @@ void fused_blur_band(const img::ImageF& src, img::ImageF& dst,
     }
   };
   consume_to(std::min(h - 1, rb + radius - 1));
-  for (int y = rb; y < re; ++y) {
+  int y = rb;
+  for (; y + kBlock <= re; y += kBlock) {
+    consume_to(std::min(h - 1, y + kBlock - 1 + radius));
+    lines.window(y, radius, h, window);
+    float* out[kBlock];
+    for (int r = 0; r < kBlock; ++r) out[r] = &dst.at_unchecked(0, y + r);
+    vpass_float_row_block_simd(window.data(), out, wts, taps, w);
+  }
+  for (; y < re; ++y) {
     consume_to(std::min(h - 1, y + radius));
     lines.window(y, radius, h, window);
     vpass_float_row_simd(window.data(), &dst.at_unchecked(0, y), wts, taps,
@@ -99,9 +115,10 @@ void fused_blur_band(const img::ImageF& src, img::ImageF& dst,
 /// luminance) before entering the line buffer, and each emitted row runs
 /// the back stages (masking, adjust) after the vertical pass. The
 /// normalized rows still inside the masking window live in their own
-/// radius+1-row ring: the window [y, y + radius] is always the most
-/// recently streamed radius+1 rows, so ascending streaming order keeps
-/// exactly the live ones resident.
+/// (radius + kBlock)-row ring: the rows a block of output rows still needs,
+/// [y, y + kBlock - 1 + radius], are always the most recently streamed
+/// radius + kBlock rows, so ascending streaming order keeps exactly the
+/// live ones resident.
 void fused_tonemap_band(const img::ImageF& hdr, img::ImageF& dst,
                         const PipelineOptions& opt,
                         const GaussianKernel& kernel, float scale, int rb,
@@ -118,7 +135,7 @@ void fused_tonemap_band(const img::ImageF& hdr, img::ImageF& dst,
   const std::size_t row_samples =
       static_cast<std::size_t>(w) * static_cast<std::size_t>(c);
 
-  const int norm_rows = radius + 1;
+  const int norm_rows = radius + kBlock;
   std::vector<float> norm_ring(static_cast<std::size_t>(norm_rows) *
                                row_samples);
   auto norm_slot = [&](int ny) {
@@ -127,10 +144,15 @@ void fused_tonemap_band(const img::ImageF& hdr, img::ImageF& dst,
   };
 
   LineBuffer lines(w, taps);
-  std::vector<const float*> window(static_cast<std::size_t>(taps));
+  std::vector<const float*> window(
+      static_cast<std::size_t>(taps + kBlock - 1));
   // The luminance row, padded by `radius` edge replicas on each side.
   std::vector<float> intensity(static_cast<std::size_t>(w + 2 * radius));
-  std::vector<float> mask_row(static_cast<std::size_t>(w));
+  // The blurred mask rows of one block.
+  std::vector<float> mask_rows(static_cast<std::size_t>(kBlock) *
+                               static_cast<std::size_t>(w));
+  float* mask[kBlock];
+  for (int r = 0; r < kBlock; ++r) mask[r] = mask_rows.data() + r * w;
 
   int next = std::max(0, rb - radius);
   auto consume_to = [&](int last) {
@@ -148,15 +170,25 @@ void fused_tonemap_band(const img::ImageF& hdr, img::ImageF& dst,
       hpass_float_row_simd(intensity.data(), lines.slot(next), wts, taps, w);
     }
   };
-  consume_to(std::min(h - 1, rb + radius - 1));
-  for (int y = rb; y < re; ++y) {
-    consume_to(std::min(h - 1, y + radius));
-    lines.window(y, radius, h, window);
-    vpass_float_row_simd(window.data(), mask_row.data(), wts, taps, w);
-    float* out = &dst.at_unchecked(0, y);
-    masking_row(norm_slot(y), mask_row.data(), out, w, c);
+  auto emit = [&](int oy, const float* mask) {
+    float* out = &dst.at_unchecked(0, oy);
+    masking_row(norm_slot(oy), mask, out, w, c);
     brightness_contrast_row(out, out, row_samples, opt.brightness,
                             opt.contrast);
+  };
+  consume_to(std::min(h - 1, rb + radius - 1));
+  int y = rb;
+  for (; y + kBlock <= re; y += kBlock) {
+    consume_to(std::min(h - 1, y + kBlock - 1 + radius));
+    lines.window(y, radius, h, window);
+    vpass_float_row_block_simd(window.data(), mask, wts, taps, w);
+    for (int r = 0; r < kBlock; ++r) emit(y + r, mask[r]);
+  }
+  for (; y < re; ++y) {
+    consume_to(std::min(h - 1, y + radius));
+    lines.window(y, radius, h, window);
+    vpass_float_row_simd(window.data(), mask[0], wts, taps, w);
+    emit(y, mask[0]);
   }
 }
 

@@ -5,27 +5,30 @@
 // points:
 //
 //   blur_fused_stream() — the mask blur alone as one sliding-window pass:
-//       a ring buffer of `taps` horizontally blurred rows (the line
-//       buffer) is filled as input rows arrive, and once a row's vertical
-//       window is resident the vertical pass emits the finished output
-//       row. No full-frame intermediate plane exists; the working set is
-//       taps x width floats (the BRAM line buffer, on the host's cache).
-//       This is what the `fused_stream` execution backend runs.
+//       a ring buffer of taps + 3 horizontally blurred rows (the line
+//       buffer) is filled as input rows arrive, and once the vertical
+//       windows of a block of four output rows are resident the vertical
+//       pass emits them together, loading each line-buffer vector once for
+//       all four (kVpassBlockRows; the rows a whole block does not fill go
+//       one at a time). No full-frame intermediate plane exists; the
+//       working set is (taps + 3) x width floats (the BRAM line buffer, on
+//       the host's cache). This is what the `fused_stream` execution
+//       backend runs.
 //
 //   tone_map_fused() — the whole five-stage pipeline (normalize ->
 //       intensity -> mask blur -> masking -> adjust) in one pass per
 //       frame: each input row is normalized, display-encoded, reduced to
 //       its luminance, horizontally blurred into the line buffer, and as
-//       soon as an output row's blur window is complete the vertical pass
-//       + masking + adjustment emit it. Only the normalized rows still
-//       inside the masking window (radius + 1 of them) and the blur line
-//       buffer are retained — the plane-at-a-time pipeline touches every
+//       soon as a row block's blur windows are complete the vertical pass
+//       + masking + adjustment emit it. Only the normalized rows a block
+//       still has to mask (radius + 4 of them) and the blur line buffer
+//       are retained — the plane-at-a-time pipeline touches every
 //       pixel ~7 times through DRAM-sized planes; this touches the input
 //       and output once each.
 //
 // Bit-identity: both forms reuse the row primitives of blur_passes (same
-// ascending-tap accumulation, same border split, SIMD vectorized across
-// pixels) and the row-span stage helpers of operators/image, so every
+// ascending-tap accumulation, clamp-to-edge as edge replication, SIMD
+// vectorized across pixels) and the row-span stage helpers of operators/image, so every
 // sample goes through the identical floating-point operation sequence as
 // the plane-at-a-time reference — the output is blur_separable_float's /
 // tone_map()'s bit for bit, at every thread count.

@@ -229,17 +229,54 @@ img::ImageF simd_vpass(const tonemap::detail::BlurRowKernels& build,
   return dst;
 }
 
+/// Run one build's block vertical pass from every start row y of `tmp`
+/// (clamp hoisted into taps + kVpassBlockRows - 1 row pointers, as the
+/// fused engine's line buffer hands them over) and check each block row
+/// y + r that lies in the frame against the scalar pass's row.
+::testing::AssertionResult simd_vpass_block_matches(
+    const tonemap::detail::BlurRowKernels& build, const img::ImageF& tmp,
+    const tonemap::GaussianKernel& kernel, const img::ImageF& scalar) {
+  constexpr int kBlock = tonemap::kVpassBlockRows;
+  const int w = tmp.width();
+  const int h = tmp.height();
+  std::vector<const float*> rows(
+      static_cast<std::size_t>(kernel.taps() + kBlock - 1));
+  std::vector<float> block(static_cast<std::size_t>(kBlock * w));
+  float* out[kBlock];
+  for (int r = 0; r < kBlock; ++r) out[r] = block.data() + r * w;
+  for (int y = 0; y < h; ++y) {
+    for (int i = 0; i < static_cast<int>(rows.size()); ++i) {
+      rows[static_cast<std::size_t>(i)] = &tmp.at_unchecked(
+          0, tonemap::detail::clamp_index(y - kernel.radius() + i, h));
+    }
+    build.vpass_block(rows.data(), out, kernel.weights().data(),
+                      kernel.taps(), w);
+    for (int r = 0; r < kBlock && y + r < h; ++r) {
+      if (std::memcmp(out[r], &scalar.at_unchecked(0, y + r),
+                      static_cast<std::size_t>(w) * sizeof(float)) != 0) {
+        return ::testing::AssertionFailure()
+               << "block from row " << y << ", row " << r;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // Geometries stressing the vector path's edges: width below the lane
-// count, one either side of both lane widths, radius >= width (interior
-// empty, all border), and a bulk case with interior, tail and borders.
+// count, one either side of every lane width (4, 8, 16) and of the
+// four-vector blocks (16, 32, 64 columns), radius >= width (every tap of a
+// border pixel replicated), heights below and around the vertical block,
+// and bulk cases with blocks, single vectors and a scalar tail.
 struct SimdGeometry {
   int w;
   int h;
   int radius;
 };
 constexpr SimdGeometry kSimdGeometries[] = {
-    {1, 1, 2},  {3, 5, 4},   {5, 4, 9},   {7, 9, 2},  {8, 8, 3},
-    {9, 5, 3},  {31, 7, 10}, {32, 6, 10}, {33, 9, 40}, {64, 33, 5},
+    {1, 1, 2},   {3, 5, 4},    {5, 4, 9},   {7, 9, 2},   {8, 8, 3},
+    {9, 5, 3},   {15, 2, 3},   {16, 3, 5},  {17, 6, 2},  {31, 7, 10},
+    {32, 6, 10}, {33, 9, 40},  {63, 10, 7}, {64, 33, 5}, {65, 11, 4},
+    {129, 9, 20},
 };
 
 TEST(SimdPassTest, EveryBuildMatchesScalarPasses) {
@@ -257,6 +294,9 @@ TEST(SimdPassTest, EveryBuildMatchesScalarPasses) {
       EXPECT_TRUE(bit_identical(simd_vpass(*build, scalar_h, kernel),
                                 scalar_v))
           << "vpass " << g.w << "x" << g.h << " lanes=" << build->lanes;
+      EXPECT_TRUE(
+          simd_vpass_block_matches(*build, scalar_h, kernel, scalar_v))
+          << "vpass block " << g.w << "x" << g.h << " lanes=" << build->lanes;
     }
   }
 }
@@ -305,7 +345,7 @@ img::ImageF unsplit_vpass(const img::ImageF& tmp,
 TEST(SplitPassPropertyTest, SplitPassesMatchUnsplitReferenceRandomized) {
   Rng rng(2018);
   for (int trial = 0; trial < 25; ++trial) {
-    const int w = static_cast<int>(rng.uniform_int(1, 50));
+    const int w = static_cast<int>(rng.uniform_int(1, 140));
     const int h = static_cast<int>(rng.uniform_int(1, 20));
     const int radius = static_cast<int>(rng.uniform_int(1, 30));
     const double sigma = rng.uniform(0.5, 12.0);
@@ -332,6 +372,8 @@ TEST(SplitPassPropertyTest, SplitPassesMatchUnsplitReferenceRandomized) {
           << "simd hpass trial " << trial << " lanes=" << build->lanes;
       ASSERT_TRUE(bit_identical(simd_vpass(*build, href, kernel), vref))
           << "simd vpass trial " << trial << " lanes=" << build->lanes;
+      ASSERT_TRUE(simd_vpass_block_matches(*build, href, kernel, vref))
+          << "simd vpass block trial " << trial << " lanes=" << build->lanes;
     }
   }
 }

@@ -161,6 +161,40 @@ TEST(FusedToneMapTest, BitIdenticalAtEveryThreadCount) {
   EXPECT_THROW(tone_map_fused(hdr, opt), InvalidArgument);
 }
 
+// --- Ring edge cases ------------------------------------------------------
+
+// The line buffer rings taps + kVpassBlockRows - 1 rows and the normalized
+// ring radius + kVpassBlockRows; an off-by-one in either corrupts output
+// only on some geometries. Sweep frame heights (odd ones, and bands of 1
+// to 5 rows: below, at and one past a vertical block) with the radius
+// below, at and beyond the height, at 1-4 threads, through both entry
+// points, byte for byte against the plane-at-a-time references.
+TEST(FusedRingTest, EdgeGeometriesAreBitIdenticalAtOneToFourThreads) {
+  std::uint64_t seed = 500;
+  for (int h : {1, 2, 3, 4, 5, 7, 9, 11, 13, 17, 19}) {
+    for (int radius : {1, 2, 5, h, h + 3}) {
+      const GaussianKernel kernel(radius / 2.0 + 0.5, radius);
+      const img::ImageF plane = random_plane(19, h, seed);
+      const img::ImageF blur_golden = blur_separable_float(plane, kernel);
+      PipelineOptions opt;
+      opt.sigma = radius / 2.0 + 0.5;
+      opt.radius = radius;
+      const img::ImageF hdr = random_hdr(21, h, 3, seed++);
+      const img::ImageF tone_golden = tone_map(hdr, opt).output;
+      for (int threads = 1; threads <= 4; ++threads) {
+        EXPECT_TRUE(bit_identical(blur_fused_stream(plane, kernel, threads),
+                                  blur_golden))
+            << "blur h=" << h << " r=" << radius << " threads=" << threads;
+        opt.threads = threads;
+        EXPECT_TRUE(bit_identical(tone_map_fused(hdr, opt).output,
+                                  tone_golden))
+            << "tone map h=" << h << " r=" << radius
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(FusedToneMapTest, StagePreconditionsThrowUpFront) {
   PipelineOptions opt;
   opt.sigma = 2.0;
