@@ -13,10 +13,15 @@
 // pixel's accumulation into partial sums), and IEEE-754 arithmetic is
 // deterministic per lane, so the result is the scalar result bit for bit
 // at any lane count. The build sets -ffp-contract=off so neither form
-// is FMA-contracted behind the other's back on FMA-capable targets.
+// is FMA-contracted behind the other's back on FMA-capable targets. Two
+// restructurings keep that sequence too: the horizontal pass reads an
+// edge-replicated row, where the sample at every clamped position is the
+// one the clamp would pick, and the vertical pass's row blocks share
+// source-vector loads between rows, never a row's partial sums.
 //
 // Vectors never cross a function boundary (locals only) to keep the code
 // free of per-target vector ABI concerns (-Wpsabi).
+#include <algorithm>
 #include <cstring>
 
 #include "tonemap/blur_passes.hpp"
@@ -30,6 +35,14 @@ typedef float v8f __attribute__((vector_size(8 * sizeof(float))));
 typedef float v16f __attribute__((vector_size(16 * sizeof(float))));
 
 #define TMHLS_BLUR_INLINE __attribute__((always_inline)) inline
+
+// Fully unrolls the short constant-trip loops over a block's vectors so
+// GCC keeps every accumulator in a register (Clang unrolls them anyway).
+#if defined(__GNUC__) && !defined(__clang__)
+#define TMHLS_BLUR_UNROLL _Pragma("GCC unroll 4")
+#else
+#define TMHLS_BLUR_UNROLL
+#endif
 
 /// Vectorized horizontal-pass row over a padded row: blocks of kCols
 /// vectors of columns from x_begin on. Returns the first unprocessed
@@ -48,14 +61,14 @@ TMHLS_BLUR_INLINE int hpass_row_vec(const float* padded, float* out,
       // included), and compiles to one vbroadcastss; V{} + w would add a
       // scalar add in front of it.
       const V wv = wts[i] - V{};
-#pragma GCC unroll 4
+      TMHLS_BLUR_UNROLL
       for (int c = 0; c < kCols; ++c) {
         V v;
         std::memcpy(&v, base + i + c * kLanes, sizeof(V));
         acc[c] += wv * v;
       }
     }
-#pragma GCC unroll 4
+    TMHLS_BLUR_UNROLL
     for (int c = 0; c < kCols; ++c) {
       std::memcpy(out + x + c * kLanes, &acc[c], sizeof(V));
     }
@@ -82,22 +95,22 @@ TMHLS_BLUR_INLINE int vpass_rows_vec(const float* const* rows,
     V acc[kRows][kCols] = {};
     for (int j = 0; j < taps + kRows - 1; ++j) {
       V v[kCols];
-#pragma GCC unroll 4
+      TMHLS_BLUR_UNROLL
       for (int c = 0; c < kCols; ++c) {
         std::memcpy(&v[c], rows[j] + x + c * kLanes, sizeof(V));
       }
-#pragma GCC unroll 4
+      TMHLS_BLUR_UNROLL
       for (int r = 0; r < kRows; ++r) {
         const int i = j - r;
         if (i < 0 || i >= taps) continue;
         const V wv = wts[i] - V{};
-#pragma GCC unroll 4
+        TMHLS_BLUR_UNROLL
         for (int c = 0; c < kCols; ++c) acc[r][c] += wv * v[c];
       }
     }
-#pragma GCC unroll 4
+    TMHLS_BLUR_UNROLL
     for (int r = 0; r < kRows; ++r) {
-#pragma GCC unroll 4
+      TMHLS_BLUR_UNROLL
       for (int c = 0; c < kCols; ++c) {
         std::memcpy(out[r] + x + c * kLanes, &acc[r][c], sizeof(V));
       }
@@ -122,16 +135,16 @@ TMHLS_BLUR_INLINE void hpass_row_body(const float* padded, float* out,
                                width);
 }
 
-/// kRows vertical-pass output rows: blocks of vectors of columns, single
-/// vectors, then a scalar tail per row. A block keeps kRows * kCols
-/// accumulators live: at most 8 on the 16-register ISAs, 16 with
-/// AVX-512's 32 registers.
+/// kRows vertical-pass output rows: blocks of up to four vectors of
+/// columns, single vectors, then a scalar tail per row. A block keeps
+/// kRows * kCols accumulators live: at most 8 on the 16-register ISAs, 16
+/// with AVX-512's 32 registers.
 template <typename V, int kRows>
 TMHLS_BLUR_INLINE void vpass_rows_body(const float* const* rows,
                                        float* const* out, const float* wts,
                                        int taps, int width) {
-  constexpr int kCols =
-      kRows <= 2 ? 4 : (sizeof(V) == 16 * sizeof(float) ? 16 : 8) / kRows;
+  constexpr int kMaxAccumulators = sizeof(V) == 16 * sizeof(float) ? 16 : 8;
+  constexpr int kCols = std::min(4, kMaxAccumulators / kRows);
   int x = vpass_rows_vec<V, kRows, kCols>(rows, out, wts, taps, 0, width);
   x = vpass_rows_vec<V, kRows, 1>(rows, out, wts, taps, x, width);
   for (int r = 0; r < kRows; ++r) {

@@ -310,8 +310,8 @@ std::vector<AdversarialCase> adversarial_cases() {
   cases.push_back({"denormals mixed with FLT_MAX", extreme});
   cases.push_back({"denormals mixed with FLT_MAX, external scale", extreme,
                    6, 1.0f});
-  // A width that is no multiple of the 8-lane vector: every row ends in
-  // the kernel's padded tail, at every channel count.
+  // A width that is no multiple of any vector width (4, 8, 16 lanes):
+  // every row ends in the kernel's padded tail, at every channel count.
   for (int channels : {1, 2, 3, 4}) {
     cases.push_back({"1021x7, " + std::to_string(channels) + " channel(s)",
                      random_hdr(1021, 7, 27, channels)});

@@ -1,7 +1,8 @@
 // Tests for the point-wise pow / exp2 kernel (tonemap/pow_kernel.hpp):
 // accuracy against std::pow, exact special cases, bit-identity of the
-// generic-vector build, the AVX2 build and the padded row tail, and the
-// one-time quality gate of moving the tone-mapping pipeline off libm.
+// generic-vector build, the AVX2 and AVX-512 builds and the padded row
+// tail, and the one-time quality gate of moving the tone-mapping pipeline
+// off libm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
