@@ -231,14 +231,14 @@ namespace detail {
 
 const BlurRowKernels& blur_row_kernels_generic() {
   static const BlurRowKernels k{4, hpass_row_generic, vpass_row_generic,
-                                  vpass_block_generic};
+                                vpass_block_generic};
   return k;
 }
 
 const BlurRowKernels* blur_row_kernels_avx2() {
 #ifdef TMHLS_BLUR_X86_DISPATCH
   static const BlurRowKernels k{8, hpass_row_avx2, vpass_row_avx2,
-                                  vpass_block_avx2};
+                                vpass_block_avx2};
   static const bool has = __builtin_cpu_supports("avx2") != 0;
   return has ? &k : nullptr;
 #else
@@ -249,7 +249,7 @@ const BlurRowKernels* blur_row_kernels_avx2() {
 const BlurRowKernels* blur_row_kernels_avx512() {
 #ifdef TMHLS_BLUR_X86_DISPATCH
   static const BlurRowKernels k{16, hpass_row_avx512, vpass_row_avx512,
-                                  vpass_block_avx512};
+                                vpass_block_avx512};
   static const bool has = __builtin_cpu_supports("avx512f") != 0;
   return has ? &k : nullptr;
 #else

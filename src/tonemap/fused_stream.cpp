@@ -22,9 +22,9 @@ constexpr int kBlock = kVpassBlockRows;
 /// ry % (taps + kBlock - 1) — the windows of a row block together span a
 /// contiguous clamped row range of at most that many rows, so the rows a
 /// block reads never collide in the ring, and a row streamed in overwrites
-/// exactly the one that just left every window. This is the §III.B circular line buffer
-/// with the modulo made explicit (the hardware keeps a rotating head index
-/// instead; same rows, same values).
+/// exactly the one that just left every window. This is the §III.B
+/// circular line buffer with the modulo made explicit (the hardware keeps
+/// a rotating head index instead; same rows, same values).
 class LineBuffer {
 public:
   LineBuffer(int width, int taps)

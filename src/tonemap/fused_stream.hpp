@@ -28,10 +28,11 @@
 //
 // Bit-identity: both forms reuse the row primitives of blur_passes (same
 // ascending-tap accumulation, clamp-to-edge as edge replication, SIMD
-// vectorized across pixels) and the row-span stage helpers of operators/image, so every
-// sample goes through the identical floating-point operation sequence as
-// the plane-at-a-time reference — the output is blur_separable_float's /
-// tone_map()'s bit for bit, at every thread count.
+// vectorized across pixels) and the row-span stage helpers of
+// operators/image, so every sample goes through the identical
+// floating-point operation sequence as the plane-at-a-time reference —
+// the output is blur_separable_float's / tone_map()'s bit for bit, at
+// every thread count.
 //
 // Multi-threading: row-band decomposition (exec::run_independent_bands)
 // with no inter-band halo exchange — each band primes its own line buffer with

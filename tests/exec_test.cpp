@@ -199,7 +199,8 @@ img::ImageF simd_hpass(const tonemap::detail::BlurRowKernels& build,
                        const tonemap::GaussianKernel& kernel) {
   img::ImageF dst(src.width(), src.height(), 1);
   const int radius = kernel.radius();
-  std::vector<float> padded(static_cast<std::size_t>(src.width() + 2 * radius));
+  std::vector<float> padded(
+      static_cast<std::size_t>(src.width() + 2 * radius));
   for (int y = 0; y < src.height(); ++y) {
     const float* row = &src.at_unchecked(0, y);
     std::copy(row, row + src.width(), padded.begin() + radius);
