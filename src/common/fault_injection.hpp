@@ -23,7 +23,7 @@ namespace tmhls::fault {
 /// Thrown by inject() for Action::throw_error (and Action::fail, where the
 /// site has no graceful failure path of its own). Derived from Error so
 /// the production error contract — which routes Error subclasses through
-/// futures / wire replies — carries injected faults like real ones.
+/// completions / wire replies — carries injected faults like real ones.
 class InjectedFault : public Error {
 public:
   explicit InjectedFault(const std::string& what) : Error(what) {}

@@ -58,7 +58,7 @@ tonemap::PipelineOptions degraded_options(
 struct ToneMapService::Shard {
   struct Queued {
     FrameJob job;
-    std::promise<FrameResult> promise;
+    Completion done;
     std::uint64_t id = 0;
     Clock::time_point enqueued;
     /// Absolute expiry, valid iff has_deadline (computed once at submit so
@@ -126,16 +126,32 @@ ToneMapService::~ToneMapService() {
     shard->not_empty.notify_all();
     shard->not_full.notify_all();
   }
-  // Each worker drains its queue before returning, so every future handed
-  // out by submit() is satisfied by the time the destructor completes.
+  // Each worker drains its queue before returning, so every accepted job's
+  // completion has run by the time the destructor completes.
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
 }
 
 std::future<FrameResult> ToneMapService::submit(FrameJob job) {
+  auto promise = std::make_shared<std::promise<FrameResult>>();
+  std::future<FrameResult> future = promise->get_future();
+  submit(std::move(job), [promise](Outcome outcome) {
+    if (auto* error = std::get_if<std::exception_ptr>(&outcome)) {
+      promise->set_exception(*error);
+    } else {
+      promise->set_value(std::get<FrameResult>(std::move(outcome)));
+    }
+  });
+  return future;
+}
+
+void ToneMapService::submit(FrameJob job, Completion done) {
   // Structural errors fail here at the submitter; everything discovered
-  // during execution travels through the future instead (see the header).
+  // during execution travels through the completion instead (see the
+  // header).
+  TMHLS_REQUIRE(static_cast<bool>(done),
+                "ToneMapService::submit: empty completion");
   TMHLS_REQUIRE(!job.frame.empty(), "ToneMapService::submit: empty frame");
   TMHLS_REQUIRE(!job.deadline_seconds ||
                     (std::isfinite(*job.deadline_seconds) &&
@@ -261,13 +277,13 @@ std::future<FrameResult> ToneMapService::submit(FrameJob job) {
     entry.enqueued = Clock::now();
     entry.deadline_at = deadline_at;
     entry.has_deadline = has_deadline;
-    std::future<FrameResult> future = entry.promise.get_future();
+    entry.done = std::move(done);
     shard.queue.push_back(std::move(entry));
     ++shard.submitted;
     lock.unlock();
     if (chosen != rr) rebalanced_.fetch_add(1);
     shard.not_empty.notify_one();
-    return future;
+    return;
   }
 }
 
@@ -343,46 +359,37 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
   // change (a plan depends on nothing else).
   std::unique_ptr<tonemap::FrameEngine> engine;
 
-  // Counters advance *before* the promise is satisfied, so a client that
-  // has seen future.get() return also sees the job counted in stats().
-  // A full-quality completion also feeds the shard's EWMA service-time
-  // estimate, the signal admission control sheds and degrades on. Each
-  // outcome settles the job and frees the shard's in-flight slot.
-  auto complete = [&](std::promise<FrameResult>& promise,
-                      FrameResult&& result) {
+  // Settle a job: its outcome's counter (completed, failed or expired)
+  // advances under the shard lock, then the completion runs outside it, so
+  // a client that has seen the outcome also sees it counted in stats(). A
+  // full-quality result also feeds the shard's EWMA service-time estimate,
+  // the signal admission control sheds and degrades on. noexcept: a
+  // throwing completion terminates instead of unwinding into the shard.
+  auto settle = [&](Shard::Queued& q, std::uint64_t& counter,
+                    Outcome outcome) noexcept {
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
-      ++shard.completed;
-      if (result.degrade != DegradeLevel::none) ++shard.degraded;
-      if (result.degrade == DegradeLevel::none &&
-          result.service_seconds > 0.0) {
-        shard.ewma_service =
-            shard.ewma_service == 0.0
-                ? result.service_seconds
-                : 0.75 * shard.ewma_service + 0.25 * result.service_seconds;
+      ++counter;
+      if (const auto* result = std::get_if<FrameResult>(&outcome)) {
+        if (result->degrade != DegradeLevel::none) {
+          ++shard.degraded;
+        } else if (result->service_seconds > 0.0) {
+          shard.ewma_service =
+              shard.ewma_service == 0.0
+                  ? result->service_seconds
+                  : 0.75 * shard.ewma_service + 0.25 * result->service_seconds;
+        }
       }
       --shard.active;
     }
-    promise.set_value(std::move(result));
-  };
-  auto fail = [&](std::promise<FrameResult>& promise) {
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      ++shard.failed;
-      --shard.active;
-    }
-    promise.set_exception(std::current_exception());
+    q.done(std::move(outcome));
   };
   // Deadline expiry is its own outcome, disjoint from `failed`: the job
-  // was viable, the clock won. The future gets DeadlineExceeded.
+  // was viable, the clock won. The completion gets DeadlineExceeded.
   auto expire = [&](Shard::Queued& q, const std::string& when) {
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      ++shard.expired;
-      --shard.active;
-    }
-    q.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-        "job " + std::to_string(q.id) + ": deadline expired " + when)));
+    settle(q, shard.expired,
+           std::make_exception_ptr(DeadlineExceeded(
+               "job " + std::to_string(q.id) + ": deadline expired " + when)));
   };
 
   for (;;) {
@@ -409,7 +416,7 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
     try {
       fault::inject("serve.worker.pickup");
     } catch (...) {
-      fail(q.promise);
+      settle(q, shard.failed, std::current_exception());
       continue;
     }
 
@@ -486,9 +493,10 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
         out.backend = engine->executor().backend().name();
       }
       out.service_seconds = seconds_between(picked_up, Clock::now());
-      complete(q.promise, std::move(out));
+      settle(q, shard.completed, std::move(out));
     } catch (...) {
-      fail(q.promise); // bad options or a failed run: the shard moves on
+      // bad options or a failed run: the shard moves on
+      settle(q, shard.failed, std::current_exception());
     }
   }
 }

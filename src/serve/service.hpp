@@ -5,10 +5,11 @@
 // admission queue. submit() hands a FrameJob (whole HDR frame + per-job
 // PipelineOptions) to the least-loaded shard — by queued + in-flight jobs,
 // with ties broken round-robin so a uniform load keeps its even spread —
-// and returns a std::future<FrameResult>. A shard worker runs one job at a
-// time: pickup, deadline check, degradation ladder, then the frame runs
-// synchronously through the shard's cached tonemap::FrameEngine (or the
-// global-operator rung) and is delivered. Consecutive jobs with equal
+// and calls the job's completion with the outcome once the frame is done
+// (the std::future overload wraps exactly that). A shard worker runs one
+// job at a time: pickup, deadline check, degradation ladder, then the frame
+// runs synchronously through the shard's cached tonemap::FrameEngine (or
+// the global-operator rung) and is delivered. Consecutive jobs with equal
 // options and geometry reuse the engine — the normalisation scale is
 // passed per job and never forces a rebuild; any other change does. Within a
 // shard, jobs complete in submission order. Output is bit-identical to the
@@ -26,12 +27,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -64,8 +68,8 @@ struct FrameJob {
   /// silently disabling expiry. When engaged, the value must be finite
   /// and >= 0; expiry is then checked at admission, at dequeue, and once
   /// more right before the frame enters the engine, and an expired job's
-  /// future receives DeadlineExceeded instead of computing a frame nobody
-  /// is waiting for.
+  /// completion receives DeadlineExceeded instead of computing a frame
+  /// nobody is waiting for.
   std::optional<double> deadline_seconds;
   /// Ladder level the job starts at. Admission control and the dequeue
   /// check may only push it further down. Stream sessions set it to the
@@ -73,7 +77,7 @@ struct FrameJob {
   DegradeLevel degrade = DegradeLevel::none;
 };
 
-/// A completed job, delivered through the future from submit(). A job
+/// A completed job, delivered to the completion given to submit(). A job
 /// that failed delivers its exception instead (see the error contract on
 /// ToneMapService::submit).
 struct FrameResult {
@@ -99,6 +103,11 @@ struct FrameResult {
   /// global_operator means reinhard_global() run standalone.
   DegradeLevel degrade = DegradeLevel::none;
 };
+
+/// What a job's completion receives (see ToneMapService::submit): its
+/// result, or the exception the future overload would rethrow.
+using Outcome = std::variant<FrameResult, std::exception_ptr>;
+using Completion = std::function<void(Outcome)>;
 
 /// Configuration of a ToneMapService.
 struct ToneMapServiceOptions {
@@ -146,15 +155,15 @@ struct ShardStats {
   std::size_t in_flight = 0;
   /// Lifetime jobs routed to this shard.
   std::uint64_t submitted = 0;
-  /// Lifetime jobs whose future was satisfied with a result. Counters
-  /// advance before the future becomes ready, so a client that has
-  /// observed a result also observes it counted here.
+  /// Lifetime jobs whose completion received a result. Counters advance
+  /// before the completion runs, so a client that has observed a result
+  /// also observes it counted here.
   std::uint64_t completed = 0;
-  /// Lifetime jobs whose future was satisfied with an exception.
+  /// Lifetime jobs whose completion received an exception.
   /// (Deadline expiries are counted in `expired`, not here.)
   std::uint64_t failed = 0;
   /// Lifetime jobs whose deadline passed before a frame was produced —
-  /// their futures received DeadlineExceeded. Disjoint from `failed`.
+  /// their completions received DeadlineExceeded. Disjoint from `failed`.
   std::uint64_t expired = 0;
   /// Lifetime jobs completed below full quality (FrameResult::degrade !=
   /// none). A subset of `completed`, not a separate outcome.
@@ -196,9 +205,9 @@ struct ServiceStats {
 std::vector<common::StatsSnapshot> snapshot(const ServiceStats& stats);
 
 /// The in-process batch tone-mapping service. Thread-safe: submit() may be
-/// called from any number of client threads. The destructor completes
-/// every accepted job before returning (futures never dangle), exactly
-/// like the exec layer below it.
+/// called from any number of client threads. The destructor runs every
+/// accepted job's completion before returning (nothing accepted is ever
+/// dropped), exactly like the exec layer below it.
 class ToneMapService {
 public:
   explicit ToneMapService(ToneMapServiceOptions options = {});
@@ -209,8 +218,8 @@ public:
   ToneMapService& operator=(const ToneMapService&) = delete;
 
   /// Enqueue a job on the least-loaded shard (queued + in-flight jobs,
-  /// ties broken round-robin by submission index); returns the future of
-  /// its result. Blocks while that shard's queue is at capacity. Jobs
+  /// ties broken round-robin by submission index); `done` receives its
+  /// outcome. Blocks while that shard's queue is at capacity. Jobs
   /// with equal options keep landing on one shard only while loads stay
   /// even — a diverged queue beats engine affinity, by design: a rebuild
   /// costs less than waiting out a deep queue.
@@ -224,11 +233,20 @@ public:
   /// critical jobs block for queue space exactly like the pre-QoS
   /// service). Everything discovered during execution — an unknown
   /// backend name, a kernel beyond the backend's tap bound, a datapath
-  /// contradiction — is delivered through the future, as is
+  /// contradiction — is delivered to the completion, as is
   /// DeadlineExceeded when a deadline passes at dequeue or before the
   /// frame enters the engine; the job is dropped and the shard continues with
   /// subsequent jobs unaffected. Submitting after destruction has begun
-  /// throws InvalidArgument.
+  /// throws InvalidArgument, as does an empty `done`.
+  ///
+  /// Completion contract: `done` runs exactly once for every job submit()
+  /// accepts, and never when submit() throws. It runs on the shard worker
+  /// — keep it short — outside the shard lock and after the shard
+  /// counters advance (stats() inside it already counts the job). It must
+  /// not throw: a throwing completion terminates the process.
+  void submit(FrameJob job, Completion done);
+
+  /// The same, delivered through a future (a wrapper over the above).
   std::future<FrameResult> submit(FrameJob job);
 
   int shards() const { return static_cast<int>(shards_.size()); }
@@ -254,7 +272,7 @@ private:
   ToneMapServiceOptions options_;
   /// Created before the shards (workers capture its scope) and destroyed
   /// after them; null when pooling is disabled. Planes that escape through
-  /// futures keep the recycler alive on their own (shared_ptr inside each
+  /// results keep the recycler alive on their own (shared_ptr inside each
   /// plane), so results outliving the service stay safe.
   std::unique_ptr<img::PlanePool> pool_;
   std::vector<std::unique_ptr<Shard>> shards_;

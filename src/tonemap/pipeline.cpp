@@ -68,28 +68,14 @@ exec::PipelineExecutor PipelineOptions::plan(int width, int height) const {
 
 namespace stages {
 
-namespace {
-
-void require_dst_shape(const img::ImageF& dst, int width, int height,
-                       int channels, const char* stage) {
-  TMHLS_REQUIRE(dst.width() == width && dst.height() == height &&
-                    dst.channels() == channels,
-                std::string(stage) + "_into: destination must be " +
-                    std::to_string(width) + "x" + std::to_string(height) +
-                    "x" + std::to_string(channels));
-}
-
-} // namespace
-
-void normalize_into(const img::ImageF& hdr, const PipelineOptions& opt,
-                    img::ImageF& dst, float* applied_scale) {
+img::ImageF normalize(const img::ImageF& hdr, const PipelineOptions& opt,
+                      float* applied_scale) {
   TMHLS_REQUIRE(!hdr.empty(), "normalize: empty image");
-  require_dst_shape(dst, hdr.width(), hdr.height(), hdr.channels(),
-                    "normalize");
+  img::ImageF normalized(hdr.width(), hdr.height(), hdr.channels());
   const auto si = hdr.samples();
-  const auto so = dst.samples();
+  const auto so = normalized.samples();
   // normalize_to_max's scan and REQUIRE (or the external scale), then the
-  // row ops, writing into dst instead of a fresh plane — bit-identical.
+  // row ops, writing into one fresh plane — bit-identical.
   float scale = opt.normalization_scale;
   const bool by_max = !(scale > 0.0f);
   if (by_max) {
@@ -116,63 +102,17 @@ void normalize_into(const img::ImageF& hdr, const PipelineOptions& opt,
     }
   }
   if (applied_scale != nullptr) *applied_scale = scale;
-}
-
-void intensity_into(const img::ImageF& normalized, img::ImageF& dst) {
-  TMHLS_REQUIRE(normalized.channels() == 1 || normalized.channels() >= 3,
-                "luminance needs 1 or >=3 channels");
-  require_dst_shape(dst, normalized.width(), normalized.height(), 1,
-                    "intensity");
-  for (int y = 0; y < normalized.height(); ++y) {
-    img::luminance_row(&normalized.at_unchecked(0, y), &dst.at_unchecked(0, y),
-                       normalized.width(), normalized.channels());
-  }
-}
-
-void mask_into(const img::ImageF& intensity, const GaussianKernel& kernel,
-               const exec::PipelineExecutor& executor, img::ImageF& dst) {
-  require_dst_shape(dst, intensity.width(), intensity.height(), 1, "mask");
-  dst = executor.blur(intensity, kernel);
-}
-
-void masking_into(const img::ImageF& normalized, const img::ImageF& mask,
-                  img::ImageF& dst) {
-  TMHLS_REQUIRE(mask.channels() == 1,
-                "nonlinear_masking: mask must be 1-channel");
-  TMHLS_REQUIRE(normalized.width() == mask.width() &&
-                    normalized.height() == mask.height(),
-                "nonlinear_masking: size mismatch");
-  require_dst_shape(dst, normalized.width(), normalized.height(),
-                    normalized.channels(), "masking");
-  for (int y = 0; y < normalized.height(); ++y) {
-    masking_row(&normalized.at_unchecked(0, y), &mask.at_unchecked(0, y),
-                &dst.at_unchecked(0, y), normalized.width(),
-                normalized.channels());
-  }
-}
-
-void adjust_into(const img::ImageF& masked, const PipelineOptions& opt,
-                 img::ImageF& dst) {
-  TMHLS_REQUIRE(opt.contrast > 0.0f,
-                "brightness_contrast: contrast must be > 0");
-  require_dst_shape(dst, masked.width(), masked.height(), masked.channels(),
-                    "adjust");
-  const auto si = masked.samples();
-  brightness_contrast_row(si.data(), dst.samples().data(), si.size(),
-                          opt.brightness, opt.contrast);
-}
-
-img::ImageF normalize(const img::ImageF& hdr, const PipelineOptions& opt,
-                      float* applied_scale) {
-  TMHLS_REQUIRE(!hdr.empty(), "normalize: empty image");
-  img::ImageF normalized(hdr.width(), hdr.height(), hdr.channels());
-  normalize_into(hdr, opt, normalized, applied_scale);
   return normalized;
 }
 
 img::ImageF intensity(const img::ImageF& normalized) {
   img::ImageF out(normalized.width(), normalized.height(), 1);
-  intensity_into(normalized, out);
+  TMHLS_REQUIRE(normalized.channels() == 1 || normalized.channels() >= 3,
+                "luminance needs 1 or >=3 channels");
+  for (int y = 0; y < normalized.height(); ++y) {
+    img::luminance_row(&normalized.at_unchecked(0, y), &out.at_unchecked(0, y),
+                       normalized.width(), normalized.channels());
+  }
   return out;
 }
 
@@ -184,13 +124,26 @@ img::ImageF mask(const img::ImageF& intensity, const GaussianKernel& kernel,
 img::ImageF masking(const img::ImageF& normalized, const img::ImageF& mask) {
   img::ImageF out(normalized.width(), normalized.height(),
                   normalized.channels());
-  masking_into(normalized, mask, out);
+  TMHLS_REQUIRE(mask.channels() == 1,
+                "nonlinear_masking: mask must be 1-channel");
+  TMHLS_REQUIRE(normalized.width() == mask.width() &&
+                    normalized.height() == mask.height(),
+                "nonlinear_masking: size mismatch");
+  for (int y = 0; y < normalized.height(); ++y) {
+    masking_row(&normalized.at_unchecked(0, y), &mask.at_unchecked(0, y),
+                &out.at_unchecked(0, y), normalized.width(),
+                normalized.channels());
+  }
   return out;
 }
 
 img::ImageF adjust(const img::ImageF& masked, const PipelineOptions& opt) {
   img::ImageF out(masked.width(), masked.height(), masked.channels());
-  adjust_into(masked, opt, out);
+  TMHLS_REQUIRE(opt.contrast > 0.0f,
+                "brightness_contrast: contrast must be > 0");
+  const auto si = masked.samples();
+  brightness_contrast_row(si.data(), out.samples().data(), si.size(),
+                          opt.brightness, opt.contrast);
   return out;
 }
 

@@ -119,7 +119,10 @@ struct PipelineResult {
 };
 
 /// The pipeline's five stages as explicit functions. tone_map() is the
-/// composition normalize -> intensity -> mask -> masking -> adjust.
+/// composition normalize -> intensity -> mask -> masking -> adjust. Each
+/// stage returns a fresh plane; under a plane-pool scope (img::PlanePool)
+/// that plane is a recycled pool plane, so a warm serving job writes every
+/// stage into storage the pool already owns.
 namespace stages {
 
 /// Stage 1 — normalisation (+ display encoding). A positive
@@ -143,38 +146,6 @@ img::ImageF masking(const img::ImageF& normalized, const img::ImageF& mask);
 
 /// Stage 5 — brightness/contrast adjustment (opt.brightness, opt.contrast).
 img::ImageF adjust(const img::ImageF& masked, const PipelineOptions& opt);
-
-// Destination-plane forms. Each writes its result into `dst`, which must
-// already carry the stage's output geometry (same width x height as the
-// input; normalize/masking/adjust keep the input's channel count,
-// intensity produces 1 channel). The value-returning forms above are thin
-// allocate-then-write-into wrappers over these, so the two spellings are
-// bit-identical by construction — and under a plane-pool scope
-// (img::PlanePool) the wrapper's allocation is itself a recycled pool
-// plane, which is how a warm serving job writes every stage into storage
-// the pool already owns.
-
-/// normalize() into a caller-owned plane of hdr's geometry.
-void normalize_into(const img::ImageF& hdr, const PipelineOptions& opt,
-                    img::ImageF& dst, float* applied_scale = nullptr);
-
-/// intensity() into a caller-owned 1-channel plane.
-void intensity_into(const img::ImageF& normalized, img::ImageF& dst);
-
-/// mask() into a caller-owned 1-channel plane: the blur is delegated to
-/// `executor` (whose result plane lands in `dst` by move, releasing
-/// dst's previous buffer to its pool — backends own their output
-/// allocation, and under a pool scope that allocation recycles too).
-void mask_into(const img::ImageF& intensity, const GaussianKernel& kernel,
-               const exec::PipelineExecutor& executor, img::ImageF& dst);
-
-/// masking() into a caller-owned plane of normalized's geometry.
-void masking_into(const img::ImageF& normalized, const img::ImageF& mask,
-                  img::ImageF& dst);
-
-/// adjust() into a caller-owned plane of masked's geometry.
-void adjust_into(const img::ImageF& masked, const PipelineOptions& opt,
-                 img::ImageF& dst);
 
 } // namespace stages
 

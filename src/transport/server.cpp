@@ -1,30 +1,20 @@
 #include "transport/server.hpp"
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <future>
+#include <exception>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "common/error.hpp"
 #include "image/plane_pool.hpp"
 #include "transport/framing.hpp"
 
 namespace tmhls::transport {
-
-namespace {
-
-using namespace std::chrono_literals;
-
-/// How long the writer waits on the oldest outstanding future before
-/// re-scanning the window for any other future that became ready —
-/// the poll granularity of out-of-completion-order response writing.
-constexpr auto kWriterScanInterval = 2ms;
-
-} // namespace
 
 void validate(const ServerOptions& options) {
   TMHLS_REQUIRE(options.max_in_flight_per_connection >= 1,
@@ -36,35 +26,37 @@ void validate(const ServerOptions& options) {
                     std::to_string(options.max_connections));
 }
 
-/// One served connection: the socket, the window of submitted-but-
-/// unanswered requests (shared between the reader and writer threads,
+/// One reply, queued the moment it is ready: request replies in
+/// completion order, stream replies in the order the reader produced them
+/// (in-order delivery is part of the stream contract).
+struct Server::Reply {
+  /// A request's finished frame, encoded by the writer — off the shard
+  /// worker.
+  std::optional<wire::Response> response;
+  /// Otherwise the encoded message: an error reply or a stream reply.
+  std::vector<std::uint8_t> message;
+  /// Request replies: the counter the writer advances right before the
+  /// write; taking one off the queue frees a window slot. Null for stream
+  /// replies, which the reader counted when it queued them.
+  std::atomic<std::uint64_t>* counter = nullptr;
+};
+
+/// One served connection: the socket, the reply queue the writer drains
+/// (shared between the reader, the writer and the service's completions,
 /// guarded by `mutex`), and the two threads themselves.
 struct Server::Connection {
-  /// One accepted request awaiting its reply. Either `future` is valid
-  /// (the job reached the service) or `immediate_error` carries the
-  /// submit-time failure — never both.
-  struct PendingReply {
-    std::uint64_t request_id = 0;
-    std::future<serve::FrameResult> future;
-    bool immediate_error = false;
-    wire::ErrorCode error_code = wire::ErrorCode::generic;
-    std::string error_message;
-  };
-
   Socket socket;
   std::mutex mutex;
-  std::condition_variable window_open;   ///< reader waits for a window slot
-  std::condition_variable pending_ready; ///< writer waits for work / eof
-  std::deque<PendingReply> pending;
-  /// Pre-encoded stream replies (results, credits, closed, stream-scoped
-  /// errors), written FIFO ahead of `pending` — in-order delivery is part
-  /// of the stream contract. Guarded by `mutex`.
-  std::deque<std::vector<std::uint8_t>> outbox;
+  std::condition_variable window_open; ///< reader waits for a window slot
+  std::condition_variable reply_ready; ///< writer waits for a reply / eof
+  std::deque<Reply> replies;
+  /// Requests admitted whose reply the writer has not yet taken off
+  /// `replies` — the in-flight window.
+  std::size_t in_flight = 0;
   /// Client-assigned stream id -> SessionManager stream id for every
   /// stream this connection owns. Reader-thread only — no lock.
   std::map<std::uint64_t, std::uint64_t> stream_ids;
-  bool reader_done = false;  ///< no further requests will be pushed
-  bool write_failed = false; ///< peer gone: drain futures, skip writes
+  bool reader_done = false; ///< no further requests will be admitted
   std::atomic<bool> reader_exited{false};
   std::atomic<bool> writer_exited{false};
   std::thread reader;
@@ -188,7 +180,7 @@ void Server::accept_loop() {
         std::lock_guard<std::mutex> state_lock(c.mutex);
         c.reader_done = true;
       }
-      c.pending_ready.notify_all();
+      c.reply_ready.notify_all();
       if (c.writer.joinable()) c.writer.join();
       connections_.pop_back();
       continue;
@@ -263,31 +255,40 @@ void Server::reader_loop(Connection& c) {
     {
       std::unique_lock<std::mutex> lock(c.mutex);
       c.window_open.wait(lock, [this, &c] {
-        return c.pending.size() <
+        return c.in_flight <
                static_cast<std::size_t>(options_.max_in_flight_per_connection);
       });
+      ++c.in_flight;
     }
 
-    Connection::PendingReply reply;
-    reply.request_id = request.request_id;
+    const std::uint64_t request_id = request.request_id;
     try {
       // May block on the service's admission queue (critical/standard) —
       // more backpressure, same propagation path. Best-effort jobs are
       // shed with Overloaded instead of blocking here.
-      reply.future = service_.submit(std::move(request.job));
+      service_.submit(
+          std::move(request.job),
+          [this, &c, request_id](serve::Outcome outcome) {
+            if (auto* result = std::get_if<serve::FrameResult>(&outcome)) {
+              enqueue(c, {wire::Response{request_id, std::move(*result)},
+                          {},
+                          &responses_sent_});
+              return;
+            }
+            // DeadlineExceeded travels this path (dequeue / before-engine
+            // expiry is discovered by the shard worker, after admission).
+            try {
+              std::rethrow_exception(std::get<std::exception_ptr>(outcome));
+            } catch (const std::exception& e) {
+              enqueue_error(c, request_id, e);
+            }
+          });
     } catch (const std::exception& e) {
       // Submit-time rejection (structural, or typed admission shed):
       // answered like any other per-request failure with its typed code;
       // the connection continues.
-      reply.immediate_error = true;
-      reply.error_code = classify(e);
-      reply.error_message = e.what();
+      enqueue_error(c, request_id, e);
     }
-    {
-      std::lock_guard<std::mutex> lock(c.mutex);
-      c.pending.push_back(std::move(reply));
-    }
-    c.pending_ready.notify_one();
   }
   // Mid-stream disconnect (EOF, protocol violation, broken read alike):
   // reclaim every stream this connection still owns so half-finished
@@ -297,16 +298,34 @@ void Server::reader_loop(Connection& c) {
     std::lock_guard<std::mutex> lock(c.mutex);
     c.reader_done = true;
   }
-  c.pending_ready.notify_one();
+  c.reply_ready.notify_one();
   c.reader_exited.store(true, std::memory_order_release);
 }
 
+void Server::enqueue(Connection& c, Reply reply) {
+  // Notify under the lock: the writer may exit, and the connection be
+  // reaped, the moment the last reply is queued — a completion on a shard
+  // worker must not touch `c` after the unlock.
+  std::lock_guard<std::mutex> lock(c.mutex);
+  c.replies.push_back(std::move(reply));
+  c.reply_ready.notify_one();
+}
+
 void Server::enqueue(Connection& c, std::vector<std::uint8_t> message) {
-  {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    c.outbox.push_back(std::move(message));
+  enqueue(c, Reply{std::nullopt, std::move(message), nullptr});
+}
+
+void Server::enqueue_error(Connection& c, std::uint64_t request_id,
+                           const std::exception& e) {
+  // The shed/expired counters advance even when the peer is gone and the
+  // reply is never written.
+  const wire::ErrorCode code = classify(e);
+  if (code == wire::ErrorCode::overloaded) requests_shed_.fetch_add(1);
+  if (code == wire::ErrorCode::deadline_exceeded) {
+    requests_expired_.fetch_add(1);
   }
-  c.pending_ready.notify_one();
+  enqueue(c, {std::nullopt, wire::encode_error({request_id, code, e.what()}),
+              &errors_sent_});
 }
 
 void Server::handle_stream_open(Connection& c,
@@ -456,104 +475,32 @@ void Server::abort_connection_streams(Connection& c) {
 }
 
 void Server::writer_loop(Connection& c) {
-  const auto send_bytes = [&c](const std::vector<std::uint8_t>& message) {
-    if (c.socket.send_all(message) != SendStatus::ok) {
-      // error and timeout alike: the peer is not draining this stream.
-      std::lock_guard<std::mutex> lock(c.mutex);
-      c.write_failed = true;
-    }
-  };
-  const auto send = [&send_bytes](const std::vector<std::uint8_t>& message,
-                                  std::atomic<std::uint64_t>& counter) {
-    // Count before writing (the service-counter convention): the client
-    // can observe the reply the instant the last byte reaches the socket
-    // buffer, possibly before this thread runs again — counting after
-    // the write would let a stats() reader see the reply but not the
-    // count. (Stream replies in the outbox were counted at enqueue, the
-    // same convention one step earlier.)
-    counter.fetch_add(1);
-    send_bytes(message);
-  };
-  // Error replies additionally advance the shed/expired counters their
-  // typed code names.
-  const auto send_error = [this, &send](std::uint64_t request_id,
-                                        wire::ErrorCode code,
-                                        const std::string& message,
-                                        bool skip_write) {
-    if (code == wire::ErrorCode::overloaded) requests_shed_.fetch_add(1);
-    if (code == wire::ErrorCode::deadline_exceeded) {
-      requests_expired_.fetch_add(1);
-    }
-    if (!skip_write) {
-      send(wire::encode_error({request_id, code, message}), errors_sent_);
-    }
-  };
-
+  bool peer_gone = false; // after a failed write: drain, skip writes
   for (;;) {
     std::unique_lock<std::mutex> lock(c.mutex);
-    c.pending_ready.wait(lock, [&c] {
-      return !c.outbox.empty() || !c.pending.empty() || c.reader_done;
+    c.reply_ready.wait(lock, [&c] {
+      return !c.replies.empty() || (c.reader_done && c.in_flight == 0);
     });
-    // Stream replies first: already encoded, and strictly FIFO — in-order
-    // delivery is part of the stream contract.
-    if (!c.outbox.empty()) {
-      const std::vector<std::uint8_t> message = std::move(c.outbox.front());
-      c.outbox.pop_front();
-      const bool skip = c.write_failed;
-      lock.unlock();
-      if (!skip) send_bytes(message);
-      continue;
-    }
-    if (c.pending.empty()) break; // reader done, outbox + window drained
-
-    // Prefer any reply that is already ready — responses go out as
-    // futures resolve, not in submission order.
-    std::size_t ready = c.pending.size();
-    for (std::size_t i = 0; i < c.pending.size(); ++i) {
-      Connection::PendingReply& p = c.pending[i];
-      if (p.immediate_error ||
-          p.future.wait_for(0s) == std::future_status::ready) {
-        ready = i;
-        break;
-      }
-    }
-    if (ready == c.pending.size()) {
-      // Nothing ready: wait briefly on the oldest, outside the lock so
-      // the reader can keep appending. The reference stays valid —
-      // deque::push_back does not invalidate references, and this thread
-      // is the only one that erases.
-      Connection::PendingReply& oldest = c.pending.front();
-      lock.unlock();
-      oldest.future.wait_for(kWriterScanInterval);
-      continue;
-    }
-
-    Connection::PendingReply reply = std::move(c.pending[ready]);
-    c.pending.erase(c.pending.begin() + static_cast<std::ptrdiff_t>(ready));
-    const bool skip_write = c.write_failed;
+    if (c.replies.empty()) break; // reader done, every request answered
+    Reply reply = std::move(c.replies.front());
+    c.replies.pop_front();
+    const bool answers_request = reply.counter != nullptr;
+    if (answers_request) --c.in_flight;
     lock.unlock();
-    c.window_open.notify_one();
-
-    if (reply.immediate_error) {
-      send_error(reply.request_id, reply.error_code, reply.error_message,
-                 skip_write);
-      continue;
-    }
-    try {
-      wire::Response response;
-      response.request_id = reply.request_id;
-      response.result = reply.future.get(); // rethrows execution errors
-      if (!skip_write) {
-        send(wire::encode_response(response), responses_sent_);
-      }
-    } catch (const std::exception& e) {
-      // DeadlineExceeded travels this path (dequeue / between-stage
-      // expiry is discovered by the shard worker, after admission).
-      send_error(reply.request_id, classify(e), e.what(), skip_write);
-    }
-    // skip_write drains the future without writing: the peer is gone but
-    // every accepted job still completes (the service guarantees it, and
-    // the drain keeps that visible here).
+    if (answers_request) c.window_open.notify_one();
+    // A gone peer still drains: every accepted job completes (the service
+    // guarantees it), and the window keeps counting it until then.
+    if (peer_gone) continue;
+    // Count before writing (the service-counter convention): the client
+    // can observe the reply the instant the last byte reaches the socket
+    // buffer, possibly before this thread runs again — counting after the
+    // write would let a stats() reader see the reply but not the count.
+    if (reply.counter != nullptr) reply.counter->fetch_add(1);
+    const std::vector<std::uint8_t> message =
+        reply.response ? wire::encode_response(*reply.response)
+                       : std::move(reply.message);
+    // error and timeout alike: the peer is not draining this stream.
+    peer_gone = c.socket.send_all(message) != SendStatus::ok;
   }
   c.socket.shutdown_both();
   c.writer_exited.store(true, std::memory_order_release);

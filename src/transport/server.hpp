@@ -1,7 +1,7 @@
 // transport::Server — the socket front of serve::ToneMapService. Accepts
 // loopback TCP connections, reads framed FrameJob requests off each one,
 // feeds them to the service's submit(), and writes each response back as
-// its future resolves. This is the layer that turns the in-process serving
+// its completion delivers it. This is the layer that turns the in-process serving
 // API into a deployable network service, the way the paper's accelerator
 // serves frames across the AXI/DMA boundary (PAPER.md §IV): a
 // fixed-function core behind a thin framed transport, with the guarantee
@@ -11,10 +11,12 @@
 // connection. The reader decodes requests and submits them (blocking on
 // the per-connection in-flight window, then on the service's admission
 // queue — backpressure propagates all the way to the client's socket via
-// TCP flow control). The writer watches the connection's outstanding
-// futures and writes each reply the moment it is ready — completion
-// order, not submission order; clients correlate via the echoed
-// request_id.
+// TCP flow control). Each job's completion, running on the shard worker
+// that finished it, queues the reply on the connection's one FIFO reply
+// queue; the writer drains that queue — completion order, not submission
+// order; clients correlate via the echoed request_id. Stream replies join
+// the same queue from the reader. Nothing polls: the writer sleeps on the
+// queue's condition variable until a reply or end of input arrives.
 //
 // Error containment: an execution failure (unknown backend, incapable
 // kernel) travels back as a wire error reply and the connection continues.
@@ -26,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -135,11 +138,12 @@ public:
   ServerStats stats() const;
 
   /// Stop accepting, stop reading new requests, finish every request
-  /// already accepted (responses are written as their futures resolve),
-  /// then close all connections and join all threads. Idempotent.
+  /// already accepted (responses are written as their completions queue
+  /// them), then close all connections and join all threads. Idempotent.
   void stop();
 
 private:
+  struct Reply;
   struct Connection;
 
   void accept_loop();
@@ -151,9 +155,9 @@ private:
   /// waits for each deliverable frame's service job (a stream's frames are
   /// serialised per stream anyway, and the wait is itself the
   /// backpressure — the credit window bounds what a client can queue
-  /// behind it). Replies go through the writer's outbox so the socket
-  /// keeps a single writing thread. WireError propagates to the caller
-  /// (protocol violation).
+  /// behind it). Replies go through the connection's reply queue so the
+  /// socket keeps a single writing thread. WireError propagates to the
+  /// caller (protocol violation).
   void handle_stream_open(Connection& connection,
                           std::span<const std::uint8_t> payload);
   void handle_stream_frame(Connection& connection,
@@ -163,8 +167,14 @@ private:
   /// Reader-exit reclamation: abort every stream the connection still
   /// owns (mid-stream disconnects must not pin stream slots).
   void abort_connection_streams(Connection& connection);
+  /// Queue a reply for the connection's writer — the only way a reply
+  /// reaches the socket. The vector form queues an encoded stream reply.
+  static void enqueue(Connection& connection, Reply reply);
   static void enqueue(Connection& connection,
                       std::vector<std::uint8_t> message);
+  /// Queue a request's typed error reply, counting a shed or an expiry.
+  void enqueue_error(Connection& connection, std::uint64_t request_id,
+                     const std::exception& e);
 
   ServerOptions options_;
   serve::ToneMapService service_;

@@ -1,19 +1,24 @@
 // Tests for the in-process frame-serving layer: ToneMapService's
 // bit-identity against the blocking tone_map() at shard counts 1/2/4 and
 // across the fused engine's band counts, engine reuse across equal/mixed
-// per-job options, backpressure, the submit/future error contract, and the
+// per-job options, backpressure, the submit/future error contract, the
+// completion contract (once per accepted job, counted before it runs,
+// never for a rejected submit, all run by destruction), and the
 // service/pool statistics surface.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fault_injection.hpp"
 #include "common/rng.hpp"
 #include "exec/registry.hpp"
 #include "serve/service.hpp"
@@ -414,6 +419,175 @@ TEST(ServiceTest, ConcurrentClientsBalanceAcrossShardsAndStayBitIdentical) {
   ASSERT_EQ(stats.shards.size(), 2u);
   // Placement is load-dependent; every job lands on exactly one shard.
   EXPECT_EQ(stats.shards[0].submitted + stats.shards[1].submitted, kTotal);
+}
+
+// --- the completion contract ----------------------------------------------
+
+// RAII teardown: fault sites are process-global, so every test that arms
+// one disarms on every exit path.
+struct ScopedDisarm {
+  ~ScopedDisarm() { fault::disarm_all(); }
+};
+
+// Records every completion run per job tag: how often it ran, the error it
+// got (null for a result), and the service counters stats() reported from
+// inside the completion.
+class CompletionLog {
+public:
+  explicit CompletionLog(std::size_t jobs) : runs_(jobs) {}
+
+  Completion for_job(std::size_t tag, const ToneMapService& service) {
+    return [this, tag, &service](Outcome outcome) {
+      const ServiceStats seen = service.stats();
+      std::lock_guard<std::mutex> lock(mutex_);
+      Run& run = runs_[tag];
+      ++run.calls;
+      if (auto* error = std::get_if<std::exception_ptr>(&outcome)) {
+        run.error = *error;
+      }
+      run.seen = seen;
+      ran_.notify_all();
+    };
+  }
+
+  /// Waits (bounded) until job `tag`'s completion has run at least once.
+  bool wait_for(std::size_t tag) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return ran_.wait_for(lock, std::chrono::seconds(30),
+                         [&] { return runs_[tag].calls > 0; });
+  }
+
+  struct Run {
+    int calls = 0;
+    std::exception_ptr error;
+    ServiceStats seen;
+  };
+  Run run(std::size_t tag) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return runs_[tag];
+  }
+
+private:
+  std::mutex mutex_;
+  std::condition_variable ran_;
+  std::vector<Run> runs_;
+};
+
+template <typename E>
+bool holds(const std::exception_ptr& error) {
+  try {
+    if (error) std::rethrow_exception(error);
+  } catch (const E&) {
+    return true;
+  } catch (...) {
+  }
+  return false;
+}
+
+TEST(ServiceCompletionTest, RunsOncePerAcceptedJobForEveryOutcome) {
+  ScopedDisarm teardown;
+  const img::ImageF frame = random_hdr(17, 13, 61);
+  const tonemap::PipelineOptions good = small_options("separable_float");
+  CompletionLog log(4);
+  {
+    ToneMapServiceOptions so;
+    so.shards = 1; // the four jobs run one after another, in order
+    ToneMapService service(so);
+
+    // 0: completed. Inside the completion, stats() already counts it.
+    service.submit(job_of(frame, good), log.for_job(0, service));
+    ASSERT_TRUE(log.wait_for(0));
+    EXPECT_EQ(log.run(0).error, nullptr);
+    EXPECT_EQ(log.run(0).seen.completed, 1u);
+
+    // 1: execution error (unknown backend).
+    service.submit(job_of(frame, small_options("no_such_backend")),
+                   log.for_job(1, service));
+    ASSERT_TRUE(log.wait_for(1));
+    EXPECT_TRUE(holds<InvalidArgument>(log.run(1).error));
+    EXPECT_EQ(log.run(1).seen.failed, 1u);
+
+    // 2: a fault thrown at pickup fails just this job.
+    fault::FaultSpec pickup;
+    pickup.action = fault::Action::throw_error;
+    pickup.max_fires = 1;
+    fault::arm("serve.worker.pickup", pickup);
+    service.submit(job_of(frame, good), log.for_job(2, service));
+    ASSERT_TRUE(log.wait_for(2));
+    EXPECT_TRUE(holds<fault::InjectedFault>(log.run(2).error));
+    EXPECT_EQ(log.run(2).seen.failed, 2u);
+
+    // 3: expiry — the stage stalls past a critical job's deadline (critical
+    // is neither shed nor degraded, so the job reaches the engine check).
+    fault::FaultSpec stall;
+    stall.action = fault::Action::delay;
+    stall.delay_seconds = 0.2;
+    stall.max_fires = 1;
+    fault::arm("serve.worker.stage", stall);
+    FrameJob late = job_of(frame, good);
+    late.qos = QosClass::critical;
+    late.deadline_seconds = 0.05;
+    service.submit(std::move(late), log.for_job(3, service));
+    ASSERT_TRUE(log.wait_for(3));
+    EXPECT_TRUE(holds<DeadlineExceeded>(log.run(3).error));
+    EXPECT_EQ(log.run(3).seen.expired, 1u);
+  }
+  // The service is gone: no completion ran a second time.
+  for (std::size_t tag = 0; tag < 4; ++tag) {
+    EXPECT_EQ(log.run(tag).calls, 1) << "job " << tag;
+  }
+}
+
+TEST(ServiceCompletionTest, NeverRunsWhenSubmitThrows) {
+  CompletionLog log(3);
+  {
+    ToneMapServiceOptions so;
+    so.shards = 1;
+    // An admission estimate so pessimistic that a deadlined best-effort
+    // job is shed at submit, deterministically.
+    so.overload.assumed_service_seconds = 1000.0;
+    ToneMapService service(so);
+    EXPECT_THROW(service.submit({}, log.for_job(0, service)),
+                 InvalidArgument); // empty frame
+    FrameJob shed = job_of(random_hdr(9, 9, 6), small_options(""));
+    shed.qos = QosClass::best_effort;
+    shed.deadline_seconds = 0.05;
+    EXPECT_THROW(service.submit(std::move(shed), log.for_job(1, service)),
+                 Overloaded);
+    EXPECT_THROW(service.submit(job_of(random_hdr(9, 9, 7), small_options("")),
+                                Completion{}),
+                 InvalidArgument); // empty completion
+    EXPECT_EQ(service.stats().submitted, 0u);
+    EXPECT_EQ(service.stats().shed, 1u);
+  }
+  EXPECT_EQ(log.run(0).calls, 0);
+  EXPECT_EQ(log.run(1).calls, 0);
+}
+
+TEST(ServiceCompletionTest, DestructorRunsEveryQueuedCompletion) {
+  ScopedDisarm teardown;
+  constexpr std::size_t kJobs = 6;
+  CompletionLog log(kJobs);
+  {
+    ToneMapServiceOptions so;
+    so.shards = 2;
+    ToneMapService service(so);
+    // Hold the first pickup so jobs are still queued at destruction.
+    fault::FaultSpec hold;
+    hold.action = fault::Action::delay;
+    hold.delay_seconds = 0.1;
+    hold.max_fires = 1;
+    fault::arm("serve.worker.pickup", hold);
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      service.submit(job_of(random_hdr(15, 11, 80 + i),
+                            small_options("separable_float")),
+                     log.for_job(i, service));
+    }
+  }
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    EXPECT_EQ(log.run(i).calls, 1) << "job " << i;
+    EXPECT_EQ(log.run(i).error, nullptr) << "job " << i;
+  }
 }
 
 } // namespace

@@ -7,7 +7,8 @@
 // submission with request-id correlation; the error contract (execution
 // errors arrive as RemoteError and the connection survives; protocol
 // violations close the connection and only the connection); clean
-// drain on Server::stop(); and the resilience contract — typed timeout,
+// drain on Server::stop(); replies in completion order; connection churn
+// with jobs in flight; and the resilience contract — typed timeout,
 // bounded retry against a stalled server, shed/expired replies carrying
 // their wire error codes, and injected socket faults (dropped and short
 // reads, failed sends) closing only the connection they hit.
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -1221,6 +1223,110 @@ TEST(TransportTest, ClientFinishRequestsEndsTheConversationCleanly) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.protocol_errors, 0u);
   EXPECT_EQ(stats.connections_active, 0u);
+}
+
+TEST(TransportTest, RepliesLeaveInCompletionOrder) {
+  ScopedDisarm teardown;
+  Server server(small_server(2));
+  Client client({"127.0.0.1", server.port(), 5.0});
+  const tonemap::PipelineOptions opt = small_options("separable_float");
+  const img::ImageF frame_a = random_hdr(19, 13, 500);
+  const img::ImageF frame_b = random_hdr(19, 13, 501);
+  // Hold A's shard at pickup; B then lands on the idle shard.
+  fault::FaultSpec hold;
+  hold.action = fault::Action::delay;
+  hold.delay_seconds = 2.0;
+  hold.max_fires = 1;
+  fault::arm("serve.worker.pickup", hold);
+
+  serve::FrameJob a;
+  a.frame = frame_a;
+  a.options = opt;
+  const std::uint64_t a_id = client.submit(std::move(a));
+  for (int i = 0; i < 1000; ++i) {
+    if (fault::stats("serve.worker.pickup").fires == 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(fault::stats("serve.worker.pickup").fires, 1u);
+  serve::FrameJob b;
+  b.frame = frame_b;
+  b.options = opt;
+  const std::uint64_t b_id = client.submit(std::move(b));
+
+  const ClientResult first = client.next_result();
+  EXPECT_EQ(first.request_id, b_id);
+  // A is still held: only B has completed service-side.
+  EXPECT_EQ(server.service().stats().completed, 1u);
+  EXPECT_TRUE(bit_identical(first.result.output,
+                            tonemap::tone_map(frame_b, opt).output));
+  const ClientResult second = client.next_result();
+  EXPECT_EQ(second.request_id, a_id);
+  EXPECT_TRUE(bit_identical(second.result.output,
+                            tonemap::tone_map(frame_a, opt).output));
+}
+
+TEST(TransportTest, ConnectionChurnWithJobsInFlightKeepsServing) {
+  ScopedDisarm teardown;
+  constexpr int kConnections = 16;
+  ServerOptions options = small_server(2);
+  // Room to admit every request, so each reader decodes its full window.
+  options.service.queue_capacity =
+      kConnections * options.max_in_flight_per_connection;
+  Server server(options);
+  const tonemap::PipelineOptions opt = small_options("separable_float");
+  // Both shards stall at their first pickup, so every churned job is
+  // still queued or running when its client vanishes.
+  fault::FaultSpec hold;
+  hold.action = fault::Action::delay;
+  hold.delay_seconds = 1.0;
+  hold.max_fires = 2;
+  fault::arm("serve.worker.pickup", hold);
+
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int i = 0; i < kConnections; ++i) {
+    clients.push_back(std::make_unique<Client>(
+        ClientOptions{"127.0.0.1", server.port(), 5.0}));
+  }
+  for (auto& client : clients) {
+    for (int j = 0; j < options.max_in_flight_per_connection; ++j) {
+      serve::FrameJob job;
+      job.frame = random_hdr(12, 8, 600 + static_cast<std::uint64_t>(j));
+      job.options = opt;
+      client->submit(std::move(job));
+    }
+  }
+  const auto requests =
+      static_cast<std::uint64_t>(kConnections) *
+      static_cast<std::uint64_t>(options.max_in_flight_per_connection);
+  for (int i = 0; i < 5000; ++i) {
+    if (server.stats().requests_received == requests) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(server.stats().requests_received, requests);
+  // Disconnect with every window full: completions keep arriving for
+  // connections whose peer is gone. Meanwhile keep connecting: every
+  // accept reaps the connections that have finished, racing the
+  // completions still queueing replies on them.
+  for (auto& client : clients) client->close();
+  for (int i = 0; i < 5000; ++i) {
+    if (server.service().stats().completed == requests) break;
+    Client probe({"127.0.0.1", server.port(), 5.0});
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const img::ImageF frame = random_hdr(21, 15, 700);
+  Client fresh({"127.0.0.1", server.port(), 5.0});
+  serve::FrameJob job;
+  job.frame = frame;
+  job.options = opt;
+  EXPECT_TRUE(bit_identical(fresh.call(std::move(job)).output,
+                            tonemap::tone_map(frame, opt).output));
+
+  server.stop();
+  const serve::ServiceStats s = server.service().stats();
+  EXPECT_EQ(s.submitted, requests + 1);
+  EXPECT_EQ(s.submitted, s.completed + s.failed + s.expired);
+  EXPECT_EQ(s.queue_depth + s.in_flight, 0u);
 }
 
 TEST(TransportTest, OptionValidationAndConnectFailures) {
