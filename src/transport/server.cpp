@@ -11,6 +11,7 @@
 #include <variant>
 
 #include "common/error.hpp"
+#include "common/fault_injection.hpp"
 #include "image/plane_pool.hpp"
 #include "transport/framing.hpp"
 
@@ -43,8 +44,10 @@ struct Server::Reply {
 
 /// One served connection: the socket, the reply queue the writer drains
 /// (shared between the reader, the writer and the service's completions,
-/// guarded by `mutex`), and the two threads themselves.
-struct Server::Connection {
+/// guarded by `mutex`), and the two threads themselves. Each request's
+/// completion holds a reference, so the connection outlives the last
+/// completion that touches it even after the reaper has dropped it.
+struct Server::Connection : std::enable_shared_from_this<Connection> {
   Socket socket;
   std::mutex mutex;
   std::condition_variable window_open; ///< reader waits for a window slot
@@ -165,17 +168,23 @@ void Server::accept_loop() {
     if (static_cast<int>(connections_.size()) >= options_.max_connections) {
       continue; // over capacity: the socket closes as it goes out of scope
     }
-    auto connection = std::make_unique<Connection>();
+    auto connection = std::make_shared<Connection>();
     connection->socket = std::move(socket);
     Connection& c = *connection;
     connections_.push_back(std::move(connection));
     try {
-      c.reader = std::thread([this, &c] { reader_loop(c); });
+      // Writer first: it only waits for replies, so if the reader cannot
+      // be spawned no job was submitted and no completion can reach `c`.
       c.writer = std::thread([this, &c] { writer_loop(c); });
+      // Fault site "transport.server.spawn": a fault here stands in for a
+      // reader that fails to spawn.
+      fault::inject("transport.server.spawn");
+      c.reader = std::thread([this, &c] { reader_loop(c); });
     } catch (...) {
       // Thread spawn failure: tear this connection down, keep serving.
+      // The reader never started, so nothing is in flight and the writer
+      // exits as soon as it sees reader_done.
       c.socket.shutdown_both();
-      if (c.reader.joinable()) c.reader.join();
       {
         std::lock_guard<std::mutex> state_lock(c.mutex);
         c.reader_done = true;
@@ -268,11 +277,12 @@ void Server::reader_loop(Connection& c) {
       // shed with Overloaded instead of blocking here.
       service_.submit(
           std::move(request.job),
-          [this, &c, request_id](serve::Outcome outcome) {
+          [this, conn = c.shared_from_this(),
+           request_id](serve::Outcome outcome) {
             if (auto* result = std::get_if<serve::FrameResult>(&outcome)) {
-              enqueue(c, {wire::Response{request_id, std::move(*result)},
-                          {},
-                          &responses_sent_});
+              enqueue(*conn, {wire::Response{request_id, std::move(*result)},
+                              {},
+                              &responses_sent_});
               return;
             }
             // DeadlineExceeded travels this path (dequeue / before-engine
@@ -280,7 +290,7 @@ void Server::reader_loop(Connection& c) {
             try {
               std::rethrow_exception(std::get<std::exception_ptr>(outcome));
             } catch (const std::exception& e) {
-              enqueue_error(c, request_id, e);
+              enqueue_error(*conn, request_id, e);
             }
           });
     } catch (const std::exception& e) {
@@ -303,11 +313,15 @@ void Server::reader_loop(Connection& c) {
 }
 
 void Server::enqueue(Connection& c, Reply reply) {
-  // Notify under the lock: the writer may exit, and the connection be
-  // reaped, the moment the last reply is queued — a completion on a shard
-  // worker must not touch `c` after the unlock.
-  std::lock_guard<std::mutex> lock(c.mutex);
-  c.replies.push_back(std::move(reply));
+  {
+    std::lock_guard<std::mutex> lock(c.mutex);
+    c.replies.push_back(std::move(reply));
+  }
+  // Notify after the unlock: a writer woken under the lock can preempt
+  // this thread only to block on the mutex it still holds, and then wait
+  // for a free CPU a second time. The writer may already have exited here;
+  // `c` stays alive all the same: a completion holds a reference, and the
+  // reader is joined before its connection is dropped.
   c.reply_ready.notify_one();
 }
 

@@ -13,7 +13,8 @@
 // queue — backpressure propagates all the way to the client's socket via
 // TCP flow control). Each job's completion, running on the shard worker
 // that finished it, queues the reply on the connection's one FIFO reply
-// queue; the writer drains that queue — completion order, not submission
+// queue and holds a reference to the connection until it has woken the
+// writer; the writer drains that queue — completion order, not submission
 // order; clients correlate via the echoed request_id. Stream replies join
 // the same queue from the reader. Nothing polls: the writer sleeps on the
 // queue's condition variable until a reply or end of input arrives.
@@ -185,7 +186,8 @@ private:
   std::uint16_t port_ = 0;
 
   mutable std::mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_;
+  /// Shared with the completions of the connection's in-flight requests.
+  std::vector<std::shared_ptr<Connection>> connections_;
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
 

@@ -1164,6 +1164,35 @@ TEST(TransportResilienceTest, ShortReadMidMessageClosesTheConnection) {
   EXPECT_EQ(server.stats().requests_received, 0u);
 }
 
+TEST(TransportResilienceTest, FailedReaderSpawnDropsOnlyThatConnection) {
+  ScopedDisarm teardown;
+  Server server(small_server(1));
+  // The next accepted connection gets its writer, then its reader fails
+  // to spawn: the accept loop tears that connection down and keeps going.
+  fault::FaultSpec spec;
+  spec.max_fires = 1;
+  fault::arm("transport.server.spawn", spec);
+  Client doomed({"127.0.0.1", server.port(), 5.0});
+  for (int i = 0; i < 500; ++i) {
+    if (fault::stats("transport.server.spawn").fires == 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(fault::stats("transport.server.spawn").fires, 1u);
+  const tonemap::PipelineOptions opt = small_options("separable_float");
+  const img::ImageF frame = random_hdr(9, 7, 8);
+  serve::FrameJob job;
+  job.frame = frame;
+  job.options = opt;
+  EXPECT_THROW(doomed.call(job), TransportError);
+
+  Client fresh({"127.0.0.1", server.port(), 5.0});
+  EXPECT_TRUE(bit_identical(fresh.call(std::move(job)).output,
+                            tonemap::tone_map(frame, opt).output));
+  server.stop();
+  EXPECT_EQ(server.stats().connections_accepted, 1u);
+  EXPECT_EQ(server.stats().requests_received, 1u);
+}
+
 // --- lifecycle -------------------------------------------------------------
 
 TEST(TransportTest, ServerStopDrainsAcceptedRequests) {
