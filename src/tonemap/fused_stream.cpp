@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fault_injection.hpp"
 #include "exec/tiled.hpp"
 #include "tonemap/blur_passes.hpp"
 
@@ -16,118 +17,202 @@ using detail::clamp_index;
 /// Output rows one vertical-pass call emits (see blur_passes.hpp).
 constexpr int kBlock = kVpassBlockRows;
 
-/// The line buffer of the fused engine: a ring of `taps + kBlock - 1`
-/// horizontally blurred rows, enough for the vertical windows of a block of
-/// kBlock consecutive output rows. The slot of absolute source row ry is
-/// ry % (taps + kBlock - 1) — the windows of a row block together span a
+/// One row band of a frame: its own output rows, and the horizontally
+/// blurred source rows it shares with its neighbours. The band above reads
+/// the band's top `radius` rows, the band below its bottom `radius` rows;
+/// the band computes each of them once, keeps it here until the frame
+/// ends, and publishes it behind the latch of the boundary it sits on.
+/// Bands are at least `radius` rows thick (exec::band_count), so every
+/// halo row a band reads belongs to one of its two neighbours.
+struct Band {
+  int begin = 0;
+  int end = 0;
+  /// [begin, top_end): the rows the band above reads (none for band 0).
+  int top_end = 0;
+  /// [bottom_begin, end): the rows the band below reads (none for the
+  /// last band). The band computes them before anything else.
+  int bottom_begin = 0;
+  int width = 0;
+  /// The published rows, sized by the band itself before it computes any
+  /// of them. A row in both sets lives in `bottom`.
+  std::vector<float> top;
+  std::vector<float> bottom;
+
+  bool is_published(int r) const { return r < top_end || r >= bottom_begin; }
+  float* row(int r) {
+    const bool low = r >= bottom_begin;
+    return (low ? bottom : top).data() +
+           static_cast<std::size_t>(r - (low ? bottom_begin : begin)) *
+               static_cast<std::size_t>(width);
+  }
+};
+
+std::vector<Band> plan_bands(int rows, int width, int bands, int radius) {
+  std::vector<Band> plan(static_cast<std::size_t>(bands));
+  for (int b = 0; b < bands; ++b) {
+    const exec::RowBand r = exec::row_band(rows, bands, b);
+    Band& band = plan[static_cast<std::size_t>(b)];
+    band.begin = r.begin;
+    band.end = r.end;
+    band.top_end = b > 0 ? r.begin + radius : r.begin;
+    band.bottom_begin = b + 1 < bands ? r.end - radius : r.end;
+    band.width = width;
+  }
+  return plan;
+}
+
+/// Streams band `b` of `bands` through the fused engine's line buffer.
+/// `front(r, hrow)` computes source row r's horizontally blurred row into
+/// `hrow`; the vertical pass writes output row y to `out(y)`, and
+/// `emit(y)` finishes it. `round` is null for a one-band frame, which
+/// then runs with no latch.
+///
+/// Order: the band first computes its bottom rows (the ones the band below
+/// needs first) and arrives at their latch, then streams its other rows
+/// top-down, arriving at its top latch as soon as its top rows are in. It
+/// waits on a latch only when a vertical window first reaches past its
+/// own rows, and every band arrives at both its latches before its first
+/// wait, so the waits cannot form a cycle.
+///
+/// The line buffer is a ring of `taps + kBlock - 1` rows holding the
+/// band's rows that are not published: the slot of source row ry is
+/// ry % (taps + kBlock - 1). The windows of a row block together span a
 /// contiguous clamped row range of at most that many rows, so the rows a
 /// block reads never collide in the ring, and a row streamed in overwrites
 /// exactly the one that just left every window. This is the §III.B
 /// circular line buffer with the modulo made explicit (the hardware keeps
 /// a rotating head index instead; same rows, same values).
-class LineBuffer {
-public:
-  LineBuffer(int width, int taps)
-      : width_(width), slots_(taps + kBlock - 1),
-        rows_(static_cast<std::size_t>(width) *
-              static_cast<std::size_t>(slots_)) {}
-
-  float* slot(int source_row) {
-    return rows_.data() + static_cast<std::size_t>(source_row % slots_) *
-                              static_cast<std::size_t>(width_);
-  }
-  const float* slot(int source_row) const {
-    return rows_.data() + static_cast<std::size_t>(source_row % slots_) *
-                              static_cast<std::size_t>(width_);
-  }
-
-  /// Row pointers of source rows y - radius, y - radius + 1, ... (one per
-  /// entry of `out`), clamp-to-edge over `height` source rows — the hoisted
-  /// vertical clamp, exactly as the row-range vertical pass builds it. With
-  /// taps + kBlock - 1 entries this is the window of the row block starting
-  /// at y.
-  void window(int y, int radius, int height,
-              std::vector<const float*>& out) const {
-    for (int i = 0; i < static_cast<int>(out.size()); ++i) {
-      out[static_cast<std::size_t>(i)] =
-          slot(clamp_index(y - radius + i, height));
-    }
-  }
-
-private:
-  int width_;
-  int slots_;
-  std::vector<float> rows_;
-};
-
-/// Blur-only band worker: output rows [rb, re), streaming source rows
-/// through the line buffer. Bands only read `src` and write their own
-/// `dst` rows, so bands are fully independent (halo rows are re-blurred
-/// locally during priming).
-void fused_blur_band(const img::ImageF& src, img::ImageF& dst,
-                     const GaussianKernel& kernel, int rb, int re) {
-  const int w = src.width();
-  const int h = src.height();
+template <class Front, class Out, class Emit>
+void stream_band(std::vector<Band>& bands, int b, exec::BandRound* round,
+                 int height, const GaussianKernel& kernel, Front&& front,
+                 Out&& out, Emit&& emit) {
+  Band& me = bands[static_cast<std::size_t>(b)];
+  Band* above = b > 0 ? &bands[static_cast<std::size_t>(b - 1)] : nullptr;
+  Band* below = b + 1 < static_cast<int>(bands.size())
+                    ? &bands[static_cast<std::size_t>(b + 1)]
+                    : nullptr;
+  const int w = me.width;
   const int radius = kernel.radius();
   const int taps = kernel.taps();
   const float* wts = kernel.weights().data();
+  const int slots = taps + kBlock - 1;
 
-  LineBuffer lines(w, taps);
-  std::vector<const float*> window(
-      static_cast<std::size_t>(taps + kBlock - 1));
-  // The source row being blurred, padded by `radius` edge replicas on each
-  // side so the horizontal pass needs no border code.
-  std::vector<float> padded(static_cast<std::size_t>(w + 2 * radius));
+  if (round != nullptr) {
+    // Fault site "exec.bands.publish": a band that fails before it
+    // publishes any halo row.
+    fault::inject("exec.bands.publish");
+  }
+  me.top.resize(static_cast<std::size_t>(me.top_end - me.begin) *
+                static_cast<std::size_t>(w));
+  me.bottom.resize(static_cast<std::size_t>(me.end - me.bottom_begin) *
+                   static_cast<std::size_t>(w));
+  for (int r = me.bottom_begin; r < me.end; ++r) front(r, me.row(r));
+  if (below != nullptr) round->arrive(b);
 
-  // Prime: horizontally blur every source row the first output row's
-  // window reads (the band's top halo), then per block of output rows
-  // stream in the new source rows its windows add (none while draining at
-  // the bottom edge, where the clamp holds the last row). The rows a whole
-  // block does not fill go one at a time.
-  int next = std::max(0, rb - radius);
+  std::vector<float> ring(static_cast<std::size_t>(slots) *
+                          static_cast<std::size_t>(w));
+  auto hrow = [&](int r) -> float* {
+    if (r < me.begin) return above->row(r);
+    if (r >= me.end) return below->row(r);
+    if (me.is_published(r)) return me.row(r);
+    return ring.data() +
+           static_cast<std::size_t>(r % slots) * static_cast<std::size_t>(w);
+  };
+
+  int next = me.begin;
+  bool top_published = above == nullptr;
   auto consume_to = [&](int last) {
-    for (; next <= last; ++next) {
-      const float* row = &src.at_unchecked(0, next);
-      std::copy(row, row + w, padded.begin() + radius);
-      replicate_edges(padded.data(), radius, w);
-      hpass_float_row_simd(padded.data(), lines.slot(next), wts, taps, w);
+    for (last = std::min(last, me.bottom_begin - 1); next <= last; ++next) {
+      front(next, hrow(next));
+    }
+    if (!top_published && next >= std::min(me.top_end, me.bottom_begin)) {
+      round->arrive(b - 1);
+      top_published = true;
     }
   };
-  consume_to(std::min(h - 1, rb + radius - 1));
-  int y = rb;
-  for (; y + kBlock <= re; y += kBlock) {
-    consume_to(std::min(h - 1, y + kBlock - 1 + radius));
-    lines.window(y, radius, h, window);
-    float* out[kBlock];
-    for (int r = 0; r < kBlock; ++r) out[r] = &dst.at_unchecked(0, y + r);
-    vpass_float_row_block_simd(window.data(), out, wts, taps, w);
+
+  bool above_open = above == nullptr;
+  bool below_open = below == nullptr;
+  std::vector<const float*> window(static_cast<std::size_t>(slots));
+  // Row pointers of source rows y - radius, y - radius + 1, ... (`count`
+  // of them), clamp-to-edge over the frame: the hoisted vertical clamp,
+  // exactly as the row-range vertical pass builds it.
+  auto load_window = [&](int y, int count) {
+    const int first = y - radius;
+    if (!above_open && first < me.begin) {
+      round->wait(b - 1);
+      above_open = true;
+    }
+    if (!below_open && first + count - 1 >= me.end) {
+      round->wait(b);
+      below_open = true;
+    }
+    for (int i = 0; i < count; ++i) {
+      window[static_cast<std::size_t>(i)] =
+          hrow(clamp_index(first + i, height));
+    }
+  };
+
+  // Per block of output rows, stream in the source rows its windows add,
+  // then run the vertical pass. The rows a whole block does not fill go
+  // one at a time.
+  int y = me.begin;
+  for (; y + kBlock <= me.end; y += kBlock) {
+    consume_to(y + kBlock - 1 + radius);
+    load_window(y, slots);
+    float* rows[kBlock];
+    for (int r = 0; r < kBlock; ++r) rows[r] = out(y + r);
+    vpass_float_row_block_simd(window.data(), rows, wts, taps, w);
+    for (int r = 0; r < kBlock; ++r) emit(y + r);
   }
-  for (; y < re; ++y) {
-    consume_to(std::min(h - 1, y + radius));
-    lines.window(y, radius, h, window);
-    vpass_float_row_simd(window.data(), &dst.at_unchecked(0, y), wts, taps,
-                         w);
+  for (; y < me.end; ++y) {
+    consume_to(y + radius);
+    load_window(y, taps);
+    vpass_float_row_simd(window.data(), out(y), wts, taps, w);
+    emit(y);
   }
 }
 
-/// Full-pipeline band worker: as fused_blur_band, but each streamed source
-/// row additionally runs the point-wise front stages (normalize + encode,
-/// luminance) before entering the line buffer, and each emitted row runs
-/// the back stages (masking, adjust) after the vertical pass. The
-/// normalized rows still inside the masking window live in their own
-/// (radius + kBlock)-row ring: the rows a block of output rows still needs,
-/// [y, y + kBlock - 1 + radius], are always the most recently streamed
-/// radius + kBlock rows, so ascending streaming order keeps exactly the
-/// live ones resident.
+/// Blur-only band worker: the front of a source row is its horizontal
+/// blur; the vertical pass writes straight into `dst`.
+void fused_blur_band(const img::ImageF& src, img::ImageF& dst,
+                     const GaussianKernel& kernel, std::vector<Band>& bands,
+                     int b, exec::BandRound* round) {
+  const int w = src.width();
+  const int radius = kernel.radius();
+  const float* wts = kernel.weights().data();
+  // The source row being blurred, padded by `radius` edge replicas on each
+  // side so the horizontal pass needs no border code.
+  std::vector<float> padded(static_cast<std::size_t>(w + 2 * radius));
+  auto front = [&](int r, float* hrow) {
+    const float* row = &src.at_unchecked(0, r);
+    std::copy(row, row + w, padded.begin() + radius);
+    replicate_edges(padded.data(), radius, w);
+    hpass_float_row_simd(padded.data(), hrow, wts, kernel.taps(), w);
+  };
+  auto out = [&](int y) { return &dst.at_unchecked(0, y); };
+  stream_band(bands, b, round, src.height(), kernel, front, out, [](int) {});
+}
+
+/// Full-pipeline band worker: as fused_blur_band, but each source row
+/// first runs the point-wise front stages (normalize + encode, luminance),
+/// and each emitted row runs the back stages (masking, adjust) after the
+/// vertical pass. The normalized rows the masking still needs live in a
+/// (radius + kBlock)-row ring: the rows a block of output rows still
+/// needs, [y, y + kBlock - 1 + radius], are always the most recently
+/// streamed radius + kBlock rows, so ascending streaming order keeps
+/// exactly the live ones resident. The band's bottom rows are computed
+/// first, so their normalized values wait in their own buffer until the
+/// band emits them.
 void fused_tonemap_band(const img::ImageF& hdr, img::ImageF& dst,
                         const PipelineOptions& opt,
-                        const GaussianKernel& kernel, float scale, int rb,
-                        int re) {
+                        const GaussianKernel& kernel, float scale,
+                        std::vector<Band>& bands, int b,
+                        exec::BandRound* round) {
+  const Band& me = bands[static_cast<std::size_t>(b)];
   const int w = hdr.width();
-  const int h = hdr.height();
   const int c = hdr.channels();
   const int radius = kernel.radius();
-  const int taps = kernel.taps();
   const float* wts = kernel.weights().data();
   const bool by_max = !(opt.normalization_scale > 0.0f);
   const bool encode = opt.display_gamma != 1.0f;
@@ -138,63 +223,47 @@ void fused_tonemap_band(const img::ImageF& hdr, img::ImageF& dst,
   const int norm_rows = radius + kBlock;
   std::vector<float> norm_ring(static_cast<std::size_t>(norm_rows) *
                                row_samples);
+  std::vector<float> bottom_norm(
+      static_cast<std::size_t>(me.end - me.bottom_begin) * row_samples);
   auto norm_slot = [&](int ny) {
+    if (ny >= me.bottom_begin) {
+      return bottom_norm.data() +
+             static_cast<std::size_t>(ny - me.bottom_begin) * row_samples;
+    }
     return norm_ring.data() +
            static_cast<std::size_t>(ny % norm_rows) * row_samples;
   };
 
-  LineBuffer lines(w, taps);
-  std::vector<const float*> window(
-      static_cast<std::size_t>(taps + kBlock - 1));
   // The luminance row, padded by `radius` edge replicas on each side.
   std::vector<float> intensity(static_cast<std::size_t>(w + 2 * radius));
   // The blurred mask rows of one block.
   std::vector<float> mask_rows(static_cast<std::size_t>(kBlock) *
                                static_cast<std::size_t>(w));
-  float* mask[kBlock];
-  for (int r = 0; r < kBlock; ++r) mask[r] = mask_rows.data() + r * w;
 
-  int next = std::max(0, rb - radius);
-  auto consume_to = [&](int last) {
-    for (; next <= last; ++next) {
-      const float* src_row = &hdr.at_unchecked(0, next);
-      float* nrow = norm_slot(next);
-      if (by_max) {
-        normalize_max_row(src_row, nrow, row_samples, scale);
-      } else {
-        normalize_scale_row(src_row, nrow, row_samples, scale);
-      }
-      if (encode) display_encode_row(nrow, nrow, row_samples, inv_gamma);
-      img::luminance_row(nrow, intensity.data() + radius, w, c);
-      replicate_edges(intensity.data(), radius, w);
-      hpass_float_row_simd(intensity.data(), lines.slot(next), wts, taps, w);
+  auto front = [&](int r, float* hrow) {
+    const float* src_row = &hdr.at_unchecked(0, r);
+    float* nrow = norm_slot(r);
+    if (by_max) {
+      normalize_max_row(src_row, nrow, row_samples, scale);
+    } else {
+      normalize_scale_row(src_row, nrow, row_samples, scale);
     }
+    if (encode) display_encode_row(nrow, nrow, row_samples, inv_gamma);
+    img::luminance_row(nrow, intensity.data() + radius, w, c);
+    replicate_edges(intensity.data(), radius, w);
+    hpass_float_row_simd(intensity.data(), hrow, wts, kernel.taps(), w);
   };
-  auto emit = [&](int oy, const float* mask) {
-    float* out = &dst.at_unchecked(0, oy);
-    masking_row(norm_slot(oy), mask, out, w, c);
+  auto mask = [&](int y) {
+    return mask_rows.data() +
+           static_cast<std::size_t>(y % kBlock) * static_cast<std::size_t>(w);
+  };
+  auto emit = [&](int y) {
+    float* out = &dst.at_unchecked(0, y);
+    masking_row(norm_slot(y), mask(y), out, w, c);
     brightness_contrast_row(out, out, row_samples, opt.brightness,
                             opt.contrast);
   };
-  consume_to(std::min(h - 1, rb + radius - 1));
-  int y = rb;
-  for (; y + kBlock <= re; y += kBlock) {
-    consume_to(std::min(h - 1, y + kBlock - 1 + radius));
-    lines.window(y, radius, h, window);
-    vpass_float_row_block_simd(window.data(), mask, wts, taps, w);
-    for (int r = 0; r < kBlock; ++r) emit(y + r, mask[r]);
-  }
-  for (; y < re; ++y) {
-    consume_to(std::min(h - 1, y + radius));
-    lines.window(y, radius, h, window);
-    vpass_float_row_simd(window.data(), mask[0], wts, taps, w);
-    emit(y, mask[0]);
-  }
-}
-
-int clamp_bands(int threads, int rows) {
-  TMHLS_REQUIRE(threads >= 1, "fused stream: threads must be >= 1");
-  return std::min({threads, rows, exec::kMaxTiledBands});
+  stream_band(bands, b, round, hdr.height(), kernel, front, mask, emit);
 }
 
 } // namespace
@@ -202,16 +271,21 @@ int clamp_bands(int threads, int rows) {
 img::ImageF blur_fused_stream(const img::ImageF& src,
                               const GaussianKernel& kernel, int threads) {
   TMHLS_REQUIRE(src.channels() == 1, "blur expects a 1-channel image");
+  const int w = src.width();
   const int h = src.height();
-  const int bands = clamp_bands(threads, h);
+  const int bands = exec::band_count(threads, h, kernel.radius());
 
-  img::ImageF dst(src.width(), h, 1);
-  const bool parallel_ok =
-      bands > 1 && exec::run_independent_bands(bands, [&](int band) {
-        const exec::RowBand r = exec::row_band(h, bands, band);
-        fused_blur_band(src, dst, kernel, r.begin, r.end);
-      });
-  if (!parallel_ok) fused_blur_band(src, dst, kernel, 0, h);
+  img::ImageF dst(w, h, 1);
+  if (bands > 1) {
+    std::vector<Band> plan = plan_bands(h, w, bands, kernel.radius());
+    if (exec::run_bands(bands, [&](int b, exec::BandRound& round) {
+          fused_blur_band(src, dst, kernel, plan, b, &round);
+        })) {
+      return dst;
+    }
+  }
+  std::vector<Band> one = plan_bands(h, w, 1, kernel.radius());
+  fused_blur_band(src, dst, kernel, one, 0, nullptr);
   return dst;
 }
 
@@ -227,31 +301,57 @@ FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
                 "display_encode: gamma must be positive");
   TMHLS_REQUIRE(opt.contrast > 0.0f, "brightness_contrast: contrast must be > 0");
   const GaussianKernel kernel = opt.kernel();
+  const int w = hdr.width();
   const int h = hdr.height();
-  const int bands = clamp_bands(opt.threads, h);
+  const int c = hdr.channels();
+  const int bands = exec::band_count(opt.threads, h, kernel.radius());
+  const std::size_t row_samples =
+      static_cast<std::size_t>(w) * static_cast<std::size_t>(c);
 
-  // The one inherently two-pass part: frame-max normalisation must see
-  // every sample before the first row can be normalized. Same reduction as
-  // normalize_to_max (max is order-insensitive, so one pass over samples).
-  float scale = opt.normalization_scale;
-  if (!(scale > 0.0f)) {
-    const float max_v = max_sample_row(hdr.samples().data(),
-                                       hdr.samples().size());
-    TMHLS_REQUIRE(max_v > 0.0f,
-                  "normalize_to_max: image has no positive sample");
-    scale = max_v;
+  // Frame-max normalisation must see every sample before the first row can
+  // be normalized: the one barrier of the band round. Same reduction as
+  // normalize_to_max — max is order-insensitive, so reducing per band and
+  // then over the bands gives the bits of one pass over all samples.
+  const bool by_max = !(opt.normalization_scale > 0.0f);
+  FusedToneMapResult result;
+  result.input_max = by_max ? 0.0f : opt.normalization_scale;
+  const char* const no_light = "normalize_to_max: image has no positive sample";
+
+  if (bands > 1) {
+    result.output = img::ImageF(w, h, c);
+    std::vector<Band> plan = plan_bands(h, w, bands, kernel.radius());
+    std::vector<float> band_max(static_cast<std::size_t>(bands), 0.0f);
+    const bool ran = exec::run_bands(bands, [&](int b, exec::BandRound& round) {
+      if (by_max) {
+        const Band& band = plan[static_cast<std::size_t>(b)];
+        band_max[static_cast<std::size_t>(b)] = max_sample_row(
+            &hdr.at_unchecked(0, band.begin),
+            static_cast<std::size_t>(band.end - band.begin) * row_samples);
+        round.arrive_and_wait([&] {
+          for (const float m : band_max) {
+            result.input_max = std::max(result.input_max, m);
+          }
+        });
+        if (!(result.input_max > 0.0f)) return;
+      }
+      fused_tonemap_band(hdr, result.output, opt, kernel, result.input_max,
+                         plan, b, &round);
+    });
+    if (ran) {
+      TMHLS_REQUIRE(result.input_max > 0.0f, no_light);
+      return result;
+    }
   }
 
-  FusedToneMapResult result;
-  result.input_max = scale;
-  result.output = img::ImageF(hdr.width(), h, hdr.channels());
-  img::ImageF& dst = result.output;
-  const bool parallel_ok =
-      bands > 1 && exec::run_independent_bands(bands, [&](int band) {
-        const exec::RowBand r = exec::row_band(h, bands, band);
-        fused_tonemap_band(hdr, dst, opt, kernel, scale, r.begin, r.end);
-      });
-  if (!parallel_ok) fused_tonemap_band(hdr, dst, opt, kernel, scale, 0, h);
+  if (by_max) {
+    result.input_max = max_sample_row(hdr.samples().data(),
+                                      hdr.samples().size());
+    TMHLS_REQUIRE(result.input_max > 0.0f, no_light);
+  }
+  if (result.output.empty()) result.output = img::ImageF(w, h, c);
+  std::vector<Band> one = plan_bands(h, w, 1, kernel.radius());
+  fused_tonemap_band(hdr, result.output, opt, kernel, result.input_max, one,
+                     0, nullptr);
   return result;
 }
 

@@ -34,13 +34,25 @@
 // the output is blur_separable_float's / tone_map()'s bit for bit, at
 // every thread count.
 //
-// Multi-threading: row-band decomposition (exec::run_independent_bands)
-// with no inter-band halo exchange — each band primes its own line buffer with
-// up to `radius` halo rows beyond its edges (recomputing their horizontal
-// blur, the overlapped-tiling trade the Halide/HWTool line of work makes
-// for the same reason: recomputation is cheaper than synchronising
-// intermediate state). Bands are fully independent, so bit-identity across
-// thread counts is by construction rather than by barrier discipline.
+// Multi-threading: row bands, one round per frame (exec::run_bands): band 0
+// on the caller, the others on threads spawned once for the frame, and a
+// one-band frame on the caller alone, with no spawn, barrier or latch. In
+// that one round tone_map_fused's bands first reduce their own rows to a
+// band max and meet at the round's barrier, where the frame max is folded
+// (max is order-insensitive, so the scale has the bits of one serial
+// pass). Then each band computes the front of every one of its own rows
+// exactly once: its bottom `radius` rows first, which it publishes behind
+// the latch of the boundary below, then the rest top-down, publishing its
+// top `radius` rows behind the latch above as soon as they are in. A
+// neighbour's vertical windows read the published rows instead of
+// recomputing them — halo exchange, the other side of the
+// overlapped-tiling trade the Halide/HWTool line of work makes. A row's
+// value does not depend on which band computes it, so the output has the
+// same bits at every band count. A band's working set stays
+// O(radius x width): the line buffer, its published rows, and the
+// normalized values of its bottom rows until it emits them. Bands are at
+// least `radius` rows thick (exec::band_count), so every halo row a band
+// reads comes from one of its two neighbours.
 #pragma once
 
 #include "image/image.hpp"
@@ -51,8 +63,8 @@ namespace tmhls::tonemap {
 
 /// Fused sliding-window Gaussian blur of a 1-channel plane; bit-identical
 /// to blur_separable_float for every geometry, radius and `threads` >= 1.
-/// The worker count is clamped to the row count and exec::kMaxTiledBands;
-/// thread-spawn resource exhaustion falls back to single-threaded.
+/// Runs on exec::band_count(threads, rows, radius) bands; thread-spawn
+/// resource exhaustion falls back to one band on the caller.
 img::ImageF blur_fused_stream(const img::ImageF& src,
                               const GaussianKernel& kernel, int threads = 1);
 
@@ -67,8 +79,8 @@ struct FusedToneMapResult {
 };
 
 /// The five-stage pipeline in one streaming pass per frame (see the file
-/// comment), on opt.threads halo-recomputing row bands, one thread each
-/// (clamped to the row count and exec::kMaxTiledBands). Honours opt's
+/// comment), on exec::band_count(opt.threads, rows, radius) halo-exchanging
+/// row bands, one thread each. Honours opt's
 /// kernel, display_gamma, normalization_scale and brightness/contrast;
 /// opt's backend/datapath fields are NOT consulted — this IS the
 /// fused_stream float engine. 1..4 channel input, like tone_map().

@@ -1,5 +1,7 @@
 // Tests for the execution-backend layer: registry resolution of the four
-// backends, the row-band decomposition, bit-identity of both builds of the
+// backends, the row-band decomposition and its band-round runner (barrier,
+// latches, and the release of every waiter when a band fails or a band
+// thread cannot spawn), bit-identity of both builds of the
 // SIMD row passes with the scalar passes (the host-side analogue of the
 // §III.B claim that restructuring changes the schedule, not the pixels),
 // the interior/border split of the pass primitives against an unsplit
@@ -9,11 +11,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fault_injection.hpp"
 #include "common/rng.hpp"
 #include "exec/backends.hpp"
 #include "exec/executor.hpp"
@@ -155,6 +164,138 @@ TEST(TiledTest, RowBandsPartitionContiguously) {
         covered = r.end;
       }
       EXPECT_EQ(covered, rows);
+    }
+  }
+}
+
+TEST(TiledTest, BandCountKeepsEveryBandAsThickAsItsHalo) {
+  for (int threads = 1; threads <= 9; ++threads) {
+    for (int rows = 0; rows <= 40; ++rows) {
+      for (int halo = 1; halo <= 9; ++halo) {
+        const int bands = band_count(threads, rows, halo);
+        EXPECT_EQ(bands, std::max(1, std::min(threads, rows / halo)));
+        if (bands == 1) continue;
+        // Every band is at least `halo` rows thick, so a band's halo rows
+        // all belong to its two neighbours.
+        for (int b = 0; b < bands; ++b) {
+          const RowBand r = row_band(rows, bands, b);
+          EXPECT_GE(r.end - r.begin, halo)
+              << rows << " rows, " << bands << " bands, halo " << halo;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(band_count(1000, 100000, 1), kMaxTiledBands);
+  EXPECT_THROW(band_count(0, 10, 1), InvalidArgument);
+  EXPECT_THROW(band_count(1, 10, 0), InvalidArgument);
+}
+
+// Runs `call` on its own thread and fails the whole binary if it does not
+// return within a generous bound: a band left parked at a barrier or latch
+// shows up as this abort instead of a suite that never ends.
+template <class F>
+void returns_promptly(F&& call) {
+  auto done = std::async(std::launch::async, std::forward<F>(call));
+  if (done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "band round did not return within 60 s\n");
+    std::abort();
+  }
+  done.get();
+}
+
+TEST(TiledTest, RunBandsMeetsAtTheBarrierAndEveryLatch) {
+  for (int bands = 1; bands <= 6; ++bands) {
+    std::vector<int> ran(static_cast<std::size_t>(bands), 0);
+    std::vector<int> seen(static_cast<std::size_t>(bands), -1);
+    int lasts = 0;
+    int arrived = 0;
+    std::mutex mutex;
+    bool ok = false;
+    returns_promptly([&] {
+      ok = run_bands(bands, [&](int band, BandRound& round) {
+        {
+          const std::lock_guard<std::mutex> lock(mutex);
+          ++ran[static_cast<std::size_t>(band)];
+          ++arrived;
+        }
+        round.arrive_and_wait([&] { ++lasts; });
+        // Every band arrived before any was released.
+        seen[static_cast<std::size_t>(band)] = arrived;
+        if (band + 1 < bands) round.arrive(band);
+        if (band > 0) round.arrive(band - 1);
+        if (band + 1 < bands) round.wait(band);
+        if (band > 0) round.wait(band - 1);
+      });
+    });
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(lasts, 1);
+    for (int b = 0; b < bands; ++b) {
+      EXPECT_EQ(ran[static_cast<std::size_t>(b)], 1);
+      EXPECT_EQ(seen[static_cast<std::size_t>(b)], bands);
+    }
+  }
+}
+
+TEST(TiledTest, AFailingBandReleasesEveryWaiterAndIsRethrown) {
+  // Band `failing` throws either before the barrier (every other band is
+  // parked there) or after it, before its latches (its neighbours are
+  // parked at their latches). Either way the round returns and rethrows
+  // that band's error.
+  for (int bands = 2; bands <= 5; ++bands) {
+    for (int failing = 0; failing < bands; ++failing) {
+      for (const bool before_barrier : {true, false}) {
+        std::string caught;
+        returns_promptly([&] {
+          try {
+            run_bands(bands, [&](int band, BandRound& round) {
+              const std::string error = "band " + std::to_string(band);
+              if (before_barrier && band == failing) throw Error(error);
+              round.arrive_and_wait([] {});
+              if (band == failing) throw Error(error);
+              if (band + 1 < bands) round.arrive(band);
+              if (band > 0) round.arrive(band - 1);
+              if (band + 1 < bands) round.wait(band);
+              if (band > 0) round.wait(band - 1);
+            });
+          } catch (const Error& e) {
+            caught = e.what();
+          }
+        });
+        EXPECT_EQ(caught, "band " + std::to_string(failing))
+            << bands << " bands, before barrier " << before_barrier;
+      }
+    }
+  }
+}
+
+TEST(TiledTest, AFailedSpawnReleasesTheStartedBands) {
+  struct ScopedDisarm {
+    ~ScopedDisarm() { fault::disarm_all(); }
+  } disarm;
+  for (int bands = 2; bands <= 5; ++bands) {
+    // k band threads start, the next spawn fails: the started bands are
+    // parked at the barrier and must be released; band 0 (the caller's)
+    // never runs.
+    for (int started = 0; started < bands - 1; ++started) {
+      fault::FaultSpec spec;
+      spec.action = fault::Action::throw_error;
+      spec.trigger_after = static_cast<std::uint64_t>(started);
+      spec.max_fires = 1;
+      fault::arm("exec.bands.spawn", spec);
+      std::atomic<int> ran{0};
+      std::atomic<bool> caller_band_ran{false};
+      bool ok = true;
+      returns_promptly([&] {
+        ok = run_bands(bands, [&](int band, BandRound& round) {
+          ++ran;
+          if (band == 0) caller_band_ran = true;
+          round.arrive_and_wait([] {});
+        });
+      });
+      EXPECT_FALSE(ok);
+      EXPECT_EQ(ran.load(), started);
+      EXPECT_FALSE(caller_band_ran.load());
+      EXPECT_EQ(fault::stats("exec.bands.spawn").fires, 1u);
     }
   }
 }

@@ -4,19 +4,28 @@
 // plane-at-a-time reference byte for byte — blur against
 // blur_separable_float, full pipeline against tone_map() — for every
 // geometry (including degenerate ones where the kernel dwarfs the frame),
-// every thread count, and through every integration surface that can
-// select the backend (tone_map_image, ToneMapService; FrameEngine and
+// every thread count (with proof that the bands exchanged their halo rows,
+// and that a failed spawn or a failing band leaves no band parked), and
+// through every integration surface that can select the backend (tone_map_image, ToneMapService; FrameEngine and
 // PipelineOptions::plan have their own suites).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <future>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fault_injection.hpp"
 #include "common/rng.hpp"
 #include "exec/executor.hpp"
 #include "exec/registry.hpp"
+#include "exec/tiled.hpp"
 #include "serve/service.hpp"
 #include "tonemap/blur.hpp"
 #include "tonemap/fused_stream.hpp"
@@ -193,6 +202,254 @@ TEST(FusedRingTest, EdgeGeometriesAreBitIdenticalAtOneToFourThreads) {
       }
     }
   }
+}
+
+// --- Halo exchange --------------------------------------------------------
+
+// Disarms every fault site on every exit path (sites are process-global).
+struct ScopedDisarm {
+  ~ScopedDisarm() { fault::disarm_all(); }
+};
+
+// Counts the bands that ran the exchange: "exec.bands.publish" is hit once
+// by every band of a multi-band frame, and never by a one-band frame.
+// Armed with max_fires = 0 it never fires but keeps counting hits.
+void count_bands() {
+  fault::FaultSpec spec;
+  spec.max_fires = 0;
+  fault::arm("exec.bands.publish", spec);
+}
+std::uint64_t bands_run() { return fault::stats("exec.bands.publish").hits; }
+
+// Band heights below, at and past the halo (radius) and twice the halo, at
+// 2-8 threads, through both entry points: every band count the rule picks
+// must run that many exchanging bands and give the reference's bytes. A
+// frame whose bands would be thinner than the halo runs on fewer, thicker
+// bands, and on two or more wherever the frame holds two halos.
+TEST(FusedBandTest, HaloThicknessSweepRunsTheExchange) {
+  const ScopedDisarm disarm;
+  std::uint64_t seed = 900;
+  for (int radius : {3, 5}) {
+    const GaussianKernel kernel(radius / 2.0 + 0.5, radius);
+    PipelineOptions opt;
+    opt.sigma = radius / 2.0 + 0.5;
+    opt.radius = radius;
+    for (int band_rows : {radius - 1, radius, radius + 1, 2 * radius - 1,
+                          2 * radius, 2 * radius + 1}) {
+      for (int threads = 2; threads <= 8; ++threads) {
+        const int h = band_rows * threads;
+        const int bands = exec::band_count(threads, h, radius);
+        if (band_rows >= radius) {
+          EXPECT_EQ(bands, threads);
+        }
+        if (h >= 2 * radius) {
+          EXPECT_GE(bands, 2);
+        }
+        const std::uint64_t expected_hits =
+            bands > 1 ? static_cast<std::uint64_t>(bands) : 0u;
+
+        const img::ImageF plane = random_plane(11, h, seed);
+        count_bands();
+        EXPECT_TRUE(bit_identical(blur_fused_stream(plane, kernel, threads),
+                                  blur_separable_float(plane, kernel)))
+            << "blur h=" << h << " r=" << radius << " threads=" << threads;
+        EXPECT_EQ(bands_run(), expected_hits)
+            << "blur h=" << h << " r=" << radius << " threads=" << threads;
+
+        const img::ImageF hdr = random_hdr(13, h, 3, seed++);
+        opt.threads = threads;
+        count_bands();
+        EXPECT_TRUE(bit_identical(tone_map_fused(hdr, opt).output,
+                                  tone_map(hdr, opt).output))
+            << "tone map h=" << h << " r=" << radius
+            << " threads=" << threads;
+        EXPECT_EQ(bands_run(), expected_hits)
+            << "tone map h=" << h << " r=" << radius
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// The frame max is reduced per band and folded at the round's barrier: a
+// frame whose only positive sample is the very last one (the last band's)
+// must still be scaled by it, and a frame with no positive sample must
+// fail with the one-band error at every thread count.
+TEST(FusedBandTest, FrameMaxFromTheLastSampleOfTheLastBand) {
+  PipelineOptions opt;
+  opt.sigma = 2.0;
+  opt.radius = 4;
+  for (const float background : {0.0f, -0.0f, -3.0f}) {
+    img::ImageF hdr(9, 40, 3);
+    for (float& v : hdr.samples()) v = background;
+    hdr.samples()[hdr.samples().size() - 1] = 7.5f;
+    const PipelineResult golden = tone_map(hdr, opt);
+    ASSERT_EQ(golden.input_max, 7.5f);
+    for (int threads = 1; threads <= 8; ++threads) {
+      opt.threads = threads;
+      const FusedToneMapResult fused = tone_map_fused(hdr, opt);
+      EXPECT_TRUE(bit_identical(fused.output, golden.output))
+          << "background " << background << " threads=" << threads;
+      EXPECT_EQ(fused.input_max, golden.input_max);
+    }
+  }
+}
+
+TEST(FusedBandTest, NoPositiveSampleThrowsTheSameErrorAtEveryThreadCount) {
+  PipelineOptions opt;
+  opt.sigma = 2.0;
+  opt.radius = 4;
+  img::ImageF dark(9, 40, 3);
+  img::ImageF negative(9, 40, 3);
+  Rng rng(31);
+  for (float& v : negative.samples()) {
+    v = -static_cast<float>(rng.uniform() * 10.0);
+  }
+  negative.samples()[0] = -0.0f;
+  negative.samples()[negative.samples().size() - 1] = -0.0f;
+  for (const img::ImageF* frame : {&dark, &negative}) {
+    std::string one_band;
+    for (int threads = 1; threads <= 8; ++threads) {
+      opt.threads = threads;
+      try {
+        tone_map_fused(*frame, opt);
+        ADD_FAILURE() << "no throw at threads=" << threads;
+      } catch (const InvalidArgument& e) {
+        if (threads == 1) one_band = e.what();
+        EXPECT_EQ(e.what(), one_band) << "threads=" << threads;
+      }
+    }
+    EXPECT_NE(one_band.find("no positive sample"), std::string::npos);
+  }
+}
+
+// Threads of this process, from /proc/self/status (0 where unavailable).
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return 0;
+}
+
+// A joined thread can linger in /proc for a moment after join returns, so
+// the count is polled back down rather than read once.
+void expect_no_band_thread_left(int before) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (process_threads() > before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_LE(process_threads(), before);
+}
+
+// Runs `call` on its own thread and aborts the binary if it does not return
+// within a generous bound: a band left parked at the barrier or a latch
+// shows up as this abort instead of a suite that never ends.
+template <class F>
+auto returns_promptly(F&& call) {
+  auto done = std::async(std::launch::async, std::forward<F>(call));
+  if (done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "band round did not return within 60 s\n");
+    std::abort();
+  }
+  return done.get();
+}
+
+// A band thread that fails to spawn after the ones before it started: the
+// started bands are released from the barrier or their latches, and the
+// frame is redone as one band on the caller, with the reference's bytes.
+TEST(FusedBandFaultTest, FailedSpawnFallsBackToOneBand) {
+  const ScopedDisarm disarm;
+  PipelineOptions opt;
+  opt.sigma = 2.0;
+  opt.radius = 4;
+  const img::ImageF hdr = random_hdr(23, 41, 3, 61);
+  const img::ImageF plane = random_plane(23, 41, 62);
+  const GaussianKernel kernel = opt.kernel();
+  const img::ImageF blur_golden = blur_separable_float(plane, kernel);
+  const int before = process_threads();
+  for (const float scale : {0.0f, 80.0f}) {
+    opt.normalization_scale = scale;
+    const img::ImageF tone_golden = tone_map(hdr, opt).output;
+    for (int threads = 2; threads <= 4; ++threads) {
+      opt.threads = threads;
+      for (int started = 0; started < threads - 1; ++started) {
+        fault::FaultSpec spec;
+        spec.action = fault::Action::throw_error;
+        spec.trigger_after = static_cast<std::uint64_t>(started);
+        spec.max_fires = 1;
+        fault::arm("exec.bands.spawn", spec);
+        EXPECT_TRUE(bit_identical(
+            returns_promptly([&] { return tone_map_fused(hdr, opt).output; }),
+            tone_golden))
+            << "threads=" << threads << " started=" << started;
+        EXPECT_EQ(fault::stats("exec.bands.spawn").fires, 1u);
+        fault::arm("exec.bands.spawn", spec);
+        EXPECT_TRUE(bit_identical(returns_promptly([&] {
+                                    return blur_fused_stream(plane, kernel,
+                                                             threads);
+                                  }),
+                                  blur_golden))
+            << "threads=" << threads << " started=" << started;
+        EXPECT_EQ(fault::stats("exec.bands.spawn").fires, 1u);
+      }
+    }
+  }
+  expect_no_band_thread_left(before);
+}
+
+// A band that fails before it publishes its halo rows: its neighbours are
+// parked at their latches, and with by-max normalisation every band has
+// already met at the barrier. The injected error reaches the caller, every
+// band returns, and the next frame runs clean. The site fires on the k-th
+// band to reach it, for every k; which band index that is varies from run
+// to run, and the repetitions cover first, interior and last bands (the
+// runner's own test fails each band index deterministically).
+TEST(FusedBandFaultTest, AFailingBandReleasesItsNeighbours) {
+  const ScopedDisarm disarm;
+  PipelineOptions opt;
+  opt.sigma = 2.0;
+  opt.radius = 4;
+  const img::ImageF hdr = random_hdr(23, 41, 3, 63);
+  const img::ImageF plane = random_plane(23, 41, 64);
+  const GaussianKernel kernel = opt.kernel();
+  const int before = process_threads();
+  for (const float scale : {0.0f, 80.0f}) {
+    opt.normalization_scale = scale;
+    for (int threads = 2; threads <= 4; ++threads) {
+      opt.threads = threads;
+      for (int k = 0; k < threads; ++k) {
+        for (int rep = 0; rep < 4; ++rep) {
+          fault::FaultSpec spec;
+          spec.action = fault::Action::throw_error;
+          spec.message = "band down";
+          spec.trigger_after = static_cast<std::uint64_t>(k);
+          spec.max_fires = 1;
+          fault::arm("exec.bands.publish", spec);
+          try {
+            returns_promptly([&] { return tone_map_fused(hdr, opt); });
+            ADD_FAILURE() << "no throw, threads=" << threads << " k=" << k;
+          } catch (const fault::InjectedFault& e) {
+            EXPECT_STREQ(e.what(), "band down");
+          }
+          fault::arm("exec.bands.publish", spec);
+          EXPECT_THROW(returns_promptly([&] {
+                         return blur_fused_stream(plane, kernel, threads);
+                       }),
+                       fault::InjectedFault)
+              << "threads=" << threads << " k=" << k;
+        }
+      }
+    }
+  }
+  fault::disarm_all();
+  expect_no_band_thread_left(before);
+  opt.threads = 4;
+  EXPECT_TRUE(
+      bit_identical(tone_map_fused(hdr, opt).output, tone_map(hdr, opt).output));
 }
 
 TEST(FusedToneMapTest, StagePreconditionsThrowUpFront) {
