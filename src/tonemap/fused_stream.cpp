@@ -257,11 +257,10 @@ void fused_tonemap_band(const img::ImageF& hdr, img::ImageF& dst,
     return mask_rows.data() +
            static_cast<std::size_t>(y % kBlock) * static_cast<std::size_t>(w);
   };
+  const BrightnessContrast adjust{opt.brightness, opt.contrast};
   auto emit = [&](int y) {
-    float* out = &dst.at_unchecked(0, y);
-    masking_row(norm_slot(y), mask(y), out, w, c);
-    brightness_contrast_row(out, out, row_samples, opt.brightness,
-                            opt.contrast);
+    masking_row(norm_slot(y), mask(y), &dst.at_unchecked(0, y), w, c,
+                &adjust);
   };
   stream_band(bands, b, round, hdr.height(), kernel, front, mask, emit);
 }

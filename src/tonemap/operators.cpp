@@ -41,36 +41,11 @@ void display_encode_row(const float* in, float* out, std::size_t n,
 }
 
 void masking_row(const float* in, const float* mask, float* out, int width,
-                 int channels) {
+                 int channels, const BrightnessContrast* adjust) {
   TMHLS_REQUIRE(channels >= 1 && channels <= 4,
                 "masking_row: channels must be in [1, 4]");
-  // Pixels go through in chunks small enough for stack scratch: the
-  // per-pixel exponent 2^((m - 0.5) / 0.5), then that exponent repeated
-  // for each of the pixel's samples, which pow_row consumes lane by lane.
-  constexpr int kChunk = 256;
-  float gamma[kChunk];
-  float exps[kChunk * 4];
-  for (int x0 = 0; x0 < width; x0 += kChunk) {
-    const int np = std::min(kChunk, width - x0);
-    for (int i = 0; i < np; ++i) {
-      gamma[i] = (clamp(mask[x0 + i], 0.0f, 1.0f) - 0.5f) / 0.5f;
-    }
-    exp2_row(gamma, gamma, static_cast<std::size_t>(np));
-    for (int i = 0; i < np; ++i) {
-      for (int c = 0; c < channels; ++c) exps[i * channels + c] = gamma[i];
-    }
-    const std::size_t offset = static_cast<std::size_t>(x0) *
-                               static_cast<std::size_t>(channels);
-    pow_row(in + offset, exps, out + offset,
-            static_cast<std::size_t>(np) * static_cast<std::size_t>(channels));
-  }
-}
-
-void brightness_contrast_row(const float* in, float* out, std::size_t n,
-                             float brightness, float contrast) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = clamp((in[i] - 0.5f) * contrast + 0.5f + brightness, 0.0f, 1.0f);
-  }
+  masking_pow_row(in, mask, out, static_cast<std::size_t>(width), channels,
+                  adjust);
 }
 
 img::ImageF normalize_to_max(const img::ImageF& src, float* max_out) {
@@ -109,9 +84,11 @@ img::ImageF brightness_contrast(const img::ImageF& in, float brightness,
                                 float contrast) {
   TMHLS_REQUIRE(contrast > 0.0f, "brightness_contrast: contrast must be > 0");
   img::ImageF out(in.width(), in.height(), in.channels());
-  auto si = in.samples();
-  brightness_contrast_row(si.data(), out.samples().data(), si.size(),
-                          brightness, contrast);
+  const auto si = in.samples();
+  const auto so = out.samples();
+  for (std::size_t i = 0; i < si.size(); ++i) {
+    so[i] = clamp((si[i] - 0.5f) * contrast + 0.5f + brightness, 0.0f, 1.0f);
+  }
   return out;
 }
 

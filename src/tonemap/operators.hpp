@@ -10,6 +10,7 @@
 #pragma once
 
 #include "image/image.hpp"
+#include "tonemap/pow_kernel.hpp"
 
 namespace tmhls::tonemap {
 
@@ -79,14 +80,14 @@ void display_encode_row(const float* in, float* out, std::size_t n,
 
 /// nonlinear_masking's inner loop over one interleaved row of `width`
 /// pixels with 1-4 `channels` samples each; `mask` holds the row's `width`
-/// 1-channel mask values. Per pixel, gamma = exp2_row of
-/// (clamp(mask, 0, 1) - 0.5) / 0.5; per sample, out = pow_row(in, gamma).
-/// Works through the row in chunks with stack scratch (no allocation).
+/// 1-channel mask values. One vector pass (masking_pow_row in
+/// pow_kernel.hpp) evaluates gamma = 2^((clamp(mask, 0, 1) - 0.5) / 0.5)
+/// once per pixel, repeats it for the pixel's samples in registers and
+/// stores out = max(in, 0) ^ gamma. With `adjust` non-null the same pass
+/// applies brightness_contrast's step before the store, with its bits (the
+/// fused engine's back end; the staged pipeline runs the two stages as
+/// their own passes).
 void masking_row(const float* in, const float* mask, float* out, int width,
-                 int channels);
-
-/// brightness_contrast's inner loop.
-void brightness_contrast_row(const float* in, float* out, std::size_t n,
-                             float brightness, float contrast);
+                 int channels, const BrightnessContrast* adjust = nullptr);
 
 } // namespace tmhls::tonemap

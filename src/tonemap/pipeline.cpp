@@ -122,29 +122,11 @@ img::ImageF mask(const img::ImageF& intensity, const GaussianKernel& kernel,
 }
 
 img::ImageF masking(const img::ImageF& normalized, const img::ImageF& mask) {
-  img::ImageF out(normalized.width(), normalized.height(),
-                  normalized.channels());
-  TMHLS_REQUIRE(mask.channels() == 1,
-                "nonlinear_masking: mask must be 1-channel");
-  TMHLS_REQUIRE(normalized.width() == mask.width() &&
-                    normalized.height() == mask.height(),
-                "nonlinear_masking: size mismatch");
-  for (int y = 0; y < normalized.height(); ++y) {
-    masking_row(&normalized.at_unchecked(0, y), &mask.at_unchecked(0, y),
-                &out.at_unchecked(0, y), normalized.width(),
-                normalized.channels());
-  }
-  return out;
+  return nonlinear_masking(normalized, mask);
 }
 
 img::ImageF adjust(const img::ImageF& masked, const PipelineOptions& opt) {
-  img::ImageF out(masked.width(), masked.height(), masked.channels());
-  TMHLS_REQUIRE(opt.contrast > 0.0f,
-                "brightness_contrast: contrast must be > 0");
-  const auto si = masked.samples();
-  brightness_contrast_row(si.data(), out.samples().data(), si.size(),
-                          opt.brightness, opt.contrast);
-  return out;
+  return brightness_contrast(masked, opt.brightness, opt.contrast);
 }
 
 } // namespace stages

@@ -22,6 +22,12 @@
 // pow(x, y) = exp2(y * log2(x)) with explicit selects for x <= 0 (-> +0),
 // +Inf and NaN.
 //
+// Masking runs as one pass per vector of pixels: the exponent
+// 2^((clamp(m, 0, 1) - 0.5) / 0.5) once per pixel, repeated across the
+// pixel's interleaved samples by compile-time __builtin_shufflevector
+// patterns (GCC >= 12, clang), pow per sample and, in the fused engine,
+// the brightness/contrast clamp, all before one store.
+//
 // Selects are bitwise and/or on integer lane masks rather than vector ?:
 // (which not every compiler accepts on generic vectors). Vectors never
 // cross a function boundary by value — the helpers take references — so
@@ -30,6 +36,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 namespace tmhls::tonemap {
 
@@ -120,82 +127,139 @@ TMHLS_POW_INLINE void pow_lanes(const V& x, const V& y, V& out) {
   out = (V)(~(x <= 0.0f) & (VI)r);
 }
 
-/// The one row driver: `lanes` maps kIn input vectors to an output vector.
-/// Full vectors first, then the remaining samples of every input are
-/// copied into zero-padded vectors and run through the same body. Each
-/// block is loaded before it is stored, so `out` may alias an input.
-template <typename V, std::size_t kIn, typename Lanes>
-TMHLS_POW_INLINE void run_row(const float* const (&in)[kIn], float* out,
-                              std::size_t n, const Lanes& lanes) {
+/// The one row driver, over items of kC interleaved samples: `lanes` maps
+/// the kC sample vectors of kLanes items, and the vector of their
+/// `per_item` values where the entry has them, to kC result vectors in
+/// place. Full blocks first, then the remaining items are copied into
+/// zero-padded vectors and run through the same body. Each block is loaded
+/// before it is stored, so `out` may alias `x`.
+template <typename V, int kC, typename Lanes>
+TMHLS_POW_INLINE void run_row(const float* x, const float* per_item,
+                              float* out, std::size_t items,
+                              const Lanes& lanes) {
   constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
-  V v[kIn] = {};
-  V r{};
+  V v[kC] = {};
+  V m{};
   std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (std::size_t k = 0; k < kIn; ++k) {
-      std::memcpy(&v[k], in[k] + i, sizeof(V));
-    }
-    lanes(v, r);
-    std::memcpy(out + i, &r, sizeof(V));
+  for (; i + kLanes <= items; i += kLanes) {
+    std::memcpy(v, x + i * kC, sizeof v);
+    if (per_item != nullptr) std::memcpy(&m, per_item + i, sizeof m);
+    lanes(v, m);
+    std::memcpy(out + i * kC, v, sizeof v);
   }
-  if (i == n) return;
-  const std::size_t rest = (n - i) * sizeof(float);
-  float pad[kIn][kLanes] = {};
-  for (std::size_t k = 0; k < kIn; ++k) {
-    std::memcpy(pad[k], in[k] + i, rest);
-    std::memcpy(&v[k], pad[k], sizeof(V));
+  if (i == items) return;
+  const std::size_t rest = items - i;
+  float pad[kC + 1][kLanes] = {};
+  std::memcpy(pad, x + i * kC, rest * kC * sizeof(float));
+  if (per_item != nullptr) {
+    std::memcpy(pad[kC], per_item + i, rest * sizeof(float));
   }
-  lanes(v, r);
-  std::memcpy(out + i, &r, rest);
+  std::memcpy(v, pad, sizeof v);
+  std::memcpy(&m, pad[kC], sizeof m);
+  lanes(v, m);
+  std::memcpy(out + i * kC, v, rest * kC * sizeof(float));
+}
+
+/// clamp(v, lo, hi) lane-wise, with the scalar tmhls::clamp's selects
+/// (NaN and -0 pass through).
+template <typename V>
+TMHLS_POW_INLINE void clamp_lanes(const V& v, float lo, float hi, V& out) {
+  const MaskOf<V> below = v < lo;
+  select<V>(v > hi, V{} + hi, v, out);
+  select<V>(below, V{} + lo, out, out);
+}
+
+/// Lane j of y[k] = lane (k * kLanes + j) / kC of g: each pixel's value
+/// repeated for its kC interleaved samples, by compile-time shuffles.
+template <int kC, typename V, std::size_t... J>
+TMHLS_POW_INLINE void spread(const V& g, V (&y)[kC],
+                             std::index_sequence<J...>) {
+  constexpr std::size_t kL = sizeof...(J);
+  y[0] = __builtin_shufflevector(g, g, J / kC...);
+  if constexpr (kC > 1) y[1] = __builtin_shufflevector(g, g, (kL + J) / kC...);
+  if constexpr (kC > 2) {
+    y[2] = __builtin_shufflevector(g, g, (2 * kL + J) / kC...);
+  }
+  if constexpr (kC > 3) {
+    y[3] = __builtin_shufflevector(g, g, (3 * kL + J) / kC...);
+  }
 }
 
 template <typename V>
 struct PowShared {
   V y;
-  TMHLS_POW_INLINE void operator()(const V (&v)[1], V& r) const {
-    pow_lanes(v[0], y, r);
-  }
-};
-template <typename V>
-struct PowEach {
-  TMHLS_POW_INLINE void operator()(const V (&v)[2], V& r) const {
-    pow_lanes(v[0], v[1], r);
+  TMHLS_POW_INLINE void operator()(V (&v)[1], const V&) const {
+    pow_lanes(v[0], y, v[0]);
   }
 };
 template <typename V>
 struct Exp2 {
-  TMHLS_POW_INLINE void operator()(const V (&v)[1], V& r) const {
-    exp2_lanes(v[0], r);
+  TMHLS_POW_INLINE void operator()(V (&v)[1], const V&) const {
+    exp2_lanes(v[0], v[0]);
+  }
+};
+
+/// Non-linear masking of kLanes pixels of kC samples: the exponent once
+/// per pixel, spread to the pixel's samples, the power per sample and,
+/// when kAdjust, the brightness/contrast step before the one store.
+template <typename V, int kC, bool kAdjust>
+struct Masking {
+  float brightness = 0.0f;
+  float contrast = 0.0f;
+  TMHLS_POW_INLINE void operator()(V (&v)[kC], const V& m) const {
+    V g{};
+    clamp_lanes(m, 0.0f, 1.0f, g);
+    exp2_lanes<V>((g - 0.5f) / 0.5f, g);
+    V y[kC];
+    spread<kC>(g, y, std::make_index_sequence<sizeof(V) / sizeof(float)>{});
+    for (int k = 0; k < kC; ++k) {
+      pow_lanes(v[k], y[k], v[k]);
+      if constexpr (kAdjust) {
+        clamp_lanes<V>((v[k] - 0.5f) * contrast + 0.5f + brightness, 0.0f,
+                       1.0f, v[k]);
+      }
+    }
   }
 };
 
 template <typename V>
 TMHLS_POW_INLINE void pow_shared_body(const float* x, float* out,
                                       std::size_t n, float y) {
-  const float* const in[] = {x};
-  run_row<V>(in, out, n, PowShared<V>{V{} + y});
-}
-template <typename V>
-TMHLS_POW_INLINE void pow_each_body(const float* x, const float* y,
-                                    float* out, std::size_t n) {
-  const float* const in[] = {x, y};
-  run_row<V>(in, out, n, PowEach<V>{});
+  run_row<V, 1>(x, nullptr, out, n, PowShared<V>{V{} + y});
 }
 template <typename V>
 TMHLS_POW_INLINE void exp2_body(const float* t, float* out, std::size_t n) {
-  const float* const in[] = {t};
-  run_row<V>(in, out, n, Exp2<V>{});
+  run_row<V, 1>(t, nullptr, out, n, Exp2<V>{});
+}
+/// The masking body for `channels` samples per pixel (kC counts up to it)
+/// and an optional adjust step, each a compile-time instantiation.
+template <typename V, int kC = 1>
+TMHLS_POW_INLINE void masking_body(const float* x, const float* mask,
+                                   float* out, std::size_t width, int channels,
+                                   const BrightnessContrast* adjust) {
+  if constexpr (kC < 4) {
+    if (channels > kC) {
+      return masking_body<V, kC + 1>(x, mask, out, width, channels, adjust);
+    }
+  }
+  if (adjust == nullptr) {
+    run_row<V, kC>(x, mask, out, width, Masking<V, kC, false>{});
+  } else {
+    run_row<V, kC>(x, mask, out, width,
+                   Masking<V, kC, true>{adjust->brightness, adjust->contrast});
+  }
 }
 
 void pow_shared_generic(const float* x, float* out, std::size_t n, float y) {
   pow_shared_body<v4f>(x, out, n, y);
 }
-void pow_each_generic(const float* x, const float* y, float* out,
-                      std::size_t n) {
-  pow_each_body<v4f>(x, y, out, n);
-}
 void exp2_generic(const float* t, float* out, std::size_t n) {
   exp2_body<v4f>(t, out, n);
+}
+void masking_generic(const float* x, const float* mask, float* out,
+                     std::size_t width, int channels,
+                     const BrightnessContrast* adjust) {
+  masking_body<v4f>(x, mask, out, width, channels, adjust);
 }
 
 // The AVX2 and AVX-512 clones run the identical per-lane operation
@@ -210,28 +274,30 @@ __attribute__((target("avx2"))) void pow_shared_avx2(const float* x,
                                                      std::size_t n, float y) {
   pow_shared_body<v8f>(x, out, n, y);
 }
-__attribute__((target("avx2"))) void pow_each_avx2(const float* x,
-                                                   const float* y, float* out,
-                                                   std::size_t n) {
-  pow_each_body<v8f>(x, y, out, n);
-}
 __attribute__((target("avx2"))) void exp2_avx2(const float* t, float* out,
                                                std::size_t n) {
   exp2_body<v8f>(t, out, n);
+}
+__attribute__((target("avx2"))) void
+masking_avx2(const float* x, const float* mask, float* out, std::size_t width,
+             int channels, const BrightnessContrast* adjust) {
+  masking_body<v8f>(x, mask, out, width, channels, adjust);
 }
 
 __attribute__((target("avx512f"))) void
 pow_shared_avx512(const float* x, float* out, std::size_t n, float y) {
   pow_shared_body<v16f>(x, out, n, y);
 }
-__attribute__((target("avx512f"))) void
-pow_each_avx512(const float* x, const float* y, float* out, std::size_t n) {
-  pow_each_body<v16f>(x, y, out, n);
-}
 __attribute__((target("avx512f"))) void exp2_avx512(const float* t,
                                                     float* out,
                                                     std::size_t n) {
   exp2_body<v16f>(t, out, n);
+}
+__attribute__((target("avx512f"))) void
+masking_avx512(const float* x, const float* mask, float* out,
+               std::size_t width, int channels,
+               const BrightnessContrast* adjust) {
+  masking_body<v16f>(x, mask, out, width, channels, adjust);
 }
 #endif
 
@@ -249,14 +315,14 @@ const detail::PowKernels& active() {
 namespace detail {
 
 const PowKernels& pow_kernels_generic() {
-  static const PowKernels k{pow_shared_generic, pow_each_generic,
-                            exp2_generic};
+  static const PowKernels k{4, pow_shared_generic, exp2_generic,
+                            masking_generic};
   return k;
 }
 
 const PowKernels* pow_kernels_avx2() {
 #ifdef TMHLS_POW_X86_DISPATCH
-  static const PowKernels k{pow_shared_avx2, pow_each_avx2, exp2_avx2};
+  static const PowKernels k{8, pow_shared_avx2, exp2_avx2, masking_avx2};
   static const bool has = __builtin_cpu_supports("avx2") != 0;
   return has ? &k : nullptr;
 #else
@@ -266,7 +332,8 @@ const PowKernels* pow_kernels_avx2() {
 
 const PowKernels* pow_kernels_avx512() {
 #ifdef TMHLS_POW_X86_DISPATCH
-  static const PowKernels k{pow_shared_avx512, pow_each_avx512, exp2_avx512};
+  static const PowKernels k{16, pow_shared_avx512, exp2_avx512,
+                            masking_avx512};
   static const bool has = __builtin_cpu_supports("avx512f") != 0;
   return has ? &k : nullptr;
 #else
@@ -280,12 +347,16 @@ void pow_row(const float* x, float* out, std::size_t n, float y) {
   active().pow_shared(x, out, n, y);
 }
 
-void pow_row(const float* x, const float* y, float* out, std::size_t n) {
-  active().pow_each(x, y, out, n);
-}
-
 void exp2_row(const float* t, float* out, std::size_t n) {
   active().exp2(t, out, n);
 }
+
+void masking_pow_row(const float* x, const float* mask, float* out,
+                     std::size_t width, int channels,
+                     const BrightnessContrast* adjust) {
+  active().masking(x, mask, out, width, channels, adjust);
+}
+
+int pow_kernel_lanes() { return active().lanes; }
 
 } // namespace tmhls::tonemap

@@ -33,22 +33,38 @@ namespace tmhls::tonemap {
 /// exactly (element-wise).
 void pow_row(const float* x, float* out, std::size_t n, float y);
 
-/// As above with a per-sample exponent: out[i] = max(x[i], 0) ^ y[i].
-void pow_row(const float* x, const float* y, float* out, std::size_t n);
-
 /// out[i] = 2 ^ t[i]: +Inf above 128, 0 below -151, denormal results
 /// correctly rounded, NaN -> NaN. `t` and `out` may alias exactly.
 void exp2_row(const float* t, float* out, std::size_t n);
+
+/// The brightness/contrast step a masking pass can apply before its store:
+/// r -> clamp((r - 0.5) * contrast + 0.5 + brightness, 0, 1).
+struct BrightnessContrast {
+  float brightness = 0.0f;
+  float contrast = 1.0f;
+};
+
+/// The kernel of operators.hpp masking_row (1-4 `channels`): the bits of
+/// exp2_row of each pixel's exponent, pow_row of each of its samples and,
+/// with `adjust` non-null, the scalar clamp. `x` and `out` may alias.
+void masking_pow_row(const float* x, const float* mask, float* out,
+                     std::size_t width, int channels,
+                     const BrightnessContrast* adjust);
+
+/// Lanes of the build the functions above run: 16, 8 or 4.
+int pow_kernel_lanes();
 
 namespace detail {
 
 /// The kernel compiled for one instruction set. Every table computes the
 /// same bits; the public functions above run the widest one the CPU has.
 struct PowKernels {
+  int lanes;
   void (*pow_shared)(const float* x, float* out, std::size_t n, float y);
-  void (*pow_each)(const float* x, const float* y, float* out,
-                   std::size_t n);
   void (*exp2)(const float* t, float* out, std::size_t n);
+  void (*masking)(const float* x, const float* mask, float* out,
+                  std::size_t width, int channels,
+                  const BrightnessContrast* adjust);
 };
 
 /// Portable 4-lane generic-vector build (SSE2 / NEON registers).

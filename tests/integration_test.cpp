@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "accel/system.hpp"
@@ -18,6 +20,7 @@
 #include "metrics/ssim.hpp"
 #include "platform/zynq.hpp"
 #include "profiling/profiler.hpp"
+#include "tonemap/fused_stream.hpp"
 #include "tonemap/op_counts.hpp"
 #include "tonemap/pipeline.hpp"
 
@@ -162,6 +165,60 @@ TEST(GoldenImageTest, RgbeRoundTripOfSceneKeepsToneMapStable) {
   const img::ImageF a = tonemap::tone_map_image(hdr);
   const img::ImageF b = tonemap::tone_map_image(reloaded);
   EXPECT_GT(metrics::psnr(a, b), 35.0);
+}
+
+/// FNV-1a (64-bit) over the bit pattern of every sample.
+std::uint64_t sample_digest(const img::ImageF& im) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const float v : im.samples()) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 4; ++b) {
+      h = (h ^ ((bits >> (8 * b)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(GoldenImageTest, FloatPipelineBytesArePinned) {
+  // The float pipeline's output bits, pinned as digests. The staged golden
+  // model and the fused engine share the point-wise row kernels, so a
+  // change in those moves both sides together and every suite that
+  // compares one path with the other still passes; these fixed values do
+  // not. The kernels are lane-wise and FMA-free, so the bits are the same
+  // on every ISA and one digest serves every build.
+  const img::ImageF rgb = io::paper_test_image(96);
+  img::ImageF gray(rgb.width(), rgb.height(), 1);
+  img::ImageF rgba(rgb.width(), rgb.height(), 4);
+  for (int y = 0; y < rgb.height(); ++y) {
+    for (int x = 0; x < rgb.width(); ++x) {
+      gray.at(x, y) = rgb.at(x, y, 1);
+      for (int c = 0; c < 3; ++c) rgba.at(x, y, c) = rgb.at(x, y, c);
+      rgba.at(x, y, 3) = 0.5f * (rgb.at(x, y, 0) + rgb.at(x, y, 2));
+    }
+  }
+  tonemap::PipelineOptions opt;
+  opt.sigma = 4.0; // radius 12: four bands of 24 rows at 4 threads
+  opt.backend = "separable_float";
+  const struct {
+    const img::ImageF* hdr;
+    std::uint64_t digest;
+  } cases[] = {{&gray, 0x2d3e690e98fea81cULL},
+                {&rgb, 0x31a41b1cc3f1d14dULL},
+                {&rgba, 0xa4d491799d05b4beULL}};
+  for (const auto& k : cases) {
+    const int c = k.hdr->channels();
+    EXPECT_EQ(sample_digest(tonemap::tone_map(*k.hdr, opt).output), k.digest)
+        << "separable_float, " << c << " channel(s)";
+    for (const int threads : {1, 4}) {
+      tonemap::PipelineOptions fused = opt;
+      fused.threads = threads;
+      EXPECT_EQ(sample_digest(tonemap::tone_map_fused(*k.hdr, fused).output),
+                k.digest)
+          << "tone_map_fused, " << c << " channel(s), " << threads
+          << " thread(s)";
+    }
+  }
 }
 
 TEST(EndToEndTest, FullEvaluationOnSmallWorkloadIsConsistent) {

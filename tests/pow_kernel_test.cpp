@@ -1,8 +1,8 @@
 // Tests for the point-wise pow / exp2 kernel (tonemap/pow_kernel.hpp):
 // accuracy against std::pow, exact special cases, bit-identity of the
 // generic-vector build, the AVX2 and AVX-512 builds and the padded row
-// tail, and the one-time quality gate of moving the tone-mapping pipeline
-// off libm.
+// tail, the one-pass masking row against its per-sample arithmetic, and
+// the one-time quality gate of moving the tone-mapping pipeline off libm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -190,11 +190,11 @@ TEST(PowKernelTest, EveryBuildAndTailAreBitIdentical) {
   lengths.push_back(1000);
   for (const std::size_t n : lengths) {
     const std::vector<float> x = kernel_inputs(n, 100 + n);
-    std::vector<float> y(n);
+    std::vector<float> mask(n);
     std::vector<float> t(n);
     Rng rng(200 + n);
     for (std::size_t i = 0; i < n; ++i) {
-      y[i] = static_cast<float>(std::exp2(rng.uniform() * 2.0 - 1.0));
+      mask[i] = static_cast<float>(rng.uniform());
       t[i] = static_cast<float>(rng.uniform() * 320.0 - 170.0);
     }
     if (n > 3) t[3] = std::nanf("");
@@ -202,24 +202,96 @@ TEST(PowKernelTest, EveryBuildAndTailAreBitIdentical) {
     // Reference: every sample alone, i.e. entirely through the padded
     // tail of the generic build.
     const detail::PowKernels& generic = detail::pow_kernels_generic();
-    std::vector<float> shared_ref(n), each_ref(n), exp2_ref(n);
+    std::vector<float> shared_ref(n), masking_ref(n), exp2_ref(n);
     for (std::size_t i = 0; i < n; ++i) {
       generic.pow_shared(&x[i], &shared_ref[i], 1, 1.0f / 2.2f);
-      generic.pow_each(&x[i], &y[i], &each_ref[i], 1);
+      generic.masking(&x[i], &mask[i], &masking_ref[i], 1, 1, nullptr);
       generic.exp2(&t[i], &exp2_ref[i], 1);
     }
     for (const detail::PowKernels* isa : isas) {
       std::vector<float> got(n);
       isa->pow_shared(x.data(), got.data(), n, 1.0f / 2.2f);
       EXPECT_TRUE(same_bits(got, shared_ref)) << "pow_shared n=" << n;
-      isa->pow_each(x.data(), y.data(), got.data(), n);
-      EXPECT_TRUE(same_bits(got, each_ref)) << "pow_each n=" << n;
+      isa->masking(x.data(), mask.data(), got.data(), n, 1, nullptr);
+      EXPECT_TRUE(same_bits(got, masking_ref)) << "masking n=" << n;
       isa->exp2(t.data(), got.data(), n);
       EXPECT_TRUE(same_bits(got, exp2_ref)) << "exp2 n=" << n;
       // In place (x and out alias exactly).
       got = x;
       isa->pow_shared(got.data(), got.data(), n, 1.0f / 2.2f);
       EXPECT_TRUE(same_bits(got, shared_ref)) << "in place n=" << n;
+    }
+  }
+}
+
+/// The masking stage as it was computed sample by sample: a single-lane
+/// generic exp2 of the pixel's exponent, then a single-lane pow of each of
+/// its samples, then the scalar brightness/contrast clamp.
+std::vector<float> per_sample_masking(const std::vector<float>& x,
+                                      const std::vector<float>& mask,
+                                      int channels,
+                                      const BrightnessContrast* adjust) {
+  const detail::PowKernels& generic = detail::pow_kernels_generic();
+  std::vector<float> out(x.size());
+  for (std::size_t p = 0; p < mask.size(); ++p) {
+    float gamma = (clamp(mask[p], 0.0f, 1.0f) - 0.5f) / 0.5f;
+    generic.exp2(&gamma, &gamma, 1);
+    for (int c = 0; c < channels; ++c) {
+      const std::size_t i = p * static_cast<std::size_t>(channels) +
+                            static_cast<std::size_t>(c);
+      generic.pow_shared(&x[i], &out[i], 1, gamma);
+      if (adjust != nullptr) {
+        out[i] = clamp((out[i] - 0.5f) * adjust->contrast + 0.5f +
+                           adjust->brightness,
+                       0.0f, 1.0f);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(PowKernelTest, MaskingEveryBuildMatchesPerSampleReference) {
+  std::vector<const detail::PowKernels*> isas = {
+      &detail::pow_kernels_generic()};
+  for (const detail::PowKernels* clone :
+       {detail::pow_kernels_avx2(), detail::pow_kernels_avx512()}) {
+    if (clone != nullptr) isas.push_back(clone);
+  }
+  std::vector<std::size_t> widths;
+  for (std::size_t w = 0; w <= 64; ++w) widths.push_back(w);
+  widths.push_back(1000);
+  const float bad_masks[] = {std::nanf(""), kInf,     -kInf,   -0.25f,
+                             1.5f,          FLT_MIN * 0.5f, -0.0f, 1.0f};
+  const float bad_inputs[] = {0.0f, -0.0f, -0.5f, kInf, std::nanf(""),
+                              -kInf};
+  const BrightnessContrast adjust{0.05f, 1.15f};
+  for (int channels = 1; channels <= 4; ++channels) {
+    for (const std::size_t w : widths) {
+      const std::size_t n = w * static_cast<std::size_t>(channels);
+      std::vector<float> x = kernel_inputs(n, 300 + n);
+      for (std::size_t i = 3; i < n; i += 5) x[i] = bad_inputs[(i / 5) % 6];
+      std::vector<float> mask(w);
+      Rng rng(400 + w);
+      for (float& m : mask) m = static_cast<float>(rng.uniform() * 1.5 - 0.25);
+      for (std::size_t p = 1; p < w; p += 3) mask[p] = bad_masks[(p / 3) % 8];
+      for (const BrightnessContrast* adj :
+           {&adjust, static_cast<const BrightnessContrast*>(nullptr)}) {
+        const std::vector<float> ref =
+            per_sample_masking(x, mask, channels, adj);
+        for (const detail::PowKernels* isa : isas) {
+          std::vector<float> got(n);
+          isa->masking(x.data(), mask.data(), got.data(), w, channels, adj);
+          EXPECT_TRUE(same_bits(got, ref))
+              << isa->lanes << " lanes, " << channels << " channel(s), width "
+              << w << (adj != nullptr ? ", adjusted" : "");
+          // In place (x and out alias exactly).
+          got = x;
+          isa->masking(got.data(), mask.data(), got.data(), w, channels, adj);
+          EXPECT_TRUE(same_bits(got, ref))
+              << "in place, " << isa->lanes << " lanes, " << channels
+              << " channel(s), width " << w;
+        }
+      }
     }
   }
 }

@@ -75,6 +75,7 @@
 #include "tonemap/bilateral.hpp"
 #include "tonemap/global_operators.hpp"
 #include "tonemap/pipeline.hpp"
+#include "tonemap/pow_kernel.hpp"
 #include "transport/client.hpp"
 #include "transport/server.hpp"
 #include "video/sequence.hpp"
@@ -278,7 +279,9 @@ int cmd_backends(const Args& args) {
   std::cout << "\nfigures for " << width << "x" << height << ", "
             << kernel.taps() << " taps, " << popt.threads
             << " thread(s); '--backend auto' would pick: "
-            << choice.backend().name() << "\n";
+            << choice.backend().name() << "\n"
+            << "point-wise kernel (pow/masking): "
+            << tonemap::pow_kernel_lanes() << " lanes\n";
   return 0;
 }
 
