@@ -169,20 +169,14 @@ TMHLS_POW_INLINE void clamp_lanes(const V& v, float lo, float hi, V& out) {
   select<V>(below, V{} + lo, out, out);
 }
 
-/// Lane j of y[k] = lane (k * kLanes + j) / kC of g: each pixel's value
-/// repeated for its kC interleaved samples, by compile-time shuffles.
-template <int kC, typename V, std::size_t... J>
+/// Lane j of y[k] = lane (k * kLanes + j) / kC of g, for k >= kK: each
+/// pixel's value repeated for its kC interleaved samples, by compile-time
+/// shuffles.
+template <int kC, std::size_t kK = 0, typename V, std::size_t... J>
 TMHLS_POW_INLINE void spread(const V& g, V (&y)[kC],
-                             std::index_sequence<J...>) {
-  constexpr std::size_t kL = sizeof...(J);
-  y[0] = __builtin_shufflevector(g, g, J / kC...);
-  if constexpr (kC > 1) y[1] = __builtin_shufflevector(g, g, (kL + J) / kC...);
-  if constexpr (kC > 2) {
-    y[2] = __builtin_shufflevector(g, g, (2 * kL + J) / kC...);
-  }
-  if constexpr (kC > 3) {
-    y[3] = __builtin_shufflevector(g, g, (3 * kL + J) / kC...);
-  }
+                             std::index_sequence<J...> lanes) {
+  y[kK] = __builtin_shufflevector(g, g, (kK * sizeof...(J) + J) / kC...);
+  if constexpr (kK + 1 < kC) spread<kC, kK + 1>(g, y, lanes);
 }
 
 template <typename V>
@@ -210,7 +204,7 @@ struct Masking {
     V g{};
     clamp_lanes(m, 0.0f, 1.0f, g);
     exp2_lanes<V>((g - 0.5f) / 0.5f, g);
-    V y[kC];
+    V y[kC] = {};
     spread<kC>(g, y, std::make_index_sequence<sizeof(V) / sizeof(float)>{});
     for (int k = 0; k < kC; ++k) {
       pow_lanes(v[k], y[k], v[k]);

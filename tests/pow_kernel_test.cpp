@@ -178,13 +178,19 @@ std::vector<float> kernel_inputs(std::size_t n, std::uint64_t seed) {
   return ::testing::AssertionSuccess();
 }
 
-TEST(PowKernelTest, EveryBuildAndTailAreBitIdentical) {
+/// The generic build and every clone the CPU can run.
+std::vector<const detail::PowKernels*> every_build() {
   std::vector<const detail::PowKernels*> isas = {
       &detail::pow_kernels_generic()};
   for (const detail::PowKernels* clone :
        {detail::pow_kernels_avx2(), detail::pow_kernels_avx512()}) {
     if (clone != nullptr) isas.push_back(clone);
   }
+  return isas;
+}
+
+TEST(PowKernelTest, EveryBuildAndTailAreBitIdentical) {
+  const std::vector<const detail::PowKernels*> isas = every_build();
   std::vector<std::size_t> lengths;
   for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
   lengths.push_back(1000);
@@ -251,17 +257,12 @@ std::vector<float> per_sample_masking(const std::vector<float>& x,
 }
 
 TEST(PowKernelTest, MaskingEveryBuildMatchesPerSampleReference) {
-  std::vector<const detail::PowKernels*> isas = {
-      &detail::pow_kernels_generic()};
-  for (const detail::PowKernels* clone :
-       {detail::pow_kernels_avx2(), detail::pow_kernels_avx512()}) {
-    if (clone != nullptr) isas.push_back(clone);
-  }
+  const std::vector<const detail::PowKernels*> isas = every_build();
   std::vector<std::size_t> widths;
   for (std::size_t w = 0; w <= 64; ++w) widths.push_back(w);
   widths.push_back(1000);
-  const float bad_masks[] = {std::nanf(""), kInf,     -kInf,   -0.25f,
-                             1.5f,          FLT_MIN * 0.5f, -0.0f, 1.0f};
+  const float bad_masks[] = {std::nanf(""), kInf, -kInf, -0.25f,
+                             1.5f, FLT_MIN * 0.5f, -0.0f, 1.0f};
   const float bad_inputs[] = {0.0f, -0.0f, -0.5f, kInf, std::nanf(""),
                               -kInf};
   const BrightnessContrast adjust{0.05f, 1.15f};
