@@ -210,6 +210,52 @@ TEST(WireTest, StreamFrameGoldenBytesPinTheSampleLayout) {
   EXPECT_TRUE(bit_identical(decoded.frame, image));
 }
 
+/// FNV-1a (64-bit) over every byte of a message.
+std::uint64_t message_digest(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+/// A full-size request and response (serve_loopback's 512x384x3 frame):
+/// every field set, samples from a seeded generator, one NaN pattern.
+wire::Request pinned_request() {
+  wire::Request request;
+  request.request_id = 0x0123456789abcdefull;
+  request.job.qos = serve::QosClass::critical;
+  request.job.deadline_seconds = 0.5;
+  request.job.options = small_options("fused_stream");
+  request.job.options.threads = 2;
+  request.job.frame = random_hdr(512, 384, 2026);
+  request.job.frame.at(5, 7, 2) = std::nanf("");
+  return request;
+}
+
+wire::Response pinned_response() {
+  wire::Response response;
+  response.request_id = 0x0123456789abcdefull;
+  response.result.job_id = 77;
+  response.result.shard = 1;
+  response.result.backend = "fused_stream";
+  response.result.queue_seconds = 1.5e-4;
+  response.result.service_seconds = 5.75e-3;
+  response.result.output = random_hdr(512, 384, 2027);
+  return response;
+}
+
+TEST(WireTest, FullSizeMessagesArePinnedByDigest) {
+  // Digests of the whole encoded message, header and checksum included,
+  // recorded before the encoder learned to send samples from the plane.
+  // The golden-byte pins above cover the layout on tiny frames; these
+  // cover a real frame's size, sample run and checksum.
+  constexpr std::uint64_t kRequestDigest = 0x091f4d70b372a5a1ULL;
+  constexpr std::uint64_t kResponseDigest = 0xb024c9d107d31ecbULL;
+  EXPECT_EQ(message_digest(wire::encode_request(pinned_request())),
+            kRequestDigest);
+  EXPECT_EQ(message_digest(wire::encode_response(pinned_response())),
+            kResponseDigest);
+}
+
 TEST(WireTest, Crc32cMatchesTheCastagnoliKnownAnswer) {
   const std::string check = "123456789";
   const std::span<const std::uint8_t> bytes(
