@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,6 +19,33 @@
 namespace tmhls::img {
 
 namespace detail {
+
+/// std::allocator that default-initialises: `resize(n)` on a vector of
+/// samples leaves the new samples unwritten instead of zeroing them.
+/// Explicit fills (`assign(n, v)`, `std::fill`) are unaffected.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// Sample storage of every image.
+template <typename T>
+using Storage = std::vector<T, DefaultInitAllocator<T>>;
 
 /// Shared free-list state of a PlanePool (defined in plane_pool.cpp). A
 /// float plane acquired under a pool scope carries a shared_ptr to its
@@ -30,23 +58,33 @@ using RecyclerPtr = std::shared_ptr<PlaneRecycler>;
 /// A float plane's storage plus the recycler it is bound to (null when
 /// the acquiring thread had no pool scope installed).
 struct AcquiredPlane {
-  std::vector<float> storage;
+  Storage<float> storage;
   RecyclerPtr recycler;
 };
 
-/// Acquire zero-filled storage for `samples` floats, consulting the
-/// calling thread's installed recycler: a retained buffer of the exact
-/// sample count when the pool has one (no heap allocation), a fresh
-/// value-initialised vector otherwise. Fresh allocations advance the
-/// process-wide plane_allocation_count().
-AcquiredPlane acquire_plane(std::size_t samples);
+/// Acquire storage for `samples` floats, consulting the calling thread's
+/// installed recycler: a retained buffer of the exact sample count when
+/// the pool has one (no heap allocation), a fresh one otherwise. Fresh
+/// allocations advance the process-wide plane_allocation_count().
+/// `zero_fill` zeroes the samples; otherwise they are left as they are
+/// (a recycled buffer's old samples, or unwritten fresh memory) — and in
+/// AddressSanitizer builds set to a NaN pattern, so a sample read before
+/// it is written shows in every digest and memcmp test.
+AcquiredPlane acquire_plane(std::size_t samples, bool zero_fill);
 
 /// Hand a dying plane's storage back to the recycler it was acquired
 /// from. Never called with a null recycler.
 void release_plane(const RecyclerPtr& recycler,
-                   std::vector<float>&& storage) noexcept;
+                   Storage<float>&& storage) noexcept;
 
 } // namespace detail
+
+/// Tag for the constructor that leaves an image's samples unwritten. Use
+/// it only where every sample is written before any is read.
+struct Uninitialized {
+  explicit Uninitialized() = default;
+};
+inline constexpr Uninitialized uninitialized{};
 
 /// Interleaved row-major image with `channels` samples per pixel.
 ///
@@ -54,8 +92,9 @@ void release_plane(const RecyclerPtr& recycler,
 /// acquisition through the calling thread's recycler hook (see
 /// plane_pool.hpp), and a pool-backed image returns its buffer to the
 /// pool on destruction. This is invisible to users — a pooled image is
-/// zero-filled and behaves exactly like a fresh one — but it is why the
-/// special members below are spelled out instead of defaulted.
+/// zero-filled and behaves exactly like a fresh one, unless constructed
+/// with `uninitialized` — but it is why the special members below are
+/// spelled out instead of defaulted.
 template <typename T>
 class Image {
 public:
@@ -71,13 +110,27 @@ public:
                   "channels must be in [1, 4]");
     init_storage(static_cast<std::size_t>(width) *
                  static_cast<std::size_t>(height) *
-                 static_cast<std::size_t>(channels));
+                 static_cast<std::size_t>(channels), true);
+  }
+
+  /// Allocate a width x height image whose samples are left unwritten
+  /// (see detail::acquire_plane): for a producer that writes every
+  /// sample, such as a decoder or a full-frame kernel, the zero-fill is
+  /// wasted memory traffic.
+  Image(int width, int height, int channels, Uninitialized)
+      : width_(width), height_(height), channels_(channels) {
+    TMHLS_REQUIRE(width > 0 && height > 0, "image dimensions must be positive");
+    TMHLS_REQUIRE(channels >= 1 && channels <= 4,
+                  "channels must be in [1, 4]");
+    init_storage(static_cast<std::size_t>(width) *
+                 static_cast<std::size_t>(height) *
+                 static_cast<std::size_t>(channels), false);
   }
 
   Image(const Image& other)
       : width_(other.width_), height_(other.height_),
         channels_(other.channels_) {
-    init_storage(other.data_.size());
+    init_storage(other.data_.size(), false);
     std::copy(other.data_.begin(), other.data_.end(), data_.begin());
   }
 
@@ -87,7 +140,7 @@ public:
     // (and its pool binding, if any). Otherwise release and re-acquire.
     if (data_.size() != other.data_.size()) {
       release_storage();
-      init_storage(other.data_.size());
+      init_storage(other.data_.size(), false);
     }
     width_ = other.width_;
     height_ = other.height_;
@@ -172,16 +225,18 @@ public:
   }
 
 private:
-  /// Acquire storage for `samples` samples. Float planes consult the
-  /// calling thread's recycler hook; every other sample type allocates
-  /// plainly. Both paths leave the data zero-filled.
-  void init_storage(std::size_t samples) {
+  /// Acquire storage for `samples` samples, zero-filled or left
+  /// unwritten. Float planes consult the calling thread's recycler hook;
+  /// every other sample type allocates plainly.
+  void init_storage(std::size_t samples, bool zero_fill) {
     if constexpr (std::is_same_v<T, float>) {
-      detail::AcquiredPlane plane = detail::acquire_plane(samples);
+      detail::AcquiredPlane plane = detail::acquire_plane(samples, zero_fill);
       data_ = std::move(plane.storage);
       recycler_ = std::move(plane.recycler);
-    } else {
+    } else if (zero_fill) {
       data_.assign(samples, T{});
+    } else {
+      data_.resize(samples);
     }
   }
 
@@ -219,7 +274,7 @@ private:
   int width_ = 0;
   int height_ = 0;
   int channels_ = 1;
-  std::vector<T> data_;
+  detail::Storage<T> data_;
   /// Non-null only for pool-backed float planes (see init_storage).
   detail::RecyclerPtr recycler_;
 };

@@ -1,6 +1,8 @@
 #include "image/plane_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <deque>
 #include <limits>
 #include <map>
@@ -53,9 +55,9 @@ public:
       : max_retained_bytes_(max_retained_bytes) {}
 
   /// Pop a retained buffer of exactly `samples` floats, or report a miss
-  /// (the caller then allocates fresh). The returned buffer is NOT yet
-  /// zeroed — the caller zero-fills outside the lock.
-  bool try_reuse(std::size_t samples, std::vector<float>& out) {
+  /// (the caller then allocates fresh). The returned buffer is NOT
+  /// zeroed — the caller fills it, if at all, outside the lock.
+  bool try_reuse(std::size_t samples, Storage<float>& out) {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.acquires;
     auto it = free_.find(samples);
@@ -73,7 +75,7 @@ public:
     return true;
   }
 
-  void release(std::vector<float>&& storage) noexcept {
+  void release(Storage<float>&& storage) noexcept {
     const std::size_t bytes = bytes_of(storage);
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.returned;
@@ -112,11 +114,11 @@ public:
 
 private:
   struct Retained {
-    std::vector<float> storage;
+    Storage<float> storage;
     std::uint64_t stamp = 0; ///< global LRU clock at return time
   };
 
-  static std::size_t bytes_of(const std::vector<float>& storage) {
+  static std::size_t bytes_of(const Storage<float>& storage) {
     return storage.capacity() * sizeof(float);
   }
 
@@ -146,25 +148,32 @@ private:
   PoolStats stats_;
 };
 
-AcquiredPlane acquire_plane(std::size_t samples) {
+AcquiredPlane acquire_plane(std::size_t samples, bool zero_fill) {
   if (samples == 0) return {};
   AcquiredPlane plane;
   plane.recycler = t_recycler;
-  if (plane.recycler != nullptr &&
-      plane.recycler->try_reuse(samples, plane.storage)) {
-    // Zero-fill outside the pool lock: capacity already fits (exact-key
-    // reuse), so assign() is a memset, never an allocation — which is
-    // what makes a pooled plane bit-identical to a value-initialised one.
-    plane.storage.assign(samples, 0.0f);
-    return plane;
+  if (plane.recycler == nullptr ||
+      !plane.recycler->try_reuse(samples, plane.storage)) {
+    g_plane_allocations.fetch_add(1, std::memory_order_relaxed);
+    plane.storage.resize(samples); // default-initialised: no fill
   }
-  g_plane_allocations.fetch_add(1, std::memory_order_relaxed);
-  plane.storage = std::vector<float>(samples);
+  // Fill outside the pool lock. A reused buffer has exactly `samples`
+  // floats (free lists are keyed by size), so neither fill allocates; the
+  // zero fill is what makes a pooled plane bit-identical to a fresh
+  // value-initialised one.
+  if (zero_fill) {
+    std::fill(plane.storage.begin(), plane.storage.end(), 0.0f);
+  } else {
+#if defined(__SANITIZE_ADDRESS__)
+    std::fill(plane.storage.begin(), plane.storage.end(),
+              std::bit_cast<float>(0x7fa5a5a5u));
+#endif
+  }
   return plane;
 }
 
 void release_plane(const RecyclerPtr& recycler,
-                   std::vector<float>&& storage) noexcept {
+                   Storage<float>&& storage) noexcept {
   recycler->release(std::move(storage));
 }
 

@@ -21,7 +21,10 @@
 // Bit-identity is a hard invariant: recycled buffers are zero-filled on
 // acquire, so a pooled ImageF is indistinguishable from a fresh
 // value-initialised one. The pool changes where memory comes from, never
-// what any pipeline computes.
+// what any pipeline computes. The one exception is asked for by name: an
+// ImageF constructed with img::uninitialized skips the fill on recycled
+// and fresh storage alike, for producers that write every sample (the
+// wire decoder, the fused engine's output).
 //
 // Bounded retention: the pool retains at most `max_retained_bytes` of idle
 // buffers, evicting least-recently-used ones (across all geometries) when

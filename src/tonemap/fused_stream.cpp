@@ -316,8 +316,11 @@ FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
   result.input_max = by_max ? 0.0f : opt.normalization_scale;
   const char* const no_light = "normalize_to_max: image has no positive sample";
 
+  // The output is acquired unwritten: the bands write every sample. When
+  // the frame has no positive sample the bands return before writing and
+  // the REQUIRE below throws, so an unwritten plane is never returned.
   if (bands > 1) {
-    result.output = img::ImageF(w, h, c);
+    result.output = img::ImageF(w, h, c, img::uninitialized);
     std::vector<Band> plan = plan_bands(h, w, bands, kernel.radius());
     std::vector<float> band_max(static_cast<std::size_t>(bands), 0.0f);
     const bool ran = exec::run_bands(bands, [&](int b, exec::BandRound& round) {
@@ -347,7 +350,9 @@ FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
                                       hdr.samples().size());
     TMHLS_REQUIRE(result.input_max > 0.0f, no_light);
   }
-  if (result.output.empty()) result.output = img::ImageF(w, h, c);
+  if (result.output.empty()) {
+    result.output = img::ImageF(w, h, c, img::uninitialized);
+  }
   std::vector<Band> one = plan_bands(h, w, 1, kernel.radius());
   fused_tonemap_band(hdr, result.output, opt, kernel, result.input_max, one,
                      0, nullptr);

@@ -358,10 +358,10 @@ img::ImageF read_image(Reader& in) {
                     std::to_string(in.remaining()) + " available)");
   }
   // On a pooled thread (transport reader loops install the service
-  // pool's scope) this construction recycles a retained plane — the wire
-  // decodes straight into pool memory with no intermediate copy.
+  // pool's scope) this construction recycles a retained plane, unfilled:
+  // the copy below writes every sample.
   img::ImageF image(static_cast<int>(width), static_cast<int>(height),
-                    static_cast<int>(channels));
+                    static_cast<int>(channels), img::uninitialized);
   if constexpr (std::endian::native == std::endian::little) {
     // Samples are consecutive little-endian f32 words, which on a
     // little-endian host is exactly the plane's memory representation:

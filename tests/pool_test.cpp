@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -84,6 +85,28 @@ TEST(PlanePoolTest, RecycledPlanesAreZeroFilledBitIdentical) {
   const auto b = fresh.samples();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+}
+
+TEST(PlanePoolTest, UninitializedAcquireSkipsTheFill) {
+  PlanePool pool;
+  const PlanePool::Scope scope(pool);
+  { ImageF(16, 16, 1).fill(7.0f); } // a dirty buffer joins the free list
+  {
+    const ImageF unfilled(16, 16, 1, uninitialized);
+    ASSERT_EQ(pool.stats().pool_hits, 1u); // the dirty buffer, unfilled
+    for (const float v : unfilled.samples()) {
+#if defined(__SANITIZE_ADDRESS__)
+      EXPECT_TRUE(std::isnan(v)); // sanitizer builds poison unwritten planes
+#else
+      EXPECT_EQ(v, 7.0f);
+#endif
+    }
+  }
+  // The default constructor still zero-fills the same recycled buffer.
+  const ImageF zeroed(16, 16, 1);
+  ASSERT_EQ(pool.stats().pool_hits, 2u);
+  for (const float v : zeroed.samples()) EXPECT_EQ(v, 0.0f);
+  expect_balanced(pool);
 }
 
 TEST(PlanePoolTest, GeometryKeyIsolation) {
