@@ -11,39 +11,16 @@
 #include <memory>
 #include <span>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
+#include "common/default_init_allocator.hpp"
 #include "common/error.hpp"
 
 namespace tmhls::img {
 
 namespace detail {
 
-/// std::allocator that default-initialises: `resize(n)` on a vector of
-/// samples leaves the new samples unwritten instead of zeroing them.
-/// Explicit fills (`assign(n, v)`, `std::fill`) are unaffected.
-template <typename T>
-struct DefaultInitAllocator : std::allocator<T> {
-  template <typename U>
-  struct rebind {
-    using other = DefaultInitAllocator<U>;
-  };
-  DefaultInitAllocator() = default;
-  template <typename U>
-  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
-
-  template <typename U>
-  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
-    ::new (static_cast<void*>(p)) U;
-  }
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-  }
-};
-
-/// Sample storage of every image.
+/// Sample storage of every image; resize() leaves new samples unwritten.
 template <typename T>
 using Storage = std::vector<T, DefaultInitAllocator<T>>;
 

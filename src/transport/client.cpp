@@ -82,8 +82,21 @@ ClientResult Client::next_result() {
   TMHLS_REQUIRE(in_flight_ > 0,
                 "Client::next_result with no outstanding requests");
   TMHLS_REQUIRE(socket_.valid(), "Client::next_result on a closed client");
-  InboundMessage in;
-  switch (read_message(socket_, in)) { // throws WireError on protocol rot
+  // read_header / read_payload throw WireError on protocol rot.
+  wire::Header header;
+  wire::Response response;
+  Payload payload;
+  ReadMessageStatus status = read_header(socket_, header);
+  if (status == ReadMessageStatus::ok) {
+    if (header.type == wire::MessageType::response) {
+      status = read_payload(socket_, header, response);
+    } else if (header.type == wire::MessageType::error) {
+      status = read_payload(socket_, header, payload);
+    } else {
+      throw WireError("wire: server sent a request message");
+    }
+  }
+  switch (status) {
     case ReadMessageStatus::eof:
       throw TransportError(
           "server closed the connection with replies outstanding");
@@ -95,20 +108,16 @@ ClientResult Client::next_result() {
       throw TimeoutError("receive timed out while waiting for reply");
     case ReadMessageStatus::ok: break;
   }
-  if (in.header.type == wire::MessageType::response) {
-    wire::Response response = wire::decode_response(in.payload);
+  if (header.type == wire::MessageType::response) {
     --in_flight_;
     ClientResult out;
     out.request_id = response.request_id;
     out.result = std::move(response.result);
     return out;
   }
-  if (in.header.type == wire::MessageType::error) {
-    const wire::ErrorReply reply = wire::decode_error(in.payload);
-    --in_flight_;
-    throw RemoteError(reply.request_id, reply.message, reply.code);
-  }
-  throw WireError("wire: server sent a request message");
+  const wire::ErrorReply reply = wire::decode_error(payload);
+  --in_flight_;
+  throw RemoteError(reply.request_id, reply.message, reply.code);
 }
 
 serve::FrameResult Client::call(serve::FrameJob job) {
@@ -162,8 +171,17 @@ serve::FrameResult Client::call(serve::FrameJob job) {
 void Client::pump_stream_message() {
   TMHLS_REQUIRE(socket_.valid(),
                 "Client stream operation on a closed client");
-  InboundMessage in;
-  switch (read_message(socket_, in)) { // throws WireError on protocol rot
+  // read_header / read_payload throw WireError on protocol rot.
+  wire::Header header;
+  wire::StreamResult result;
+  Payload payload;
+  ReadMessageStatus status = read_header(socket_, header);
+  if (status == ReadMessageStatus::ok) {
+    status = header.type == wire::MessageType::stream_result
+                 ? read_payload(socket_, header, result)
+                 : read_payload(socket_, header, payload);
+  }
+  switch (status) {
     case ReadMessageStatus::eof:
       throw TransportError(
           "server closed the connection with streams open");
@@ -173,9 +191,9 @@ void Client::pump_stream_message() {
       throw TimeoutError("receive timed out while waiting for stream reply");
     case ReadMessageStatus::ok: break;
   }
-  switch (in.header.type) {
+  switch (header.type) {
     case wire::MessageType::stream_opened: {
-      const wire::StreamOpened opened = wire::decode_stream_opened(in.payload);
+      const wire::StreamOpened opened = wire::decode_stream_opened(payload);
       const auto it = streams_.find(opened.stream_id);
       if (it == streams_.end()) {
         throw WireError("wire: server opened an unknown stream");
@@ -185,7 +203,6 @@ void Client::pump_stream_message() {
       return;
     }
     case wire::MessageType::stream_result: {
-      wire::StreamResult result = wire::decode_stream_result(in.payload);
       const auto it = streams_.find(result.stream_id);
       // A delivery implicitly returns the frame's credit.
       if (it != streams_.end() && !it->second.closed) ++it->second.credits;
@@ -200,7 +217,7 @@ void Client::pump_stream_message() {
       return;
     }
     case wire::MessageType::stream_credit: {
-      const wire::StreamCredit credit = wire::decode_stream_credit(in.payload);
+      const wire::StreamCredit credit = wire::decode_stream_credit(payload);
       const auto it = streams_.find(credit.stream_id);
       if (it != streams_.end() && !it->second.closed) {
         it->second.credits += credit.credits;
@@ -208,7 +225,7 @@ void Client::pump_stream_message() {
       return;
     }
     case wire::MessageType::stream_closed: {
-      wire::StreamClosed closed = wire::decode_stream_closed(in.payload);
+      wire::StreamClosed closed = wire::decode_stream_closed(payload);
       const auto it = streams_.find(closed.stream_id);
       if (it == streams_.end()) {
         throw WireError("wire: server closed an unknown stream");
@@ -218,7 +235,7 @@ void Client::pump_stream_message() {
       return;
     }
     case wire::MessageType::error: {
-      const wire::ErrorReply reply = wire::decode_error(in.payload);
+      const wire::ErrorReply reply = wire::decode_error(payload);
       // A stream-scoped per-frame rejection (window exhausted, malformed
       // frame): the frame never entered the stream server-side, so its
       // credit comes back here. The stream itself survives.

@@ -4,7 +4,31 @@
 
 namespace tmhls::transport {
 
-ReadMessageStatus read_message(Socket& socket, InboundMessage& message) {
+namespace {
+
+/// A payload read that ended early: a timeout keeps its meaning, and end
+/// of stream inside a message is a truncated stream, not a clean finish.
+ReadMessageStatus broken(ReadStatus status) {
+  return status == ReadStatus::timeout ? ReadMessageStatus::timeout
+                                       : ReadMessageStatus::error;
+}
+
+template <typename Message>
+ReadMessageStatus receive(Socket& socket, const wire::Header& header,
+                          Message& message) {
+  ReadStatus status = ReadStatus::ok;
+  const wire::Receive from_socket = [&](std::span<std::uint8_t> bytes) {
+    status = socket.recv_all(bytes);
+    return status == ReadStatus::ok;
+  };
+  return wire::receive_payload(header, from_socket, message)
+             ? ReadMessageStatus::ok
+             : broken(status);
+}
+
+} // namespace
+
+ReadMessageStatus read_header(Socket& socket, wire::Header& header) {
   std::array<std::uint8_t, wire::kHeaderBytes> head{};
   switch (socket.recv_all(head)) {
     case ReadStatus::eof: return ReadMessageStatus::eof;
@@ -14,18 +38,45 @@ ReadMessageStatus read_message(Socket& socket, InboundMessage& message) {
   }
   // Throws WireError on malformed headers; the payload size is bounded by
   // kMaxPayloadBytes before anything is allocated.
-  message.header = wire::decode_header(head);
-  message.payload.assign(message.header.payload_bytes, 0);
-  if (message.header.payload_bytes > 0) {
-    const ReadStatus status = socket.recv_all(message.payload);
-    if (status == ReadStatus::timeout) return ReadMessageStatus::timeout;
-    if (status != ReadStatus::ok) {
-      // EOF inside a message is a truncated stream, not a clean finish.
-      return ReadMessageStatus::error;
-    }
-  }
-  wire::verify_checksum(message.header, message.payload); // throws WireError
+  header = wire::decode_header(head);
   return ReadMessageStatus::ok;
+}
+
+ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
+                               Payload& payload) {
+  payload.resize(header.payload_bytes);
+  if (header.payload_bytes > 0) {
+    const ReadStatus status = socket.recv_all(payload);
+    if (status != ReadStatus::ok) return broken(status);
+  }
+  wire::verify_checksum(header, payload); // throws WireError
+  return ReadMessageStatus::ok;
+}
+
+ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
+                               wire::Request& message) {
+  return receive(socket, header, message);
+}
+
+ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
+                               wire::Response& message) {
+  return receive(socket, header, message);
+}
+
+ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
+                               wire::StreamFrame& message) {
+  return receive(socket, header, message);
+}
+
+ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
+                               wire::StreamResult& message) {
+  return receive(socket, header, message);
+}
+
+ReadMessageStatus read_message(Socket& socket, InboundMessage& message) {
+  const ReadMessageStatus status = read_header(socket, message.header);
+  if (status != ReadMessageStatus::ok) return status;
+  return read_payload(socket, message.header, message.payload);
 }
 
 } // namespace tmhls::transport

@@ -1,25 +1,33 @@
 // Message-level I/O shared by transport::Server and transport::Client:
-// read one complete framed message (header + checksum-verified payload)
-// off a stream socket. Writing needs no helper — wire::encode_* returns a
-// complete message and Socket::send_all writes it.
+// read one framed message (header, then a checksum-verified payload) off a
+// stream socket. Image messages are received straight into a plane
+// (wire::receive_payload); every other payload, and any message a caller
+// wants as plain bytes (read_message), arrives as a byte vector. Writing
+// needs no helper: Socket::send_all takes a message's pieces (the encoded
+// fields, then the samples in place) and writes them with one gather
+// write.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/default_init_allocator.hpp"
 #include "transport/socket.hpp"
 #include "transport/wire.hpp"
 
 namespace tmhls::transport {
 
+/// A payload buffer: sized without a fill, then received into.
+using Payload = std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>>;
+
 /// One complete inbound message: the validated header and its
 /// checksum-verified payload (not yet decoded into a typed message).
 struct InboundMessage {
   wire::Header header;
-  std::vector<std::uint8_t> payload;
+  Payload payload;
 };
 
-/// Outcome of read_message.
+/// Outcome of read_header, read_payload and read_message.
 enum class ReadMessageStatus {
   ok,      ///< `message` holds a validated header + verified payload
   eof,     ///< clean end of stream at a message boundary
@@ -28,9 +36,30 @@ enum class ReadMessageStatus {
            ///< is unknown, so the connection is only good for closing
 };
 
-/// Read exactly one message. Throws WireError when the bytes violate the
-/// protocol (bad magic/version/type, oversized payload, checksum
-/// mismatch) — the stream is unsynchronised and the caller must close it.
+/// Read one header. Throws WireError when the bytes violate the protocol
+/// (bad magic/version/type, oversized payload) — the stream is
+/// unsynchronised and the caller must close it.
+ReadMessageStatus read_header(Socket& socket, wire::Header& header);
+
+/// Read the payload of a message whose header was read, as bytes, and
+/// verify its checksum (throws WireError on a mismatch). End of stream
+/// here is mid-message: error, never eof.
+ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
+                               Payload& payload);
+
+/// Receive an image message's payload straight into a plane and decode it
+/// (wire::receive_payload); the same statuses and WireError cases.
+ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
+                               wire::Request& message);
+ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
+                               wire::Response& message);
+ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
+                               wire::StreamFrame& message);
+ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
+                               wire::StreamResult& message);
+
+/// Read exactly one message, its payload as bytes: read_header, then
+/// read_payload.
 ReadMessageStatus read_message(Socket& socket, InboundMessage& message);
 
 } // namespace tmhls::transport

@@ -199,20 +199,53 @@ void Server::accept_loop() {
 }
 
 void Server::reader_loop(Connection& c) {
-  // Wire payloads — request and stream frames alike — decode straight
-  // into service-pool planes: read_image's destination ImageF is
-  // constructed on this thread, so installing the scope here removes the
-  // per-frame allocation once the pool is warm.
+  // Request and stream-frame samples are received straight into
+  // service-pool planes: the plane is acquired on this thread, so
+  // installing the scope here removes the per-frame allocation once the
+  // pool is warm.
   const img::PlanePool::Scope pool_scope(service_.plane_pool());
   for (;;) {
-    InboundMessage in;
+    wire::Header header;
+    wire::Request request;
     ReadMessageStatus status;
     try {
-      status = read_message(c.socket, in);
+      status = read_header(c.socket, header);
+      if (status == ReadMessageStatus::ok) {
+        // Stream messages (v3) are dispatched right here; see the
+        // handle_stream_* declarations for why that is the right thread.
+        switch (header.type) {
+          case wire::MessageType::request:
+            status = read_payload(c.socket, header, request);
+            break;
+          case wire::MessageType::stream_frame: {
+            wire::StreamFrame frame;
+            status = read_payload(c.socket, header, frame);
+            if (status == ReadMessageStatus::ok) {
+              handle_stream_frame(c, std::move(frame));
+            }
+            break;
+          }
+          case wire::MessageType::stream_open:
+          case wire::MessageType::stream_close: {
+            Payload payload;
+            status = read_payload(c.socket, header, payload);
+            if (status != ReadMessageStatus::ok) break;
+            if (header.type == wire::MessageType::stream_open) {
+              handle_stream_open(c, payload);
+            } else {
+              handle_stream_close(c, payload);
+            }
+            break;
+          }
+          default:
+            throw WireError("wire: client sent a server-to-client message");
+        }
+      }
     } catch (const WireError&) {
       // The stream is unsynchronised (bad magic/version, oversized or
-      // checksum-failing payload): this connection cannot be trusted.
-      // Cut it — the service and every other connection keep running.
+      // checksum-failing payload, malformed fields): this connection
+      // cannot be trusted. Cut it — the service and every other
+      // connection keep running.
       protocol_errors_.fetch_add(1);
       c.socket.shutdown_both();
       break;
@@ -224,38 +257,7 @@ void Server::reader_loop(Connection& c) {
       protocol_errors_.fetch_add(1);
       break;
     }
-    if (in.header.type != wire::MessageType::request) {
-      // Stream messages (v3) are dispatched right here; see the
-      // handle_stream_* declarations for why that is the right thread.
-      try {
-        switch (in.header.type) {
-          case wire::MessageType::stream_open:
-            handle_stream_open(c, in.payload);
-            break;
-          case wire::MessageType::stream_frame:
-            handle_stream_frame(c, in.payload);
-            break;
-          case wire::MessageType::stream_close:
-            handle_stream_close(c, in.payload);
-            break;
-          default:
-            throw WireError("wire: client sent a server-to-client message");
-        }
-      } catch (const WireError&) {
-        protocol_errors_.fetch_add(1);
-        c.socket.shutdown_both();
-        break;
-      }
-      continue;
-    }
-    wire::Request request;
-    try {
-      request = wire::decode_request(in.payload);
-    } catch (const WireError&) {
-      protocol_errors_.fetch_add(1);
-      c.socket.shutdown_both();
-      break;
-    }
+    if (header.type != wire::MessageType::request) continue;
     requests_received_.fetch_add(1);
 
     // Bounded in-flight window: while it is full the reader stops pulling
@@ -367,9 +369,7 @@ void Server::handle_stream_open(Connection& c,
   }
 }
 
-void Server::handle_stream_frame(Connection& c,
-                                 std::span<const std::uint8_t> payload) {
-  wire::StreamFrame frame = wire::decode_stream_frame(payload);
+void Server::handle_stream_frame(Connection& c, wire::StreamFrame frame) {
   stream_frames_received_.fetch_add(1);
   const auto it = c.stream_ids.find(frame.stream_id);
   if (it == c.stream_ids.end()) {

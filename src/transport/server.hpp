@@ -39,6 +39,7 @@
 #include "serve/service.hpp"
 #include "stream/session.hpp"
 #include "transport/socket.hpp"
+#include "transport/wire.hpp"
 
 namespace tmhls::transport {
 
@@ -161,8 +162,7 @@ private:
   /// caller (protocol violation).
   void handle_stream_open(Connection& connection,
                           std::span<const std::uint8_t> payload);
-  void handle_stream_frame(Connection& connection,
-                           std::span<const std::uint8_t> payload);
+  void handle_stream_frame(Connection& connection, wire::StreamFrame frame);
   void handle_stream_close(Connection& connection,
                            std::span<const std::uint8_t> payload);
   /// Reader-exit reclamation: abort every stream the connection still

@@ -332,7 +332,18 @@ std::size_t image_bytes(const img::ImageF& image) {
   return 12 + image.sample_count() * 4;
 }
 
-img::ImageF read_image(Reader& in) {
+/// The dimensions at the head of an image field, validated.
+struct Shape {
+  int width = 0;
+  int height = 0;
+  int channels = 0;
+  std::size_t bytes() const {
+    return static_cast<std::size_t>(width) * static_cast<std::size_t>(height) *
+           static_cast<std::size_t>(channels) * 4;
+  }
+};
+
+Shape read_shape(Reader& in) {
   const std::uint32_t width = in.u32();
   const std::uint32_t height = in.u32();
   const std::uint32_t channels = in.u32();
@@ -346,27 +357,39 @@ img::ImageF read_image(Reader& in) {
     throw WireError("wire: image channels " + std::to_string(channels) +
                     " outside [1, 4]");
   }
-  const std::size_t samples = static_cast<std::size_t>(width) *
-                              static_cast<std::size_t>(height) *
-                              static_cast<std::size_t>(channels);
+  return {static_cast<int>(width), static_cast<int>(height),
+          static_cast<int>(channels)};
+}
+
+/// A plane of `shape` whose samples are left for the caller to write. On a
+/// pooled thread (transport reader loops install the service pool's scope)
+/// it is a recycled plane, unfilled.
+img::ImageF unwritten_image(const Shape& shape) {
+  return img::ImageF(shape.width, shape.height, shape.channels,
+                     img::uninitialized);
+}
+
+/// An image's samples as the bytes they travel as: on a little-endian
+/// host the plane's memory already is the wire's run of little-endian f32
+/// words.
+std::span<std::uint8_t> sample_bytes(img::ImageF& image) {
+  return {reinterpret_cast<std::uint8_t*>(image.samples().data()),
+          image.sample_count() * 4};
+}
+
+img::ImageF read_image(Reader& in) {
+  const Shape shape = read_shape(in);
   // The declared geometry must be backed by actual payload bytes *before*
   // the image is allocated: an attacker-controlled header must never turn
   // into an attacker-sized allocation.
-  if (in.remaining() < samples * 4) {
+  if (in.remaining() < shape.bytes()) {
     throw WireError("wire: image data truncated (" +
-                    std::to_string(samples * 4) + " bytes declared, " +
+                    std::to_string(shape.bytes()) + " bytes declared, " +
                     std::to_string(in.remaining()) + " available)");
   }
-  // On a pooled thread (transport reader loops install the service
-  // pool's scope) this construction recycles a retained plane, unfilled:
-  // the copy below writes every sample.
-  img::ImageF image(static_cast<int>(width), static_cast<int>(height),
-                    static_cast<int>(channels), img::uninitialized);
+  img::ImageF image = unwritten_image(shape);
   if constexpr (std::endian::native == std::endian::little) {
-    // Samples are consecutive little-endian f32 words, which on a
-    // little-endian host is exactly the plane's memory representation:
-    // one bounds-checked memcpy instead of per-sample reassembly.
-    const auto raw = in.bytes(samples * 4);
+    const auto raw = in.bytes(shape.bytes());
     std::memcpy(image.samples().data(), raw.data(), raw.size());
   } else {
     for (float& v : image.samples()) v = in.f32();
@@ -425,35 +448,172 @@ constexpr std::array<std::uint32_t, 256> crc32c_table() {
 
 constexpr std::array<std::uint32_t, 256> kCrc32cTable = crc32c_table();
 
+/// The CRC32C of `bytes` continued from `crc`, the CRC32C of the bytes
+/// before them (0 for none): the running register is the complement of
+/// the CRC so far, so a piece-wise CRC picks up where the last piece left
+/// off.
+std::uint32_t crc32c_extend_portable(std::uint32_t crc,
+                                     std::span<const std::uint8_t> bytes) {
+  crc = ~crc;
+  for (std::uint8_t byte : bytes) {
+    crc = (crc >> 8) ^ kCrc32cTable[(crc ^ byte) & 0xffu];
+  }
+  return ~crc;
+}
+
 #ifdef TMHLS_CRC32C_X86
 // One dependent crc32 chain, eight bytes per instruction. Words are loaded
 // with memcpy, so a payload at any address is well-defined; x86 is
 // little-endian, so each word holds its bytes in stream order, which is
 // the order the instruction consumes them in.
 __attribute__((target("sse4.2"))) std::uint32_t
-crc32c_sse42(const std::uint8_t* bytes, std::size_t n) {
-  std::uint64_t crc = 0xFFFFFFFFu;
+crc32c_extend_sse42(std::uint32_t crc, const std::uint8_t* bytes,
+                    std::size_t n) {
+  std::uint64_t chain = ~crc;
   for (; n >= 8; bytes += 8, n -= 8) {
     std::uint64_t word;
     std::memcpy(&word, bytes, 8);
-    crc = _mm_crc32_u64(crc, word);
+    chain = _mm_crc32_u64(chain, word);
   }
-  auto crc32 = static_cast<std::uint32_t>(crc);
+  auto crc32 = static_cast<std::uint32_t>(chain);
   for (; n > 0; ++bytes, --n) crc32 = _mm_crc32_u8(crc32, *bytes);
   return ~crc32;
 }
 #endif
+
+std::uint32_t crc32c_extend(std::uint32_t crc,
+                            std::span<const std::uint8_t> bytes) {
+#ifdef TMHLS_CRC32C_X86
+  if (detail::crc32c_hardware_available()) {
+    return crc32c_extend_sse42(crc, bytes.data(), bytes.size());
+  }
+#endif
+  return crc32c_extend_portable(crc, bytes);
+}
+
+// --- image messages ----------------------------------------------------------
+// Request, response, stream frame and stream result payloads all end in one
+// image field, [width][height][channels][samples]. Each message's fields
+// before it are read in one place, read_fields, which returns the slot its
+// image goes into; the whole-payload decoders and the receive-into-plane
+// path share it.
+
+img::ImageF& read_fields(Reader& in, Request& request) {
+  request.request_id = in.u64();
+  request.job.qos = qos_of(in.u8());
+  const std::uint8_t has_deadline = in.u8();
+  if (has_deadline > 1) {
+    throw WireError("wire: deadline flag must be 0 or 1, got " +
+                    std::to_string(has_deadline));
+  }
+  const double deadline = in.f64();
+  // The deadline is relative (seconds from server-side admission), so no
+  // clock synchronisation is assumed — but hostile bit patterns (NaN,
+  // infinities, negatives) are a protocol violation, not an execution
+  // error. An absent deadline must carry exactly 0.0 so each request has
+  // a single canonical encoding.
+  if (has_deadline == 1) {
+    if (!std::isfinite(deadline) || deadline < 0.0) {
+      throw WireError("wire: deadline_seconds must be finite and >= 0");
+    }
+    request.job.deadline_seconds = deadline;
+  } else if (deadline != 0.0) {
+    throw WireError("wire: deadline value must be 0 when the flag is 0");
+  }
+  request.job.options = read_options(in);
+  return request.job.frame;
+}
+
+img::ImageF& read_fields(Reader& in, Response& response) {
+  response.request_id = in.u64();
+  response.result.job_id = in.u64();
+  response.result.shard = in.i32();
+  response.result.degrade = degrade_of(in.u8());
+  response.result.backend = in.string();
+  response.result.queue_seconds = in.f64();
+  response.result.service_seconds = in.f64();
+  return response.result.output;
+}
+
+img::ImageF& read_fields(Reader& in, StreamFrame& frame) {
+  frame.stream_id = in.u64();
+  frame.sequence = in.u64();
+  return frame.frame;
+}
+
+img::ImageF& read_fields(Reader& in, StreamResult& result) {
+  result.stream_id = in.u64();
+  result.sequence = in.u64();
+  result.rung = degrade_of(in.u8());
+  result.backend = in.string();
+  result.service_seconds = in.f64();
+  return result.output;
+}
+
+/// Decode a whole image-message payload (header already checked).
+template <typename Message>
+Message decode_image_message(std::span<const std::uint8_t> payload,
+                             const char* what) {
+  Reader in(payload);
+  Message message;
+  // Two statements: in `a = b` the right side runs first, and the fields
+  // come before the image on the wire.
+  img::ImageF& slot = read_fields(in, message);
+  slot = read_image(in);
+  in.expect_exhausted(what);
+  return message;
+}
+
+/// Bound on an image message's bytes before its samples: the fields
+/// (kFieldBytes), one string and the three dimensions.
+constexpr std::size_t kImagePrefixBytes = kFieldBytes + kMaxStringBytes + 12;
+
+/// Receive an image message's payload: the prefix into a stack buffer,
+/// the samples straight into an unwritten plane, one checksum over both.
+template <typename Message>
+bool receive_image_message(const Header& header, const Receive& receive,
+                           Message& out) {
+  std::array<std::uint8_t, kImagePrefixBytes> buffer;
+  const auto prefix = std::span(buffer).first(
+      std::min<std::size_t>(header.payload_bytes, buffer.size()));
+  if (!receive(prefix)) return false;
+  Reader in(prefix);
+  Message message;
+  img::ImageF& slot = read_fields(in, message);
+  const Shape shape = read_shape(in);
+  // Size the plane from the declared payload before allocating it: the
+  // samples must fill the payload exactly.
+  const std::size_t before_samples = prefix.size() - in.remaining();
+  if (before_samples + shape.bytes() != header.payload_bytes) {
+    throw WireError("wire: image of " + std::to_string(shape.bytes()) +
+                    " sample bytes disagrees with the payload size " +
+                    std::to_string(header.payload_bytes));
+  }
+  img::ImageF image = unwritten_image(shape);
+  const std::span<std::uint8_t> samples = sample_bytes(image);
+  const std::span<const std::uint8_t> early = in.bytes(in.remaining());
+  std::memcpy(samples.data(), early.data(), early.size());
+  const std::span<std::uint8_t> rest = samples.subspan(early.size());
+  if (!rest.empty() && !receive(rest)) return false;
+  if (crc32c_extend(crc32c_extend(0, prefix), rest) != header.checksum) {
+    throw WireError("wire: payload checksum mismatch");
+  }
+  if constexpr (std::endian::native == std::endian::big) {
+    for (float& v : image.samples()) {
+      v = std::bit_cast<float>(__builtin_bswap32(std::bit_cast<std::uint32_t>(v)));
+    }
+  }
+  slot = std::move(image);
+  out = std::move(message);
+  return true;
+}
 
 } // namespace
 
 namespace detail {
 
 std::uint32_t crc32c_portable(std::span<const std::uint8_t> bytes) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::uint8_t byte : bytes) {
-    crc = (crc >> 8) ^ kCrc32cTable[(crc ^ byte) & 0xffu];
-  }
-  return ~crc;
+  return crc32c_extend_portable(0, bytes);
 }
 
 bool crc32c_hardware_available() {
@@ -467,7 +627,7 @@ bool crc32c_hardware_available() {
 
 std::uint32_t crc32c_hardware(std::span<const std::uint8_t> bytes) {
 #ifdef TMHLS_CRC32C_X86
-  return crc32c_sse42(bytes.data(), bytes.size());
+  return crc32c_extend_sse42(0, bytes.data(), bytes.size());
 #else
   // No crc32 instruction on this ISA; checksum() never selects this path.
   return crc32c_portable(bytes);
@@ -477,9 +637,11 @@ std::uint32_t crc32c_hardware(std::span<const std::uint8_t> bytes) {
 } // namespace detail
 
 std::uint32_t checksum(std::span<const std::uint8_t> payload) {
-  return detail::crc32c_hardware_available()
-             ? detail::crc32c_hardware(payload)
-             : detail::crc32c_portable(payload);
+  return crc32c_extend(0, payload);
+}
+
+std::uint32_t checksum(std::uint32_t crc, std::span<const std::uint8_t> more) {
+  return crc32c_extend(crc, more);
 }
 
 std::array<std::uint8_t, kHeaderBytes> encode_header(const Header& header) {
@@ -559,33 +721,12 @@ std::vector<std::uint8_t> encode_request(const Request& request) {
 }
 
 Request decode_request(std::span<const std::uint8_t> payload) {
-  Reader in(payload);
-  Request request;
-  request.request_id = in.u64();
-  request.job.qos = qos_of(in.u8());
-  const std::uint8_t has_deadline = in.u8();
-  if (has_deadline > 1) {
-    throw WireError("wire: deadline flag must be 0 or 1, got " +
-                    std::to_string(has_deadline));
-  }
-  const double deadline = in.f64();
-  // The deadline is relative (seconds from server-side admission), so no
-  // clock synchronisation is assumed — but hostile bit patterns (NaN,
-  // infinities, negatives) are a protocol violation, not an execution
-  // error. An absent deadline must carry exactly 0.0 so each request has
-  // a single canonical encoding.
-  if (has_deadline == 1) {
-    if (!std::isfinite(deadline) || deadline < 0.0) {
-      throw WireError("wire: deadline_seconds must be finite and >= 0");
-    }
-    request.job.deadline_seconds = deadline;
-  } else if (deadline != 0.0) {
-    throw WireError("wire: deadline value must be 0 when the flag is 0");
-  }
-  request.job.options = read_options(in);
-  request.job.frame = read_image(in);
-  in.expect_exhausted("request");
-  return request;
+  return decode_image_message<Request>(payload, "request");
+}
+
+bool receive_payload(const Header& header, const Receive& receive,
+                     Request& request) {
+  return receive_image_message(header, receive, request);
 }
 
 std::vector<std::uint8_t> encode_response(const Response& response) {
@@ -603,18 +744,12 @@ std::vector<std::uint8_t> encode_response(const Response& response) {
 }
 
 Response decode_response(std::span<const std::uint8_t> payload) {
-  Reader in(payload);
-  Response response;
-  response.request_id = in.u64();
-  response.result.job_id = in.u64();
-  response.result.shard = in.i32();
-  response.result.degrade = degrade_of(in.u8());
-  response.result.backend = in.string();
-  response.result.queue_seconds = in.f64();
-  response.result.service_seconds = in.f64();
-  response.result.output = read_image(in);
-  in.expect_exhausted("response");
-  return response;
+  return decode_image_message<Response>(payload, "response");
+}
+
+bool receive_payload(const Header& header, const Receive& receive,
+                     Response& response) {
+  return receive_image_message(header, receive, response);
 }
 
 std::vector<std::uint8_t> encode_error(const ErrorReply& reply) {
@@ -755,13 +890,12 @@ std::vector<std::uint8_t> encode_stream_frame(const StreamFrame& frame) {
 }
 
 StreamFrame decode_stream_frame(std::span<const std::uint8_t> payload) {
-  Reader in(payload);
-  StreamFrame frame;
-  frame.stream_id = in.u64();
-  frame.sequence = in.u64();
-  frame.frame = read_image(in);
-  in.expect_exhausted("stream_frame");
-  return frame;
+  return decode_image_message<StreamFrame>(payload, "stream_frame");
+}
+
+bool receive_payload(const Header& header, const Receive& receive,
+                     StreamFrame& frame) {
+  return receive_image_message(header, receive, frame);
 }
 
 std::vector<std::uint8_t> encode_stream_result(const StreamResult& result) {
@@ -777,16 +911,12 @@ std::vector<std::uint8_t> encode_stream_result(const StreamResult& result) {
 }
 
 StreamResult decode_stream_result(std::span<const std::uint8_t> payload) {
-  Reader in(payload);
-  StreamResult result;
-  result.stream_id = in.u64();
-  result.sequence = in.u64();
-  result.rung = degrade_of(in.u8());
-  result.backend = in.string();
-  result.service_seconds = in.f64();
-  result.output = read_image(in);
-  in.expect_exhausted("stream_result");
-  return result;
+  return decode_image_message<StreamResult>(payload, "stream_result");
+}
+
+bool receive_payload(const Header& header, const Receive& receive,
+                     StreamResult& result) {
+  return receive_image_message(header, receive, result);
 }
 
 std::vector<std::uint8_t> encode_stream_credit(const StreamCredit& credit) {

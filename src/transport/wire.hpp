@@ -33,6 +33,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -130,6 +131,11 @@ struct Header {
 /// crc32 instruction where the host has it and to a table-driven loop with
 /// the same result elsewhere.
 std::uint32_t checksum(std::span<const std::uint8_t> payload);
+
+/// checksum() continued over `more`, given `crc`, the checksum of the
+/// bytes before them: checksum(checksum(a), b) == checksum(a ++ b). A
+/// message's pieces are checksummed where they lie, without joining them.
+std::uint32_t checksum(std::uint32_t crc, std::span<const std::uint8_t> more);
 
 namespace detail {
 
@@ -273,6 +279,28 @@ std::vector<std::uint8_t> encode_stream_result(const StreamResult& result);
 std::vector<std::uint8_t> encode_stream_credit(const StreamCredit& credit);
 std::vector<std::uint8_t> encode_stream_close(const StreamClose& close);
 std::vector<std::uint8_t> encode_stream_closed(const StreamClosed& closed);
+
+/// Fills its span exactly from the stream; false when the stream ended or
+/// broke first.
+using Receive = std::function<bool(std::span<std::uint8_t>)>;
+
+/// Receive the payload of an image message (request, response, stream
+/// frame, stream result) whose header was read, straight into a plane.
+/// The fields and image dimensions arrive first, into a bounded buffer;
+/// the samples they declare must fill the payload exactly, and only then
+/// is an unwritten plane acquired (pooled under a PlanePool::Scope) and
+/// the samples received into it. `message` is assigned only after the
+/// checksum over both pieces holds. Throws WireError as the decoders do,
+/// and on a size disagreement or checksum mismatch; returns false when
+/// `receive` failed (the stream broke mid-message).
+bool receive_payload(const Header& header, const Receive& receive,
+                     Request& message);
+bool receive_payload(const Header& header, const Receive& receive,
+                     Response& message);
+bool receive_payload(const Header& header, const Receive& receive,
+                     StreamFrame& message);
+bool receive_payload(const Header& header, const Receive& receive,
+                     StreamResult& message);
 
 /// Decode one payload (the caller has already decoded the header, read
 /// exactly header.payload_bytes and verified the checksum). Throws

@@ -997,6 +997,81 @@ TEST(TransportMalformedTest, MalformedStreamsCloseOnlyTheirConnection) {
   EXPECT_EQ(server.stats().requests_received, 1u);
 }
 
+/// Wait (bounded) until the server has counted `n` protocol errors.
+void await_protocol_errors(const Server& server, std::uint64_t n) {
+  for (int i = 0; i < 500; ++i) {
+    if (server.stats().protocol_errors >= n) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+}
+
+TEST(TransportMalformedTest, HostileImagePayloadsOnALiveServer) {
+  // A request's samples are received straight into a pooled plane. The
+  // plane is acquired only once the declared dimensions fill the payload
+  // exactly, and it goes back to the pool when the message is rejected
+  // after the samples have landed.
+  Server server(small_server(1));
+  const std::uint16_t port = server.port();
+  const img::PlanePool& pool = *server.service().plane_pool();
+  Client bystander({"127.0.0.1", port, 5.0}); // a connection to keep alive
+  // 36 KiB of samples: more than arrives with the fields.
+  const std::vector<std::uint8_t> good =
+      wire::encode_request({0, {random_hdr(64, 48, 5), {}, {}, {}}});
+
+  {
+    SCOPED_TRACE("dimensions disagree with the payload size");
+    // Four trailing bytes, framed with a correct header and checksum: the
+    // samples the dimensions declare no longer fill the payload.
+    std::vector<std::uint8_t> payload(good.begin() + wire::kHeaderBytes,
+                                      good.end());
+    put_u32(payload, 0);
+    wire::Header header;
+    header.type = wire::MessageType::request;
+    header.payload_bytes = static_cast<std::uint32_t>(payload.size());
+    header.checksum = wire::checksum(payload);
+    const auto head = wire::encode_header(header);
+    std::vector<std::uint8_t> message(head.size() + payload.size());
+    std::memcpy(message.data(), head.data(), head.size());
+    std::memcpy(message.data() + head.size(), payload.data(), payload.size());
+    expect_connection_rejected(port, message);
+    await_protocol_errors(server, 1);
+    EXPECT_EQ(server.stats().protocol_errors, 1u);
+    EXPECT_EQ(pool.stats().acquires, 0u); // rejected before acquiring
+  }
+  {
+    SCOPED_TRACE("checksum mismatch in the last sample");
+    std::vector<std::uint8_t> corrupted = good;
+    corrupted.back() ^= 0x01;
+    expect_connection_rejected(port, corrupted);
+    await_protocol_errors(server, 2);
+    EXPECT_EQ(server.stats().protocol_errors, 2u);
+    const img::PoolStats s = pool.stats();
+    EXPECT_EQ(s.acquires, 1u); // the samples landed in a plane...
+    EXPECT_EQ(s.returned, s.acquires); // ...which went back to the pool
+  }
+  {
+    SCOPED_TRACE("connection ends mid-samples");
+    expect_connection_rejected(
+        port, std::vector<std::uint8_t>(good.begin(),
+                                        good.begin() + good.size() / 2));
+    await_protocol_errors(server, 3);
+    EXPECT_EQ(server.stats().protocol_errors, 3u); // a broken read
+    const img::PoolStats s = pool.stats();
+    EXPECT_EQ(s.acquires, 2u);
+    EXPECT_EQ(s.returned, s.acquires);
+  }
+  EXPECT_EQ(server.stats().requests_received, 0u);
+
+  // Only the hostile connections were cut.
+  const img::ImageF frame = random_hdr(21, 15, 78);
+  const tonemap::PipelineOptions opt = small_options("separable_float");
+  serve::FrameJob job;
+  job.frame = frame;
+  job.options = opt;
+  EXPECT_TRUE(bit_identical(bystander.call(std::move(job)).output,
+                            tonemap::tone_map(frame, opt).output));
+}
+
 // --- deadlines, timeouts and injected faults -------------------------------
 
 TEST(WireTest, EncodeRequestRejectsHostileDeadlines) {
