@@ -51,9 +51,9 @@ void Client::reconnect() {
   apply_timeouts(socket_, options_.request_timeout_seconds);
 }
 
-void Client::send_message(const std::vector<std::uint8_t>& message,
+void Client::send_message(const wire::OutboundMessage& message,
                           const char* what) {
-  switch (socket_.send_all(message)) {
+  switch (socket_.send_all(message.pieces())) {
     case SendStatus::timeout:
       throw TimeoutError(std::string("send timed out while writing ") +
                          what);
@@ -70,10 +70,10 @@ std::uint64_t Client::submit(serve::FrameJob job) {
   wire::Request request;
   request.request_id = next_request_id_++;
   request.job = std::move(job);
-  // encode_request validates the job against the wire bounds (non-empty
-  // frame, dimensions, deadline) before anything crosses the
-  // socket.
-  send_message(wire::encode_request(request), "request");
+  // encode_parts validates the job against the wire bounds (non-empty
+  // frame, dimensions, deadline) before anything crosses the socket; the
+  // samples go out from the job's frame.
+  send_message(wire::encode_parts(request), "request");
   ++in_flight_;
   return request.request_id;
 }
@@ -261,7 +261,7 @@ std::uint64_t Client::open_stream(stream::StreamConfig config) {
   open.config = std::move(config);
   // encode_stream_open validates the config against the wire bounds
   // before anything crosses the socket.
-  const std::vector<std::uint8_t> message = wire::encode_stream_open(open);
+  wire::OutboundMessage message{wire::encode_stream_open(open), {}};
   streams_.emplace(id, StreamSession{});
   try {
     send_message(message, "stream open");
@@ -300,7 +300,7 @@ void Client::send_stream_frame(std::uint64_t stream_id,
   message.stream_id = stream_id;
   message.sequence = sequence;
   message.frame = frame;
-  send_message(wire::encode_stream_frame(message), "stream frame");
+  send_message(wire::encode_parts(message), "stream frame");
   --it->second.credits;
 }
 
@@ -318,7 +318,7 @@ wire::StreamClosed Client::close_stream(std::uint64_t stream_id) {
   if (!it->second.closed) {
     wire::StreamClose close;
     close.stream_id = stream_id;
-    send_message(wire::encode_stream_close(close), "stream close");
+    send_message({wire::encode_stream_close(close), {}}, "stream close");
     while (!it->second.closed) pump_stream_message();
   }
   wire::StreamClosed info = std::move(it->second.closed_info);

@@ -190,8 +190,7 @@ private:
   /// credit, closed, or stream-scoped error — the last throws
   /// RemoteError after restoring the frame's credit).
   void pump_stream_message();
-  void send_message(const std::vector<std::uint8_t>& message,
-                    const char* what);
+  void send_message(const wire::OutboundMessage& message, const char* what);
 
   ClientOptions options_;
   Socket socket_;

@@ -5,7 +5,6 @@
 #include <deque>
 #include <exception>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -31,11 +30,11 @@ void validate(const ServerOptions& options) {
 /// completion order, stream replies in the order the reader produced them
 /// (in-order delivery is part of the stream contract).
 struct Server::Reply {
-  /// A request's finished frame, encoded by the writer — off the shard
-  /// worker.
-  std::optional<wire::Response> response;
-  /// Otherwise the encoded message: an error reply or a stream reply.
-  std::vector<std::uint8_t> message;
+  /// A request's finished frame or a delivered stream frame, encoded by
+  /// the writer (off the shard worker) and sent from its plane; otherwise
+  /// the encoded message, an error reply or a small stream reply.
+  std::variant<wire::Response, wire::StreamResult, std::vector<std::uint8_t>>
+      body;
   /// Request replies: the counter the writer advances right before the
   /// write; taking one off the queue frees a window slot. Null for stream
   /// replies, which the reader counted when it queued them.
@@ -94,6 +93,17 @@ wire::ErrorCode classify(const std::exception& e) {
     return wire::ErrorCode::invalid_argument;
   }
   return wire::ErrorCode::generic;
+}
+
+/// A queued reply as the writer sends it (see Server::Reply).
+wire::OutboundMessage outbound(const wire::Response& response) {
+  return wire::encode_parts(response);
+}
+wire::OutboundMessage outbound(const wire::StreamResult& result) {
+  return wire::encode_parts(result);
+}
+wire::OutboundMessage outbound(std::vector<std::uint8_t>& message) {
+  return {std::move(message), {}};
 }
 
 } // namespace
@@ -283,7 +293,6 @@ void Server::reader_loop(Connection& c) {
            request_id](serve::Outcome outcome) {
             if (auto* result = std::get_if<serve::FrameResult>(&outcome)) {
               enqueue(*conn, {wire::Response{request_id, std::move(*result)},
-                              {},
                               &responses_sent_});
               return;
             }
@@ -328,7 +337,7 @@ void Server::enqueue(Connection& c, Reply reply) {
 }
 
 void Server::enqueue(Connection& c, std::vector<std::uint8_t> message) {
-  enqueue(c, Reply{std::nullopt, std::move(message), nullptr});
+  enqueue(c, Reply{std::move(message), nullptr});
 }
 
 void Server::enqueue_error(Connection& c, std::uint64_t request_id,
@@ -340,7 +349,7 @@ void Server::enqueue_error(Connection& c, std::uint64_t request_id,
   if (code == wire::ErrorCode::deadline_exceeded) {
     requests_expired_.fetch_add(1);
   }
-  enqueue(c, {std::nullopt, wire::encode_error({request_id, code, e.what()}),
+  enqueue(c, {wire::encode_error({request_id, code, e.what()}),
               &errors_sent_});
 }
 
@@ -385,10 +394,11 @@ void Server::handle_stream_frame(Connection& c, wire::StreamFrame frame) {
                                std::move(frame.frame));
     for (stream::StreamFrameResult& r : out.results) {
       stream_results_sent_.fetch_add(1);
-      enqueue(c, wire::encode_stream_result({frame.stream_id, r.sequence,
-                                             r.rung, r.backend,
-                                             r.service_seconds,
-                                             std::move(r.output)}));
+      enqueue(c, Reply{wire::StreamResult{frame.stream_id, r.sequence,
+                                          r.rung, r.backend,
+                                          r.service_seconds,
+                                          std::move(r.output)},
+                       nullptr});
     }
     if (out.credits_released > 0) {
       enqueue(c,
@@ -453,10 +463,11 @@ void Server::handle_stream_close(Connection& c,
     stream::CloseResult done = sessions_.close(local);
     for (stream::StreamFrameResult& r : done.results) {
       stream_results_sent_.fetch_add(1);
-      enqueue(c, wire::encode_stream_result({close.stream_id, r.sequence,
-                                             r.rung, r.backend,
-                                             r.service_seconds,
-                                             std::move(r.output)}));
+      enqueue(c, Reply{wire::StreamResult{close.stream_id, r.sequence,
+                                          r.rung, r.backend,
+                                          r.service_seconds,
+                                          std::move(r.output)},
+                       nullptr});
     }
     const wire::StreamStatus status =
         done.stats.state == stream::StreamState::shed
@@ -510,11 +521,10 @@ void Server::writer_loop(Connection& c) {
     // buffer, possibly before this thread runs again — counting after the
     // write would let a stats() reader see the reply but not the count.
     if (reply.counter != nullptr) reply.counter->fetch_add(1);
-    const std::vector<std::uint8_t> message =
-        reply.response ? wire::encode_response(*reply.response)
-                       : std::move(reply.message);
+    const wire::OutboundMessage message = std::visit(
+        [](auto& body) { return outbound(body); }, reply.body);
     // error and timeout alike: the peer is not draining this stream.
-    peer_gone = c.socket.send_all(message) != SendStatus::ok;
+    peer_gone = c.socket.send_all(message.pieces()) != SendStatus::ok;
   }
   c.socket.shutdown_both();
   c.writer_exited.store(true, std::memory_order_release);

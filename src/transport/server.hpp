@@ -169,7 +169,8 @@ private:
   /// owns (mid-stream disconnects must not pin stream slots).
   void abort_connection_streams(Connection& connection);
   /// Queue a reply for the connection's writer — the only way a reply
-  /// reaches the socket. The vector form queues an encoded stream reply.
+  /// reaches the socket. The vector form queues an encoded stream reply
+  /// that answers no request.
   static void enqueue(Connection& connection, Reply reply);
   static void enqueue(Connection& connection,
                       std::vector<std::uint8_t> message);

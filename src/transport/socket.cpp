@@ -1,6 +1,7 @@
 #include "transport/socket.hpp"
 
 #include <arpa/inet.h>
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -8,6 +9,7 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 #include <utility>
 
@@ -71,13 +73,28 @@ Socket Socket::connect(const std::string& host, std::uint16_t port) {
 }
 
 SendStatus Socket::send_all(std::span<const std::uint8_t> bytes) {
+  return send_all(std::span(&bytes, 1));
+}
+
+SendStatus Socket::send_all(
+    std::span<const std::span<const std::uint8_t>> pieces) {
+  TMHLS_REQUIRE(pieces.size() <= kMaxSendPieces,
+                "Socket::send_all: too many pieces");
   // Fault site "transport.socket.send": a firing `fail` drops the write
   // as if the connection reset under it.
   if (fault::should_fail("transport.socket.send")) return SendStatus::error;
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
+  std::array<iovec, kMaxSendPieces> iov{};
+  std::size_t end = 0;
+  for (const std::span<const std::uint8_t> piece : pieces) {
+    if (piece.empty()) continue;
+    iov[end++] = {const_cast<std::uint8_t*>(piece.data()), piece.size()};
+  }
+  std::size_t first = 0; // the first piece not yet sent in full
+  while (first < end) {
+    msghdr message{};
+    message.msg_iov = iov.data() + first;
+    message.msg_iovlen = end - first;
+    const ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -85,7 +102,15 @@ SendStatus Socket::send_all(std::span<const std::uint8_t> bytes) {
       }
       return SendStatus::error;
     }
-    sent += static_cast<std::size_t>(n);
+    // Skip the pieces sent in full, then trim the one sent in part.
+    auto sent = static_cast<std::size_t>(n);
+    for (; first < end && sent >= iov[first].iov_len; ++first) {
+      sent -= iov[first].iov_len;
+    }
+    if (first < end) {
+      iov[first].iov_base = static_cast<std::uint8_t*>(iov[first].iov_base) + sent;
+      iov[first].iov_len -= sent;
+    }
   }
   return SendStatus::ok;
 }

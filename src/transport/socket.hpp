@@ -75,6 +75,11 @@ public:
   /// Write the whole span; the status says how it ended.
   SendStatus send_all(std::span<const std::uint8_t> bytes);
 
+  /// Write every piece, in order, as one byte stream: one gather write
+  /// (sendmsg), repeated over partial sends. At most kMaxSendPieces.
+  SendStatus send_all(std::span<const std::span<const std::uint8_t>> pieces);
+  static constexpr std::size_t kMaxSendPieces = 4;
+
   /// Read exactly bytes.size() bytes.
   ReadStatus recv_all(std::span<std::uint8_t> bytes);
 

@@ -307,31 +307,6 @@ tonemap::PipelineOptions read_options(Reader& in) {
   return opt;
 }
 
-void put_image(std::vector<std::uint8_t>& out, const img::ImageF& image) {
-  TMHLS_REQUIRE(!image.empty(), "wire: cannot encode an empty image");
-  TMHLS_REQUIRE(image.width() <= kMaxDimension &&
-                    image.height() <= kMaxDimension,
-                "wire: image dimensions exceed kMaxDimension");
-  put_u32(out, static_cast<std::uint32_t>(image.width()));
-  put_u32(out, static_cast<std::uint32_t>(image.height()));
-  put_u32(out, static_cast<std::uint32_t>(image.channels()));
-  if constexpr (std::endian::native == std::endian::little) {
-    // The mirror of read_image: the plane's memory already is the wire's
-    // run of little-endian f32 words, so it goes out in one memcpy.
-    const std::size_t at = out.size();
-    out.resize(at + image.sample_count() * 4);
-    std::memcpy(out.data() + at, image.samples().data(),
-                image.sample_count() * 4);
-  } else {
-    for (float v : image.samples()) put_f32(out, v);
-  }
-}
-
-/// Bytes put_image writes for `image`.
-std::size_t image_bytes(const img::ImageF& image) {
-  return 12 + image.sample_count() * 4;
-}
-
 /// The dimensions at the head of an image field, validated.
 struct Shape {
   int width = 0;
@@ -342,6 +317,17 @@ struct Shape {
            static_cast<std::size_t>(channels) * 4;
   }
 };
+
+/// The image field's dimensions; its samples follow as a separate piece.
+void put_shape(std::vector<std::uint8_t>& out, const img::ImageF& image) {
+  TMHLS_REQUIRE(!image.empty(), "wire: cannot encode an empty image");
+  TMHLS_REQUIRE(image.width() <= kMaxDimension &&
+                    image.height() <= kMaxDimension,
+                "wire: image dimensions exceed kMaxDimension");
+  put_u32(out, static_cast<std::uint32_t>(image.width()));
+  put_u32(out, static_cast<std::uint32_t>(image.height()));
+  put_u32(out, static_cast<std::uint32_t>(image.channels()));
+}
 
 Shape read_shape(Reader& in) {
   const std::uint32_t width = in.u32();
@@ -402,9 +388,8 @@ img::ImageF read_image(Reader& in) {
 constexpr std::size_t kFieldBytes = 128;
 
 /// An empty message: kHeaderBytes of placeholder for seal to fill, and
-/// capacity for the whole payload — kFieldBytes plus `variable_bytes` of
-/// strings and image samples — so the payload is appended without a
-/// reallocation, straight where it will be sent from.
+/// capacity for the fields — kFieldBytes plus `variable_bytes` of strings
+/// — so they are appended without a reallocation.
 std::vector<std::uint8_t> begin_message(std::size_t variable_bytes = 0) {
   std::vector<std::uint8_t> message;
   message.reserve(kHeaderBytes + kFieldBytes + variable_bytes);
@@ -412,22 +397,12 @@ std::vector<std::uint8_t> begin_message(std::size_t variable_bytes = 0) {
   return message;
 }
 
-/// Fill the header of a begin_message buffer for `type` in place over the
-/// payload that follows it, and return the complete message.
+/// Fill the header of a begin_message buffer for `type` in place, over
+/// the payload that follows it and then `samples` (an image message's
+/// samples, sent from their plane), and return the buffer.
 std::vector<std::uint8_t> seal(MessageType type,
-                               std::vector<std::uint8_t> message) {
-  const auto payload =
-      std::span<const std::uint8_t>(message).subspan(kHeaderBytes);
-  TMHLS_REQUIRE(payload.size() <= kMaxPayloadBytes,
-                "wire: payload exceeds kMaxPayloadBytes");
-  Header header;
-  header.type = type;
-  header.payload_bytes = static_cast<std::uint32_t>(payload.size());
-  header.checksum = checksum(payload);
-  const auto head = encode_header(header);
-  std::copy(head.begin(), head.end(), message.begin());
-  return message;
-}
+                               std::vector<std::uint8_t> message,
+                               std::span<const std::uint8_t> samples = {});
 
 // --- CRC32C ----------------------------------------------------------------
 
@@ -491,12 +466,103 @@ std::uint32_t crc32c_extend(std::uint32_t crc,
   return crc32c_extend_portable(crc, bytes);
 }
 
+std::vector<std::uint8_t> seal(MessageType type,
+                               std::vector<std::uint8_t> message,
+                               std::span<const std::uint8_t> samples) {
+  const auto fields =
+      std::span<const std::uint8_t>(message).subspan(kHeaderBytes);
+  TMHLS_REQUIRE(fields.size() + samples.size() <= kMaxPayloadBytes,
+                "wire: payload exceeds kMaxPayloadBytes");
+  Header header;
+  header.type = type;
+  header.payload_bytes =
+      static_cast<std::uint32_t>(fields.size() + samples.size());
+  header.checksum = crc32c_extend(crc32c_extend(0, fields), samples);
+  const auto head = encode_header(header);
+  std::copy(head.begin(), head.end(), message.begin());
+  return message;
+}
+
 // --- image messages ----------------------------------------------------------
 // Request, response, stream frame and stream result payloads all end in one
 // image field, [width][height][channels][samples]. Each message's fields
-// before it are read in one place, read_fields, which returns the slot its
-// image goes into; the whole-payload decoders and the receive-into-plane
-// path share it.
+// before it are written in one place, put_fields, and read in one place,
+// read_fields; both return the message's image. The encoder sends the
+// samples from that image, and the receive-into-plane path receives them
+// into it; the copying encoders and whole-payload decoders are the same
+// code with the samples joined to the fields.
+
+const img::ImageF& put_fields(std::vector<std::uint8_t>& out,
+                              const Request& request) {
+  TMHLS_REQUIRE(!request.job.deadline_seconds ||
+                    (std::isfinite(*request.job.deadline_seconds) &&
+                     *request.job.deadline_seconds >= 0.0),
+                "wire: deadline_seconds must be finite and >= 0");
+  put_u64(out, request.request_id);
+  put_u8(out, code_of(request.job.qos));
+  // "No deadline" travels as an explicit flag byte (v3): the f64 that
+  // follows is only meaningful when the flag is 1, and must be zero
+  // otherwise so every no-deadline request has exactly one encoding.
+  put_u8(out, request.job.deadline_seconds.has_value() ? 1 : 0);
+  put_f64(out, request.job.deadline_seconds.value_or(0.0));
+  put_options(out, request.job.options);
+  return request.job.frame;
+}
+
+const img::ImageF& put_fields(std::vector<std::uint8_t>& out,
+                              const Response& response) {
+  put_u64(out, response.request_id);
+  put_u64(out, response.result.job_id);
+  put_i32(out, response.result.shard);
+  put_u8(out, code_of(response.result.degrade));
+  put_string(out, response.result.backend);
+  put_f64(out, response.result.queue_seconds);
+  put_f64(out, response.result.service_seconds);
+  return response.result.output;
+}
+
+const img::ImageF& put_fields(std::vector<std::uint8_t>& out,
+                              const StreamFrame& frame) {
+  put_u64(out, frame.stream_id);
+  put_u64(out, frame.sequence);
+  return frame.frame;
+}
+
+const img::ImageF& put_fields(std::vector<std::uint8_t>& out,
+                              const StreamResult& result) {
+  put_u64(out, result.stream_id);
+  put_u64(out, result.sequence);
+  put_u8(out, code_of(result.rung));
+  put_string(out, result.backend);
+  put_f64(out, result.service_seconds);
+  return result.output;
+}
+
+template <typename Message>
+OutboundMessage encode_image_message(MessageType type,
+                                     const Message& message) {
+  std::vector<std::uint8_t> head = begin_message();
+  const img::ImageF& image = put_fields(head, message);
+  put_shape(head, image);
+  std::span<const std::uint8_t> samples;
+  if constexpr (std::endian::native == std::endian::little) {
+    samples = {reinterpret_cast<const std::uint8_t*>(image.samples().data()),
+               image.sample_count() * 4};
+  } else {
+    for (float v : image.samples()) put_f32(head, v);
+  }
+  head = seal(type, std::move(head), samples);
+  return {std::move(head), samples};
+}
+
+/// The copying form of an encoded message: both pieces in one buffer.
+std::vector<std::uint8_t> joined(const OutboundMessage& message) {
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(message.head.size() + message.samples.size());
+  bytes.insert(bytes.end(), message.head.begin(), message.head.end());
+  bytes.insert(bytes.end(), message.samples.begin(), message.samples.end());
+  return bytes;
+}
 
 img::ImageF& read_fields(Reader& in, Request& request) {
   request.request_id = in.u64();
@@ -700,24 +766,12 @@ void verify_checksum(const Header& header,
   }
 }
 
+OutboundMessage encode_parts(const Request& request) {
+  return encode_image_message(MessageType::request, request);
+}
+
 std::vector<std::uint8_t> encode_request(const Request& request) {
-  TMHLS_REQUIRE(!request.job.deadline_seconds ||
-                    (std::isfinite(*request.job.deadline_seconds) &&
-                     *request.job.deadline_seconds >= 0.0),
-                "wire: deadline_seconds must be finite and >= 0");
-  std::vector<std::uint8_t> message =
-      begin_message(request.job.options.backend.size() +
-                    image_bytes(request.job.frame));
-  put_u64(message, request.request_id);
-  put_u8(message, code_of(request.job.qos));
-  // "No deadline" travels as an explicit flag byte (v3): the f64 that
-  // follows is only meaningful when the flag is 1, and must be zero
-  // otherwise so every no-deadline request has exactly one encoding.
-  put_u8(message, request.job.deadline_seconds.has_value() ? 1 : 0);
-  put_f64(message, request.job.deadline_seconds.value_or(0.0));
-  put_options(message, request.job.options);
-  put_image(message, request.job.frame);
-  return seal(MessageType::request, std::move(message));
+  return joined(encode_parts(request));
 }
 
 Request decode_request(std::span<const std::uint8_t> payload) {
@@ -729,18 +783,12 @@ bool receive_payload(const Header& header, const Receive& receive,
   return receive_image_message(header, receive, request);
 }
 
+OutboundMessage encode_parts(const Response& response) {
+  return encode_image_message(MessageType::response, response);
+}
+
 std::vector<std::uint8_t> encode_response(const Response& response) {
-  std::vector<std::uint8_t> message = begin_message(
-      response.result.backend.size() + image_bytes(response.result.output));
-  put_u64(message, response.request_id);
-  put_u64(message, response.result.job_id);
-  put_i32(message, response.result.shard);
-  put_u8(message, code_of(response.result.degrade));
-  put_string(message, response.result.backend);
-  put_f64(message, response.result.queue_seconds);
-  put_f64(message, response.result.service_seconds);
-  put_image(message, response.result.output);
-  return seal(MessageType::response, std::move(message));
+  return joined(encode_parts(response));
 }
 
 Response decode_response(std::span<const std::uint8_t> payload) {
@@ -881,12 +929,12 @@ StreamOpened decode_stream_opened(std::span<const std::uint8_t> payload) {
   return opened;
 }
 
+OutboundMessage encode_parts(const StreamFrame& frame) {
+  return encode_image_message(MessageType::stream_frame, frame);
+}
+
 std::vector<std::uint8_t> encode_stream_frame(const StreamFrame& frame) {
-  std::vector<std::uint8_t> message = begin_message(image_bytes(frame.frame));
-  put_u64(message, frame.stream_id);
-  put_u64(message, frame.sequence);
-  put_image(message, frame.frame);
-  return seal(MessageType::stream_frame, std::move(message));
+  return joined(encode_parts(frame));
 }
 
 StreamFrame decode_stream_frame(std::span<const std::uint8_t> payload) {
@@ -898,16 +946,12 @@ bool receive_payload(const Header& header, const Receive& receive,
   return receive_image_message(header, receive, frame);
 }
 
+OutboundMessage encode_parts(const StreamResult& result) {
+  return encode_image_message(MessageType::stream_result, result);
+}
+
 std::vector<std::uint8_t> encode_stream_result(const StreamResult& result) {
-  std::vector<std::uint8_t> message =
-      begin_message(result.backend.size() + image_bytes(result.output));
-  put_u64(message, result.stream_id);
-  put_u64(message, result.sequence);
-  put_u8(message, code_of(result.rung));
-  put_string(message, result.backend);
-  put_f64(message, result.service_seconds);
-  put_image(message, result.output);
-  return seal(MessageType::stream_result, std::move(message));
+  return joined(encode_parts(result));
 }
 
 StreamResult decode_stream_result(std::span<const std::uint8_t> payload) {

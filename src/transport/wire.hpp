@@ -268,6 +268,28 @@ struct StreamClosed {
   std::string message;
 };
 
+/// An encoded image message in two pieces, written with one gather write
+/// (Socket::send_all): `head` holds the header and every field, the
+/// image dimensions included; `samples` views the image's samples where
+/// they lie (empty on a big-endian host, where they are byte-swapped into
+/// `head`). The header's checksum covers both pieces. `samples` points
+/// into the encoded message's image, which must outlive it.
+struct OutboundMessage {
+  std::vector<std::uint8_t> head;
+  std::span<const std::uint8_t> samples;
+
+  std::array<std::span<const std::uint8_t>, 2> pieces() const {
+    return {head, samples};
+  }
+};
+
+/// Encode an image message without copying its samples. Validates like
+/// the copying encoders below, which join the same two pieces.
+OutboundMessage encode_parts(const Request& request);
+OutboundMessage encode_parts(const Response& response);
+OutboundMessage encode_parts(const StreamFrame& frame);
+OutboundMessage encode_parts(const StreamResult& result);
+
 /// Encode a complete message, header included, ready to write to a socket.
 std::vector<std::uint8_t> encode_request(const Request& request);
 std::vector<std::uint8_t> encode_response(const Response& response);

@@ -14,7 +14,9 @@
 // reads, failed sends) closing only the connection they hit.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -210,9 +212,10 @@ TEST(WireTest, StreamFrameGoldenBytesPinTheSampleLayout) {
   EXPECT_TRUE(bit_identical(decoded.frame, image));
 }
 
-/// FNV-1a (64-bit) over every byte of a message.
-std::uint64_t message_digest(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+/// FNV-1a (64-bit) over every byte of a message, continued from `h`, the
+/// digest of the bytes before them.
+std::uint64_t message_digest(std::span<const std::uint8_t> bytes,
+                             std::uint64_t h = 0xcbf29ce484222325ULL) {
   for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
   return h;
 }
@@ -254,6 +257,23 @@ TEST(WireTest, FullSizeMessagesArePinnedByDigest) {
             kRequestDigest);
   EXPECT_EQ(message_digest(wire::encode_response(pinned_response())),
             kResponseDigest);
+
+  // The gather form sends the same bytes, the samples from the plane.
+  const wire::Request request = pinned_request();
+  const wire::OutboundMessage request_parts = wire::encode_parts(request);
+  EXPECT_EQ(message_digest(request_parts.samples,
+                           message_digest(request_parts.head)),
+            kRequestDigest);
+  const wire::Response response = pinned_response();
+  const wire::OutboundMessage response_parts = wire::encode_parts(response);
+  EXPECT_EQ(message_digest(response_parts.samples,
+                           message_digest(response_parts.head)),
+            kResponseDigest);
+  if constexpr (std::endian::native == std::endian::little) {
+    EXPECT_EQ(static_cast<const void*>(response_parts.samples.data()),
+              static_cast<const void*>(
+                  response.result.output.samples().data()));
+  }
 }
 
 TEST(WireTest, Crc32cMatchesTheCastagnoliKnownAnswer) {
@@ -694,6 +714,31 @@ TEST(WireTest, EncodeRequestRejectsStructurallyInvalidJobs) {
   bad_deadline.job.frame = random_hdr(4, 4, 1);
   bad_deadline.job.deadline_seconds = -1.0;
   EXPECT_THROW(wire::encode_request(bad_deadline), InvalidArgument);
+}
+
+TEST(SocketTest, GatherSendWritesEveryPieceInOrder) {
+  // Pieces of odd sizes, one empty, together larger than a loopback
+  // socket buffer, so the writer blocks while the reader drains.
+  Rng rng(53);
+  std::vector<std::uint8_t> bytes(3'000'003);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  const std::span<const std::uint8_t> all(bytes);
+  const std::array<std::span<const std::uint8_t>, 4> pieces{
+      all.first(17), all.subspan(17, 0), all.subspan(17, 1'999'999),
+      all.subspan(2'000'016)};
+
+  ListenSocket listener(0);
+  std::vector<std::uint8_t> received(bytes.size());
+  ReadStatus read = ReadStatus::error;
+  std::thread reader([&] {
+    Socket peer = listener.accept();
+    read = peer.recv_all(received);
+  });
+  Socket socket = Socket::connect("127.0.0.1", listener.port());
+  EXPECT_EQ(socket.send_all(pieces), SendStatus::ok);
+  reader.join();
+  EXPECT_EQ(read, ReadStatus::ok);
+  EXPECT_TRUE(received == bytes);
 }
 
 // --- loopback end-to-end ---------------------------------------------------
