@@ -128,8 +128,9 @@ struct Header {
 /// bits; the checksum guards framing bugs, and a CRC catches every
 /// single-bit flip and every burst up to 32 bits. It runs four times per
 /// round trip over multi-MB frames, so it dispatches once to the SSE4.2
-/// crc32 instruction where the host has it and to a table-driven loop with
-/// the same result elsewhere.
+/// crc32 instruction where the host has it (three interleaved chains,
+/// joined by a table-driven shift) and to a table-driven loop with the
+/// same result elsewhere.
 std::uint32_t checksum(std::span<const std::uint8_t> payload);
 
 /// checksum() continued over `more`, given `crc`, the checksum of the
@@ -146,8 +147,11 @@ std::uint32_t crc32c_portable(std::span<const std::uint8_t> bytes);
 /// Whether this host runs crc32c_hardware (x86-64 with SSE4.2).
 bool crc32c_hardware_available();
 
-/// CRC32C through the SSE4.2 crc32 instruction, eight bytes per step.
-/// Call only where crc32c_hardware_available() holds.
+/// CRC32C through the SSE4.2 crc32 instruction: three independent chains
+/// over adjacent blocks, eight bytes per instruction each, joined by
+/// appending zero bytes to the earlier block's register (four 256-entry
+/// tables per block size). Call only where crc32c_hardware_available()
+/// holds.
 std::uint32_t crc32c_hardware(std::span<const std::uint8_t> bytes);
 
 } // namespace detail

@@ -14,6 +14,7 @@
 // reads, failed sends) closing only the connection they hit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -295,10 +296,20 @@ TEST(WireTest, Crc32cHardwareAndPortablePathsAgree) {
     b = static_cast<std::uint8_t>(rng.next_u64());
   }
   const std::span<const std::uint8_t> all(buffer);
-  // Every length 0-64 at every start offset 0-7: the 8-byte word loop, the
-  // byte tail and unaligned loads in every combination.
+  // Every length 0-4096 at every start offset 0-7: the three-chain rounds
+  // of 3 x 256 bytes, the one-chain 8-byte words, the byte tail and
+  // unaligned loads in every combination. Then lengths that mix the
+  // 3 x 8192-byte rounds with all of those.
+  std::vector<std::size_t> lengths;
+  for (std::size_t length = 0; length <= 4096; ++length) {
+    lengths.push_back(length);
+  }
+  for (const std::size_t length :
+       {24575, 24576, 24577, 24576 + 768 + 7, 2 * 24576 + 5 * 768 + 61}) {
+    lengths.push_back(length);
+  }
   for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t length = 0; length <= 64; ++length) {
+    for (const std::size_t length : lengths) {
       const auto bytes = all.subspan(offset, length);
       ASSERT_EQ(wire::detail::crc32c_hardware(bytes),
                 wire::detail::crc32c_portable(bytes))
@@ -308,6 +319,38 @@ TEST(WireTest, Crc32cHardwareAndPortablePathsAgree) {
   const auto frame = all.subspan(3, 2'359'296);
   EXPECT_EQ(wire::detail::crc32c_hardware(frame),
             wire::detail::crc32c_portable(frame));
+}
+
+TEST(WireTest, ChecksumChainedOverPiecesEqualsOneShot) {
+  // checksum(crc, more) continues a checksum across cut points, on the
+  // path checksum() dispatches to: the sender and receiver checksum a
+  // message's fields and samples where they lie.
+  Rng rng(37);
+  std::vector<std::uint8_t> buffer(2'359'296 + 100);
+  for (std::uint8_t& b : buffer) {
+    b = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  const std::span<const std::uint8_t> all(buffer);
+  const std::uint32_t one_shot = wire::checksum(all);
+  EXPECT_EQ(one_shot, wire::detail::crc32c_portable(all));
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<std::size_t> cuts{0, all.size()};
+    const int pieces = 1 + static_cast<int>(rng.next_u64() % 6);
+    for (int i = 1; i < pieces; ++i) {
+      // Small pieces near the ends as well as large ones.
+      const std::size_t at = rng.next_u64() % 2 == 0
+                                 ? rng.next_u64() % 100
+                                 : rng.next_u64() % all.size();
+      cuts.push_back(at);
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::uint32_t chained = 0;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      chained = wire::checksum(chained,
+                               all.subspan(cuts[i], cuts[i + 1] - cuts[i]));
+    }
+    ASSERT_EQ(chained, one_shot) << "trial " << trial;
+  }
 }
 
 TEST(WireTest, EverySingleBitFlipFailsTheChecksum) {
