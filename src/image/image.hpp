@@ -56,11 +56,8 @@ void release_plane(const RecyclerPtr& recycler,
 
 } // namespace detail
 
-/// Tag for the constructor that leaves an image's samples unwritten. Use
-/// it only where every sample is written before any is read.
-struct Uninitialized {
-  explicit Uninitialized() = default;
-};
+/// Tag for the constructor that leaves an image's samples unwritten.
+struct Uninitialized {};
 inline constexpr Uninitialized uninitialized{};
 
 /// Interleaved row-major image with `channels` samples per pixel.
@@ -81,28 +78,12 @@ public:
   /// Allocate a width x height image with `channels` samples per pixel,
   /// value-initialised (zeros for arithmetic T).
   Image(int width, int height, int channels = 1)
-      : width_(width), height_(height), channels_(channels) {
-    TMHLS_REQUIRE(width > 0 && height > 0, "image dimensions must be positive");
-    TMHLS_REQUIRE(channels >= 1 && channels <= 4,
-                  "channels must be in [1, 4]");
-    init_storage(static_cast<std::size_t>(width) *
-                 static_cast<std::size_t>(height) *
-                 static_cast<std::size_t>(channels), true);
-  }
+      : Image(width, height, channels, true) {}
 
-  /// Allocate a width x height image whose samples are left unwritten
-  /// (see detail::acquire_plane): for a producer that writes every
-  /// sample, such as a decoder or a full-frame kernel, the zero-fill is
-  /// wasted memory traffic.
+  /// The same, with the samples left unwritten (see detail::acquire_plane)
+  /// — only for a producer that writes every sample before any is read.
   Image(int width, int height, int channels, Uninitialized)
-      : width_(width), height_(height), channels_(channels) {
-    TMHLS_REQUIRE(width > 0 && height > 0, "image dimensions must be positive");
-    TMHLS_REQUIRE(channels >= 1 && channels <= 4,
-                  "channels must be in [1, 4]");
-    init_storage(static_cast<std::size_t>(width) *
-                 static_cast<std::size_t>(height) *
-                 static_cast<std::size_t>(channels), false);
-  }
+      : Image(width, height, channels, false) {}
 
   Image(const Image& other)
       : width_(other.width_), height_(other.height_),
@@ -202,6 +183,16 @@ public:
   }
 
 private:
+  Image(int width, int height, int channels, bool zero_fill)
+      : width_(width), height_(height), channels_(channels) {
+    TMHLS_REQUIRE(width > 0 && height > 0, "image dimensions must be positive");
+    TMHLS_REQUIRE(channels >= 1 && channels <= 4,
+                  "channels must be in [1, 4]");
+    init_storage(static_cast<std::size_t>(width) *
+                 static_cast<std::size_t>(height) *
+                 static_cast<std::size_t>(channels), zero_fill);
+  }
+
   /// Acquire storage for `samples` samples, zero-filled or left
   /// unwritten. Float planes consult the calling thread's recycler hook;
   /// every other sample type allocates plainly.

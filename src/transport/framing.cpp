@@ -4,30 +4,6 @@
 
 namespace tmhls::transport {
 
-namespace {
-
-/// A payload read that ended early: a timeout keeps its meaning, and end
-/// of stream inside a message is a truncated stream, not a clean finish.
-ReadMessageStatus broken(ReadStatus status) {
-  return status == ReadStatus::timeout ? ReadMessageStatus::timeout
-                                       : ReadMessageStatus::error;
-}
-
-template <typename Message>
-ReadMessageStatus receive(Socket& socket, const wire::Header& header,
-                          Message& message) {
-  ReadStatus status = ReadStatus::ok;
-  const wire::Receive from_socket = [&](std::span<std::uint8_t> bytes) {
-    status = socket.recv_all(bytes);
-    return status == ReadStatus::ok;
-  };
-  return wire::receive_payload(header, from_socket, message)
-             ? ReadMessageStatus::ok
-             : broken(status);
-}
-
-} // namespace
-
 ReadMessageStatus read_header(Socket& socket, wire::Header& header) {
   std::array<std::uint8_t, wire::kHeaderBytes> head{};
   switch (socket.recv_all(head)) {
@@ -46,31 +22,14 @@ ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
                                Payload& payload) {
   payload.resize(header.payload_bytes);
   if (header.payload_bytes > 0) {
-    const ReadStatus status = socket.recv_all(payload);
-    if (status != ReadStatus::ok) return broken(status);
+    switch (socket.recv_all(payload)) {
+      case ReadStatus::ok: break;
+      case ReadStatus::timeout: return ReadMessageStatus::timeout;
+      default: return ReadMessageStatus::error; // EOF mid-message included
+    }
   }
   wire::verify_checksum(header, payload); // throws WireError
   return ReadMessageStatus::ok;
-}
-
-ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
-                               wire::Request& message) {
-  return receive(socket, header, message);
-}
-
-ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
-                               wire::Response& message) {
-  return receive(socket, header, message);
-}
-
-ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
-                               wire::StreamFrame& message) {
-  return receive(socket, header, message);
-}
-
-ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
-                               wire::StreamResult& message) {
-  return receive(socket, header, message);
 }
 
 ReadMessageStatus read_message(Socket& socket, InboundMessage& message) {

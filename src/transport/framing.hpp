@@ -1,11 +1,8 @@
 // Message-level I/O shared by transport::Server and transport::Client:
 // read one framed message (header, then a checksum-verified payload) off a
-// stream socket. Image messages are received straight into a plane
-// (wire::receive_payload); every other payload, and any message a caller
-// wants as plain bytes (read_message), arrives as a byte vector. Writing
-// needs no helper: Socket::send_all takes a message's pieces (the encoded
-// fields, then the samples in place) and writes them with one gather
-// write.
+// stream socket, an image message's samples straight into a plane. Writing
+// needs no helper: Socket::send_all writes an encoded message's pieces
+// (wire::OutboundMessage) with one gather write.
 #pragma once
 
 #include <cstdint>
@@ -49,14 +46,20 @@ ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
 
 /// Receive an image message's payload straight into a plane and decode it
 /// (wire::receive_payload); the same statuses and WireError cases.
+template <typename Message>
 ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
-                               wire::Request& message);
-ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
-                               wire::Response& message);
-ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
-                               wire::StreamFrame& message);
-ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
-                               wire::StreamResult& message);
+                               Message& message) {
+  ReadStatus status = ReadStatus::ok;
+  const auto from_socket = [&](std::span<std::uint8_t> bytes) {
+    status = socket.recv_all(bytes);
+    return status == ReadStatus::ok;
+  };
+  if (wire::receive_payload(header, from_socket, message)) {
+    return ReadMessageStatus::ok;
+  }
+  return status == ReadStatus::timeout ? ReadMessageStatus::timeout
+                                       : ReadMessageStatus::error;
+}
 
 /// Read exactly one message, its payload as bytes: read_header, then
 /// read_payload.

@@ -307,14 +307,12 @@ tonemap::PipelineOptions read_options(Reader& in) {
   return opt;
 }
 
-/// The dimensions at the head of an image field, validated.
+/// The dimensions at the head of an image field.
 struct Shape {
-  int width = 0;
-  int height = 0;
-  int channels = 0;
+  int width, height, channels;
   std::size_t bytes() const {
-    return static_cast<std::size_t>(width) * static_cast<std::size_t>(height) *
-           static_cast<std::size_t>(channels) * 4;
+    return std::size_t{4} * static_cast<std::size_t>(width) *
+           static_cast<std::size_t>(height) * static_cast<std::size_t>(channels);
   }
 };
 
@@ -347,22 +345,6 @@ Shape read_shape(Reader& in) {
           static_cast<int>(channels)};
 }
 
-/// A plane of `shape` whose samples are left for the caller to write. On a
-/// pooled thread (transport reader loops install the service pool's scope)
-/// it is a recycled plane, unfilled.
-img::ImageF unwritten_image(const Shape& shape) {
-  return img::ImageF(shape.width, shape.height, shape.channels,
-                     img::uninitialized);
-}
-
-/// An image's samples as the bytes they travel as: on a little-endian
-/// host the plane's memory already is the wire's run of little-endian f32
-/// words.
-std::span<std::uint8_t> sample_bytes(img::ImageF& image) {
-  return {reinterpret_cast<std::uint8_t*>(image.samples().data()),
-          image.sample_count() * 4};
-}
-
 img::ImageF read_image(Reader& in) {
   const Shape shape = read_shape(in);
   // The declared geometry must be backed by actual payload bytes *before*
@@ -373,8 +355,13 @@ img::ImageF read_image(Reader& in) {
                     std::to_string(shape.bytes()) + " bytes declared, " +
                     std::to_string(in.remaining()) + " available)");
   }
-  img::ImageF image = unwritten_image(shape);
+  // On a pooled thread this recycles a retained plane, unfilled: the copy
+  // below writes every sample.
+  img::ImageF image(shape.width, shape.height, shape.channels,
+                    img::uninitialized);
   if constexpr (std::endian::native == std::endian::little) {
+    // Samples are consecutive little-endian f32 words, which on a
+    // little-endian host is exactly the plane's memory representation.
     const auto raw = in.bytes(shape.bytes());
     std::memcpy(image.samples().data(), raw.data(), raw.size());
   } else {
@@ -402,7 +389,20 @@ std::vector<std::uint8_t> begin_message(std::size_t variable_bytes = 0) {
 /// samples, sent from their plane), and return the buffer.
 std::vector<std::uint8_t> seal(MessageType type,
                                std::vector<std::uint8_t> message,
-                               std::span<const std::uint8_t> samples = {});
+                               std::span<const std::uint8_t> samples = {}) {
+  const auto fields =
+      std::span<const std::uint8_t>(message).subspan(kHeaderBytes);
+  TMHLS_REQUIRE(fields.size() + samples.size() <= kMaxPayloadBytes,
+                "wire: payload exceeds kMaxPayloadBytes");
+  Header header;
+  header.type = type;
+  header.payload_bytes =
+      static_cast<std::uint32_t>(fields.size() + samples.size());
+  header.checksum = checksum(checksum(fields), samples);
+  const auto head = encode_header(header);
+  std::copy(head.begin(), head.end(), message.begin());
+  return message;
+}
 
 // --- CRC32C ----------------------------------------------------------------
 
@@ -437,58 +437,43 @@ std::uint32_t crc32c_extend_portable(std::uint32_t crc,
 }
 
 #ifdef TMHLS_CRC32C_X86
-// Three crc32 chains at once. The instruction's latency is three times its
+// Three crc32 chains at once: the instruction's latency is three times its
 // issue interval, so one dependent chain leaves the unit two-thirds idle
 // (Gopal et al., Intel, "Fast CRC Computation for iSCSI Polynomial Using
-// CRC32 Instruction", 2011). A round splits the next 3 * block bytes into
-// three blocks, runs one chain per block from a zero register, and joins
-// them: the register after block a then block b is shift(a, block) ^ b,
-// where shift appends `block` zero bytes.
+// CRC32 Instruction", 2011). A round runs one chain over each of three
+// adjacent blocks, the second and third from a zero register, and joins
+// them: the register after blocks a then b is shift(a) ^ b, where shift
+// appends a block of zero bytes.
+
+using ShiftTables = std::array<std::array<std::uint32_t, 256>, 4>;
 
 /// GF(2) 32x32 matrix (column i is the image of bit i) times a vector.
 constexpr std::uint32_t gf2_times(const std::array<std::uint32_t, 32>& m,
                                   std::uint32_t v) {
   std::uint32_t sum = 0;
-  for (int i = 0; v != 0; ++i, v >>= 1) {
-    if ((v & 1u) != 0) sum ^= m[static_cast<std::size_t>(i)];
-  }
+  for (std::size_t i = 0; v != 0; ++i, v >>= 1) sum ^= (v & 1u) ? m[i] : 0u;
   return sum;
 }
 
-constexpr std::array<std::uint32_t, 32> gf2_square(
-    const std::array<std::uint32_t, 32>& m) {
-  std::array<std::uint32_t, 32> square{};
-  for (std::size_t i = 0; i < 32; ++i) square[i] = gf2_times(m, m[i]);
-  return square;
-}
-
-/// Appending `bytes` zero bytes (a power of two) to a CRC register, as
-/// four byte-indexed tables: shift(r) = t[0][r & 0xff] ^ ... ^ t[3][r >> 24].
-constexpr std::array<std::array<std::uint32_t, 256>, 4> crc32c_shift_tables(
-    std::size_t bytes) {
-  std::array<std::uint32_t, 32> op{}; // one zero bit
-  op[0] = kCrc32cPolynomial;
+/// shift for `bytes` zero bytes (a power of two), as four byte-indexed
+/// tables: shift(r) = t[0][r & 0xff] ^ t[1][(r >> 8) & 0xff] ^ ...
+constexpr ShiftTables crc32c_shift_tables(std::size_t bytes) {
+  std::array<std::uint32_t, 32> op{kCrc32cPolynomial}; // one zero bit
   for (std::size_t i = 1; i < 32; ++i) op[i] = 1u << (i - 1);
-  for (std::size_t bits = 1; bits < 8 * bytes; bits *= 2) op = gf2_square(op);
-  std::array<std::array<std::uint32_t, 256>, 4> tables{};
+  for (std::size_t bits = 1; bits < 8 * bytes; bits *= 2) {
+    std::array<std::uint32_t, 32> square{};
+    for (std::size_t i = 0; i < 32; ++i) square[i] = gf2_times(op, op[i]);
+    op = square;
+  }
+  ShiftTables tables{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     for (std::size_t k = 0; k < 4; ++k) tables[k][n] = gf2_times(op, n << (8 * k));
   }
   return tables;
 }
 
-/// Block sizes: long rounds for the bulk of a frame, short rounds for
-/// what is left of it, one chain for the last < 768 bytes.
-constexpr std::size_t kCrcLongBlock = 8192;
-constexpr std::size_t kCrcShortBlock = 256;
-constexpr auto kCrcShiftLong = crc32c_shift_tables(kCrcLongBlock);
-constexpr auto kCrcShiftShort = crc32c_shift_tables(kCrcShortBlock);
-
-std::uint64_t crc32c_shift(
-    const std::array<std::array<std::uint32_t, 256>, 4>& t, std::uint64_t r) {
-  return t[0][r & 0xffu] ^ t[1][(r >> 8) & 0xffu] ^ t[2][(r >> 16) & 0xffu] ^
-         t[3][(r >> 24) & 0xffu];
-}
+constexpr ShiftTables kShiftLong = crc32c_shift_tables(8192);
+constexpr ShiftTables kShiftShort = crc32c_shift_tables(256);
 
 /// Words are loaded with memcpy, so a payload at any address is
 /// well-defined; x86 is little-endian, so each word holds its bytes in
@@ -501,10 +486,13 @@ crc32c_word(std::uint64_t r, const std::uint8_t* bytes) {
 }
 
 /// Three-chain rounds of `block` bytes per chain while they fit.
-__attribute__((target("sse4.2"))) inline std::uint64_t crc32c_rounds(
-    std::uint64_t r, const std::uint8_t*& bytes, std::size_t& n,
-    std::size_t block,
-    const std::array<std::array<std::uint32_t, 256>, 4>& shift) {
+__attribute__((target("sse4.2"))) inline std::uint64_t
+crc32c_rounds(std::uint64_t r, const std::uint8_t*& bytes, std::size_t& n,
+              std::size_t block, const ShiftTables& t) {
+  const auto shift = [&t](std::uint64_t x) {
+    return t[0][x & 0xffu] ^ t[1][(x >> 8) & 0xffu] ^
+           t[2][(x >> 16) & 0xffu] ^ t[3][(x >> 24) & 0xffu];
+  };
   for (; n >= 3 * block; bytes += 3 * block, n -= 3 * block) {
     std::uint64_t r1 = 0;
     std::uint64_t r2 = 0;
@@ -513,18 +501,19 @@ __attribute__((target("sse4.2"))) inline std::uint64_t crc32c_rounds(
       r1 = crc32c_word(r1, bytes + block + i);
       r2 = crc32c_word(r2, bytes + 2 * block + i);
     }
-    r = crc32c_shift(shift, r) ^ r1;
-    r = crc32c_shift(shift, r) ^ r2;
+    r = shift(shift(r) ^ r1) ^ r2;
   }
   return r;
 }
 
+/// Long rounds for the bulk of a frame, short rounds for what is left of
+/// it, one chain for the last < 768 bytes.
 __attribute__((target("sse4.2"))) std::uint32_t
 crc32c_extend_sse42(std::uint32_t crc, const std::uint8_t* bytes,
                     std::size_t n) {
   std::uint64_t r = ~crc;
-  r = crc32c_rounds(r, bytes, n, kCrcLongBlock, kCrcShiftLong);
-  r = crc32c_rounds(r, bytes, n, kCrcShortBlock, kCrcShiftShort);
+  r = crc32c_rounds(r, bytes, n, 8192, kShiftLong);
+  r = crc32c_rounds(r, bytes, n, 256, kShiftShort);
   for (; n >= 8; bytes += 8, n -= 8) r = crc32c_word(r, bytes);
   auto crc32 = static_cast<std::uint32_t>(r);
   for (; n > 0; ++bytes, --n) crc32 = _mm_crc32_u8(crc32, *bytes);
@@ -542,31 +531,12 @@ std::uint32_t crc32c_extend(std::uint32_t crc,
   return crc32c_extend_portable(crc, bytes);
 }
 
-std::vector<std::uint8_t> seal(MessageType type,
-                               std::vector<std::uint8_t> message,
-                               std::span<const std::uint8_t> samples) {
-  const auto fields =
-      std::span<const std::uint8_t>(message).subspan(kHeaderBytes);
-  TMHLS_REQUIRE(fields.size() + samples.size() <= kMaxPayloadBytes,
-                "wire: payload exceeds kMaxPayloadBytes");
-  Header header;
-  header.type = type;
-  header.payload_bytes =
-      static_cast<std::uint32_t>(fields.size() + samples.size());
-  header.checksum = crc32c_extend(crc32c_extend(0, fields), samples);
-  const auto head = encode_header(header);
-  std::copy(head.begin(), head.end(), message.begin());
-  return message;
-}
-
 // --- image messages ----------------------------------------------------------
 // Request, response, stream frame and stream result payloads all end in one
 // image field, [width][height][channels][samples]. Each message's fields
 // before it are written in one place, put_fields, and read in one place,
-// read_fields; both return the message's image. The encoder sends the
-// samples from that image, and the receive-into-plane path receives them
-// into it; the copying encoders and whole-payload decoders are the same
-// code with the samples joined to the fields.
+// read_fields; both return the message's image, which the samples are sent
+// from or received into.
 
 const img::ImageF& put_fields(std::vector<std::uint8_t>& out,
                               const Request& request) {
@@ -612,32 +582,6 @@ const img::ImageF& put_fields(std::vector<std::uint8_t>& out,
   put_string(out, result.backend);
   put_f64(out, result.service_seconds);
   return result.output;
-}
-
-template <typename Message>
-OutboundMessage encode_image_message(MessageType type,
-                                     const Message& message) {
-  std::vector<std::uint8_t> head = begin_message();
-  const img::ImageF& image = put_fields(head, message);
-  put_shape(head, image);
-  std::span<const std::uint8_t> samples;
-  if constexpr (std::endian::native == std::endian::little) {
-    samples = {reinterpret_cast<const std::uint8_t*>(image.samples().data()),
-               image.sample_count() * 4};
-  } else {
-    for (float v : image.samples()) put_f32(head, v);
-  }
-  head = seal(type, std::move(head), samples);
-  return {std::move(head), samples};
-}
-
-/// The copying form of an encoded message: both pieces in one buffer.
-std::vector<std::uint8_t> joined(const OutboundMessage& message) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(message.head.size() + message.samples.size());
-  bytes.insert(bytes.end(), message.head.begin(), message.head.end());
-  bytes.insert(bytes.end(), message.samples.begin(), message.samples.end());
-  return bytes;
 }
 
 img::ImageF& read_fields(Reader& in, Request& request) {
@@ -692,6 +636,22 @@ img::ImageF& read_fields(Reader& in, StreamResult& result) {
   return result.output;
 }
 
+MessageType type_of(const Request&) { return MessageType::request; }
+MessageType type_of(const Response&) { return MessageType::response; }
+MessageType type_of(const StreamFrame&) { return MessageType::stream_frame; }
+MessageType type_of(const StreamResult&) { return MessageType::stream_result; }
+
+/// The copying form of an encoded message: both pieces in one buffer.
+template <typename Message>
+std::vector<std::uint8_t> encode_joined(const Message& message) {
+  const OutboundMessage parts = encode_parts(message);
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(parts.head.size() + parts.samples.size());
+  bytes.insert(bytes.end(), parts.head.begin(), parts.head.end());
+  bytes.insert(bytes.end(), parts.samples.begin(), parts.samples.end());
+  return bytes;
+}
+
 /// Decode a whole image-message payload (header already checked).
 template <typename Message>
 Message decode_image_message(std::span<const std::uint8_t> payload,
@@ -704,50 +664,6 @@ Message decode_image_message(std::span<const std::uint8_t> payload,
   slot = read_image(in);
   in.expect_exhausted(what);
   return message;
-}
-
-/// Bound on an image message's bytes before its samples: the fields
-/// (kFieldBytes), one string and the three dimensions.
-constexpr std::size_t kImagePrefixBytes = kFieldBytes + kMaxStringBytes + 12;
-
-/// Receive an image message's payload: the prefix into a stack buffer,
-/// the samples straight into an unwritten plane, one checksum over both.
-template <typename Message>
-bool receive_image_message(const Header& header, const Receive& receive,
-                           Message& out) {
-  std::array<std::uint8_t, kImagePrefixBytes> buffer;
-  const auto prefix = std::span(buffer).first(
-      std::min<std::size_t>(header.payload_bytes, buffer.size()));
-  if (!receive(prefix)) return false;
-  Reader in(prefix);
-  Message message;
-  img::ImageF& slot = read_fields(in, message);
-  const Shape shape = read_shape(in);
-  // Size the plane from the declared payload before allocating it: the
-  // samples must fill the payload exactly.
-  const std::size_t before_samples = prefix.size() - in.remaining();
-  if (before_samples + shape.bytes() != header.payload_bytes) {
-    throw WireError("wire: image of " + std::to_string(shape.bytes()) +
-                    " sample bytes disagrees with the payload size " +
-                    std::to_string(header.payload_bytes));
-  }
-  img::ImageF image = unwritten_image(shape);
-  const std::span<std::uint8_t> samples = sample_bytes(image);
-  const std::span<const std::uint8_t> early = in.bytes(in.remaining());
-  std::memcpy(samples.data(), early.data(), early.size());
-  const std::span<std::uint8_t> rest = samples.subspan(early.size());
-  if (!rest.empty() && !receive(rest)) return false;
-  if (crc32c_extend(crc32c_extend(0, prefix), rest) != header.checksum) {
-    throw WireError("wire: payload checksum mismatch");
-  }
-  if constexpr (std::endian::native == std::endian::big) {
-    for (float& v : image.samples()) {
-      v = std::bit_cast<float>(__builtin_bswap32(std::bit_cast<std::uint32_t>(v)));
-    }
-  }
-  slot = std::move(image);
-  out = std::move(message);
-  return true;
 }
 
 } // namespace
@@ -785,6 +701,72 @@ std::uint32_t checksum(std::span<const std::uint8_t> payload) {
 std::uint32_t checksum(std::uint32_t crc, std::span<const std::uint8_t> more) {
   return crc32c_extend(crc, more);
 }
+
+template <typename Message>
+OutboundMessage encode_parts(const Message& message) {
+  std::vector<std::uint8_t> head = begin_message();
+  const img::ImageF& image = put_fields(head, message);
+  put_shape(head, image);
+  std::span<const std::uint8_t> samples;
+  if constexpr (std::endian::native == std::endian::little) {
+    // The plane's memory already is the wire's run of little-endian f32
+    // words: the samples are sent from where they lie.
+    samples = {reinterpret_cast<const std::uint8_t*>(image.samples().data()),
+               image.sample_count() * 4};
+  } else {
+    for (float v : image.samples()) put_f32(head, v);
+  }
+  return {seal(type_of(message), std::move(head), samples), samples};
+}
+
+template <typename Message>
+bool receive_payload(const Header& header, const Receive& receive,
+                     Message& out) {
+  // Everything before the samples is at most the fields, one string and
+  // the dimensions; it arrives into a stack buffer, with the first
+  // samples when the payload is longer.
+  std::array<std::uint8_t, kFieldBytes + kMaxStringBytes + 12> buffer;
+  const auto prefix = std::span(buffer).first(
+      std::min<std::size_t>(header.payload_bytes, buffer.size()));
+  if (!receive(prefix)) return false;
+  Reader in(prefix);
+  Message message;
+  img::ImageF& slot = read_fields(in, message);
+  const Shape shape = read_shape(in);
+  if (prefix.size() - in.remaining() + shape.bytes() != header.payload_bytes) {
+    throw WireError("wire: image of " + std::to_string(shape.bytes()) +
+                    " sample bytes disagrees with the payload size " +
+                    std::to_string(header.payload_bytes));
+  }
+  img::ImageF image(shape.width, shape.height, shape.channels,
+                    img::uninitialized);
+  const std::span<std::uint8_t> samples(
+      reinterpret_cast<std::uint8_t*>(image.samples().data()), shape.bytes());
+  const std::size_t early = in.remaining();
+  std::memcpy(samples.data(), in.bytes(early).data(), early);
+  const std::span<std::uint8_t> rest = samples.subspan(early);
+  if (!rest.empty() && !receive(rest)) return false;
+  if (checksum(checksum(prefix), rest) != header.checksum) {
+    throw WireError("wire: payload checksum mismatch");
+  }
+  if constexpr (std::endian::native == std::endian::big) {
+    for (float& v : image.samples()) {
+      v = std::bit_cast<float>(__builtin_bswap32(std::bit_cast<std::uint32_t>(v)));
+    }
+  }
+  slot = std::move(image);
+  out = std::move(message);
+  return true;
+}
+
+template OutboundMessage encode_parts(const Request&);
+template OutboundMessage encode_parts(const Response&);
+template OutboundMessage encode_parts(const StreamFrame&);
+template OutboundMessage encode_parts(const StreamResult&);
+template bool receive_payload(const Header&, const Receive&, Request&);
+template bool receive_payload(const Header&, const Receive&, Response&);
+template bool receive_payload(const Header&, const Receive&, StreamFrame&);
+template bool receive_payload(const Header&, const Receive&, StreamResult&);
 
 std::array<std::uint8_t, kHeaderBytes> encode_header(const Header& header) {
   std::vector<std::uint8_t> bytes;
@@ -842,38 +824,20 @@ void verify_checksum(const Header& header,
   }
 }
 
-OutboundMessage encode_parts(const Request& request) {
-  return encode_image_message(MessageType::request, request);
-}
-
 std::vector<std::uint8_t> encode_request(const Request& request) {
-  return joined(encode_parts(request));
+  return encode_joined(request);
 }
 
 Request decode_request(std::span<const std::uint8_t> payload) {
   return decode_image_message<Request>(payload, "request");
 }
 
-bool receive_payload(const Header& header, const Receive& receive,
-                     Request& request) {
-  return receive_image_message(header, receive, request);
-}
-
-OutboundMessage encode_parts(const Response& response) {
-  return encode_image_message(MessageType::response, response);
-}
-
 std::vector<std::uint8_t> encode_response(const Response& response) {
-  return joined(encode_parts(response));
+  return encode_joined(response);
 }
 
 Response decode_response(std::span<const std::uint8_t> payload) {
   return decode_image_message<Response>(payload, "response");
-}
-
-bool receive_payload(const Header& header, const Receive& receive,
-                     Response& response) {
-  return receive_image_message(header, receive, response);
 }
 
 std::vector<std::uint8_t> encode_error(const ErrorReply& reply) {
@@ -1005,38 +969,20 @@ StreamOpened decode_stream_opened(std::span<const std::uint8_t> payload) {
   return opened;
 }
 
-OutboundMessage encode_parts(const StreamFrame& frame) {
-  return encode_image_message(MessageType::stream_frame, frame);
-}
-
 std::vector<std::uint8_t> encode_stream_frame(const StreamFrame& frame) {
-  return joined(encode_parts(frame));
+  return encode_joined(frame);
 }
 
 StreamFrame decode_stream_frame(std::span<const std::uint8_t> payload) {
   return decode_image_message<StreamFrame>(payload, "stream_frame");
 }
 
-bool receive_payload(const Header& header, const Receive& receive,
-                     StreamFrame& frame) {
-  return receive_image_message(header, receive, frame);
-}
-
-OutboundMessage encode_parts(const StreamResult& result) {
-  return encode_image_message(MessageType::stream_result, result);
-}
-
 std::vector<std::uint8_t> encode_stream_result(const StreamResult& result) {
-  return joined(encode_parts(result));
+  return encode_joined(result);
 }
 
 StreamResult decode_stream_result(std::span<const std::uint8_t> payload) {
   return decode_image_message<StreamResult>(payload, "stream_result");
-}
-
-bool receive_payload(const Header& header, const Receive& receive,
-                     StreamResult& result) {
-  return receive_image_message(header, receive, result);
 }
 
 std::vector<std::uint8_t> encode_stream_credit(const StreamCredit& credit) {

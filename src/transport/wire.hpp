@@ -147,11 +147,9 @@ std::uint32_t crc32c_portable(std::span<const std::uint8_t> bytes);
 /// Whether this host runs crc32c_hardware (x86-64 with SSE4.2).
 bool crc32c_hardware_available();
 
-/// CRC32C through the SSE4.2 crc32 instruction: three independent chains
-/// over adjacent blocks, eight bytes per instruction each, joined by
-/// appending zero bytes to the earlier block's register (four 256-entry
-/// tables per block size). Call only where crc32c_hardware_available()
-/// holds.
+/// CRC32C through the SSE4.2 crc32 instruction: three chains over
+/// adjacent blocks, joined by a table-driven shift. Call only where
+/// crc32c_hardware_available() holds.
 std::uint32_t crc32c_hardware(std::span<const std::uint8_t> bytes);
 
 } // namespace detail
@@ -287,12 +285,11 @@ struct OutboundMessage {
   }
 };
 
-/// Encode an image message without copying its samples. Validates like
-/// the copying encoders below, which join the same two pieces.
-OutboundMessage encode_parts(const Request& request);
-OutboundMessage encode_parts(const Response& response);
-OutboundMessage encode_parts(const StreamFrame& frame);
-OutboundMessage encode_parts(const StreamResult& result);
+/// Encode an image message (Request, Response, StreamFrame or
+/// StreamResult) without copying its samples. Validates like the copying
+/// encoders below, which join the same two pieces.
+template <typename Message>
+OutboundMessage encode_parts(const Message& message);
 
 /// Encode a complete message, header included, ready to write to a socket.
 std::vector<std::uint8_t> encode_request(const Request& request);
@@ -310,23 +307,17 @@ std::vector<std::uint8_t> encode_stream_closed(const StreamClosed& closed);
 /// broke first.
 using Receive = std::function<bool(std::span<std::uint8_t>)>;
 
-/// Receive the payload of an image message (request, response, stream
-/// frame, stream result) whose header was read, straight into a plane.
-/// The fields and image dimensions arrive first, into a bounded buffer;
-/// the samples they declare must fill the payload exactly, and only then
-/// is an unwritten plane acquired (pooled under a PlanePool::Scope) and
-/// the samples received into it. `message` is assigned only after the
-/// checksum over both pieces holds. Throws WireError as the decoders do,
-/// and on a size disagreement or checksum mismatch; returns false when
-/// `receive` failed (the stream broke mid-message).
+/// Receive the payload of an image message (Request, Response,
+/// StreamFrame or StreamResult) whose header was read. The fields and
+/// dimensions arrive first, into a bounded buffer; the samples they
+/// declare must fill the payload exactly, and only then is an unwritten
+/// plane acquired (pooled under a PlanePool::Scope) and the samples
+/// received into it. `message` is assigned only once the checksum over
+/// both pieces holds. Throws WireError as the decoders do, and on a size
+/// disagreement or checksum mismatch; false when `receive` failed.
+template <typename Message>
 bool receive_payload(const Header& header, const Receive& receive,
-                     Request& message);
-bool receive_payload(const Header& header, const Receive& receive,
-                     Response& message);
-bool receive_payload(const Header& header, const Receive& receive,
-                     StreamFrame& message);
-bool receive_payload(const Header& header, const Receive& receive,
-                     StreamResult& message);
+                     Message& message);
 
 /// Decode one payload (the caller has already decoded the header, read
 /// exactly header.payload_bytes and verified the checksum). Throws
