@@ -13,6 +13,8 @@
 // their wire error codes, and injected socket faults (dropped and short
 // reads, failed sends) closing only the connection they hit.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <array>
@@ -20,6 +22,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -780,6 +783,53 @@ TEST(SocketTest, GatherSendWritesEveryPieceInOrder) {
   Socket socket = Socket::connect("127.0.0.1", listener.port());
   EXPECT_EQ(socket.send_all(pieces), SendStatus::ok);
   reader.join();
+  EXPECT_EQ(read, ReadStatus::ok);
+  EXPECT_TRUE(received == bytes);
+}
+
+TEST(SocketTest, GatherSendResumesAfterAnInterruptedWrite) {
+  // A signal that interrupts a sendmsg blocked on a full buffer makes it
+  // return the bytes it had queued; send_all must resume at the first
+  // unsent byte, here in the middle of the first piece. The reader holds
+  // off until the signal has been sent, so the write is blocked by then.
+  struct sigaction action {};
+  action.sa_handler = [](int) {}; // no SA_RESTART: the write returns early
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+  Rng rng(59);
+  std::vector<std::uint8_t> bytes(4'000'003);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  const std::span<const std::uint8_t> all(bytes);
+  const std::array<std::span<const std::uint8_t>, 3> pieces{
+      all.first(3'000'001), all.subspan(3'000'001, 1'000'000),
+      all.subspan(4'000'001)};
+
+  ListenSocket listener(0);
+  std::atomic<bool> interrupted{false};
+  std::vector<std::uint8_t> received(bytes.size());
+  ReadStatus read = ReadStatus::error;
+  std::thread reader([&] {
+    Socket peer = listener.accept();
+    while (!interrupted.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    read = peer.recv_all(received);
+  });
+  Socket socket = Socket::connect("127.0.0.1", listener.port());
+  const int small = 16 * 1024;
+  ::setsockopt(socket.fd(), SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  const pthread_t sender = ::pthread_self();
+  std::thread interrupter([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ::pthread_kill(sender, SIGUSR1);
+    interrupted.store(true);
+  });
+  const SendStatus sent = socket.send_all(pieces);
+  interrupter.join();
+  socket.shutdown_both(); // a failed send must not leave the reader waiting
+  reader.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  EXPECT_EQ(sent, SendStatus::ok);
   EXPECT_EQ(read, ReadStatus::ok);
   EXPECT_TRUE(received == bytes);
 }
