@@ -108,7 +108,8 @@ SendStatus Socket::send_all(
       sent -= iov[first].iov_len;
     }
     if (first < end) {
-      iov[first].iov_base = static_cast<std::uint8_t*>(iov[first].iov_base) + sent;
+      iov[first].iov_base =
+          static_cast<std::uint8_t*>(iov[first].iov_base) + sent;
       iov[first].iov_len -= sent;
     }
   }

@@ -312,7 +312,8 @@ struct Shape {
   int width, height, channels;
   std::size_t bytes() const {
     return std::size_t{4} * static_cast<std::size_t>(width) *
-           static_cast<std::size_t>(height) * static_cast<std::size_t>(channels);
+           static_cast<std::size_t>(height) *
+           static_cast<std::size_t>(channels);
   }
 };
 
@@ -467,7 +468,9 @@ constexpr ShiftTables crc32c_shift_tables(std::size_t bytes) {
   }
   ShiftTables tables{};
   for (std::uint32_t n = 0; n < 256; ++n) {
-    for (std::size_t k = 0; k < 4; ++k) tables[k][n] = gf2_times(op, n << (8 * k));
+    for (std::size_t k = 0; k < 4; ++k) {
+      tables[k][n] = gf2_times(op, n << (8 * k));
+    }
   }
   return tables;
 }
@@ -725,7 +728,7 @@ bool receive_payload(const Header& header, const Receive& receive,
   // Everything before the samples is at most the fields, one string and
   // the dimensions; it arrives into a stack buffer, with the first
   // samples when the payload is longer.
-  std::array<std::uint8_t, kFieldBytes + kMaxStringBytes + 12> buffer;
+  std::array<std::uint8_t, kFieldBytes + kMaxStringBytes + 12> buffer{};
   const auto prefix = std::span(buffer).first(
       std::min<std::size_t>(header.payload_bytes, buffer.size()));
   if (!receive(prefix)) return false;
@@ -733,6 +736,8 @@ bool receive_payload(const Header& header, const Receive& receive,
   Message message;
   img::ImageF& slot = read_fields(in, message);
   const Shape shape = read_shape(in);
+  // Declared samples that do not fill the payload exactly are rejected
+  // before anything is allocated for them.
   if (prefix.size() - in.remaining() + shape.bytes() != header.payload_bytes) {
     throw WireError("wire: image of " + std::to_string(shape.bytes()) +
                     " sample bytes disagrees with the payload size " +
@@ -751,7 +756,8 @@ bool receive_payload(const Header& header, const Receive& receive,
   }
   if constexpr (std::endian::native == std::endian::big) {
     for (float& v : image.samples()) {
-      v = std::bit_cast<float>(__builtin_bswap32(std::bit_cast<std::uint32_t>(v)));
+      v = std::bit_cast<float>(
+          __builtin_bswap32(std::bit_cast<std::uint32_t>(v)));
     }
   }
   slot = std::move(image);
