@@ -8,12 +8,10 @@
 //
 // A Backend owns one implementation strategy of the blur (direct separable,
 // streaming line-buffer, fixed-point streaming, or the synthesizable
-// hlscode kernels) and reports static capabilities plus analytic cost
-// hooks, so callers (PipelineExecutor, accel::ToneMappingSystem) select
-// and reason about implementations without switching on an enum.
+// hlscode kernels) and reports static capabilities plus a can_run hook,
+// so callers (PipelineExecutor, accel::ToneMappingSystem) select and
+// reason about implementations without switching on an enum.
 #pragma once
-
-#include <cstddef>
 
 #include "image/image.hpp"
 #include "tonemap/blur.hpp"
@@ -74,23 +72,6 @@ struct ExecutorOptions {
   tonemap::FixedBlurConfig fixed = tonemap::FixedBlurConfig::paper();
 };
 
-/// Analytic cost of one blur invocation, the hook the accel/platform layers
-/// use to reason about a backend without running it.
-struct BlurCost {
-  /// Multiply-accumulate operations (both separable passes).
-  double macs = 0.0;
-  /// Working-set bytes of the implementation's intermediate storage (line
-  /// buffer for streaming backends, full temporary plane otherwise).
-  std::size_t buffer_bytes = 0;
-  /// Full-plane memory traffic of one invocation: plane-sized reads plus
-  /// plane-sized writes. Streaming backends touch the source and the
-  /// destination plane once each (2 plane accesses — the intermediate rows
-  /// stay in the line buffer); non-streaming separable forms additionally
-  /// write and re-read the full temporary plane (4). This is the
-  /// bandwidth-side figure of merit the benches report as bytes/pixel.
-  std::size_t traffic_bytes = 0;
-};
-
 /// One execution strategy for the Gaussian mask blur.
 class Backend {
 public:
@@ -106,15 +87,6 @@ public:
   virtual img::ImageF run_blur(const img::ImageF& intensity,
                                const tonemap::GaussianKernel& kernel,
                                const ExecutorOptions& options) const = 0;
-
-  /// Cost hook with a capability-derived default: 2 passes x taps MACs per
-  /// pixel; line-buffer storage for streaming backends, a full temporary
-  /// plane otherwise. `options` selects the datapath the estimate is for:
-  /// fixed-datapath backends size elements from options.fixed,
-  /// dual-datapath backends from options.use_fixed.
-  virtual BlurCost estimate_cost(int width, int height,
-                                 const tonemap::GaussianKernel& kernel,
-                                 const ExecutorOptions& options = {}) const;
 
   /// Whether this backend can execute a blur of `kernel` under `options`.
   /// The default checks the datapath the options select and the kernel

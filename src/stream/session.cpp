@@ -1,7 +1,5 @@
 #include "stream/session.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -10,16 +8,6 @@
 #include "video/video_tonemapper.hpp"
 
 namespace tmhls::stream {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
-} // namespace
 
 void validate(const StreamConfig& config) {
   TMHLS_REQUIRE(config.width >= 1 && config.height >= 1,
@@ -57,7 +45,7 @@ void validate(const SessionManagerOptions& options) {
 struct SessionManager::Session {
   /// A frame waiting in the reorder buffer. The adaptation input (the
   /// frame's maximum) is computed at arrival so validation happens at
-  /// submit; the trajectory itself advances at PROCESS time, in sequence
+  /// submit; the adaptation step itself runs at PROCESS time, in sequence
   /// order.
   struct Buffered {
     img::ImageF frame;
@@ -66,7 +54,7 @@ struct SessionManager::Session {
   Session(std::uint64_t id_in, StreamConfig config_in, std::string planned)
       : id(id_in), config(std::move(config_in)),
         rate(config.rate, config.qos, config.frame_interval_seconds),
-        backend(std::move(planned)), last_activity(Clock::now()) {}
+        backend(std::move(planned)) {}
 
   int frames_in_flight() const { return static_cast<int>(reorder.size()); }
 
@@ -80,32 +68,17 @@ struct SessionManager::Session {
   /// first).
   std::string backend;
   /// The VideoToneMapper adaptation trajectory, carried across rungs.
-  float scale = 0.0f;
-  std::uint64_t adapted_frames = 0;
+  video::Adaptation adaptation;
   std::uint64_t next_sequence = 0;
   std::map<std::uint64_t, Buffered> reorder;
-  Clock::time_point last_activity;
   std::uint64_t frames_submitted = 0;
   std::uint64_t frames_delivered = 0;
   std::uint64_t frames_shed = 0;
   std::uint64_t frames_expired = 0;
   std::uint64_t sequence_gaps = 0;
-  std::vector<double> luminances; ///< when config.track_flicker
 };
 
 namespace {
-
-void deliver(SessionManager::Session& s, StreamFrameResult result,
-             std::vector<StreamFrameResult>& out) {
-  ++s.frames_delivered;
-  if (s.config.measure_service) {
-    s.rate.record_service(result.rung, result.service_seconds);
-  }
-  if (s.config.track_flicker) {
-    s.luminances.push_back(video::mean_luminance(result.output));
-  }
-  out.push_back(std::move(result));
-}
 
 /// Shed the WHOLE stream as a unit: everything undelivered — in the
 /// reorder buffer, and the current frame if the caller says so — is
@@ -140,35 +113,26 @@ bool process_frame(serve::ToneMapService& service,
     return false;
   }
   s.rung = decision.rung; // the sticky decision's only switch point
-  // The VideoToneMapper recurrence, verbatim: first frame adapts
-  // instantly, later frames exponentially — and the state commits only
-  // after the frame ran.
-  const float next_scale =
-      s.adapted_frames == 0
-          ? buffered.frame_max
-          : s.scale + static_cast<float>(s.config.adaptation_rate) *
-                          (buffered.frame_max - s.scale);
-  serve::FrameJob job;
-  job.frame = std::move(buffered.frame);
-  job.options = s.config.pipeline;
-  job.options.normalization_scale = next_scale;
-  // No deadline and never best_effort: admission can neither shed nor
-  // degrade the frame, so the rate controller stays the stream's only
-  // ladder policy.
-  job.qos = serve::QosClass::critical;
-  job.degrade = s.rung;
-  serve::FrameResult done = service.submit(std::move(job)).get();
-  s.scale = next_scale;
-  ++s.adapted_frames;
+  serve::FrameResult done = s.adaptation.step(
+      buffered.frame_max, s.config.adaptation_rate, [&](float scale) {
+        serve::FrameJob job;
+        job.frame = std::move(buffered.frame);
+        job.options = s.config.pipeline;
+        job.options.normalization_scale = scale;
+        // No deadline and never best_effort: admission can neither shed
+        // nor degrade the frame, so the rate controller stays the
+        // stream's only ladder policy.
+        job.qos = serve::QosClass::critical;
+        job.degrade = s.rung;
+        return service.submit(std::move(job)).get();
+      });
   s.backend = done.backend;
-  StreamFrameResult result;
-  result.stream_id = s.id;
-  result.sequence = sequence;
-  result.output = std::move(done.output);
-  result.rung = done.degrade;
-  result.backend = std::move(done.backend);
-  result.service_seconds = done.service_seconds;
-  deliver(s, std::move(result), out);
+  ++s.frames_delivered;
+  if (s.config.measure_service) {
+    s.rate.record_service(done.degrade, done.service_seconds);
+  }
+  out.push_back({s.id, sequence, std::move(done.output), done.degrade,
+                 std::move(done.backend), done.service_seconds});
   return true;
 }
 
@@ -279,7 +243,6 @@ SubmitOutcome SessionManager::submit_frame(std::uint64_t stream_id,
   const std::shared_ptr<Session> session = find(stream_id);
   Session& s = *session;
   const std::lock_guard<std::mutex> lock(s.mutex);
-  s.last_activity = Clock::now();
   SubmitOutcome outcome;
   if (s.state == StreamState::shed) {
     // The stream was shed as a unit; late frames (already in flight from
@@ -300,9 +263,7 @@ SubmitOutcome SessionManager::submit_frame(std::uint64_t stream_id,
   // The adaptation input, computed at arrival so a dark frame rejects at
   // the submit boundary (matching VideoToneMapper) instead of surfacing
   // mid-drain from the reorder buffer.
-  float frame_max = 0.0f;
-  for (const float v : frame.samples()) frame_max = std::max(frame_max, v);
-  TMHLS_REQUIRE(frame_max > 0.0f, "frame carries no light");
+  const float frame_max = video::adaptation_input(frame);
   if (sequence < s.next_sequence || s.reorder.count(sequence) != 0) {
     // Its slot was already skipped past (or it is a duplicate): too late
     // to deliver in order.
@@ -339,14 +300,11 @@ StreamStats SessionManager::locked_stats(const Session& s) const {
   st.rung_switches = s.rate.switches();
   st.frames_in_flight = s.frames_in_flight();
   st.estimated_service_seconds = s.rate.estimated_service_seconds();
-  st.flicker = s.luminances.size() >= 2
-                   ? video::flicker_metric(s.luminances)
-                   : 0.0;
   return st;
 }
 
 CloseResult SessionManager::finish(std::uint64_t stream_id,
-                                   bool deliver_tail, bool reclaimed) {
+                                   bool deliver_tail) {
   std::shared_ptr<Session> session;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -383,7 +341,6 @@ CloseResult SessionManager::finish(std::uint64_t stream_id,
     const std::lock_guard<std::mutex> lock(mutex_);
     ++streams_closed_;
     if (result.stats.state == StreamState::shed) ++streams_shed_;
-    if (reclaimed) ++streams_reclaimed_;
     retired_submitted_ += result.stats.frames_submitted;
     retired_delivered_ += result.stats.frames_delivered;
     retired_shed_ += result.stats.frames_shed;
@@ -394,40 +351,11 @@ CloseResult SessionManager::finish(std::uint64_t stream_id,
 }
 
 CloseResult SessionManager::close(std::uint64_t stream_id) {
-  return finish(stream_id, /*deliver_tail=*/true, /*reclaimed=*/false);
+  return finish(stream_id, /*deliver_tail=*/true);
 }
 
 StreamStats SessionManager::abort(std::uint64_t stream_id) {
-  return finish(stream_id, /*deliver_tail=*/false, /*reclaimed=*/false)
-      .stats;
-}
-
-int SessionManager::reclaim_stalled(double max_idle_seconds) {
-  TMHLS_REQUIRE(std::isfinite(max_idle_seconds) && max_idle_seconds >= 0.0,
-                "SessionManager::reclaim_stalled: max_idle_seconds must "
-                "be finite and >= 0");
-  const Clock::time_point now = Clock::now();
-  std::vector<std::uint64_t> stalled;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [id, session] : sessions_) {
-      const std::lock_guard<std::mutex> session_lock(session->mutex);
-      if (seconds_between(session->last_activity, now) >
-          max_idle_seconds) {
-        stalled.push_back(id);
-      }
-    }
-  }
-  int reclaimed = 0;
-  for (const std::uint64_t id : stalled) {
-    try {
-      finish(id, /*deliver_tail=*/false, /*reclaimed=*/true);
-      ++reclaimed;
-    } catch (const InvalidArgument&) {
-      // Lost a race with a concurrent close — already gone, fine.
-    }
-  }
-  return reclaimed;
+  return finish(stream_id, /*deliver_tail=*/false).stats;
 }
 
 StreamStats SessionManager::stream_stats(std::uint64_t stream_id) const {
@@ -442,7 +370,6 @@ SessionManagerStats SessionManager::stats() const {
   total.streams_opened = streams_opened_;
   total.streams_closed = streams_closed_;
   total.streams_shed = streams_shed_;
-  total.streams_reclaimed = streams_reclaimed_;
   total.frames_submitted = retired_submitted_;
   total.frames_delivered = retired_delivered_;
   total.frames_shed = retired_shed_;
@@ -467,7 +394,6 @@ common::StatsSnapshot snapshot(const SessionManagerStats& stats) {
   out.counter("streams_opened", stats.streams_opened);
   out.counter("streams_closed", stats.streams_closed);
   out.counter("streams_shed", stats.streams_shed);
-  out.counter("streams_reclaimed", stats.streams_reclaimed);
   out.counter("frames_submitted", stats.frames_submitted);
   out.counter("frames_delivered", stats.frames_delivered);
   out.counter("frames_shed", stats.frames_shed);

@@ -19,19 +19,19 @@
 //
 // Identity contract: a stream at the full-quality rung is byte-identical,
 // frame for frame, to a standalone VideoToneMapper fed the same frames in
-// sequence order — the session owns the same adaptation recurrence, and
-// the service runs the same tonemap::FrameEngine. Degraded rungs are
-// byte-identical to their standalone counterparts (tone_map() under
+// sequence order — the session runs the same adaptation step
+// (video::Adaptation), and the service runs the same
+// tonemap::FrameEngine. Degraded rungs are byte-identical to their
+// standalone counterparts (tone_map() under
 // serve::degraded_options with the service's policy for reduced_blur,
 // tonemap::reinhard_global for global_operator).
 //
 // Counter contract (the invariants stream_test hammers under TSan): over
 // the manager's lifetime streams_opened == streams_closed once every
-// stream is closed/aborted/reclaimed, and per stream frames_submitted ==
+// stream is closed or aborted, and per stream frames_submitted ==
 // frames_delivered + frames_shed + frames_expired after close.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -85,16 +85,15 @@ struct StreamConfig {
   /// Tests turn this off and drive decisions purely from
   /// rate.assumed_service_seconds, making them wall-clock-free.
   bool measure_service = true;
-  /// Track per-frame mean display luminance of delivered frames so
-  /// StreamStats can report the flicker metric (costs one plane scan per
-  /// delivered frame).
-  bool track_flicker = false;
 };
 
 /// Throws InvalidArgument naming the offending field.
 void validate(const StreamConfig& config);
 
-/// One delivered frame of a stream, in sequence order.
+/// One delivered frame of a stream, in sequence order. The one type of a
+/// delivered frame from session to client: the wire's StreamResult is this
+/// struct, and the server forwards it as the session produced it, with
+/// the client's stream id in `stream_id`.
 struct StreamFrameResult {
   std::uint64_t stream_id = 0;
   std::uint64_t sequence = 0;
@@ -136,9 +135,6 @@ struct StreamStats {
   int frames_in_flight = 0;
   /// Full-quality-equivalent per-frame service estimate (EWMA).
   double estimated_service_seconds = 0.0;
-  /// flicker_metric over delivered frames when track_flicker is on
-  /// (0 with fewer than two delivered frames).
-  double flicker = 0.0;
 };
 
 /// What one submit_frame produced.
@@ -163,9 +159,8 @@ struct CloseResult {
 /// lifecycle counts.
 struct SessionManagerStats {
   std::uint64_t streams_opened = 0;
-  std::uint64_t streams_closed = 0; ///< close() + abort() + reclaim
+  std::uint64_t streams_closed = 0; ///< close() + abort()
   std::uint64_t streams_shed = 0;   ///< shed as a unit (subset of closed)
-  std::uint64_t streams_reclaimed = 0; ///< closed by reclaim_stalled
   std::uint64_t frames_submitted = 0;
   std::uint64_t frames_delivered = 0;
   std::uint64_t frames_shed = 0;
@@ -233,12 +228,6 @@ public:
   /// undelivered (counted shed). Never throws on processing state.
   StreamStats abort(std::uint64_t stream_id);
 
-  /// Abort every stream idle (no open/submit) for longer than
-  /// `max_idle_seconds`; returns how many were reclaimed. The sweep the
-  /// serving host runs periodically so half-dead producers cannot pin
-  /// stream slots forever.
-  int reclaim_stalled(double max_idle_seconds);
-
   /// Live per-stream counters. Throws InvalidArgument for unknown ids
   /// (including already-closed streams — their final stats came back
   /// from close()).
@@ -255,9 +244,8 @@ public:
 private:
   std::shared_ptr<Session> find(std::uint64_t stream_id) const;
   StreamStats locked_stats(const Session& s) const;
-  /// Drain + unregister, shared by close/abort/reclaim.
-  CloseResult finish(std::uint64_t stream_id, bool deliver_tail,
-                     bool reclaimed);
+  /// Drain + unregister, shared by close/abort.
+  CloseResult finish(std::uint64_t stream_id, bool deliver_tail);
 
   serve::ToneMapService& service_;
   SessionManagerOptions options_;
@@ -267,7 +255,6 @@ private:
   std::uint64_t streams_opened_ = 0;
   std::uint64_t streams_closed_ = 0;
   std::uint64_t streams_shed_ = 0;
-  std::uint64_t streams_reclaimed_ = 0;
   /// Aggregates folded in as streams retire + live-summed in stats().
   std::uint64_t retired_submitted_ = 0;
   std::uint64_t retired_delivered_ = 0;

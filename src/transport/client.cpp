@@ -78,7 +78,7 @@ std::uint64_t Client::submit(serve::FrameJob job) {
   return request.request_id;
 }
 
-ClientResult Client::next_result() {
+wire::Response Client::next_result() {
   TMHLS_REQUIRE(in_flight_ > 0,
                 "Client::next_result with no outstanding requests");
   TMHLS_REQUIRE(socket_.valid(), "Client::next_result on a closed client");
@@ -110,10 +110,7 @@ ClientResult Client::next_result() {
   }
   if (header.type == wire::MessageType::response) {
     --in_flight_;
-    ClientResult out;
-    out.request_id = response.request_id;
-    out.result = std::move(response.result);
-    return out;
+    return response;
   }
   const wire::ErrorReply reply = wire::decode_error(payload);
   --in_flight_;
@@ -206,14 +203,7 @@ void Client::pump_stream_message() {
       const auto it = streams_.find(result.stream_id);
       // A delivery implicitly returns the frame's credit.
       if (it != streams_.end() && !it->second.closed) ++it->second.credits;
-      ClientStreamResult out;
-      out.stream_id = result.stream_id;
-      out.sequence = result.sequence;
-      out.output = std::move(result.output);
-      out.rung = result.rung;
-      out.backend = std::move(result.backend);
-      out.service_seconds = result.service_seconds;
-      stream_results_.push_back(std::move(out));
+      stream_results_.push_back(std::move(result));
       return;
     }
     case wire::MessageType::stream_credit: {
@@ -275,7 +265,7 @@ std::uint64_t Client::open_stream(stream::StreamConfig config) {
 
 void Client::send_stream_frame(std::uint64_t stream_id,
                                std::uint64_t sequence,
-                               const img::ImageF& frame) {
+                               img::ImageF frame) {
   const auto it = streams_.find(stream_id);
   TMHLS_REQUIRE(it != streams_.end() && it->second.opened,
                 "Client::send_stream_frame on an unknown stream");
@@ -299,14 +289,14 @@ void Client::send_stream_frame(std::uint64_t stream_id,
   wire::StreamFrame message;
   message.stream_id = stream_id;
   message.sequence = sequence;
-  message.frame = frame;
+  message.frame = std::move(frame);
   send_message(wire::encode_parts(message), "stream frame");
   --it->second.credits;
 }
 
-ClientStreamResult Client::next_stream_result() {
+wire::StreamResult Client::next_stream_result() {
   while (stream_results_.empty()) pump_stream_message();
-  ClientStreamResult out = std::move(stream_results_.front());
+  wire::StreamResult out = std::move(stream_results_.front());
   stream_results_.pop_front();
   return out;
 }

@@ -69,24 +69,10 @@ struct ClientOptions {
   double retry_backoff_seconds = 0.05;
 };
 
-/// One reply from next_result(): the FrameResult exactly as the service
-/// produced it, plus the client-side id of the request it answers.
-struct ClientResult {
-  std::uint64_t request_id = 0;
-  serve::FrameResult result;
-};
-
-/// One delivered stream frame from next_stream_result(): the wire
-/// StreamResult fields with the client-side stream id.
-struct ClientStreamResult {
-  std::uint64_t stream_id = 0;
-  std::uint64_t sequence = 0;
-  img::ImageF output;
-  /// Rung the frame actually ran at server-side.
-  serve::DegradeLevel rung = serve::DegradeLevel::none;
-  std::string backend;
-  double service_seconds = 0.0;
-};
+/// A next_result() reply under the name the benchmark runner
+/// (perfbench/runner.cpp) spells; it goes when the runner moves to
+/// wire::Response.
+using ClientResult = wire::Response;
 
 /// The blocking/pipelined transport client.
 class Client {
@@ -106,10 +92,12 @@ public:
   /// out-of-range dimensions or deadline).
   std::uint64_t submit(serve::FrameJob job);
 
-  /// Read the next reply (completion order, not submission order). Throws
-  /// RemoteError for a server-reported failure — the connection stays
-  /// usable — and TransportError/WireError if the stream breaks.
-  ClientResult next_result();
+  /// Read the next reply (completion order, not submission order): the
+  /// FrameResult exactly as the service produced it, with the id of the
+  /// request it answers. Throws RemoteError for a server-reported failure
+  /// — the connection stays usable — and TransportError/WireError if the
+  /// stream breaks.
+  wire::Response next_result();
 
   /// Blocking round trip: submit one job, wait for its reply. Requires an
   /// empty pipeline (no outstanding submits).
@@ -144,21 +132,24 @@ public:
   std::uint64_t open_stream(stream::StreamConfig config);
 
   /// Send frame `sequence` of an open stream, consuming one credit
-  /// (blocking for credits first if none are left). Throws RemoteError if
-  /// the server terminated the stream (shed -> ErrorCode::overloaded,
-  /// failed -> generic), or for a per-frame server rejection discovered
-  /// while waiting — the stream itself survives those.
+  /// (blocking for credits first if none are left). The frame is sent
+  /// from its own plane; move it in to send it without a copy. Throws
+  /// RemoteError if the server terminated the stream (shed ->
+  /// ErrorCode::overloaded, failed -> generic), or for a per-frame server
+  /// rejection discovered while waiting — the stream itself survives
+  /// those.
   void send_stream_frame(std::uint64_t stream_id, std::uint64_t sequence,
-                         const img::ImageF& frame);
+                         img::ImageF frame);
 
   /// Delivered frames already read off the socket while pumping.
   std::size_t buffered_stream_results() const {
     return stream_results_.size();
   }
 
-  /// Next delivered frame, in per-stream sequence order: pops the buffer,
-  /// or blocks reading the socket until one arrives.
-  ClientStreamResult next_stream_result();
+  /// Next delivered frame, in per-stream sequence order, as decoded off
+  /// the wire: pops the buffer, or blocks reading the socket until one
+  /// arrives.
+  wire::StreamResult next_stream_result();
 
   /// End a stream: sends StreamClose (unless the server already
   /// terminated the stream spontaneously), drains the tail into the
@@ -198,7 +189,7 @@ private:
   std::size_t in_flight_ = 0;
   std::uint64_t next_stream_id_ = 1;
   std::map<std::uint64_t, StreamSession> streams_;
-  std::deque<ClientStreamResult> stream_results_;
+  std::deque<wire::StreamResult> stream_results_;
 };
 
 } // namespace tmhls::transport

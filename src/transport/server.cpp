@@ -106,6 +106,17 @@ wire::OutboundMessage outbound(std::vector<std::uint8_t>& message) {
   return {std::move(message), {}};
 }
 
+/// A stream's terminal message, carrying its final counters.
+std::vector<std::uint8_t> stream_closed(std::uint64_t stream_id,
+                                        wire::StreamStatus status,
+                                        const stream::StreamStats& stats,
+                                        const std::string& message = "") {
+  return wire::encode_stream_closed(
+      {stream_id, status, stats.frames_delivered, stats.frames_shed,
+       stats.frames_expired, static_cast<std::uint32_t>(stats.rung_switches),
+       message});
+}
+
 } // namespace
 
 Server::Server(ServerOptions options)
@@ -340,8 +351,8 @@ void Server::enqueue(Connection& c, std::vector<std::uint8_t> message) {
   enqueue(c, Reply{std::move(message), nullptr});
 }
 
-void Server::enqueue_error(Connection& c, std::uint64_t request_id,
-                           const std::exception& e) {
+std::vector<std::uint8_t> Server::error_reply(std::uint64_t id,
+                                              const std::exception& e) {
   // The shed/expired counters advance even when the peer is gone and the
   // reply is never written.
   const wire::ErrorCode code = classify(e);
@@ -349,8 +360,27 @@ void Server::enqueue_error(Connection& c, std::uint64_t request_id,
   if (code == wire::ErrorCode::deadline_exceeded) {
     requests_expired_.fetch_add(1);
   }
-  enqueue(c, {wire::encode_error({request_id, code, e.what()}),
-              &errors_sent_});
+  return wire::encode_error({id, code, e.what()});
+}
+
+void Server::enqueue_error(Connection& c, std::uint64_t request_id,
+                           const std::exception& e) {
+  enqueue(c, {error_reply(request_id, e), &errors_sent_});
+}
+
+void Server::enqueue_stream_error(Connection& c, std::uint64_t stream_id,
+                                  const std::exception& e) {
+  errors_sent_.fetch_add(1);
+  enqueue(c, error_reply(stream_id, e));
+}
+
+void Server::enqueue_results(Connection& c, std::uint64_t stream_id,
+                             std::vector<wire::StreamResult>& results) {
+  for (wire::StreamResult& result : results) {
+    result.stream_id = stream_id; // the client's id, not the session's
+    stream_results_sent_.fetch_add(1);
+    enqueue(c, Reply{std::move(result), nullptr});
+  }
 }
 
 void Server::handle_stream_open(Connection& c,
@@ -370,11 +400,7 @@ void Server::handle_stream_open(Connection& c,
   } catch (const std::exception& e) {
     // Rejected open (capacity shed, malformed config): an error reply
     // carrying the stream id in request_id; the connection continues.
-    if (classify(e) == wire::ErrorCode::overloaded) {
-      requests_shed_.fetch_add(1);
-    }
-    errors_sent_.fetch_add(1);
-    enqueue(c, wire::encode_error({open.stream_id, classify(e), e.what()}));
+    enqueue_stream_error(c, open.stream_id, e);
   }
 }
 
@@ -382,24 +408,16 @@ void Server::handle_stream_frame(Connection& c, wire::StreamFrame frame) {
   stream_frames_received_.fetch_add(1);
   const auto it = c.stream_ids.find(frame.stream_id);
   if (it == c.stream_ids.end()) {
-    errors_sent_.fetch_add(1);
-    enqueue(c, wire::encode_error({frame.stream_id,
-                                   wire::ErrorCode::invalid_argument,
-                                   "transport: frame for unknown stream"}));
+    enqueue_stream_error(
+        c, frame.stream_id,
+        InvalidArgument("transport: frame for unknown stream"));
     return;
   }
   try {
     stream::SubmitOutcome out =
         sessions_.submit_frame(it->second, frame.sequence,
                                std::move(frame.frame));
-    for (stream::StreamFrameResult& r : out.results) {
-      stream_results_sent_.fetch_add(1);
-      enqueue(c, Reply{wire::StreamResult{frame.stream_id, r.sequence,
-                                          r.rung, r.backend,
-                                          r.service_seconds,
-                                          std::move(r.output)},
-                       nullptr});
-    }
+    enqueue_results(c, frame.stream_id, out.results);
     if (out.credits_released > 0) {
       enqueue(c,
               wire::encode_stream_credit({frame.stream_id,
@@ -411,37 +429,24 @@ void Server::handle_stream_frame(Connection& c, wire::StreamFrame frame) {
       const stream::CloseResult done = sessions_.close(it->second);
       c.stream_ids.erase(it);
       streams_closed_.fetch_add(1);
-      enqueue(c, wire::encode_stream_closed(
-                     {frame.stream_id, wire::StreamStatus::shed,
-                      done.stats.frames_delivered, done.stats.frames_shed,
-                      done.stats.frames_expired,
-                      static_cast<std::uint32_t>(done.stats.rung_switches),
-                      ""}));
+      enqueue(c, stream_closed(frame.stream_id, wire::StreamStatus::shed,
+                               done.stats));
     }
   } catch (const serve::Overloaded& e) {
     // Flow-control window exhausted: per-frame rejection, stream survives.
-    requests_shed_.fetch_add(1);
-    errors_sent_.fetch_add(1);
-    enqueue(c, wire::encode_error(
-                   {frame.stream_id, wire::ErrorCode::overloaded, e.what()}));
+    enqueue_stream_error(c, frame.stream_id, e);
   } catch (const InvalidArgument& e) {
     // Malformed frame (geometry mismatch, dark frame): per-frame
     // rejection, stream survives.
-    errors_sent_.fetch_add(1);
-    enqueue(c, wire::encode_error({frame.stream_id,
-                                   wire::ErrorCode::invalid_argument,
-                                   e.what()}));
+    enqueue_stream_error(c, frame.stream_id, e);
   } catch (const std::exception& e) {
     // Processing itself failed: the stream's pipeline state is suspect —
     // abort it as a unit and report the failure terminally.
     const stream::StreamStats st = sessions_.abort(it->second);
     c.stream_ids.erase(it);
     streams_closed_.fetch_add(1);
-    enqueue(c, wire::encode_stream_closed(
-                   {frame.stream_id, wire::StreamStatus::failed,
-                    st.frames_delivered, st.frames_shed, st.frames_expired,
-                    static_cast<std::uint32_t>(st.rung_switches),
-                    e.what()}));
+    enqueue(c, stream_closed(frame.stream_id, wire::StreamStatus::failed, st,
+                             e.what()));
   }
 }
 
@@ -450,10 +455,9 @@ void Server::handle_stream_close(Connection& c,
   const wire::StreamClose close = wire::decode_stream_close(payload);
   const auto it = c.stream_ids.find(close.stream_id);
   if (it == c.stream_ids.end()) {
-    errors_sent_.fetch_add(1);
-    enqueue(c, wire::encode_error({close.stream_id,
-                                   wire::ErrorCode::invalid_argument,
-                                   "transport: close for unknown stream"}));
+    enqueue_stream_error(
+        c, close.stream_id,
+        InvalidArgument("transport: close for unknown stream"));
     return;
   }
   const std::uint64_t local = it->second;
@@ -461,29 +465,17 @@ void Server::handle_stream_close(Connection& c,
   streams_closed_.fetch_add(1);
   try {
     stream::CloseResult done = sessions_.close(local);
-    for (stream::StreamFrameResult& r : done.results) {
-      stream_results_sent_.fetch_add(1);
-      enqueue(c, Reply{wire::StreamResult{close.stream_id, r.sequence,
-                                          r.rung, r.backend,
-                                          r.service_seconds,
-                                          std::move(r.output)},
-                       nullptr});
-    }
-    const wire::StreamStatus status =
-        done.stats.state == stream::StreamState::shed
-            ? wire::StreamStatus::shed
-            : wire::StreamStatus::closed;
-    enqueue(c, wire::encode_stream_closed(
-                   {close.stream_id, status, done.stats.frames_delivered,
-                    done.stats.frames_shed, done.stats.frames_expired,
-                    static_cast<std::uint32_t>(done.stats.rung_switches),
-                    ""}));
+    enqueue_results(c, close.stream_id, done.results);
+    enqueue(c, stream_closed(close.stream_id,
+                             done.stats.state == stream::StreamState::shed
+                                 ? wire::StreamStatus::shed
+                                 : wire::StreamStatus::closed,
+                             done.stats));
   } catch (const std::exception& e) {
     // close() absorbs processing failures internally; this is the
     // defensive net for anything else (the stream is already retired).
-    enqueue(c, wire::encode_stream_closed({close.stream_id,
-                                           wire::StreamStatus::failed, 0, 0,
-                                           0, 0, e.what()}));
+    enqueue(c, stream_closed(close.stream_id, wire::StreamStatus::failed, {},
+                             e.what()));
   }
 }
 
@@ -493,7 +485,7 @@ void Server::abort_connection_streams(Connection& c) {
     try {
       sessions_.abort(local);
     } catch (const std::exception&) {
-      // Already retired (e.g. by a reclaim_stalled sweep): nothing to do.
+      // Already retired through sessions(): nothing to do.
     }
   }
   c.stream_ids.clear();

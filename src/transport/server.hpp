@@ -131,8 +131,9 @@ public:
   serve::ToneMapService& service() { return service_; }
   const serve::ToneMapService& service() const { return service_; }
 
-  /// The owned stream session manager (e.g. for SessionManagerStats and
-  /// reclaim_stalled sweeps alongside the transport counters).
+  /// The owned stream session manager (e.g. for SessionManagerStats
+  /// alongside the transport counters). A stream lives until its client
+  /// closes it, the server sheds or fails it, or its connection drops.
   stream::SessionManager& sessions() { return sessions_; }
   const stream::SessionManager& sessions() const { return sessions_; }
 
@@ -174,9 +175,20 @@ private:
   static void enqueue(Connection& connection, Reply reply);
   static void enqueue(Connection& connection,
                       std::vector<std::uint8_t> message);
-  /// Queue a request's typed error reply, counting a shed or an expiry.
+  /// A typed error reply to request or stream `id`, counting a shed or
+  /// an expiry.
+  std::vector<std::uint8_t> error_reply(std::uint64_t id,
+                                        const std::exception& e);
+  /// Queue a request's error reply; the writer counts it in errors_sent.
   void enqueue_error(Connection& connection, std::uint64_t request_id,
                      const std::exception& e);
+  /// Queue a stream-scoped error reply and count it in errors_sent.
+  void enqueue_stream_error(Connection& connection, std::uint64_t stream_id,
+                            const std::exception& e);
+  /// Queue a stream's delivered frames as the session produced them, each
+  /// carrying the client's `stream_id`.
+  void enqueue_results(Connection& connection, std::uint64_t stream_id,
+                       std::vector<wire::StreamResult>& results);
 
   ServerOptions options_;
   serve::ToneMapService service_;

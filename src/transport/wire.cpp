@@ -834,10 +834,6 @@ std::vector<std::uint8_t> encode_request(const Request& request) {
   return encode_joined(request);
 }
 
-Request decode_request(std::span<const std::uint8_t> payload) {
-  return decode_image_message<Request>(payload, "request");
-}
-
 std::vector<std::uint8_t> encode_response(const Response& response) {
   return encode_joined(response);
 }
@@ -977,14 +973,6 @@ StreamOpened decode_stream_opened(std::span<const std::uint8_t> payload) {
 
 std::vector<std::uint8_t> encode_stream_frame(const StreamFrame& frame) {
   return encode_joined(frame);
-}
-
-StreamFrame decode_stream_frame(std::span<const std::uint8_t> payload) {
-  return decode_image_message<StreamFrame>(payload, "stream_frame");
-}
-
-std::vector<std::uint8_t> encode_stream_result(const StreamResult& result) {
-  return encode_joined(result);
 }
 
 StreamResult decode_stream_result(std::span<const std::uint8_t> payload) {

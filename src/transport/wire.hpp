@@ -227,16 +227,10 @@ struct StreamFrame {
   img::ImageF frame;
 };
 
-/// One delivered frame, in sequence order. Implicitly returns the
-/// frame's credit to the client.
-struct StreamResult {
-  std::uint64_t stream_id = 0;
-  std::uint64_t sequence = 0;
-  serve::DegradeLevel rung = serve::DegradeLevel::none;
-  std::string backend;
-  double service_seconds = 0.0;
-  img::ImageF output;
-};
+/// One delivered frame, in sequence order: the session's result as it
+/// came out of the stream layer, `stream_id` the client's. Implicitly
+/// returns the frame's credit to the client.
+using StreamResult = stream::StreamFrameResult;
 
 /// Credits freed WITHOUT a delivery (frames shed or expired server-side).
 struct StreamCredit {
@@ -298,7 +292,6 @@ std::vector<std::uint8_t> encode_error(const ErrorReply& reply);
 std::vector<std::uint8_t> encode_stream_open(const StreamOpen& open);
 std::vector<std::uint8_t> encode_stream_opened(const StreamOpened& opened);
 std::vector<std::uint8_t> encode_stream_frame(const StreamFrame& frame);
-std::vector<std::uint8_t> encode_stream_result(const StreamResult& result);
 std::vector<std::uint8_t> encode_stream_credit(const StreamCredit& credit);
 std::vector<std::uint8_t> encode_stream_close(const StreamClose& close);
 std::vector<std::uint8_t> encode_stream_closed(const StreamClosed& closed);
@@ -322,13 +315,13 @@ bool receive_payload(const Header& header, const Receive& receive,
 /// Decode one payload (the caller has already decoded the header, read
 /// exactly header.payload_bytes and verified the checksum). Throws
 /// WireError on truncated/trailing bytes, out-of-range dimensions or
-/// unknown enum codes.
-Request decode_request(std::span<const std::uint8_t> payload);
+/// unknown enum codes. A connection receives image messages through
+/// receive_payload instead; decode_response and decode_stream_result read
+/// one already held in memory.
 Response decode_response(std::span<const std::uint8_t> payload);
 ErrorReply decode_error(std::span<const std::uint8_t> payload);
 StreamOpen decode_stream_open(std::span<const std::uint8_t> payload);
 StreamOpened decode_stream_opened(std::span<const std::uint8_t> payload);
-StreamFrame decode_stream_frame(std::span<const std::uint8_t> payload);
 StreamResult decode_stream_result(std::span<const std::uint8_t> payload);
 StreamCredit decode_stream_credit(std::span<const std::uint8_t> payload);
 StreamClose decode_stream_close(std::span<const std::uint8_t> payload);

@@ -28,27 +28,17 @@ VideoToneMapper::VideoToneMapper(VideoToneMapperOptions options)
     : options_(validated(options)),
       engine_(options.pipeline, options.frame_width, options.frame_height) {}
 
-img::ImageF VideoToneMapper::process(const img::ImageF& frame) {
+float adaptation_input(const img::ImageF& frame) {
   float frame_max = 0.0f;
   for (float v : frame.samples()) frame_max = std::max(frame_max, v);
   TMHLS_REQUIRE(frame_max > 0.0f, "frame carries no light");
-
-  const float next_scale =
-      frames_ == 0
-          ? frame_max // first frame: adapt instantly
-          : scale_ + static_cast<float>(options_.adaptation_rate) *
-                         (frame_max - scale_);
-  // Run before committing the adaptation state: a frame that throws must
-  // not advance the trajectory.
-  img::ImageF out = engine_.run(frame, next_scale);
-  scale_ = next_scale;
-  ++frames_;
-  return out;
+  return frame_max;
 }
 
-void VideoToneMapper::reset() {
-  scale_ = 0.0f;
-  frames_ = 0;
+img::ImageF VideoToneMapper::process(const img::ImageF& frame) {
+  return adaptation_.step(
+      adaptation_input(frame), options_.adaptation_rate,
+      [&](float scale) { return engine_.run(frame, scale); });
 }
 
 double mean_luminance(const img::ImageF& frame) {

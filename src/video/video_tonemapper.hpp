@@ -10,6 +10,7 @@
 // normalisation override.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "accel/system.hpp"
@@ -18,6 +19,33 @@
 #include "tonemap/pipeline.hpp"
 
 namespace tmhls::video {
+
+/// The adaptation input of a frame: its largest sample. Throws
+/// InvalidArgument ("frame carries no light") unless it is positive.
+float adaptation_input(const img::ImageF& frame);
+
+/// The temporal adaptation state, and the one step of its recurrence that
+/// VideoToneMapper and stream sessions share (the stream identity contract
+/// rests on both running this code).
+struct Adaptation {
+  float scale = 0.0f;      ///< the adapted normalisation scale
+  std::uint64_t frames = 0; ///< frames adapted to so far
+
+  /// Run one frame through `run(next_scale)` and return what it returns.
+  /// The first frame adapts instantly to `frame_max`, later frames
+  /// exponentially at `rate`. The state commits only after `run`
+  /// returned: a frame that throws does not advance the trajectory.
+  template <typename Run>
+  auto step(float frame_max, double rate, Run&& run) {
+    const float next =
+        frames == 0 ? frame_max
+                    : scale + static_cast<float>(rate) * (frame_max - scale);
+    auto out = run(next);
+    scale = next;
+    ++frames;
+    return out;
+  }
+};
 
 /// Options of the stateful video tone mapper.
 struct VideoToneMapperOptions {
@@ -50,19 +78,20 @@ public:
   const tonemap::FrameEngine& engine() const { return engine_; }
 
   /// The normalisation scale currently adapted to (0 before any frame).
-  float current_scale() const { return scale_; }
+  float current_scale() const { return adaptation_.scale; }
 
   /// Frames processed so far.
-  int frames_processed() const { return frames_; }
+  int frames_processed() const {
+    return static_cast<int>(adaptation_.frames);
+  }
 
   /// Forget the adaptation state (the engine is kept).
-  void reset();
+  void reset() { adaptation_ = {}; }
 
 private:
   VideoToneMapperOptions options_;
   tonemap::FrameEngine engine_;
-  float scale_ = 0.0f;
-  int frames_ = 0;
+  Adaptation adaptation_;
 };
 
 /// Mean display luminance per frame — the signal whose frame-to-frame

@@ -559,22 +559,7 @@ TEST(HlsCodeBackendTest, RejectsNonPaperFixedFormats) {
                InvalidArgument);
 }
 
-// --- Backend hooks: cost and capability ----------------------------------
-
-TEST(CostHookTest, ScalesWithGeometryAndDatapath) {
-  const tonemap::GaussianKernel kernel(2.0, 6);
-  const BackendRegistry& registry = BackendRegistry::global();
-  const BlurCost fc =
-      registry.resolve("streaming_fixed")->estimate_cost(64, 32, kernel);
-  EXPECT_DOUBLE_EQ(fc.macs, 2.0 * 13 * 64 * 32);
-  // Streaming working set is the 16-bit line buffer; the direct form keeps
-  // a full 32-bit plane.
-  EXPECT_EQ(fc.buffer_bytes, tonemap::line_buffer_bytes(64, 13, 16));
-  EXPECT_EQ(registry.resolve("separable_float")
-                ->estimate_cost(64, 32, kernel)
-                .buffer_bytes,
-            static_cast<std::size_t>(64) * 32 * 4);
-}
+// --- Backend hooks: capability ------------------------------------------
 
 TEST(CanRunTest, HlscodeBoundsTapsAndFixedFormats) {
   // The backend half of the rule PipelineOptions::plan applies (the plan

@@ -7,13 +7,14 @@
 // the deterministic rate-controller contract (one switch per sweep under
 // 2x overload for standard, shed-as-a-unit for best_effort, immovable
 // critical, hysteresis against flapping, and the same trajectories through
-// a session at 1x and 2x load); the tracked flicker metric; bit-identity
-// of the degraded rungs against their standalone counterparts; fault
-// injection at the per-frame processing site; stalled-stream reclamation;
-// and the transport integration — streams over the wire match the local
-// mapper and run as jobs of the server's one ToneMapService (also mixed
-// with request traffic), and a mid-stream disconnect makes the server
-// abort the connection's streams (opened == closed).
+// a session at 1x and 2x load); bit-identity of the degraded rungs
+// against their standalone counterparts; fault injection at the per-frame
+// processing site; and the transport integration — streams over the wire
+// match the local mapper and run as jobs of the server's one
+// ToneMapService (also mixed with request traffic), every reply carries
+// the client's stream id rather than the session's, a frame sent by move
+// is not copied, and a mid-stream disconnect makes the server abort the
+// connection's streams (opened == closed).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,12 +28,14 @@
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/rng.hpp"
+#include "image/plane_pool.hpp"
 #include "serve/service.hpp"
 #include "stream/rate_controller.hpp"
 #include "stream/session.hpp"
 #include "tonemap/global_operators.hpp"
 #include "tonemap/pipeline.hpp"
 #include "transport/client.hpp"
+#include "transport/framing.hpp"
 #include "transport/server.hpp"
 #include "video/video_tonemapper.hpp"
 
@@ -430,28 +433,6 @@ TEST(StreamRateTest, SessionTrajectoryAtOneAndTwoTimesOverload) {
   }
 }
 
-TEST(StreamSessionTest, TrackedFlickerIsTheDeliveredFramesFlicker) {
-  std::vector<img::ImageF> frames;
-  for (int f = 0; f < 6; ++f) frames.push_back(random_hdr(24, 16, 90u + f));
-  StreamConfig sc = quiet_config("separable_float", 24, 16);
-  sc.track_flicker = true;
-
-  serve::ToneMapService service;
-  SessionManager manager(service);
-  const std::uint64_t id = manager.open(sc);
-  std::vector<double> means;
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    for (const StreamFrameResult& r :
-         manager.submit_frame(id, f, frames[f]).results) {
-      means.push_back(video::mean_luminance(r.output));
-    }
-  }
-  const StreamStats st = manager.close(id).stats;
-  ASSERT_EQ(means.size(), frames.size());
-  EXPECT_GT(st.flicker, 0.0);
-  EXPECT_DOUBLE_EQ(st.flicker, video::flicker_metric(means));
-}
-
 // --- degraded rungs stay bit-identical to their standalone counterparts ----
 
 TEST(StreamSessionTest, ReducedBlurRungMatchesDegradedVideoToneMapper) {
@@ -578,23 +559,6 @@ TEST_F(StreamFaultTest, ProcessingFaultCountsFrameShedAndPropagates) {
                 total.frames_expired);
 }
 
-TEST(StreamSessionTest, ReclaimStalledAbortsOnlyIdleStreams) {
-  serve::ToneMapService service;
-  SessionManager manager(service);
-  const StreamConfig sc = quiet_config("separable_float", 16, 12);
-  const std::uint64_t idle = manager.open(sc);
-  const std::uint64_t busy = manager.open(sc);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  (void)manager.submit_frame(busy, 0, random_hdr(16, 12, 3));
-  EXPECT_EQ(manager.reclaim_stalled(0.02), 1);
-  EXPECT_THROW((void)manager.stream_stats(idle), InvalidArgument);
-  EXPECT_NO_THROW((void)manager.stream_stats(busy));
-  const SessionManagerStats stats = manager.stats();
-  EXPECT_EQ(stats.streams_reclaimed, 1u);
-  EXPECT_EQ(stats.streams_active, 1);
-  manager.close(busy);
-}
-
 // --- counter invariants under concurrency (the TSan target) ----------------
 
 TEST(StreamSessionTest, ConcurrentMixedTrafficKeepsTheBalance) {
@@ -657,7 +621,7 @@ TEST(StreamTransportTest, StreamedFramesOverTheWireMatchTheLocalMapper) {
   std::vector<img::ImageF> outputs(frames.size());
   const transport::wire::StreamClosed fin = client.close_stream(id);
   while (client.buffered_stream_results() > 0) {
-    transport::ClientStreamResult r = client.next_stream_result();
+    transport::wire::StreamResult r = client.next_stream_result();
     EXPECT_EQ(r.rung, serve::DegradeLevel::none);
     outputs[static_cast<std::size_t>(r.sequence)] = std::move(r.output);
   }
@@ -670,6 +634,83 @@ TEST(StreamTransportTest, StreamedFramesOverTheWireMatchTheLocalMapper) {
   EXPECT_EQ(stats.streams_opened, 1u);
   EXPECT_EQ(stats.streams_closed, 1u);
   EXPECT_EQ(stats.stream_results_sent, frames.size());
+}
+
+TEST(StreamTransportTest, RepliesCarryTheClientsStreamIdNotTheSessions) {
+  // Client stream ids are per connection, session ids per server: A's
+  // stream is session 1, so B's stream, client id 1 on its own
+  // connection, is session 2. Every reply B reads must name id 1. B
+  // speaks the wire directly, so nothing on its side can mend an id.
+  namespace wire = transport::wire;
+  transport::Server server;
+  const StreamConfig sc = quiet_config("separable_float", 16, 12);
+  transport::Client a("127.0.0.1", server.port());
+  const std::uint64_t a_id = a.open_stream(sc);
+
+  transport::Socket b = transport::Socket::connect("127.0.0.1", server.port());
+  b.set_recv_timeout(30.0);
+  const auto send = [&b](const std::vector<std::uint8_t>& message) {
+    ASSERT_EQ(b.send_all(message), transport::SendStatus::ok);
+  };
+  const auto next = [&b](wire::MessageType type) {
+    transport::InboundMessage message;
+    EXPECT_EQ(transport::read_message(b, message),
+              transport::ReadMessageStatus::ok);
+    EXPECT_EQ(message.header.type, type);
+    return message.payload;
+  };
+  constexpr std::uint64_t kId = 1;
+  send(wire::encode_stream_open({kId, sc}));
+  EXPECT_EQ(wire::decode_stream_opened(next(wire::MessageType::stream_opened))
+                .stream_id,
+            kId);
+  EXPECT_NO_THROW((void)server.sessions().stream_stats(2)); // B's session
+
+  const img::ImageF frame = random_hdr(16, 12, 5);
+  send(wire::encode_stream_frame({kId, 0, frame}));
+  EXPECT_EQ(wire::decode_stream_result(next(wire::MessageType::stream_result))
+                .stream_id,
+            kId);
+  send(wire::encode_stream_frame({kId, 0, frame})); // duplicate: a credit
+  EXPECT_EQ(wire::decode_stream_credit(next(wire::MessageType::stream_credit))
+                .stream_id,
+            kId);
+  send(wire::encode_stream_frame({kId, 2, frame})); // held behind a gap
+  send(wire::encode_stream_close({kId}));           // delivered by the close
+  const wire::StreamResult tail =
+      wire::decode_stream_result(next(wire::MessageType::stream_result));
+  EXPECT_EQ(tail.stream_id, kId);
+  EXPECT_EQ(tail.sequence, 2u);
+  const wire::StreamClosed closed =
+      wire::decode_stream_closed(next(wire::MessageType::stream_closed));
+  EXPECT_EQ(closed.stream_id, kId);
+  EXPECT_EQ(closed.frames_delivered, 2u);
+  EXPECT_EQ(closed.frames_expired, 1u);
+  EXPECT_EQ(a.close_stream(a_id).status, wire::StreamStatus::closed);
+}
+
+TEST(StreamTransportTest, SendingAFrameByMoveMakesNoCopy) {
+  // A moved-in frame is sent from its own plane. A copy would acquire a
+  // plane on the client thread, here from `pool`.
+  transport::Server server;
+  transport::Client client("127.0.0.1", server.port());
+  const StreamConfig sc = quiet_config("separable_float", 24, 16);
+  const std::uint64_t id = client.open_stream(sc);
+  std::vector<img::ImageF> frames;
+  for (int f = 0; f < sc.credits; ++f) {
+    frames.push_back(random_hdr(24, 16, 700u + f));
+  }
+  img::PlanePool pool;
+  {
+    const img::PlanePool::Scope scope(pool);
+    const std::uint64_t before = pool.stats().acquires;
+    // No more frames than credits: no send waits, so none reads a reply.
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      client.send_stream_frame(id, f, std::move(frames[f]));
+    }
+    EXPECT_EQ(pool.stats().acquires, before);
+  }
+  EXPECT_EQ(client.close_stream(id).frames_delivered, frames.size());
 }
 
 TEST(StreamTransportTest, MidStreamDisconnectAbortsTheConnectionsStreams) {
@@ -744,7 +785,7 @@ TEST(StreamTransportTest, MixedTrafficOnOneServerKeepsEveryBalance) {
   }
 
   std::vector<transport::wire::StreamClosed> finals(kStreams);
-  std::vector<std::vector<transport::ClientStreamResult>> results(kStreams);
+  std::vector<std::vector<transport::wire::StreamResult>> results(kStreams);
   std::vector<int> requests_ok(kRequestThreads, 0);
   std::vector<std::thread> threads;
   for (int s = 0; s < kStreams; ++s) {
@@ -787,7 +828,7 @@ TEST(StreamTransportTest, MixedTrafficOnOneServerKeepsEveryBalance) {
     EXPECT_EQ(static_cast<std::uint64_t>(kFrames),
               fin.frames_delivered + fin.frames_shed + fin.frames_expired);
     ASSERT_EQ(results[s].size(), static_cast<std::size_t>(kFrames));
-    for (const transport::ClientStreamResult& r : results[s]) {
+    for (const transport::wire::StreamResult& r : results[s]) {
       ASSERT_EQ(r.rung, serve::DegradeLevel::none);
       EXPECT_TRUE(bit_identical(r.output,
                                 golden[s][static_cast<std::size_t>(

@@ -99,6 +99,42 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   }
 }
 
+/// The payload of an encoded message (its bytes after the header).
+std::vector<std::uint8_t> payload_of(std::span<const std::uint8_t> message) {
+  return {message.begin() + wire::kHeaderBytes, message.end()};
+}
+
+/// A header that declares `payload` exactly, checksum included.
+wire::Header header_for(std::span<const std::uint8_t> payload) {
+  wire::Header header;
+  header.payload_bytes = static_cast<std::uint32_t>(payload.size());
+  header.checksum = wire::checksum(payload);
+  return header;
+}
+
+/// Receive `bytes` as the payload `header` declares, the way a connection
+/// does: through wire::receive_payload, here from memory rather than a
+/// socket. False when the bytes ran out first.
+template <typename Message>
+bool receive_from(const wire::Header& header,
+                  std::span<const std::uint8_t> bytes, Message& message) {
+  const wire::Receive from_bytes = [&bytes](std::span<std::uint8_t> out) {
+    if (out.size() > bytes.size()) return false;
+    std::memcpy(out.data(), bytes.data(), out.size());
+    bytes = bytes.subspan(out.size());
+    return true;
+  };
+  return wire::receive_payload(header, from_bytes, message);
+}
+
+/// Receive a whole payload under a header that declares it exactly.
+template <typename Message>
+Message received(std::span<const std::uint8_t> payload) {
+  Message message;
+  EXPECT_TRUE(receive_from(header_for(payload), payload, message));
+  return message;
+}
+
 // --- wire format -----------------------------------------------------------
 
 TEST(WireTest, RequestRoundTripPreservesEveryField) {
@@ -134,7 +170,7 @@ TEST(WireTest, RequestRoundTripPreservesEveryField) {
   EXPECT_EQ(payload.size(), header.payload_bytes);
   wire::verify_checksum(header, payload); // must not throw
 
-  const wire::Request decoded = wire::decode_request(payload);
+  const wire::Request decoded = received<wire::Request>(payload);
   EXPECT_EQ(decoded.request_id, request.request_id);
   EXPECT_EQ(decoded.job.qos, serve::QosClass::best_effort);
   EXPECT_EQ(decoded.job.deadline_seconds, 0.25);
@@ -209,8 +245,8 @@ TEST(WireTest, StreamFrameGoldenBytesPinTheSampleLayout) {
       0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x80}; // 1.0f, -0.0f
   EXPECT_EQ(wire::encode_stream_frame({1, 2, image}), expected);
 
-  const wire::StreamFrame decoded = wire::decode_stream_frame(
-      std::span<const std::uint8_t>(expected).subspan(wire::kHeaderBytes));
+  const wire::StreamFrame decoded =
+      received<wire::StreamFrame>(payload_of(expected));
   EXPECT_EQ(decoded.stream_id, 1u);
   EXPECT_EQ(decoded.sequence, 2u);
   EXPECT_TRUE(bit_identical(decoded.frame, image));
@@ -430,10 +466,8 @@ TEST(WireTest, StreamMessagesRoundTripEveryField) {
     frame.sequence = 41;
     frame.frame = random_hdr(6, 4, 17);
     frame.frame.at(2, 1, 0) = std::nanf(""); // exact bits must survive
-    const std::vector<std::uint8_t> message =
-        wire::encode_stream_frame(frame);
-    const wire::StreamFrame decoded = wire::decode_stream_frame(
-        std::span<const std::uint8_t>(message).subspan(wire::kHeaderBytes));
+    const wire::StreamFrame decoded = received<wire::StreamFrame>(
+        payload_of(wire::encode_stream_frame(frame)));
     EXPECT_EQ(decoded.stream_id, 3u);
     EXPECT_EQ(decoded.sequence, 41u);
     EXPECT_TRUE(bit_identical(decoded.frame, frame.frame));
@@ -446,10 +480,12 @@ TEST(WireTest, StreamMessagesRoundTripEveryField) {
     result.backend = "hlscode";
     result.service_seconds = 1.25e-3;
     result.output = random_hdr(6, 4, 18);
-    const std::vector<std::uint8_t> message =
-        wire::encode_stream_result(result);
+    const wire::OutboundMessage parts = wire::encode_parts(result);
+    std::vector<std::uint8_t> message = parts.head;
+    message.insert(message.end(), parts.samples.begin(), parts.samples.end());
     const wire::StreamResult decoded = wire::decode_stream_result(
         std::span<const std::uint8_t>(message).subspan(wire::kHeaderBytes));
+    EXPECT_EQ(decoded.stream_id, 3u);
     EXPECT_EQ(decoded.sequence, 41u);
     EXPECT_EQ(decoded.rung, serve::DegradeLevel::reduced_blur);
     EXPECT_EQ(decoded.backend, "hlscode");
@@ -553,15 +589,14 @@ TEST(WireTest, StreamDecodersRejectTrailingBytesAndUnknownStatus) {
 }
 
 TEST(WireTest, RequestDecodeRejectsMalformedDeadlineEncodings) {
-  const std::vector<std::uint8_t> message =
-      wire::encode_request({0, {random_hdr(4, 3, 1), {}, {}, {}}});
+  const std::vector<std::uint8_t> payload =
+      payload_of(wire::encode_request({0, {random_hdr(4, 3, 1), {}, {}, {}}}));
   // Payload layout: u64 id, u8 qos, u8 deadline flag, f64 deadline value.
-  const std::size_t flag_at = wire::kHeaderBytes + 8 + 1;
+  const std::size_t flag_at = 8 + 1;
   auto decode_mutated = [&](auto mutate) {
-    std::vector<std::uint8_t> bytes = message;
+    std::vector<std::uint8_t> bytes = payload;
     mutate(bytes);
-    return wire::decode_request(
-        std::span<const std::uint8_t>(bytes).subspan(wire::kHeaderBytes));
+    return received<wire::Request>(bytes);
   };
   // Flag 0 with a nonzero value: two encodings of "no deadline" would
   // otherwise exist.
@@ -572,10 +607,8 @@ TEST(WireTest, RequestDecodeRejectsMalformedDeadlineEncodings) {
   EXPECT_THROW((void)decode_mutated([&](auto& b) { b[flag_at] = 0x02; }),
                WireError);
   // The unmutated message still decodes (sanity check of flag_at).
-  EXPECT_FALSE(wire::decode_request(
-                   std::span<const std::uint8_t>(message).subspan(
-                       wire::kHeaderBytes))
-                   .job.deadline_seconds.has_value());
+  EXPECT_FALSE(
+      received<wire::Request>(payload).job.deadline_seconds.has_value());
 }
 
 TEST(WireTest, HeaderRejectsMagicVersionTypeAndSizeViolations) {
@@ -653,7 +686,7 @@ TEST(WireTest, RequestDecodeRejectsOversizedDimensionsWithoutAllocating) {
   put_u32(payload, 100000); // image width, far beyond kMaxDimension
   put_u32(payload, 1);      // height
   put_u32(payload, 1);      // channels
-  EXPECT_THROW(wire::decode_request(payload), WireError);
+  EXPECT_THROW((void)received<wire::Request>(payload), WireError);
 
   // The same payload with in-range dimensions but missing sample bytes
   // must be rejected by the declared-vs-available check too.
@@ -661,30 +694,32 @@ TEST(WireTest, RequestDecodeRejectsOversizedDimensionsWithoutAllocating) {
   put_u32(truncated, 64);
   put_u32(truncated, 64);
   put_u32(truncated, 1); // 16 KiB of samples declared, none present
-  EXPECT_THROW(wire::decode_request(truncated), WireError);
+  EXPECT_THROW((void)received<wire::Request>(truncated), WireError);
 }
 
 TEST(WireTest, RejectedPayloadsNeverLeakPooledPlanes) {
-  // The transport decodes frame payloads straight into pool planes (the
+  // A connection receives frame samples straight into pool planes (the
   // reader thread runs under the service pool's scope), so every rejected
-  // message must leave the pool balanced: either the decoder rejected the
-  // payload before allocating, or the plane it allocated was returned
+  // payload must leave the pool balanced: either receive_payload rejected
+  // it before acquiring a plane, or the plane it acquired was returned
   // during unwinding. Pool balance is checked after each rejection.
-  // Valid payloads (headers stripped) to mutate — built BEFORE the scope
-  // is installed, so the pool's counters see only the decoder's planes.
+  // Valid payloads to mutate are built BEFORE the scope is installed, so
+  // the pool's counters see only the receiver's planes.
   wire::Request request;
   request.request_id = 9;
   request.job.frame = random_hdr(8, 6, 3);
   request.job.options.sigma = 1.0;
-  const std::vector<std::uint8_t> message = wire::encode_request(request);
-  const std::vector<std::uint8_t> payload(
-      message.begin() + wire::kHeaderBytes, message.end());
+  const std::vector<std::uint8_t> payload =
+      payload_of(wire::encode_request(request));
 
   wire::StreamFrame frame;
   frame.stream_id = 3;
   frame.sequence = 1;
-  frame.frame = random_hdr(8, 6, 4);
-  const std::vector<std::uint8_t> fmsg = wire::encode_stream_frame(frame);
+  // Larger than receive_payload's field buffer, so the samples arrive by
+  // a second receive, into the plane.
+  frame.frame = random_hdr(40, 30, 4);
+  const std::vector<std::uint8_t> fpayload =
+      payload_of(wire::encode_stream_frame(frame));
 
   img::PlanePool pool;
   const img::PlanePool::Scope scope(pool);
@@ -697,16 +732,17 @@ TEST(WireTest, RejectedPayloadsNeverLeakPooledPlanes) {
 
   {
     SCOPED_TRACE("truncated frame payload");
-    // Sample bytes cut short: rejected by the declared-vs-available check
-    // BEFORE the plane is allocated.
+    // Sample bytes cut short under a header that declares the cut size:
+    // the declared image disagrees with the payload size, rejected
+    // BEFORE the plane is acquired.
     const std::vector<std::uint8_t> cut(payload.begin(), payload.end() - 9);
-    EXPECT_THROW((void)wire::decode_request(cut), WireError);
+    EXPECT_THROW((void)received<wire::Request>(cut), WireError);
     expect_balanced(0);
   }
   {
     SCOPED_TRACE("oversized frame payload");
     // Width inflated beyond the dimension bound (the image header sits
-    // 12 bytes before the sample data): rejected before allocation.
+    // 12 bytes before the sample data): rejected before acquiring.
     std::vector<std::uint8_t> inflated = payload;
     const std::size_t sample_bytes =
         static_cast<std::size_t>(8 * 6 * 3) * 4;
@@ -714,39 +750,51 @@ TEST(WireTest, RejectedPayloadsNeverLeakPooledPlanes) {
     inflated[width_at] = 0xff;
     inflated[width_at + 1] = 0xff;
     inflated[width_at + 2] = 0xff;
-    EXPECT_THROW((void)wire::decode_request(inflated), WireError);
+    EXPECT_THROW((void)received<wire::Request>(inflated), WireError);
     expect_balanced(0);
   }
   {
-    SCOPED_TRACE("trailing bytes after a decoded frame");
-    // The frame itself decodes into a pooled plane, then the trailing
-    // byte fails the exact-consumption check — unwinding must return the
-    // plane to the pool.
+    SCOPED_TRACE("trailing bytes after a frame");
     std::vector<std::uint8_t> trailing = payload;
     trailing.push_back(0x5a);
-    EXPECT_THROW((void)wire::decode_request(trailing), WireError);
+    EXPECT_THROW((void)received<wire::Request>(trailing), WireError);
+    expect_balanced(0);
+  }
+  {
+    SCOPED_TRACE("samples failing the checksum");
+    // The samples arrive into a pooled plane before the checksum over
+    // them fails: unwinding must return the plane.
+    wire::Header header = header_for(payload);
+    header.checksum ^= 1u;
+    wire::Request message;
+    EXPECT_THROW((void)receive_from(header, payload, message), WireError);
     expect_balanced(1);
   }
   {
-    SCOPED_TRACE("truncated stream frame payload");
-    std::vector<std::uint8_t> fcut(fmsg.begin() + wire::kHeaderBytes,
-                                   fmsg.end() - 7);
-    EXPECT_THROW((void)wire::decode_stream_frame(fcut), WireError);
-    expect_balanced(1); // unchanged: rejected before allocating
+    SCOPED_TRACE("connection ends inside a stream frame's samples");
+    // The header declares the whole payload; the bytes stop 7 short, after
+    // the plane was acquired. receive_payload reports the broken stream,
+    // and the plane goes back.
+    wire::StreamFrame message;
+    EXPECT_FALSE(receive_from(
+        header_for(fpayload),
+        std::span<const std::uint8_t>(fpayload).first(fpayload.size() - 7),
+        message));
+    EXPECT_TRUE(message.frame.empty());
+    expect_balanced(2);
   }
   {
-    SCOPED_TRACE("trailing bytes after a decoded stream frame");
-    std::vector<std::uint8_t> ftrailing(fmsg.begin() + wire::kHeaderBytes,
-                                        fmsg.end());
+    SCOPED_TRACE("trailing bytes after a stream frame");
+    std::vector<std::uint8_t> ftrailing = fpayload;
     ftrailing.push_back(0x5a);
-    EXPECT_THROW((void)wire::decode_stream_frame(ftrailing), WireError);
-    expect_balanced(2); // the stream frame's plane came back too
+    EXPECT_THROW((void)received<wire::StreamFrame>(ftrailing), WireError);
+    expect_balanced(2); // unchanged: rejected before acquiring
   }
 
-  // And the healthy path under the same scope, for contrast: the decoded
+  // And the healthy path under the same scope, for contrast: the received
   // frame IS a pooled plane (one acquisition, still live, then returned).
   {
-    const wire::Request decoded = wire::decode_request(payload);
+    const wire::Request decoded = received<wire::Request>(payload);
     EXPECT_EQ(pool.stats().acquires, 3u);
     EXPECT_TRUE(bit_identical(decoded.job.frame, request.job.frame));
   }
@@ -885,7 +933,7 @@ TEST(TransportLoopbackTest, PipelinedSubmitsCorrelateByRequestId) {
   EXPECT_EQ(client.in_flight(), static_cast<std::size_t>(kJobs));
   std::vector<bool> seen(kJobs, false);
   for (int i = 0; i < kJobs; ++i) {
-    ClientResult r = client.next_result();
+    wire::Response r = client.next_result();
     const auto index = static_cast<std::size_t>(r.request_id);
     ASSERT_LT(index, seen.size());
     EXPECT_FALSE(seen[index]) << "duplicate reply for request " << index;
@@ -932,7 +980,7 @@ TEST(TransportLoopbackTest, SmallServerWindowStillCompletesPipelinedLoad) {
     client.submit(std::move(job));
   }
   for (int i = 0; i < kJobs; ++i) {
-    ClientResult r = client.next_result();
+    wire::Response r = client.next_result();
     const auto index = static_cast<std::size_t>(r.request_id);
     EXPECT_TRUE(bit_identical(
         r.result.output, tonemap::tone_map(frames[index], opt).output));
@@ -1480,7 +1528,7 @@ TEST(TransportTest, ServerStopDrainsAcceptedRequests) {
   server->stop();
   // Every accepted request was answered before the connection closed.
   for (int i = 0; i < kJobs; ++i) {
-    ClientResult r = client.next_result();
+    wire::Response r = client.next_result();
     const auto index = static_cast<std::size_t>(r.request_id);
     EXPECT_TRUE(bit_identical(
         r.result.output, tonemap::tone_map(frames[index], opt).output));
@@ -1541,13 +1589,13 @@ TEST(TransportTest, RepliesLeaveInCompletionOrder) {
   b.options = opt;
   const std::uint64_t b_id = client.submit(std::move(b));
 
-  const ClientResult first = client.next_result();
+  const wire::Response first = client.next_result();
   EXPECT_EQ(first.request_id, b_id);
   // A is still held: only B has completed service-side.
   EXPECT_EQ(server.service().stats().completed, 1u);
   EXPECT_TRUE(bit_identical(first.result.output,
                             tonemap::tone_map(frame_b, opt).output));
-  const ClientResult second = client.next_result();
+  const wire::Response second = client.next_result();
   EXPECT_EQ(second.request_id, a_id);
   EXPECT_TRUE(bit_identical(second.result.output,
                             tonemap::tone_map(frame_a, opt).output));

@@ -224,8 +224,8 @@ int cmd_analyze(const Args& args) {
 }
 
 int cmd_backends(const Args& args) {
-  // Geometry and execution parameters the buffer and traffic columns are
-  // computed for (defaults: the paper's 1024x768 frame and 97-tap kernel).
+  // Geometry and execution parameters the "auto" pick in the footer is
+  // planned for (defaults: the paper's 1024x768 frame and 97-tap kernel).
   const int width = args.get_int("width", 1024);
   const int height = args.get_int("height", 768);
   TMHLS_REQUIRE(width > 0 && height > 0,
@@ -243,8 +243,7 @@ int cmd_backends(const Args& args) {
 
   const exec::BackendRegistry& registry = exec::BackendRegistry::global();
   TextTable t({"backend", "datapath", "streaming", "synthesizable",
-               "tiled threads", "data bits", "simd lanes", "buffer KiB",
-               "B/px"});
+               "tiled threads", "data bits", "simd lanes"});
   for (const std::string& name : registry.names()) {
     const auto backend = registry.resolve(name);
     const exec::BackendCapabilities caps = backend->capabilities();
@@ -258,27 +257,15 @@ int cmd_backends(const Args& args) {
       bits += '/';
       bits += std::to_string(caps.dual_fixed_data_bits);
     }
-    std::string buffer = "-";
-    std::string traffic = "-";
-    if (backend->can_run(kernel, choice.options())) {
-      const exec::BlurCost cost =
-          backend->estimate_cost(width, height, kernel, choice.options());
-      buffer = format_fixed(static_cast<double>(cost.buffer_bytes) / 1024.0,
-                            1);
-      traffic = format_fixed(
-          static_cast<double>(cost.traffic_bytes) /
-              (static_cast<double>(width) * static_cast<double>(height)),
-          1);
-    }
     t.add_row({name, datapath, caps.streaming ? "yes" : "no",
                caps.synthesizable ? "yes" : "no",
                caps.tiled_threads ? "yes" : "no", bits,
-               std::to_string(caps.simd_lanes), buffer, traffic});
+               std::to_string(caps.simd_lanes)});
   }
   std::cout << t.render();
-  std::cout << "\nfigures for " << width << "x" << height << ", "
+  std::cout << "\nfor " << width << "x" << height << ", "
             << kernel.taps() << " taps, " << popt.threads
-            << " thread(s); '--backend auto' would pick: "
+            << " thread(s), '--backend auto' would pick: "
             << choice.backend().name() << "\n"
             << "point-wise kernel (pow/masking): "
             << tonemap::pow_kernel_lanes() << " lanes\n";
@@ -510,7 +497,7 @@ int cmd_client_stream(const Args& args) {
 
   const auto consume_buffered = [&] {
     while (client.buffered_stream_results() > 0) {
-      transport::ClientStreamResult r = client.next_stream_result();
+      transport::wire::StreamResult r = client.next_stream_result();
       const std::size_t s = index_of.at(r.stream_id);
       const auto f = static_cast<std::size_t>(r.sequence);
       rungs[s][f] = r.rung;
@@ -526,10 +513,11 @@ int cmd_client_stream(const Args& args) {
     for (int s = 0; s < streams; ++s) {
       if (dead[static_cast<std::size_t>(s)]) continue;
       try {
-        client.send_stream_frame(ids[static_cast<std::size_t>(s)],
-                                 static_cast<std::uint64_t>(f),
-                                 inputs[static_cast<std::size_t>(s)]
-                                       [static_cast<std::size_t>(f)]);
+        // Moved in: each pre-rendered input is sent once, from its plane.
+        client.send_stream_frame(
+            ids[static_cast<std::size_t>(s)], static_cast<std::uint64_t>(f),
+            std::move(inputs[static_cast<std::size_t>(s)]
+                            [static_cast<std::size_t>(f)]));
       } catch (const transport::RemoteError&) {
         // Terminated server-side (shed under overload): stop feeding it;
         // close_stream below still reports its final counters.
@@ -669,7 +657,7 @@ int cmd_client(const Args& args) {
     // would silently copy ~frame-size bytes inside the timed region.
     // A typed server-side rejection (shed / expired) is an expected
     // outcome under overload: counted, and the connection continues.
-    transport::ClientResult r;
+    transport::wire::Response r;
     try {
       r = client.next_result();
     } catch (const transport::RemoteError& e) {
@@ -986,11 +974,10 @@ void usage() {
       "                       local VideoToneMapper\n"
       "  scene <out>          generate a synthetic HDR scene\n"
       "  analyze              evaluate the Table II design points\n"
-      "  backends             list the four execution backends with\n"
-      "                       buffer and traffic figures for a geometry\n"
+      "  backends             list the four execution backends and what\n"
+      "                       '--backend auto' picks for a geometry\n"
       "                       (--width, --height, --sigma, --radius,\n"
-      "                       --threads, --fixed) and what '--backend auto'\n"
-      "                       picks\n"
+      "                       --threads, --fixed)\n"
       "  compare <in>         compare operators against moroney\n";
 }
 
