@@ -28,6 +28,34 @@
 // patterns (GCC >= 12, clang), pow per sample and, in the fused engine,
 // the brightness/contrast clamp, all before one store.
 //
+// Several chains in flight. One vector's pow is a dependent chain of
+// about 90 operations (log2 series, a divide, the exp2 polynomial): run
+// one vector at a time, the core waits on latency with its vector ports
+// mostly idle, and the out-of-order window is too short to overlap the
+// next iteration's chain. So every step of log2_lanes / exp2_lanes /
+// pow_lanes runs on an array of K independent vectors before the next
+// step starts; the compiler emits the K chains interleaved and the kernel
+// becomes bound by its ports instead. pow_row and exp2_row take K =
+// detail::kSampleVectors sample vectors per block; masking takes P =
+// detail::kPixelVectors pixel vectors, i.e. P exp2 chains and
+// P * channels pow chains. The rest of a row runs as K = 1 blocks of the
+// same templates. Each lane still sees the same operations in the same
+// order, so no bit moves. K = 8 and P = 2 on every build. A harness
+// timing each detail::PowKernels table over 512x384x3 frames (4-vCPU
+// Xeon, medians of alternating runs) found them, among K in
+// {1, 2, 4, 8, 16} and P in {1, 2, 4}, best or within the spread of the
+// best on all three builds. From K = P = 1, display encode / masking +
+// adjust:
+//   - 4 lanes:  3.42 -> 2.00 ms, 3.63 -> 3.06 ms;
+//   - 8 lanes:  1.70 -> 1.17 ms, 2.43 -> 1.59 ms;
+//   - 16 lanes: 0.96 -> 0.63 ms, 1.06 -> 0.92 ms.
+// perfbench runs only the widest build the CPU has, so the end-to-end
+// effect on hosts without AVX-512 is unverified.
+// A block is loaded and stored one vector at a time: one memcpy of the
+// whole array goes through the stack, and on the AVX2 build (whose
+// unaligned 256-bit loads GCC splits in halves) every reload then missed
+// store forwarding, which had made that build slower than the 4-lane one.
+//
 // Selects are bitwise and/or on integer lane masks rather than vector ?:
 // (which not every compiler accepts on generic vectors). Vectors never
 // cross a function boundary by value — the helpers take references — so
@@ -60,104 +88,141 @@ TMHLS_POW_INLINE void select(const MaskOf<V>& mask, const V& a, const V& b,
   out = (V)((mask & (VI)a) | (~mask & (VI)b));
 }
 
-/// log2 of positive finite lanes; other lanes get a finite value the
-/// caller overrides.
-template <typename V>
-TMHLS_POW_INLINE void log2_lanes(const V& x, V& out) {
+/// log2 of positive finite lanes of kK vectors; other lanes get a finite
+/// value the caller overrides. Each step runs on all kK vectors before the
+/// next one starts.
+template <int kK, typename V>
+TMHLS_POW_INLINE void log2_lanes(const V (&x)[kK], V (&out)[kK]) {
   using VI = MaskOf<V>;
-  // Denormals get 23 more exponent bits so the mantissa split below sees
-  // a normal number.
-  const VI tiny = x < 1.17549435e-38f;
-  V xs{};
-  select<V>(tiny, x * 8388608.0f, x, xs);
-  const VI bits = (VI)xs;
-  VI e = (bits >> 23) - 127 + (tiny & -23);
-  VI mbits = (bits & 0x007fffff) | 0x3f800000;
-  // m >= sqrt(2): halve m (exponent field - 1) and count it in e.
-  const VI big = mbits >= 0x3fb504f3;
-  mbits -= big & 0x00800000;
-  e -= big;
-  const V r = (V)mbits - 1.0f;
-  const V u = r / (r + 2.0f);
-  const V u2 = u * u;
-  V s = u2 * 0.262308189f + 0.320598898f;
-  s = u2 * s + 0.412198583f;
-  s = u2 * s + 0.577078016f;
-  s = u2 * s + 0.961796694f;
-  s = u2 * s + 2.88539008f;
-  out = __builtin_convertvector(e, V) + u * s;
+  VI e[kK];
+  V u[kK], u2[kK], s[kK];
+  for (int k = 0; k < kK; ++k) {
+    // Denormals get 23 more exponent bits so the mantissa split below sees
+    // a normal number.
+    const VI tiny = x[k] < 1.17549435e-38f;
+    V xs{};
+    select<V>(tiny, x[k] * 8388608.0f, x[k], xs);
+    const VI bits = (VI)xs;
+    e[k] = (bits >> 23) - 127 + (tiny & -23);
+    VI mbits = (bits & 0x007fffff) | 0x3f800000;
+    // m >= sqrt(2): halve m (exponent field - 1) and count it in e.
+    const VI big = mbits >= 0x3fb504f3;
+    mbits -= big & 0x00800000;
+    e[k] -= big;
+    const V r = (V)mbits - 1.0f;
+    u[k] = r / (r + 2.0f);
+    u2[k] = u[k] * u[k];
+    s[k] = u2[k] * 0.262308189f + 0.320598898f;
+  }
+  for (const float c : {0.412198583f, 0.577078016f, 0.961796694f,
+                        2.88539008f}) {
+    for (int k = 0; k < kK; ++k) s[k] = u2[k] * s[k] + c;
+  }
+  for (int k = 0; k < kK; ++k) {
+    out[k] = __builtin_convertvector(e[k], V) + u[k] * s[k];
+  }
 }
 
-template <typename V>
-TMHLS_POW_INLINE void exp2_lanes(const V& t_in, V& out) {
+/// 2^t of kK vectors, step by step like log2_lanes.
+template <int kK, typename V>
+TMHLS_POW_INLINE void exp2_lanes(const V (&t_in)[kK], V (&out)[kK]) {
   using VI = MaskOf<V>;
-  // Clamp to [-151, 129], where the result is already 0 / +Inf. The lower
-  // bound is an ordered ">=" test, so NaN lanes take -151 too and no NaN
-  // reaches the float-to-int conversion; they get their NaN back last.
-  V t{};
-  select<V>(t_in > 129.0f, V{} + 129.0f, t_in, t);
-  select<V>(t >= -151.0f, t, V{} - 151.0f, t);
-  const V n = (t + 12582912.0f) - 12582912.0f; // round to nearest even
-  const V f = t - n;
-  V p = f * 1.52527338e-05f + 1.54035304e-04f;
-  p = f * p + 1.33335581e-03f;
-  p = f * p + 9.61812911e-03f;
-  p = f * p + 5.55041087e-02f;
-  p = f * p + 2.40226507e-01f;
-  p = f * p + 6.93147181e-01f;
-  p = f * p + 1.0f;
-  const VI ni = __builtin_convertvector(n, VI);
-  const VI n1 = ni >> 1;
-  const VI n2 = ni - n1;
-  const V r = (p * (V)((n1 + 127) << 23)) * (V)((n2 + 127) << 23);
-  select<V>(t_in != t_in, t_in, r, out);
+  V t[kK], f[kK], n[kK], p[kK];
+  for (int k = 0; k < kK; ++k) {
+    // Clamp to [-151, 129], where the result is already 0 / +Inf. The
+    // lower bound is an ordered ">=" test, so NaN lanes take -151 too and
+    // no NaN reaches the float-to-int conversion; they get their NaN back
+    // last.
+    select<V>(t_in[k] > 129.0f, V{} + 129.0f, t_in[k], t[k]);
+    select<V>(t[k] >= -151.0f, t[k], V{} - 151.0f, t[k]);
+    n[k] = (t[k] + 12582912.0f) - 12582912.0f; // round to nearest even
+    f[k] = t[k] - n[k];
+    p[k] = f[k] * 1.52527338e-05f + 1.54035304e-04f;
+  }
+  for (const float c : {1.33335581e-03f, 9.61812911e-03f, 5.55041087e-02f,
+                        2.40226507e-01f, 6.93147181e-01f, 1.0f}) {
+    for (int k = 0; k < kK; ++k) p[k] = f[k] * p[k] + c;
+  }
+  for (int k = 0; k < kK; ++k) {
+    const VI ni = __builtin_convertvector(n[k], VI);
+    const VI n1 = ni >> 1;
+    const VI n2 = ni - n1;
+    const V r = (p[k] * (V)((n1 + 127) << 23)) * (V)((n2 + 127) << 23);
+    select<V>(t_in[k] != t_in[k], t_in[k], r, out[k]);
+  }
 }
 
-/// max(x, 0) ^ y for one vector of samples.
-template <typename V>
-TMHLS_POW_INLINE void pow_lanes(const V& x, const V& y, V& out) {
+/// max(x, 0) ^ y for kK vectors of samples.
+template <int kK, typename V>
+TMHLS_POW_INLINE void pow_lanes(const V (&x)[kK], const V (&y)[kK],
+                                V (&out)[kK]) {
   using VI = MaskOf<V>;
-  V l{};
+  V l[kK];
   log2_lanes(x, l);
-  V r{};
-  exp2_lanes<V>(y * l, r);
-  // +Inf and NaN (exponent field all ones) are their own result; then
-  // every lane that is not > 0 — negatives, -Inf and both zeros — is +0.
-  select<V>(((VI)x & 0x7f800000) == 0x7f800000, x, r, r);
-  out = (V)(~(x <= 0.0f) & (VI)r);
+  for (int k = 0; k < kK; ++k) l[k] = y[k] * l[k];
+  exp2_lanes(l, l);
+  for (int k = 0; k < kK; ++k) {
+    // +Inf and NaN (exponent field all ones) are their own result; then
+    // every lane that is not > 0 — negatives, -Inf and both zeros — is +0.
+    select<V>(((VI)x[k] & 0x7f800000) == 0x7f800000, x[k], l[k], l[k]);
+    out[k] = (V)(~(x[k] <= 0.0f) & (VI)l[k]);
+  }
+}
+
+/// v[j] = the kLanes floats at p + j * kLanes: one vector load each (one
+/// memcpy of the whole array would go through the stack).
+template <typename V, std::size_t kN>
+TMHLS_POW_INLINE void load(const float* p, V (&v)[kN]) {
+  for (std::size_t j = 0; j < kN; ++j) {
+    std::memcpy(&v[j], p + j * (sizeof(V) / sizeof(float)), sizeof(V));
+  }
+}
+template <typename V, std::size_t kN>
+TMHLS_POW_INLINE void store(const V (&v)[kN], float* p) {
+  for (std::size_t j = 0; j < kN; ++j) {
+    std::memcpy(p + j * (sizeof(V) / sizeof(float)), &v[j], sizeof(V));
+  }
 }
 
 /// The one row driver, over items of kC interleaved samples: `lanes` maps
-/// the kC sample vectors of kLanes items, and the vector of their
-/// `per_item` values where the entry has them, to kC result vectors in
-/// place. Full blocks first, then the remaining items are copied into
-/// zero-padded vectors and run through the same body. Each block is loaded
-/// before it is stored, so `out` may alias `x`.
-template <typename V, int kC, typename Lanes>
+/// the kB * kC sample vectors of kB vectors of items, and the kB vectors
+/// of their `per_item` values where the entry has them, to result vectors
+/// in place. Full blocks of kB vectors first; the rest of the row runs as
+/// kB = 1 blocks, the last copied into zero-padded vectors so it goes
+/// through the same body. Each block is loaded before it is stored, so
+/// `out` may alias `x`.
+template <typename V, int kC, int kB, typename Lanes>
 TMHLS_POW_INLINE void run_row(const float* x, const float* per_item,
                               float* out, std::size_t items,
                               const Lanes& lanes) {
   constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
-  V v[kC] = {};
-  V m{};
   std::size_t i = 0;
-  for (; i + kLanes <= items; i += kLanes) {
-    std::memcpy(v, x + i * kC, sizeof v);
-    if (per_item != nullptr) std::memcpy(&m, per_item + i, sizeof m);
+  for (; i + kB * kLanes <= items; i += kB * kLanes) {
+    V v[kB * kC];
+    V m[kB] = {};
+    load(x + i * kC, v);
+    if (per_item != nullptr) load(per_item + i, m);
     lanes(v, m);
-    std::memcpy(out + i * kC, v, sizeof v);
+    store(v, out + i * kC);
   }
-  if (i == items) return;
-  const std::size_t rest = items - i;
-  float pad[kC + 1][kLanes] = {};
-  std::memcpy(pad, x + i * kC, rest * kC * sizeof(float));
-  if (per_item != nullptr) {
-    std::memcpy(pad[kC], per_item + i, rest * sizeof(float));
+  if constexpr (kB > 1) {
+    run_row<V, kC, 1>(x + i * kC, per_item != nullptr ? per_item + i : nullptr,
+                      out + i * kC, items - i, lanes);
+  } else if (i < items) {
+    const std::size_t rest = items - i;
+    float pad[kC + 1][kLanes] = {};
+    std::memcpy(pad, x + i * kC, rest * kC * sizeof(float));
+    if (per_item != nullptr) {
+      std::memcpy(pad[kC], per_item + i, rest * sizeof(float));
+    }
+    V v[kC];
+    V m[1];
+    load(pad[0], v);
+    load(pad[kC], m);
+    lanes(v, m);
+    store(v, pad[0]);
+    std::memcpy(out + i * kC, pad, rest * kC * sizeof(float));
   }
-  std::memcpy(v, pad, sizeof v);
-  std::memcpy(&m, pad[kC], sizeof m);
-  lanes(v, m);
-  std::memcpy(out + i * kC, v, rest * kC * sizeof(float));
 }
 
 /// clamp(v, lo, hi) lane-wise, with the scalar tmhls::clamp's selects
@@ -169,11 +234,11 @@ TMHLS_POW_INLINE void clamp_lanes(const V& v, float lo, float hi, V& out) {
   select<V>(below, V{} + lo, out, out);
 }
 
-/// Lane j of y[k] = lane (k * kLanes + j) / kC of g, for k >= kK: each
-/// pixel's value repeated for its kC interleaved samples, by compile-time
-/// shuffles.
+/// Lane j of y[k] = lane (k * kLanes + j) / kC of g, for k in [kK, kC):
+/// each pixel's value repeated for its kC interleaved samples, by
+/// compile-time shuffles.
 template <int kC, std::size_t kK = 0, typename V, std::size_t... J>
-TMHLS_POW_INLINE void spread(const V& g, V (&y)[kC],
+TMHLS_POW_INLINE void spread(const V& g, V* y,
                              std::index_sequence<J...> lanes) {
   y[kK] = __builtin_shufflevector(g, g, (kK * sizeof...(J) + J) / kC...);
   if constexpr (kK + 1 < kC) spread<kC, kK + 1>(g, y, lanes);
@@ -182,78 +247,100 @@ TMHLS_POW_INLINE void spread(const V& g, V (&y)[kC],
 template <typename V>
 struct PowShared {
   V y;
-  TMHLS_POW_INLINE void operator()(V (&v)[1], const V&) const {
-    pow_lanes(v[0], y, v[0]);
+  template <int kB>
+  TMHLS_POW_INLINE void operator()(V (&v)[kB], const V (&)[kB]) const {
+    V ys[kB];
+    for (V& each : ys) each = y;
+    pow_lanes(v, ys, v);
   }
 };
-template <typename V>
 struct Exp2 {
-  TMHLS_POW_INLINE void operator()(V (&v)[1], const V&) const {
-    exp2_lanes(v[0], v[0]);
+  template <typename V, int kB>
+  TMHLS_POW_INLINE void operator()(V (&v)[kB], const V (&)[kB]) const {
+    exp2_lanes(v, v);
   }
 };
 
-/// Non-linear masking of kLanes pixels of kC samples: the exponent once
-/// per pixel, spread to the pixel's samples, the power per sample and,
-/// when kAdjust, the brightness/contrast step before the one store.
+/// Non-linear masking of kB vectors of pixels of kC samples: the exponent
+/// once per pixel, spread to the pixel's samples, the power per sample
+/// and, when kAdjust, the brightness/contrast step before the one store.
 template <typename V, int kC, bool kAdjust>
 struct Masking {
   float brightness = 0.0f;
   float contrast = 0.0f;
-  TMHLS_POW_INLINE void operator()(V (&v)[kC], const V& m) const {
-    V g{};
-    clamp_lanes(m, 0.0f, 1.0f, g);
-    exp2_lanes<V>((g - 0.5f) / 0.5f, g);
-    V y[kC] = {};
-    spread<kC>(g, y, std::make_index_sequence<sizeof(V) / sizeof(float)>{});
-    for (int k = 0; k < kC; ++k) {
-      pow_lanes(v[k], y[k], v[k]);
-      if constexpr (kAdjust) {
-        clamp_lanes<V>((v[k] - 0.5f) * contrast + 0.5f + brightness, 0.0f,
-                       1.0f, v[k]);
+  template <int kB>
+  TMHLS_POW_INLINE void operator()(V (&v)[kB * kC], const V (&m)[kB]) const {
+    V g[kB];
+    for (int b = 0; b < kB; ++b) {
+      clamp_lanes(m[b], 0.0f, 1.0f, g[b]);
+      g[b] = (g[b] - 0.5f) / 0.5f;
+    }
+    exp2_lanes(g, g);
+    V y[kB * kC];
+    for (int b = 0; b < kB; ++b) {
+      spread<kC>(g[b], y + b * kC,
+                 std::make_index_sequence<sizeof(V) / sizeof(float)>{});
+    }
+    pow_lanes(v, y, v);
+    if constexpr (kAdjust) {
+      for (V& r : v) {
+        clamp_lanes<V>((r - 0.5f) * contrast + 0.5f + brightness, 0.0f, 1.0f,
+                       r);
       }
     }
   }
 };
 
+/// The row bodies of one build: detail::kSampleVectors sample vectors
+/// per pow_row/exp2_row block and detail::kPixelVectors pixel vectors per
+/// masking block.
 template <typename V>
-TMHLS_POW_INLINE void pow_shared_body(const float* x, float* out,
-                                      std::size_t n, float y) {
-  run_row<V, 1>(x, nullptr, out, n, PowShared<V>{V{} + y});
-}
-template <typename V>
-TMHLS_POW_INLINE void exp2_body(const float* t, float* out, std::size_t n) {
-  run_row<V, 1>(t, nullptr, out, n, Exp2<V>{});
-}
-/// The masking body for `channels` samples per pixel (kC counts up to it)
-/// and an optional adjust step, each a compile-time instantiation.
-template <typename V, int kC = 1>
-TMHLS_POW_INLINE void masking_body(const float* x, const float* mask,
-                                   float* out, std::size_t width, int channels,
-                                   const BrightnessContrast* adjust) {
-  if constexpr (kC < 4) {
-    if (channels > kC) {
-      return masking_body<V, kC + 1>(x, mask, out, width, channels, adjust);
+struct Build {
+  static constexpr int kLanes = sizeof(V) / sizeof(float);
+  static TMHLS_POW_INLINE void pow_shared(const float* x, float* out,
+                                          std::size_t n, float y) {
+    run_row<V, 1, detail::kSampleVectors>(x, nullptr, out, n,
+                                          PowShared<V>{V{} + y});
+  }
+  static TMHLS_POW_INLINE void exp2(const float* t, float* out,
+                                    std::size_t n) {
+    run_row<V, 1, detail::kSampleVectors>(t, nullptr, out, n, Exp2{});
+  }
+  /// Masking for `channels` samples per pixel (kC counts up to it) and an
+  /// optional adjust step, each a compile-time instantiation.
+  template <int kC = 1>
+  static TMHLS_POW_INLINE void masking(const float* x, const float* mask,
+                                       float* out, std::size_t width,
+                                       int channels,
+                                       const BrightnessContrast* adjust) {
+    if constexpr (kC < 4) {
+      if (channels > kC) {
+        return masking<kC + 1>(x, mask, out, width, channels, adjust);
+      }
+    }
+    if (adjust == nullptr) {
+      run_row<V, kC, detail::kPixelVectors>(x, mask, out, width,
+                                            Masking<V, kC, false>{});
+    } else {
+      run_row<V, kC, detail::kPixelVectors>(
+          x, mask, out, width,
+          Masking<V, kC, true>{adjust->brightness, adjust->contrast});
     }
   }
-  if (adjust == nullptr) {
-    run_row<V, kC>(x, mask, out, width, Masking<V, kC, false>{});
-  } else {
-    run_row<V, kC>(x, mask, out, width,
-                   Masking<V, kC, true>{adjust->brightness, adjust->contrast});
-  }
-}
+};
+
+using Generic = Build<v4f>;
 
 void pow_shared_generic(const float* x, float* out, std::size_t n, float y) {
-  pow_shared_body<v4f>(x, out, n, y);
+  Generic::pow_shared(x, out, n, y);
 }
 void exp2_generic(const float* t, float* out, std::size_t n) {
-  exp2_body<v4f>(t, out, n);
+  Generic::exp2(t, out, n);
 }
 void masking_generic(const float* x, const float* mask, float* out,
                      std::size_t width, int channels,
                      const BrightnessContrast* adjust) {
-  masking_body<v4f>(x, mask, out, width, channels, adjust);
+  Generic::masking(x, mask, out, width, channels, adjust);
 }
 
 // The AVX2 and AVX-512 clones run the identical per-lane operation
@@ -263,35 +350,38 @@ void masking_generic(const float* x, const float* mask, float* out,
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TMHLS_POW_X86_DISPATCH 1
 
+using Avx2 = Build<v8f>;
+using Avx512 = Build<v16f>;
+
 __attribute__((target("avx2"))) void pow_shared_avx2(const float* x,
                                                      float* out,
                                                      std::size_t n, float y) {
-  pow_shared_body<v8f>(x, out, n, y);
+  Avx2::pow_shared(x, out, n, y);
 }
 __attribute__((target("avx2"))) void exp2_avx2(const float* t, float* out,
                                                std::size_t n) {
-  exp2_body<v8f>(t, out, n);
+  Avx2::exp2(t, out, n);
 }
 __attribute__((target("avx2"))) void
 masking_avx2(const float* x, const float* mask, float* out, std::size_t width,
              int channels, const BrightnessContrast* adjust) {
-  masking_body<v8f>(x, mask, out, width, channels, adjust);
+  Avx2::masking(x, mask, out, width, channels, adjust);
 }
 
 __attribute__((target("avx512f"))) void
 pow_shared_avx512(const float* x, float* out, std::size_t n, float y) {
-  pow_shared_body<v16f>(x, out, n, y);
+  Avx512::pow_shared(x, out, n, y);
 }
 __attribute__((target("avx512f"))) void exp2_avx512(const float* t,
                                                     float* out,
                                                     std::size_t n) {
-  exp2_body<v16f>(t, out, n);
+  Avx512::exp2(t, out, n);
 }
 __attribute__((target("avx512f"))) void
 masking_avx512(const float* x, const float* mask, float* out,
                std::size_t width, int channels,
                const BrightnessContrast* adjust) {
-  masking_body<v16f>(x, mask, out, width, channels, adjust);
+  Avx512::masking(x, mask, out, width, channels, adjust);
 }
 #endif
 
@@ -309,14 +399,15 @@ const detail::PowKernels& active() {
 namespace detail {
 
 const PowKernels& pow_kernels_generic() {
-  static const PowKernels k{4, pow_shared_generic, exp2_generic,
-                            masking_generic};
+  static const PowKernels k{Generic::kLanes, pow_shared_generic,
+                            exp2_generic, masking_generic};
   return k;
 }
 
 const PowKernels* pow_kernels_avx2() {
 #ifdef TMHLS_POW_X86_DISPATCH
-  static const PowKernels k{8, pow_shared_avx2, exp2_avx2, masking_avx2};
+  static const PowKernels k{Avx2::kLanes, pow_shared_avx2, exp2_avx2,
+                            masking_avx2};
   static const bool has = __builtin_cpu_supports("avx2") != 0;
   return has ? &k : nullptr;
 #else
@@ -326,8 +417,8 @@ const PowKernels* pow_kernels_avx2() {
 
 const PowKernels* pow_kernels_avx512() {
 #ifdef TMHLS_POW_X86_DISPATCH
-  static const PowKernels k{16, pow_shared_avx512, exp2_avx512,
-                            masking_avx512};
+  static const PowKernels k{Avx512::kLanes, pow_shared_avx512,
+                            exp2_avx512, masking_avx512};
   static const bool has = __builtin_cpu_supports("avx512f") != 0;
   return has ? &k : nullptr;
 #else

@@ -5,8 +5,9 @@
 // operation (add, sub, mul, div, compare, convert, bitwise) evaluated
 // lane-wise in a fixed order. The build forbids FMA contraction
 // (-ffp-contract=off), so the result of every sample depends only on its
-// inputs — not on the vector width, the ISA the dispatcher picked, the
-// position in the row or whether the sample went through the padded tail.
+// inputs — not on the vector width, the ISA the dispatcher picked, how
+// many vectors the build keeps in flight, the position in the row or
+// whether the sample went through the padded tail.
 // That is what keeps every tone-mapping path (staged, fused at any thread
 // count, video, service, streams) bit-identical to the golden model.
 //
@@ -66,6 +67,12 @@ struct PowKernels {
                   std::size_t width, int channels,
                   const BrightnessContrast* adjust);
 };
+
+/// The vectors a block keeps in flight, the same on every build:
+/// sample vectors per pow_shared/exp2 block, pixel vectors per masking
+/// block (each pixel vector is `channels` sample vectors).
+constexpr int kSampleVectors = 8;
+constexpr int kPixelVectors = 2;
 
 /// Portable 4-lane generic-vector build (SSE2 / NEON registers).
 const PowKernels& pow_kernels_generic();

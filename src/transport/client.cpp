@@ -201,17 +201,21 @@ void Client::pump_stream_message() {
     }
     case wire::MessageType::stream_result: {
       const auto it = streams_.find(result.stream_id);
+      if (it == streams_.end()) {
+        throw WireError("wire: server sent a result for an unknown stream");
+      }
       // A delivery implicitly returns the frame's credit.
-      if (it != streams_.end() && !it->second.closed) ++it->second.credits;
+      if (!it->second.closed) ++it->second.credits;
       stream_results_.push_back(std::move(result));
       return;
     }
     case wire::MessageType::stream_credit: {
       const wire::StreamCredit credit = wire::decode_stream_credit(payload);
       const auto it = streams_.find(credit.stream_id);
-      if (it != streams_.end() && !it->second.closed) {
-        it->second.credits += credit.credits;
+      if (it == streams_.end()) {
+        throw WireError("wire: server sent credit for an unknown stream");
       }
+      if (!it->second.closed) it->second.credits += credit.credits;
       return;
     }
     case wire::MessageType::stream_closed: {

@@ -179,7 +179,8 @@ private:
   void reconnect();
   /// Read and dispatch ONE server-to-client stream message (result,
   /// credit, closed, or stream-scoped error — the last throws
-  /// RemoteError after restoring the frame's credit).
+  /// RemoteError after restoring the frame's credit). A message naming a
+  /// stream id that is not open on this client throws WireError.
   void pump_stream_message();
   void send_message(const wire::OutboundMessage& message, const char* what);
 

@@ -221,6 +221,34 @@ TEST(GoldenImageTest, FloatPipelineBytesArePinned) {
   }
 }
 
+TEST(GoldenImageTest, FixedPipelineBytesArePinned) {
+  // The fixed datapath quantizes only the blur; normalization, masking and
+  // adjust run the float point-wise kernels. Its output is pinned for the
+  // same reason as the float pipeline's: streaming_fixed and hlscode share
+  // those kernels, so comparing one with the other cannot see them move.
+  const img::ImageF rgb = io::paper_test_image(96);
+  img::ImageF gray(rgb.width(), rgb.height(), 1);
+  for (int y = 0; y < rgb.height(); ++y) {
+    for (int x = 0; x < rgb.width(); ++x) gray.at(x, y) = rgb.at(x, y, 1);
+  }
+  tonemap::PipelineOptions opt;
+  opt.sigma = 4.0;
+  opt.datapath = tonemap::Datapath::fixed_point;
+  const struct {
+    const img::ImageF* hdr;
+    std::uint64_t digest;
+  } cases[] = {{&gray, 0xad633c11a0b53d9dULL},
+                {&rgb, 0x1d532621483ea4fcULL}};
+  for (const auto& k : cases) {
+    for (const char* backend : {"streaming_fixed", "hlscode"}) {
+      tonemap::PipelineOptions o = opt;
+      o.backend = backend;
+      EXPECT_EQ(sample_digest(tonemap::tone_map(*k.hdr, o).output), k.digest)
+          << backend << ", " << k.hdr->channels() << " channel(s)";
+    }
+  }
+}
+
 TEST(EndToEndTest, FullEvaluationOnSmallWorkloadIsConsistent) {
   const accel::Workload w = small_workload();
   const accel::ToneMappingSystem sys(zynq::ZynqPlatform::zc702(), w);

@@ -189,11 +189,24 @@ std::vector<const detail::PowKernels*> every_build() {
   return isas;
 }
 
+/// Every length from 0 through two full blocks of the widest block any
+/// build runs plus 17, then 1000: each mix of full blocks, single vectors
+/// and a padded tail on every build.
+std::vector<std::size_t> sweep_lengths() {
+  const int vectors = std::max(detail::kSampleVectors, detail::kPixelVectors);
+  std::size_t widest = 0;
+  for (const detail::PowKernels* isa : every_build()) {
+    widest = std::max(widest, static_cast<std::size_t>(isa->lanes * vectors));
+  }
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 2 * widest + 17; ++n) lengths.push_back(n);
+  lengths.push_back(1000);
+  return lengths;
+}
+
 TEST(PowKernelTest, EveryBuildAndTailAreBitIdentical) {
   const std::vector<const detail::PowKernels*> isas = every_build();
-  std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
-  lengths.push_back(1000);
+  const std::vector<std::size_t> lengths = sweep_lengths();
   for (const std::size_t n : lengths) {
     const std::vector<float> x = kernel_inputs(n, 100 + n);
     std::vector<float> mask(n);
@@ -258,9 +271,7 @@ std::vector<float> per_sample_masking(const std::vector<float>& x,
 
 TEST(PowKernelTest, MaskingEveryBuildMatchesPerSampleReference) {
   const std::vector<const detail::PowKernels*> isas = every_build();
-  std::vector<std::size_t> widths;
-  for (std::size_t w = 0; w <= 64; ++w) widths.push_back(w);
-  widths.push_back(1000);
+  const std::vector<std::size_t> widths = sweep_lengths();
   const float bad_masks[] = {std::nanf(""), kInf, -kInf, -0.25f,
                              1.5f, FLT_MIN * 0.5f, -0.0f, 1.0f};
   const float bad_inputs[] = {0.0f, -0.0f, -0.5f, kInf, std::nanf(""),

@@ -636,6 +636,72 @@ TEST(StreamTransportTest, StreamedFramesOverTheWireMatchTheLocalMapper) {
   EXPECT_EQ(stats.stream_results_sent, frames.size());
 }
 
+/// A one-connection fake server: it answers the client's StreamOpen with
+/// StreamOpened (one credit), sends `reply`, then reads until the client
+/// hangs up.
+class WrongStreamIdServer {
+public:
+  explicit WrongStreamIdServer(std::vector<std::uint8_t> reply)
+      : listener_(0), thread_([this, reply = std::move(reply)] {
+          transport::Socket peer = listener_.accept();
+          transport::InboundMessage in;
+          if (transport::read_message(peer, in) !=
+              transport::ReadMessageStatus::ok) {
+            return;
+          }
+          transport::wire::StreamOpened opened;
+          opened.stream_id =
+              transport::wire::decode_stream_open(in.payload).stream_id;
+          opened.credits = 1;
+          peer.send_all(transport::wire::encode_stream_opened(opened));
+          peer.send_all(reply);
+          while (transport::read_message(peer, in) ==
+                 transport::ReadMessageStatus::ok) {
+          }
+        }) {}
+  ~WrongStreamIdServer() { thread_.join(); }
+
+  /// A client of this server whose reads give up after a few seconds.
+  transport::Client client() const {
+    transport::ClientOptions options;
+    options.port = listener_.port();
+    options.request_timeout_seconds = 5.0;
+    return transport::Client(options);
+  }
+
+private:
+  transport::ListenSocket listener_;
+  std::thread thread_;
+};
+
+TEST(StreamTransportTest, ResultForAnUnknownStreamIsAWireError) {
+  transport::wire::StreamResult result;
+  result.stream_id = 99;
+  result.output = random_hdr(4, 3, 5u);
+  const transport::wire::OutboundMessage parts =
+      transport::wire::encode_parts(result);
+  std::vector<std::uint8_t> bytes = parts.head;
+  bytes.insert(bytes.end(), parts.samples.begin(), parts.samples.end());
+  WrongStreamIdServer server(std::move(bytes));
+  transport::Client client = server.client();
+  client.open_stream(quiet_config("separable_float", 4, 3));
+  EXPECT_THROW(client.next_stream_result(), transport::WireError);
+}
+
+TEST(StreamTransportTest, CreditForAnUnknownStreamIsAWireError) {
+  transport::wire::StreamCredit credit;
+  credit.stream_id = 99;
+  credit.credits = 1;
+  WrongStreamIdServer server(transport::wire::encode_stream_credit(credit));
+  transport::Client client = server.client();
+  const std::uint64_t id =
+      client.open_stream(quiet_config("separable_float", 4, 3));
+  client.send_stream_frame(id, 0, random_hdr(4, 3, 6u));
+  // The one credit is spent: this send reads replies until one returns.
+  EXPECT_THROW(client.send_stream_frame(id, 1, random_hdr(4, 3, 7u)),
+               transport::WireError);
+}
+
 TEST(StreamTransportTest, RepliesCarryTheClientsStreamIdNotTheSessions) {
   // Client stream ids are per connection, session ids per server: A's
   // stream is session 1, so B's stream, client id 1 on its own

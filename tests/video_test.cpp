@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -215,6 +216,38 @@ TEST(ToneMapperTest, FloatRoutesBitIdenticalAcrossBackendsAndThreads) {
           << backend << " threads " << threads << " frame " << i;
     }
     EXPECT_FLOAT_EQ(mapper.current_scale(), golden_mapper.current_scale());
+  }
+}
+
+TEST(ToneMapperTest, SequenceBytesArePinned) {
+  // The stream golden: every frame of an adapting sequence, and the scale
+  // trajectory, pinned as one FNV-1a digest over the sample bits. Stream
+  // sessions are checked against VideoToneMapper, so a change in the
+  // shared point-wise kernels moves both sides; this value does not.
+  SceneSequence::Config cfg = small_config();
+  cfg.frames = 6;
+  const SceneSequence seq(cfg);
+  for (const auto& [backend, threads] :
+       {std::pair{"", 1}, std::pair{"fused_stream", 3}}) {
+    VideoToneMapperOptions opt = fast_options();
+    opt.pipeline.backend = backend;
+    opt.pipeline.threads = threads;
+    VideoToneMapper mapper(opt);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](float v) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      for (int b = 0; b < 4; ++b) {
+        h = (h ^ ((bits >> (8 * b)) & 0xffU)) * 0x100000001b3ULL;
+      }
+    };
+    for (int i = 0; i < seq.frame_count(); ++i) {
+      const img::ImageF out = mapper.process(seq.frame(i));
+      for (const float v : out.samples()) mix(v);
+      mix(mapper.current_scale());
+    }
+    EXPECT_EQ(h, 0x2fcf3b1bc50ccb81ULL)
+        << "backend '" << backend << "', " << threads << " thread(s)";
   }
 }
 
