@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/default_init_allocator.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "exec/tiled.hpp"
@@ -16,6 +17,10 @@ using detail::clamp_index;
 
 /// Output rows one vertical-pass call emits (see blur_passes.hpp).
 constexpr int kBlock = kVpassBlockRows;
+
+/// A band's row scratch: every slot is written before it is read, so it is
+/// sized without a fill.
+using Rows = std::vector<float, DefaultInitAllocator<float>>;
 
 /// One row band of a frame: its own output rows, and the horizontally
 /// blurred source rows it shares with its neighbours. The band above reads
@@ -35,8 +40,8 @@ struct Band {
   int width = 0;
   /// The published rows, sized by the band itself before it computes any
   /// of them. A row in both sets lives in `bottom`.
-  std::vector<float> top;
-  std::vector<float> bottom;
+  Rows top;
+  Rows bottom;
 
   bool is_published(int r) const { return r < top_end || r >= bottom_begin; }
   float* row(int r) {
@@ -109,8 +114,7 @@ void stream_band(std::vector<Band>& bands, int b, exec::BandRound* round,
   for (int r = me.bottom_begin; r < me.end; ++r) front(r, me.row(r));
   if (below != nullptr) round->arrive(b);
 
-  std::vector<float> ring(static_cast<std::size_t>(slots) *
-                          static_cast<std::size_t>(w));
+  Rows ring(static_cast<std::size_t>(slots) * static_cast<std::size_t>(w));
   auto hrow = [&](int r) -> float* {
     if (r < me.begin) return above->row(r);
     if (r >= me.end) return below->row(r);
@@ -195,10 +199,10 @@ void fused_blur_band(const img::ImageF& src, img::ImageF& dst,
 }
 
 /// Full-pipeline band worker: as fused_blur_band, but each source row
-/// first runs the point-wise front stages (normalize + encode, luminance),
-/// and each emitted row runs the back stages (masking, adjust) after the
-/// vertical pass. The normalized rows the masking still needs live in a
-/// (radius + kBlock)-row ring: the rows a block of output rows still
+/// first runs the point-wise front stages (normalize + encode, luminance:
+/// one front_row pass), and each emitted row runs the back stages
+/// (masking, adjust) after the vertical pass. The normalized rows the
+/// masking still needs live in a (radius + kBlock)-row ring: the rows a block of output rows still
 /// needs, [y, y + kBlock - 1 + radius], are always the most recently
 /// streamed radius + kBlock rows, so ascending streaming order keeps
 /// exactly the live ones resident. The band's bottom rows are computed
@@ -214,17 +218,15 @@ void fused_tonemap_band(const img::ImageF& hdr, img::ImageF& dst,
   const int c = hdr.channels();
   const int radius = kernel.radius();
   const float* wts = kernel.weights().data();
-  const bool by_max = !(opt.normalization_scale > 0.0f);
-  const bool encode = opt.display_gamma != 1.0f;
-  const float inv_gamma = 1.0f / opt.display_gamma;
+  const FrontStep step{scale, opt.normalization_scale > 0.0f,
+                       opt.display_gamma != 1.0f, 1.0f / opt.display_gamma};
   const std::size_t row_samples =
       static_cast<std::size_t>(w) * static_cast<std::size_t>(c);
 
   const int norm_rows = radius + kBlock;
-  std::vector<float> norm_ring(static_cast<std::size_t>(norm_rows) *
-                               row_samples);
-  std::vector<float> bottom_norm(
-      static_cast<std::size_t>(me.end - me.bottom_begin) * row_samples);
+  Rows norm_ring(static_cast<std::size_t>(norm_rows) * row_samples);
+  Rows bottom_norm(static_cast<std::size_t>(me.end - me.bottom_begin) *
+                   row_samples);
   auto norm_slot = [&](int ny) {
     if (ny >= me.bottom_begin) {
       return bottom_norm.data() +
@@ -241,15 +243,8 @@ void fused_tonemap_band(const img::ImageF& hdr, img::ImageF& dst,
                                static_cast<std::size_t>(w));
 
   auto front = [&](int r, float* hrow) {
-    const float* src_row = &hdr.at_unchecked(0, r);
-    float* nrow = norm_slot(r);
-    if (by_max) {
-      normalize_max_row(src_row, nrow, row_samples, scale);
-    } else {
-      normalize_scale_row(src_row, nrow, row_samples, scale);
-    }
-    if (encode) display_encode_row(nrow, nrow, row_samples, inv_gamma);
-    img::luminance_row(nrow, intensity.data() + radius, w, c);
+    front_row(&hdr.at_unchecked(0, r), norm_slot(r), intensity.data() + radius,
+              static_cast<std::size_t>(w), c, step);
     replicate_edges(intensity.data(), radius, w);
     hpass_float_row_simd(intensity.data(), hrow, wts, kernel.taps(), w);
   };

@@ -1,27 +1,10 @@
 #include "tonemap/operators.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "tonemap/pow_kernel.hpp"
 
 namespace tmhls::tonemap {
-
-float max_sample_row(const float* in, std::size_t n) {
-  constexpr std::size_t kFolds = 8;
-  float folds[kFolds] = {};
-  std::size_t i = 0;
-  for (; i + kFolds <= n; i += kFolds) {
-    for (std::size_t l = 0; l < kFolds; ++l) {
-      folds[l] = std::max(folds[l], in[i + l]);
-    }
-  }
-  float m = 0.0f;
-  for (; i < n; ++i) m = std::max(m, in[i]);
-  for (const float f : folds) m = std::max(m, f);
-  return m;
-}
 
 void normalize_max_row(const float* in, float* out, std::size_t n,
                        float max_v) {

@@ -50,18 +50,14 @@ img::ImageF brightness_contrast(const img::ImageF& in, float brightness,
                                 float contrast);
 
 // Row-span forms of the point-wise stages. The whole-plane functions above
-// are loops over these, and the fused streaming engine (fused_stream.cpp)
-// applies them row by row as frames stream through its line buffers — one
-// arithmetic source of truth is what keeps the fused path bit-identical to
-// the plane-at-a-time pipeline. `in` and `out` may alias (every operation
-// is element-wise). `n` counts samples (pixels x channels).
-
-/// The frame maximum normalize_to_max divides by: the fold
-/// m = std::max(m, in[i]) from m = 0, i.e. the largest positive sample
-/// (NaN never wins), or +0 when there is none. That value does not depend
-/// on the fold order, so the scan runs as eight interleaved folds the
-/// compiler vectorizes.
-float max_sample_row(const float* in, std::size_t n);
+// and the staged pipeline (stages::normalize) are loops over these; the
+// fused streaming engine (fused_stream.cpp) applies masking_row as rows
+// leave its line buffers, and runs its front (normalize, encode,
+// luminance) as one front_row pass (pow_kernel.hpp), which
+// tests/pow_kernel_test.cpp pins bit for bit to these rows followed by
+// img::luminance_row. The frame maximum is max_sample_row
+// (pow_kernel.hpp). `in` and `out` may alias (every operation is
+// element-wise). `n` counts samples (pixels x channels).
 
 /// normalize_to_max's inner loop: out[i] = in[i] / max_v.
 void normalize_max_row(const float* in, float* out, std::size_t n,

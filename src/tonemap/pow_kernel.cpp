@@ -56,6 +56,32 @@
 // unaligned 256-bit loads GCC splits in halves) every reload then missed
 // store forwarding, which had made that build slower than the 4-lane one.
 //
+// The fused engine's front (front_row) is one more body of the same row
+// driver. Each block of source samples is divided by the scale in
+// registers (and clamped to [0, 1] for an external scale), raised to
+// 1/gamma by the same interleaved pow chains, and stored to the
+// normalized-row slot; compile-time shuffles (gather, the inverse of the
+// masking's spread) then pull each pixel vector's r, g and b lanes out of
+// the encoded vectors for the luminance. The engine used to run these as
+// four passes per source row: the divide, the pow, the luminance and the
+// edge pad. The divide was a memory-bound walk over the source row
+// between compute-bound ones (single-thread 1024x768 on a 4-vCPU Xeon:
+// 1.3 ms of divide, 0.86 ms of it with the row cache-hot). Folded into
+// the pow block's load, it waits on memory under the pow chains instead,
+// and the luminance reads the encoded samples from registers instead of
+// the stored row. The front of that frame went 4.69 -> 3.72 ms (16
+// lanes, median of 12 alternating processes). A second vector pass for the luminance over the L1-hot row
+// measured the same (1024x3 row: 4.84 against 4.87 us), so the one-pass
+// form stays. A front block holds kSampleVectors / channels pixel
+// vectors (2 or 3 pixel vectors per block measured the same for 3
+// channels). Every lane runs normalize_*_row's, pow_row's and
+// img::luminance_row's IEEE operations in their order, so no bit moves.
+//
+// max_sample_row is a vector kernel of the same table: kSampleVectors
+// folds of the m < x ? x : m select (maxps), then a scalar fold of the
+// rest. The select never takes NaN and the largest positive sample wins
+// in any order, so the result has the scalar fold's bits.
+//
 // Selects are bitwise and/or on integer lane masks rather than vector ?:
 // (which not every compiler accepts on generic vectors). Vectors never
 // cross a function boundary by value — the helpers take references — so
@@ -185,15 +211,16 @@ TMHLS_POW_INLINE void store(const V (&v)[kN], float* p) {
 }
 
 /// The one row driver, over items of kC interleaved samples: `lanes` maps
-/// the kB * kC sample vectors of kB vectors of items, and the kB vectors
-/// of their `per_item` values where the entry has them, to result vectors
-/// in place. Full blocks of kB vectors first; the rest of the row runs as
-/// kB = 1 blocks, the last copied into zero-padded vectors so it goes
-/// through the same body. Each block is loaded before it is stored, so
-/// `out` may alias `x`.
+/// the kB * kC sample vectors of kB vectors of items to result vectors in
+/// place, reading the kB vectors of their `per_item` values where the
+/// entry has them, or writing one value per item into them, stored to
+/// `item_out`, where it makes them. Full blocks of kB vectors first; the
+/// rest of the row runs as kB = 1 blocks, the last copied into
+/// zero-padded vectors so it goes through the same body. Each block is
+/// loaded before it is stored, so `out` may alias `x`.
 template <typename V, int kC, int kB, typename Lanes>
 TMHLS_POW_INLINE void run_row(const float* x, const float* per_item,
-                              float* out, std::size_t items,
+                              float* out, float* item_out, std::size_t items,
                               const Lanes& lanes) {
   constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
   std::size_t i = 0;
@@ -204,10 +231,12 @@ TMHLS_POW_INLINE void run_row(const float* x, const float* per_item,
     if (per_item != nullptr) load(per_item + i, m);
     lanes(v, m);
     store(v, out + i * kC);
+    if (item_out != nullptr) store(m, item_out + i);
   }
   if constexpr (kB > 1) {
     run_row<V, kC, 1>(x + i * kC, per_item != nullptr ? per_item + i : nullptr,
-                      out + i * kC, items - i, lanes);
+                      out + i * kC, item_out != nullptr ? item_out + i : nullptr,
+                      items - i, lanes);
   } else if (i < items) {
     const std::size_t rest = items - i;
     float pad[kC + 1][kLanes] = {};
@@ -222,6 +251,10 @@ TMHLS_POW_INLINE void run_row(const float* x, const float* per_item,
     lanes(v, m);
     store(v, pad[0]);
     std::memcpy(out + i * kC, pad, rest * kC * sizeof(float));
+    if (item_out != nullptr) {
+      store(m, pad[kC]);
+      std::memcpy(item_out + i, pad[kC], rest * sizeof(float));
+    }
   }
 }
 
@@ -242,6 +275,20 @@ TMHLS_POW_INLINE void spread(const V& g, V* y,
                              std::index_sequence<J...> lanes) {
   y[kK] = __builtin_shufflevector(g, g, (kK * sizeof...(J) + J) / kC...);
   if constexpr (kK + 1 < kC) spread<kC, kK + 1>(g, y, lanes);
+}
+
+/// Lane j of y = sample j * kC + kCh of the kC (3 or 4) sample vectors
+/// at v (lane s % kLanes of v[s / kLanes]): channel kCh of the vector's
+/// pixels, the inverse of spread, by compile-time shuffles. Lanes taken
+/// from the other pair of vectors are don't-cares in each pair's shuffle.
+template <int kC, int kCh, typename V, std::size_t... J>
+TMHLS_POW_INLINE void gather(const V* v, V& y, std::index_sequence<J...>) {
+  constexpr std::size_t kPair = 2 * sizeof...(J);
+  const V lo = __builtin_shufflevector(v[0], v[1], (J * kC + kCh) % kPair...);
+  const V hi =
+      __builtin_shufflevector(v[2], v[kC - 1], (J * kC + kCh) % kPair...);
+  y = __builtin_shufflevector(
+      lo, hi, (J * kC + kCh < kPair ? J : J + sizeof...(J))...);
 }
 
 template <typename V>
@@ -291,6 +338,41 @@ struct Masking {
   }
 };
 
+/// The fused engine's front over kB vectors of pixels of kC samples: the
+/// quotient by the scale (clamped to [0, 1] for an external scale) and,
+/// when encoding, its power 1/gamma, stored in place; the pixels'
+/// luminance, 0.2126 r + 0.7152 g + 0.0722 b in img::luminance_row's
+/// order (the sample itself for one channel), into `lum`.
+template <typename V, int kC>
+struct Front {
+  FrontStep step;
+  template <int kB>
+  TMHLS_POW_INLINE void operator()(V (&v)[kB * kC], V (&lum)[kB]) const {
+    for (V& s : v) {
+      s = s / step.scale;
+      if (step.clamp) clamp_lanes<V>(s, 0.0f, 1.0f, s);
+    }
+    if (step.encode) {
+      V ys[kB * kC];
+      for (V& y : ys) y = V{} + step.inv_gamma;
+      pow_lanes(v, ys, v);
+    }
+    for (int b = 0; b < kB; ++b) {
+      if constexpr (kC == 1) {
+        lum[b] = v[b];
+      } else {
+        constexpr auto lanes = std::make_index_sequence<sizeof(V) /
+                                                        sizeof(float)>{};
+        V r, g, bl;
+        gather<kC, 0>(v + b * kC, r, lanes);
+        gather<kC, 1>(v + b * kC, g, lanes);
+        gather<kC, 2>(v + b * kC, bl, lanes);
+        lum[b] = 0.2126f * r + 0.7152f * g + 0.0722f * bl;
+      }
+    }
+  }
+};
+
 /// The row bodies of one build: detail::kSampleVectors sample vectors
 /// per pow_row/exp2_row block and detail::kPixelVectors pixel vectors per
 /// masking block.
@@ -299,12 +381,13 @@ struct Build {
   static constexpr int kLanes = sizeof(V) / sizeof(float);
   static TMHLS_POW_INLINE void pow_shared(const float* x, float* out,
                                           std::size_t n, float y) {
-    run_row<V, 1, detail::kSampleVectors>(x, nullptr, out, n,
+    run_row<V, 1, detail::kSampleVectors>(x, nullptr, out, nullptr, n,
                                           PowShared<V>{V{} + y});
   }
   static TMHLS_POW_INLINE void exp2(const float* t, float* out,
                                     std::size_t n) {
-    run_row<V, 1, detail::kSampleVectors>(t, nullptr, out, n, Exp2{});
+    run_row<V, 1, detail::kSampleVectors>(t, nullptr, out, nullptr, n,
+                                          Exp2{});
   }
   /// Masking for `channels` samples per pixel (kC counts up to it) and an
   /// optional adjust step, each a compile-time instantiation.
@@ -319,13 +402,48 @@ struct Build {
       }
     }
     if (adjust == nullptr) {
-      run_row<V, kC, detail::kPixelVectors>(x, mask, out, width,
+      run_row<V, kC, detail::kPixelVectors>(x, mask, out, nullptr, width,
                                             Masking<V, kC, false>{});
     } else {
       run_row<V, kC, detail::kPixelVectors>(
-          x, mask, out, width,
+          x, mask, out, nullptr, width,
           Masking<V, kC, true>{adjust->brightness, adjust->contrast});
     }
+  }
+  /// The front for 1, 3 or 4 `channels`, each a compile-time
+  /// instantiation.
+  template <int kC = 1>
+  static TMHLS_POW_INLINE void front(const float* x, float* out,
+                                     float* luminance, std::size_t width,
+                                     int channels, const FrontStep& step) {
+    if constexpr (kC < 4) {
+      if (channels > kC) {
+        return front<kC == 1 ? 3 : 4>(x, out, luminance, width, channels,
+                                      step);
+      }
+    }
+    run_row<V, kC, detail::kSampleVectors / kC>(x, nullptr, out, luminance,
+                                                width, Front<V, kC>{step});
+  }
+  /// max_sample_row: kSampleVectors vector folds, then one scalar fold
+  /// over the rest of the row and the folds' lanes.
+  static TMHLS_POW_INLINE float max(const float* x, std::size_t n) {
+    constexpr std::size_t kBlock = detail::kSampleVectors * kLanes;
+    V m[detail::kSampleVectors] = {};
+    std::size_t i = 0;
+    for (; i + kBlock <= n; i += kBlock) {
+      V v[detail::kSampleVectors];
+      load(x + i, v);
+      for (int k = 0; k < detail::kSampleVectors; ++k) {
+        select<V>(m[k] < v[k], v[k], m[k], m[k]);
+      }
+    }
+    float best = 0.0f;
+    for (; i < n; ++i) best = best < x[i] ? x[i] : best;
+    for (const V& fold : m) {
+      for (int l = 0; l < kLanes; ++l) best = best < fold[l] ? fold[l] : best;
+    }
+    return best;
   }
 };
 
@@ -341,6 +459,13 @@ void masking_generic(const float* x, const float* mask, float* out,
                      std::size_t width, int channels,
                      const BrightnessContrast* adjust) {
   Generic::masking(x, mask, out, width, channels, adjust);
+}
+void front_generic(const float* x, float* out, float* luminance,
+                   std::size_t width, int channels, const FrontStep& step) {
+  Generic::front(x, out, luminance, width, channels, step);
+}
+float max_generic(const float* x, std::size_t n) {
+  return Generic::max(x, n);
 }
 
 // The AVX2 and AVX-512 clones run the identical per-lane operation
@@ -367,6 +492,15 @@ masking_avx2(const float* x, const float* mask, float* out, std::size_t width,
              int channels, const BrightnessContrast* adjust) {
   Avx2::masking(x, mask, out, width, channels, adjust);
 }
+__attribute__((target("avx2"))) void
+front_avx2(const float* x, float* out, float* luminance, std::size_t width,
+           int channels, const FrontStep& step) {
+  Avx2::front(x, out, luminance, width, channels, step);
+}
+__attribute__((target("avx2"))) float max_avx2(const float* x,
+                                               std::size_t n) {
+  return Avx2::max(x, n);
+}
 
 __attribute__((target("avx512f"))) void
 pow_shared_avx512(const float* x, float* out, std::size_t n, float y) {
@@ -382,6 +516,15 @@ masking_avx512(const float* x, const float* mask, float* out,
                std::size_t width, int channels,
                const BrightnessContrast* adjust) {
   Avx512::masking(x, mask, out, width, channels, adjust);
+}
+__attribute__((target("avx512f"))) void
+front_avx512(const float* x, float* out, float* luminance, std::size_t width,
+             int channels, const FrontStep& step) {
+  Avx512::front(x, out, luminance, width, channels, step);
+}
+__attribute__((target("avx512f"))) float max_avx512(const float* x,
+                                                    std::size_t n) {
+  return Avx512::max(x, n);
 }
 #endif
 
@@ -400,14 +543,15 @@ namespace detail {
 
 const PowKernels& pow_kernels_generic() {
   static const PowKernels k{Generic::kLanes, pow_shared_generic,
-                            exp2_generic, masking_generic};
+                            exp2_generic,    masking_generic,
+                            front_generic,   max_generic};
   return k;
 }
 
 const PowKernels* pow_kernels_avx2() {
 #ifdef TMHLS_POW_X86_DISPATCH
   static const PowKernels k{Avx2::kLanes, pow_shared_avx2, exp2_avx2,
-                            masking_avx2};
+                            masking_avx2,  front_avx2,      max_avx2};
   static const bool has = __builtin_cpu_supports("avx2") != 0;
   return has ? &k : nullptr;
 #else
@@ -418,7 +562,8 @@ const PowKernels* pow_kernels_avx2() {
 const PowKernels* pow_kernels_avx512() {
 #ifdef TMHLS_POW_X86_DISPATCH
   static const PowKernels k{Avx512::kLanes, pow_shared_avx512,
-                            exp2_avx512, masking_avx512};
+                            exp2_avx512,    masking_avx512,
+                            front_avx512,   max_avx512};
   static const bool has = __builtin_cpu_supports("avx512f") != 0;
   return has ? &k : nullptr;
 #else
@@ -440,6 +585,15 @@ void masking_pow_row(const float* x, const float* mask, float* out,
                      std::size_t width, int channels,
                      const BrightnessContrast* adjust) {
   active().masking(x, mask, out, width, channels, adjust);
+}
+
+void front_row(const float* x, float* out, float* luminance,
+               std::size_t width, int channels, const FrontStep& step) {
+  active().front(x, out, luminance, width, channels, step);
+}
+
+float max_sample_row(const float* x, std::size_t n) {
+  return active().max(x, n);
 }
 
 int pow_kernel_lanes() { return active().lanes; }

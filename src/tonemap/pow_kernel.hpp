@@ -1,5 +1,7 @@
 // The one pow / exp2 kernel of the point-wise stages (display encoding and
-// non-linear masking). It is not libm: log2 and exp2 are built from range
+// non-linear masking), and the vector row passes around it: the fused
+// engine's front (normalize, encode, luminance in one pass) and the
+// frame-max scan. It is not libm: log2 and exp2 are built from range
 // reduction and fixed-order polynomials in float, the way hardware tone
 // mappers evaluate these curves, and every operation is an IEEE-754 basic
 // operation (add, sub, mul, div, compare, convert, bitwise) evaluated
@@ -52,6 +54,33 @@ void masking_pow_row(const float* x, const float* mask, float* out,
                      std::size_t width, int channels,
                      const BrightnessContrast* adjust);
 
+/// What the fused engine's front does to each sample before its
+/// luminance: divide by `scale`, clamp the quotient to [0, 1] when
+/// `clamp` (the external scale), then raise it to `inv_gamma` when
+/// `encode` (display_gamma != 1).
+struct FrontStep {
+  float scale = 1.0f;
+  bool clamp = false;
+  bool encode = false;
+  float inv_gamma = 1.0f;
+};
+
+/// The point-wise front of the fused engine for one source row of `width`
+/// pixels of 1, 3 or 4 `channels`, in one vector pass: `out` receives the
+/// bits of operators.hpp normalize_max_row (with `clamp`,
+/// normalize_scale_row) then, with `encode`, display_encode_row;
+/// `luminance` the `width` values of img::luminance_row of `out`. `x` and
+/// `out` may alias exactly; `luminance` aliases neither.
+void front_row(const float* x, float* out, float* luminance,
+               std::size_t width, int channels, const FrontStep& step);
+
+/// The frame maximum normalize_to_max divides by: the fold
+/// m = (m < x[i] ? x[i] : m) from m = +0, i.e. the largest positive
+/// sample (NaN never wins), or +0 when there is none. That value does not
+/// depend on the fold order, so the scan runs as kSampleVectors vector
+/// folds.
+float max_sample_row(const float* x, std::size_t n);
+
 /// Lanes of the build the functions above run: 16, 8 or 4.
 int pow_kernel_lanes();
 
@@ -66,11 +95,15 @@ struct PowKernels {
   void (*masking)(const float* x, const float* mask, float* out,
                   std::size_t width, int channels,
                   const BrightnessContrast* adjust);
+  void (*front)(const float* x, float* out, float* luminance,
+                std::size_t width, int channels, const FrontStep& step);
+  float (*max)(const float* x, std::size_t n);
 };
 
 /// The vectors a block keeps in flight, the same on every build:
-/// sample vectors per pow_shared/exp2 block, pixel vectors per masking
-/// block (each pixel vector is `channels` sample vectors).
+/// sample vectors per pow_shared/exp2/max block, pixel vectors per
+/// masking block (each pixel vector is `channels` sample vectors). A
+/// front block keeps kSampleVectors / channels pixel vectors.
 constexpr int kSampleVectors = 8;
 constexpr int kPixelVectors = 2;
 

@@ -1,8 +1,10 @@
 // Tests for the point-wise pow / exp2 kernel (tonemap/pow_kernel.hpp):
 // accuracy against std::pow, exact special cases, bit-identity of the
 // generic-vector build, the AVX2 and AVX-512 builds and the padded row
-// tail, the one-pass masking row against its per-sample arithmetic, and
-// the one-time quality gate of moving the tone-mapping pipeline off libm.
+// tail, the one-pass masking row against its per-sample arithmetic, the
+// fused front row against the staged row functions, the frame-max scan
+// against its scalar fold, and the one-time quality gate of moving the
+// tone-mapping pipeline off libm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +15,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "image/image.hpp"
 #include "imageio/synthetic.hpp"
+#include "tonemap/operators.hpp"
 #include "tonemap/pipeline.hpp"
 #include "tonemap/pow_kernel.hpp"
 
@@ -303,6 +307,101 @@ TEST(PowKernelTest, MaskingEveryBuildMatchesPerSampleReference) {
               << "in place, " << isa->lanes << " lanes, " << channels
               << " channel(s), width " << w;
         }
+      }
+    }
+  }
+}
+
+TEST(PowKernelTest, FrontEveryBuildMatchesRowStages) {
+  const std::vector<const detail::PowKernels*> isas = every_build();
+  const std::vector<std::size_t> widths = sweep_lengths();
+  // Above the scale, below zero, non-finite, signed zeros and denormals.
+  const float bad_inputs[] = {-0.0f,          -kInf,     2.5f,   FLT_MAX,
+                              -FLT_TRUE_MIN,  1e-40f,    kInf,   std::nanf(""),
+                              -1e-3f,         0.75f};
+  const float scale = 0.75f;
+  for (const int channels : {1, 3, 4}) {
+    for (const std::size_t w : widths) {
+      const std::size_t n = w * static_cast<std::size_t>(channels);
+      std::vector<float> x = kernel_inputs(n, 500 + n);
+      for (std::size_t i = 2; i < n; i += 3) x[i] = bad_inputs[(i / 3) % 10];
+      for (const bool clamp_to_unit : {false, true}) {
+        for (const float gamma : {2.2f, 1.0f}) {
+          const FrontStep step{scale, clamp_to_unit, gamma != 1.0f,
+                               1.0f / gamma};
+          // The staged rows: normalize, encode, luminance.
+          std::vector<float> ref(n), ref_lum(w);
+          if (clamp_to_unit) {
+            normalize_scale_row(x.data(), ref.data(), n, scale);
+          } else {
+            normalize_max_row(x.data(), ref.data(), n, scale);
+          }
+          if (step.encode) {
+            display_encode_row(ref.data(), ref.data(), n, step.inv_gamma);
+          }
+          img::luminance_row(ref.data(), ref_lum.data(), static_cast<int>(w),
+                             channels);
+          for (const detail::PowKernels* isa : isas) {
+            std::vector<float> got(n), lum(w);
+            isa->front(x.data(), got.data(), lum.data(), w, channels, step);
+            const std::string what =
+                std::to_string(isa->lanes) + " lanes, " +
+                std::to_string(channels) + " channel(s), width " +
+                std::to_string(w) + (clamp_to_unit ? ", clamped" : ", by max") +
+                ", gamma " + std::to_string(gamma);
+            EXPECT_TRUE(same_bits(got, ref)) << "samples, " << what;
+            EXPECT_TRUE(same_bits(lum, ref_lum)) << "luminance, " << what;
+            // In place (x and out alias exactly).
+            got = x;
+            isa->front(got.data(), got.data(), lum.data(), w, channels, step);
+            EXPECT_TRUE(same_bits(got, ref)) << "in place, " << what;
+            EXPECT_TRUE(same_bits(lum, ref_lum)) << "in place, " << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PowKernelTest, MaxEveryBuildMatchesScalarFold) {
+  const std::vector<const detail::PowKernels*> isas = every_build();
+  const float specials[] = {std::nanf(""), -0.0f,          0.0f,
+                            kInf,          -kInf,          FLT_TRUE_MIN,
+                            -FLT_TRUE_MIN, FLT_MIN * 0.5f, -1.0f};
+  const float tinies[] = {std::nanf(""), -0.0f, FLT_TRUE_MIN, -FLT_TRUE_MIN,
+                          FLT_MIN * 0.5f};
+  for (const std::size_t n : sweep_lengths()) {
+    // Mixed values with every special; all negative; NaN and zeros only
+    // (+0 wins); NaN, zeros and denormals; then a lone +Inf and a lone
+    // largest sample among negatives and among NaNs (which must not
+    // displace it from its fold), at each end.
+    std::vector<float> mixed(n), negative(n), unlit(n), tiny(n);
+    Rng rng(600 + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      mixed[i] = i % 5 == 1 ? specials[(i / 5) % 9]
+                            : static_cast<float>(rng.uniform() * 4.0 - 1.0);
+      negative[i] = -static_cast<float>(rng.uniform()) - FLT_TRUE_MIN;
+      unlit[i] = specials[i % 3];
+      tiny[i] = tinies[i % 5];
+    }
+    std::vector<std::vector<float>> rows = {mixed, negative, unlit, tiny};
+    if (n > 0) {
+      std::vector<float> nans(n, std::nanf(""));
+      for (const std::size_t at : {std::size_t{0}, n - 1}) {
+        for (const float lone : {kInf, 3.0f}) {
+          for (const std::vector<float>* base : {&negative, &nans}) {
+            rows.push_back(*base);
+            rows.back()[at] = lone;
+          }
+        }
+      }
+    }
+    for (const std::vector<float>& row : rows) {
+      float ref = 0.0f;
+      for (const float v : row) ref = std::max(ref, v);
+      for (const detail::PowKernels* isa : isas) {
+        EXPECT_EQ(bits_of(isa->max(row.data(), n)), bits_of(ref))
+            << isa->lanes << " lanes, length " << n;
       }
     }
   }
