@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "image/image.hpp"
+#include "tonemap/pow_kernel.hpp"
 
 namespace tmhls::tonemap {
 
@@ -36,8 +37,8 @@ img::ImageF apply_luminance_ratio(const img::ImageF& hdr,
 
 img::ImageF global_gamma(const img::ImageF& hdr, float gamma) {
   TMHLS_REQUIRE(gamma > 0.0f, "global_gamma: gamma must be positive");
-  float max_v = 0.0f;
-  for (float v : hdr.samples()) max_v = std::max(max_v, v);
+  const float max_v =
+      max_sample_row(hdr.samples().data(), hdr.sample_count());
   TMHLS_REQUIRE(max_v > 0.0f, "global_gamma: image has no positive sample");
   img::ImageF out(hdr.width(), hdr.height(), hdr.channels());
   auto si = hdr.samples();
@@ -52,8 +53,8 @@ img::ImageF global_gamma(const img::ImageF& hdr, float gamma) {
 
 img::ImageF global_log(const img::ImageF& hdr) {
   const img::ImageF luma = img::luminance(hdr);
-  float max_l = 0.0f;
-  for (float v : luma.samples()) max_l = std::max(max_l, v);
+  const float max_l =
+      max_sample_row(luma.samples().data(), luma.sample_count());
   TMHLS_REQUIRE(max_l > 0.0f, "global_log: image has no positive luminance");
   img::ImageF mapped(luma.width(), luma.height(), 1);
   const float denom = std::log1p(max_l);

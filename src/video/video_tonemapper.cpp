@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "tonemap/pow_kernel.hpp"
 
 namespace tmhls::video {
 
@@ -29,9 +30,10 @@ VideoToneMapper::VideoToneMapper(VideoToneMapperOptions options)
       engine_(options.pipeline, options.frame_width, options.frame_height) {}
 
 float adaptation_input(const img::ImageF& frame) {
-  float frame_max = 0.0f;
-  for (float v : frame.samples()) frame_max = std::max(frame_max, v);
+  const float frame_max =
+      tonemap::max_sample_row(frame.samples().data(), frame.sample_count());
   TMHLS_REQUIRE(frame_max > 0.0f, "frame carries no light");
+  TMHLS_REQUIRE(std::isfinite(frame_max), "frame maximum is not finite");
   return frame_max;
 }
 

@@ -20,8 +20,10 @@
 
 namespace tmhls::video {
 
-/// The adaptation input of a frame: its largest sample. Throws
-/// InvalidArgument ("frame carries no light") unless it is positive.
+/// The adaptation input of a frame: its largest sample, found by the
+/// vector tonemap::max_sample_row (NaN never wins). Throws InvalidArgument
+/// unless it is positive ("frame carries no light") and finite: a +inf
+/// sample would make every later adapted scale NaN.
 float adaptation_input(const img::ImageF& frame);
 
 /// The temporal adaptation state, and the one step of its recurrence that

@@ -11,7 +11,9 @@
 // with jobs in flight; and the resilience contract — typed timeout,
 // bounded retry against a stalled server, shed/expired replies carrying
 // their wire error codes, and injected socket faults (dropped and short
-// reads, failed sends) closing only the connection they hit.
+// reads, failed sends) closing only the connection they hit; degenerate
+// stream frames (all zero, all NaN, one +inf) get typed errors and leave
+// the stream open and on its trajectory.
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <sys/socket.h>
@@ -44,6 +46,7 @@
 #include "transport/server.hpp"
 #include "transport/socket.hpp"
 #include "transport/wire.hpp"
+#include "video/video_tonemapper.hpp"
 
 namespace tmhls::transport {
 namespace {
@@ -1054,6 +1057,81 @@ TEST(TransportLoopbackTest, HostileKernelParametersGetTypedErrorsOnALiveLink) {
   EXPECT_EQ(stats.errors_sent, 2u);
   EXPECT_EQ(stats.responses_sent, 1u);
   EXPECT_EQ(stats.protocol_errors, 0u);
+}
+
+TEST(TransportLoopbackTest, DegenerateStreamFramesGetTypedErrorsOnALiveStream) {
+  // All-zero, all-NaN and single-+inf frames interleaved with ordinary
+  // ones on one stream. Each degenerate frame is answered with a typed
+  // error for its stream id and its credit back, and never enters the
+  // stream; the next ordinary frame reuses its sequence number, and
+  // every delivered frame matches a VideoToneMapper fed only the
+  // accepted frames.
+  Server server(small_server(1));
+  ClientOptions options;
+  options.port = server.port();
+  options.request_timeout_seconds = 10.0; // bounds every receive
+  Client client(options);
+  constexpr int kW = 24;
+  constexpr int kH = 17;
+  stream::StreamConfig sc;
+  sc.pipeline = small_options("separable_float");
+  sc.width = kW;
+  sc.height = kH;
+  sc.measure_service = false;
+  video::VideoToneMapperOptions vopt;
+  vopt.pipeline = sc.pipeline;
+  vopt.adaptation_rate = sc.adaptation_rate;
+  vopt.frame_width = kW;
+  vopt.frame_height = kH;
+  video::VideoToneMapper mapper(vopt);
+
+  img::ImageF nan(kW, kH, 3);
+  nan.fill(std::numeric_limits<float>::quiet_NaN());
+  img::ImageF inf = random_hdr(kW, kH, 81);
+  inf.at(11, 8, 2) = std::numeric_limits<float>::infinity();
+  const std::vector<img::ImageF> degenerate = {img::ImageF(kW, kH, 3), nan,
+                                               inf};
+
+  const std::uint64_t id = client.open_stream(sc);
+  const std::uint32_t credits = client.stream_credits(id);
+  std::uint64_t sequence = 0;
+  for (std::size_t i = 0; i <= degenerate.size(); ++i) {
+    const img::ImageF frame = random_hdr(kW, kH, 90 + i);
+    client.send_stream_frame(id, sequence, frame);
+    const wire::StreamResult r = client.next_stream_result();
+    EXPECT_EQ(r.stream_id, id);
+    EXPECT_EQ(r.sequence, sequence);
+    EXPECT_TRUE(bit_identical(r.output, mapper.process(frame)))
+        << "ordinary frame " << i;
+    EXPECT_EQ(client.stream_credits(id), credits);
+    ++sequence;
+    if (i == degenerate.size()) break;
+
+    client.send_stream_frame(id, sequence, degenerate[i]);
+    try {
+      (void)client.next_stream_result();
+      ADD_FAILURE() << "degenerate frame " << i << " was delivered";
+    } catch (const RemoteError& e) {
+      EXPECT_EQ(e.request_id(), id);
+      EXPECT_EQ(e.code(), wire::ErrorCode::invalid_argument) << e.what();
+    }
+    EXPECT_EQ(client.stream_credits(id), credits) << "degenerate " << i;
+    EXPECT_EQ(server.sessions().stats().frames_submitted, sequence)
+        << "degenerate " << i;
+  }
+
+  const wire::StreamClosed fin = client.close_stream(id);
+  EXPECT_EQ(fin.status, wire::StreamStatus::closed);
+  EXPECT_EQ(fin.frames_delivered, sequence);
+  EXPECT_EQ(fin.frames_shed, 0u);
+  EXPECT_EQ(fin.frames_expired, 0u);
+  EXPECT_EQ(client.buffered_stream_results(), 0u);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.stream_frames_received, sequence + degenerate.size());
+  EXPECT_EQ(stats.stream_results_sent, sequence);
+  EXPECT_EQ(stats.errors_sent, degenerate.size());
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(server.sessions().stats().frames_submitted, sequence);
 }
 
 // --- malformed wire input --------------------------------------------------

@@ -1,11 +1,16 @@
 // Tests for the video substrate: sequence determinism and panning,
-// exposure drift, temporal adaptation (flicker suppression) and the
-// platform-level video statistics.
+// exposure drift, temporal adaptation (flicker suppression), the
+// adaptation input against the scalar frame-max fold (NaN, signed zeros,
+// denormals, +inf), and the platform-level video statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -275,6 +280,120 @@ TEST(ToneMapperTest, RejectsBadRateAndDarkFrames) {
   EXPECT_THROW(VideoToneMapper{opt}, InvalidArgument);
   VideoToneMapper mapper(fast_options());
   EXPECT_THROW(mapper.process(img::ImageF(8, 8, 3)), InvalidArgument);
+}
+
+TEST(ToneMapperTest, InfiniteFrameRejectsAndKeepsTheTrajectory) {
+  // One +inf sample would adapt the scale to inf and every later step to
+  // NaN. The frame is rejected at the adaptation input instead, and the
+  // frames after it follow the trajectory of a mapper that never saw it.
+  SceneSequence::Config cfg = small_config();
+  cfg.frames = 6;
+  const SceneSequence seq(cfg);
+  VideoToneMapper golden(fast_options());
+  VideoToneMapper mapper(fast_options());
+  for (int i = 0; i < seq.frame_count(); ++i) {
+    const img::ImageF frame = seq.frame(i);
+    if (i == 3) {
+      img::ImageF hot = frame;
+      hot.at(17, 9, 1) = std::numeric_limits<float>::infinity();
+      const float scale = mapper.current_scale();
+      EXPECT_THROW((void)mapper.process(hot), InvalidArgument);
+      EXPECT_EQ(mapper.frames_processed(), 3);
+      EXPECT_EQ(mapper.current_scale(), scale);
+    }
+    const img::ImageF want = golden.process(frame);
+    const img::ImageF got = mapper.process(frame);
+    const auto sa = got.samples();
+    const auto sb = want.samples();
+    ASSERT_EQ(sa.size(), sb.size());
+    EXPECT_EQ(std::memcmp(sa.data(), sb.data(), sa.size_bytes()), 0)
+        << "frame " << i;
+    EXPECT_EQ(mapper.current_scale(), golden.current_scale()) << i;
+  }
+}
+
+/// The fold the adaptation input is defined by: m = (m < x ? x : m) from
+/// +0, in sample order.
+float scalar_fold(const img::ImageF& frame) {
+  float m = 0.0f;
+  for (const float x : frame.samples()) m = m < x ? x : m;
+  return m;
+}
+
+TEST(AdaptationInputTest, EqualsTheScalarFold) {
+  // 3-channel frames whose sample counts (3, 387, 555, 2418) are not a
+  // multiple of a 16-lane x 8-vector block, so every case also runs the
+  // kernel's scalar tail.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const auto& [w, h] : {std::pair{1, 1}, std::pair{43, 3},
+                             std::pair{37, 5}, std::pair{31, 26}}) {
+    const std::size_t n = static_cast<std::size_t>(w) * h * 3;
+    const auto frame = [&](auto sample) {
+      img::ImageF f(w, h, 3);
+      auto s = f.samples();
+      for (std::size_t i = 0; i < n; ++i) s[i] = sample(i);
+      return f;
+    };
+    const auto expect_fold = [&](const img::ImageF& f, const char* what) {
+      const float want = scalar_fold(f);
+      ASSERT_GT(want, 0.0f) << what;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(adaptation_input(f)),
+                std::bit_cast<std::uint32_t>(want))
+          << what << " " << w << "x" << h;
+    };
+    const auto expect_reject = [&](const img::ImageF& f, const char* what) {
+      EXPECT_THROW((void)adaptation_input(f), InvalidArgument)
+          << what << " " << w << "x" << h;
+    };
+    const auto ramp = [](std::size_t i) {
+      return 0.5f + static_cast<float>(i % 97) * 0.25f;
+    };
+
+    // +0, -0 and NaN in turn: samples that never win the fold.
+    const auto unlit = [&](std::size_t i) {
+      return i % 3 == 0 ? 0.0f : (i % 3 == 1 ? -0.0f : nan);
+    };
+
+    expect_fold(frame([&](std::size_t i) { return i % 3 ? ramp(i) : nan; }),
+                "NaN mixed with positives");
+    expect_fold(frame([&](std::size_t i) { return i % 2 ? nan : ramp(i); }),
+                "NaN on every other sample");
+    for (const std::size_t at : {std::size_t{0}, n - 1}) {
+      expect_fold(frame([&](std::size_t i) {
+                    return i == at ? 1e30f : (i % 5 ? -ramp(i) : nan);
+                  }),
+                  "largest sample alone at an end");
+      expect_fold(frame([&](std::size_t i) {
+                    return i == at ? 7.5f : ramp(i) * 1e-3f;
+                  }),
+                  "largest sample at an end");
+    }
+    expect_fold(frame([&](std::size_t i) {
+                  return i == n / 2 ? FLT_TRUE_MIN : unlit(i);
+                }),
+                "FLT_TRUE_MIN as the only positive");
+
+    expect_reject(frame([](std::size_t) { return 0.0f; }), "+0 only");
+    expect_reject(frame([](std::size_t) { return -0.0f; }), "-0 only");
+    expect_reject(frame([&](std::size_t) { return nan; }), "NaN only");
+    expect_reject(frame([&](std::size_t i) { return -ramp(i); }),
+                  "negatives only");
+    expect_reject(frame([&](std::size_t i) {
+                    return i % 4 == 3 ? -inf : unlit(i);
+                  }),
+                  "+0, -0, NaN and negatives only");
+    for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+      expect_reject(frame([&](std::size_t i) {
+                      return i == at ? inf : ramp(i);
+                    }),
+                    "one +inf among positives");
+      expect_reject(frame([&](std::size_t i) {
+                      return i == at ? inf : unlit(i);
+                    }),
+                    "one +inf among +0, -0 and NaN");
+    }
+  }
 }
 
 TEST(FlickerMetricTest, KnownValues) {
