@@ -606,7 +606,8 @@ img::ImageF& read_fields(Reader& in, Request& request) {
       throw WireError("wire: deadline_seconds must be finite and >= 0");
     }
     request.job.deadline_seconds = deadline;
-  } else if (deadline != 0.0) {
+  } else if (std::bit_cast<std::uint64_t>(deadline) != 0) {
+    // Bits, not ==: -0.0 would be a second encoding of "no deadline".
     throw WireError("wire: deadline value must be 0 when the flag is 0");
   }
   request.job.options = read_options(in);

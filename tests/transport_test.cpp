@@ -27,6 +27,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -253,6 +254,111 @@ TEST(WireTest, StreamFrameGoldenBytesPinTheSampleLayout) {
   EXPECT_EQ(decoded.stream_id, 1u);
   EXPECT_EQ(decoded.sequence, 2u);
   EXPECT_TRUE(bit_identical(decoded.frame, image));
+}
+
+/// The id every pinned control message carries: eight distinct bytes, so a
+/// byte-order slip shows.
+constexpr std::uint64_t kPinnedStreamId = 0x0102030405060708ull;
+
+/// A stream open with every wire field away from its default: both fixed
+/// formats, a backend name, each option.
+wire::StreamOpen pinned_stream_open() {
+  wire::StreamOpen open;
+  open.stream_id = kPinnedStreamId;
+  open.config.qos = serve::QosClass::critical;
+  open.config.frame_interval_seconds = 0.0625;
+  open.config.adaptation_rate = 0.5;
+  open.config.width = 320;
+  open.config.height = 200;
+  open.config.reorder_window = 3;
+  open.config.credits = 5;
+  tonemap::PipelineOptions& opt = open.config.pipeline;
+  opt.sigma = 2.5;
+  opt.radius = 7;
+  opt.backend = "hls";
+  opt.datapath = tonemap::Datapath::fixed_point;
+  opt.threads = 3;
+  opt.fixed.data = fixed::FixedFormat(12, 3, fixed::Round::half_even,
+                                      fixed::Overflow::wrap);
+  opt.fixed.accumulator = fixed::FixedFormat(24, 6, fixed::Round::half_up,
+                                             fixed::Overflow::saturate);
+  opt.display_gamma = 1.5f;
+  opt.normalization_scale = 0.75f;
+  opt.brightness = -0.25f;
+  opt.contrast = 1.25f;
+  return open;
+}
+
+TEST(WireTest, ControlMessageGoldenBytesPinTheOnWireFormat) {
+  // The exact v6 bytes of the five stream control messages, recorded from
+  // the per-message encoders before they were folded into one field list
+  // per message; the fields follow the order of the wire.hpp structs.
+  const std::vector<std::uint8_t> open{
+      0x54, 0x4d, 0x48, 0x57, 0x06, 0x00, 0x04, 0x00, // magic, v6, type 4
+      0x59, 0x00, 0x00, 0x00, 0x4d, 0x7e, 0x0c, 0x4a, // 89 bytes, CRC32C
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // stream id
+      0x02,                                           // qos: critical
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xb0, 0x3f, // interval 0.0625
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // adaptation 0.5
+      0x40, 0x01, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00, // width, height
+      0x03, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, // reorder, credits
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40, // sigma 2.5
+      0x07, 0x00, 0x00, 0x00,                         // radius
+      0x03, 0x00, 0x00, 0x00, 0x68, 0x6c, 0x73,       // backend "hls"
+      0x02,                                           // datapath: fixed
+      0x03, 0x00, 0x00, 0x00,                         // threads
+      0x0c, 0x03, 0x03, 0x01,                         // data format
+      0x18, 0x06, 0x02, 0x00,                         // accumulator
+      0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x40, 0x3f, // gamma, scale
+      0x00, 0x00, 0x80, 0xbe, 0x00, 0x00, 0xa0, 0x3f}; // brightness, contrast
+  const std::vector<std::uint8_t> opened{
+      0x54, 0x4d, 0x48, 0x57, 0x06, 0x00, 0x07, 0x00, // magic, v6, type 7
+      0x0c, 0x00, 0x00, 0x00, 0x2e, 0x7d, 0x5d, 0x09, // 12 bytes, CRC32C
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // stream id
+      0x05, 0x00, 0x00, 0x00};                        // credits
+  const std::vector<std::uint8_t> credit{
+      0x54, 0x4d, 0x48, 0x57, 0x06, 0x00, 0x09, 0x00, // magic, v6, type 9
+      0x0c, 0x00, 0x00, 0x00, 0xe4, 0xc5, 0x5d, 0x10, // 12 bytes, CRC32C
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // stream id
+      0x02, 0x00, 0x00, 0x00};                        // credits
+  const std::vector<std::uint8_t> close{
+      0x54, 0x4d, 0x48, 0x57, 0x06, 0x00, 0x06, 0x00, // magic, v6, type 6
+      0x08, 0x00, 0x00, 0x00, 0x1c, 0x02, 0xf9, 0x26, // 8 bytes, CRC32C
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}; // stream id
+  const std::vector<std::uint8_t> closed{
+      0x54, 0x4d, 0x48, 0x57, 0x06, 0x00, 0x0a, 0x00, // magic, v6, type 10
+      0x2d, 0x00, 0x00, 0x00, 0xcb, 0xf1, 0x4d, 0x67, // 45 bytes, CRC32C
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // stream id
+      0x02,                                           // status: failed
+      0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // frames delivered
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // frames shed
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // frames expired
+      0x03, 0x00, 0x00, 0x00,                         // rung switches
+      0x04, 0x00, 0x00, 0x00, 0x62, 0x6f, 0x6f, 0x6d}; // message "boom"
+  const wire::StreamClosed closed_message{
+      kPinnedStreamId, wire::StreamStatus::failed, 40, 1, 2, 3, "boom"};
+
+  EXPECT_EQ(wire::encode_stream_open(pinned_stream_open()), open);
+  EXPECT_EQ(wire::encode_stream_opened({kPinnedStreamId, 5}), opened);
+  EXPECT_EQ(wire::encode_stream_credit({kPinnedStreamId, 2}), credit);
+  EXPECT_EQ(wire::encode_stream_close({kPinnedStreamId}), close);
+  EXPECT_EQ(wire::encode_stream_closed(closed_message), closed);
+
+  // And each pin decodes to the message it was recorded from.
+  const wire::StreamOpen decoded_open =
+      wire::decode_stream_open(payload_of(open));
+  EXPECT_EQ(decoded_open.stream_id, kPinnedStreamId);
+  EXPECT_EQ(decoded_open.config.pipeline, pinned_stream_open().config.pipeline);
+  EXPECT_EQ(decoded_open.config.credits, 5);
+  EXPECT_EQ(wire::decode_stream_opened(payload_of(opened)).credits, 5u);
+  EXPECT_EQ(wire::decode_stream_credit(payload_of(credit)).credits, 2u);
+  EXPECT_EQ(wire::decode_stream_close(payload_of(close)).stream_id,
+            kPinnedStreamId);
+  const wire::StreamClosed decoded_closed =
+      wire::decode_stream_closed(payload_of(closed));
+  EXPECT_EQ(decoded_closed.status, wire::StreamStatus::failed);
+  EXPECT_EQ(decoded_closed.rung_switches, 3u);
+  EXPECT_EQ(decoded_closed.message, "boom");
 }
 
 /// FNV-1a (64-bit) over every byte of a message, continued from `h`, the
@@ -802,6 +908,133 @@ TEST(WireTest, RejectedPayloadsNeverLeakPooledPlanes) {
     EXPECT_TRUE(bit_identical(decoded.job.frame, request.job.frame));
   }
   EXPECT_EQ(pool.stats().returned, 3u);
+}
+
+/// One small valid payload of a message type and the round trip it is put
+/// through: decoded under a header that declares it exactly (checksum
+/// recomputed), then encoded again.
+struct CanonicalCase {
+  const char* type;
+  std::vector<std::uint8_t> payload;
+  std::function<std::vector<std::uint8_t>(const std::vector<std::uint8_t>&)>
+      round_trip;
+};
+
+template <typename Message, typename Encode, typename Decode>
+CanonicalCase canonical_case(const char* type, const Message& message,
+                             Encode encode, Decode decode) {
+  return {type, payload_of(encode(message)),
+          [encode, decode](const std::vector<std::uint8_t>& payload) {
+            return payload_of(encode(decode(payload)));
+          }};
+}
+
+/// One case per message type (two for the request: with and without a
+/// deadline), each image a two-sample plane.
+std::vector<CanonicalCase> canonical_cases() {
+  img::ImageF image(2, 1, 1);
+  image.samples()[0] = 1.5f;
+  image.samples()[1] = -2.0f;
+  wire::Request request;
+  request.request_id = 7;
+  request.job.frame = image;
+  wire::Request deadlined = request;
+  deadlined.job.qos = serve::QosClass::critical;
+  deadlined.job.deadline_seconds = 0.5;
+  wire::Response response;
+  response.request_id = 7;
+  response.result.job_id = 8;
+  response.result.shard = 1;
+  response.result.degrade = serve::DegradeLevel::reduced_blur;
+  response.result.backend = "b";
+  response.result.output = image;
+  wire::StreamResult result;
+  result.stream_id = 3;
+  result.sequence = 1;
+  result.rung = serve::DegradeLevel::global_operator;
+  result.backend = "b";
+  result.output = image;
+  const auto encode_result = [](const wire::StreamResult& message) {
+    const wire::OutboundMessage parts = wire::encode_parts(message);
+    std::vector<std::uint8_t> bytes = parts.head;
+    bytes.insert(bytes.end(), parts.samples.begin(), parts.samples.end());
+    return bytes;
+  };
+  return {
+      canonical_case("request", request, wire::encode_request,
+                     received<wire::Request>),
+      canonical_case("deadlined request", deadlined, wire::encode_request,
+                     received<wire::Request>),
+      canonical_case("response", response, wire::encode_response,
+                     received<wire::Response>),
+      canonical_case("error",
+                     wire::ErrorReply{7, wire::ErrorCode::overloaded, "e"},
+                     wire::encode_error, wire::decode_error),
+      canonical_case("stream_open", pinned_stream_open(),
+                     wire::encode_stream_open, wire::decode_stream_open),
+      canonical_case("stream_frame", wire::StreamFrame{3, 1, image},
+                     wire::encode_stream_frame, received<wire::StreamFrame>),
+      canonical_case("stream_close", wire::StreamClose{3},
+                     wire::encode_stream_close, wire::decode_stream_close),
+      canonical_case("stream_opened", wire::StreamOpened{3, 2},
+                     wire::encode_stream_opened, wire::decode_stream_opened),
+      canonical_case("stream_result", result, encode_result,
+                     received<wire::StreamResult>),
+      canonical_case("stream_credit", wire::StreamCredit{3, 1},
+                     wire::encode_stream_credit, wire::decode_stream_credit),
+      canonical_case("stream_closed",
+                     wire::StreamClosed{3, wire::StreamStatus::shed, 4, 1, 0,
+                                        1, "x"},
+                     wire::encode_stream_closed, wire::decode_stream_closed),
+  };
+}
+
+TEST(WireTest, EveryMutatedPayloadIsRejectedOrReencodesExactly) {
+  // Canonical encoding: a payload a receiver accepts is the one encoding of
+  // the message it decodes to. Every byte of each case's payload is set to
+  // 0x00 and 0xff and has its low and its high bit flipped; the payload is
+  // also cut at every length and given one trailing byte. Each result is
+  // either rejected with WireError or decodes to a message that encodes to
+  // exactly those bytes. Nothing else may be thrown, and every pooled plane
+  // a decode acquires goes back.
+  const std::vector<CanonicalCase> cases = canonical_cases();
+  img::PlanePool pool;
+  const img::PlanePool::Scope scope(pool);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const CanonicalCase& c : cases) {
+    const auto check = [&](const std::vector<std::uint8_t>& payload,
+                           const std::string& how) {
+      try {
+        EXPECT_EQ(c.round_trip(payload), payload) << c.type << ", " << how;
+        ++accepted;
+      } catch (const WireError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << c.type << ", " << how << ": threw " << e.what();
+      }
+      const img::PoolStats s = pool.stats();
+      EXPECT_EQ(s.returned, s.acquires) << c.type << ", " << how;
+    };
+    for (std::size_t i = 0; i < c.payload.size(); ++i) {
+      const int b = c.payload[i];
+      for (const int value : {0x00, 0xff, b ^ 0x01, b ^ 0x80}) {
+        std::vector<std::uint8_t> mutated = c.payload;
+        mutated[i] = static_cast<std::uint8_t>(value);
+        check(mutated, "byte " + std::to_string(i) + " = " +
+                           std::to_string(value));
+      }
+    }
+    for (std::size_t n = 0; n < c.payload.size(); ++n) {
+      check({c.payload.begin(), c.payload.begin() + static_cast<long>(n)},
+            "cut to " + std::to_string(n) + " bytes");
+    }
+    std::vector<std::uint8_t> longer = c.payload;
+    longer.push_back(0);
+    check(longer, "one trailing byte");
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(WireTest, EncodeRequestRejectsStructurallyInvalidJobs) {
