@@ -36,6 +36,43 @@ void apply_timeouts(Socket& socket, double seconds) {
   }
 }
 
+/// What a read waits for, for the error a failed read throws.
+struct Awaited {
+  const char* outstanding; ///< what a server that hangs up leaves behind
+  const char* reply;
+};
+
+constexpr Awaited kReply{"replies outstanding", "reply"};
+constexpr Awaited kStreamReply{"streams open", "stream reply"};
+
+void expect_read(ReadMessageStatus status, const Awaited& awaited) {
+  switch (status) {
+    case ReadMessageStatus::eof:
+      throw TransportError(
+          std::string("server closed the connection with ") +
+          awaited.outstanding);
+    case ReadMessageStatus::error:
+      throw TransportError(std::string("connection lost while reading ") +
+                           awaited.reply);
+    case ReadMessageStatus::timeout:
+      // The timeout may have split a message; the stream position is
+      // unknown, so this connection is only good for closing.
+      throw TimeoutError(std::string("receive timed out while waiting for ") +
+                         awaited.reply);
+    case ReadMessageStatus::ok: break;
+  }
+}
+
+/// The payload of the message `header` announced. read_header and
+/// read_payload throw WireError on protocol rot.
+template <typename Message>
+Message receive(Socket& socket, const wire::Header& header,
+                const Awaited& awaited) {
+  Message message;
+  expect_read(read_payload(socket, header, message), awaited);
+  return message;
+}
+
 } // namespace
 
 Client::Client(const ClientOptions& options)
@@ -70,10 +107,10 @@ std::uint64_t Client::submit(serve::FrameJob job) {
   wire::Request request;
   request.request_id = next_request_id_++;
   request.job = std::move(job);
-  // encode_parts validates the job against the wire bounds (non-empty
-  // frame, dimensions, deadline) before anything crosses the socket; the
-  // samples go out from the job's frame.
-  send_message(wire::encode_parts(request), "request");
+  // encode validates the job against the wire bounds (non-empty frame,
+  // dimensions, deadline) before anything crosses the socket; the samples
+  // go out from the job's frame.
+  send_message(wire::encode(request), "request");
   ++in_flight_;
   return request.request_id;
 }
@@ -82,37 +119,17 @@ wire::Response Client::next_result() {
   TMHLS_REQUIRE(in_flight_ > 0,
                 "Client::next_result with no outstanding requests");
   TMHLS_REQUIRE(socket_.valid(), "Client::next_result on a closed client");
-  // read_header / read_payload throw WireError on protocol rot.
   wire::Header header;
-  wire::Response response;
-  Payload payload;
-  ReadMessageStatus status = read_header(socket_, header);
-  if (status == ReadMessageStatus::ok) {
-    if (header.type == wire::MessageType::response) {
-      status = read_payload(socket_, header, response);
-    } else if (header.type == wire::MessageType::error) {
-      status = read_payload(socket_, header, payload);
-    } else {
-      throw WireError("wire: server sent a request message");
-    }
-  }
-  switch (status) {
-    case ReadMessageStatus::eof:
-      throw TransportError(
-          "server closed the connection with replies outstanding");
-    case ReadMessageStatus::error:
-      throw TransportError("connection lost while reading reply");
-    case ReadMessageStatus::timeout:
-      // The timeout may have split a message; the stream position is
-      // unknown, so this connection is only good for closing.
-      throw TimeoutError("receive timed out while waiting for reply");
-    case ReadMessageStatus::ok: break;
-  }
+  expect_read(read_header(socket_, header), kReply);
   if (header.type == wire::MessageType::response) {
+    wire::Response response = receive<wire::Response>(socket_, header, kReply);
     --in_flight_;
     return response;
   }
-  const wire::ErrorReply reply = wire::decode_error(payload);
+  if (header.type != wire::MessageType::error) {
+    throw WireError("wire: server sent a request message");
+  }
+  const auto reply = receive<wire::ErrorReply>(socket_, header, kReply);
   --in_flight_;
   throw RemoteError(reply.request_id, reply.message, reply.code);
 }
@@ -168,29 +185,12 @@ serve::FrameResult Client::call(serve::FrameJob job) {
 void Client::pump_stream_message() {
   TMHLS_REQUIRE(socket_.valid(),
                 "Client stream operation on a closed client");
-  // read_header / read_payload throw WireError on protocol rot.
   wire::Header header;
-  wire::StreamResult result;
-  Payload payload;
-  ReadMessageStatus status = read_header(socket_, header);
-  if (status == ReadMessageStatus::ok) {
-    status = header.type == wire::MessageType::stream_result
-                 ? read_payload(socket_, header, result)
-                 : read_payload(socket_, header, payload);
-  }
-  switch (status) {
-    case ReadMessageStatus::eof:
-      throw TransportError(
-          "server closed the connection with streams open");
-    case ReadMessageStatus::error:
-      throw TransportError("connection lost while reading stream reply");
-    case ReadMessageStatus::timeout:
-      throw TimeoutError("receive timed out while waiting for stream reply");
-    case ReadMessageStatus::ok: break;
-  }
+  expect_read(read_header(socket_, header), kStreamReply);
   switch (header.type) {
     case wire::MessageType::stream_opened: {
-      const wire::StreamOpened opened = wire::decode_stream_opened(payload);
+      const auto opened =
+          receive<wire::StreamOpened>(socket_, header, kStreamReply);
       const auto it = streams_.find(opened.stream_id);
       if (it == streams_.end()) {
         throw WireError("wire: server opened an unknown stream");
@@ -200,6 +200,7 @@ void Client::pump_stream_message() {
       return;
     }
     case wire::MessageType::stream_result: {
+      auto result = receive<wire::StreamResult>(socket_, header, kStreamReply);
       const auto it = streams_.find(result.stream_id);
       if (it == streams_.end()) {
         throw WireError("wire: server sent a result for an unknown stream");
@@ -210,7 +211,8 @@ void Client::pump_stream_message() {
       return;
     }
     case wire::MessageType::stream_credit: {
-      const wire::StreamCredit credit = wire::decode_stream_credit(payload);
+      const auto credit =
+          receive<wire::StreamCredit>(socket_, header, kStreamReply);
       const auto it = streams_.find(credit.stream_id);
       if (it == streams_.end()) {
         throw WireError("wire: server sent credit for an unknown stream");
@@ -219,7 +221,7 @@ void Client::pump_stream_message() {
       return;
     }
     case wire::MessageType::stream_closed: {
-      wire::StreamClosed closed = wire::decode_stream_closed(payload);
+      auto closed = receive<wire::StreamClosed>(socket_, header, kStreamReply);
       const auto it = streams_.find(closed.stream_id);
       if (it == streams_.end()) {
         throw WireError("wire: server closed an unknown stream");
@@ -229,7 +231,8 @@ void Client::pump_stream_message() {
       return;
     }
     case wire::MessageType::error: {
-      const wire::ErrorReply reply = wire::decode_error(payload);
+      const auto reply =
+          receive<wire::ErrorReply>(socket_, header, kStreamReply);
       // A stream-scoped per-frame rejection (window exhausted, malformed
       // frame): the frame never entered the stream server-side, so its
       // credit comes back here. The stream itself survives.
@@ -253,9 +256,9 @@ std::uint64_t Client::open_stream(stream::StreamConfig config) {
   wire::StreamOpen open;
   open.stream_id = id;
   open.config = std::move(config);
-  // encode_stream_open validates the config against the wire bounds
-  // before anything crosses the socket.
-  wire::OutboundMessage message{wire::encode_stream_open(open), {}};
+  // encode validates the config against the wire bounds before anything
+  // crosses the socket.
+  const wire::OutboundMessage message = wire::encode(open);
   streams_.emplace(id, StreamSession{});
   try {
     send_message(message, "stream open");
@@ -294,7 +297,7 @@ void Client::send_stream_frame(std::uint64_t stream_id,
   message.stream_id = stream_id;
   message.sequence = sequence;
   message.frame = std::move(frame);
-  send_message(wire::encode_parts(message), "stream frame");
+  send_message(wire::encode(message), "stream frame");
   --it->second.credits;
 }
 
@@ -312,7 +315,7 @@ wire::StreamClosed Client::close_stream(std::uint64_t stream_id) {
   if (!it->second.closed) {
     wire::StreamClose close;
     close.stream_id = stream_id;
-    send_message({wire::encode_stream_close(close), {}}, "stream close");
+    send_message(wire::encode(close), "stream close");
     while (!it->second.closed) pump_stream_message();
   }
   wire::StreamClosed info = std::move(it->second.closed_info);

@@ -18,24 +18,17 @@ ReadMessageStatus read_header(Socket& socket, wire::Header& header) {
   return ReadMessageStatus::ok;
 }
 
-ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
-                               Payload& payload) {
-  payload.resize(header.payload_bytes);
-  if (header.payload_bytes > 0) {
-    switch (socket.recv_all(payload)) {
-      case ReadStatus::ok: break;
-      case ReadStatus::timeout: return ReadMessageStatus::timeout;
-      default: return ReadMessageStatus::error; // EOF mid-message included
-    }
-  }
-  wire::verify_checksum(header, payload); // throws WireError
-  return ReadMessageStatus::ok;
-}
-
 ReadMessageStatus read_message(Socket& socket, InboundMessage& message) {
   const ReadMessageStatus status = read_header(socket, message.header);
   if (status != ReadMessageStatus::ok) return status;
-  return read_payload(socket, message.header, message.payload);
+  message.payload.resize(message.header.payload_bytes);
+  switch (socket.recv_all(message.payload)) {
+    case ReadStatus::ok: break;
+    case ReadStatus::timeout: return ReadMessageStatus::timeout;
+    default: return ReadMessageStatus::error; // EOF mid-message included
+  }
+  wire::verify_checksum(message.header, message.payload); // throws WireError
+  return ReadMessageStatus::ok;
 }
 
 } // namespace tmhls::transport

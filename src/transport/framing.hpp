@@ -1,8 +1,8 @@
 // Message-level I/O shared by transport::Server and transport::Client:
-// read one framed message (header, then a checksum-verified payload) off a
-// stream socket, an image message's samples straight into a plane. Writing
-// needs no helper: Socket::send_all writes an encoded message's pieces
-// (wire::OutboundMessage) with one gather write.
+// read one framed message (header, then its typed, checksum-verified
+// payload) off a stream socket, an image message's samples straight into a
+// plane. Writing needs no helper: Socket::send_all writes an encoded
+// message's pieces (wire::OutboundMessage) with one gather write.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +17,8 @@ namespace tmhls::transport {
 /// A payload buffer: sized without a fill, then received into.
 using Payload = std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>>;
 
-/// One complete inbound message: the validated header and its
-/// checksum-verified payload (not yet decoded into a typed message).
+/// One complete inbound message as read_message returns it: the validated
+/// header and its checksum-verified payload bytes, not yet decoded.
 struct InboundMessage {
   wire::Header header;
   Payload payload;
@@ -38,14 +38,10 @@ enum class ReadMessageStatus {
 /// unsynchronised and the caller must close it.
 ReadMessageStatus read_header(Socket& socket, wire::Header& header);
 
-/// Read the payload of a message whose header was read, as bytes, and
-/// verify its checksum (throws WireError on a mismatch). End of stream
-/// here is mid-message: error, never eof.
-ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
-                               Payload& payload);
-
-/// Receive an image message's payload straight into a plane and decode it
-/// (wire::receive_payload); the same statuses and WireError cases.
+/// Receive the payload of a message whose header was read, of the type the
+/// header names, straight into `message` (wire::receive_payload; an image
+/// message's samples into a plane). Throws WireError when the bytes violate
+/// the protocol. End of stream here is mid-message: error, never eof.
 template <typename Message>
 ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
                                Message& message) {
@@ -61,8 +57,8 @@ ReadMessageStatus read_payload(Socket& socket, const wire::Header& header,
                                        : ReadMessageStatus::error;
 }
 
-/// Read exactly one message, its payload as bytes: read_header, then
-/// read_payload.
+/// Read exactly one message, its payload as checksum-verified bytes, for
+/// perfbench/runner.cpp's stream client, which decodes after the read.
 ReadMessageStatus read_message(Socket& socket, InboundMessage& message);
 
 } // namespace tmhls::transport

@@ -32,8 +32,8 @@ void validate(const ServerOptions& options) {
 struct Server::Reply {
   /// A request's finished frame or a delivered stream frame, encoded by
   /// the writer (off the shard worker) and sent from its plane; otherwise
-  /// the encoded message, an error reply or a small stream reply.
-  std::variant<wire::Response, wire::StreamResult, std::vector<std::uint8_t>>
+  /// an encoded error reply or stream control message.
+  std::variant<wire::Response, wire::StreamResult, wire::OutboundMessage>
       body;
   /// Request replies: the counter the writer advances right before the
   /// write; taking one off the queue frees a window slot. Null for stream
@@ -97,24 +97,24 @@ wire::ErrorCode classify(const std::exception& e) {
 
 /// A queued reply as the writer sends it (see Server::Reply).
 wire::OutboundMessage outbound(const wire::Response& response) {
-  return wire::encode_parts(response);
+  return wire::encode(response);
 }
 wire::OutboundMessage outbound(const wire::StreamResult& result) {
-  return wire::encode_parts(result);
+  return wire::encode(result);
 }
-wire::OutboundMessage outbound(std::vector<std::uint8_t>& message) {
-  return {std::move(message), {}};
+wire::OutboundMessage outbound(wire::OutboundMessage& message) {
+  return std::move(message);
 }
 
 /// A stream's terminal message, carrying its final counters.
-std::vector<std::uint8_t> stream_closed(std::uint64_t stream_id,
-                                        wire::StreamStatus status,
-                                        const stream::StreamStats& stats,
-                                        const std::string& message = "") {
-  return wire::encode_stream_closed(
-      {stream_id, status, stats.frames_delivered, stats.frames_shed,
-       stats.frames_expired, static_cast<std::uint32_t>(stats.rung_switches),
-       message});
+wire::OutboundMessage stream_closed(std::uint64_t stream_id,
+                                    wire::StreamStatus status,
+                                    const stream::StreamStats& stats,
+                                    const std::string& message = "") {
+  return wire::encode(wire::StreamClosed{
+      stream_id, status, stats.frames_delivered, stats.frames_shed,
+      stats.frames_expired, static_cast<std::uint32_t>(stats.rung_switches),
+      message});
 }
 
 } // namespace
@@ -238,6 +238,12 @@ void Server::reader_loop(Connection& c) {
           case wire::MessageType::request:
             status = read_payload(c.socket, header, request);
             break;
+          case wire::MessageType::stream_open: {
+            wire::StreamOpen open;
+            status = read_payload(c.socket, header, open);
+            if (status == ReadMessageStatus::ok) handle_stream_open(c, open);
+            break;
+          }
           case wire::MessageType::stream_frame: {
             wire::StreamFrame frame;
             status = read_payload(c.socket, header, frame);
@@ -246,16 +252,10 @@ void Server::reader_loop(Connection& c) {
             }
             break;
           }
-          case wire::MessageType::stream_open:
           case wire::MessageType::stream_close: {
-            Payload payload;
-            status = read_payload(c.socket, header, payload);
-            if (status != ReadMessageStatus::ok) break;
-            if (header.type == wire::MessageType::stream_open) {
-              handle_stream_open(c, payload);
-            } else {
-              handle_stream_close(c, payload);
-            }
+            wire::StreamClose close;
+            status = read_payload(c.socket, header, close);
+            if (status == ReadMessageStatus::ok) handle_stream_close(c, close);
             break;
           }
           default:
@@ -347,12 +347,12 @@ void Server::enqueue(Connection& c, Reply reply) {
   c.reply_ready.notify_one();
 }
 
-void Server::enqueue(Connection& c, std::vector<std::uint8_t> message) {
+void Server::enqueue(Connection& c, wire::OutboundMessage message) {
   enqueue(c, Reply{std::move(message), nullptr});
 }
 
-std::vector<std::uint8_t> Server::error_reply(std::uint64_t id,
-                                              const std::exception& e) {
+wire::OutboundMessage Server::error_reply(std::uint64_t id,
+                                          const std::exception& e) {
   // The shed/expired counters advance even when the peer is gone and the
   // reply is never written.
   const wire::ErrorCode code = classify(e);
@@ -360,7 +360,7 @@ std::vector<std::uint8_t> Server::error_reply(std::uint64_t id,
   if (code == wire::ErrorCode::deadline_exceeded) {
     requests_expired_.fetch_add(1);
   }
-  return wire::encode_error({id, code, e.what()});
+  return wire::encode(wire::ErrorReply{id, code, e.what()});
 }
 
 void Server::enqueue_error(Connection& c, std::uint64_t request_id,
@@ -384,8 +384,7 @@ void Server::enqueue_results(Connection& c, std::uint64_t stream_id,
 }
 
 void Server::handle_stream_open(Connection& c,
-                                std::span<const std::uint8_t> payload) {
-  const wire::StreamOpen open = wire::decode_stream_open(payload);
+                                const wire::StreamOpen& open) {
   if (c.stream_ids.count(open.stream_id) != 0) {
     throw WireError("wire: stream id " + std::to_string(open.stream_id) +
                     " is already open on this connection");
@@ -394,9 +393,9 @@ void Server::handle_stream_open(Connection& c,
     const std::uint64_t local = sessions_.open(open.config);
     c.stream_ids.emplace(open.stream_id, local);
     streams_opened_.fetch_add(1);
-    enqueue(c, wire::encode_stream_opened(
-                   {open.stream_id,
-                    static_cast<std::uint32_t>(open.config.credits)}));
+    enqueue(c, wire::encode(wire::StreamOpened{
+                   open.stream_id,
+                   static_cast<std::uint32_t>(open.config.credits)}));
   } catch (const std::exception& e) {
     // Rejected open (capacity shed, malformed config): an error reply
     // carrying the stream id in request_id; the connection continues.
@@ -419,9 +418,8 @@ void Server::handle_stream_frame(Connection& c, wire::StreamFrame frame) {
                                std::move(frame.frame));
     enqueue_results(c, frame.stream_id, out.results);
     if (out.credits_released > 0) {
-      enqueue(c,
-              wire::encode_stream_credit({frame.stream_id,
-                                          out.credits_released}));
+      enqueue(c, wire::encode(wire::StreamCredit{frame.stream_id,
+                                                 out.credits_released}));
     }
     if (out.stream_shed) {
       // The rate controller shed the whole stream (best_effort overload):
@@ -451,8 +449,7 @@ void Server::handle_stream_frame(Connection& c, wire::StreamFrame frame) {
 }
 
 void Server::handle_stream_close(Connection& c,
-                                 std::span<const std::uint8_t> payload) {
-  const wire::StreamClose close = wire::decode_stream_close(payload);
+                                 const wire::StreamClose& close) {
   const auto it = c.stream_ids.find(close.stream_id);
   if (it == c.stream_ids.end()) {
     enqueue_stream_error(

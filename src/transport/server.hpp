@@ -162,23 +162,22 @@ private:
   /// socket keeps a single writing thread. WireError propagates to the
   /// caller (protocol violation).
   void handle_stream_open(Connection& connection,
-                          std::span<const std::uint8_t> payload);
+                          const wire::StreamOpen& open);
   void handle_stream_frame(Connection& connection, wire::StreamFrame frame);
   void handle_stream_close(Connection& connection,
-                           std::span<const std::uint8_t> payload);
+                           const wire::StreamClose& close);
   /// Reader-exit reclamation: abort every stream the connection still
   /// owns (mid-stream disconnects must not pin stream slots).
   void abort_connection_streams(Connection& connection);
   /// Queue a reply for the connection's writer — the only way a reply
-  /// reaches the socket. The vector form queues an encoded stream reply
+  /// reaches the socket. The message form queues an encoded stream reply
   /// that answers no request.
   static void enqueue(Connection& connection, Reply reply);
-  static void enqueue(Connection& connection,
-                      std::vector<std::uint8_t> message);
+  static void enqueue(Connection& connection, wire::OutboundMessage message);
   /// A typed error reply to request or stream `id`, counting a shed or
   /// an expiry.
-  std::vector<std::uint8_t> error_reply(std::uint64_t id,
-                                        const std::exception& e);
+  wire::OutboundMessage error_reply(std::uint64_t id,
+                                    const std::exception& e);
   /// Queue a request's error reply; the writer counts it in errors_sent.
   void enqueue_error(Connection& connection, std::uint64_t request_id,
                      const std::exception& e);

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <concepts>
 #include <cstring>
+#include <optional>
+#include <type_traits>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <nmmintrin.h>
@@ -17,109 +20,233 @@ namespace tmhls::transport::wire {
 
 namespace {
 
-// --- primitive little-endian encoding -------------------------------------
-// Bytes are assembled and reassembled explicitly, so the on-wire order is
-// fixed whatever the host's endianness.
+// --- enum codes ------------------------------------------------------------
+// Each enum has one table: a value's wire code is its index there,
+// independent of the in-memory enum values, so a reordering refactor on one
+// endpoint cannot silently change the protocol.
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+template <typename E, std::size_t N>
+struct CodeTable {
+  const char* name;
+  std::array<E, N> values;
+};
+
+constexpr auto codes(tonemap::Datapath) {
+  // Code 0 was from_blur_kind in protocol version 3; unspecified is its v4
+  // successor with the same "follow the backend" meaning.
+  return CodeTable{"Datapath",
+                   std::array{tonemap::Datapath::unspecified,
+                              tonemap::Datapath::float32,
+                              tonemap::Datapath::fixed_point}};
 }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xffu));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xffu));
+constexpr auto codes(serve::QosClass) {
+  return CodeTable{"QosClass",
+                   std::array{serve::QosClass::best_effort,
+                              serve::QosClass::standard,
+                              serve::QosClass::critical}};
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
+constexpr auto codes(serve::DegradeLevel) {
+  return CodeTable{"DegradeLevel",
+                   std::array{serve::DegradeLevel::none,
+                              serve::DegradeLevel::reduced_blur,
+                              serve::DegradeLevel::global_operator}};
+}
+
+constexpr auto codes(ErrorCode) {
+  return CodeTable{"ErrorCode",
+                   std::array{ErrorCode::generic, ErrorCode::invalid_argument,
+                              ErrorCode::overloaded,
+                              ErrorCode::deadline_exceeded}};
+}
+
+constexpr auto codes(StreamStatus) {
+  return CodeTable{"StreamStatus",
+                   std::array{StreamStatus::closed, StreamStatus::shed,
+                              StreamStatus::failed}};
+}
+
+constexpr auto codes(fixed::Round) {
+  return CodeTable{"Round",
+                   std::array{fixed::Round::truncate, fixed::Round::toward_zero,
+                              fixed::Round::half_up, fixed::Round::half_even}};
+}
+
+constexpr auto codes(fixed::Overflow) {
+  return CodeTable{"Overflow", std::array{fixed::Overflow::saturate,
+                                          fixed::Overflow::wrap}};
+}
+
+template <typename E>
+std::uint8_t code_of(E value) {
+  constexpr auto table = codes(E{});
+  const auto it = std::find(table.values.begin(), table.values.end(), value);
+  if (it == table.values.end()) {
+    throw WireError(std::string("wire: unencodable ") + table.name);
   }
+  return static_cast<std::uint8_t>(it - table.values.begin());
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
+template <typename E>
+E enum_of(std::uint8_t code) {
+  constexpr auto table = codes(E{});
+  if (code >= table.values.size()) {
+    throw WireError(std::string("wire: unknown ") + table.name + " code " +
+                    std::to_string(code));
   }
+  return table.values[code];
 }
 
-void put_i32(std::vector<std::uint8_t>& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
+// --- codecs ----------------------------------------------------------------
+// A message's layout is one field list (fields(), below), walked by two
+// codecs: Writer appends each field to an encoded message, Reader fills
+// each field from a received payload. Both assemble little-endian bytes
+// explicitly, so the on-wire order is fixed whatever the host's endianness.
+// The list states each field's bounds with check(), which a Writer fails
+// as InvalidArgument (the caller's message is malformed) and a Reader as
+// WireError; values live in locals where the wire form differs from the
+// in-memory one, and set() stores them back when decoding.
 
-void put_f32(std::vector<std::uint8_t>& out, float v) {
-  put_u32(out, std::bit_cast<std::uint32_t>(v));
-}
+/// The dimensions at the head of an image field.
+struct Shape {
+  int width = 0;
+  int height = 0;
+  int channels = 0;
+  std::size_t bytes() const {
+    return std::size_t{4} * static_cast<std::size_t>(width) *
+           static_cast<std::size_t>(height) *
+           static_cast<std::size_t>(channels);
+  }
+};
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
+class Writer {
+public:
+  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
 
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  TMHLS_REQUIRE(s.size() <= kMaxStringBytes,
-                "wire: string field exceeds kMaxStringBytes: " +
-                    std::to_string(s.size()));
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
+  template <typename T> void u8(T v) { put(v, 1); }
+  template <typename T> void u16(T v) { put(v, 2); }
+  template <typename T> void u32(T v) { put(v, 4); }
+  template <typename T> void u64(T v) { put(v, 8); }
+  void f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  template <typename E> void code(E v) { u8(code_of(v)); }
 
-/// Bounded cursor over one payload. Every read checks the remaining
-/// length and throws WireError naming the underrun — decoders never walk
-/// past the declared payload.
+  void chars(const std::string& s, std::size_t n) {
+    out_.insert(out_.end(), s.begin(), s.begin() + static_cast<long>(n));
+  }
+
+  /// An image's samples: on a little-endian host the plane's memory already
+  /// is the wire's run of little-endian f32 words, so they are sent from
+  /// where they lie, as the message's second piece.
+  void samples(const img::ImageF& image, const Shape&) {
+    if constexpr (std::endian::native == std::endian::little) {
+      samples_ = {reinterpret_cast<const std::uint8_t*>(image.samples().data()),
+                  image.sample_count() * 4};
+    } else {
+      for (float v : image.samples()) f32(v);
+    }
+  }
+
+  static void check(bool ok, const char* what) { TMHLS_REQUIRE(ok, what); }
+  template <typename T, typename V> static void set(const T&, V&&) {}
+
+  std::span<const std::uint8_t> sample_piece() const { return samples_; }
+
+private:
+  template <typename T> void put(T v, int bytes) {
+    const auto bits = static_cast<std::uint64_t>(v);
+    for (int i = 0; i < bytes; ++i) {
+      out_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    }
+  }
+
+  std::vector<std::uint8_t>& out_;
+  std::span<const std::uint8_t> samples_;
+};
+
+/// Bounded cursor over the first bytes of a payload — all of it, or the
+/// prefix of an image message whose last samples are still to arrive.
+/// Every read checks the remaining length and throws WireError naming the
+/// underrun: decoders never walk past the declared payload.
 class Reader {
 public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+  Reader(std::span<const std::uint8_t> bytes, std::size_t payload_bytes)
+      : bytes_(bytes), payload_bytes_(payload_bytes) {}
 
-  std::uint8_t u8() { return take(1)[0]; }
-
-  std::uint16_t u16() {
-    const auto b = take(2);
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
+  template <typename T> void u8(T& v) { v = static_cast<T>(get(1)); }
+  template <typename T> void u16(T& v) { v = static_cast<T>(get(2)); }
+  template <typename T> void u32(T& v) { v = static_cast<T>(get(4)); }
+  template <typename T> void u64(T& v) { v = static_cast<T>(get(8)); }
+  void f32(float& v) {
+    v = std::bit_cast<float>(static_cast<std::uint32_t>(get(4)));
+  }
+  void f64(double& v) { v = std::bit_cast<double>(get(8)); }
+  template <typename E> void code(E& v) {
+    v = enum_of<E>(static_cast<std::uint8_t>(get(1)));
   }
 
-  std::uint32_t u32() {
-    const auto b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    const auto b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
-  }
-
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  float f32() { return std::bit_cast<float>(u32()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::string string() {
-    const std::uint32_t n = u32();
-    if (n > kMaxStringBytes) {
-      throw WireError("wire: string length " + std::to_string(n) +
-                      " exceeds kMaxStringBytes");
-    }
+  void chars(std::string& s, std::size_t n) {
     const auto b = take(n);
-    return std::string(reinterpret_cast<const char*>(b.data()), b.size());
+    s.assign(reinterpret_cast<const char*>(b.data()), b.size());
   }
 
-  /// Consume `n` raw bytes (bounds-checked like every other read) — the
-  /// bulk form read_image uses to blit a plane payload in one go.
-  std::span<const std::uint8_t> bytes(std::size_t n) { return take(n); }
+  /// An image's samples, the payload's last bytes. Samples that do not
+  /// fill the payload exactly are rejected before anything is allocated
+  /// for them — an attacker-controlled header must never turn into an
+  /// attacker-sized allocation. Then an unwritten plane is acquired (on a
+  /// pooled thread a retained one), the samples at hand are copied into it,
+  /// and rest() is the part still to be received.
+  void samples(img::ImageF& image, const Shape& shape) {
+    if (offset_ + shape.bytes() != payload_bytes_) {
+      throw WireError("wire: image of " + std::to_string(shape.bytes()) +
+                      " sample bytes disagrees with the payload size " +
+                      std::to_string(payload_bytes_));
+    }
+    image = img::ImageF(shape.width, shape.height, shape.channels,
+                        img::uninitialized);
+    image_ = &image;
+    const std::span<std::uint8_t> plane(
+        reinterpret_cast<std::uint8_t*>(image.samples().data()),
+        shape.bytes());
+    const std::size_t early = remaining();
+    std::memcpy(plane.data(), take(early).data(), early);
+    rest_ = plane.subspan(early);
+  }
 
-  std::size_t remaining() const { return bytes_.size() - offset_; }
+  static void check(bool ok, const char* what) {
+    if (!ok) throw WireError(what);
+  }
+  template <typename T, typename V> static void set(T& target, V&& value) {
+    target = std::forward<V>(value);
+  }
 
-  /// Throws unless the payload was consumed exactly — trailing bytes mean
+  std::span<std::uint8_t> rest() const { return rest_; }
+
+  /// Throws unless the bytes were consumed exactly — trailing bytes mean
   /// the two endpoints disagree about the format.
-  void expect_exhausted(const char* what) const {
+  void expect_exhausted() const {
     if (remaining() != 0) {
-      throw WireError(std::string("wire: ") + what + " payload has " +
-                      std::to_string(remaining()) + " trailing byte(s)");
+      throw WireError("wire: payload has " + std::to_string(remaining()) +
+                      " trailing byte(s)");
+    }
+  }
+
+  /// Once every sample has arrived: the image's little-endian words in
+  /// host order.
+  void samples_to_host_order() const {
+    if constexpr (std::endian::native == std::endian::big) {
+      if (image_ == nullptr) return;
+      for (float& v : image_->samples()) {
+        v = std::bit_cast<float>(
+            __builtin_bswap32(std::bit_cast<std::uint32_t>(v)));
+      }
     }
   }
 
 private:
+  std::size_t remaining() const { return bytes_.size() - offset_; }
+
   std::span<const std::uint8_t> take(std::size_t n) {
     if (remaining() < n) {
       throw WireError("wire: payload truncated (need " + std::to_string(n) +
@@ -130,280 +257,261 @@ private:
     return view;
   }
 
+  std::uint64_t get(std::size_t n) {
+    const auto b = take(n);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
+    }
+    return v;
+  }
+
   std::span<const std::uint8_t> bytes_;
+  std::size_t payload_bytes_;
   std::size_t offset_ = 0;
+  img::ImageF* image_ = nullptr;
+  std::span<std::uint8_t> rest_;
 };
 
-// --- enum codes ------------------------------------------------------------
-// Explicit on-wire codes, independent of the in-memory enum values, so a
-// reordering refactor on one endpoint cannot silently change the protocol.
-
-std::uint8_t code_of(tonemap::Datapath datapath) {
-  // Code 0 was from_blur_kind in protocol version 3; unspecified is its
-  // v4 successor with the same "follow the backend" meaning, so the code
-  // is stable across the rename.
-  switch (datapath) {
-    case tonemap::Datapath::unspecified: return 0;
-    case tonemap::Datapath::float32: return 1;
-    case tonemap::Datapath::fixed_point: return 2;
-  }
-  throw WireError("wire: unencodable Datapath");
+/// A bound both codecs enforce as WireError, the stream bounds' error on
+/// either side since v3: a conforming client cannot emit a message a
+/// conforming server drops the connection for.
+void wire_check(bool ok, const char* what) {
+  if (!ok) throw WireError(what);
 }
 
-tonemap::Datapath datapath_of(std::uint8_t code) {
-  switch (code) {
-    case 0: return tonemap::Datapath::unspecified;
-    case 1: return tonemap::Datapath::float32;
-    case 2: return tonemap::Datapath::fixed_point;
-  }
-  throw WireError("wire: unknown Datapath code " + std::to_string(code));
+bool valid_credits(std::int64_t credits) {
+  return credits >= 1 && credits <= stream::kMaxStreamCredits;
 }
 
-std::uint8_t code_of(serve::QosClass qos) {
-  switch (qos) {
-    case serve::QosClass::best_effort: return 0;
-    case serve::QosClass::standard: return 1;
-    case serve::QosClass::critical: return 2;
-  }
-  throw WireError("wire: unencodable QosClass");
+// --- composite fields ------------------------------------------------------
+
+/// A length-prefixed string of at most kMaxStringBytes. A `clamped` one is
+/// cut to the bound on encode rather than refused: an over-long what() must
+/// not turn an error reply or a stream's terminal message into a second
+/// failure.
+template <typename Codec, typename String>
+void string(Codec& c, String& s, bool clamped = false) {
+  std::size_t n = clamped ? std::min<std::size_t>(s.size(), kMaxStringBytes)
+                          : s.size();
+  c.u32(n);
+  c.check(n <= kMaxStringBytes, "wire: string field exceeds kMaxStringBytes");
+  c.chars(s, n);
 }
 
-serve::QosClass qos_of(std::uint8_t code) {
-  switch (code) {
-    case 0: return serve::QosClass::best_effort;
-    case 1: return serve::QosClass::standard;
-    case 2: return serve::QosClass::critical;
-  }
-  throw WireError("wire: unknown QosClass code " + std::to_string(code));
+/// [width][height][channels][samples]: every image message ends in one.
+template <typename Codec, typename Image>
+void image(Codec& c, Image& image) {
+  Shape shape{image.width(), image.height(), image.channels()};
+  c.u32(shape.width);
+  c.u32(shape.height);
+  c.u32(shape.channels);
+  c.check(shape.width >= 1 && shape.width <= kMaxDimension &&
+              shape.height >= 1 && shape.height <= kMaxDimension,
+          "wire: image dimensions outside [1, kMaxDimension]");
+  c.check(shape.channels >= 1 && shape.channels <= 4,
+          "wire: image channels outside [1, 4]");
+  c.samples(image, shape);
 }
 
-std::uint8_t code_of(serve::DegradeLevel level) {
-  switch (level) {
-    case serve::DegradeLevel::none: return 0;
-    case serve::DegradeLevel::reduced_blur: return 1;
-    case serve::DegradeLevel::global_operator: return 2;
-  }
-  throw WireError("wire: unencodable DegradeLevel");
+/// "No deadline" travels as an explicit flag byte (v3): the f64 that
+/// follows is only meaningful when the flag is 1, and must be all zero bits
+/// otherwise (-0.0 included), so every request has exactly one encoding.
+/// The deadline is relative (seconds from server-side admission), so no
+/// clock synchronisation is assumed — but hostile bit patterns (NaN,
+/// infinities, negatives) are a protocol violation, not an execution error.
+template <typename Codec, typename Deadline>
+void deadline(Codec& c, Deadline& deadline) {
+  std::uint8_t flag = deadline.has_value() ? 1 : 0;
+  double seconds = deadline.value_or(0.0);
+  c.u8(flag);
+  c.f64(seconds);
+  c.check(flag == 1 ? std::isfinite(seconds) && seconds >= 0.0
+                    : flag == 0 && std::bit_cast<std::uint64_t>(seconds) == 0,
+          "wire: deadline_seconds must be finite and >= 0, or absent "
+          "(flag 0, value 0)");
+  c.set(deadline, flag == 1 ? std::optional(seconds) : std::nullopt);
 }
 
-serve::DegradeLevel degrade_of(std::uint8_t code) {
-  switch (code) {
-    case 0: return serve::DegradeLevel::none;
-    case 1: return serve::DegradeLevel::reduced_blur;
-    case 2: return serve::DegradeLevel::global_operator;
-  }
-  throw WireError("wire: unknown DegradeLevel code " + std::to_string(code));
-}
-
-std::uint8_t code_of(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::generic: return 0;
-    case ErrorCode::invalid_argument: return 1;
-    case ErrorCode::overloaded: return 2;
-    case ErrorCode::deadline_exceeded: return 3;
-  }
-  throw WireError("wire: unencodable ErrorCode");
-}
-
-ErrorCode error_code_of(std::uint8_t code) {
-  switch (code) {
-    case 0: return ErrorCode::generic;
-    case 1: return ErrorCode::invalid_argument;
-    case 2: return ErrorCode::overloaded;
-    case 3: return ErrorCode::deadline_exceeded;
-  }
-  throw WireError("wire: unknown ErrorCode code " + std::to_string(code));
-}
-
-std::uint8_t code_of(fixed::Round round) {
-  switch (round) {
-    case fixed::Round::truncate: return 0;
-    case fixed::Round::toward_zero: return 1;
-    case fixed::Round::half_up: return 2;
-    case fixed::Round::half_even: return 3;
-  }
-  throw WireError("wire: unencodable Round");
-}
-
-fixed::Round round_of(std::uint8_t code) {
-  switch (code) {
-    case 0: return fixed::Round::truncate;
-    case 1: return fixed::Round::toward_zero;
-    case 2: return fixed::Round::half_up;
-    case 3: return fixed::Round::half_even;
-  }
-  throw WireError("wire: unknown Round code " + std::to_string(code));
-}
-
-std::uint8_t code_of(fixed::Overflow overflow) {
-  switch (overflow) {
-    case fixed::Overflow::saturate: return 0;
-    case fixed::Overflow::wrap: return 1;
-  }
-  throw WireError("wire: unencodable Overflow");
-}
-
-fixed::Overflow overflow_of(std::uint8_t code) {
-  switch (code) {
-    case 0: return fixed::Overflow::saturate;
-    case 1: return fixed::Overflow::wrap;
-  }
-  throw WireError("wire: unknown Overflow code " + std::to_string(code));
-}
-
-// --- composites ------------------------------------------------------------
-
-void put_fixed_format(std::vector<std::uint8_t>& out,
-                      const fixed::FixedFormat& format) {
-  put_u8(out, static_cast<std::uint8_t>(format.width()));
-  put_u8(out, static_cast<std::uint8_t>(format.int_bits()));
-  put_u8(out, code_of(format.round()));
-  put_u8(out, code_of(format.overflow()));
-}
-
-fixed::FixedFormat read_fixed_format(Reader& in) {
-  const int width = in.u8();
-  const int int_bits = in.u8();
-  const fixed::Round round = round_of(in.u8());
-  const fixed::Overflow overflow = overflow_of(in.u8());
-  // Validate here so a hostile width surfaces as WireError, not as the
+template <typename Codec, typename Format>
+void fixed_format(Codec& c, Format& format) {
+  int width = format.width();
+  int int_bits = format.int_bits();
+  fixed::Round round = format.round();
+  fixed::Overflow overflow = format.overflow();
+  c.u8(width);
+  c.u8(int_bits);
+  c.code(round);
+  c.code(overflow);
+  // Checked here so a hostile width surfaces as WireError, not as the
   // constructor's InvalidArgument (which servers treat as an execution
   // error instead of a protocol violation).
-  if (width < 1 || width > 32 || int_bits < 1 || int_bits > width) {
-    throw WireError("wire: invalid fixed-point format " +
-                    std::to_string(width) + "/" + std::to_string(int_bits));
-  }
-  return fixed::FixedFormat(width, int_bits, round, overflow);
+  c.check(width >= 1 && width <= 32 && int_bits >= 1 && int_bits <= width,
+          "wire: invalid fixed-point format");
+  c.set(format, fixed::FixedFormat(width, int_bits, round, overflow));
 }
 
-void put_options(std::vector<std::uint8_t>& out,
-                 const tonemap::PipelineOptions& opt) {
-  put_f64(out, opt.sigma);
-  put_i32(out, opt.radius);
-  put_string(out, opt.backend);
-  put_u8(out, code_of(opt.datapath));
-  put_i32(out, opt.threads);
-  put_fixed_format(out, opt.fixed.data);
-  put_fixed_format(out, opt.fixed.accumulator);
-  put_f32(out, opt.display_gamma);
-  put_f32(out, opt.normalization_scale);
-  put_f32(out, opt.brightness);
-  put_f32(out, opt.contrast);
+/// Signed fields (radius, threads, shard) travel as the u32 of their two's
+/// complement bits.
+template <typename Codec, typename Options>
+void options(Codec& c, Options& opt) {
+  c.f64(opt.sigma);
+  c.u32(opt.radius);
+  string(c, opt.backend);
+  c.code(opt.datapath);
+  c.u32(opt.threads);
+  fixed_format(c, opt.fixed.data);
+  fixed_format(c, opt.fixed.accumulator);
+  c.f32(opt.display_gamma);
+  c.f32(opt.normalization_scale);
+  c.f32(opt.brightness);
+  c.f32(opt.contrast);
 }
 
-tonemap::PipelineOptions read_options(Reader& in) {
-  tonemap::PipelineOptions opt;
-  opt.sigma = in.f64();
-  opt.radius = in.i32();
-  opt.backend = in.string();
-  opt.datapath = datapath_of(in.u8());
-  opt.threads = in.i32();
-  opt.fixed.data = read_fixed_format(in);
-  opt.fixed.accumulator = read_fixed_format(in);
-  opt.display_gamma = in.f32();
-  opt.normalization_scale = in.f32();
-  opt.brightness = in.f32();
-  opt.contrast = in.f32();
-  return opt;
+// --- field lists -----------------------------------------------------------
+// One per message, its fields in wire order. Each takes the message const
+// (to encode) or not (to decode).
+
+template <typename M, typename T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+template <typename Codec>
+void fields(Codec& c, Is<Request> auto& m) {
+  c.u64(m.request_id);
+  c.code(m.job.qos);
+  deadline(c, m.job.deadline_seconds);
+  options(c, m.job.options);
+  image(c, m.job.frame);
 }
 
-/// The dimensions at the head of an image field.
-struct Shape {
-  int width, height, channels;
-  std::size_t bytes() const {
-    return std::size_t{4} * static_cast<std::size_t>(width) *
-           static_cast<std::size_t>(height) *
-           static_cast<std::size_t>(channels);
-  }
-};
-
-/// The image field's dimensions; its samples follow as a separate piece.
-void put_shape(std::vector<std::uint8_t>& out, const img::ImageF& image) {
-  TMHLS_REQUIRE(!image.empty(), "wire: cannot encode an empty image");
-  TMHLS_REQUIRE(image.width() <= kMaxDimension &&
-                    image.height() <= kMaxDimension,
-                "wire: image dimensions exceed kMaxDimension");
-  put_u32(out, static_cast<std::uint32_t>(image.width()));
-  put_u32(out, static_cast<std::uint32_t>(image.height()));
-  put_u32(out, static_cast<std::uint32_t>(image.channels()));
+template <typename Codec>
+void fields(Codec& c, Is<Response> auto& m) {
+  c.u64(m.request_id);
+  c.u64(m.result.job_id);
+  c.u32(m.result.shard);
+  c.code(m.result.degrade);
+  string(c, m.result.backend);
+  c.f64(m.result.queue_seconds);
+  c.f64(m.result.service_seconds);
+  image(c, m.result.output);
 }
 
-Shape read_shape(Reader& in) {
-  const std::uint32_t width = in.u32();
-  const std::uint32_t height = in.u32();
-  const std::uint32_t channels = in.u32();
-  if (width < 1 || width > static_cast<std::uint32_t>(kMaxDimension) ||
-      height < 1 || height > static_cast<std::uint32_t>(kMaxDimension)) {
-    throw WireError("wire: image dimensions " + std::to_string(width) + "x" +
-                    std::to_string(height) + " outside [1, " +
-                    std::to_string(kMaxDimension) + "]");
-  }
-  if (channels < 1 || channels > 4) {
-    throw WireError("wire: image channels " + std::to_string(channels) +
-                    " outside [1, 4]");
-  }
-  return {static_cast<int>(width), static_cast<int>(height),
-          static_cast<int>(channels)};
+template <typename Codec>
+void fields(Codec& c, Is<ErrorReply> auto& m) {
+  c.u64(m.request_id);
+  c.code(m.code);
+  string(c, m.message, /*clamped=*/true);
 }
 
-img::ImageF read_image(Reader& in) {
-  const Shape shape = read_shape(in);
-  // The declared geometry must be backed by actual payload bytes *before*
-  // the image is allocated: an attacker-controlled header must never turn
-  // into an attacker-sized allocation.
-  if (in.remaining() < shape.bytes()) {
-    throw WireError("wire: image data truncated (" +
-                    std::to_string(shape.bytes()) + " bytes declared, " +
-                    std::to_string(in.remaining()) + " available)");
-  }
-  // On a pooled thread this recycles a retained plane, unfilled: the copy
-  // below writes every sample.
-  img::ImageF image(shape.width, shape.height, shape.channels,
-                    img::uninitialized);
-  if constexpr (std::endian::native == std::endian::little) {
-    // Samples are consecutive little-endian f32 words, which on a
-    // little-endian host is exactly the plane's memory representation.
-    const auto raw = in.bytes(shape.bytes());
-    std::memcpy(image.samples().data(), raw.data(), raw.size());
-  } else {
-    for (float& v : image.samples()) v = in.f32();
-  }
-  return image;
+template <typename Codec>
+void fields(Codec& c, Is<StreamOpen> auto& m) {
+  auto& config = m.config;
+  c.u64(m.stream_id);
+  c.code(config.qos);
+  c.f64(config.frame_interval_seconds);
+  c.f64(config.adaptation_rate);
+  c.u32(config.width);
+  c.u32(config.height);
+  c.u32(config.reorder_window);
+  c.u32(config.credits);
+  wire_check(std::isfinite(config.frame_interval_seconds) &&
+                 config.frame_interval_seconds > 0.0 &&
+                 config.frame_interval_seconds <= 3600.0,
+             "wire: stream frame_interval_seconds must be in (0, 3600]");
+  wire_check(std::isfinite(config.adaptation_rate) &&
+                 config.adaptation_rate > 0.0 && config.adaptation_rate <= 1.0,
+             "wire: stream adaptation_rate must be in (0, 1]");
+  wire_check(config.width >= 1 && config.width <= kMaxDimension &&
+                 config.height >= 1 && config.height <= kMaxDimension,
+             "wire: stream geometry outside [1, kMaxDimension]");
+  wire_check(config.reorder_window >= 0 &&
+                 config.reorder_window <= stream::kMaxReorderWindow,
+             "wire: stream reorder_window outside [0, kMaxReorderWindow]");
+  wire_check(valid_credits(config.credits),
+             "wire: stream credits outside [1, kMaxStreamCredits]");
+  options(c, config.pipeline);
+}
+
+template <typename Codec>
+void fields(Codec& c, Is<StreamOpened> auto& m) {
+  c.u64(m.stream_id);
+  c.u32(m.credits);
+  wire_check(valid_credits(m.credits),
+             "wire: stream_opened credits outside [1, kMaxStreamCredits]");
+}
+
+template <typename Codec>
+void fields(Codec& c, Is<StreamFrame> auto& m) {
+  c.u64(m.stream_id);
+  c.u64(m.sequence);
+  image(c, m.frame);
+}
+
+template <typename Codec>
+void fields(Codec& c, Is<StreamResult> auto& m) {
+  c.u64(m.stream_id);
+  c.u64(m.sequence);
+  c.code(m.rung);
+  string(c, m.backend);
+  c.f64(m.service_seconds);
+  image(c, m.output);
+}
+
+template <typename Codec>
+void fields(Codec& c, Is<StreamCredit> auto& m) {
+  c.u64(m.stream_id);
+  c.u32(m.credits);
+  wire_check(valid_credits(m.credits),
+             "wire: stream_credit credits outside [1, kMaxStreamCredits]");
+}
+
+template <typename Codec>
+void fields(Codec& c, Is<StreamClose> auto& m) {
+  c.u64(m.stream_id);
+}
+
+template <typename Codec>
+void fields(Codec& c, Is<StreamClosed> auto& m) {
+  c.u64(m.stream_id);
+  c.code(m.status);
+  c.u64(m.frames_delivered);
+  c.u64(m.frames_shed);
+  c.u64(m.frames_expired);
+  c.u32(m.rung_switches);
+  string(c, m.message, /*clamped=*/true);
+}
+
+template <typename M> constexpr MessageType kType{};
+template <> constexpr MessageType kType<Request> = MessageType::request;
+template <> constexpr MessageType kType<Response> = MessageType::response;
+template <> constexpr MessageType kType<ErrorReply> = MessageType::error;
+template <> constexpr MessageType kType<StreamOpen> = MessageType::stream_open;
+template <>
+constexpr MessageType kType<StreamFrame> = MessageType::stream_frame;
+template <>
+constexpr MessageType kType<StreamClose> = MessageType::stream_close;
+template <>
+constexpr MessageType kType<StreamOpened> = MessageType::stream_opened;
+template <>
+constexpr MessageType kType<StreamResult> = MessageType::stream_result;
+template <>
+constexpr MessageType kType<StreamCredit> = MessageType::stream_credit;
+template <>
+constexpr MessageType kType<StreamClosed> = MessageType::stream_closed;
+
+constexpr bool carries_image(MessageType type) {
+  return type == MessageType::request || type == MessageType::response ||
+         type == MessageType::stream_frame ||
+         type == MessageType::stream_result;
 }
 
 /// Upper bound on what a payload spends outside its string and image
 /// fields: ids, enum codes, numbers, option fields and length prefixes.
 constexpr std::size_t kFieldBytes = 128;
 
-/// An empty message: kHeaderBytes of placeholder for seal to fill, and
-/// capacity for the fields — kFieldBytes plus `variable_bytes` of strings
-/// — so they are appended without a reallocation.
-std::vector<std::uint8_t> begin_message(std::size_t variable_bytes = 0) {
-  std::vector<std::uint8_t> message;
-  message.reserve(kHeaderBytes + kFieldBytes + variable_bytes);
-  message.resize(kHeaderBytes);
-  return message;
-}
-
-/// Fill the header of a begin_message buffer for `type` in place, over
-/// the payload that follows it and then `samples` (an image message's
-/// samples, sent from their plane), and return the buffer.
-std::vector<std::uint8_t> seal(MessageType type,
-                               std::vector<std::uint8_t> message,
-                               std::span<const std::uint8_t> samples = {}) {
-  const auto fields =
-      std::span<const std::uint8_t>(message).subspan(kHeaderBytes);
-  TMHLS_REQUIRE(fields.size() + samples.size() <= kMaxPayloadBytes,
-                "wire: payload exceeds kMaxPayloadBytes");
-  Header header;
-  header.type = type;
-  header.payload_bytes =
-      static_cast<std::uint32_t>(fields.size() + samples.size());
-  header.checksum = checksum(checksum(fields), samples);
-  const auto head = encode_header(header);
-  std::copy(head.begin(), head.end(), message.begin());
-  return message;
-}
+/// Everything before an image's samples is at most the fields, one string
+/// and the dimensions; a message without an image is never longer.
+constexpr std::size_t kPrefixBytes = kFieldBytes + kMaxStringBytes + 12;
 
 // --- CRC32C ----------------------------------------------------------------
 
@@ -534,142 +642,6 @@ std::uint32_t crc32c_extend(std::uint32_t crc,
   return crc32c_extend_portable(crc, bytes);
 }
 
-// --- image messages ----------------------------------------------------------
-// Request, response, stream frame and stream result payloads all end in one
-// image field, [width][height][channels][samples]. Each message's fields
-// before it are written in one place, put_fields, and read in one place,
-// read_fields; both return the message's image, which the samples are sent
-// from or received into.
-
-const img::ImageF& put_fields(std::vector<std::uint8_t>& out,
-                              const Request& request) {
-  TMHLS_REQUIRE(!request.job.deadline_seconds ||
-                    (std::isfinite(*request.job.deadline_seconds) &&
-                     *request.job.deadline_seconds >= 0.0),
-                "wire: deadline_seconds must be finite and >= 0");
-  put_u64(out, request.request_id);
-  put_u8(out, code_of(request.job.qos));
-  // "No deadline" travels as an explicit flag byte (v3): the f64 that
-  // follows is only meaningful when the flag is 1, and must be zero
-  // otherwise so every no-deadline request has exactly one encoding.
-  put_u8(out, request.job.deadline_seconds.has_value() ? 1 : 0);
-  put_f64(out, request.job.deadline_seconds.value_or(0.0));
-  put_options(out, request.job.options);
-  return request.job.frame;
-}
-
-const img::ImageF& put_fields(std::vector<std::uint8_t>& out,
-                              const Response& response) {
-  put_u64(out, response.request_id);
-  put_u64(out, response.result.job_id);
-  put_i32(out, response.result.shard);
-  put_u8(out, code_of(response.result.degrade));
-  put_string(out, response.result.backend);
-  put_f64(out, response.result.queue_seconds);
-  put_f64(out, response.result.service_seconds);
-  return response.result.output;
-}
-
-const img::ImageF& put_fields(std::vector<std::uint8_t>& out,
-                              const StreamFrame& frame) {
-  put_u64(out, frame.stream_id);
-  put_u64(out, frame.sequence);
-  return frame.frame;
-}
-
-const img::ImageF& put_fields(std::vector<std::uint8_t>& out,
-                              const StreamResult& result) {
-  put_u64(out, result.stream_id);
-  put_u64(out, result.sequence);
-  put_u8(out, code_of(result.rung));
-  put_string(out, result.backend);
-  put_f64(out, result.service_seconds);
-  return result.output;
-}
-
-img::ImageF& read_fields(Reader& in, Request& request) {
-  request.request_id = in.u64();
-  request.job.qos = qos_of(in.u8());
-  const std::uint8_t has_deadline = in.u8();
-  if (has_deadline > 1) {
-    throw WireError("wire: deadline flag must be 0 or 1, got " +
-                    std::to_string(has_deadline));
-  }
-  const double deadline = in.f64();
-  // The deadline is relative (seconds from server-side admission), so no
-  // clock synchronisation is assumed — but hostile bit patterns (NaN,
-  // infinities, negatives) are a protocol violation, not an execution
-  // error. An absent deadline must carry exactly 0.0 so each request has
-  // a single canonical encoding.
-  if (has_deadline == 1) {
-    if (!std::isfinite(deadline) || deadline < 0.0) {
-      throw WireError("wire: deadline_seconds must be finite and >= 0");
-    }
-    request.job.deadline_seconds = deadline;
-  } else if (std::bit_cast<std::uint64_t>(deadline) != 0) {
-    // Bits, not ==: -0.0 would be a second encoding of "no deadline".
-    throw WireError("wire: deadline value must be 0 when the flag is 0");
-  }
-  request.job.options = read_options(in);
-  return request.job.frame;
-}
-
-img::ImageF& read_fields(Reader& in, Response& response) {
-  response.request_id = in.u64();
-  response.result.job_id = in.u64();
-  response.result.shard = in.i32();
-  response.result.degrade = degrade_of(in.u8());
-  response.result.backend = in.string();
-  response.result.queue_seconds = in.f64();
-  response.result.service_seconds = in.f64();
-  return response.result.output;
-}
-
-img::ImageF& read_fields(Reader& in, StreamFrame& frame) {
-  frame.stream_id = in.u64();
-  frame.sequence = in.u64();
-  return frame.frame;
-}
-
-img::ImageF& read_fields(Reader& in, StreamResult& result) {
-  result.stream_id = in.u64();
-  result.sequence = in.u64();
-  result.rung = degrade_of(in.u8());
-  result.backend = in.string();
-  result.service_seconds = in.f64();
-  return result.output;
-}
-
-MessageType type_of(const Request&) { return MessageType::request; }
-MessageType type_of(const Response&) { return MessageType::response; }
-MessageType type_of(const StreamFrame&) { return MessageType::stream_frame; }
-MessageType type_of(const StreamResult&) { return MessageType::stream_result; }
-
-/// The copying form of an encoded message: both pieces in one buffer.
-template <typename Message>
-std::vector<std::uint8_t> encode_joined(const Message& message) {
-  const OutboundMessage parts = encode_parts(message);
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(parts.head.size() + parts.samples.size());
-  bytes.insert(bytes.end(), parts.head.begin(), parts.head.end());
-  bytes.insert(bytes.end(), parts.samples.begin(), parts.samples.end());
-  return bytes;
-}
-
-/// Decode a whole image-message payload (header already checked).
-template <typename Message>
-Message decode_image_message(std::span<const std::uint8_t> payload,
-                             const char* what) {
-  Reader in(payload);
-  Message message;
-  // Two statements: in `a = b` the right side runs first, and the fields
-  // come before the image on the wire.
-  img::ImageF& slot = read_fields(in, message);
-  slot = read_image(in);
-  in.expect_exhausted(what);
-  return message;
-}
-
 } // namespace
 
 namespace detail {
@@ -706,86 +678,98 @@ std::uint32_t checksum(std::uint32_t crc, std::span<const std::uint8_t> more) {
   return crc32c_extend(crc, more);
 }
 
+std::vector<std::uint8_t> OutboundMessage::bytes() const {
+  std::vector<std::uint8_t> all;
+  all.reserve(head.size() + samples.size());
+  all.insert(all.end(), head.begin(), head.end());
+  all.insert(all.end(), samples.begin(), samples.end());
+  return all;
+}
+
 template <typename Message>
-OutboundMessage encode_parts(const Message& message) {
-  std::vector<std::uint8_t> head = begin_message();
-  const img::ImageF& image = put_fields(head, message);
-  put_shape(head, image);
-  std::span<const std::uint8_t> samples;
-  if constexpr (std::endian::native == std::endian::little) {
-    // The plane's memory already is the wire's run of little-endian f32
-    // words: the samples are sent from where they lie.
-    samples = {reinterpret_cast<const std::uint8_t*>(image.samples().data()),
-               image.sample_count() * 4};
-  } else {
-    for (float v : image.samples()) put_f32(head, v);
-  }
-  return {seal(type_of(message), std::move(head), samples), samples};
+OutboundMessage encode(const Message& message) {
+  OutboundMessage out;
+  // kHeaderBytes of placeholder, filled last, and capacity for the fields.
+  out.head.reserve(kHeaderBytes + kFieldBytes);
+  out.head.resize(kHeaderBytes);
+  Writer writer(out.head);
+  fields(writer, message);
+  out.samples = writer.sample_piece();
+  const auto payload =
+      std::span<const std::uint8_t>(out.head).subspan(kHeaderBytes);
+  TMHLS_REQUIRE(payload.size() + out.samples.size() <= kMaxPayloadBytes,
+                "wire: payload exceeds kMaxPayloadBytes");
+  Header header;
+  header.type = kType<Message>;
+  header.payload_bytes =
+      static_cast<std::uint32_t>(payload.size() + out.samples.size());
+  header.checksum = checksum(checksum(payload), out.samples);
+  const auto head = encode_header(header);
+  std::copy(head.begin(), head.end(), out.head.begin());
+  return out;
+}
+
+template <typename Message>
+Message decode(std::span<const std::uint8_t> payload) {
+  Reader in(payload, payload.size());
+  Message message;
+  fields(in, message);
+  in.expect_exhausted();
+  in.samples_to_host_order();
+  return message;
 }
 
 template <typename Message>
 bool receive_payload(const Header& header, const Receive& receive,
                      Message& out) {
-  // Everything before the samples is at most the fields, one string and
-  // the dimensions; it arrives into a stack buffer, with the first
-  // samples when the payload is longer.
-  std::array<std::uint8_t, kFieldBytes + kMaxStringBytes + 12> buffer{};
+  std::array<std::uint8_t, kPrefixBytes> buffer{};
+  if (!carries_image(kType<Message>) && header.payload_bytes > buffer.size()) {
+    throw WireError("wire: " + std::to_string(header.payload_bytes) +
+                    "-byte payload declared for a message without an image");
+  }
   const auto prefix = std::span(buffer).first(
       std::min<std::size_t>(header.payload_bytes, buffer.size()));
   if (!receive(prefix)) return false;
-  Reader in(prefix);
+  Reader in(prefix, header.payload_bytes);
   Message message;
-  img::ImageF& slot = read_fields(in, message);
-  const Shape shape = read_shape(in);
-  // Declared samples that do not fill the payload exactly are rejected
-  // before anything is allocated for them.
-  if (prefix.size() - in.remaining() + shape.bytes() != header.payload_bytes) {
-    throw WireError("wire: image of " + std::to_string(shape.bytes()) +
-                    " sample bytes disagrees with the payload size " +
-                    std::to_string(header.payload_bytes));
-  }
-  img::ImageF image(shape.width, shape.height, shape.channels,
-                    img::uninitialized);
-  const std::span<std::uint8_t> samples(
-      reinterpret_cast<std::uint8_t*>(image.samples().data()), shape.bytes());
-  const std::size_t early = in.remaining();
-  std::memcpy(samples.data(), in.bytes(early).data(), early);
-  const std::span<std::uint8_t> rest = samples.subspan(early);
+  fields(in, message);
+  in.expect_exhausted();
+  const std::span<std::uint8_t> rest = in.rest();
   if (!rest.empty() && !receive(rest)) return false;
   if (checksum(checksum(prefix), rest) != header.checksum) {
     throw WireError("wire: payload checksum mismatch");
   }
-  if constexpr (std::endian::native == std::endian::big) {
-    for (float& v : image.samples()) {
-      v = std::bit_cast<float>(
-          __builtin_bswap32(std::bit_cast<std::uint32_t>(v)));
-    }
-  }
-  slot = std::move(image);
+  in.samples_to_host_order();
   out = std::move(message);
   return true;
 }
 
-template OutboundMessage encode_parts(const Request&);
-template OutboundMessage encode_parts(const Response&);
-template OutboundMessage encode_parts(const StreamFrame&);
-template OutboundMessage encode_parts(const StreamResult&);
-template bool receive_payload(const Header&, const Receive&, Request&);
-template bool receive_payload(const Header&, const Receive&, Response&);
-template bool receive_payload(const Header&, const Receive&, StreamFrame&);
-template bool receive_payload(const Header&, const Receive&, StreamResult&);
+#define TMHLS_WIRE_MESSAGE(M)                                              \
+  template OutboundMessage encode(const M&);                               \
+  template M decode<M>(std::span<const std::uint8_t>);                     \
+  template bool receive_payload(const Header&, const Receive&, M&);
+TMHLS_WIRE_MESSAGE(Request)
+TMHLS_WIRE_MESSAGE(Response)
+TMHLS_WIRE_MESSAGE(ErrorReply)
+TMHLS_WIRE_MESSAGE(StreamOpen)
+TMHLS_WIRE_MESSAGE(StreamFrame)
+TMHLS_WIRE_MESSAGE(StreamClose)
+TMHLS_WIRE_MESSAGE(StreamOpened)
+TMHLS_WIRE_MESSAGE(StreamResult)
+TMHLS_WIRE_MESSAGE(StreamCredit)
+TMHLS_WIRE_MESSAGE(StreamClosed)
+#undef TMHLS_WIRE_MESSAGE
 
 std::array<std::uint8_t, kHeaderBytes> encode_header(const Header& header) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(kHeaderBytes);
-  bytes.insert(bytes.end(), kMagic.begin(), kMagic.end());
-  put_u16(bytes, header.version);
-  put_u16(bytes, static_cast<std::uint16_t>(header.type));
-  put_u32(bytes, header.payload_bytes);
-  put_u32(bytes, header.checksum);
-  std::array<std::uint8_t, kHeaderBytes> out{};
-  std::memcpy(out.data(), bytes.data(), kHeaderBytes);
-  return out;
+  std::vector<std::uint8_t> bytes(kMagic.begin(), kMagic.end());
+  Writer out(bytes);
+  out.u16(header.version);
+  out.u16(static_cast<std::uint16_t>(header.type));
+  out.u32(header.payload_bytes);
+  out.u32(header.checksum);
+  std::array<std::uint8_t, kHeaderBytes> head{};
+  std::memcpy(head.data(), bytes.data(), kHeaderBytes);
+  return head;
 }
 
 Header decode_header(std::span<const std::uint8_t> bytes) {
@@ -796,12 +780,14 @@ Header decode_header(std::span<const std::uint8_t> bytes) {
   for (std::size_t i = 0; i < kMagic.size(); ++i) {
     if (bytes[i] != kMagic[i]) throw WireError("wire: bad magic");
   }
-  Reader in(bytes.subspan(kMagic.size()));
+  const auto rest = bytes.subspan(kMagic.size());
+  Reader in(rest, rest.size());
   Header header;
-  header.version = in.u16();
-  const std::uint16_t type = in.u16();
-  header.payload_bytes = in.u32();
-  header.checksum = in.u32();
+  std::uint16_t type = 0;
+  in.u16(header.version);
+  in.u16(type);
+  in.u32(header.payload_bytes);
+  in.u32(header.checksum);
   if (header.version != kVersion) {
     throw WireError("wire: unsupported protocol version " +
                     std::to_string(header.version));
@@ -829,229 +815,6 @@ void verify_checksum(const Header& header,
   if (checksum(payload) != header.checksum) {
     throw WireError("wire: payload checksum mismatch");
   }
-}
-
-std::vector<std::uint8_t> encode_request(const Request& request) {
-  return encode_joined(request);
-}
-
-std::vector<std::uint8_t> encode_response(const Response& response) {
-  return encode_joined(response);
-}
-
-Response decode_response(std::span<const std::uint8_t> payload) {
-  return decode_image_message<Response>(payload, "response");
-}
-
-std::vector<std::uint8_t> encode_error(const ErrorReply& reply) {
-  // Clamp rather than reject: an over-long what() string must not turn an
-  // error reply into a second failure.
-  std::string text = reply.message;
-  if (text.size() > kMaxStringBytes) text.resize(kMaxStringBytes);
-  std::vector<std::uint8_t> message = begin_message(text.size());
-  put_u64(message, reply.request_id);
-  put_u8(message, code_of(reply.code));
-  put_string(message, text);
-  return seal(MessageType::error, std::move(message));
-}
-
-ErrorReply decode_error(std::span<const std::uint8_t> payload) {
-  Reader in(payload);
-  ErrorReply reply;
-  reply.request_id = in.u64();
-  reply.code = error_code_of(in.u8());
-  reply.message = in.string();
-  in.expect_exhausted("error");
-  return reply;
-}
-
-namespace {
-
-std::uint8_t code_of(StreamStatus status) {
-  switch (status) {
-    case StreamStatus::closed: return 0;
-    case StreamStatus::shed: return 1;
-    case StreamStatus::failed: return 2;
-  }
-  throw WireError("wire: unencodable StreamStatus");
-}
-
-StreamStatus stream_status_of(std::uint8_t code) {
-  switch (code) {
-    case 0: return StreamStatus::closed;
-    case 1: return StreamStatus::shed;
-    case 2: return StreamStatus::failed;
-  }
-  throw WireError("wire: unknown StreamStatus code " +
-                  std::to_string(code));
-}
-
-/// Shared bounds of the client-controllable StreamConfig fields —
-/// encoders refuse what decoders would reject, so a conforming client
-/// cannot emit a message a conforming server drops the connection for.
-void check_stream_config(const stream::StreamConfig& config) {
-  if (!std::isfinite(config.frame_interval_seconds) ||
-      config.frame_interval_seconds <= 0.0 ||
-      config.frame_interval_seconds > 3600.0) {
-    throw WireError("wire: stream frame_interval_seconds must be in "
-                    "(0, 3600]");
-  }
-  if (!std::isfinite(config.adaptation_rate) ||
-      config.adaptation_rate <= 0.0 || config.adaptation_rate > 1.0) {
-    throw WireError("wire: stream adaptation_rate must be in (0, 1]");
-  }
-  if (config.width < 1 || config.width > kMaxDimension ||
-      config.height < 1 || config.height > kMaxDimension) {
-    throw WireError("wire: stream geometry outside [1, kMaxDimension]");
-  }
-  if (config.reorder_window < 0 ||
-      config.reorder_window > stream::kMaxReorderWindow) {
-    throw WireError("wire: stream reorder_window outside [0, " +
-                    std::to_string(stream::kMaxReorderWindow) + "]");
-  }
-  if (config.credits < 1 || config.credits > stream::kMaxStreamCredits) {
-    throw WireError("wire: stream credits outside [1, " +
-                    std::to_string(stream::kMaxStreamCredits) + "]");
-  }
-}
-
-} // namespace
-
-std::vector<std::uint8_t> encode_stream_open(const StreamOpen& open) {
-  check_stream_config(open.config);
-  std::vector<std::uint8_t> message =
-      begin_message(open.config.pipeline.backend.size());
-  put_u64(message, open.stream_id);
-  put_u8(message, code_of(open.config.qos));
-  put_f64(message, open.config.frame_interval_seconds);
-  put_f64(message, open.config.adaptation_rate);
-  put_u32(message, static_cast<std::uint32_t>(open.config.width));
-  put_u32(message, static_cast<std::uint32_t>(open.config.height));
-  put_u32(message, static_cast<std::uint32_t>(open.config.reorder_window));
-  put_u32(message, static_cast<std::uint32_t>(open.config.credits));
-  put_options(message, open.config.pipeline);
-  return seal(MessageType::stream_open, std::move(message));
-}
-
-StreamOpen decode_stream_open(std::span<const std::uint8_t> payload) {
-  Reader in(payload);
-  StreamOpen open;
-  open.stream_id = in.u64();
-  open.config.qos = qos_of(in.u8());
-  open.config.frame_interval_seconds = in.f64();
-  open.config.adaptation_rate = in.f64();
-  open.config.width = static_cast<int>(in.u32());
-  open.config.height = static_cast<int>(in.u32());
-  open.config.reorder_window = static_cast<int>(in.u32());
-  open.config.credits = static_cast<int>(in.u32());
-  check_stream_config(open.config);
-  open.config.pipeline = read_options(in);
-  in.expect_exhausted("stream_open");
-  return open;
-}
-
-std::vector<std::uint8_t> encode_stream_opened(const StreamOpened& opened) {
-  std::vector<std::uint8_t> message = begin_message();
-  put_u64(message, opened.stream_id);
-  put_u32(message, opened.credits);
-  return seal(MessageType::stream_opened, std::move(message));
-}
-
-StreamOpened decode_stream_opened(std::span<const std::uint8_t> payload) {
-  Reader in(payload);
-  StreamOpened opened;
-  opened.stream_id = in.u64();
-  opened.credits = in.u32();
-  if (opened.credits < 1 ||
-      opened.credits >
-          static_cast<std::uint32_t>(stream::kMaxStreamCredits)) {
-    throw WireError("wire: stream_opened credits outside [1, " +
-                    std::to_string(stream::kMaxStreamCredits) + "]");
-  }
-  in.expect_exhausted("stream_opened");
-  return opened;
-}
-
-std::vector<std::uint8_t> encode_stream_frame(const StreamFrame& frame) {
-  return encode_joined(frame);
-}
-
-StreamResult decode_stream_result(std::span<const std::uint8_t> payload) {
-  return decode_image_message<StreamResult>(payload, "stream_result");
-}
-
-std::vector<std::uint8_t> encode_stream_credit(const StreamCredit& credit) {
-  // Same range the decoder enforces: a correct peer never emits a grant
-  // outside the flow-control window bounds.
-  if (credit.credits < 1 ||
-      credit.credits >
-          static_cast<std::uint32_t>(stream::kMaxStreamCredits)) {
-    throw WireError("wire: stream_credit credits outside [1, " +
-                    std::to_string(stream::kMaxStreamCredits) + "]");
-  }
-  std::vector<std::uint8_t> message = begin_message();
-  put_u64(message, credit.stream_id);
-  put_u32(message, credit.credits);
-  return seal(MessageType::stream_credit, std::move(message));
-}
-
-StreamCredit decode_stream_credit(std::span<const std::uint8_t> payload) {
-  Reader in(payload);
-  StreamCredit credit;
-  credit.stream_id = in.u64();
-  credit.credits = in.u32();
-  if (credit.credits < 1 ||
-      credit.credits >
-          static_cast<std::uint32_t>(stream::kMaxStreamCredits)) {
-    throw WireError("wire: stream_credit credits outside [1, " +
-                    std::to_string(stream::kMaxStreamCredits) + "]");
-  }
-  in.expect_exhausted("stream_credit");
-  return credit;
-}
-
-std::vector<std::uint8_t> encode_stream_close(const StreamClose& close) {
-  std::vector<std::uint8_t> message = begin_message();
-  put_u64(message, close.stream_id);
-  return seal(MessageType::stream_close, std::move(message));
-}
-
-StreamClose decode_stream_close(std::span<const std::uint8_t> payload) {
-  Reader in(payload);
-  StreamClose close;
-  close.stream_id = in.u64();
-  in.expect_exhausted("stream_close");
-  return close;
-}
-
-std::vector<std::uint8_t> encode_stream_closed(const StreamClosed& closed) {
-  // Clamp rather than reject, like encode_error: a long failure message
-  // must not turn the stream's terminal message into a second failure.
-  std::string text = closed.message;
-  if (text.size() > kMaxStringBytes) text.resize(kMaxStringBytes);
-  std::vector<std::uint8_t> message = begin_message(text.size());
-  put_u64(message, closed.stream_id);
-  put_u8(message, code_of(closed.status));
-  put_u64(message, closed.frames_delivered);
-  put_u64(message, closed.frames_shed);
-  put_u64(message, closed.frames_expired);
-  put_u32(message, closed.rung_switches);
-  put_string(message, text);
-  return seal(MessageType::stream_closed, std::move(message));
-}
-
-StreamClosed decode_stream_closed(std::span<const std::uint8_t> payload) {
-  Reader in(payload);
-  StreamClosed closed;
-  closed.stream_id = in.u64();
-  closed.status = stream_status_of(in.u8());
-  closed.frames_delivered = in.u64();
-  closed.frames_shed = in.u64();
-  closed.frames_expired = in.u64();
-  closed.rung_switches = in.u32();
-  closed.message = in.string();
-  in.expect_exhausted("stream_closed");
-  return closed;
 }
 
 } // namespace tmhls::transport::wire

@@ -10,9 +10,16 @@
 //   0       4     magic "TMHW" (raw bytes, not an integer)
 //   4       2     protocol version (u16 LE; this header describes v6,
 //                 kVersion — see its comment for what each version added)
-//   6       2     message type (u16 LE: 1 request, 2 response, 3 error)
+//   6       2     message type (u16 LE, MessageType: 1 request ... 10
+//                 stream_closed)
 //   8       4     payload size in bytes (u32 LE, bounded by kMaxPayloadBytes)
 //   12      4     CRC32C (Castagnoli) of the payload bytes (u32 LE)
+//
+// Each payload layout is written down once, as its message's field list in
+// wire.cpp: the fields in wire order with their bounds. Encoding, decoding
+// and receiving from a socket all walk that one list, so the three cannot
+// disagree, and an encoder refuses what a decoder would reject. The structs
+// below name the fields in the same order.
 //
 // All multi-byte integers are little-endian **on the wire regardless of
 // host endianness** — encoders assemble bytes explicitly, decoders
@@ -264,12 +271,13 @@ struct StreamClosed {
   std::string message;
 };
 
-/// An encoded image message in two pieces, written with one gather write
-/// (Socket::send_all): `head` holds the header and every field, the
-/// image dimensions included; `samples` views the image's samples where
-/// they lie (empty on a big-endian host, where they are byte-swapped into
-/// `head`). The header's checksum covers both pieces. `samples` points
-/// into the encoded message's image, which must outlive it.
+/// An encoded message in two pieces, written with one gather write
+/// (Socket::send_all): `head` holds the header and every field, an image's
+/// dimensions included; `samples` views an image message's samples where
+/// they lie (empty for the other messages, and on a big-endian host, where
+/// they are byte-swapped into `head`). The header's checksum covers both
+/// pieces. `samples` points into the encoded message's image, which must
+/// outlive it.
 struct OutboundMessage {
   std::vector<std::uint8_t> head;
   std::span<const std::uint8_t> samples;
@@ -277,55 +285,78 @@ struct OutboundMessage {
   std::array<std::span<const std::uint8_t>, 2> pieces() const {
     return {head, samples};
   }
+
+  /// Both pieces joined into one buffer (a copy of the samples).
+  std::vector<std::uint8_t> bytes() const;
 };
 
-/// Encode an image message (Request, Response, StreamFrame or
-/// StreamResult) without copying its samples. Validates like the copying
-/// encoders below, which join the same two pieces.
-template <typename Message>
-OutboundMessage encode_parts(const Message& message);
+// Every function template below is defined for the ten message types
+// (Request, Response, ErrorReply, StreamOpen, StreamFrame, StreamClose,
+// StreamOpened, StreamResult, StreamCredit, StreamClosed).
 
-/// Encode a complete message, header included, ready to write to a socket.
-std::vector<std::uint8_t> encode_request(const Request& request);
-std::vector<std::uint8_t> encode_response(const Response& response);
-std::vector<std::uint8_t> encode_error(const ErrorReply& reply);
-std::vector<std::uint8_t> encode_stream_open(const StreamOpen& open);
-std::vector<std::uint8_t> encode_stream_opened(const StreamOpened& opened);
-std::vector<std::uint8_t> encode_stream_frame(const StreamFrame& frame);
-std::vector<std::uint8_t> encode_stream_credit(const StreamCredit& credit);
-std::vector<std::uint8_t> encode_stream_close(const StreamClose& close);
-std::vector<std::uint8_t> encode_stream_closed(const StreamClosed& closed);
+/// Encode a message, header included, without copying its samples. Throws
+/// InvalidArgument on a field a decoder would reject (empty or oversized
+/// image, deadline, string length) and WireError on a stream bound (config,
+/// credits); an error's or a stream's message text is cut to
+/// kMaxStringBytes instead.
+template <typename Message>
+OutboundMessage encode(const Message& message);
 
 /// Fills its span exactly from the stream; false when the stream ended or
 /// broke first.
 using Receive = std::function<bool(std::span<std::uint8_t>)>;
 
-/// Receive the payload of an image message (Request, Response,
-/// StreamFrame or StreamResult) whose header was read. The fields and
-/// dimensions arrive first, into a bounded buffer; the samples they
-/// declare must fill the payload exactly, and only then is an unwritten
-/// plane acquired (pooled under a PlanePool::Scope) and the samples
-/// received into it. `message` is assigned only once the checksum over
-/// both pieces holds. Throws WireError as the decoders do, and on a size
-/// disagreement or checksum mismatch; false when `receive` failed.
+/// Receive the payload of a message whose header was read. The fields (and
+/// an image's dimensions) arrive first, into a bounded buffer: a message
+/// without an image must fit it whole, or it is refused before anything is
+/// received. An image's declared samples must fill the payload exactly, and
+/// only then is an unwritten plane acquired (pooled under a
+/// PlanePool::Scope) and the samples received into it. `message` is
+/// assigned only once the checksum over the whole payload holds. Throws
+/// WireError on a malformed field, a size disagreement or a checksum
+/// mismatch; false when `receive` failed.
 template <typename Message>
 bool receive_payload(const Header& header, const Receive& receive,
                      Message& message);
 
-/// Decode one payload (the caller has already decoded the header, read
-/// exactly header.payload_bytes and verified the checksum). Throws
-/// WireError on truncated/trailing bytes, out-of-range dimensions or
-/// unknown enum codes. A connection receives image messages through
-/// receive_payload instead; decode_response and decode_stream_result read
-/// one already held in memory.
-Response decode_response(std::span<const std::uint8_t> payload);
-ErrorReply decode_error(std::span<const std::uint8_t> payload);
-StreamOpen decode_stream_open(std::span<const std::uint8_t> payload);
-StreamOpened decode_stream_opened(std::span<const std::uint8_t> payload);
-StreamResult decode_stream_result(std::span<const std::uint8_t> payload);
-StreamCredit decode_stream_credit(std::span<const std::uint8_t> payload);
-StreamClose decode_stream_close(std::span<const std::uint8_t> payload);
-StreamClosed decode_stream_closed(std::span<const std::uint8_t> payload);
+/// Decode one payload already held in memory (its header decoded, exactly
+/// header.payload_bytes read and the checksum verified). Throws WireError
+/// as receive_payload does. A connection receives through receive_payload.
+template <typename Message>
+Message decode(std::span<const std::uint8_t> payload);
+
+// The copying forms perfbench/runner.cpp, the frozen benchmark client,
+// calls: wrappers over encode and decode.
+inline std::vector<std::uint8_t> encode_request(const Request& request) {
+  return encode(request).bytes();
+}
+inline std::vector<std::uint8_t> encode_response(const Response& response) {
+  return encode(response).bytes();
+}
+inline std::vector<std::uint8_t> encode_stream_open(const StreamOpen& open) {
+  return encode(open).bytes();
+}
+inline std::vector<std::uint8_t> encode_stream_frame(const StreamFrame& frame) {
+  return encode(frame).bytes();
+}
+inline std::vector<std::uint8_t> encode_stream_close(const StreamClose& close) {
+  return encode(close).bytes();
+}
+inline Response decode_response(std::span<const std::uint8_t> payload) {
+  return decode<Response>(payload);
+}
+inline StreamResult decode_stream_result(
+    std::span<const std::uint8_t> payload) {
+  return decode<StreamResult>(payload);
+}
+inline StreamCredit decode_stream_credit(
+    std::span<const std::uint8_t> payload) {
+  return decode<StreamCredit>(payload);
+}
+inline StreamClosed decode_stream_closed(
+    std::span<const std::uint8_t> payload) {
+  return decode<StreamClosed>(payload);
+}
 
 } // namespace wire
 } // namespace tmhls::transport

@@ -651,9 +651,10 @@ public:
           }
           transport::wire::StreamOpened opened;
           opened.stream_id =
-              transport::wire::decode_stream_open(in.payload).stream_id;
+              transport::wire::decode<transport::wire::StreamOpen>(in.payload)
+                  .stream_id;
           opened.credits = 1;
-          peer.send_all(transport::wire::encode_stream_opened(opened));
+          peer.send_all(transport::wire::encode(opened).bytes());
           peer.send_all(reply);
           while (transport::read_message(peer, in) ==
                  transport::ReadMessageStatus::ok) {
@@ -679,7 +680,7 @@ TEST(StreamTransportTest, ResultForAnUnknownStreamIsAWireError) {
   result.stream_id = 99;
   result.output = random_hdr(4, 3, 5u);
   const transport::wire::OutboundMessage parts =
-      transport::wire::encode_parts(result);
+      transport::wire::encode(result);
   std::vector<std::uint8_t> bytes = parts.head;
   bytes.insert(bytes.end(), parts.samples.begin(), parts.samples.end());
   WrongStreamIdServer server(std::move(bytes));
@@ -692,7 +693,7 @@ TEST(StreamTransportTest, CreditForAnUnknownStreamIsAWireError) {
   transport::wire::StreamCredit credit;
   credit.stream_id = 99;
   credit.credits = 1;
-  WrongStreamIdServer server(transport::wire::encode_stream_credit(credit));
+  WrongStreamIdServer server(transport::wire::encode(credit).bytes());
   transport::Client client = server.client();
   const std::uint64_t id =
       client.open_stream(quiet_config("separable_float", 4, 3));
@@ -727,9 +728,10 @@ TEST(StreamTransportTest, RepliesCarryTheClientsStreamIdNotTheSessions) {
   };
   constexpr std::uint64_t kId = 1;
   send(wire::encode_stream_open({kId, sc}));
-  EXPECT_EQ(wire::decode_stream_opened(next(wire::MessageType::stream_opened))
-                .stream_id,
-            kId);
+  EXPECT_EQ(
+      wire::decode<wire::StreamOpened>(next(wire::MessageType::stream_opened))
+          .stream_id,
+      kId);
   EXPECT_NO_THROW((void)server.sessions().stream_stats(2)); // B's session
 
   const img::ImageF frame = random_hdr(16, 12, 5);

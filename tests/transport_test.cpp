@@ -221,10 +221,11 @@ TEST(WireTest, ErrorMessageGoldenBytesPinTheOnWireFormat) {
       0x54, 0x4d, 0x48, 0x57, 0x06, 0x00, 0x03, 0x00, 0x0f, 0x00, 0x00,
       0x00, 0xc2, 0x27, 0xf0, 0xeb, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x68, 0x69};
-  EXPECT_EQ(wire::encode_error({1, wire::ErrorCode::generic, "hi"}),
-            expected);
+  EXPECT_EQ(
+      wire::encode(wire::ErrorReply{1, wire::ErrorCode::generic, "hi"}).bytes(),
+      expected);
 
-  const wire::ErrorReply decoded = wire::decode_error(
+  const wire::ErrorReply decoded = wire::decode<wire::ErrorReply>(
       std::span<const std::uint8_t>(expected).subspan(wire::kHeaderBytes));
   EXPECT_EQ(decoded.request_id, 1u);
   EXPECT_EQ(decoded.code, wire::ErrorCode::generic);
@@ -339,20 +340,22 @@ TEST(WireTest, ControlMessageGoldenBytesPinTheOnWireFormat) {
       kPinnedStreamId, wire::StreamStatus::failed, 40, 1, 2, 3, "boom"};
 
   EXPECT_EQ(wire::encode_stream_open(pinned_stream_open()), open);
-  EXPECT_EQ(wire::encode_stream_opened({kPinnedStreamId, 5}), opened);
-  EXPECT_EQ(wire::encode_stream_credit({kPinnedStreamId, 2}), credit);
+  EXPECT_EQ(wire::encode(wire::StreamOpened{kPinnedStreamId, 5}).bytes(),
+            opened);
+  EXPECT_EQ(wire::encode(wire::StreamCredit{kPinnedStreamId, 2}).bytes(),
+            credit);
   EXPECT_EQ(wire::encode_stream_close({kPinnedStreamId}), close);
-  EXPECT_EQ(wire::encode_stream_closed(closed_message), closed);
+  EXPECT_EQ(wire::encode(closed_message).bytes(), closed);
 
   // And each pin decodes to the message it was recorded from.
   const wire::StreamOpen decoded_open =
-      wire::decode_stream_open(payload_of(open));
+      wire::decode<wire::StreamOpen>(payload_of(open));
   EXPECT_EQ(decoded_open.stream_id, kPinnedStreamId);
   EXPECT_EQ(decoded_open.config.pipeline, pinned_stream_open().config.pipeline);
   EXPECT_EQ(decoded_open.config.credits, 5);
-  EXPECT_EQ(wire::decode_stream_opened(payload_of(opened)).credits, 5u);
+  EXPECT_EQ(wire::decode<wire::StreamOpened>(payload_of(opened)).credits, 5u);
   EXPECT_EQ(wire::decode_stream_credit(payload_of(credit)).credits, 2u);
-  EXPECT_EQ(wire::decode_stream_close(payload_of(close)).stream_id,
+  EXPECT_EQ(wire::decode<wire::StreamClose>(payload_of(close)).stream_id,
             kPinnedStreamId);
   const wire::StreamClosed decoded_closed =
       wire::decode_stream_closed(payload_of(closed));
@@ -409,12 +412,12 @@ TEST(WireTest, FullSizeMessagesArePinnedByDigest) {
 
   // The gather form sends the same bytes, the samples from the plane.
   const wire::Request request = pinned_request();
-  const wire::OutboundMessage request_parts = wire::encode_parts(request);
+  const wire::OutboundMessage request_parts = wire::encode(request);
   EXPECT_EQ(message_digest(request_parts.samples,
                            message_digest(request_parts.head)),
             kRequestDigest);
   const wire::Response response = pinned_response();
-  const wire::OutboundMessage response_parts = wire::encode_parts(response);
+  const wire::OutboundMessage response_parts = wire::encode(response);
   EXPECT_EQ(message_digest(response_parts.samples,
                            message_digest(response_parts.head)),
             kResponseDigest);
@@ -527,8 +530,8 @@ TEST(WireTest, ErrorCodeRoundTripsEveryTypedCategory) {
        {wire::ErrorCode::generic, wire::ErrorCode::invalid_argument,
         wire::ErrorCode::overloaded, wire::ErrorCode::deadline_exceeded}) {
     const std::vector<std::uint8_t> message =
-        wire::encode_error({7, code, "boom"});
-    const wire::ErrorReply decoded = wire::decode_error(
+        wire::encode(wire::ErrorReply{7, code, "boom"}).bytes();
+    const wire::ErrorReply decoded = wire::decode<wire::ErrorReply>(
         std::span<const std::uint8_t>(message).subspan(wire::kHeaderBytes));
     EXPECT_EQ(decoded.code, code);
     EXPECT_EQ(decoded.message, "boom");
@@ -548,7 +551,7 @@ TEST(WireTest, StreamMessagesRoundTripEveryField) {
   open.config.credits = 12;
   {
     const std::vector<std::uint8_t> message = wire::encode_stream_open(open);
-    const wire::StreamOpen decoded = wire::decode_stream_open(
+    const wire::StreamOpen decoded = wire::decode<wire::StreamOpen>(
         std::span<const std::uint8_t>(message).subspan(wire::kHeaderBytes));
     EXPECT_EQ(decoded.stream_id, open.stream_id);
     EXPECT_EQ(decoded.config.qos, serve::QosClass::best_effort);
@@ -563,8 +566,8 @@ TEST(WireTest, StreamMessagesRoundTripEveryField) {
   }
   {
     const std::vector<std::uint8_t> message =
-        wire::encode_stream_opened({3, 12});
-    const wire::StreamOpened decoded = wire::decode_stream_opened(
+        wire::encode(wire::StreamOpened{3, 12}).bytes();
+    const wire::StreamOpened decoded = wire::decode<wire::StreamOpened>(
         std::span<const std::uint8_t>(message).subspan(wire::kHeaderBytes));
     EXPECT_EQ(decoded.stream_id, 3u);
     EXPECT_EQ(decoded.credits, 12u);
@@ -589,7 +592,7 @@ TEST(WireTest, StreamMessagesRoundTripEveryField) {
     result.backend = "hlscode";
     result.service_seconds = 1.25e-3;
     result.output = random_hdr(6, 4, 18);
-    const wire::OutboundMessage parts = wire::encode_parts(result);
+    const wire::OutboundMessage parts = wire::encode(result);
     std::vector<std::uint8_t> message = parts.head;
     message.insert(message.end(), parts.samples.begin(), parts.samples.end());
     const wire::StreamResult decoded = wire::decode_stream_result(
@@ -603,7 +606,7 @@ TEST(WireTest, StreamMessagesRoundTripEveryField) {
   }
   {
     const std::vector<std::uint8_t> message =
-        wire::encode_stream_credit({3, 2});
+        wire::encode(wire::StreamCredit{3, 2}).bytes();
     const wire::StreamCredit decoded = wire::decode_stream_credit(
         std::span<const std::uint8_t>(message).subspan(wire::kHeaderBytes));
     EXPECT_EQ(decoded.stream_id, 3u);
@@ -611,7 +614,7 @@ TEST(WireTest, StreamMessagesRoundTripEveryField) {
   }
   {
     const std::vector<std::uint8_t> message = wire::encode_stream_close({3});
-    EXPECT_EQ(wire::decode_stream_close(
+    EXPECT_EQ(wire::decode<wire::StreamClose>(
                   std::span<const std::uint8_t>(message).subspan(
                       wire::kHeaderBytes))
                   .stream_id,
@@ -629,7 +632,7 @@ TEST(WireTest, StreamMessagesRoundTripEveryField) {
     closed.rung_switches = 1;
     closed.message = status == wire::StreamStatus::failed ? "boom" : "";
     const std::vector<std::uint8_t> message =
-        wire::encode_stream_closed(closed);
+        wire::encode(closed).bytes();
     const wire::StreamClosed decoded = wire::decode_stream_closed(
         std::span<const std::uint8_t>(message).subspan(wire::kHeaderBytes));
     EXPECT_EQ(decoded.status, status);
@@ -669,7 +672,8 @@ TEST(WireTest, StreamOpenRejectsOutOfRangeConfigs) {
 
 TEST(WireTest, StreamDecodersRejectTrailingBytesAndUnknownStatus) {
   {
-    std::vector<std::uint8_t> message = wire::encode_stream_credit({3, 2});
+    std::vector<std::uint8_t> message =
+        wire::encode(wire::StreamCredit{3, 2}).bytes();
     message.push_back(0); // trailing byte past the declared layout
     EXPECT_THROW(
         (void)wire::decode_stream_credit(
@@ -679,15 +683,15 @@ TEST(WireTest, StreamDecodersRejectTrailingBytesAndUnknownStatus) {
   }
   {
     // Credits outside [1, kMaxStreamCredits] never leave a correct peer.
-    EXPECT_THROW((void)wire::encode_stream_credit({3, 0}), WireError);
-    EXPECT_THROW((void)wire::encode_stream_credit(
-                     {3, stream::kMaxStreamCredits + 1}),
+    EXPECT_THROW((void)wire::encode(wire::StreamCredit{3, 0}), WireError);
+    EXPECT_THROW((void)wire::encode(
+                     wire::StreamCredit{3, stream::kMaxStreamCredits + 1}),
                  WireError);
   }
   {
     wire::StreamClosed closed;
     closed.stream_id = 3;
-    std::vector<std::uint8_t> message = wire::encode_stream_closed(closed);
+    std::vector<std::uint8_t> message = wire::encode(closed).bytes();
     message[wire::kHeaderBytes + 8] = 0x07; // status byte: unknown code
     EXPECT_THROW(
         (void)wire::decode_stream_closed(
@@ -722,7 +726,7 @@ TEST(WireTest, RequestDecodeRejectsMalformedDeadlineEncodings) {
 
 TEST(WireTest, HeaderRejectsMagicVersionTypeAndSizeViolations) {
   const std::vector<std::uint8_t> good =
-      wire::encode_error({1, wire::ErrorCode::generic, "x"});
+      wire::encode(wire::ErrorReply{1, wire::ErrorCode::generic, "x"}).bytes();
   auto header_of = [&](auto mutate) {
     std::vector<std::uint8_t> bytes(good.begin(),
                                     good.begin() + wire::kHeaderBytes);
@@ -749,7 +753,8 @@ TEST(WireTest, HeaderRejectsMagicVersionTypeAndSizeViolations) {
 
 TEST(WireTest, ChecksumMismatchAndTruncatedPayloadAreRejected) {
   std::vector<std::uint8_t> message =
-      wire::encode_error({1, wire::ErrorCode::generic, "hello"});
+      wire::encode(wire::ErrorReply{1, wire::ErrorCode::generic, "hello"})
+          .bytes();
   const wire::Header header = wire::decode_header(
       std::span<const std::uint8_t>(message).first(wire::kHeaderBytes));
   std::vector<std::uint8_t> payload(message.begin() + wire::kHeaderBytes,
@@ -762,7 +767,7 @@ TEST(WireTest, ChecksumMismatchAndTruncatedPayloadAreRejected) {
           std::span<const std::uint8_t>(payload).first(payload.size() - 1)),
       WireError);
   // Truncated payload handed straight to the decoder.
-  EXPECT_THROW(wire::decode_error(
+  EXPECT_THROW(wire::decode<wire::ErrorReply>(
                    std::span<const std::uint8_t>(payload).first(9)),
                WireError);
 }
@@ -910,23 +915,33 @@ TEST(WireTest, RejectedPayloadsNeverLeakPooledPlanes) {
   EXPECT_EQ(pool.stats().returned, 3u);
 }
 
-/// One small valid payload of a message type and the round trip it is put
-/// through: decoded under a header that declares it exactly (checksum
-/// recomputed), then encoded again.
+/// Re-encodes a payload after decoding it; throws what the decoder throws.
+using RoundTrip =
+    std::function<std::vector<std::uint8_t>(const std::vector<std::uint8_t>&)>;
+
+/// One small valid payload of a message type and the round trips it is put
+/// through: received as a connection receives it (under a header that
+/// declares it exactly, checksum recomputed) and decoded from memory, each
+/// result then encoded again.
 struct CanonicalCase {
   const char* type;
   std::vector<std::uint8_t> payload;
-  std::function<std::vector<std::uint8_t>(const std::vector<std::uint8_t>&)>
-      round_trip;
+  std::array<RoundTrip, 2> round_trips;
 };
 
-template <typename Message, typename Encode, typename Decode>
-CanonicalCase canonical_case(const char* type, const Message& message,
-                             Encode encode, Decode decode) {
-  return {type, payload_of(encode(message)),
-          [encode, decode](const std::vector<std::uint8_t>& payload) {
-            return payload_of(encode(decode(payload)));
-          }};
+template <typename Message>
+CanonicalCase canonical_case(const char* type, const Message& message) {
+  const auto again = [](const Message& decoded) {
+    return payload_of(wire::encode(decoded).bytes());
+  };
+  return {type,
+          payload_of(wire::encode(message).bytes()),
+          {[again](const std::vector<std::uint8_t>& payload) {
+             return again(received<Message>(payload));
+           },
+           [again](const std::vector<std::uint8_t>& payload) {
+             return again(wire::decode<Message>(payload));
+           }}};
 }
 
 /// One case per message type (two for the request: with and without a
@@ -954,38 +969,21 @@ std::vector<CanonicalCase> canonical_cases() {
   result.rung = serve::DegradeLevel::global_operator;
   result.backend = "b";
   result.output = image;
-  const auto encode_result = [](const wire::StreamResult& message) {
-    const wire::OutboundMessage parts = wire::encode_parts(message);
-    std::vector<std::uint8_t> bytes = parts.head;
-    bytes.insert(bytes.end(), parts.samples.begin(), parts.samples.end());
-    return bytes;
-  };
   return {
-      canonical_case("request", request, wire::encode_request,
-                     received<wire::Request>),
-      canonical_case("deadlined request", deadlined, wire::encode_request,
-                     received<wire::Request>),
-      canonical_case("response", response, wire::encode_response,
-                     received<wire::Response>),
+      canonical_case("request", request),
+      canonical_case("deadlined request", deadlined),
+      canonical_case("response", response),
       canonical_case("error",
-                     wire::ErrorReply{7, wire::ErrorCode::overloaded, "e"},
-                     wire::encode_error, wire::decode_error),
-      canonical_case("stream_open", pinned_stream_open(),
-                     wire::encode_stream_open, wire::decode_stream_open),
-      canonical_case("stream_frame", wire::StreamFrame{3, 1, image},
-                     wire::encode_stream_frame, received<wire::StreamFrame>),
-      canonical_case("stream_close", wire::StreamClose{3},
-                     wire::encode_stream_close, wire::decode_stream_close),
-      canonical_case("stream_opened", wire::StreamOpened{3, 2},
-                     wire::encode_stream_opened, wire::decode_stream_opened),
-      canonical_case("stream_result", result, encode_result,
-                     received<wire::StreamResult>),
-      canonical_case("stream_credit", wire::StreamCredit{3, 1},
-                     wire::encode_stream_credit, wire::decode_stream_credit),
+                     wire::ErrorReply{7, wire::ErrorCode::overloaded, "e"}),
+      canonical_case("stream_open", pinned_stream_open()),
+      canonical_case("stream_frame", wire::StreamFrame{3, 1, image}),
+      canonical_case("stream_close", wire::StreamClose{3}),
+      canonical_case("stream_opened", wire::StreamOpened{3, 2}),
+      canonical_case("stream_result", result),
+      canonical_case("stream_credit", wire::StreamCredit{3, 1}),
       canonical_case("stream_closed",
                      wire::StreamClosed{3, wire::StreamStatus::shed, 4, 1, 0,
-                                        1, "x"},
-                     wire::encode_stream_closed, wire::decode_stream_closed),
+                                        1, "x"}),
   };
 }
 
@@ -1005,16 +1003,18 @@ TEST(WireTest, EveryMutatedPayloadIsRejectedOrReencodesExactly) {
   for (const CanonicalCase& c : cases) {
     const auto check = [&](const std::vector<std::uint8_t>& payload,
                            const std::string& how) {
-      try {
-        EXPECT_EQ(c.round_trip(payload), payload) << c.type << ", " << how;
-        ++accepted;
-      } catch (const WireError&) {
-        ++rejected;
-      } catch (const std::exception& e) {
-        ADD_FAILURE() << c.type << ", " << how << ": threw " << e.what();
+      for (const RoundTrip& round_trip : c.round_trips) {
+        try {
+          EXPECT_EQ(round_trip(payload), payload) << c.type << ", " << how;
+          ++accepted;
+        } catch (const WireError&) {
+          ++rejected;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << c.type << ", " << how << ": threw " << e.what();
+        }
+        const img::PoolStats s = pool.stats();
+        EXPECT_EQ(s.returned, s.acquires) << c.type << ", " << how;
       }
-      const img::PoolStats s = pool.stats();
-      EXPECT_EQ(s.returned, s.acquires) << c.type << ", " << how;
     };
     for (std::size_t i = 0; i < c.payload.size(); ++i) {
       const int b = c.payload[i];
@@ -1044,6 +1044,77 @@ TEST(WireTest, EncodeRequestRejectsStructurallyInvalidJobs) {
   bad_deadline.job.frame = random_hdr(4, 4, 1);
   bad_deadline.job.deadline_seconds = -1.0;
   EXPECT_THROW(wire::encode_request(bad_deadline), InvalidArgument);
+  bad_deadline.job.deadline_seconds = std::nan("");
+  EXPECT_THROW(wire::encode_request(bad_deadline), InvalidArgument);
+}
+
+/// The largest encoding of a message without an image is received whole,
+/// and a size beyond what such a message can hold is refused before a
+/// byte of it is received.
+template <typename Message>
+void expect_bounded_control_message(const Message& largest) {
+  const std::vector<std::uint8_t> payload =
+      payload_of(wire::encode(largest).bytes());
+  EXPECT_EQ(payload_of(wire::encode(received<Message>(payload)).bytes()),
+            payload);
+  wire::Header header = header_for(payload);
+  header.payload_bytes = 1u << 20;
+  bool receive_called = false;
+  const wire::Receive receive = [&](std::span<std::uint8_t>) {
+    receive_called = true;
+    return true;
+  };
+  Message message;
+  EXPECT_THROW((void)wire::receive_payload(header, receive, message),
+               WireError);
+  EXPECT_FALSE(receive_called);
+}
+
+TEST(WireTest, ControlMessagesAreBoundedBeforeTheirPayloadIsRead) {
+  // Every string at kMaxStringBytes: the stream open, whose options carry
+  // the backend name, is the largest message without an image (4,182
+  // payload bytes).
+  const std::string longest(wire::kMaxStringBytes, 'x');
+  wire::StreamOpen open = pinned_stream_open();
+  open.config.pipeline.backend = longest;
+  EXPECT_EQ(payload_of(wire::encode(open).bytes()).size(), 4182u);
+  expect_bounded_control_message(open);
+  expect_bounded_control_message(
+      wire::ErrorReply{1, wire::ErrorCode::generic, longest});
+  expect_bounded_control_message(wire::StreamOpened{1, 1});
+  expect_bounded_control_message(wire::StreamCredit{1, 1});
+  expect_bounded_control_message(wire::StreamClose{1});
+  expect_bounded_control_message(
+      wire::StreamClosed{1, wire::StreamStatus::failed, 1, 2, 3, 4, longest});
+}
+
+TEST(WireTest, FramesAtTheDimensionBoundCrossAndOneMoreIsRefused) {
+  for (const auto& [width, height] : {std::pair{wire::kMaxDimension, 1},
+                                      std::pair{1, wire::kMaxDimension}}) {
+    SCOPED_TRACE(std::to_string(width) + "x" + std::to_string(height));
+    img::ImageF frame(width, height, 1);
+    for (std::size_t i = 0; i < frame.sample_count(); ++i) {
+      frame.samples()[i] = static_cast<float>(i) - 0.5f;
+    }
+    std::vector<std::uint8_t> payload =
+        payload_of(wire::encode(wire::StreamFrame{1, 2, frame}).bytes());
+    EXPECT_TRUE(
+        bit_identical(received<wire::StreamFrame>(payload).frame, frame));
+
+    // One more along the same axis: refused by the encoder, and by the
+    // receiver when a peer sends it (the dimension raised, one sample
+    // appended so the payload size agrees).
+    const int wider = width + (width == 1 ? 0 : 1);
+    const int taller = height + (height == 1 ? 0 : 1);
+    EXPECT_THROW(
+        (void)wire::encode(wire::StreamFrame{1, 2, img::ImageF(wider, taller, 1)}),
+        InvalidArgument);
+    const std::size_t axis_at = 16 + (width == 1 ? 4 : 0); // after the ids
+    payload[axis_at] = 0x01; // 4097, little-endian
+    payload[axis_at + 1] = 0x10;
+    payload.insert(payload.end(), 4, 0x00);
+    EXPECT_THROW((void)received<wire::StreamFrame>(payload), WireError);
+  }
 }
 
 TEST(SocketTest, GatherSendWritesEveryPieceInOrder) {
@@ -1569,16 +1640,27 @@ TEST(TransportMalformedTest, HostileImagePayloadsOnALiveServer) {
                             tonemap::tone_map(frame, opt).output));
 }
 
-// --- deadlines, timeouts and injected faults -------------------------------
-
-TEST(WireTest, EncodeRequestRejectsHostileDeadlines) {
-  wire::Request request;
-  request.job.frame = random_hdr(4, 4, 1);
-  request.job.deadline_seconds = -1.0;
-  EXPECT_THROW(wire::encode_request(request), InvalidArgument);
-  request.job.deadline_seconds = std::nan("");
-  EXPECT_THROW(wire::encode_request(request), InvalidArgument);
+TEST(TransportMalformedTest, OversizedControlMessageIsRefusedAfterItsHeader) {
+  // A stream_close has 8 payload bytes; this header declares 1 MiB and no
+  // payload follows. The server must refuse it from the header alone: a
+  // reader that waited for the bytes would be parked by any peer. The
+  // client keeps its side open, so only the server can end the exchange.
+  Server server(small_server(1));
+  Socket socket = Socket::connect("127.0.0.1", server.port());
+  socket.set_recv_timeout(10.0);
+  wire::Header header;
+  header.type = wire::MessageType::stream_close;
+  header.payload_bytes = 1u << 20;
+  ASSERT_EQ(socket.send_all(wire::encode_header(header)), SendStatus::ok);
+  std::vector<std::uint8_t> reply(1);
+  const ReadStatus read = socket.recv_all(reply);
+  EXPECT_TRUE(read == ReadStatus::eof || read == ReadStatus::error)
+      << "the connection was not cut (a timeout means the server waited)";
+  await_protocol_errors(server, 1);
+  EXPECT_EQ(server.stats().protocol_errors, 1u);
 }
+
+// --- deadlines, timeouts and injected faults -------------------------------
 
 // RAII teardown: every fault-injection test disarms on every exit path, so
 // a failing assertion cannot leak an armed site into later tests.
