@@ -133,7 +133,8 @@ public:
   template <typename E> void code(E v) { u8(code_of(v)); }
 
   void chars(const std::string& s, std::size_t n) {
-    out_.insert(out_.end(), s.begin(), s.begin() + static_cast<long>(n));
+    out_.insert(out_.end(), s.begin(),
+                s.begin() + static_cast<std::ptrdiff_t>(n));
   }
 
   /// An image's samples: on a little-endian host the plane's memory already

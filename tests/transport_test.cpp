@@ -124,7 +124,8 @@ bool receive_from(const wire::Header& header,
                   std::span<const std::uint8_t> bytes, Message& message) {
   const wire::Receive from_bytes = [&bytes](std::span<std::uint8_t> out) {
     if (out.size() > bytes.size()) return false;
-    std::memcpy(out.data(), bytes.data(), out.size());
+    // copy_n, not memcpy: an empty payload's bytes may have no address.
+    std::copy_n(bytes.begin(), out.size(), out.begin());
     bytes = bytes.subspan(out.size());
     return true;
   };
@@ -257,9 +258,44 @@ TEST(WireTest, StreamFrameGoldenBytesPinTheSampleLayout) {
   EXPECT_TRUE(bit_identical(decoded.frame, image));
 }
 
-/// The id every pinned control message carries: eight distinct bytes, so a
+/// The id every pinned stream message carries: eight distinct bytes, so a
 /// byte-order slip shows.
 constexpr std::uint64_t kPinnedStreamId = 0x0102030405060708ull;
+
+TEST(WireTest, StreamResultGoldenBytesPinTheDeliveryLayout) {
+  // The exact v6 bytes of a delivered stream frame, recorded from the
+  // per-message encoder before the field lists. Rung and backend are both
+  // away from their defaults, so swapping any two fields moves a byte.
+  wire::StreamResult result;
+  result.stream_id = kPinnedStreamId;
+  result.sequence = 0x1112131415161718ull;
+  result.rung = serve::DegradeLevel::reduced_blur;
+  result.backend = "hls";
+  result.service_seconds = 0.375;
+  result.output = img::ImageF(1, 1, 2);
+  result.output.samples()[0] = 1.0f;
+  result.output.samples()[1] = -0.0f;
+  const std::vector<std::uint8_t> expected{
+      0x54, 0x4d, 0x48, 0x57, 0x06, 0x00, 0x08, 0x00, // magic, v6, type 8
+      0x34, 0x00, 0x00, 0x00, 0x54, 0x74, 0x14, 0x4f, // 52 bytes, CRC32C
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // stream id
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // sequence
+      0x01,                                           // rung: reduced_blur
+      0x03, 0x00, 0x00, 0x00, 0x68, 0x6c, 0x73,       // backend "hls"
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd8, 0x3f, // service 0.375 s
+      0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, // width, height
+      0x02, 0x00, 0x00, 0x00,                         // channels
+      0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x80}; // 1.0f, -0.0f
+  EXPECT_EQ(wire::encode(result).bytes(), expected);
+
+  const wire::StreamResult decoded =
+      wire::decode<wire::StreamResult>(payload_of(expected));
+  EXPECT_EQ(decoded.sequence, result.sequence);
+  EXPECT_EQ(decoded.rung, serve::DegradeLevel::reduced_blur);
+  EXPECT_EQ(decoded.backend, "hls");
+  EXPECT_EQ(decoded.service_seconds, 0.375);
+  EXPECT_TRUE(bit_identical(decoded.output, result.output));
+}
 
 /// A stream open with every wire field away from its default: both fixed
 /// formats, a backend name, each option.
