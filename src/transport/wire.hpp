@@ -18,8 +18,7 @@
 // Each payload layout is written down once, as its message's field list in
 // wire.cpp: the fields in wire order with their bounds. Encoding, decoding
 // and receiving from a socket all walk that one list, so the three cannot
-// disagree, and an encoder refuses what a decoder would reject. The structs
-// below name the fields in the same order.
+// disagree, and an encoder never emits what a decoder would reject.
 //
 // All multi-byte integers are little-endian **on the wire regardless of
 // host endianness** — encoders assemble bytes explicitly, decoders
